@@ -11,12 +11,10 @@ irrational-parameter tilings.
 
 from .params import (
     InvalidParameter,
-    Mod2,
     OddIntegerClass,
     Param,
     PlaidError,
     Rat,
-    compute_tune,
     even_rationals,
     make_param,
     mod2_reduce,
@@ -86,5 +84,23 @@ from .analysis import (
     verify_first,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "InvalidParameter", "OddIntegerClass", "Param", "PlaidError", "Rat",
+    "even_rationals", "make_param", "mod2_reduce", "normalize_open",
+    "BlockGrid", "GridLine", "IncoherentInput", "IntersectionPoint",
+    "LineInvariants", "Particle", "PlaidPolygon", "UnitSegment",
+    "anchor_lines", "check_coherence", "f_H", "f_P", "f_Q", "f_V",
+    "good_edges", "horizontal_particle", "light_count", "line_invariants",
+    "segment_points", "trace_particle", "trace_polygons", "vertical_particle",
+    "BoundaryFiber", "CheckerboardSpec", "ClassifyingPoint", "OnWall",
+    "ZoneData", "checkerboard_label", "particle_image_geometry",
+    "symmetry_conjugacies", "tile_of", "verify_bijection", "xi", "xi_local",
+    "zone_of",
+    "BadOffset", "CoverPoint", "NonPeriodicOrbit", "PetOrbit", "PetRegion",
+    "check_mesh", "irrational_tiling", "lift_label", "oriented_label",
+    "pet_back", "pet_region", "pet_step", "special_orbit", "vector_polygon",
+    "xi_hat",
+    "PolygonStats", "empty_rectangles", "gap_radius", "polygon_stats",
+    "verify_first",
+]
 __version__ = "0.1.0"

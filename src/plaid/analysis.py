@@ -21,6 +21,8 @@ from .grid import (
     GridLine,
     capacity_scaled,
     light_points_on_line,
+    light_points_scaled,
+    light_scale,
     trace_polygons,
 )
 
@@ -134,16 +136,16 @@ def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
 
 
 def block_light_cache(param: Param, block: Tuple[int, int]
-                      ) -> Dict[Tuple[str, int], List[Tuple[Rat, int]]]:
+                      ) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
     """Light points of every grid line crossing the block, for reuse across
-    the capacity grids."""
+    the capacity grids, in the integer form of light_points_scaled."""
     w = param.omega
     bi, bj = block
     cache = {}
     for m in range(bj * w, (bj + 1) * w + 1):
-        cache[("H", m)] = light_points_on_line(param, GridLine("H", m), block)
+        cache[("H", m)] = light_points_scaled(param, GridLine("H", m), block)
     for n in range(bi * w, (bi + 1) * w + 1):
-        cache[("V", n)] = light_points_on_line(param, GridLine("V", n), block)
+        cache[("V", n)] = light_points_scaled(param, GridLine("V", n), block)
     return cache
 
 
@@ -162,6 +164,8 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int,
     census = 0
     if cache is None:
         cache = block_light_cache(param, block)
+    xs = [x * light_scale(param, "H") for x in xc]
+    ys = [y * light_scale(param, "V") for y in yc]
 
     def spans(cuts, v):
         j = bisect_left(cuts, v)
@@ -173,14 +177,14 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int,
         rows = [j for j in (j_line - 1, j_line) if 0 <= j < ny]
         for x, mult in cache[("H", y_line)]:
             census += mult
-            for i in spans(xc, x):
+            for i in spans(xs, x):
                 for j in rows:
                     marked[i][j] = True
     for i_line, x_line in enumerate(xc):
         cols = [i for i in (i_line - 1, i_line) if 0 <= i < nx]
         for y, mult in cache[("V", x_line)]:
             census += mult
-            for j in spans(yc, y):
+            for j in spans(ys, y):
                 for i in cols:
                     marked[i][j] = True
     empty = [(i, j) for i in range(nx) for j in range(ny) if not marked[i][j]]

@@ -156,16 +156,6 @@ def checkerboard_label(spec: CheckerboardSpec, u1coord: RatLike, u2coord: RatLik
     return unordered_label(spec.rows[row], spec.cols[col]), None
 
 
-def ordered_cell(spec: CheckerboardSpec, u1coord: Rat, u2coord: Rat
-                 ) -> Optional[Tuple[str, str]]:
-    """(row symbol, col symbol) of the containing cell, None if special."""
-    col = _band(u1coord, spec.u)
-    row = 3 - _band(u2coord, spec.u)
-    if spec.specials[row] == col:
-        return None
-    return spec.rows[row], spec.cols[col]
-
-
 # ---------------------------------------------------------------------------
 # The classifying map
 # ---------------------------------------------------------------------------
@@ -391,16 +381,6 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     return {"ok": True, "classes": w ** 3}
 
 
-def _canon_diff(param: Param, ca, cb) -> Tuple[int, int, int]:
-    ta, ua1, ua2 = xi_raw_scaled(param, *ca)
-    tb, ub1, ub2 = xi_raw_scaled(param, *cb)
-    return canon_scaled(param, tb - ta, ub1 - ua1, ub2 - ua2)
-
-
-def _indices_of_center(x: Fraction, y: Fraction) -> Tuple[int, int]:
-    return ( (2 * x).numerator - 1) // 2, ((2 * y).numerator - 1) // 2
-
-
 def particle_image_geometry(param: Param, particle: Particle) -> Dict[str, object]:
     """Geometry of the classifying images of a particle's edge squares.
 
@@ -413,16 +393,8 @@ def particle_image_geometry(param: Param, particle: Particle) -> Dict[str, objec
     w, p, q = param.omega, param.p, param.q
     t1, t2 = 2 * p - w, w - 2 * p
 
-    def img(pt):
-        x, y = pt.location
-        if particle.orientation == "vertical":
-            cx, cy = x + Fraction(1, 2), (y.numerator // y.denominator) + Fraction(1, 2)
-        else:
-            cx, cy = (x.numerator // x.denominator) + Fraction(1, 2), y + Fraction(1, 2)
-        a, b = _indices_of_center(cx, cy)
-        return canon_scaled(param, *xi_raw_scaled(param, a, b))
-
-    images = [img(pt) for pt in particle.instances]
+    images = [canon_scaled(param, *xi_raw_scaled(param, a, b))
+              for a, b in particle.squares]
     if particle.orientation == "vertical":
         fib = {t for t, _, _ in images}
         if len(fib) != 1:

@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .params import InvalidParameter, PlaidError, make_param
 from .grid import trace_polygons
@@ -60,20 +60,33 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _parse_palette(text: str) -> Dict[str, str]:
+    palette = {}
+    for entry in text.split(",") if text else []:
+        key, sep, color = entry.partition("=")
+        if not (sep and key and color) or "=" in color:
+            raise PlaidError(f"--palette entries are layer=color, got {entry!r}")
+        palette[key] = color
+    return palette
+
+
 def cmd_render(args) -> int:
     param = make_param(args.p, args.q)
     cfg = RenderConfig(
         window=args.window,
         scale=args.scale,
         layers=tuple(args.layers.split(",")),
-        palette=dict(kv.split("=") for kv in args.palette.split(",")) if
-        args.palette else {},
+        palette=_parse_palette(args.palette),
     )
     _emit(render_svg(param, cfg), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
+    if args.max_omega is not None and args.max_omega < 3:
+        print(f"error: --max-omega must be at least 3, got {args.max_omega}",
+              file=sys.stderr)
+        return 2
     if args.suite == "irrational":
         records = suite_irrational()
     elif args.suite == "golden":

@@ -361,16 +361,6 @@ class BlockGrid:
                     b = lo + (rho - lo) % w
                     vl[col + (b * w - num) // w] += 1
 
-    def good_count(self, n: int, m: int) -> int:
-        w = self.param.omega
-        hl, vl = self.hl, self.vl
-        return (
-            (hl[m * w + n] == 1)
-            + (hl[(m + 1) * w + n] == 1)
-            + (vl[n * w + m] == 1)
-            + (vl[(n + 1) * w + m] == 1)
-        )
-
     def good_edge_set(self, n: int, m: int) -> Set[str]:
         w = self.param.omega
         out = set()
@@ -469,22 +459,29 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     return hc, vc
 
 
-def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
-                         ) -> List[Tuple[Fraction, int]]:
-    """Light points (coordinate along the line, multiplicity) on the closed
-    intersection of the line with the given block."""
+def light_scale(param: Param, family: str) -> int:
+    """What light_points_scaled multiplies coordinates on H or V lines by."""
+    return param.omega if family == "V" else 2 * param.p * param.q
+
+
+def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
+                        ) -> List[Tuple[int, int]]:
+    """Light points (coordinate along the line times light_scale, so an
+    integer, and multiplicity) on the closed intersection of the line with
+    the given block, sorted."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
-    out: Dict[Fraction, int] = {}
+    out: Dict[int, int] = {}
     if line.family == "H":
         m = line.intercept
         cap = capacity_scaled(param, m)
-        for s in (p, q):
+        for s, step in ((p, w * q), (q, w * p)):
+            # x = (b - m) * w / 2s, so x * 2pq = (b - m) * w * (pq / s)
             for b in range(m + 2 * s * bi, m + 2 * s * (bi + 1) + 1):
                 if _light(cap, mass_scaled(param, b)):
-                    x = Fraction((b - m) * w, 2 * s)
+                    x = (b - m) * step
                     if x not in out:
-                        out[x] = 2 if x % 1 == Fraction(1, 2) else 1
+                        out[x] = 2 if x % (2 * p * q) == p * q else 1
     elif line.family == "V":
         x = line.intercept
         cap = capacity_scaled(param, x)
@@ -492,14 +489,23 @@ def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
             num = 2 * s * x
             lo = -((-(bj * w * w + num)) // w)
             for b in range(lo, lo + w + 1):
-                if b * w - num > (bj + 1) * w * w:
+                y = b * w - num
+                if y > (bj + 1) * w * w:
                     break
                 if _light(cap, mass_scaled(param, b)):
-                    y = Fraction(b * w - num, w)
                     out.setdefault(y, 1)
     else:
         raise InvalidParameter("light census applies to H and V lines")
     return sorted(out.items())
+
+
+def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
+                         ) -> List[Tuple[Fraction, int]]:
+    """Light points (coordinate along the line, multiplicity) on the closed
+    intersection of the line with the given block."""
+    den = light_scale(param, line.family)
+    return [(Fraction(v, den), mult)
+            for v, mult in light_points_scaled(param, line, block)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,53 +615,54 @@ class Particle:
     """A cycle of intersection points linked by remote adjacency
     (block j -> block j+a).  Vertical particles have omega instances of one
     type; horizontal particles have 2p type-P instances then 2q type-Q
-    instances, passing twice through one block corner and one midpoint."""
+    instances, passing twice through one block corner and one midpoint.
+    squares[i] is the floor (a, b) of instance i's location: the unit square
+    with the instance on its south (horizontal) or west (vertical) edge."""
 
     orientation: str
     instances: Tuple[IntersectionPoint, ...]
     types: Tuple[str, ...]
+    squares: Tuple[Tuple[int, int], ...]
 
     @property
     def brightness(self) -> str:
         return self.instances[0].brightness
 
 
-def _brightness_at_h(param: Param, m: int, b: int) -> str:
-    return "light" if _light(capacity_scaled(param, m), mass_scaled(param, b)) \
-        else "dark"
-
-
 def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
-    """The horizontal particle through the block corner (j0*omega, y0)."""
+    """The horizontal particle through the block corner (j0*omega, y0).
+
+    The step-r instance of the family with slope -2s/omega (s = p or q) in
+    block j sits at x = k*omega/(2s) with k = 2sj + r, on the crossing line
+    with intercept y0 + k; all tests run on these integer numerators."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
     host = GridLine("H", y0)
+    y = Fraction(y0)
     cap = capacity_scaled(param, y0)
     pts: List[IntersectionPoint] = []
     types: List[str] = []
+    squares: List[Tuple[int, int]] = []
 
-    def record(j: int, fam: str, r: int):
-        if fam == "P":
-            x = Fraction((2 * p * j + r) * w, 2 * p)
-            b = y0 + 2 * p * j + r
-        else:
-            x = Fraction((2 * q * j + r) * w, 2 * q)
-            b = y0 + 2 * q * j + r
-        corner = x % w == 0
-        mid = x % 1 == Fraction(1, 2)
+    def record(j: int, fam: str, s: int, r: int):
+        k = 2 * s * j + r
+        b = y0 + k
+        corner = r % (2 * s) == 0
+        mid = (k * w) % (2 * s) == s
         crossing = GridLine(fam, b)
         if corner or mid:
-            # both-type point: intercepts of the two crossings through x,
-            # which must agree on brightness
-            b_p = y0 + 2 * p * x / w
-            b_q = y0 + 2 * q * x / w
-            if b_p.denominator != 1 or b_q.denominator != 1:
-                raise PlaidError(f"double point at x={x} is not integral")
-            b_p, b_q = int(b_p), int(b_q)
+            # both-type point: intercepts y0 + 2p*x/w and y0 + 2q*x/w of the
+            # two crossings through x, which must agree on brightness
+            b_p, rem_p = divmod(2 * p * k, 2 * s)
+            b_q, rem_q = divmod(2 * q * k, 2 * s)
+            if rem_p or rem_q:
+                raise PlaidError(f"double point at x={k * w}/{2 * s} is not integral")
+            b_p, b_q = y0 + b_p, y0 + b_q
             if _light(cap, mass_scaled(param, b_p)) != _light(cap, mass_scaled(param, b_q)):
-                raise PlaidError(f"brightness mismatch at double point x={x}")
+                raise PlaidError(f"brightness mismatch at double point x={k * w}/{2 * s}")
             crossing = GridLine("P", b_p)
+        xn = (k * w) % (2 * s * w * w)  # 2s * (x mod w^2)
         pts.append(IntersectionPoint(
-            location=(x % (w * w), Fraction(y0)),
+            location=(Fraction(xn, 2 * s), y),
             host=host,
             crossing=crossing,
             brightness="light" if _light(cap, mass_scaled(param, b)) else "dark",
@@ -663,21 +670,22 @@ def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
             multiplicity=2 if mid else 1,
         ))
         types.append(fam)
+        squares.append((xn // (2 * s), y0))
 
     j = j0 % w
     for r in range(2 * p):
-        record(j, "P", r)
+        record(j, "P", p, r)
         j = (j + a) % w
     # right-edge corner, reached with r = 2q in the Q parametrisation
     for r in range(2 * q, 0, -1):
-        record(j, "Q", r)
+        record(j, "Q", q, r)
         j = (j + a) % w
     if j != j0 % w:
         raise PlaidError("horizontal particle failed to close")
     bset = {pt.brightness for pt in pts}
     if len(bset) != 1:
         raise PlaidError("particle brightness not constant")
-    return Particle("horizontal", tuple(pts), tuple(types))
+    return Particle("horizontal", tuple(pts), tuple(types), tuple(squares))
 
 
 def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
@@ -686,6 +694,7 @@ def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
     w, p, q, a = param.omega, param.p, param.q, param.adj
     s = p if ptype == "P" else q
     pts: List[IntersectionPoint] = []
+    squares: List[Tuple[int, int]] = []
     j = j0 % w
     num0 = 2 * s * x0
     lo = -((-num0) // w)
@@ -704,12 +713,13 @@ def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
             ptype=ptype,
             multiplicity=1,
         ))
+        squares.append((x_abs, yn // w))
         j = (j + a) % w
         yn = (yn + w) % (w * w) if ptype == "P" else (yn - w) % (w * w)
     bset = {pt.brightness for pt in pts}
     if len(bset) != 1:
         raise PlaidError("particle brightness not constant")
-    return Particle("vertical", tuple(pts), tuple([ptype] * w))
+    return Particle("vertical", tuple(pts), tuple([ptype] * w), tuple(squares))
 
 
 def trace_particle(param: Param, start: IntersectionPoint) -> Particle:

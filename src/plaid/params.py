@@ -56,17 +56,6 @@ def normalize_open(x: RatLike) -> Rat:
 
 
 @dataclass(frozen=True)
-class Mod2:
-    """A rational reduced into [-2, 2)."""
-
-    value: Rat
-
-    def __post_init__(self):
-        if not (-2 <= self.value < 2):
-            raise ValueError(f"{self.value} outside [-2, 2)")
-
-
-@dataclass(frozen=True)
 class Param:
     """A validated even rational parameter p/q with its derived constants.
 
@@ -125,11 +114,6 @@ def make_param(p: int, q: int) -> Param:
         tune_sign=sign,
         adj=adj,
     )
-
-
-def compute_tune(param: Param) -> Rat:
-    """The tune tau = alpha/omega, with 2*alpha*p = +-1 mod omega."""
-    return param.tau
 
 
 def even_rationals(max_omega: int):

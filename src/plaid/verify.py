@@ -350,7 +350,8 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
         if suite == "mesh" and max_omega is None:
             params = [make_param(*pq) for pq in MESH_WITNESSES + MESH_EXTRAS]
         else:
-            params = even_rationals(max_omega or DEFAULT_BOUNDS.get(suite, 20))
+            params = even_rationals(DEFAULT_BOUNDS.get(suite, 20)
+                                    if max_omega is None else max_omega)
     jobs_list = [(suite, prm.p, prm.q) for prm in params]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

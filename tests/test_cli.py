@@ -143,3 +143,34 @@ def test_output_file(tmp_path, capsys):
     code, _ = run(capsys, "render", "--p", "1", "--q", "2",
                   "--window", "0,0,3,3", "--out", str(target))
     assert code == 0 and target.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("bound", ["0", "2", "-5"])
+def test_verify_max_omega_below_3_rejected(capsys, bound):
+    code = main(["verify", "--suite", "coherence", "--max-omega", bound])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --max-omega")
+
+
+@pytest.mark.parametrize("palette", ["bad", "polygons=#000,x", "=#000",
+                                     "polygons=a=b"])
+def test_render_malformed_palette(capsys, palette):
+    code = main(["render", "--p", "2", "--q", "5", "--window", "0,0,7,7",
+                 "--palette", palette])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --palette")
+
+
+def test_render_palette_override(capsys):
+    code, out = run(capsys, "render", "--p", "2", "--q", "5",
+                    "--window", "0,0,7,7", "--palette", "polygons=#123456")
+    assert code == 0 and 'stroke="#123456"' in out
+
+
+def test_run_suite_honours_explicit_bound():
+    from plaid.verify import run_suite
+
+    assert run_suite("first", max_omega=0) == []
+    assert [r["param"] for r in run_suite("first", max_omega=3)] == ["1/2"]
