@@ -106,6 +106,19 @@ def _zone_spec(P: Rat, zone: int, T: Rat) -> CheckerboardSpec:
     return CheckerboardSpec(u, rows, cols, spec)
 
 
+def _zones_at(P: Rat, T: Rat) -> Tuple[int, ...]:
+    """The zones whose checkerboard applies over the fiber T in [-1, 1]: both
+    neighbours on the zone boundaries T = -1+P and T = 1-P, one elsewhere."""
+    if not -1 <= T <= 1:
+        raise PlaidError(f"T={T} outside [-1, 1]")
+    t1, t2 = P - 1, 1 - P
+    if T == t1:
+        return (1, 2)
+    if T == t2:
+        return (2, 3)
+    return (1,) if T < t1 else (2,) if T < t2 else (3,)
+
+
 def zone_of(param_or_P, T: RatLike) -> ZoneData:
     """Zone and checkerboard data of the fiber over T.
 
@@ -115,17 +128,10 @@ def zone_of(param_or_P, T: RatLike) -> ZoneData:
     """
     P = param_or_P.bigP if isinstance(param_or_P, Param) else Fraction(param_or_P)
     T = Fraction(T)
-    if not -1 <= T <= 1:
-        raise PlaidError(f"T={T} outside [-1, 1]")
-    if T == -1 + P or T == 1 - P:
+    zones = _zones_at(P, T)
+    if len(zones) == 2:
         raise BoundaryFiber(f"T={T} lies over a zone boundary")
-    if T < -1 + P:
-        z = 1
-    elif T < 1 - P:
-        z = 2
-    else:
-        z = 3
-    return ZoneData(z, _zone_spec(P, z, T))
+    return ZoneData(zones[0], _zone_spec(P, zones[0], T))
 
 
 def _band(coord: Rat, u: Sequence[Rat]) -> int:
@@ -310,16 +316,11 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
     resolving zone-boundary fibers by two-sided agreement.  Raises OnWall on
     any in-fiber wall."""
     T, U1, U2 = point.as_tuple()
-    if T == -1 + P or T == 1 - P:
-        zones = (1, 2) if T == -1 + P else (2, 3)
-        got = []
-        for z in zones:
-            got.append(checkerboard_label(_zone_spec(P, z, T), U1, U2))
-        if got[0] != got[1]:
-            raise PlaidError(f"zone disagreement at {point}")
-        return got[0]
-    zd = zone_of(P, T)
-    return checkerboard_label(zd.spec, U1, U2)
+    got = [checkerboard_label(_zone_spec(P, z, T), U1, U2)
+           for z in _zones_at(P, T)]
+    if got[0] != got[-1]:
+        raise PlaidError(f"zone disagreement at {point}")
+    return got[0]
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,9 @@ class IntersectionPoint:
 
 
 def _light(cap: int, mass: int) -> bool:
-    if cap == 0 or mass == 0:
-        return False
-    return (cap > 0) == (mass > 0) and abs(mass) < abs(cap)
+    """The light rule on scaled invariants: the mass shares the capacity's
+    strict sign and is smaller in magnitude."""
+    return 0 < mass < cap or cap < mass < 0
 
 
 def _h_candidates(param: Param, seg: UnitSegment) -> List[Tuple[Fraction, str, int]]:
@@ -273,6 +273,27 @@ def good_edges(param: Param, sw_corner: Tuple[int, int]) -> Set[str]:
 # Fast per-block sweeps (plain integers)
 # ---------------------------------------------------------------------------
 
+def _h_slots(w: int, s: int, primary: bool) -> List[Tuple[int, int]]:
+    """(edge, weight) of the step-r crossing of the slope -2s/omega family on
+    a block's horizontal row, r in 0..2s: the crossing sits at
+    x = r*omega/(2s) from the block's left corner.
+
+    A corner (r = 0 or 2s) has weight 1 on edge 0 or w-1, since a block sees
+    its left corner on edge 0 and its right corner on edge w-1; a midpoint
+    has weight 2.  Corners and midpoints are points of both families, so
+    they are counted through the primary family (slope -P) alone and the
+    secondary family's crossings there have weight 0."""
+    slots = []
+    for r in range(2 * s + 1):
+        if r % (2 * s) == 0:
+            slots.append((0 if r == 0 else w - 1, 1 if primary else 0))
+        elif (r * w) % (2 * s) == s:
+            slots.append(((r * w) // (2 * s), 2 if primary else 0))
+        else:
+            slots.append(((r * w) // (2 * s), 1))
+    return slots
+
+
 class BlockGrid:
     """Light counts for every unit edge of one omega x omega block.
 
@@ -285,73 +306,41 @@ class BlockGrid:
     """
 
     def __init__(self, param: Param, bi: int):
-        w, p, q = param.omega, param.p, param.q
+        w = param.omega
         self.param = param
-        self.bi = bi = bi % w
+        self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
-        self._caps_h = [capacity_scaled(param, m) for m in range(w)]
-        self._mass = [mass_scaled(param, b) for b in range(w)]
+        mass = [mass_scaled(param, b) for b in range(w)]
+        # residues mod omega of the crossing lines that are light on the
+        # capacity line c; capacity depends on c mod omega alone, so row c
+        # and column c share one list
         self._light_res = {}
-        for m in range(w):
-            cap = self._caps_h[m]
-            if cap == 0:
-                continue
-            pos = cap > 0
-            self._light_res[m] = [
-                r for r in range(w)
-                if self._mass[r] != 0 and (self._mass[r] > 0) == pos
-                and abs(self._mass[r]) < abs(cap)
-            ]
+        for c in range(w):
+            cap = capacity_scaled(param, c)
+            if cap:
+                self._light_res[c] = [r for r in range(w)
+                                      if _light(cap, mass[r])]
         self._fill()
 
     def _fill(self):
         param, bi = self.param, self.bi
         w, p, q = param.omega, param.p, param.q
         hl, vl = self.hl, self.vl
-        edge_p = [(r * w) // (2 * p) for r in range(2 * p + 1)]
-        mid_p = [(r * w) % (2 * p) == p for r in range(2 * p + 1)]
-        edge_q = [(r * w) // (2 * q) for r in range(2 * q + 1)]
-        mid_q = [(r * w) % (2 * q) == q for r in range(2 * q + 1)]
-        for m in range(w):
-            res = self._light_res.get(m)
-            if not res:
-                continue
-            base_p = (m + 2 * p * bi) % w
-            base_q = (m + 2 * q * bi) % w
+        families = ((p, _h_slots(w, p, True)), (q, _h_slots(w, q, False)))
+        for m, res in self._light_res.items():
             row = m * w
-            for rho in res:
-                # corners (r = 0 and r = 2p) belong to both segments touching
-                # them; this block sees its left corner on edge 0 and its
-                # right corner on edge w-1.  The crossing windows are longer
-                # than w for the steep family, so step residues by w.
-                r = (rho - base_p) % w
-                while r <= 2 * p:
-                    if r == 0:
-                        hl[row] += 1
-                    elif r == 2 * p:
-                        hl[row + w - 1] += 1
-                    else:
-                        hl[row + edge_p[r]] += 2 if mid_p[r] else 1
-                    r += w
-                # corner and midpoint crossings are already counted through
-                # the slope -P family
-                r = (rho - base_q) % w
-                while r <= 2 * q:
-                    if 0 < r < 2 * q and not mid_q[r]:
-                        hl[row + edge_q[r]] += 1
-                    r += w
-        # vertical lines: capacity depends on n alone
-        for n in range(1, w):
-            cap = capacity_scaled(param, n)
-            if cap == 0:
-                continue
-            pos = cap > 0
-            res = [
-                r for r in range(w)
-                if self._mass[r] != 0 and (self._mass[r] > 0) == pos
-                and abs(self._mass[r]) < abs(cap)
-            ]
+            for s, slots in families:
+                base = (m + 2 * s * bi) % w
+                for rho in res:
+                    # the crossing windows are longer than w for the steep
+                    # family, so step residues by w
+                    r = (rho - base) % w
+                    while r <= 2 * s:
+                        edge, weight = slots[r]
+                        hl[row + edge] += weight
+                        r += w
+        for n, res in self._light_res.items():
             x_abs = bi * w + n
             col = n * w
             for s in (p, q):
@@ -425,24 +414,12 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     """
     w, p, q = param.omega, param.p, param.q
     bi %= w
-    hc = [0] * ((w + 1) * w)
+    # a block row's crossings do not depend on its height
+    row = [0] * w
+    for edge, weight in _h_slots(w, p, True) + _h_slots(w, q, False):
+        row[edge] += weight
+    hc = row * (w + 1)
     vc = [0] * ((w + 1) * w)
-    edge_p = [(r * w) // (2 * p) for r in range(2 * p + 1)]
-    mid_p = [(r * w) % (2 * p) == p for r in range(2 * p + 1)]
-    edge_q = [(r * w) // (2 * q) for r in range(2 * q + 1)]
-    mid_q = [(r * w) % (2 * q) == q for r in range(2 * q + 1)]
-    for m in range(w + 1):
-        row = m * w
-        for r in range(2 * p + 1):
-            if r == 0:
-                hc[row] += 1
-            elif r == 2 * p:
-                hc[row + w - 1] += 1
-            else:
-                hc[row + edge_p[r]] += 2 if mid_p[r] else 1
-        for r in range(1, 2 * q):
-            if not mid_q[r]:
-                hc[row + edge_q[r]] += 1
     for n in range(w + 1):
         x_abs = bi * w + n
         col = n * w
@@ -471,6 +448,11 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
     the given block, sorted."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
+    if line.family not in ("H", "V"):
+        raise InvalidParameter("light census applies to H and V lines")
+    across = bj if line.family == "H" else bi
+    if not across * w <= line.intercept <= (across + 1) * w:
+        return []
     out: Dict[int, int] = {}
     if line.family == "H":
         m = line.intercept
@@ -482,7 +464,7 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
                     x = (b - m) * step
                     if x not in out:
                         out[x] = 2 if x % (2 * p * q) == p * q else 1
-    elif line.family == "V":
+    else:
         x = line.intercept
         cap = capacity_scaled(param, x)
         for s in (p, q):
@@ -494,8 +476,6 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
                     break
                 if _light(cap, mass_scaled(param, b)):
                     out.setdefault(y, 1)
-    else:
-        raise InvalidParameter("light census applies to H and V lines")
     return sorted(out.items())
 
 

@@ -30,6 +30,7 @@ from .classifier import (
     ordered_label_scaled,
     xi_raw_scaled,
     _center_indices,
+    _zones_at,
 )
 
 
@@ -295,17 +296,14 @@ def _member(lab: str, edge: str, mode: str) -> bool:
 
 def _zone_half(param: Param, t: int) -> Tuple[int, int]:
     """(zone 1..3, half 0 middle / 1 outer) of a scaled cover fiber; zone is
-    None on zone boundaries."""
+    0 on zone boundaries and on the seam, which are not interior."""
     w = param.omega
     if -w <= t < w:
         half, tt = 0, t
     else:
         half, tt = 1, t - 2 * w if t >= w else t + 2 * w
-    t1, t2 = 2 * param.p - w, w - 2 * param.p
-    if tt == t1 or tt == t2 or tt == -w:
-        return (0, half)  # on a triangle edge, not interior
-    zone = 1 if tt < t1 else (2 if tt < t2 else 3)
-    return (zone, half)
+    zones = _zones_at(param.bigP, Fraction(tt, w))
+    return (zones[0] if len(zones) == 1 and tt != -w else 0, half)
 
 
 def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
@@ -371,27 +369,13 @@ def wall_distance(P: Rat, point: ClassifyingPoint) -> Rat:
     the seam, of whichever zones apply."""
     T, U1, U2 = point.as_tuple()
     dist = min(_circ2(T - (-1 + P)), _circ2(T - (1 - P)))
-    if T == -1 + P:
-        zones = (1, 2)
-    elif T == 1 - P:
-        zones = (2, 3)
-    else:
-        zones = (zone_of_value(P, T),)
-    for z in zones:
+    for z in _zones_at(P, T):
         cuts = _zone_spec(P, z, T).u
         for u in (U1, U2):
             dist = min(dist, _circ2(u - 1))
             for c in cuts:
                 dist = min(dist, _circ2(u - c))
     return dist
-
-
-def zone_of_value(P: Rat, T: Rat) -> int:
-    if T < -1 + P:
-        return 1
-    if T < 1 - P:
-        return 2
-    return 3
 
 
 def irrational_tiling(P: RatLike, offset: Sequence[RatLike],

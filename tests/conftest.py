@@ -2,14 +2,12 @@ import os
 
 import pytest
 
+from plaid.cli import golden_dir
 from plaid.params import make_param
 
 
 def golden_path(name: str) -> str:
-    base = os.environ.get(
-        "PLAID_GOLDEN_DIR",
-        os.path.join(os.path.dirname(__file__), "golden"))
-    return os.path.join(base, name)
+    return os.path.join(golden_dir(), name)
 
 
 @pytest.fixture(scope="session")

@@ -6,17 +6,14 @@ the whole gate takes a couple of minutes single-threaded.
 """
 
 import time
-from fractions import Fraction as F
 
-import pytest
-
-from plaid.params import even_rationals, make_param
-from plaid.pet import BadOffset, check_mesh, irrational_tiling
+from plaid.params import make_param
+from plaid.pet import check_mesh
 from plaid.verify import (
     MESH_EXTRAS,
     MESH_WITNESSES,
-    SUITES,
     run_suite,
+    suite_irrational,
 )
 
 
@@ -99,21 +96,10 @@ def test_criterion_11_particle_geometry():
 
 
 def test_criterion_12_irrational_mode():
-    seed = (F(1, 2 ** 20 + 7), F(1, 2 ** 20 + 33), F(1, 2 ** 20 + 37))
-    results = []
-    for h, k in ((4, 17), (17, 72), (72, 305)):
-        A = F(h, k)
-        P = 2 * A / (1 + A)
-        try:
-            irrational_tiling(P, (0, 0, 0), (0, 0, 2, 2))
-            rejected = False
-        except BadOffset:
-            rejected = True
-        window = irrational_tiling(P, seed, (0, 0, 100, 100))
-        results.append((P, rejected, window["ok"],
-                        window["min_wall_distance"]))
-    ok = all(rej and coh for _, rej, coh, _ in results)
+    records = suite_irrational()
+    ok = len(records) == 3 and all(r["ok"] for r in records)
     _criterion(12, "irrational limit windows", ok,
-               "; ".join(f"P={P}: zero-offset rejected={rej}, "
-                         f"100x100 coherent={coh}"
-                         for P, rej, coh, _ in results))
+               "; ".join(f"{r['param']}: zero-offset rejected="
+                         f"{r['zero_offset_rejected']}, "
+                         f"100x100 coherent={r['coherent']}"
+                         for r in records))

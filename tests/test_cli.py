@@ -174,3 +174,31 @@ def test_run_suite_honours_explicit_bound():
 
     assert run_suite("first", max_omega=0) == []
     assert [r["param"] for r in run_suite("first", max_omega=3)] == ["1/2"]
+
+
+def _crash_at_omega_5(param):
+    if param.omega == 5:
+        raise ZeroDivisionError(f"boom at {param}")
+    return {"ok": True}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
+    from plaid import verify
+    from plaid.params import even_rationals
+
+    # worker processes inherit the patched table by fork
+    monkeypatch.setitem(verify.SUITES, "crash", _crash_at_omega_5)
+    code, out = run(capsys, "verify", "--suite", "crash", "--max-omega", "7",
+                    "--jobs", jobs)
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["param"] for r in records] == [str(p) for p in even_rationals(7)]
+    for r in records:
+        assert r["suite"] == "crash"
+        if r["omega"] == 5:
+            assert r == {"ok": False, "suite": "crash", "param": r["param"],
+                         "omega": 5,
+                         "error": f"ZeroDivisionError: boom at {r['param']}"}
+        else:
+            assert r["ok"] and "error" not in r

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from plaid.params import make_param
 from plaid.grid import (
+    BlockGrid,
     GridLine,
     UnitSegment,
+    closed_point_counts,
     horizontal_particle,
+    light_count,
     light_points_on_line,
     light_points_scaled,
     light_scale,
@@ -31,9 +34,13 @@ def params(draw):
 
 def reference_lights(param, line, block):
     """Union over the line's unit segments in the block of the light points
-    of segment_points; a corner shared by two segments is one point."""
+    of segment_points; a corner shared by two segments is one point.  A line
+    that misses the closed block has none."""
     w = param.omega
     bi, bj = block
+    across = bj if line.family == "H" else bi
+    if not across * w <= line.intercept <= (across + 1) * w:
+        return []
     if line.family == "H":
         segs = [UnitSegment("h", n, line.intercept)
                 for n in range(bi * w, (bi + 1) * w)]
@@ -56,7 +63,9 @@ def reference_lights(param, line, block):
 def test_light_points_match_segment_points(param, family, bi, bj, data):
     w = param.omega
     lo = (bj if family == "H" else bi) * w
-    line = GridLine(family, data.draw(st.integers(lo, lo + w)))
+    # half the lines cross the block, the others mostly miss it
+    line = GridLine(family, data.draw(st.one_of(
+        st.integers(lo, lo + w), st.integers(lo - 2 * w, lo + 3 * w))))
     want = reference_lights(param, line, (bi, bj))
     assert light_points_on_line(param, line, (bi, bj)) == want
     den = light_scale(param, family)
@@ -97,3 +106,34 @@ def test_vertical_particle_matches_segment_points(param, ptype, data):
     x0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
     check_instances(param, vertical_particle(param, x0, ptype, j0), "v")
+
+
+@st.composite
+def block_edges(draw, w):
+    """40 unit edges of a block as (axis, n, m), indexing BlockGrid's arrays:
+    the horizontal edge from (n, m) has n < w, m <= w, the vertical one
+    n <= w, m < w."""
+    edges = []
+    for _ in range(40):
+        axis = draw(st.sampled_from("hv"))
+        i, j = draw(st.integers(0, w - 1)), draw(st.integers(0, w))
+        edges.append((axis, i, j) if axis == "h" else (axis, j, i))
+    return edges
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA), st.data())
+def test_block_counts_match_segment_points(param, bi, data):
+    """BlockGrid light counts and the closed two-point census of a block,
+    edge by edge, against the reference on the block's true segments."""
+    w = param.omega
+    grid = BlockGrid(param, bi)
+    hc, vc = closed_point_counts(param, bi)
+    for axis, n, m in data.draw(block_edges(w)):
+        i = m * w + n if axis == "h" else n * w + m
+        seg = UnitSegment(axis, bi * w + n, m)
+        lights = grid.hl if axis == "h" else grid.vl
+        assert lights[i] == light_count(param, seg), (axis, n, m)
+        points = hc if axis == "h" else vc
+        assert points[i] == sum(pt.multiplicity
+                                for pt in segment_points(param, seg))
