@@ -19,6 +19,20 @@ Images of tile centers land on fibers whose T is an odd multiple of 1/omega,
 including the two zone-boundary fibers; there the checkerboards of both
 adjacent zones agree cell by cell, and labels are computed from both sides
 and compared.
+
+The label table.  At one parameter the canonical images of tile centers are
+the omega^3 points (t, u1, u2)/omega with t odd in [-omega, omega) and u1, u2
+even in (-omega, omega); label_table holds one byte per point, at index
+
+    ((t + omega)/2 * omega + (u1 + omega - 1)/2) * omega + (u2 + omega - 1)/2.
+
+The byte is the cell code 4*i + j, i and j indexing the row and column
+symbols in "NSEW": twelve codes for the ordered pairs and four with i == j
+for the special cells (in every zone, the cells whose two symbols agree),
+the symbol being the diagnostic.  Over a zone-boundary fiber the fiber is
+built for both zones, and the two byte strings must be equal.  The table of
+the double cover continues t over [omega, 3*omega) with reversed codes.
+grid_cell reduces any scaled grid point to its index.
 """
 
 from __future__ import annotations
@@ -39,8 +53,6 @@ class BoundaryFiber(PlaidError):
     """T sits exactly over a zone boundary, where the checkerboard data of
     two zones both apply."""
 
-
-CONNECTOR_LABELS = ("EMPTY", "NS", "NE", "NW", "SE", "SW", "EW")
 
 _ORDER = "NSEW"
 
@@ -245,64 +257,101 @@ def xi_local(param: Param, point: Tuple[RatLike, RatLike]) -> ClassifyingPoint:
 # Tile assignment
 # ---------------------------------------------------------------------------
 
-def _label_scaled_onesided(param: Param, zone: int, t: int, u1: int, u2: int
-                           ) -> Tuple[str, str, Optional[str]]:
-    """(row symbol, col symbol, diagnostic) with scaled integer cuts.
-    Diagnostic is the special symbol when the cell is special, with row/col
-    set to '' in that case."""
+def _cuts_scaled(param: Param, zone: int, t: int) -> Tuple[int, int, int]:
+    """omega times the cuts of _zone_spec over the fiber t/omega."""
     w, p2 = param.omega, 2 * param.p
-    rows, cols, spec = _ZONES[zone]
     if zone == 1:
-        u = (t, w - p2, 2 * w - p2 + t)
-    elif zone == 2:
-        u = (p2 - w, t, w - p2)
-    else:
-        u = (p2 - 2 * w + t, p2 - w, t)
-    col = 0
-    for ui in u:
-        if u1 == ui or u1 == -w:
-            raise OnWall(f"scaled U1={u1} on a wall")
-        if u1 > ui:
-            col += 1
-    band = 0
-    for ui in u:
-        if u2 == ui or u2 == -w:
-            raise OnWall(f"scaled U2={u2} on a wall")
-        if u2 > ui:
-            band += 1
-    row = 3 - band
-    if spec[row] == col:
-        return "", "", rows[row]
-    return rows[row], cols[col], None
+        return (t, w - p2, 2 * w - p2 + t)
+    if zone == 2:
+        return (p2 - w, t, w - p2)
+    return (p2 - 2 * w + t, p2 - w, t)
 
 
-def ordered_label_scaled(param: Param, t: int, u1: int, u2: int
-                         ) -> Tuple[str, str, Optional[str]]:
-    """Cell data at a canonical scaled point of the base torus, resolving
-    zone-boundary fibers by evaluating both zones and insisting they agree."""
-    w = param.omega
-    t1, t2 = 2 * param.p - w, w - 2 * param.p
+def _zones_scaled(param: Param, t: int) -> Tuple[int, ...]:
+    """_zones_at over the scaled fiber t in [-omega, omega)."""
+    t1 = 2 * param.p - param.omega
     if t == t1:
-        zones = (1, 2)
-    elif t == t2:
-        zones = (2, 3)
-    elif t < t1:
-        zones = (1,)
-    elif t < t2:
-        zones = (2,)
-    else:
-        zones = (3,)
-    got = [_label_scaled_onesided(param, z, t, u1, u2) for z in zones]
-    if len(got) == 2 and got[0] != got[1]:
-        raise PlaidError(
-            f"zone disagreement at scaled ({t},{u1},{u2}): {got[0]} vs {got[1]}")
-    return got[0]
+        return (1, 2)
+    if t == -t1:
+        return (2, 3)
+    return (1,) if t < t1 else (2,) if t < -t1 else (3,)
+
+
+def _code(zone: int, band1: int, band2: int) -> int:
+    """Code of the cell of a zone's checkerboard in column band band1 and
+    U2 band band2 (bands count the cuts below, so rows run top down)."""
+    rows, cols, _ = _ZONES[zone]
+    return 4 * _ORDER.index(rows[3 - band2]) + _ORDER.index(cols[band1])
+
+
+def ordered_label_scaled(param: Param, t: int, u1: int, u2: int) -> int:
+    """Cell code at a canonical scaled point of the base torus, resolving
+    zone-boundary fibers by evaluating both zones and insisting they agree.
+    Points on a cut or on the seam raise OnWall."""
+    codes = []
+    for zone in _zones_scaled(param, t):
+        cuts = _cuts_scaled(param, zone, t)
+        if u1 in cuts or u2 in cuts or -param.omega in (u1, u2):
+            raise OnWall(f"scaled ({t},{u1},{u2}) on a wall")
+        codes.append(_code(zone, sum(u1 > c for c in cuts),
+                           sum(u2 > c for c in cuts)))
+    if codes[0] != codes[-1]:
+        raise PlaidError(f"zone disagreement at scaled ({t},{u1},{u2})")
+    return codes[0]
+
+
+# the connector label, edge mask (bit i for _ORDER[i]) and directed label of
+# each code
+CODE_LABELS = tuple("EMPTY" if r == c else unordered_label(r, c)
+                    for r in _ORDER for c in _ORDER)
+CODE_MASKS = tuple(0 if i == j else 1 << i | 1 << j
+                   for i in range(4) for j in range(4))
+ORIENTED_CODES = tuple("EMPTY" if r == c else r + c
+                       for r in _ORDER for c in _ORDER)
+REVERSED = bytes.maketrans(bytes(range(16)), bytes(
+    4 * (c & 3) + (c >> 2) for c in range(16)))
+
+
+def label_table(param: Param, sheets: int = 1) -> bytearray:
+    """The code of every cell of the base torus or, with sheets=2, the
+    directed code of every cell of the double cover, laid out as in the
+    module docstring.  Raises PlaidError when the two zones over a boundary
+    fiber disagree."""
+    w, p = param.omega, param.p
+    table = bytearray()
+    for t in range(-w, (2 * sheets - 1) * w, 2):
+        # an outer fiber is base fiber t - 2w with u shifted by -2p, reversed
+        outer = t >= w
+        t -= 2 * w * outer
+        us = [(u - 2 * p * outer + w) % (2 * w) - w for u in range(1 - w, w, 2)]
+        fibers = []
+        for zone in _zones_scaled(param, t):
+            c1, c2, c3 = _cuts_scaled(param, zone, t)
+            # the cuts are odd and every u even, so no cell is on a wall
+            bands = [(u > c1) + (u > c2) + (u > c3) for u in us]
+            codes = [[_code(zone, b1, b2) for b2 in range(4)] for b1 in range(4)]
+            columns = [bytes(col[b2] for b2 in bands) for col in codes]
+            fibers.append(b"".join(columns[b1] for b1 in bands))
+        if fibers[0] != fibers[-1]:
+            raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
+        table += fibers[0].translate(REVERSED) if outer else fibers[0]
+    return table
+
+
+def grid_cell(param: Param, t: int, u1: int, u2: int, sheets: int = 1) -> int:
+    """Table index of the scaled grid point (t odd, u1 and u2 even) reduced
+    modulo the lattice of canon_scaled, or of canon_cover_scaled when
+    sheets=2."""
+    w = param.omega
+    k, i = divmod((t + w) // 2, sheets * w)
+    s = sheets * param.p * k
+    return ((i * w + ((u1 + w - 1) // 2 - s) % w) * w
+            + ((u2 + w - 1) // 2 - s) % w)
 
 
 def tile_label_scaled(param: Param, a: int, b: int) -> str:
-    t, u1, u2 = canon_scaled(param, *xi_raw_scaled(param, a, b))
-    r, c, diag = ordered_label_scaled(param, t, u1, u2)
-    return "EMPTY" if diag is not None else unordered_label(r, c)
+    return CODE_LABELS[ordered_label_scaled(
+        param, *canon_scaled(param, *xi_raw_scaled(param, a, b)))]
 
 
 def tile_of(param: Param, center: Tuple[RatLike, RatLike]) -> str:
@@ -329,17 +378,18 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 
 def verify_bijection(param: Param) -> Dict[str, object]:
     """The canonical images of the omega^3 center classes are pairwise
-    distinct and fill the discrete grid (odd/omega, even/omega, even/omega)."""
+    distinct and fill the discrete grid (odd/omega, even/omega, even/omega):
+    they mark as many cells as there are classes."""
     w = param.omega
-    seen = set()
+    seen = bytearray(w ** 3)
     for a in range(w * w):
         for b in range(w):
-            t, u1, u2 = canon_scaled(param, *xi_raw_scaled(param, a, b))
+            t, u1, u2 = xi_raw_scaled(param, a, b)
             if t % 2 == 0 or u1 % 2 or u2 % 2:
                 return {"ok": False, "reason": f"parity at {(a, b)}"}
-            seen.add((t, u1, u2))
-    ok = len(seen) == w ** 3
-    return {"ok": ok, "classes": len(seen), "expected": w ** 3}
+            seen[grid_cell(param, t, u1, u2)] = 1
+    classes = sum(seen)
+    return {"ok": classes == w ** 3, "classes": classes, "expected": w ** 3}
 
 
 _ROT = {"N": "S", "S": "N", "E": "W", "W": "E", "EMPTY": "EMPTY"}
@@ -361,23 +411,24 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     labels swap N<->S only.
     """
     w = param.omega
+    table = label_table(param)
+    rot = [_permute_label(lab, _ROT) for lab in CODE_LABELS]
+    flip = [_permute_label(lab, _FLIP) for lab in CODE_LABELS]
     for a in range(w * w):
         for b in range(w):
-            t, u1, u2 = canon_scaled(param, *xi_raw_scaled(param, a, b))
+            t, u1, u2 = xi_raw_scaled(param, a, b)
+            i = grid_cell(param, t, u1, u2)
             # rotation: the center -(c) has indices (-a-1, -b-1)
-            tr, ur1, ur2 = canon_scaled(param, *xi_raw_scaled(param, -a - 1, -b - 1))
-            er = canon_scaled(param, -t, -u1, -u2)
-            if (tr, ur1, ur2) != er:
+            i_rot = grid_cell(param, *xi_raw_scaled(param, -a - 1, -b - 1))
+            if i_rot != grid_cell(param, -t, -u1, -u2):
                 return {"ok": False, "case": "rotation-map", "at": (a, b)}
             # x-axis reflection: (x, -y) has indices (a, -b-1)
-            tf, uf1, uf2 = canon_scaled(param, *xi_raw_scaled(param, a, -b - 1))
-            ef = canon_scaled(param, t, u2, u1)
-            if (tf, uf1, uf2) != ef:
+            i_flip = grid_cell(param, *xi_raw_scaled(param, a, -b - 1))
+            if i_flip != grid_cell(param, t, u2, u1):
                 return {"ok": False, "case": "reflection-map", "at": (a, b)}
-            lab = tile_label_scaled(param, a, b)
-            if tile_label_scaled(param, -a - 1, -b - 1) != _permute_label(lab, _ROT):
+            if CODE_LABELS[table[i_rot]] != rot[table[i]]:
                 return {"ok": False, "case": "rotation-label", "at": (a, b)}
-            if tile_label_scaled(param, a, -b - 1) != _permute_label(lab, _FLIP):
+            if CODE_LABELS[table[i_flip]] != flip[table[i]]:
                 return {"ok": False, "case": "reflection-label", "at": (a, b)}
     return {"ok": True, "classes": w ** 3}
 

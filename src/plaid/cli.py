@@ -138,7 +138,8 @@ def cmd_irrational(args) -> int:
         r = irrational_tiling(P, offset, args.window, eps)
     except BadOffset as exc:
         doc = {"ok": False, "error": "BadOffset", "detail": str(exc),
-               "suggested_offset": [str(v) for v in exc.suggestion]}
+               "suggested_offset": None if exc.suggestion is None else [
+                   str(v) for v in exc.suggestion]}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 1
     doc = {

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .params import (
     InvalidParameter,
@@ -294,6 +294,26 @@ def _h_slots(w: int, s: int, primary: bool) -> List[Tuple[int, int]]:
     return slots
 
 
+def _light_residues(param: Param) -> Dict[int, List[int]]:
+    """For each c in 0..omega-1 of nonzero capacity, the residues mod omega
+    of the crossing lines that are light on the capacity line c.  Capacity
+    depends on c mod omega alone, so row c and column c of every block share
+    one list."""
+    w = param.omega
+    mass = [mass_scaled(param, b) for b in range(w)]
+    out = {}
+    for c in range(w):
+        cap = capacity_scaled(param, c)
+        if cap:
+            out[c] = [r for r in range(w) if _light(cap, mass[r])]
+    return out
+
+
+# the edges of each 4-bit edge mask
+_EDGE_SETS = tuple(frozenset(e for i, e in enumerate("NSEW") if mask >> i & 1)
+                   for mask in range(16))
+
+
 class BlockGrid:
     """Light counts for every unit edge of one omega x omega block.
 
@@ -302,33 +322,24 @@ class BlockGrid:
     block (bi mod omega, 0).  hl[m*w + n] counts light points (with
     multiplicity, corners shared) on the horizontal edge
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
-    {bi*w + n} x [m, m + 1].
+    {bi*w + n} x [m, m + 1].  light_res, when given, is
+    _light_residues(param), which block_grids shares among its grids.
     """
 
-    def __init__(self, param: Param, bi: int):
+    def __init__(self, param: Param, bi: int, light_res=None):
         w = param.omega
         self.param = param
         self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
-        mass = [mass_scaled(param, b) for b in range(w)]
-        # residues mod omega of the crossing lines that are light on the
-        # capacity line c; capacity depends on c mod omega alone, so row c
-        # and column c share one list
-        self._light_res = {}
-        for c in range(w):
-            cap = capacity_scaled(param, c)
-            if cap:
-                self._light_res[c] = [r for r in range(w)
-                                      if _light(cap, mass[r])]
-        self._fill()
+        self._fill(_light_residues(param) if light_res is None else light_res)
 
-    def _fill(self):
+    def _fill(self, light_res):
         param, bi = self.param, self.bi
         w, p, q = param.omega, param.p, param.q
         hl, vl = self.hl, self.vl
         families = ((p, _h_slots(w, p, True)), (q, _h_slots(w, q, False)))
-        for m, res in self._light_res.items():
+        for m, res in light_res.items():
             row = m * w
             for s, slots in families:
                 base = (m + 2 * s * bi) % w
@@ -340,7 +351,7 @@ class BlockGrid:
                         edge, weight = slots[r]
                         hl[row + edge] += weight
                         r += w
-        for n, res in self._light_res.items():
+        for n, res in light_res.items():
             x_abs = bi * w + n
             col = n * w
             for s in (p, q):
@@ -350,18 +361,15 @@ class BlockGrid:
                     b = lo + (rho - lo) % w
                     vl[col + (b * w - num) // w] += 1
 
-    def good_edge_set(self, n: int, m: int) -> Set[str]:
-        w = self.param.omega
-        out = set()
-        if self.hl[m * w + n] == 1:
-            out.add("S")
-        if self.hl[(m + 1) * w + n] == 1:
-            out.add("N")
-        if self.vl[n * w + m] == 1:
-            out.add("W")
-        if self.vl[(n + 1) * w + m] == 1:
-            out.add("E")
-        return out
+    def edge_mask(self, n: int, m: int) -> int:
+        """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
+        W."""
+        hl, vl, w = self.hl, self.vl, self.param.omega
+        return ((hl[(m + 1) * w + n] == 1) | (hl[m * w + n] == 1) << 1
+                | (vl[(n + 1) * w + m] == 1) << 2 | (vl[n * w + m] == 1) << 3)
+
+    def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:
+        return _EDGE_SETS[self.edge_mask(n, m)]
 
     def incoherent_squares(self) -> List[Tuple[int, int]]:
         w = self.param.omega
@@ -376,6 +384,13 @@ class BlockGrid:
                 if g != 0 and g != 2:
                     bad.append((self.bi * w + n, m))
         return bad
+
+
+def block_grids(param: Param):
+    """The BlockGrid of every block 0..omega-1, in order, built on one set of
+    light-residue lists."""
+    light_res = _light_residues(param)
+    return (BlockGrid(param, bi, light_res) for bi in range(param.omega))
 
 
 @dataclass
@@ -395,8 +410,8 @@ def check_coherence(param: Param, region: Optional[Tuple[int, int, int, int]] = 
     """
     bad: List[Tuple[int, int]] = []
     if region is None:
-        for bi in range(param.omega):
-            bad.extend(BlockGrid(param, bi).incoherent_squares())
+        for grid in block_grids(param):
+            bad.extend(grid.incoherent_squares())
     else:
         x0, y0, x1, y1 = region
         for n in range(x0, x1):

@@ -19,18 +19,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .classifier import (
     ClassifyingPoint,
+    ORIENTED_CODES,
+    REVERSED,
     _zone_spec,
     canon_frac,
+    canon_scaled,
     fiber_label,
+    grid_cell,
+    label_table,
     ordered_label_scaled,
     xi_raw_scaled,
     _center_indices,
     _zones_at,
+    _zones_scaled,
 )
 
 
@@ -45,9 +51,6 @@ class BadOffset(PlaidError):
         super().__init__(msg)
         self.suggestion = suggestion
 
-
-ORIENTED_LABELS = ("EMPTY",) + tuple(
-    a + b for a in "NSEW" for b in "NSEW" if a != b)
 
 _VEC = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
 
@@ -122,26 +125,22 @@ def lift_label(param: Param, t_hat: RatLike, base_label: str,
 def oriented_label_scaled(param: Param, t: int, u1: int, u2: int) -> str:
     """Directed label at a canonical scaled cover point."""
     w = param.omega
-    if t >= w:
-        rt, ru1, ru2 = t - 2 * w, u1 - 2 * param.p, u2 - 2 * param.p
-    elif t < -w:
-        rt, ru1, ru2 = t + 2 * w, u1 + 2 * param.p, u2 + 2 * param.p
-    else:
-        rt, ru1, ru2 = t, u1, u2
-    r, c, diag = ordered_label_scaled(
-        param, rt, sym_reduce(ru1, 2 * w), sym_reduce(ru2, 2 * w))
-    if diag is not None:
-        return "EMPTY"
-    return r + c if -w <= t < w else c + r
+    code = ordered_label_scaled(param, *canon_scaled(param, t, u1, u2))
+    return ORIENTED_CODES[code if -w <= t < w else REVERSED[code]]
+
+
+def cover_step(param: Param, cell: int, direction: str) -> int:
+    """The cover cell one exchange step from cell in the given direction."""
+    w = param.omega
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    dt, d1, d2 = _translation_scaled(param, direction)
+    return grid_cell(param, 2 * j - w + dt, 2 * i1 - w + 1 + d1,
+                     2 * i2 - w + 1 + d2, 2)
 
 
 def oriented_label(param: Param, point: CoverPoint) -> str:
-    w = param.omega
-    t, u1, u2 = (point.That * w, point.U1 * w, point.U2 * w)
-    for v in (t, u1, u2):
-        if v.denominator != 1:
-            raise PlaidError(f"{point} is not on the discrete grid")
-    return oriented_label_scaled(param, int(t), int(u1), int(u2))
+    return oriented_label_scaled(param, *_cover_to_scaled(param, point))
 
 
 def pet_region(param: Param, point: CoverPoint) -> PetRegion:
@@ -213,62 +212,83 @@ class PetOrbit:
     vectors: Tuple[Tuple[int, int], ...]
 
 
+def _walk(start, label, step, limit: int, what) -> Tuple[list, list]:
+    """The states and labels of the exchange orbit of start, to its first
+    return; a hold start gives itself and "EMPTY"."""
+    if label(start) == "EMPTY":
+        return [start], ["EMPTY"]
+    states, labels, z = [], [], start
+    for _ in range(limit):
+        states.append(z)
+        labels.append(label(z))
+        z = step(z, labels[-1][1])
+        if z == start:
+            return states, labels
+    raise NonPeriodicOrbit(f"orbit of {what} did not close in {limit}")
+
+
 def special_orbit(param: Param, center) -> PetOrbit:
     """The orbit of the image of a tile center, iterated to first return.
 
     Hold points have orbits of length one.  Iteration is capped at 4*omega^2,
     past any polygon's perimeter; exceeding the cap means the model is broken.
     """
-    a, b = _center_indices(center)
-    w = param.omega
-    z0 = xi_hat_scaled(param, a, b)
-    states = [_cover_from_scaled(param, z0)]
-    labels = []
-    vectors = []
-    lab = oriented_label_scaled(param, *z0)
-    if lab == "EMPTY":
-        return PetOrbit(states[0], tuple(states), ("EMPTY",), ((0, 0),))
-    z = z0
-    for _ in range(4 * w * w):
-        lab = oriented_label_scaled(param, *z)
-        labels.append(lab)
-        vectors.append(_VEC[lab[1]])
-        z = _step_scaled(param, z, lab[1])
-        if z == z0:
-            return PetOrbit(states[0], tuple(states), tuple(labels),
-                            tuple(vectors))
-        states.append(_cover_from_scaled(param, z))
-    raise NonPeriodicOrbit(f"orbit of {center} did not close in {4 * w * w}")
+    states, labels = _walk(
+        xi_hat_scaled(param, *_center_indices(center)),
+        lambda z: oriented_label_scaled(param, *z),
+        lambda z, d: _step_scaled(param, z, d), 4 * param.omega ** 2, center)
+    states = tuple(_cover_from_scaled(param, z) for z in states)
+    vectors = ((0, 0),) if labels == ["EMPTY"] else tuple(
+        _VEC[lab[1]] for lab in labels)
+    return PetOrbit(states[0], states, tuple(labels), vectors)
+
+
+def table_orbit(param: Param, cover: bytes, a: int, b: int
+                ) -> List[Tuple[int, int]]:
+    """The vectors of special_orbit at the center (a+1/2, b+1/2), walked on
+    the cover's label table; empty for hold centers."""
+    _, labels = _walk(grid_cell(param, *xi_raw_scaled(param, a, b), 2),
+                      lambda cell: ORIENTED_CODES[cover[cell]],
+                      lambda cell, d: cover_step(param, cell, d),
+                      4 * param.omega ** 2, (a, b))
+    return [_VEC[lab[1]] for lab in labels if lab != "EMPTY"]
+
+
+def path_polygon(a: int, b: int, vectors: Sequence[Tuple[int, int]]):
+    """The closed path of unit vectors from the center (a+1/2, b+1/2) as a
+    plaid polygon."""
+    from .grid import PlaidPolygon
+
+    cx, cy = 2 * a + 1, 2 * b + 1
+    centers = []
+    for v in vectors:
+        centers.append((cx, cy))
+        cx += 2 * v[0]
+        cy += 2 * v[1]
+    if (cx, cy) != (2 * a + 1, 2 * b + 1):
+        raise PlaidError(f"vector path through center {(a, b)} does not close")
+    return PlaidPolygon.from_centers(centers)
 
 
 def vector_polygon(param: Param, center):
     """Accumulate the orbit's vectors into the plaid polygon through the
     center; None for hold centers."""
-    from .grid import PlaidPolygon
-
     orbit = special_orbit(param, center)
     if orbit.labels == ("EMPTY",):
         return None
-    a, b = _center_indices(center)
-    cx, cy = 2 * a + 1, 2 * b + 1
-    centers = []
-    for v in orbit.vectors:
-        centers.append((cx, cy))
-        cx += 2 * v[0]
-        cy += 2 * v[1]
-    if (cx, cy) != (2 * a + 1, 2 * b + 1):
-        raise PlaidError(f"vector path through {center} does not close")
-    return PlaidPolygon.from_centers(centers)
+    return path_polygon(*_center_indices(center), orbit.vectors)
 
 
 def cover_bijection(param: Param) -> Dict[str, object]:
-    """The doubled map is injective on the 2*omega^3 center classes."""
+    """The doubled map is injective on the 2*omega^3 center classes: they
+    mark as many cover cells as there are classes."""
     w = param.omega
-    seen = set()
+    seen = bytearray(2 * w ** 3)
     for a in range(w * w):
         for b in range(2 * w):
-            seen.add(xi_hat_scaled(param, a, b))
-    return {"ok": len(seen) == 2 * w ** 3, "classes": len(seen),
+            seen[grid_cell(param, *xi_raw_scaled(param, a, b), 2)] = 1
+    classes = sum(seen)
+    return {"ok": classes == 2 * w ** 3, "classes": classes,
             "expected": 2 * w ** 3}
 
 
@@ -298,12 +318,10 @@ def _zone_half(param: Param, t: int) -> Tuple[int, int]:
     """(zone 1..3, half 0 middle / 1 outer) of a scaled cover fiber; zone is
     0 on zone boundaries and on the seam, which are not interior."""
     w = param.omega
-    if -w <= t < w:
-        half, tt = 0, t
-    else:
-        half, tt = 1, t - 2 * w if t >= w else t + 2 * w
-    zones = _zones_at(param.bigP, Fraction(tt, w))
-    return (zones[0] if len(zones) == 1 and tt != -w else 0, half)
+    tt = sym_reduce(t, 2 * w)
+    zones = _zones_scaled(param, tt)
+    return (zones[0] if len(zones) == 1 and tt != -w else 0,
+            0 if -w <= t < w else 1)
 
 
 def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
@@ -315,23 +333,21 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     coverage: Dict[Tuple[int, int], Set[Tuple[str, int]]] = {}
     for param in params:
         w = param.omega
+        cover = label_table(param, 2)
+        evens = range(-w + 1, w, 2)
         # by the bijection, every odd fiber of the cover is populated
-        fibers = [t for t in range(-2 * w + 1, 2 * w, 2)]
-        evens = [u for u in range(-w + 1, w) if u % 2 == 0]
-        for t in fibers:
+        for t in range(-2 * w + 1, 2 * w, 2):
             zone, half = _zone_half(param, t)
             if zone:
                 coverage.setdefault((zone, half), set()).add((str(param), t))
-            labs = {}
-            for u1 in evens:
-                for u2 in evens:
-                    labs[(u1, u2)] = oriented_label_scaled(param, t, u1, u2)
+            cells = [(u1, u2, grid_cell(param, t, u1, u2, 2))
+                     for u1 in evens for u2 in evens]
             for edge_from, mode_from, edge_to, mode_to in _MESH_CASES:
                 # the matching neighbour always sits across the named edge
-                d = edge_from
-                for (u1, u2), lab in labs.items():
-                    znext = _step_scaled(param, (t, u1, u2), d)
-                    lab2 = oriented_label_scaled(param, *znext)
+                for u1, u2, cell in cells:
+                    lab = ORIENTED_CODES[cover[cell]]
+                    lab2 = ORIENTED_CODES[cover[cover_step(param, cell,
+                                                           edge_from)]]
                     if _member(lab, edge_from, mode_from) != _member(
                             lab2, edge_to, mode_to):
                         failures.append({
@@ -378,6 +394,32 @@ def wall_distance(P: Rat, point: ClassifyingPoint) -> Rat:
     return dist
 
 
+def _window_images(P: Rat, offset: Sequence[Rat],
+                   window: Tuple[int, int, int, int]):
+    """((n, m), canonical offset image) of every center of the window."""
+    v0, v1, v2 = offset
+    x0, y0, x1, y1 = window
+    for n in range(x0, x1):
+        base = P * (2 * n + 1)
+        for m in range(y0, y1):
+            y2 = 2 * m + 1
+            yield (n, m), canon_frac(P, base + y2 + v0, base + v1,
+                                     base + P * y2 + v2)
+
+
+def _checked_bump(P: Rat, offset: Sequence[Rat],
+                  window: Tuple[int, int, int, int], eps: Rat):
+    """The first of four successive bumps of the offset that keeps every
+    window center at least eps from the walls, or None."""
+    bump = Fraction(1, 2 ** 21 + 17)
+    for j in range(1, 5):
+        v = tuple(vi + j * k * bump for k, vi in enumerate(offset, 1))
+        if all(wall_distance(P, pt) >= eps
+               for _, pt in _window_images(P, v, window)):
+            return v
+    return None
+
+
 def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
                       window: Tuple[int, int, int, int],
                       eps: Rat = Fraction(1, 2 ** 40)) -> Dict[str, object]:
@@ -386,33 +428,27 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
 
     The offset V shifts (T, U1, U2).  Every window center must stay at least
     eps away from all partition walls (the good-offset check); otherwise
-    BadOffset is raised with a suggested perturbation.  Returns the labels,
-    the minimum wall distance met, and the coherence verdict of the window.
+    BadOffset is raised with a perturbed offset that passes the check on the
+    same window, or None when none of the tried ones does.  Returns the
+    labels, the minimum wall distance met, and the coherence verdict of the
+    window.
     """
     P = Fraction(P)
     if not 0 < P < 1:
         raise PlaidError(f"P={P} outside (0, 1)")
-    v0, v1, v2 = (Fraction(v) for v in offset)
-    x0, y0, x1, y1 = window
+    offset = tuple(Fraction(v) for v in offset)
     labels: Dict[Tuple[int, int], str] = {}
     min_dist: Optional[Rat] = None
     worst = None
-    for n in range(x0, x1):
-        x = Fraction(2 * n + 1, 2)
-        base = 2 * P * x
-        for m in range(y0, y1):
-            y = Fraction(2 * m + 1, 2)
-            pt = canon_frac(P, base + 2 * y + v0, base + v1,
-                            base + 2 * P * y + v2)
-            d = wall_distance(P, pt)
-            if min_dist is None or d < min_dist:
-                min_dist, worst = d, (n, m)
-            if d < eps:
-                bump = Fraction(1, 2 ** 21 + 17)
-                raise BadOffset(
-                    f"center ({n}+1/2, {m}+1/2) is {d} from a wall (< {eps})",
-                    suggestion=(v0 + bump, v1 + 2 * bump, v2 + 3 * bump))
-            labels[(n, m)] = fiber_label(P, pt)[0]
+    for (n, m), pt in _window_images(P, offset, window):
+        d = wall_distance(P, pt)
+        if min_dist is None or d < min_dist:
+            min_dist, worst = d, (n, m)
+        if d < eps:
+            raise BadOffset(
+                f"center ({n}+1/2, {m}+1/2) is {d} from a wall (< {eps})",
+                suggestion=_checked_bump(P, offset, window, eps))
+        labels[(n, m)] = fiber_label(P, pt)[0]
     mismatches = []
     for (n, m), lab in labels.items():
         e = set() if lab == "EMPTY" else set(lab)

@@ -13,8 +13,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
 from .grid import (
-    BlockGrid,
     _light,
+    block_grids,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
@@ -24,19 +24,25 @@ from .grid import (
     vertical_particle,
 )
 from .classifier import (
-    label_edges,
+    CODE_LABELS,
+    CODE_MASKS,
+    ORIENTED_CODES,
+    grid_cell,
+    label_table,
     particle_image_geometry,
     symmetry_conjugacies,
-    tile_label_scaled,
     verify_bijection,
+    xi_raw_scaled,
 )
 from .pet import (
+    _VEC,
     BadOffset,
     check_mesh,
     cover_bijection,
+    cover_step,
     irrational_tiling,
-    special_orbit,
-    vector_polygon,
+    path_polygon,
+    table_orbit,
 )
 from .analysis import empty_rectangles, verify_first
 
@@ -62,8 +68,7 @@ def suite_hier(param: Param) -> dict:
     the light counts of a block row or column add up to the line's
     capacity."""
     w = param.omega
-    for bi in range(w):
-        grid = BlockGrid(param, bi)
+    for bi, grid in enumerate(block_grids(param)):
         for m in range(w):
             want = abs(capacity_scaled(param, m))
             got = sum(grid.hl[m * w:(m + 1) * w])
@@ -86,15 +91,15 @@ def suite_bijection(param: Param) -> dict:
 
 def suite_isomorphism(param: Param) -> dict:
     w = param.omega
+    table = label_table(param)
     mismatches = []
-    for bi in range(w):
-        grid = BlockGrid(param, bi)
+    for bi, grid in enumerate(block_grids(param)):
         for n in range(w):
             a = bi * w + n
             for m in range(w):
-                lab = tile_label_scaled(param, a, m)
-                if label_edges(lab) != grid.good_edge_set(n, m):
-                    mismatches.append(((a, m), lab,
+                code = table[grid_cell(param, *xi_raw_scaled(param, a, m))]
+                if CODE_MASKS[code] != grid.edge_mask(n, m):
+                    mismatches.append(((a, m), CODE_LABELS[code],
                                        sorted(grid.good_edge_set(n, m))))
                     if len(mismatches) > 4:
                         return {"ok": False, "mismatches": mismatches}
@@ -106,51 +111,44 @@ def suite_pet_equivalence(param: Param) -> dict:
     """Vector dynamics redraw every traced polygon, orbit lengths sum to the
     connector count, and the exchange is conjugate to connector-following
     with an exact inverse."""
-    from .pet import (
-        _VEC,
-        _step_scaled,
-        oriented_label_scaled,
-        xi_hat_scaled,
-    )
-
     w = param.omega
+    cover = label_table(param, 2)
     back = {"N": "S", "S": "N", "E": "W", "W": "E"}
     for a in range(w * w):
         for b in range(2 * w):
-            z = xi_hat_scaled(param, a, b)
-            lab = oriented_label_scaled(param, *z)
+            cell = grid_cell(param, *xi_raw_scaled(param, a, b), 2)
+            lab = ORIENTED_CODES[cover[cell]]
             if lab == "EMPTY":
                 continue
             v = _VEC[lab[1]]
-            znext = _step_scaled(param, z, lab[1])
-            if znext != xi_hat_scaled(param, a + v[0], b + v[1]):
+            cnext = cover_step(param, cell, lab[1])
+            if cnext != grid_cell(
+                    param, *xi_raw_scaled(param, a + v[0], b + v[1]), 2):
                 return {"ok": False, "reason": "conjugacy", "at": (a, b)}
-            lab2 = oriented_label_scaled(param, *znext)
-            if _step_scaled(param, znext, lab2[0]) != z or \
+            lab2 = ORIENTED_CODES[cover[cnext]]
+            if cover_step(param, cnext, lab2[0]) != cell or \
                     lab2[0] != back[lab[1]]:
                 return {"ok": False, "reason": "inverse", "at": (a, b)}
     orbit_total = 0
     nonempty = 0
-    for bi in range(w):
-        grid = BlockGrid(param, bi)
+    for bi, grid in enumerate(block_grids(param)):
         traced = sorted(pg.verts2 for pg in trace_polygons(param, (bi, 0), grid))
         seen = set()
         vec = []
         for n in range(w):
             for m in range(w):
-                if not grid.good_edge_set(n, m):
+                if not grid.edge_mask(n, m):
                     continue
                 nonempty += 1
                 if (n, m) in seen:
                     continue
                 a = bi * w + n
-                center = (Fraction(2 * a + 1, 2), Fraction(2 * m + 1, 2))
-                pg = vector_polygon(param, center)
-                if pg is None:
+                vectors = table_orbit(param, cover, a, m)
+                if not vectors:
                     return {"ok": False, "reason": "hold at nonempty square",
                             "square": (a, m)}
-                orb = special_orbit(param, center)
-                orbit_total += len(orb.vectors)
+                orbit_total += len(vectors)
+                pg = path_polygon(a, m, vectors)
                 vec.append(pg.verts2)
                 for vx, vy in pg.verts2:
                     seen.add(((vx - 1) // 2 - bi * w, (vy - 1) // 2))

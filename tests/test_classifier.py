@@ -14,6 +14,7 @@ from plaid.classifier import (
     checkerboard_label,
     fiber_label,
     label_edges,
+    ordered_label_scaled,
     particle_image_geometry,
     symmetry_conjugacies,
     tile_label_scaled,
@@ -161,6 +162,20 @@ class TestCheckerboard:
             checkerboard_label(FIG31, F(1, 2), F(1, 3))
         with pytest.raises(OnWall):
             checkerboard_label(FIG31, F(-1), F(1, 6))
+
+    def test_special_cells_are_where_symbols_agree(self):
+        # the cell codes of the label table rely on this
+        for rows, cols, specials in _ZONES.values():
+            for r in range(4):
+                for c in range(4):
+                    assert (specials[r] == c) == (rows[r] == cols[c])
+
+    def test_scaled_on_wall(self, p25):
+        # 2/5 has the cut u = omega - 2p = 3 on every fiber, and the seam -7
+        with pytest.raises(OnWall):
+            ordered_label_scaled(p25, -5, 3, 0)
+        with pytest.raises(OnWall):
+            ordered_label_scaled(p25, -5, 0, -7)
 
     def test_matrix_rendering(self):
         m = FIG31.matrix()

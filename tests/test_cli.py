@@ -111,6 +111,13 @@ def test_irrational_bad_offset(capsys):
     assert doc["error"] == "BadOffset" and doc["suggested_offset"]
 
 
+def test_irrational_bad_offset_without_suggestion(capsys):
+    code, out = run(capsys, "irrational", "--P", "8/21", "--offset", "0,0,0",
+                    "--window", "0,0,5,5", "--eps", "1/2")
+    assert code == 1
+    assert json.loads(out)["suggested_offset"] is None
+
+
 def test_irrational_good_offset(capsys):
     code, out = run(capsys, "irrational", "--P", "8/21",
                     "--offset", "1/1048583,1/1048609,1/1048613",

@@ -1,12 +1,34 @@
-"""The integer grid paths against the Fraction reference `segment_points`,
-at random even rationals far beyond the sweep bounds."""
+"""The integer fast paths against their references, at random even
+rationals far beyond the sweep bounds: the grid paths against the Fraction
+reference `segment_points`, and the label table against `fiber_label` and
+the per-point labels."""
 
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from plaid.params import make_param
+from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
+from plaid.classifier import (
+    CODE_LABELS,
+    ORIENTED_CODES,
+    ClassifyingPoint,
+    _ORDER,
+    _ZONES,
+    canon_scaled,
+    fiber_label,
+    grid_cell,
+    label_table,
+    ordered_label_scaled,
+    xi_raw_scaled,
+)
+from plaid.pet import (
+    canon_cover_scaled,
+    oriented_label_scaled,
+    special_orbit,
+    table_orbit,
+)
 from plaid.grid import (
     BlockGrid,
     GridLine,
@@ -25,8 +47,8 @@ MAX_OMEGA = 301
 
 
 @st.composite
-def params(draw):
-    w = draw(st.integers(1, (MAX_OMEGA - 1) // 2)) * 2 + 1
+def params(draw, max_omega=MAX_OMEGA):
+    w = draw(st.integers(1, (max_omega - 1) // 2)) * 2 + 1
     ps = [p for p in range(1, (w + 1) // 2) if math.gcd(p, w) == 1]
     p = draw(st.sampled_from(ps))
     return make_param(p, w - p)
@@ -137,3 +159,98 @@ def test_block_counts_match_segment_points(param, bi, data):
         points = hc if axis == "h" else vc
         assert points[i] == sum(pt.multiplicity
                                 for pt in segment_points(param, seg))
+
+
+def cell_index(w, t, u1, u2):
+    """The table index of a canonical scaled point (classifier docstring)."""
+    return ((t + w) // 2 * w + (u1 + w - 1) // 2) * w + (u2 + w - 1) // 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(), st.data())
+def test_label_table_matches_fiber_label(param, data):
+    """Table cells against the Fraction oracle on random fibers and on both
+    zone-boundary fibers."""
+    w = param.omega
+    table = label_table(param)
+    t1 = 2 * param.p - w
+    odd, even = st.integers(0, w - 1).map(lambda i: 2 * i - w), \
+        st.integers(0, w - 1).map(lambda i: 2 * i - w + 1)
+    for _ in range(40):
+        t = data.draw(st.one_of(odd, st.sampled_from((t1, -t1))))
+        u1, u2 = data.draw(even), data.draw(even)
+        code = table[cell_index(w, t, u1, u2)]
+        diag = _ORDER[code >> 2] if code >> 2 == code & 3 else None
+        point = ClassifyingPoint(F(t, w), F(u1, w), F(u2, w))
+        assert fiber_label(param.bigP, point) == (CODE_LABELS[code], diag)
+
+
+@pytest.mark.parametrize("max_omega, sheets", [(25, 1), (15, 2)])
+def test_whole_table_matches_per_point_labels(max_omega, sheets):
+    """Every cell of the base table against ordered_label_scaled, and of the
+    cover table against oriented_label_scaled."""
+    for param in even_rationals(max_omega):
+        w = param.omega
+        table = label_table(param, sheets)
+        assert len(table) == sheets * w ** 3
+        evens = range(1 - w, w, 2)
+        for t in range(1 - 2 * w, 2 * w, 2) if sheets == 2 else \
+                range(-w, w, 2):
+            for u1 in evens:
+                got = [table[grid_cell(param, t, u1, u2, sheets)]
+                       for u2 in evens]
+                if sheets == 1:
+                    want = [ordered_label_scaled(param, t, u1, u2)
+                            for u2 in evens]
+                else:
+                    got = [ORIENTED_CODES[c] for c in got]
+                    want = [oriented_label_scaled(param, t, u1, u2)
+                            for u2 in evens]
+                assert got == want, (str(param), t, u1)
+
+
+def test_label_table_rejects_zone_disagreement(monkeypatch):
+    """Two swapped row symbols in the middle zone show on the first
+    boundary fiber, where that zone's fiber is built next to zone 1's."""
+    rows, cols, specials = _ZONES[2]
+    monkeypatch.setitem(_ZONES, 2, (rows[1] + rows[0] + rows[2:], cols,
+                                    specials))
+    param = make_param(2, 5)
+    with pytest.raises(PlaidError, match=r"zone disagreement on the fiber "
+                                         r"t=-3/7"):
+        label_table(param)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_grid_cell_matches_canonical_reduction(param, a, b):
+    """grid_cell against canon_scaled and canon_cover_scaled, on images of
+    centers and their negatives and swaps."""
+    w = param.omega
+    t, u1, u2 = xi_raw_scaled(param, a, b)
+    for point in ((t, u1, u2), (-t, -u1, -u2), (t, u2, u1)):
+        assert grid_cell(param, *point) == \
+            cell_index(w, *canon_scaled(param, *point))
+        ct, cu1, cu2 = canon_cover_scaled(param, *point)
+        # the cover index runs t over [-w, 3w), canonical t over [-2w, 2w)
+        if ct < -w:
+            ct, cu1, cu2 = (ct + 4 * w, sym_reduce(cu1 + 4 * param.p, 2 * w),
+                            sym_reduce(cu2 + 4 * param.p, 2 * w))
+        assert grid_cell(param, *point, 2) == cell_index(w, ct, cu1, cu2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(101), st.data())
+def test_table_orbit_matches_special_orbit(param, data):
+    """The orbit walked on the cover table against the per-point orbit."""
+    w = param.omega
+    cover = label_table(param, 2)
+    for _ in range(5):
+        a = data.draw(st.integers(0, w * w - 1))
+        b = data.draw(st.integers(0, 2 * w - 1))
+        orbit = special_orbit(param, (F(2 * a + 1, 2), F(2 * b + 1, 2)))
+        vectors = table_orbit(param, cover, a, b)
+        if orbit.labels == ("EMPTY",):
+            assert vectors == []
+        else:
+            assert vectors == list(orbit.vectors)

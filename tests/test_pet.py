@@ -217,5 +217,17 @@ class TestIrrational:
         A = F(4, 17)
         P = 2 * A / (1 + A)
         V = (F(1, 2 ** 20 + 7), F(1, 2 ** 20 + 33), F(1, 2 ** 20 + 37))
-        with pytest.raises(BadOffset):
+        with pytest.raises(BadOffset) as err:
             irrational_tiling(P, V, (0, 0, 5, 5), eps=F(1, 2))
+        # no offset keeps a center half a unit from every wall
+        assert err.value.suggestion is None
+
+    @pytest.mark.parametrize("eps", [F(1, 2 ** 40), F(2, 2 ** 21 + 17)])
+    @pytest.mark.parametrize("P, window", [(F(8, 21), (0, 0, 5, 5)),
+                                           (F(4, 7), (0, 0, 7, 3))])
+    def test_suggestion_passes_the_check(self, P, window, eps):
+        # the larger eps is twice the first bump, so that bump falls short
+        with pytest.raises(BadOffset) as err:
+            irrational_tiling(P, (0, 0, 0), window, eps)
+        assert err.value.suggestion is not None
+        assert irrational_tiling(P, err.value.suggestion, window, eps)["ok"]
