@@ -6,11 +6,15 @@ them.  What is computed exactly, per parameter: polygon censuses, the large
 symmetric polygon with its x-diameter bound, empty rectangles in the coarse
 capacity grids with the counting identity behind them, and a bounded
 nearest-polygon radius over a window (a trend observable only).
+
+Empty rectangles are found on light unit edges, not exact light points: a
+light edge lies between two neighbouring cuts.  Block corners, the only light
+points on a cut, sit on the block's boundary beside just their edge's cells.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -21,8 +25,6 @@ from .grid import (
     GridLine,
     capacity_scaled,
     light_points_on_line,
-    light_points_scaled,
-    light_scale,
     trace_polygons,
 )
 
@@ -117,10 +119,8 @@ class RectGrid:
 
 def _capacity_cuts(param: Param, K: int, lo: int) -> List[int]:
     """Positions in [lo, lo + omega] of lines with capacity <= K."""
-    w = param.omega
-    cuts = [c for c in range(lo, lo + w + 1)
+    return [c for c in range(lo, lo + param.omega + 1)
             if abs(capacity_scaled(param, c)) <= K]
-    return cuts
 
 
 def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
@@ -137,15 +137,19 @@ def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
 
 def block_light_cache(param: Param, block: Tuple[int, int]
                       ) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
-    """Light points of every grid line crossing the block, for reuse across
-    the capacity grids, in the integer form of light_points_scaled."""
+    """For each of the block's 2(omega+1) lines, the (e, count) pairs of its
+    light unit edges [e, e+1], read from the BlockGrid row or column.  A
+    light block corner sits on an H row's first or last edge; V lines
+    through corners have capacity 0."""
     w = param.omega
     bi, bj = block
+    grid = BlockGrid(param, bi)
     cache = {}
-    for m in range(bj * w, (bj + 1) * w + 1):
-        cache[("H", m)] = light_points_scaled(param, GridLine("H", m), block)
-    for n in range(bi * w, (bi + 1) * w + 1):
-        cache[("V", n)] = light_points_scaled(param, GridLine("V", n), block)
+    for k in range(w + 1):
+        row = enumerate(grid.hl[k * w:(k + 1) * w], bi * w)
+        col = enumerate(grid.vl[k * w:(k + 1) * w], bj * w)
+        cache[("H", bj * w + k)] = [(e, c) for e, c in row if c]
+        cache[("V", bi * w + k)] = [(e, c) for e, c in col if c]
     return cache
 
 
@@ -164,29 +168,21 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int,
     census = 0
     if cache is None:
         cache = block_light_cache(param, block)
-    xs = [x * light_scale(param, "H") for x in xc]
-    ys = [y * light_scale(param, "V") for y in yc]
-
-    def spans(cuts, v):
-        j = bisect_left(cuts, v)
-        if j < len(cuts) and cuts[j] == v:
-            return [i for i in (j - 1, j) if 0 <= i < len(cuts) - 1]
-        return [j - 1] if 0 < j < len(cuts) else []
-
+    # a light edge lies in exactly one cut interval
     for j_line, y_line in enumerate(yc):
         rows = [j for j in (j_line - 1, j_line) if 0 <= j < ny]
-        for x, mult in cache[("H", y_line)]:
-            census += mult
-            for i in spans(xs, x):
-                for j in rows:
-                    marked[i][j] = True
+        for x, count in cache[("H", y_line)]:
+            census += count
+            i = bisect_right(xc, x) - 1
+            for j in rows:
+                marked[i][j] = True
     for i_line, x_line in enumerate(xc):
         cols = [i for i in (i_line - 1, i_line) if 0 <= i < nx]
-        for y, mult in cache[("V", x_line)]:
-            census += mult
-            for j in spans(ys, y):
-                for i in cols:
-                    marked[i][j] = True
+        for y, count in cache[("V", x_line)]:
+            census += count
+            j = bisect_right(yc, y) - 1
+            for i in cols:
+                marked[i][j] = True
     empty = [(i, j) for i in range(nx) for j in range(ny) if not marked[i][j]]
     return {
         "ok": bool(empty) and census == (K + 1) ** 2 - 1,
@@ -206,12 +202,12 @@ def gap_radius(param: Param, window: Tuple[int, int, int, int]) -> Rat:
     w = param.omega
     x0, y0, x1, y1 = window
     occupied: Set[Tuple[int, int]] = set()
-    grids: Dict[int, BlockGrid] = {}
+    grids = {bi: BlockGrid(param, bi)
+             for bi in {n // w % w for n in range(x0, x1)}}
     for n in range(x0, x1):
-        bi = (n // w) % w
-        g = grids.setdefault(bi, BlockGrid(param, bi))
+        g = grids[n // w % w]
         for m in range(y0, y1):
-            if g.good_edge_set(n - (n // w) * w, m % w):
+            if g.edge_mask(n % w, m % w):
                 occupied.add((n, m))
     if not occupied:
         raise PlaidError("window holds no connectors at all")

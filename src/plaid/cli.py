@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -11,13 +12,8 @@ from typing import Dict, List, Optional
 
 from .params import InvalidParameter, PlaidError, make_param
 from .grid import trace_polygons
-from .pet import (
-    BadOffset,
-    irrational_tiling,
-    pet_region,
-    special_orbit,
-    vector_polygon,
-)
+from .pet import (_REGIONS, BadOffset, irrational_tiling, path_polygon,
+                  special_orbit)
 from .analysis import gap_radius, polygon_stats
 from .serialize import polygon_document, emit, report_line
 from .svgout import LAYERS, RenderConfig, render_svg
@@ -111,15 +107,17 @@ def cmd_orbit(args) -> int:
               file=sys.stderr)
         return 2
     orbit = special_orbit(param, (x, y))
-    pg = vector_polygon(param, (x, y))
     doc = {
         "param": [args.p, args.q],
         "center": [str(x), str(y)],
         "length": len(orbit.vectors),
         "states": [[str(s.That), str(s.U1), str(s.U2)] for s in orbit.states],
-        "regions": [pet_region(param, s).name for s in orbit.states],
+        "regions": [_REGIONS["hold" if lab == "EMPTY" else lab[1]].name
+                    for lab in orbit.labels],
         "vectors": [list(v) for v in orbit.vectors],
-        "polygon": [[str(a), str(b)] for a, b in pg.vertices] if pg else [],
+        "polygon": [] if orbit.labels == ("EMPTY",) else [
+            [str(a), str(b)] for a, b in path_polygon(
+                math.floor(x), math.floor(y), orbit.vectors).vertices],
     }
     if args.oriented:
         doc["labels"] = list(orbit.labels)

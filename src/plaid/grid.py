@@ -309,9 +309,7 @@ def _light_residues(param: Param) -> Dict[int, List[int]]:
     return out
 
 
-# the edges of each 4-bit edge mask
-_EDGE_SETS = tuple(frozenset(e for i, e in enumerate("NSEW") if mask >> i & 1)
-                   for mask in range(16))
+_COHERENT = frozenset(mask for mask in range(16) if mask.bit_count() in (0, 2))
 
 
 class BlockGrid:
@@ -324,6 +322,10 @@ class BlockGrid:
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
     {bi*w + n} x [m, m + 1].  light_res, when given, is
     _light_residues(param), which block_grids shares among its grids.
+
+    The grid side's one integer light structure: coherence, tracing,
+    gap_radius, the SVG layers and the isomorphism and pet-equivalence suites
+    read edge_mask; the hier suite and block_light_cache read rows and columns.
     """
 
     def __init__(self, param: Param, bi: int, light_res=None):
@@ -369,21 +371,13 @@ class BlockGrid:
                 | (vl[(n + 1) * w + m] == 1) << 2 | (vl[n * w + m] == 1) << 3)
 
     def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:
-        return _EDGE_SETS[self.edge_mask(n, m)]
+        mask = self.edge_mask(n, m)
+        return frozenset(e for i, e in enumerate("NSEW") if mask >> i & 1)
 
     def incoherent_squares(self) -> List[Tuple[int, int]]:
         w = self.param.omega
-        hl, vl = self.hl, self.vl
-        bad = []
-        for m in range(w):
-            srow = (m) * w
-            nrow = (m + 1) * w
-            for n in range(w):
-                g = ((hl[srow + n] == 1) + (hl[nrow + n] == 1)
-                     + (vl[n * w + m] == 1) + (vl[(n + 1) * w + m] == 1))
-                if g != 0 and g != 2:
-                    bad.append((self.bi * w + n, m))
-        return bad
+        return [(self.bi * w + n, m) for m in range(w) for n in range(w)
+                if self.edge_mask(n, m) not in _COHERENT]
 
 
 def block_grids(param: Param):
@@ -460,38 +454,32 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
                         ) -> List[Tuple[int, int]]:
     """Light points (coordinate along the line times light_scale, so an
     integer, and multiplicity) on the closed intersection of the line with
-    the given block, sorted."""
+    the given block, sorted.  H lines read the crossing-slot weights; a V
+    line meets double points only at block corners, where capacity is 0."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
     if line.family not in ("H", "V"):
         raise InvalidParameter("light census applies to H and V lines")
+    c = line.intercept
     across = bj if line.family == "H" else bi
-    if not across * w <= line.intercept <= (across + 1) * w:
+    cap = capacity_scaled(param, c)
+    if not cap or not across * w <= c <= (across + 1) * w:
         return []
-    out: Dict[int, int] = {}
+    out = []
     if line.family == "H":
-        m = line.intercept
-        cap = capacity_scaled(param, m)
         for s, step in ((p, w * q), (q, w * p)):
-            # x = (b - m) * w / 2s, so x * 2pq = (b - m) * w * (pq / s)
-            for b in range(m + 2 * s * bi, m + 2 * s * (bi + 1) + 1):
-                if _light(cap, mass_scaled(param, b)):
-                    x = (b - m) * step
-                    if x not in out:
-                        out[x] = 2 if x % (2 * p * q) == p * q else 1
+            # slot r sits at x = k*w/2s, k = 2s*bi + r, so x * 2pq = k * step
+            for k, (_, weight) in enumerate(_h_slots(w, s, s == p), 2 * s * bi):
+                if weight and _light(cap, mass_scaled(param, c + k)):
+                    out.append((k * step, weight))
     else:
-        x = line.intercept
-        cap = capacity_scaled(param, x)
         for s in (p, q):
-            num = 2 * s * x
+            num = 2 * s * c
             lo = -((-(bj * w * w + num)) // w)
-            for b in range(lo, lo + w + 1):
-                y = b * w - num
-                if y > (bj + 1) * w * w:
-                    break
+            for b in range(lo, lo + w):
                 if _light(cap, mass_scaled(param, b)):
-                    out.setdefault(y, 1)
-    return sorted(out.items())
+                    out.append((b * w - num, 1))
+    return sorted(out)
 
 
 def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
@@ -551,8 +539,8 @@ class PlaidPolygon:
             [(x, 2 * axis2 - y) for x, y in self.verts2])
 
 
-_STEP = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
-_OPP = {"N": "S", "S": "N", "E": "W", "W": "E"}
+# an edge mask's exit bit -> (dx, dy, the bit of the next square's entry edge)
+_MOVES = {1: (0, 1, 2), 2: (0, -1, 1), 4: (1, 0, 8), 8: (-1, 0, 4)}
 
 
 def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
@@ -564,36 +552,32 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
     bi, bj = block
     if grid is None:
         grid = BlockGrid(param, bi)
-    edges: Dict[Tuple[int, int], Set[str]] = {}
-    for n in range(w):
-        for m in range(w):
-            es = grid.good_edge_set(n, m)
-            if len(es) not in (0, 2):
-                raise IncoherentInput(f"square {(bi * w + n, bj * w + m)} has "
-                                      f"{len(es)} good edges")
-            if es:
-                edges[(n, m)] = es
+    masks = [grid.edge_mask(n, m) for n in range(w) for m in range(w)]
+    for i, mask in enumerate(masks):
+        if mask not in _COHERENT:
+            n, m = divmod(i, w)
+            raise IncoherentInput(f"square {(bi * w + n, bj * w + m)} has "
+                                  f"{mask.bit_count()} good edges")
     polys = []
-    seen: Set[Tuple[int, int]] = set()
-    for start in sorted(edges):
-        if start in seen:
+    seen = bytearray(w * w)
+    for start, mask in enumerate(masks):
+        if not mask or seen[start]:
             continue
         centers = []
-        sq = start
-        exit_edge = sorted(edges[sq])[0]
+        n, m = divmod(start, w)
+        exit_bit = mask & -mask
         while True:
-            seen.add(sq)
-            centers.append((2 * (bi * w + sq[0]) + 1, 2 * (bj * w + sq[1]) + 1))
-            dx, dy = _STEP[exit_edge]
-            sq = (sq[0] + dx, sq[1] + dy)
-            if not (0 <= sq[0] < w and 0 <= sq[1] < w):
-                raise PlaidError(f"polygon escaped block at {sq}")
-            entry = _OPP[exit_edge]
-            here = edges.get(sq)
-            if here is None or entry not in here:
-                raise PlaidError(f"connector mismatch entering {sq}")
-            (exit_edge,) = here - {entry}
-            if sq == start:
+            seen[n * w + m] = 1
+            centers.append((2 * (bi * w + n) + 1, 2 * (bj * w + m) + 1))
+            dx, dy, entry = _MOVES[exit_bit]
+            n, m = n + dx, m + dy
+            if not (0 <= n < w and 0 <= m < w):
+                raise PlaidError(f"polygon escaped block at {(n, m)}")
+            here = masks[n * w + m]
+            if not here & entry:
+                raise PlaidError(f"connector mismatch entering {(n, m)}")
+            exit_bit = here ^ entry
+            if n * w + m == start:
                 break
         if len(set(centers)) != len(centers):
             raise PlaidError("polygon is not embedded")

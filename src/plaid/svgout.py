@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError, Rat
 from .grid import BlockGrid, GridLine, light_points_on_line, trace_polygons
@@ -105,37 +105,38 @@ def _blocks_of_window(param: Param, cfg: RenderConfig):
 
 
 def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
+    """The light points of the window's lines inside the closed window."""
+    w = param.omega
+    x0, y0, x1, y1 = cfg.window
     out = []
     seen = set()
     for bi, bj in _blocks_of_window(param, cfg):
-        for m in range(bj * param.omega, (bj + 1) * param.omega + 1):
-            for x, mult in light_points_on_line(param, GridLine("H", m),
-                                                (bi, bj)):
-                key = (x, Fraction(m))
-                if key not in seen:
-                    seen.add(key)
-                    r = 2 + 2 * (mult - 1)
-                    out.append(f'<circle cx="{_px(cfg, x)}" cy="{_py(cfg, m)}" '
-                               f'r="{r}" fill="{cfg.color("light-points")}"/>')
-        for n in range(bi * param.omega, (bi + 1) * param.omega + 1):
-            for y, mult in light_points_on_line(param, GridLine("V", n),
-                                                (bi, bj)):
-                key = (Fraction(n), y)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(f'<circle cx="{_px(cfg, n)}" cy="{_py(cfg, y)}" '
-                               f'r="2" fill="{cfg.color("light-points")}"/>')
+        for family, lo, hi, v0, v1 in (
+                ("H", max(bj * w, y0), min((bj + 1) * w, y1), x0, x1),
+                ("V", max(bi * w, x0), min((bi + 1) * w, x1), y0, y1)):
+            for c in range(lo, hi + 1):
+                line = GridLine(family, c)
+                for v, mult in light_points_on_line(param, line, (bi, bj)):
+                    x, y = (v, c) if family == "H" else (c, v)
+                    if v0 <= v <= v1 and (x, y) not in seen:
+                        seen.add((x, y))
+                        out.append(f'<circle cx="{_px(cfg, x)}" '
+                                   f'cy="{_py(cfg, y)}" r="{2 * mult}" '
+                                   f'fill="{cfg.color("light-points")}"/>')
     return out
 
 
-def _connectors(param: Param, cfg: RenderConfig, arrows: bool) -> List[str]:
+def _connectors(param: Param, cfg: RenderConfig,
+                grids: Optional[Dict[int, BlockGrid]]) -> List[str]:
+    """Good edges from grids[bi]; with grids None, oriented-label arrows."""
     w = param.omega
     x0, y0, x1, y1 = cfg.window
+    arrows = grids is None
+    color = cfg.color("orientation-arrows" if arrows else "connectors")
     out = []
     half = Fraction(1, 2)
     mid = {"N": (0, half), "S": (0, -half), "E": (half, 0), "W": (-half, 0)}
     for bi, bj in _blocks_of_window(param, cfg):
-        grid = BlockGrid(param, bi)
         for n in range(w):
             for m in range(w):
                 gx, gy = bi * w + n, bj * w + m
@@ -147,9 +148,7 @@ def _connectors(param: Param, cfg: RenderConfig, arrows: bool) -> List[str]:
                         param, *xi_hat_scaled(param, gx, gy))
                     edges = [] if lab == "EMPTY" else [lab[0], lab[1]]
                 else:
-                    edges = sorted(grid.good_edge_set(n, m))
-                color = cfg.color(
-                    "orientation-arrows" if arrows else "connectors")
+                    edges = sorted(grids[bi].good_edge_set(n, m))
                 for i, e in enumerate(edges):
                     dx, dy = mid[e]
                     out.append(_line(cfg, cx, cy, cx + dx, cy + dy, color, 2))
@@ -161,10 +160,11 @@ def _connectors(param: Param, cfg: RenderConfig, arrows: bool) -> List[str]:
     return out
 
 
-def _polygons(param: Param, cfg: RenderConfig) -> List[str]:
+def _polygons(param: Param, cfg: RenderConfig,
+              grids: Dict[int, BlockGrid]) -> List[str]:
     out = []
     for bi, bj in _blocks_of_window(param, cfg):
-        for pg in trace_polygons(param, (bi, bj)):
+        for pg in trace_polygons(param, (bi, bj), grids[bi]):
             pts = " ".join(f"{_px(cfg, x)},{_py(cfg, y)}"
                            for x, y in pg.vertices)
             out.append(f'<polygon points="{pts}" fill="none" '
@@ -178,16 +178,20 @@ def render_svg(param: Param, cfg: RenderConfig) -> str:
     width = (x1 - x0) * cfg.scale
     height = (y1 - y0) * cfg.scale
     body: List[str] = []
+    grids = {}
+    if "connectors" in cfg.layers or "polygons" in cfg.layers:
+        grids = {bi: BlockGrid(param, bi)
+                 for bi, _ in _blocks_of_window(param, cfg)}
     if "grid-lines" in cfg.layers:
         body += _grid_lines(param, cfg)
     if "light-points" in cfg.layers:
         body += _light_points(param, cfg)
     if "connectors" in cfg.layers:
-        body += _connectors(param, cfg, arrows=False)
+        body += _connectors(param, cfg, grids)
     if "polygons" in cfg.layers:
-        body += _polygons(param, cfg)
+        body += _polygons(param, cfg, grids)
     if "orientation-arrows" in cfg.layers:
-        body += _connectors(param, cfg, arrows=True)
+        body += _connectors(param, cfg, None)
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">')

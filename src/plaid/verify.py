@@ -44,7 +44,7 @@ from .pet import (
     path_polygon,
     table_orbit,
 )
-from .analysis import empty_rectangles, verify_first
+from .analysis import block_light_cache, empty_rectangles, verify_first
 
 
 def suite_coherence(param: Param) -> dict:
@@ -173,8 +173,6 @@ def suite_first(param: Param) -> dict:
 
 
 def suite_empty_rect(param: Param) -> dict:
-    from .analysis import block_light_cache
-
     w = param.omega
     for bi in range(w):
         cache = block_light_cache(param, (bi, 0))

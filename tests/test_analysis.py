@@ -5,6 +5,7 @@ import pytest
 
 from conftest import golden_path
 from plaid.params import even_rationals, make_param
+from plaid.grid import BlockGrid
 from plaid.analysis import (
     block_light_cache,
     empty_rectangles,
@@ -99,6 +100,18 @@ class TestEmptyRectangles:
 class TestGapRadius:
     def test_2_5(self, p25):
         assert gap_radius(p25, (0, 0, 7, 7)) <= 2
+
+    def test_one_grid_per_block(self, p25, monkeypatch):
+        built = []
+        init = BlockGrid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlockGrid, "__init__", counting_init)
+        gap_radius(p25, (0, 0, 7, 7))
+        assert built == [0]
 
     def test_bounded_along_convergents(self):
         r1 = gap_radius(make_param(4, 17), (0, 0, 21, 21))

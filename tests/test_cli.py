@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from plaid.cli import main
+from plaid.params import make_param
+from plaid.pet import pet_region, special_orbit, vector_polygon
 
 
 def run(capsys, *argv):
@@ -85,6 +88,23 @@ def test_orbit(capsys):
     assert doc["polygon"][0] == ["1/2", "1/2"]
     assert sum(v[0] for v in doc["vectors"]) == 0
     assert sum(v[1] for v in doc["vectors"]) == 0
+
+
+@pytest.mark.parametrize("center", ["1/2,1/2", "3/2,3/2", "9/2,5/2",
+                                    "-13/2,-1/2"])
+def test_orbit_matches_pet_reference(capsys, center):
+    """Regions and polygon, read off the one orbit walk, against pet_region
+    of each state and vector_polygon."""
+    param = make_param(2, 5)
+    code, out = run(capsys, "orbit", "--p", "2", "--q", "5", f"--c={center}")
+    assert code == 0
+    doc = json.loads(out)
+    c = tuple(Fraction(v) for v in center.split(","))
+    orbit = special_orbit(param, c)
+    assert doc["regions"] == [pet_region(param, s).name for s in orbit.states]
+    pg = vector_polygon(param, c)
+    assert doc["polygon"] == ([[str(a), str(b)] for a, b in pg.vertices]
+                              if pg else [])
 
 
 def test_orbit_hold_center(capsys):

@@ -1,7 +1,8 @@
 """The integer fast paths against their references, at random even
 rationals far beyond the sweep bounds: the grid paths against the Fraction
-reference `segment_points`, and the label table against `fiber_label` and
-the per-point labels."""
+reference `segment_points`, tracing against the exchange orbits of
+`vector_polygon`, and the label table against `fiber_label` and the
+per-point labels."""
 
 import math
 from fractions import Fraction as F
@@ -28,6 +29,7 @@ from plaid.pet import (
     oriented_label_scaled,
     special_orbit,
     table_orbit,
+    vector_polygon,
 )
 from plaid.grid import (
     BlockGrid,
@@ -40,6 +42,7 @@ from plaid.grid import (
     light_points_scaled,
     light_scale,
     segment_points,
+    trace_polygons,
     vertical_particle,
 )
 
@@ -159,6 +162,28 @@ def test_block_counts_match_segment_points(param, bi, data):
         points = hc if axis == "h" else vc
         assert points[i] == sum(pt.multiplicity
                                 for pt in segment_points(param, seg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(params(101), st.data())
+def test_traced_polygons_match_vector_polygon(param, data):
+    """The traced polygon through a connector square against the polygon
+    drawn by the exchange orbit of the square's center."""
+    w = param.omega
+    bi = data.draw(st.integers(-w, 2 * w))
+    bj = data.draw(st.integers(-1, 1))
+    grid = BlockGrid(param, bi)
+    polys = trace_polygons(param, (bi, bj), grid)
+    connectors = [(n, m) for n in range(w) for m in range(w)
+                  if grid.edge_mask(n, m)]
+    assert len(connectors) == sum(len(pg) for pg in polys)
+    # a block without connectors (block 1 of 1/2) has no polygons
+    squares = data.draw(st.lists(st.sampled_from(connectors), min_size=1,
+                                 max_size=3)) if connectors else []
+    for n, m in squares:
+        c2 = (2 * (bi * w + n) + 1, 2 * (bj * w + m) + 1)
+        (traced,) = [pg for pg in polys if c2 in pg.verts2]
+        assert vector_polygon(param, (F(c2[0], 2), F(c2[1], 2))) == traced
 
 
 def cell_index(w, t, u1, u2):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plaid.params import even_rationals, make_param
+from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import (
     BlockGrid,
     GridLine,
@@ -303,8 +303,32 @@ class TestPolygons:
     def test_incoherent_input_raises(self, p25):
         grid = BlockGrid(p25, 0)
         grid.hl[2 * p25.omega + 3] += 1  # corrupt one edge count
-        with pytest.raises((IncoherentInput, Exception)):
+        with pytest.raises(IncoherentInput,
+                           match=r"square \(3, 1\) has [13] good edges"):
             trace_polygons(p25, (0, 0), grid)
+
+    def test_walk_checks_name_the_square(self, p25):
+        """Edge masks no BlockGrid produces: a connector out of the block,
+        one into an empty square, and a ring whose last step re-enters the
+        start square through an edge it lacks."""
+
+        class Masks:
+            def __init__(self, masks):
+                self.masks = masks
+
+            def edge_mask(self, n, m):
+                return self.masks.get((n, m), 0)
+
+        N, S, E, W = 1, 2, 4, 8
+        cases = [
+            ({(0, 0): S | W}, r"polygon escaped block at \(0, -1\)"),
+            ({(3, 3): E | W}, r"connector mismatch entering \(4, 3\)"),
+            ({(0, 0): N | S, (0, 1): S | E, (1, 1): W | S, (1, 0): N | W},
+             r"connector mismatch entering \(0, 0\)"),
+        ]
+        for masks, message in cases:
+            with pytest.raises(PlaidError, match=message):
+                trace_polygons(p25, (0, 0), Masks(masks))
 
 
 class TestParticles:

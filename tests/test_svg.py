@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from plaid.params import make_param
@@ -33,6 +35,18 @@ def test_light_point_sizes(p25):
     assert 'r="4"' in svg and 'r="2"' in svg
 
 
+def test_light_points_inside_sub_block_window(p38):
+    """Points of lines outside the window, or outside it on its lines,
+    are not drawn."""
+    cfg = RenderConfig(window=(2, 1, 7, 6), scale=10,
+                       layers=("light-points",))
+    svg = render_svg(p38, cfg)
+    centers = [(int(x), int(y)) for x, y in
+               re.findall(r'<circle cx="(-?\d+)" cy="(-?\d+)"', svg)]
+    assert centers
+    assert all(0 <= x <= 50 and 0 <= y <= 50 for x, y in centers)
+
+
 def test_orientation_arrows(p12):
     cfg = RenderConfig(window=(0, 0, 3, 3), scale=10,
                        layers=("orientation-arrows",))
@@ -52,8 +66,6 @@ def test_config_validation():
 def test_integer_pixel_coordinates(p25):
     svg = render_svg(p25, RenderConfig(window=(0, 0, 7, 7), scale=24,
                                        layers=("polygons",)))
-    import re
-
     for m in re.finditer(r'points="([^"]*)"', svg):
         for pair in m.group(1).split():
             x, y = pair.split(",")
