@@ -37,6 +37,7 @@ grid_cell reduces any scaled grid point to its index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -434,6 +435,14 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
 
 
 def particle_image_geometry(param: Param, particle: Particle) -> Dict[str, object]:
+    """image_geometry_scaled on the particle's squares and types."""
+    return image_geometry_scaled(param, particle.orientation, particle.squares,
+                                 particle.types)
+
+
+def image_geometry_scaled(param: Param, orientation: str,
+                          squares: Sequence[Tuple[int, int]],
+                          types: Sequence[str]) -> Dict[str, object]:
     """Geometry of the classifying images of a particle's edge squares.
 
     Vertical particles: all images share one fiber, with U1 (type P) or U2
@@ -441,47 +450,48 @@ def particle_image_geometry(param: Param, particle: Particle) -> Dict[str, objec
     the open middle T-zone and steps diagonally (equal U1 and U2 increments);
     the type-Q portion steps parallel to the T-axis (zero U increments), and
     its fibers over the closed middle zone are hit twice, others once.
-    """
-    w, p, q = param.omega, param.p, param.q
-    t1, t2 = 2 * p - w, w - 2 * p
 
-    images = [canon_scaled(param, *xi_raw_scaled(param, a, b))
-              for a, b in particle.squares]
-    if particle.orientation == "vertical":
+    Images are canon_scaled(*xi_raw_scaled(param, a, b)) inline: the raw
+    t = s + omega*(2b + 1), s = 2p(2a + 1), reduces to (s mod 2*omega) - omega
+    with quotient k = s // (2*omega) + b + 1; d below is 2pk - omega.
+    """
+    w, p2 = param.omega, 2 * param.p
+    w2 = 2 * w
+    t1, t2 = p2 - w, w - p2
+
+    images = []
+    for a, b in squares:
+        s = p2 * (2 * a + 1)
+        d = (s // w2 + b + 1) * p2 - w
+        images.append((s % w2 - w, (s - d) % w2 - w,
+                       (s - d + p2 * (2 * b + 1)) % w2 - w))
+    if orientation == "vertical":
         fib = {t for t, _, _ in images}
         if len(fib) != 1:
             return {"ok": False, "case": "fiber", "fibers": sorted(fib)}
-        if particle.types[0] == "P":
-            const = {u1 for _, u1, _ in images}
-        else:
-            const = {u2 for _, _, u2 in images}
+        col = 1 if types[0] == "P" else 2
+        const = {im[col] for im in images}
         return {"ok": len(const) == 1, "case": "vertical", "const": sorted(const)}
 
-    p_imgs = [im for im, ty in zip(images, particle.types) if ty == "P"]
-    q_imgs = [im for im, ty in zip(images, particle.types) if ty == "Q"]
+    p_imgs = [im for im, ty in zip(images, types) if ty == "P"]
+    q_imgs = [im for im, ty in zip(images, types) if ty == "Q"]
     for t, _, _ in p_imgs:
         if t1 < t < t2:
             return {"ok": False, "case": "P-middle-zone", "t": t}
 
-    def step_class(d: int) -> Tuple[int, int, int]:
-        # image shift for a horizontal center step of d units
-        return canon_scaled(param, 4 * p * d, 4 * p * d, 4 * p * d)
-
-    a_adj = param.adj
-    p_steps = {step_class(a_adj * w + w // (2 * p)),
-               step_class(a_adj * w + w // (2 * p) + 1)}
-    q_steps = {step_class(a_adj * w), step_class(a_adj * w - 1)}
-    for a, b in zip(p_imgs, p_imgs[1:]):
-        d = canon_scaled(param, b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        if d not in p_steps:
-            return {"ok": False, "case": "P-diagonal-step", "diff": d}
-    for a, b in zip(q_imgs, q_imgs[1:]):
-        d = canon_scaled(param, b[0] - a[0], b[1] - a[1], b[2] - a[2])
-        if d not in q_steps:
-            return {"ok": False, "case": "Q-axis-step", "diff": d}
-    counts: Dict[int, int] = {}
-    for t, _, _ in q_imgs:
-        counts[t] = counts.get(t, 0) + 1
+    base = param.adj * w
+    for imgs, steps, case in (
+            (p_imgs, (base + w // p2, base + w // p2 + 1), "P-diagonal-step"),
+            (q_imgs, (base, base - 1), "Q-axis-step")):
+        # image shifts for horizontal center steps of d units
+        allowed = {canon_scaled(param, *[2 * p2 * d] * 3) for d in steps}
+        for (t, u1, u2), (t_, u1_, u2_) in zip(imgs, imgs[1:]):
+            dt = (t_ - t + w) % w2 - w
+            d = (t_ - t - dt) // w2 * p2 - w
+            diff = (dt, (u1_ - u1 - d) % w2 - w, (u2_ - u2 - d) % w2 - w)
+            if diff not in allowed:
+                return {"ok": False, "case": case, "diff": diff}
+    counts = Counter(t for t, _, _ in q_imgs)
     for t, n in counts.items():
         # the middle-zone fibers are crossed twice, closed on the left
         # boundary and open on the right

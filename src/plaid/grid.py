@@ -323,9 +323,9 @@ class BlockGrid:
     {bi*w + n} x [m, m + 1].  light_res, when given, is
     _light_residues(param), which block_grids shares among its grids.
 
-    The grid side's one integer light structure: coherence, tracing,
-    gap_radius, the SVG layers and the isomorphism and pet-equivalence suites
-    read edge_mask; the hier suite and block_light_cache read rows and columns.
+    The grid side's one integer light structure: coherence and tracing read
+    masks(), single-square readers edge_mask, and hier and block_light_cache
+    the rows and columns.
     """
 
     def __init__(self, param: Param, bi: int, light_res=None):
@@ -370,14 +370,25 @@ class BlockGrid:
         return ((hl[(m + 1) * w + n] == 1) | (hl[m * w + n] == 1) << 1
                 | (vl[(n + 1) * w + m] == 1) << 2 | (vl[n * w + m] == 1) << 3)
 
+    def masks(self) -> List[int]:
+        """edge_mask of every square, square (n, m) at index n*w + m."""
+        hl, vl, w = self.hl, self.vl, self.param.omega
+        out: List[int] = []
+        for n in range(w):
+            col = hl[n::w]  # the column's north and south edges, m = 0..w
+            out += [(nth == 1) | (sth == 1) << 1 | (est == 1) << 2 | (wst == 1) << 3
+                    for nth, sth, est, wst in zip(col[1:], col, vl[(n + 1) * w:(n + 2) * w],
+                                                  vl[n * w:(n + 1) * w])]
+        return out
+
     def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:
         mask = self.edge_mask(n, m)
         return frozenset(e for i, e in enumerate("NSEW") if mask >> i & 1)
 
     def incoherent_squares(self) -> List[Tuple[int, int]]:
-        w = self.param.omega
+        w, masks = self.param.omega, self.masks()
         return [(self.bi * w + n, m) for m in range(w) for n in range(w)
-                if self.edge_mask(n, m) not in _COHERENT]
+                if masks[n * w + m] not in _COHERENT]
 
 
 def block_grids(param: Param):
@@ -552,7 +563,7 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
     bi, bj = block
     if grid is None:
         grid = BlockGrid(param, bi)
-    masks = [grid.edge_mask(n, m) for n in range(w) for m in range(w)]
+    masks = grid.masks()
     for i, mask in enumerate(masks):
         if mask not in _COHERENT:
             n, m = divmod(i, w)
@@ -608,97 +619,101 @@ class Particle:
         return self.instances[0].brightness
 
 
-def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
-    """The horizontal particle through the block corner (j0*omega, y0).
+def line_lights(param: Param, c: int) -> List[bool]:
+    """lit[r]: the crossing lines with intercept r mod omega are light on the
+    capacity line y = c or x = c, so one list serves the line's particles."""
+    cap = capacity_scaled(param, c)
+    return [_light(cap, mass_scaled(param, b)) for b in range(param.omega)]
 
-    The step-r instance of the family with slope -2s/omega (s = p or q) in
-    block j sits at x = k*omega/(2s) with k = 2sj + r, on the crossing line
-    with intercept y0 + k; all tests run on these integer numerators."""
+
+def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]
+                       ) -> Tuple[list, tuple, bool]:
+    """(squares, types, light) of the horizontal particle through the block
+    corner (j0*omega, y0), lit being line_lights(param, y0).  Its step-r
+    instance of slope -2s/omega in block j sits at x = k*omega/(2s) on the
+    crossing line y0 + k, k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
-    host = GridLine("H", y0)
-    y = Fraction(y0)
-    cap = capacity_scaled(param, y0)
-    pts: List[IntersectionPoint] = []
-    types: List[str] = []
-    squares: List[Tuple[int, int]] = []
-
-    def record(j: int, fam: str, s: int, r: int):
-        k = 2 * s * j + r
-        b = y0 + k
-        corner = r % (2 * s) == 0
-        mid = (k * w) % (2 * s) == s
-        crossing = GridLine(fam, b)
-        if corner or mid:
-            # both-type point: intercepts y0 + 2p*x/w and y0 + 2q*x/w of the
-            # two crossings through x, which must agree on brightness
-            b_p, rem_p = divmod(2 * p * k, 2 * s)
-            b_q, rem_q = divmod(2 * q * k, 2 * s)
-            if rem_p or rem_q:
-                raise PlaidError(f"double point at x={k * w}/{2 * s} is not integral")
-            b_p, b_q = y0 + b_p, y0 + b_q
-            if _light(cap, mass_scaled(param, b_p)) != _light(cap, mass_scaled(param, b_q)):
-                raise PlaidError(f"brightness mismatch at double point x={k * w}/{2 * s}")
-            crossing = GridLine("P", b_p)
-        xn = (k * w) % (2 * s * w * w)  # 2s * (x mod w^2)
-        pts.append(IntersectionPoint(
-            location=(Fraction(xn, 2 * s), y),
-            host=host,
-            crossing=crossing,
-            brightness="light" if _light(cap, mass_scaled(param, b)) else "dark",
-            ptype="both" if corner or mid else fam,
-            multiplicity=2 if mid else 1,
-        ))
-        types.append(fam)
-        squares.append((xn // (2 * s), y0))
-
-    j = j0 % w
-    for r in range(2 * p):
-        record(j, "P", p, r)
-        j = (j + a) % w
-    # right-edge corner, reached with r = 2q in the Q parametrisation
-    for r in range(2 * q, 0, -1):
-        record(j, "Q", q, r)
-        j = (j + a) % w
+    squares, n_lit, j = [], 0, j0 % w
+    for s, rs in ((p, range(2 * p)), (q, range(2 * q, 0, -1))):
+        s2, period = 2 * s, 2 * s * w * w
+        for r in rs:
+            k = s2 * j + r
+            if r % s2 == 0 or r * w % s2 == s:
+                # both-type point: intercepts y0 + 2p*x/w and y0 + 2q*x/w of
+                # the two crossings through x, which must agree on brightness
+                b_p, rem_p = divmod(2 * p * k, s2)
+                b_q, rem_q = divmod(2 * q * k, s2)
+                if rem_p or rem_q:
+                    raise PlaidError(f"double point at x={k * w}/{s2} is not integral")
+                if lit[(y0 + b_p) % w] != lit[(y0 + b_q) % w]:
+                    raise PlaidError(f"brightness mismatch at double point x={k * w}/{s2}")
+            n_lit += lit[(y0 + k) % w]
+            squares.append((k * w % period // s2, y0))
+            j = (j + a) % w
     if j != j0 % w:
         raise PlaidError("horizontal particle failed to close")
-    bset = {pt.brightness for pt in pts}
-    if len(bset) != 1:
+    if n_lit not in (0, 2 * w):
         raise PlaidError("particle brightness not constant")
-    return Particle("horizontal", tuple(pts), tuple(types), tuple(squares))
+    return squares, ("P",) * (2 * p) + ("Q",) * (2 * q), bool(n_lit)
+
+
+def _v_particle_scaled(param: Param, x0: int, ptype: str, j0: int,
+                       lit: Sequence[bool]) -> Tuple[list, tuple, bool]:
+    """(squares, types, light) of the vertical particle of the given type on
+    the lines x = x0 + j*omega, lit being line_lights(param, x0).  Its scaled
+    height y*omega starts in [0, omega) on block j0's line and moves by
+    +omega (type P) or -omega (type Q) mod omega^2 from block to block."""
+    w, a = param.omega, param.adj
+    s2, step = (2 * param.p, w) if ptype == "P" else (2 * param.q, -w)
+    squares, n_lit, j = [], 0, j0 % w
+    yn = -s2 * x0 % w
+    for _ in range(w):
+        x_abs = x0 + j * w
+        b, rem = divmod(yn + s2 * x_abs, w)
+        if rem:
+            raise PlaidError("vertical particle left the line family")
+        n_lit += lit[b % w]
+        squares.append((x_abs, yn // w))
+        j = (j + a) % w
+        yn = (yn + step) % (w * w)
+    if n_lit not in (0, w):
+        raise PlaidError("particle brightness not constant")
+    return squares, (ptype,) * w, bool(n_lit)
+
+
+def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
+    """The horizontal particle through the block corner (j0*omega, y0): the
+    Fraction view of _h_particle_scaled, walking its instances again."""
+    w, p, a = param.omega, param.p, param.adj
+    squares, types, light = _h_particle_scaled(param, y0, j0, line_lights(param, y0))
+    pts = []
+    for i, fam in enumerate(types):
+        s, r = (p, i) if fam == "P" else (param.q, 2 * w - i)
+        k = 2 * s * ((j0 + i * a) % w) + r
+        mid = r * w % (2 * s) == s
+        both = mid or r % (2 * s) == 0
+        pts.append(IntersectionPoint(
+            location=(Fraction(k * w % (2 * s * w * w), 2 * s), Fraction(y0)),
+            host=GridLine("H", y0), brightness="light" if light else "dark",
+            crossing=GridLine("P", y0 + p * k // s) if both else GridLine(fam, y0 + k),
+            ptype="both" if both else fam, multiplicity=2 if mid else 1))
+    return Particle("horizontal", tuple(pts), types, tuple(squares))
 
 
 def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
-    """The vertical particle of the given type through the lines x = x0 + j*w,
-    starting at the instance with y in [0, 1) on the line of block j0."""
-    w, p, q, a = param.omega, param.p, param.q, param.adj
-    s = p if ptype == "P" else q
-    pts: List[IntersectionPoint] = []
-    squares: List[Tuple[int, int]] = []
-    j = j0 % w
-    num0 = 2 * s * x0
-    lo = -((-num0) // w)
-    yn = lo * w - num0  # scaled y of the block-j0 instance, in [0, w)
-    cap = capacity_scaled(param, x0)
-    for _ in range(w):
-        x_abs = x0 + j * w
-        b = (yn + 2 * s * x_abs) // w
-        if b * w != yn + 2 * s * x_abs:
-            raise PlaidError("vertical particle left the line family")
-        pts.append(IntersectionPoint(
-            location=(Fraction(x_abs), Fraction(yn, w)),
-            host=GridLine("V", x_abs),
-            crossing=GridLine(ptype, b),
-            brightness="light" if _light(cap, mass_scaled(param, b)) else "dark",
-            ptype=ptype,
-            multiplicity=1,
-        ))
-        squares.append((x_abs, yn // w))
-        j = (j + a) % w
-        yn = (yn + w) % (w * w) if ptype == "P" else (yn - w) % (w * w)
-    bset = {pt.brightness for pt in pts}
-    if len(bset) != 1:
-        raise PlaidError("particle brightness not constant")
-    return Particle("vertical", tuple(pts), tuple([ptype] * w), tuple(squares))
+    """The vertical particle of the given type through the lines x = x0 + j*w
+    from block j0's instance with y in [0, 1): the view of _v_particle_scaled."""
+    w = param.omega
+    s2 = 2 * (param.p if ptype == "P" else param.q)
+    squares, types, light = _v_particle_scaled(param, x0, ptype, j0,
+                                               line_lights(param, x0))
+    frac = -s2 * x0 % w  # every instance's scaled height within its square
+    pts = tuple(IntersectionPoint(
+        location=(Fraction(x), Fraction(y * w + frac, w)), host=GridLine("V", x),
+        crossing=GridLine(ptype, (y * w + frac + s2 * x) // w),
+        brightness="light" if light else "dark", ptype=ptype, multiplicity=1)
+        for x, y in squares)
+    return Particle("vertical", pts, types, tuple(squares))
 
 
 def trace_particle(param: Param, start: IntersectionPoint) -> Particle:
@@ -718,15 +733,11 @@ def trace_particle(param: Param, start: IntersectionPoint) -> Particle:
         x0_abs = start.host.intercept
         x0, j0 = x0_abs % w, (x0_abs // w) % w
         ptype = start.ptype if start.ptype in ("P", "Q") else "P"
-        part = vertical_particle(param, x0, ptype, j0)
-        if not any(pt.location[1] == start.location[1] % w
+        for j in [j0, *range(w)]:
+            part = vertical_particle(param, x0, ptype, j)
+            if any(pt.location[1] == start.location[1] % w
                    and pt.location[0] % (w * w) == x0_abs % (w * w)
                    for pt in part.instances):
-            for j in range(w):
-                part = vertical_particle(param, x0, ptype, j)
-                if any(pt.location[1] == start.location[1] % w
-                       and pt.location[0] % (w * w) == x0_abs % (w * w)
-                       for pt in part.instances):
-                    break
+                break
         return part
     raise InvalidParameter("particle hosts are H or V lines")

@@ -382,7 +382,11 @@ def _circ2(x: Rat) -> Rat:
 def wall_distance(P: Rat, point: ClassifyingPoint) -> Rat:
     """Distance from the point to the nearest partition wall: the two
     zone-boundary fibers in T, and in the fiber the checkerboard cuts and
-    the seam, of whichever zones apply."""
+    the seam, of whichever zones apply.  The zone-boundary fibers stay walls
+    although both zones agree on them at rational P, because at irrational P
+    the checkerboard changes there; without them the zero offset, which puts
+    the center (1/2, 1/2) on T = P - 1, would pass criterion 12 at
+    P = 8/21, 34/89 and 144/377."""
     T, U1, U2 = point.as_tuple()
     dist = min(_circ2(T - (-1 + P)), _circ2(T - (1 - P)))
     for z in _zones_at(P, T):

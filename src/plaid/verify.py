@@ -13,23 +13,24 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
 from .grid import (
+    _h_particle_scaled,
     _light,
+    _v_particle_scaled,
     block_grids,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
-    horizontal_particle,
+    line_lights,
     mass_scaled,
     trace_polygons,
-    vertical_particle,
 )
 from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
     ORIENTED_CODES,
     grid_cell,
+    image_geometry_scaled,
     label_table,
-    particle_image_geometry,
     symmetry_conjugacies,
     verify_bijection,
     xi_raw_scaled,
@@ -174,8 +175,8 @@ def suite_first(param: Param) -> dict:
 
 def suite_empty_rect(param: Param) -> dict:
     w = param.omega
-    for bi in range(w):
-        cache = block_light_cache(param, (bi, 0))
+    for bi, grid in enumerate(block_grids(param)):
+        cache = block_light_cache(param, (bi, 0), grid)
         for K in range(0, w, 2):
             r = empty_rectangles(param, (bi, 0), K, cache)
             if not r["ok"]:
@@ -228,22 +229,24 @@ def suite_particle_geometry(param: Param) -> dict:
     w = param.omega
     checked = 0
     for y0 in range(w):
+        lit = line_lights(param, y0)
         for j0 in range(w):
-            part = horizontal_particle(param, y0, j0)
-            if len(part.instances) != 2 * w:
+            squares, types, _ = _h_particle_scaled(param, y0, j0, lit)
+            if len(squares) != 2 * w:
                 return {"ok": False, "case": "h-length", "at": (y0, j0)}
-            r = particle_image_geometry(param, part)
+            r = image_geometry_scaled(param, "horizontal", squares, types)
             if not r["ok"]:
                 r["at"] = ("h", y0, j0)
                 return r
             checked += 1
     for x0 in range(w):
+        lit = line_lights(param, x0)
         for ty in "PQ":
             for j0 in range(w):
-                part = vertical_particle(param, x0, ty, j0)
-                if len(part.instances) != w:
+                squares, types, _ = _v_particle_scaled(param, x0, ty, j0, lit)
+                if len(squares) != w:
                     return {"ok": False, "case": "v-length", "at": (x0, ty, j0)}
-                r = particle_image_geometry(param, part)
+                r = image_geometry_scaled(param, "vertical", squares, types)
                 if not r["ok"]:
                     r["at"] = ("v", x0, ty, j0)
                     return r
@@ -275,7 +278,7 @@ DEFAULT_BOUNDS = {
     "first": 40,
     "empty-rect": 30,
     "symmetry": 25,
-    "particle-geometry": 20,
+    "particle-geometry": 25,
 }
 
 MESH_WITNESSES = ((3, 8), (4, 11))

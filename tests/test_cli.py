@@ -71,11 +71,13 @@ def test_verify_irrational_suite(capsys):
 
 
 def test_verify_jobs_parallel(capsys):
-    code, out = run(capsys, "verify", "--suite", "bijection",
-                    "--max-omega", "9", "--jobs", "2")
+    argv = ("verify", "--suite", "bijection", "--max-omega", "9")
+    code, out = run(capsys, *argv, "--jobs", "2")
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
-    assert all(r["ok"] for r in records)
+    assert records and all(r["ok"] for r in records)
+    # a parallel sweep prints exactly what the serial one does
+    assert run(capsys, *argv) == (0, out)
 
 
 def test_orbit(capsys):

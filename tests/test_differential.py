@@ -1,8 +1,8 @@
 """The integer fast paths against their references, at random even
 rationals far beyond the sweep bounds: the grid paths against the Fraction
 reference `segment_points`, tracing against the exchange orbits of
-`vector_polygon`, and the label table against `fiber_label` and the
-per-point labels."""
+`vector_polygon`, particle image geometry against a per-image reduction, and
+the label table against `fiber_label` and the per-point labels."""
 
 import math
 from fractions import Fraction as F
@@ -20,8 +20,10 @@ from plaid.classifier import (
     canon_scaled,
     fiber_label,
     grid_cell,
+    image_geometry_scaled,
     label_table,
     ordered_label_scaled,
+    particle_image_geometry,
     xi_raw_scaled,
 )
 from plaid.pet import (
@@ -32,6 +34,8 @@ from plaid.pet import (
     vector_polygon,
 )
 from plaid.grid import (
+    _h_particle_scaled,
+    _v_particle_scaled,
     BlockGrid,
     GridLine,
     UnitSegment,
@@ -41,6 +45,7 @@ from plaid.grid import (
     light_points_on_line,
     light_points_scaled,
     light_scale,
+    line_lights,
     segment_points,
     trace_polygons,
     vertical_particle,
@@ -98,7 +103,11 @@ def test_light_points_match_segment_points(param, family, bi, bj, data):
             light_points_scaled(param, line, (bi, bj))] == want
 
 
-def check_instances(param, particle, axis):
+def check_instances(param, particle, axis, core):
+    """The Fraction particle against segment_points, and the integer core's
+    (squares, types, light) against the Fraction particle."""
+    assert core == (list(particle.squares), particle.types,
+                    particle.brightness == "light")
     assert len(particle.squares) == len(particle.instances)
     for pt, square in zip(particle.instances, particle.squares):
         x, y = pt.location
@@ -121,7 +130,8 @@ def test_horizontal_particle_matches_segment_points(param, data):
     w = param.omega
     y0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    check_instances(param, horizontal_particle(param, y0, j0), "h")
+    core = _h_particle_scaled(param, y0, j0, line_lights(param, y0))
+    check_instances(param, horizontal_particle(param, y0, j0), "h", core)
 
 
 @settings(max_examples=15, deadline=None)
@@ -130,7 +140,110 @@ def test_vertical_particle_matches_segment_points(param, ptype, data):
     w = param.omega
     x0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    check_instances(param, vertical_particle(param, x0, ptype, j0), "v")
+    core = _v_particle_scaled(param, x0, ptype, j0, line_lights(param, x0))
+    check_instances(param, vertical_particle(param, x0, ptype, j0), "v", core)
+
+
+def reference_geometry(param, orientation, squares, types):
+    """particle_image_geometry with one canon_scaled call per image and per
+    image difference."""
+    w, p = param.omega, param.p
+    t1, t2 = 2 * p - w, w - 2 * p
+    images = [canon_scaled(param, *xi_raw_scaled(param, a, b))
+              for a, b in squares]
+    if orientation == "vertical":
+        fib = {t for t, _, _ in images}
+        if len(fib) != 1:
+            return {"ok": False, "case": "fiber", "fibers": sorted(fib)}
+        const = {im[1 if types[0] == "P" else 2] for im in images}
+        return {"ok": len(const) == 1, "case": "vertical",
+                "const": sorted(const)}
+    p_imgs = [im for im, ty in zip(images, types) if ty == "P"]
+    q_imgs = [im for im, ty in zip(images, types) if ty == "Q"]
+    for t, _, _ in p_imgs:
+        if t1 < t < t2:
+            return {"ok": False, "case": "P-middle-zone", "t": t}
+
+    def step_class(d):
+        return canon_scaled(param, 4 * p * d, 4 * p * d, 4 * p * d)
+
+    base = param.adj * w
+    for imgs, steps, case in (
+            (p_imgs, {step_class(base + w // (2 * p)),
+                      step_class(base + w // (2 * p) + 1)}, "P-diagonal-step"),
+            (q_imgs, {step_class(base), step_class(base - 1)}, "Q-axis-step")):
+        for a, b in zip(imgs, imgs[1:]):
+            d = canon_scaled(param, *(y - x for x, y in zip(a, b)))
+            if d not in steps:
+                return {"ok": False, "case": case, "diff": d}
+    counts = {}
+    for t, _, _ in q_imgs:
+        counts[t] = counts.get(t, 0) + 1
+    for t, n in counts.items():
+        if n != (2 if t1 <= t < t2 else 1):
+            return {"ok": False, "case": "Q-fiber-count", "t": t, "count": n}
+    return {"ok": True, "case": "horizontal",
+            "p_fibers": len({t for t, _, _ in p_imgs}),
+            "q_fibers": len(counts)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(), st.sampled_from("PQ"), st.data())
+def test_image_geometry_matches_reference(param, ptype, data):
+    """The inline image reduction on the cores' output against the
+    per-image reference and the Fraction particle, for one horizontal and
+    one vertical particle."""
+    w = param.omega
+    c = data.draw(st.integers(0, w - 1))
+    j0 = data.draw(st.integers(0, w - 1))
+    for core, part in (
+            (_h_particle_scaled(param, c, j0, line_lights(param, c)),
+             horizontal_particle(param, c, j0)),
+            (_v_particle_scaled(param, c, ptype, j0, line_lights(param, c)),
+             vertical_particle(param, c, ptype, j0))):
+        squares, types, _ = core
+        got = image_geometry_scaled(param, part.orientation, squares, types)
+        assert got["ok"], got
+        assert got == reference_geometry(param, part.orientation, squares,
+                                         types)
+        assert got == particle_image_geometry(param, part)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(), st.sampled_from("PQ"), st.data())
+def test_corrupted_particles_fail_geometry(param, ptype, data):
+    """One square moved a unit north, or one type-P square swapped for a
+    square whose image lies in the open middle zone, fails with the case the
+    theorem predicts, as in the reference."""
+    w = param.omega
+    c = data.draw(st.integers(0, w - 1))
+    j0 = data.draw(st.integers(0, w - 1))
+    h_squares, h_types, _ = _h_particle_scaled(param, c, j0,
+                                               line_lights(param, c))
+    v_squares, v_types, _ = _v_particle_scaled(param, c, ptype, j0,
+                                               line_lights(param, c))
+    i = data.draw(st.integers(0, w - 1))
+    h_i = i + data.draw(st.sampled_from((0, w)))  # a type-P or type-Q instance
+    # a northward move keeps the image's fiber and moves U1 and U2 apart
+    cases = [("horizontal", h_squares, h_types, h_i,
+              "P-diagonal-step" if h_types[h_i] == "P" else "Q-axis-step"),
+             ("vertical", v_squares, v_types, i, "vertical")]
+    for orientation, squares, types, k, case in cases:
+        moved = list(squares)
+        moved[k] = (squares[k][0], squares[k][1] + 1)
+        got = image_geometry_scaled(param, orientation, moved, types)
+        assert not got["ok"] and got["case"] == case, got
+        assert got == reference_geometry(param, orientation, moved, types)
+    # the open middle zone holds odd fibers only when q > p + 1
+    t1 = 2 * param.p - w
+    middle = [a for a in range(w * w) if t1 < canon_scaled(
+        param, *xi_raw_scaled(param, a, c))[0] < -t1]
+    if middle:
+        moved = list(h_squares)
+        moved[i % (2 * param.p)] = (data.draw(st.sampled_from(middle)), c)
+        got = image_geometry_scaled(param, "horizontal", moved, h_types)
+        assert not got["ok"] and got["case"] == "P-middle-zone", got
+        assert got == reference_geometry(param, "horizontal", moved, h_types)
 
 
 @st.composite
@@ -174,8 +287,10 @@ def test_traced_polygons_match_vector_polygon(param, data):
     bj = data.draw(st.integers(-1, 1))
     grid = BlockGrid(param, bi)
     polys = trace_polygons(param, (bi, bj), grid)
+    masks = grid.masks()
+    assert masks == [grid.edge_mask(n, m) for n in range(w) for m in range(w)]
     connectors = [(n, m) for n in range(w) for m in range(w)
-                  if grid.edge_mask(n, m)]
+                  if masks[n * w + m]]
     assert len(connectors) == sum(len(pg) for pg in polys)
     # a block without connectors (block 1 of 1/2) has no polygons
     squares = data.draw(st.lists(st.sampled_from(connectors), min_size=1,

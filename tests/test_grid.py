@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -300,6 +301,16 @@ class TestPolygons:
         assert [pg.translated2(shift, 0).verts2 for pg in a] == \
             [pg.verts2 for pg in b]
 
+    def test_incoherent_squares_in_row_order(self, p25):
+        """Toggling one edge's goodness breaks both squares beside it; the
+        bulk mask read still lists bad squares row by row."""
+        w = p25.omega
+        grid = BlockGrid(p25, 1)
+        for counts, i in ((grid.hl, 2 * w + 3), (grid.vl, 5 * w)):
+            counts[i] = 0 if counts[i] == 1 else 1
+        assert grid.incoherent_squares() == [
+            (w + n, m) for n, m in ((4, 0), (5, 0), (3, 1), (3, 2))]
+
     def test_incoherent_input_raises(self, p25):
         grid = BlockGrid(p25, 0)
         grid.hl[2 * p25.omega + 3] += 1  # corrupt one edge count
@@ -313,11 +324,13 @@ class TestPolygons:
         start square through an edge it lacks."""
 
         class Masks:
-            def __init__(self, masks):
-                self.masks = masks
+            def __init__(self, by_square):
+                self.by_square = by_square
 
-            def edge_mask(self, n, m):
-                return self.masks.get((n, m), 0)
+            def masks(self):
+                w = p25.omega
+                return [self.by_square.get((n, m), 0)
+                        for n in range(w) for m in range(w)]
 
         N, S, E, W = 1, 2, 4, 8
         cases = [
@@ -374,6 +387,17 @@ class TestParticles:
                 for ty in "PQ":
                     for j0 in range(w):
                         vertical_particle(prm, x0, ty, j0)
+
+    def test_wrong_adjacency_trips_brightness_check(self, p25):
+        """Remote adjacency keeps a particle on one mass class; a wrong one
+        walks across classes and the constant-brightness check stops it."""
+        bad = dataclasses.replace(p25, adj=(p25.adj + 1) % p25.omega)
+        with pytest.raises(PlaidError, match="brightness not constant"):
+            for y0 in range(p25.omega):
+                horizontal_particle(bad, y0, 0)
+        with pytest.raises(PlaidError, match="brightness not constant"):
+            for x0 in range(p25.omega):
+                vertical_particle(bad, x0, "P", 0)
 
     def test_trace_particle_dispatch(self, p25):
         part = horizontal_particle(p25, 2, 0)
