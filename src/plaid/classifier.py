@@ -31,8 +31,9 @@ symbols in "NSEW": twelve codes for the ordered pairs and four with i == j
 for the special cells (in every zone, the cells whose two symbols agree),
 the symbol being the diagnostic.  Over a zone-boundary fiber the fiber is
 built for both zones, and the two byte strings must be equal.  The table of
-the double cover continues t over [omega, 3*omega) with reversed codes.
-grid_cell reduces any scaled grid point to its index.
+the double cover continues t over [omega, 3*omega) with reversed codes; its
+index is the state of the exchange in pet.  grid_cell reduces any scaled
+grid point to its index.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .grid import Particle
@@ -60,10 +61,6 @@ _ORDER = "NSEW"
 
 def unordered_label(a: str, b: str) -> str:
     return a + b if _ORDER.index(a) < _ORDER.index(b) else b + a
-
-
-def label_edges(label: str) -> Set[str]:
-    return set() if label == "EMPTY" else set(label)
 
 
 # (row symbols top->bottom, col symbols left->right, special col per row)
@@ -341,8 +338,8 @@ def label_table(param: Param, sheets: int = 1) -> bytearray:
 
 def grid_cell(param: Param, t: int, u1: int, u2: int, sheets: int = 1) -> int:
     """Table index of the scaled grid point (t odd, u1 and u2 even) reduced
-    modulo the lattice of canon_scaled, or of canon_cover_scaled when
-    sheets=2."""
+    modulo the lattice of canon_scaled, or with sheets=2 modulo the cover's
+    lattice, generated by (4*omega, 4p, 4p) and 2*omega in u1 and u2."""
     w = param.omega
     k, i = divmod((t + w) // 2, sheets * w)
     s = sheets * param.p * k
@@ -377,20 +374,27 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 # Verification surfaces
 # ---------------------------------------------------------------------------
 
+def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
+    """Mark the table cell of each of the sheets*omega^3 center classes:
+    their images are distinct when they mark as many cells as there are
+    classes.  The base side also checks the image parity."""
+    w = param.omega
+    classes = sheets * w ** 3
+    seen = bytearray(classes)
+    for a in range(w * w):
+        for b in range(sheets * w):
+            t, u1, u2 = xi_raw_scaled(param, a, b)
+            if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
+                return {"ok": False, "reason": f"parity at {(a, b)}"}
+            seen[grid_cell(param, t, u1, u2, sheets)] = 1
+    marked = sum(seen)
+    return {"ok": marked == classes, "classes": marked, "expected": classes}
+
+
 def verify_bijection(param: Param) -> Dict[str, object]:
     """The canonical images of the omega^3 center classes are pairwise
-    distinct and fill the discrete grid (odd/omega, even/omega, even/omega):
-    they mark as many cells as there are classes."""
-    w = param.omega
-    seen = bytearray(w ** 3)
-    for a in range(w * w):
-        for b in range(w):
-            t, u1, u2 = xi_raw_scaled(param, a, b)
-            if t % 2 == 0 or u1 % 2 or u2 % 2:
-                return {"ok": False, "reason": f"parity at {(a, b)}"}
-            seen[grid_cell(param, t, u1, u2)] = 1
-    classes = sum(seen)
-    return {"ok": classes == w ** 3, "classes": classes, "expected": w ** 3}
+    distinct and fill the discrete grid (odd/omega, even/omega, even/omega)."""
+    return mark_classes(param, 1)
 
 
 _ROT = {"N": "S", "S": "N", "E": "W", "W": "E", "EMPTY": "EMPTY"}

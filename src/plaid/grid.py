@@ -118,13 +118,6 @@ def anchor_lines(param: Param, k: int) -> Dict[str, Set[int]]:
     return {"x": pos, "y": set(pos)}
 
 
-def anchor_mass_intercepts(param: Param, k: int) -> Set[int]:
-    """y-intercepts mod omega of the mass-k diagonal lines, k odd < omega."""
-    if k % 2 == 0 or not 1 <= k < param.omega:
-        raise InvalidParameter(f"mass {k} must be odd in [1, omega)")
-    return {(k * param.alpha) % param.omega, (-k * param.alpha) % param.omega}
-
-
 # ---------------------------------------------------------------------------
 # Intersection points on unit segments
 # ---------------------------------------------------------------------------
@@ -154,19 +147,26 @@ def _light(cap: int, mass: int) -> bool:
     return 0 < mass < cap or cap < mass < 0
 
 
-def _h_candidates(param: Param, seg: UnitSegment) -> List[Tuple[Fraction, str, int]]:
-    """(x position, family, intercept) of diagonal crossings on a closed
+def _h_crossings(param: Param, seg: UnitSegment) -> List[Tuple[tuple, str, int]]:
+    """(location, family, intercept) of the diagonal crossings on a closed
     horizontal unit segment."""
-    w, p, q, m = param.omega, param.p, param.q, seg.y
-    out = []
-    for fam, s in (("P", p), ("Q", q)):
-        # x = (b - m) * w / 2s in [seg.x, seg.x + 1]
-        lo_num, hi_num = 2 * s * seg.x, 2 * s * (seg.x + 1)
-        b0 = -((-lo_num) // w)
-        b = b0
-        while b * w <= hi_num:
-            out.append((Fraction(b * w, 2 * s), fam, m + b))
-            b += 1
+    w, out = param.omega, []
+    for fam, s in (("P", param.p), ("Q", param.q)):
+        # x = b * w / 2s in [seg.x, seg.x + 1] on the line of intercept y + b
+        for b in range(-(-2 * s * seg.x // w), 2 * s * (seg.x + 1) // w + 1):
+            out.append(((Fraction(b * w, 2 * s), Fraction(seg.y)), fam, seg.y + b))
+    return out
+
+
+def _v_crossings(param: Param, seg: UnitSegment) -> List[Tuple[tuple, str, int]]:
+    """(location, family, intercept) of the diagonal crossings on a closed
+    vertical unit segment."""
+    w, out = param.omega, []
+    for fam, s in (("P", param.p), ("Q", param.q)):
+        # y = b - 2s*x/w in [seg.y, seg.y + 1]
+        num = 2 * s * seg.x
+        for b in range(-(-(seg.y * w + num) // w), ((seg.y + 1) * w + num) // w + 1):
+            out.append(((Fraction(seg.x), Fraction(b * w - num, w)), fam, b))
     return out
 
 
@@ -179,72 +179,31 @@ def segment_points(param: Param, seg: UnitSegment) -> List[IntersectionPoint]:
     segment.  Brightness is checked for consistency whenever two lines meet
     at the same point.
     """
-    w = param.omega
     if seg.axis == "h":
-        host = GridLine("H", seg.y)
-        cap = capacity_scaled(param, seg.y)
-        by_pos: Dict[Fraction, List[Tuple[str, int]]] = {}
-        for pos, fam, b in _h_candidates(param, seg):
-            by_pos.setdefault(pos, []).append((fam, b))
-        pts = []
-        for pos in sorted(by_pos):
-            hits = by_pos[pos]
-            lights = {_light(cap, mass_scaled(param, b)) for _, b in hits}
-            if len(lights) != 1:
-                raise PlaidError(
-                    f"inconsistent brightness at {pos},{seg.y} for {param}"
-                )
-            light = lights.pop()
-            both = len(hits) == 2
-            midpoint = both and pos == Fraction(2 * seg.x + 1, 2)
-            fam0, b0 = sorted(hits)[0]
-            pts.append(
-                IntersectionPoint(
-                    location=(pos, Fraction(seg.y)),
-                    host=host,
-                    crossing=GridLine(fam0, b0),
-                    brightness="light" if light else "dark",
-                    ptype="both" if both else hits[0][0],
-                    multiplicity=2 if midpoint else 1,
-                )
-            )
-        return pts
-
-    if seg.axis == "v":
-        host = GridLine("V", seg.x)
-        cap = capacity_scaled(param, seg.x)
-        by_pos: Dict[Fraction, List[Tuple[str, int]]] = {}
-        for fam, s in (("P", param.p), ("Q", param.q)):
-            # y = b - 2s*x/w in [seg.y, seg.y + 1]
-            num = 2 * s * seg.x
-            b0 = -((-(seg.y * w + num)) // w)
-            b = b0
-            while b * w - num <= (seg.y + 1) * w:
-                by_pos.setdefault(Fraction(b * w - num, w), []).append((fam, b))
-                b += 1
-        pts = []
-        for pos in sorted(by_pos):
-            hits = by_pos[pos]
-            lights = {_light(cap, mass_scaled(param, b)) for _, b in hits}
-            if len(lights) != 1:
-                raise PlaidError(
-                    f"inconsistent brightness at {seg.x},{pos} for {param}"
-                )
-            light = lights.pop()
-            fam0, b0 = sorted(hits)[0]
-            pts.append(
-                IntersectionPoint(
-                    location=(Fraction(seg.x), pos),
-                    host=host,
-                    crossing=GridLine(fam0, b0),
-                    brightness="light" if light else "dark",
-                    ptype="both" if len(hits) == 2 else hits[0][0],
-                    multiplicity=1,
-                )
-            )
-        return pts
-
-    raise InvalidParameter(f"segment axis must be 'h' or 'v', got {seg.axis!r}")
+        host, crossings = GridLine("H", seg.y), _h_crossings(param, seg)
+    elif seg.axis == "v":
+        host, crossings = GridLine("V", seg.x), _v_crossings(param, seg)
+    else:
+        raise InvalidParameter(f"segment axis must be 'h' or 'v', got {seg.axis!r}")
+    cap = capacity_scaled(param, host.intercept)
+    at: Dict[tuple, List[Tuple[str, int]]] = {}
+    for location, fam, b in crossings:
+        at.setdefault(location, []).append((fam, b))
+    pts = []
+    for location in sorted(at):  # one coordinate is fixed along the segment
+        hits = at[location]
+        lights = {_light(cap, mass_scaled(param, b)) for _, b in hits}
+        if len(lights) != 1:
+            raise PlaidError(f"inconsistent brightness at {location[0]},"
+                             f"{location[1]} for {param}")
+        both = len(hits) == 2
+        midpoint = both and location == (Fraction(2 * seg.x + 1, 2), seg.y)
+        pts.append(IntersectionPoint(
+            location=location, host=host, crossing=GridLine(*min(hits)),
+            brightness="light" if lights.pop() else "dark",
+            ptype="both" if both else hits[0][0],
+            multiplicity=2 if midpoint else 1))
+    return pts
 
 
 def light_count(param: Param, seg: UnitSegment) -> int:
@@ -257,16 +216,9 @@ def good_edges(param: Param, sw_corner: Tuple[int, int]) -> Set[str]:
     """Edges of the unit square with the given SW corner holding exactly one
     light point."""
     n, m = sw_corner
-    out = set()
-    if light_count(param, UnitSegment("h", n, m)) == 1:
-        out.add("S")
-    if light_count(param, UnitSegment("h", n, m + 1)) == 1:
-        out.add("N")
-    if light_count(param, UnitSegment("v", n, m)) == 1:
-        out.add("W")
-    if light_count(param, UnitSegment("v", n + 1, m)) == 1:
-        out.add("E")
-    return out
+    edges = {"S": UnitSegment("h", n, m), "N": UnitSegment("h", n, m + 1),
+             "W": UnitSegment("v", n, m), "E": UnitSegment("v", n + 1, m)}
+    return {e for e, seg in edges.items() if light_count(param, seg) == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -717,27 +669,28 @@ def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
 
 
 def trace_particle(param: Param, start: IntersectionPoint) -> Particle:
-    """Trace the particle through a given intersection point."""
-    w = param.omega
+    """Trace the particle through a given intersection point, whose block and
+    step give the particle's starting block j0."""
+    w, a = param.omega, param.adj
     if start.host.family == "H":
         x, y0 = start.location
-        if x % w == 0:
-            return horizontal_particle(param, int(y0) % w, int(x) // w % w)
-        for j0 in range(w):
-            part = horizontal_particle(param, int(y0) % w, j0)
-            if any(pt.location[0] % (w * w) == x % (w * w)
-                   for pt in part.instances):
-                return part
+        # the crossing of slope -2s/w at x = k*w/2s, k = 2sj + r, is the
+        # particle's instance i = r (s = p) or 2w - r (s = q), in block
+        # j = j0 + i*adj
+        for s, sign in ((param.p, -1), (param.q, 1)):
+            k = Fraction(x) % (w * w) * 2 * s / w
+            if k.denominator == 1:
+                j, r = divmod(k.numerator, 2 * s)
+                return horizontal_particle(param, int(y0) % w, (j + sign * r * a) % w)
         raise PlaidError(f"no horizontal particle through {start.location}")
     if start.host.family == "V":
-        x0_abs = start.host.intercept
-        x0, j0 = x0_abs % w, (x0_abs // w) % w
+        x0, j = start.host.intercept % w, start.host.intercept // w % w
         ptype = start.ptype if start.ptype in ("P", "Q") else "P"
-        for j in [j0, *range(w)]:
-            part = vertical_particle(param, x0, ptype, j)
-            if any(pt.location[1] == start.location[1] % w
-                   and pt.location[0] % (w * w) == x0_abs % (w * w)
-                   for pt in part.instances):
-                break
-        return part
+        s2 = 2 * (param.p if ptype == "P" else param.q)
+        # instance n sits d/w units above the particle's first, n = +-d/w
+        d = Fraction(start.location[1]) % w * w - (-s2 * x0 % w)
+        if d.denominator != 1 or d % w:
+            raise PlaidError(f"no vertical particle through {start.location}")
+        n = d // w if ptype == "P" else -(d // w)
+        return vertical_particle(param, x0, ptype, (j - n * a) % w)
     raise InvalidParameter("particle hosts are H or V lines")

@@ -13,6 +13,12 @@ image of the matching unit step of the plane, so the exchange is conjugate to
 "follow the connector to the next square".  Orbits of images of tile centers
 are therefore finite, and accumulating the regions' unit vectors along an
 orbit redraws the plaid polygon through the starting center.
+
+The state of the exchange is the cover cell: the index that
+grid_cell(..., sheets=2) gives a scaled point of the image lattice (omega*T
+odd, omega*U1 and omega*U2 even), laid out as in the classifier docstring.
+cover_step moves a cell by one translation, decode_cell turns it into the
+canonical scaled point, and orbits, pet_step and pet_back all walk cells.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .classifier import (
     fiber_label,
     grid_cell,
     label_table,
+    mark_classes,
     ordered_label_scaled,
     xi_raw_scaled,
     _center_indices,
@@ -82,27 +89,36 @@ class CoverPoint:
         return (self.That, self.U1, self.U2)
 
 
-def canon_cover_scaled(param: Param, t: int, u1: int, u2: int
-                       ) -> Tuple[int, int, int]:
+def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
+    """The canonical scaled cover point (t, u1, u2) of a cover cell, t in
+    [-2*omega, 2*omega) and u1, u2 in (-omega, omega).  The table's fibers
+    t >= 2*omega fold back by the generator (4*omega, 4p, 4p)."""
     w = param.omega
-    ts = sym_reduce(t, 4 * w)
-    k = (t - ts) // (4 * w)
-    if k:
-        d = 4 * param.p * k
-        u1 -= d
-        u2 -= d
-    return ts, sym_reduce(u1, 2 * w), sym_reduce(u2, 2 * w)
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+    if t < 2 * w:
+        return t, u1, u2
+    d = 4 * param.p
+    return t - 4 * w, sym_reduce(u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w)
+
+
+def _cover_point(param: Param, cell: int) -> CoverPoint:
+    w = param.omega
+    return CoverPoint(*(Fraction(v, w) for v in decode_cell(param, cell)))
+
+
+def _center_cell(param: Param, a: int, b: int) -> int:
+    """The cover cell of the image of the center (a+1/2, b+1/2)."""
+    return grid_cell(param, *xi_raw_scaled(param, a, b), 2)
 
 
 def xi_hat_scaled(param: Param, a: int, b: int) -> Tuple[int, int, int]:
-    return canon_cover_scaled(param, *xi_raw_scaled(param, a, b))
+    return decode_cell(param, _center_cell(param, a, b))
 
 
 def xi_hat(param: Param, center) -> CoverPoint:
-    a, b = _center_indices(center)
-    t, u1, u2 = xi_hat_scaled(param, a, b)
-    w = param.omega
-    return CoverPoint(Fraction(t, w), Fraction(u1, w), Fraction(u2, w))
+    return _cover_point(param, _center_cell(param, *_center_indices(center)))
 
 
 def lift_label(param: Param, t_hat: RatLike, base_label: str,
@@ -129,18 +145,31 @@ def oriented_label_scaled(param: Param, t: int, u1: int, u2: int) -> str:
     return ORIENTED_CODES[code if -w <= t < w else REVERSED[code]]
 
 
+def _cell_label(param: Param, cell: int) -> str:
+    return oriented_label_scaled(param, *decode_cell(param, cell))
+
+
 def cover_step(param: Param, cell: int, direction: str) -> int:
-    """The cover cell one exchange step from cell in the given direction."""
-    w = param.omega
-    rest, i2 = divmod(cell, w)
-    j, i1 = divmod(rest, w)
-    dt, d1, d2 = _translation_scaled(param, direction)
-    return grid_cell(param, 2 * j - w + dt, 2 * i1 - w + 1 + d1,
-                     2 * i2 - w + 1 + d2, 2)
+    """The cover cell one exchange step from cell in the given direction:
+    the translation is the image of that unit step of the plane."""
+    dx, dy = _VEC[direction]
+    t, u1, u2 = decode_cell(param, cell)
+    du = 4 * param.p * dx
+    return grid_cell(param, t + du + 2 * param.omega * dy, u1 + du,
+                     u2 + du + 4 * param.p * dy, 2)
+
+
+def _point_cell(param: Param, point: CoverPoint) -> int:
+    """The cover cell of a point of the image lattice: omega*T odd, omega*U1
+    and omega*U2 even."""
+    t, u1, u2 = (v * param.omega for v in point.as_tuple())
+    if (t % 2, u1 % 2, u2 % 2) != (1, 0, 0):
+        raise PlaidError(f"{point} is not on the image lattice")
+    return grid_cell(param, int(t), int(u1), int(u2), 2)
 
 
 def oriented_label(param: Param, point: CoverPoint) -> str:
-    return oriented_label_scaled(param, *_cover_to_scaled(param, point))
+    return _cell_label(param, _point_cell(param, point))
 
 
 def pet_region(param: Param, point: CoverPoint) -> PetRegion:
@@ -150,58 +179,26 @@ def pet_region(param: Param, point: CoverPoint) -> PetRegion:
     return _REGIONS["hold"] if lab == "EMPTY" else _REGIONS[lab[1]]
 
 
-def pet_region_out(param: Param, point: CoverPoint) -> PetRegion:
-    """Region of the backward partition (edge the connector points out of)."""
-    lab = oriented_label(param, point)
-    return _REGIONS["hold"] if lab == "EMPTY" else _REGIONS[lab[0]]
-
-
-def _translation_scaled(param: Param, direction: str) -> Tuple[int, int, int]:
-    w, p = param.omega, param.p
-    return {
-        "N": (2 * w, 0, 4 * p),
-        "S": (-2 * w, 0, -4 * p),
-        "E": (4 * p, 4 * p, 4 * p),
-        "W": (-4 * p, -4 * p, -4 * p),
-    }[direction]
-
-
-def _step_scaled(param: Param, z: Tuple[int, int, int], direction: str
-                 ) -> Tuple[int, int, int]:
-    d = _translation_scaled(param, direction)
-    return canon_cover_scaled(param, z[0] + d[0], z[1] + d[1], z[2] + d[2])
-
-
-def _cover_from_scaled(param: Param, z: Tuple[int, int, int]) -> CoverPoint:
-    w = param.omega
-    return CoverPoint(Fraction(z[0], w), Fraction(z[1], w), Fraction(z[2], w))
-
-
-def _cover_to_scaled(param: Param, point: CoverPoint) -> Tuple[int, int, int]:
-    w = param.omega
-    vals = (point.That * w, point.U1 * w, point.U2 * w)
-    if any(v.denominator != 1 for v in vals):
-        raise PlaidError(f"{point} is not on the discrete grid")
-    return tuple(int(v) for v in vals)
+def _exchange(param: Param, point: CoverPoint, edge: int) -> CoverPoint:
+    """The point moved one step across edge lab[edge] of its directed label
+    lab: point, then cell, then cover_step, then point; hold points stay."""
+    cell = _point_cell(param, point)
+    lab = _cell_label(param, cell)
+    if lab == "EMPTY":
+        return point
+    return _cover_point(param, cover_step(param, cell, lab[edge]))
 
 
 def pet_step(param: Param, point: CoverPoint) -> CoverPoint:
     """One application of the exchange: translate by the fiberwise map of the
     point's forward region (identity on hold)."""
-    lab = oriented_label(param, point)
-    if lab == "EMPTY":
-        return point
-    z = _cover_to_scaled(param, point)
-    return _cover_from_scaled(param, _step_scaled(param, z, lab[1]))
+    return _exchange(param, point, 1)
 
 
 def pet_back(param: Param, point: CoverPoint) -> CoverPoint:
-    """Inverse exchange, driven by the backward partition."""
-    lab = oriented_label(param, point)
-    if lab == "EMPTY":
-        return point
-    z = _cover_to_scaled(param, point)
-    return _cover_from_scaled(param, _step_scaled(param, z, lab[0]))
+    """Inverse exchange, driven by the backward partition (the edge the
+    connector points out of)."""
+    return _exchange(param, point, 0)
 
 
 @dataclass(frozen=True)
@@ -212,32 +209,33 @@ class PetOrbit:
     vectors: Tuple[Tuple[int, int], ...]
 
 
-def _walk(start, label, step, limit: int, what) -> Tuple[list, list]:
-    """The states and labels of the exchange orbit of start, to its first
-    return; a hold start gives itself and "EMPTY"."""
+def _walk(param: Param, a: int, b: int, label) -> Tuple[list, list]:
+    """The cells and labels of the exchange orbit of the image of the center
+    (a+1/2, b+1/2), to its first return, label(cell) giving a cell's label;
+    a hold start gives itself and "EMPTY".  Iteration is capped at
+    4*omega^2, past any polygon's perimeter; exceeding the cap means the
+    model is broken."""
+    start = _center_cell(param, a, b)
     if label(start) == "EMPTY":
         return [start], ["EMPTY"]
-    states, labels, z = [], [], start
+    limit = 4 * param.omega ** 2
+    cells, labels, cell = [], [], start
     for _ in range(limit):
-        states.append(z)
-        labels.append(label(z))
-        z = step(z, labels[-1][1])
-        if z == start:
-            return states, labels
-    raise NonPeriodicOrbit(f"orbit of {what} did not close in {limit}")
+        cells.append(cell)
+        labels.append(label(cell))
+        cell = cover_step(param, cell, labels[-1][1])
+        if cell == start:
+            return cells, labels
+    raise NonPeriodicOrbit(f"orbit of center {(a, b)} did not close in {limit}")
 
 
 def special_orbit(param: Param, center) -> PetOrbit:
-    """The orbit of the image of a tile center, iterated to first return.
-
-    Hold points have orbits of length one.  Iteration is capped at 4*omega^2,
-    past any polygon's perimeter; exceeding the cap means the model is broken.
-    """
-    states, labels = _walk(
-        xi_hat_scaled(param, *_center_indices(center)),
-        lambda z: oriented_label_scaled(param, *z),
-        lambda z, d: _step_scaled(param, z, d), 4 * param.omega ** 2, center)
-    states = tuple(_cover_from_scaled(param, z) for z in states)
+    """The orbit of the image of a tile center, iterated to first return,
+    each cell labelled on its own (no table).  Hold points have orbits of
+    length one."""
+    cells, labels = _walk(param, *_center_indices(center),
+                          lambda cell: _cell_label(param, cell))
+    states = tuple(_cover_point(param, cell) for cell in cells)
     vectors = ((0, 0),) if labels == ["EMPTY"] else tuple(
         _VEC[lab[1]] for lab in labels)
     return PetOrbit(states[0], states, tuple(labels), vectors)
@@ -245,12 +243,9 @@ def special_orbit(param: Param, center) -> PetOrbit:
 
 def table_orbit(param: Param, cover: bytes, a: int, b: int
                 ) -> List[Tuple[int, int]]:
-    """The vectors of special_orbit at the center (a+1/2, b+1/2), walked on
-    the cover's label table; empty for hold centers."""
-    _, labels = _walk(grid_cell(param, *xi_raw_scaled(param, a, b), 2),
-                      lambda cell: ORIENTED_CODES[cover[cell]],
-                      lambda cell, d: cover_step(param, cell, d),
-                      4 * param.omega ** 2, (a, b))
+    """The vectors of special_orbit at the center (a+1/2, b+1/2), with the
+    labels read from the cover's label table; empty for hold centers."""
+    _, labels = _walk(param, a, b, lambda cell: ORIENTED_CODES[cover[cell]])
     return [_VEC[lab[1]] for lab in labels if lab != "EMPTY"]
 
 
@@ -282,36 +277,19 @@ def vector_polygon(param: Param, center):
 def cover_bijection(param: Param) -> Dict[str, object]:
     """The doubled map is injective on the 2*omega^3 center classes: they
     mark as many cover cells as there are classes."""
-    w = param.omega
-    seen = bytearray(2 * w ** 3)
-    for a in range(w * w):
-        for b in range(2 * w):
-            seen[grid_cell(param, *xi_raw_scaled(param, a, b), 2)] = 1
-    classes = sum(seen)
-    return {"ok": classes == 2 * w ** 3, "classes": classes,
-            "expected": 2 * w ** 3}
+    return mark_classes(param, 2)
 
 
 # ---------------------------------------------------------------------------
 # Oriented coherence (the mesh equations)
 # ---------------------------------------------------------------------------
 
-_MESH_CASES = (
-    ("S", "into", "N", "out"),
-    ("S", "out", "N", "into"),
-    ("N", "into", "S", "out"),
-    ("N", "out", "S", "into"),
-    ("E", "into", "W", "out"),
-    ("E", "out", "W", "into"),
-    ("W", "into", "E", "out"),
-    ("W", "out", "E", "into"),
-)
+_OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
 
 
-def _member(lab: str, edge: str, mode: str) -> bool:
-    if lab == "EMPTY":
-        return False
-    return (lab[1] == edge) if mode == "into" else (lab[0] == edge)
+def _member(lab: str, i: int, edge: str) -> bool:
+    """Letter i of the directed label is the edge; EMPTY has no edges."""
+    return lab != "EMPTY" and lab[i] == edge
 
 
 def _zone_half(param: Param, t: int) -> Tuple[int, int]:
@@ -334,27 +312,27 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     for param in params:
         w = param.omega
         cover = label_table(param, 2)
-        evens = range(-w + 1, w, 2)
         # by the bijection, every odd fiber of the cover is populated
         for t in range(-2 * w + 1, 2 * w, 2):
             zone, half = _zone_half(param, t)
             if zone:
                 coverage.setdefault((zone, half), set()).add((str(param), t))
-            cells = [(u1, u2, grid_cell(param, t, u1, u2, 2))
-                     for u1 in evens for u2 in evens]
-            for edge_from, mode_from, edge_to, mode_to in _MESH_CASES:
-                # the matching neighbour always sits across the named edge
-                for u1, u2, cell in cells:
+            # the fiber's cells are one block of the table
+            j = (t + w) // 2 % (2 * w)
+            cells = range(j * w * w, (j + 1) * w * w)
+            # the matching neighbour always sits across the named edge, and
+            # a connector into an edge comes out of the opposite one there
+            for edge in "SNEW":
+                opposite = _OPPOSITE[edge]
+                for cell in cells:
                     lab = ORIENTED_CODES[cover[cell]]
-                    lab2 = ORIENTED_CODES[cover[cover_step(param, cell,
-                                                           edge_from)]]
-                    if _member(lab, edge_from, mode_from) != _member(
-                            lab2, edge_to, mode_to):
-                        failures.append({
-                            "param": str(param), "fiber": t,
-                            "cell": (u1, u2),
-                            "case": f"{mode_from}-{edge_from}->"
-                                    f"{mode_to}-{edge_to}"})
+                    lab2 = ORIENTED_CODES[cover[cover_step(param, cell, edge)]]
+                    for i, mode, mode2 in ((1, "into", "out"), (0, "out", "into")):
+                        if _member(lab, i, edge) != _member(lab2, 1 - i, opposite):
+                            failures.append({
+                                "param": str(param), "fiber": t,
+                                "cell": decode_cell(param, cell)[1:],
+                                "case": f"{mode}-{edge}->{mode2}-{opposite}"})
     triads_ok = True
     detail = {}
     for zone in (1, 2, 3):
@@ -453,19 +431,14 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
                 f"center ({n}+1/2, {m}+1/2) is {d} from a wall (< {eps})",
                 suggestion=_checked_bump(P, offset, window, eps))
         labels[(n, m)] = fiber_label(P, pt)[0]
+    # "EMPTY" has no edges, although it contains the letter E
+    edges = {c: set() if lab == "EMPTY" else set(lab)
+             for c, lab in labels.items()}
     mismatches = []
-    for (n, m), lab in labels.items():
-        e = set() if lab == "EMPTY" else set(lab)
-        right = labels.get((n + 1, m))
-        if right is not None:
-            er = set() if right == "EMPTY" else set(right)
-            if ("E" in e) != ("W" in er):
-                mismatches.append(((n, m), (n + 1, m)))
-        up = labels.get((n, m + 1))
-        if up is not None:
-            eu = set() if up == "EMPTY" else set(up)
-            if ("N" in e) != ("S" in eu):
-                mismatches.append(((n, m), (n, m + 1)))
+    for (n, m), e in edges.items():
+        for nb, side, opposite in (((n + 1, m), "E", "W"), ((n, m + 1), "N", "S")):
+            if nb in edges and (side in e) != (opposite in edges[nb]):
+                mismatches.append(((n, m), nb))
     return {
         "ok": not mismatches,
         "min_wall_distance": min_dist,

@@ -38,6 +38,7 @@ from .classifier import (
 from .pet import (
     _VEC,
     BadOffset,
+    _center_cell,
     check_mesh,
     cover_bijection,
     cover_step,
@@ -114,21 +115,19 @@ def suite_pet_equivalence(param: Param) -> dict:
     with an exact inverse."""
     w = param.omega
     cover = label_table(param, 2)
-    back = {"N": "S", "S": "N", "E": "W", "W": "E"}
     for a in range(w * w):
         for b in range(2 * w):
-            cell = grid_cell(param, *xi_raw_scaled(param, a, b), 2)
+            cell = _center_cell(param, a, b)
             lab = ORIENTED_CODES[cover[cell]]
             if lab == "EMPTY":
                 continue
-            v = _VEC[lab[1]]
+            dx, dy = _VEC[lab[1]]
             cnext = cover_step(param, cell, lab[1])
-            if cnext != grid_cell(
-                    param, *xi_raw_scaled(param, a + v[0], b + v[1]), 2):
+            if cnext != _center_cell(param, a + dx, b + dy):
                 return {"ok": False, "reason": "conjugacy", "at": (a, b)}
             lab2 = ORIENTED_CODES[cover[cnext]]
             if cover_step(param, cnext, lab2[0]) != cell or \
-                    lab2[0] != back[lab[1]]:
+                    _VEC[lab2[0]] != (-dx, -dy):
                 return {"ok": False, "reason": "inverse", "at": (a, b)}
     orbit_total = 0
     nonempty = 0

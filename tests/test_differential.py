@@ -17,6 +17,7 @@ from plaid.classifier import (
     ClassifyingPoint,
     _ORDER,
     _ZONES,
+    canon_frac,
     canon_scaled,
     fiber_label,
     grid_cell,
@@ -27,7 +28,7 @@ from plaid.classifier import (
     xi_raw_scaled,
 )
 from plaid.pet import (
-    canon_cover_scaled,
+    decode_cell,
     oriented_label_scaled,
     special_orbit,
     table_orbit,
@@ -361,22 +362,45 @@ def test_label_table_rejects_zone_disagreement(monkeypatch):
         label_table(param)
 
 
+def cover_oracle(param, t, u1, u2):
+    """The canonical scaled cover point by the Fraction reduction: the cover
+    reduction is canon_frac with P doubled and T halved."""
+    w = param.omega
+    pt = canon_frac(2 * param.bigP, F(t, 2 * w), F(u1, w), F(u2, w))
+    return 2 * w * pt.T, w * pt.U1, w * pt.U2
+
+
 @settings(max_examples=25, deadline=None)
 @given(params(), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
 def test_grid_cell_matches_canonical_reduction(param, a, b):
-    """grid_cell against canon_scaled and canon_cover_scaled, on images of
+    """grid_cell against canon_scaled and the cover oracle, on images of
     centers and their negatives and swaps."""
     w = param.omega
     t, u1, u2 = xi_raw_scaled(param, a, b)
     for point in ((t, u1, u2), (-t, -u1, -u2), (t, u2, u1)):
         assert grid_cell(param, *point) == \
             cell_index(w, *canon_scaled(param, *point))
-        ct, cu1, cu2 = canon_cover_scaled(param, *point)
+        ct, cu1, cu2 = cover_oracle(param, *point)
         # the cover index runs t over [-w, 3w), canonical t over [-2w, 2w)
         if ct < -w:
             ct, cu1, cu2 = (ct + 4 * w, sym_reduce(cu1 + 4 * param.p, 2 * w),
                             sym_reduce(cu2 + 4 * param.p, 2 * w))
         assert grid_cell(param, *point, 2) == cell_index(w, ct, cu1, cu2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(), st.data())
+def test_decoded_cover_cells_match_oracle(param, data):
+    """grid_cell(..., 2) then decode_cell against the cover oracle on random
+    points of the image lattice (t odd, u1 and u2 even)."""
+    w = param.omega
+    big = st.integers(-10 ** 6, 10 ** 6)
+    for _ in range(20):
+        t, u1, u2 = (2 * data.draw(big) + 1, 2 * data.draw(big),
+                     2 * data.draw(big))
+        cell = grid_cell(param, t, u1, u2, 2)
+        assert 0 <= cell < 2 * w ** 3
+        assert decode_cell(param, cell) == cover_oracle(param, t, u1, u2)
 
 
 @settings(max_examples=10, deadline=None)

@@ -8,9 +8,9 @@ from plaid.grid import (
     BlockGrid,
     GridLine,
     IncoherentInput,
+    IntersectionPoint,
     UnitSegment,
     anchor_lines,
-    anchor_mass_intercepts,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
@@ -121,7 +121,8 @@ class TestAnchor:
                        if abs(capacity_scaled(prm, c)) == 2 * k}
                 assert got == want, (prm, k)
             for k in range(1, w, 2):
-                want = anchor_mass_intercepts(prm, k)
+                # the mass-k diagonals sit at intercepts +-k*alpha mod omega
+                want = {k * prm.alpha % w, -k * prm.alpha % w}
                 got = {b for b in range(w)
                        if line_invariants(prm, GridLine("P", b)).magnitude == k}
                 assert got == want, (prm, k)
@@ -409,6 +410,36 @@ class TestParticles:
         again = trace_particle(p25, vpart.instances[0])
         assert {pt.location for pt in again.instances} == \
             {pt.location for pt in vpart.instances}
+
+    def test_trace_particle_finds_own_particle(self, monkeypatch):
+        """Every instance of every particle traces back to the arguments of
+        its own particle; the builders are stubbed to return those."""
+        import plaid.grid as grid
+
+        for prm in even_rationals(13):
+            w = prm.omega
+            parts = {("H", y0, j0): horizontal_particle(prm, y0, j0)
+                     for y0 in range(w) for j0 in range(w)}
+            parts.update({("V", x0, ty, j0): vertical_particle(prm, x0, ty, j0)
+                          for x0 in range(w) for ty in "PQ" for j0 in range(w)})
+            with monkeypatch.context() as m:
+                m.setattr(grid, "horizontal_particle",
+                          lambda param, y0, j0: ("H", y0, j0))
+                m.setattr(grid, "vertical_particle",
+                          lambda param, x0, ty, j0: ("V", x0, ty, j0))
+                for key, part in parts.items():
+                    for inst in part.instances:
+                        assert trace_particle(prm, inst) == key, (prm, inst)
+
+    def test_trace_particle_rejects_made_up_points(self, p25):
+        def point(location, host, ptype):
+            return IntersectionPoint(location, host, GridLine(ptype, 0),
+                                     "dark", ptype, 1)
+
+        with pytest.raises(PlaidError, match="no vertical particle"):
+            trace_particle(p25, point((F(3), F(1, 3)), GridLine("V", 3), "P"))
+        with pytest.raises(PlaidError, match="no horizontal particle"):
+            trace_particle(p25, point((F(1, 3), F(2)), GridLine("H", 2), "P"))
 
 
 class TestHier:

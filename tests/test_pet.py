@@ -2,22 +2,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from plaid.params import even_rationals, make_param
+from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid, trace_polygons
 from plaid.pet import (
     BadOffset,
     CoverPoint,
     NonPeriodicOrbit,
-    canon_cover_scaled,
     check_mesh,
     cover_bijection,
+    cover_step,
+    decode_cell,
     irrational_tiling,
     lift_label,
     oriented_label,
     oriented_label_scaled,
     pet_back,
     pet_region,
-    pet_region_out,
     pet_step,
     special_orbit,
     vector_polygon,
@@ -25,9 +25,8 @@ from plaid.pet import (
     xi_hat,
     xi_hat_scaled,
     _VEC,
-    _step_scaled,
 )
-from plaid.classifier import tile_of, unordered_label
+from plaid.classifier import grid_cell, tile_of, unordered_label, xi_raw_scaled
 
 
 class TestLiftLabel:
@@ -86,11 +85,12 @@ class TestPetStep:
         # the southward map sends (T, U1, U2) to (T-2, U1, U2-2P)
         z = xi_hat(p25, (F(1, 2), F(3, 2)))
         w = p25.omega
-        stepped = canon_cover_scaled(
-            p25, int(z.That * w) - 2 * w, int(z.U1 * w),
-            int(z.U2 * w) - 4 * p25.p)
+        cell = grid_cell(p25, int(z.That * w) - 2 * w, int(z.U1 * w),
+                         int(z.U2 * w) - 4 * p25.p, 2)
         assert xi_hat(p25, (F(1, 2), F(1, 2))) == CoverPoint(
-            *[F(v, w) for v in stepped])
+            *[F(v, w) for v in decode_cell(p25, cell)])
+        start = grid_cell(p25, *xi_raw_scaled(p25, 0, 1), 2)
+        assert cover_step(p25, start, "S") == cell
 
     @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 8)])
     def test_conjugacy_exhaustive(self, pq):
@@ -98,12 +98,12 @@ class TestPetStep:
         w = prm.omega
         for a in range(w * w):
             for b in range(2 * w):
-                z = xi_hat_scaled(prm, a, b)
-                lab = oriented_label_scaled(prm, *z)
+                cell = grid_cell(prm, *xi_raw_scaled(prm, a, b), 2)
+                lab = oriented_label_scaled(prm, *decode_cell(prm, cell))
                 if lab == "EMPTY":
                     continue
                 v = _VEC[lab[1]]
-                assert _step_scaled(prm, z, lab[1]) == \
+                assert decode_cell(prm, cover_step(prm, cell, lab[1])) == \
                     xi_hat_scaled(prm, a + v[0], b + v[1]), (pq, a, b)
 
     def test_hold_is_identity(self, p25):
@@ -124,8 +124,17 @@ class TestPetStep:
         z = xi_hat(p12, (F(1, 2), F(1, 2)))  # label EN: out of E, into N
         r = pet_region(p12, z)
         assert r.name == "N↑" and r.vector == (0, 1)
-        r = pet_region_out(p12, z)
-        assert r.name == "E→" and r.vector == (1, 0)
+
+    def test_off_lattice_points_raise(self, p25):
+        # the exchange acts on the image lattice: omega*T odd, omega*U even
+        w = p25.omega
+        z = xi_hat(p25, (F(1, 2), F(1, 2)))
+        for bad in (CoverPoint(z.That + F(1, w), z.U1, z.U2),
+                    CoverPoint(z.That, z.U1 + F(1, w), z.U2),
+                    CoverPoint(z.That, z.U1, z.U2 + F(1, 2 * w))):
+            for fn in (pet_step, pet_back, pet_region, oriented_label):
+                with pytest.raises(PlaidError):
+                    fn(p25, bad)
 
     def test_es_label_is_south_region(self, p25):
         # any point labelled ES points into its south edge

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from plaid.params import even_rationals, make_param, sym_reduce
 from plaid.grid import PlaidPolygon
-from plaid.classifier import canon_frac, canon_scaled, xi_raw_scaled
-from plaid.pet import canon_cover_scaled
+from plaid.classifier import canon_frac, canon_scaled, grid_cell, xi_raw_scaled
+from plaid.pet import decode_cell
 
 PARAMS = even_rationals(15)
 param_st = st.sampled_from(PARAMS)
@@ -46,14 +46,17 @@ def test_canon_scaled_matches_fraction_path(prm, t, u1, u2, k1, k2, k3):
        st.integers(-10 ** 6, 10 ** 6), st.integers(-10, 10),
        st.integers(-10, 10), st.integers(-10, 10))
 def test_canon_cover_invariant(prm, t, u1, u2, k1, k2, k3):
+    """The decoded cover cell of an image-lattice point (t odd, u even) is
+    invariant under the cover lattice, canonical and a fixed point."""
     w, p = prm.omega, prm.p
-    a = canon_cover_scaled(prm, t, u1, u2)
-    b = canon_cover_scaled(prm, t + 4 * w * k1,
-                           u1 + 4 * p * k1 + 2 * w * k2,
-                           u2 + 4 * p * k1 + 2 * w * k3)
+    t, u1, u2 = 2 * t + 1, 2 * u1, 2 * u2
+    a = decode_cell(prm, grid_cell(prm, t, u1, u2, 2))
+    b = decode_cell(prm, grid_cell(prm, t + 4 * w * k1,
+                                   u1 + 4 * p * k1 + 2 * w * k2,
+                                   u2 + 4 * p * k1 + 2 * w * k3, 2))
     assert a == b
-    assert canon_cover_scaled(prm, *a) == a
-    assert -2 * w <= a[0] < 2 * w
+    assert decode_cell(prm, grid_cell(prm, *a, 2)) == a
+    assert -2 * w <= a[0] < 2 * w and -w < a[1] < w and -w < a[2] < w
 
 
 @given(param_st, st.integers(-50, 50), st.integers(-50, 50))

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from plaid.params import make_param
-from plaid.svgout import RenderConfig, render_svg
+from plaid.svgout import LAYERS, RenderConfig, render_svg
 
 
 def test_deterministic(p25):
@@ -70,3 +70,40 @@ def test_integer_pixel_coordinates(p25):
         for pair in m.group(1).split():
             x, y = pair.split(",")
             int(x), int(y)
+
+
+# a colour of its own for every palette key, and the keys each layer draws in
+DISTINCT = {"H": "#000001", "V": "#000002", "P": "#000003", "Q": "#000004",
+            "light-points": "#000005", "connectors": "#000006",
+            "polygons": "#000007", "orientation-arrows": "#000008"}
+LAYER_KEYS = {"grid-lines": ("H", "V", "P", "Q"),
+              "light-points": ("light-points",), "connectors": ("connectors",),
+              "polygons": ("polygons",),
+              "orientation-arrows": ("orientation-arrows",)}
+
+
+def test_layer_colours(p25):
+    """Each layer's elements carry that layer's colours, arrow-head circles
+    included; the all-layer render is the single-layer bodies in order."""
+    def body(layers):
+        return render_svg(p25, RenderConfig(window=(0, 0, 7, 7), scale=12,
+                                            layers=layers,
+                                            palette=DISTINCT)).splitlines()[1:-1]
+
+    joined = []
+    for layer in LAYERS:
+        elements = body((layer,))
+        joined += elements
+        used = set()
+        for el in elements:
+            (colour,) = re.findall(r'(?:stroke|fill)="(#\w+)"', el)
+            used.add(colour)
+            if layer == "grid-lines":
+                x1, y1, x2, y2 = re.search(
+                    r'x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"', el).groups()
+                if y1 == y2 or x1 == x2:
+                    assert colour == DISTINCT["H" if y1 == y2 else "V"], el
+        assert used == {DISTINCT[k] for k in LAYER_KEYS[layer]}, layer
+        if layer in ("light-points", "orientation-arrows"):
+            assert any(el.startswith("<circle ") for el in elements), layer
+    assert body(LAYERS) == joined
