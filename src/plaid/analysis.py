@@ -204,12 +204,12 @@ def gap_radius(param: Param, window: Tuple[int, int, int, int]) -> Rat:
     w = param.omega
     x0, y0, x1, y1 = window
     occupied: Set[Tuple[int, int]] = set()
-    grids = {bi: BlockGrid(param, bi)
+    masks = {bi: BlockGrid(param, bi).masks()
              for bi in {n // w % w for n in range(x0, x1)}}
     for n in range(x0, x1):
-        g = grids[n // w % w]
+        block = masks[n // w % w]
         for m in range(y0, y1):
-            if g.edge_mask(n % w, m % w):
+            if block[n % w * w + m % w]:
                 occupied.add((n, m))
     if not occupied:
         raise PlaidError("window holds no connectors at all")

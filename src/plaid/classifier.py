@@ -26,14 +26,16 @@ even in (-omega, omega); label_table holds one byte per point, at index
 
     ((t + omega)/2 * omega + (u1 + omega - 1)/2) * omega + (u2 + omega - 1)/2.
 
-The byte is the cell code 4*i + j, i and j indexing the row and column
-symbols in "NSEW": twelve codes for the ordered pairs and four with i == j
-for the special cells (in every zone, the cells whose two symbols agree),
-the symbol being the diagnostic.  Over a zone-boundary fiber the fiber is
-built for both zones, and the two byte strings must be equal.  The table of
-the double cover continues t over [omega, 3*omega) with reversed codes; its
-index is the state of the exchange in pet.  grid_cell reduces any scaled
-grid point to its index.
+An edge of the unit square is an index e into "NSEW", e ^ 1 its opposite
+and 1 << e its bit in an edge mask, as in BlockGrid.edge_mask.  The byte is
+the cell code 4*i + j, i and j the edges of the row and column symbols:
+twelve codes for the ordered pairs and the four multiples of 5 for the
+special cells (in every zone, the cells whose two symbols agree), the symbol
+being the diagnostic.  Over a zone-boundary fiber the fiber is built for
+both zones, and the two byte strings must be equal.  The table of the double
+cover continues t over [omega, 3*omega) with reversed codes, each read as
+4*entry + exit; its index, the cell, is the state of the exchange in pet.
+grid_cell is the one reduction of a scaled grid point to its cell.
 """
 
 from __future__ import annotations
@@ -298,8 +300,7 @@ def ordered_label_scaled(param: Param, t: int, u1: int, u2: int) -> int:
     return codes[0]
 
 
-# the connector label, edge mask (bit i for _ORDER[i]) and directed label of
-# each code
+# the connector label, edge mask and directed label of each code
 CODE_LABELS = tuple("EMPTY" if r == c else unordered_label(r, c)
                     for r in _ORDER for c in _ORDER)
 CODE_MASKS = tuple(0 if i == j else 1 << i | 1 << j
@@ -347,15 +348,45 @@ def grid_cell(param: Param, t: int, u1: int, u2: int, sheets: int = 1) -> int:
             + ((u2 + w - 1) // 2 - s) % w)
 
 
+def cell_point(param: Param, cell: int) -> Tuple[int, int, int]:
+    """The scaled point the table reads for the cell, t in [-omega, 3*omega)."""
+    w = param.omega
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    return 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+
+
+def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
+    """The canonical scaled cover point of a cover cell, t in [-2*omega,
+    2*omega): the table's fibers t >= 2*omega fold back by (4*omega, 4p, 4p)."""
+    w = param.omega
+    t, u1, u2 = cell_point(param, cell)
+    if t < 2 * w:
+        return t, u1, u2
+    d = 4 * param.p
+    return t - 4 * w, sym_reduce(u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w)
+
+
+def cell_code(param: Param, cell: int) -> int:
+    """label_table(param, 2)[cell] without a table; an outer cell (j >= omega)
+    reads base fiber j - omega with u indices shifted by -p, reversed."""
+    w = param.omega
+    t, u1, u2 = cell_point(param, cell)
+    if t < w:
+        return ordered_label_scaled(param, t, u1, u2)
+    d = 2 * param.p
+    return REVERSED[ordered_label_scaled(param, t - 2 * w, sym_reduce(
+        u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w))]
+
+
 def tile_label_scaled(param: Param, a: int, b: int) -> str:
-    return CODE_LABELS[ordered_label_scaled(
-        param, *canon_scaled(param, *xi_raw_scaled(param, a, b)))]
+    return CODE_LABELS[cell_code(
+        param, grid_cell(param, *xi_raw_scaled(param, a, b)))]
 
 
 def tile_of(param: Param, center: Tuple[RatLike, RatLike]) -> str:
     """The connector label assigned to a tile center (one of the 7)."""
-    a, b = _center_indices(center)
-    return tile_label_scaled(param, a, b)
+    return tile_label_scaled(param, *_center_indices(center))
 
 
 def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
@@ -397,14 +428,9 @@ def verify_bijection(param: Param) -> Dict[str, object]:
     return mark_classes(param, 1)
 
 
-_ROT = {"N": "S", "S": "N", "E": "W", "W": "E", "EMPTY": "EMPTY"}
-_FLIP = {"N": "S", "S": "N", "E": "E", "W": "W", "EMPTY": "EMPTY"}
-
-
-def _permute_label(label: str, table) -> str:
-    if label == "EMPTY":
-        return "EMPTY"
-    return unordered_label(table[label[0]], table[label[1]])
+# an edge mask under rotation (N<->S, E<->W) and x-reflection (N<->S)
+_ROT_MASKS = bytes(m >> 1 & 5 | m << 1 & 10 for m in range(16))
+_FLIP_MASKS = bytes(m >> 1 & 1 | m << 1 & 2 | m & 12 for m in range(16))
 
 
 def symmetry_conjugacies(param: Param) -> Dict[str, object]:
@@ -417,8 +443,6 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     """
     w = param.omega
     table = label_table(param)
-    rot = [_permute_label(lab, _ROT) for lab in CODE_LABELS]
-    flip = [_permute_label(lab, _FLIP) for lab in CODE_LABELS]
     for a in range(w * w):
         for b in range(w):
             t, u1, u2 = xi_raw_scaled(param, a, b)
@@ -431,9 +455,9 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
             i_flip = grid_cell(param, *xi_raw_scaled(param, a, -b - 1))
             if i_flip != grid_cell(param, t, u2, u1):
                 return {"ok": False, "case": "reflection-map", "at": (a, b)}
-            if CODE_LABELS[table[i_rot]] != rot[table[i]]:
+            if CODE_MASKS[table[i_rot]] != _ROT_MASKS[CODE_MASKS[table[i]]]:
                 return {"ok": False, "case": "rotation-label", "at": (a, b)}
-            if CODE_LABELS[table[i_flip]] != flip[table[i]]:
+            if CODE_MASKS[table[i_flip]] != _FLIP_MASKS[CODE_MASKS[table[i]]]:
                 return {"ok": False, "case": "reflection-label", "at": (a, b)}
     return {"ok": True, "classes": w ** 3}
 

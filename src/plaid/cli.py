@@ -38,9 +38,20 @@ def _parse_window(text: str):
 def _parse_param_list(text: str):
     out = []
     for item in text.split(","):
-        p, q = item.split("/")
-        out.append(make_param(int(p), int(q)))
+        try:
+            p, q = (int(v) for v in item.split("/"))
+        except ValueError:
+            raise PlaidError(f"--params entries are p/q, got {item!r}") from None
+        out.append(make_param(p, q))
     return out
+
+
+def _number(option: str, text: str, kind=Fraction):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        noun = "integers" if kind is int else "rationals"
+        raise PlaidError(f"{option} takes {noun}, got {text!r}") from None
 
 
 def _add_pq(sub):
@@ -80,9 +91,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.max_omega is not None and args.max_omega < 3:
-        print(f"error: --max-omega must be at least 3, got {args.max_omega}",
-              file=sys.stderr)
-        return 2
+        raise PlaidError(f"--max-omega must be at least 3, got {args.max_omega}")
     if args.suite == "irrational":
         records = suite_irrational()
     elif args.suite == "golden":
@@ -102,10 +111,9 @@ def cmd_orbit(args) -> int:
         x, y = (Fraction(v) for v in args.c.split(","))
         if x.denominator != 2 or y.denominator != 2:
             raise ValueError
-    except ValueError:
-        print(f"error: --c must be a tile center like 1/2,1/2, got {args.c}",
-              file=sys.stderr)
-        return 2
+    except (ValueError, ZeroDivisionError):
+        raise PlaidError(f"--c must be a tile center like 1/2,1/2, got {args.c}"
+                         ) from None
     orbit = special_orbit(param, (x, y))
     doc = {
         "param": [args.p, args.q],
@@ -126,12 +134,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_irrational(args) -> int:
-    P = Fraction(args.P)
-    offset = tuple(Fraction(v) for v in args.offset.split(","))
+    P = _number("--P", args.P)
+    offset = tuple(_number("--offset", v) for v in args.offset.split(","))
     if len(offset) != 3:
-        print("error: --offset needs three rationals", file=sys.stderr)
-        return 2
-    eps = Fraction(args.eps) if args.eps else Fraction(1, 2 ** 40)
+        raise PlaidError("--offset needs three rationals")
+    eps = _number("--eps", args.eps) if args.eps else Fraction(1, 2 ** 40)
     try:
         r = irrational_tiling(P, offset, args.window, eps)
     except BadOffset as exc:
@@ -157,7 +164,7 @@ def cmd_stats(args) -> int:
     param = make_param(args.p, args.q)
     blocks = None
     if args.blocks:
-        blocks = [(int(b), 0) for b in args.blocks.split(",")]
+        blocks = [(_number("--blocks", b, int), 0) for b in args.blocks.split(",")]
     st = polygon_stats(param, blocks)
     doc = {
         "param": [args.p, args.q],

@@ -16,9 +16,10 @@ orbit redraws the plaid polygon through the starting center.
 
 The state of the exchange is the cover cell: the index that
 grid_cell(..., sheets=2) gives a scaled point of the image lattice (omega*T
-odd, omega*U1 and omega*U2 even), laid out as in the classifier docstring.
-cover_step moves a cell by one translation, decode_cell turns it into the
-canonical scaled point, and orbits, pet_step and pet_back all walk cells.
+odd, omega*U1 and omega*U2 even).  Its layout, the edge indices and the
+directed codes 4*entry + exit are fixed in the classifier docstring.  Walks,
+pet_step, pet_back and the mesh check step cells with cover_step and compare
+codes; labels are spelled only at the public surface.
 """
 
 from __future__ import annotations
@@ -31,15 +32,16 @@ from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .classifier import (
     ClassifyingPoint,
     ORIENTED_CODES,
-    REVERSED,
+    _ORDER,
     _zone_spec,
     canon_frac,
-    canon_scaled,
+    cell_code,
+    cell_point,
+    decode_cell,
     fiber_label,
     grid_cell,
     label_table,
     mark_classes,
-    ordered_label_scaled,
     xi_raw_scaled,
     _center_indices,
     _zones_at,
@@ -59,7 +61,8 @@ class BadOffset(PlaidError):
         self.suggestion = suggestion
 
 
-_VEC = {"N": (0, 1), "S": (0, -1), "E": (1, 0), "W": (-1, 0)}
+# the unit step across each edge, indexed as in "NSEW"
+STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -68,13 +71,9 @@ class PetRegion:
     vector: Tuple[int, int]
 
 
-_REGIONS = {
-    "N": PetRegion("N↑", (0, 1)),
-    "S": PetRegion("S↓", (0, -1)),
-    "E": PetRegion("E→", (1, 0)),
-    "W": PetRegion("W←", (-1, 0)),
-    "hold": PetRegion("hold", (0, 0)),
-}
+_REGIONS = {e: PetRegion(e + arrow, step)
+            for e, arrow, step in zip("NSEW", "↑↓→←", STEPS)}
+_REGIONS["hold"] = PetRegion("hold", (0, 0))
 
 
 @dataclass(frozen=True)
@@ -89,20 +88,6 @@ class CoverPoint:
         return (self.That, self.U1, self.U2)
 
 
-def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
-    """The canonical scaled cover point (t, u1, u2) of a cover cell, t in
-    [-2*omega, 2*omega) and u1, u2 in (-omega, omega).  The table's fibers
-    t >= 2*omega fold back by the generator (4*omega, 4p, 4p)."""
-    w = param.omega
-    rest, i2 = divmod(cell, w)
-    j, i1 = divmod(rest, w)
-    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
-    if t < 2 * w:
-        return t, u1, u2
-    d = 4 * param.p
-    return t - 4 * w, sym_reduce(u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w)
-
-
 def _cover_point(param: Param, cell: int) -> CoverPoint:
     w = param.omega
     return CoverPoint(*(Fraction(v, w) for v in decode_cell(param, cell)))
@@ -111,10 +96,6 @@ def _cover_point(param: Param, cell: int) -> CoverPoint:
 def _center_cell(param: Param, a: int, b: int) -> int:
     """The cover cell of the image of the center (a+1/2, b+1/2)."""
     return grid_cell(param, *xi_raw_scaled(param, a, b), 2)
-
-
-def xi_hat_scaled(param: Param, a: int, b: int) -> Tuple[int, int, int]:
-    return decode_cell(param, _center_cell(param, a, b))
 
 
 def xi_hat(param: Param, center) -> CoverPoint:
@@ -139,21 +120,16 @@ def lift_label(param: Param, t_hat: RatLike, base_label: str,
 
 
 def oriented_label_scaled(param: Param, t: int, u1: int, u2: int) -> str:
-    """Directed label at a canonical scaled cover point."""
-    w = param.omega
-    code = ordered_label_scaled(param, *canon_scaled(param, t, u1, u2))
-    return ORIENTED_CODES[code if -w <= t < w else REVERSED[code]]
+    """Directed label at a scaled point of the image lattice."""
+    return ORIENTED_CODES[cell_code(param, grid_cell(param, t, u1, u2, 2))]
 
 
-def _cell_label(param: Param, cell: int) -> str:
-    return oriented_label_scaled(param, *decode_cell(param, cell))
-
-
-def cover_step(param: Param, cell: int, direction: str) -> int:
-    """The cover cell one exchange step from cell in the given direction:
-    the translation is the image of that unit step of the plane."""
-    dx, dy = _VEC[direction]
-    t, u1, u2 = decode_cell(param, cell)
+def cover_step(param: Param, cell: int, edge: int) -> int:
+    """The cover cell one exchange step from cell across the edge (an index
+    into "NSEW"): the cell's table point moves by the image of that unit
+    step of the plane, and grid_cell reduces it."""
+    dx, dy = STEPS[edge]
+    t, u1, u2 = cell_point(param, cell)
     du = 4 * param.p * dx
     return grid_cell(param, t + du + 2 * param.omega * dy, u1 + du,
                      u2 + du + 4 * param.p * dy, 2)
@@ -169,36 +145,36 @@ def _point_cell(param: Param, point: CoverPoint) -> int:
 
 
 def oriented_label(param: Param, point: CoverPoint) -> str:
-    return _cell_label(param, _point_cell(param, point))
+    return ORIENTED_CODES[cell_code(param, _point_cell(param, point))]
 
 
 def pet_region(param: Param, point: CoverPoint) -> PetRegion:
     """Region of the forward partition: grouped by the edge the connector
-    points into (its second letter)."""
-    lab = oriented_label(param, point)
-    return _REGIONS["hold"] if lab == "EMPTY" else _REGIONS[lab[1]]
+    points into (its exit edge)."""
+    code = cell_code(param, _point_cell(param, point))
+    return _REGIONS["hold" if code % 5 == 0 else _ORDER[code & 3]]
 
 
-def _exchange(param: Param, point: CoverPoint, edge: int) -> CoverPoint:
-    """The point moved one step across edge lab[edge] of its directed label
-    lab: point, then cell, then cover_step, then point; hold points stay."""
+def _exchange(param: Param, point: CoverPoint, shift: int) -> CoverPoint:
+    """The point moved across edge code >> shift & 3 of its code, the exit
+    for shift 0 and the entry for 2; hold points stay."""
     cell = _point_cell(param, point)
-    lab = _cell_label(param, cell)
-    if lab == "EMPTY":
+    code = cell_code(param, cell)
+    if code % 5 == 0:
         return point
-    return _cover_point(param, cover_step(param, cell, lab[edge]))
+    return _cover_point(param, cover_step(param, cell, code >> shift & 3))
 
 
 def pet_step(param: Param, point: CoverPoint) -> CoverPoint:
     """One application of the exchange: translate by the fiberwise map of the
     point's forward region (identity on hold)."""
-    return _exchange(param, point, 1)
+    return _exchange(param, point, 0)
 
 
 def pet_back(param: Param, point: CoverPoint) -> CoverPoint:
     """Inverse exchange, driven by the backward partition (the edge the
     connector points out of)."""
-    return _exchange(param, point, 0)
+    return _exchange(param, point, 2)
 
 
 @dataclass(frozen=True)
@@ -209,44 +185,43 @@ class PetOrbit:
     vectors: Tuple[Tuple[int, int], ...]
 
 
-def _walk(param: Param, a: int, b: int, label) -> Tuple[list, list]:
-    """The cells and labels of the exchange orbit of the image of the center
-    (a+1/2, b+1/2), to its first return, label(cell) giving a cell's label;
-    a hold start gives itself and "EMPTY".  Iteration is capped at
-    4*omega^2, past any polygon's perimeter; exceeding the cap means the
-    model is broken."""
+def _walk(param: Param, a: int, b: int, code) -> Tuple[list, list]:
+    """The cells and codes of the exchange orbit of the image of the center
+    (a+1/2, b+1/2), to its first return, code(cell) giving a cell's code; a
+    hold start gives itself alone.  Iteration is capped at 4*omega^2, past
+    any polygon's perimeter; exceeding the cap means the model is broken."""
     start = _center_cell(param, a, b)
-    if label(start) == "EMPTY":
-        return [start], ["EMPTY"]
+    cells, codes = [start], [code(start)]
+    if codes[0] % 5 == 0:
+        return cells, codes
     limit = 4 * param.omega ** 2
-    cells, labels, cell = [], [], start
     for _ in range(limit):
-        cells.append(cell)
-        labels.append(label(cell))
-        cell = cover_step(param, cell, labels[-1][1])
+        cell = cover_step(param, cells[-1], codes[-1] & 3)
         if cell == start:
-            return cells, labels
+            return cells, codes
+        cells.append(cell)
+        codes.append(code(cell))
     raise NonPeriodicOrbit(f"orbit of center {(a, b)} did not close in {limit}")
 
 
 def special_orbit(param: Param, center) -> PetOrbit:
     """The orbit of the image of a tile center, iterated to first return,
-    each cell labelled on its own (no table).  Hold points have orbits of
+    each cell coded on its own (no table).  Hold points have orbits of
     length one."""
-    cells, labels = _walk(param, *_center_indices(center),
-                          lambda cell: _cell_label(param, cell))
+    cells, codes = _walk(param, *_center_indices(center),
+                         lambda cell: cell_code(param, cell))
     states = tuple(_cover_point(param, cell) for cell in cells)
-    vectors = ((0, 0),) if labels == ["EMPTY"] else tuple(
-        _VEC[lab[1]] for lab in labels)
-    return PetOrbit(states[0], states, tuple(labels), vectors)
+    vectors = tuple(STEPS[c & 3] if c % 5 else (0, 0) for c in codes)
+    return PetOrbit(states[0], states, tuple(ORIENTED_CODES[c] for c in codes),
+                    vectors)
 
 
 def table_orbit(param: Param, cover: bytes, a: int, b: int
                 ) -> List[Tuple[int, int]]:
     """The vectors of special_orbit at the center (a+1/2, b+1/2), with the
-    labels read from the cover's label table; empty for hold centers."""
-    _, labels = _walk(param, a, b, lambda cell: ORIENTED_CODES[cover[cell]])
-    return [_VEC[lab[1]] for lab in labels if lab != "EMPTY"]
+    codes read from the cover's label table; empty for hold centers."""
+    _, codes = _walk(param, a, b, cover.__getitem__)
+    return [STEPS[c & 3] for c in codes if c % 5]
 
 
 def path_polygon(a: int, b: int, vectors: Sequence[Tuple[int, int]]):
@@ -284,12 +259,9 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 # Oriented coherence (the mesh equations)
 # ---------------------------------------------------------------------------
 
-_OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
-
-
-def _member(lab: str, i: int, edge: str) -> bool:
-    """Letter i of the directed label is the edge; EMPTY has no edges."""
-    return lab != "EMPTY" and lab[i] == edge
+# the entry and the exit edge of each directed code; 4, no edge, for hold
+_ENTRY = bytes(4 if c % 5 == 0 else c >> 2 for c in range(16))
+_EXIT = bytes(4 if c % 5 == 0 else c & 3 for c in range(16))
 
 
 def _zone_half(param: Param, t: int) -> Tuple[int, int]:
@@ -322,17 +294,18 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
             cells = range(j * w * w, (j + 1) * w * w)
             # the matching neighbour always sits across the named edge, and
             # a connector into an edge comes out of the opposite one there
-            for edge in "SNEW":
-                opposite = _OPPOSITE[edge]
+            for edge in (1, 0, 2, 3):  # S, N, E, W
+                e, o = _ORDER[edge], _ORDER[edge ^ 1]
+                cases = ((_EXIT, _ENTRY, f"into-{e}->out-{o}"),
+                         (_ENTRY, _EXIT, f"out-{e}->into-{o}"))
                 for cell in cells:
-                    lab = ORIENTED_CODES[cover[cell]]
-                    lab2 = ORIENTED_CODES[cover[cover_step(param, cell, edge)]]
-                    for i, mode, mode2 in ((1, "into", "out"), (0, "out", "into")):
-                        if _member(lab, i, edge) != _member(lab2, 1 - i, opposite):
+                    code, code2 = cover[cell], cover[cover_step(param, cell, edge)]
+                    for ends, ends2, case in cases:
+                        if (ends[code] == edge) != (ends2[code2] == edge ^ 1):
                             failures.append({
                                 "param": str(param), "fiber": t,
                                 "cell": decode_cell(param, cell)[1:],
-                                "case": f"{mode}-{edge}->{mode2}-{opposite}"})
+                                "case": case})
     triads_ok = True
     detail = {}
     for zone in (1, 2, 3):

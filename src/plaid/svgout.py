@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError, Rat
 from .grid import BlockGrid, GridLine, light_points_on_line, trace_polygons
-from .pet import oriented_label_scaled, xi_hat_scaled
+from .classifier import cell_code
+from .pet import STEPS, _center_cell
 
 LAYERS = ("grid-lines", "light-points", "connectors", "polygons",
           "orientation-arrows")
@@ -135,7 +136,6 @@ def _connectors(param: Param, cfg: RenderConfig,
     color = cfg.color("orientation-arrows" if arrows else "connectors")
     out = []
     half = Fraction(1, 2)
-    mid = {"N": (0, half), "S": (0, -half), "E": (half, 0), "W": (-half, 0)}
     for bi, bj in _blocks_of_window(param, cfg):
         for n in range(w):
             for m in range(w):
@@ -144,13 +144,14 @@ def _connectors(param: Param, cfg: RenderConfig,
                     continue
                 cx, cy = gx + half, gy + half
                 if arrows:
-                    lab = oriented_label_scaled(
-                        param, *xi_hat_scaled(param, gx, gy))
-                    edges = [] if lab == "EMPTY" else [lab[0], lab[1]]
+                    code = cell_code(param, _center_cell(param, gx, gy))
+                    edges = [code >> 2, code & 3] if code % 5 else []
                 else:
-                    edges = sorted(grids[bi].good_edge_set(n, m))
+                    # in the order of the sorted letters: E, N, S, W
+                    mask = grids[bi].edge_mask(n, m)
+                    edges = [e for e in (2, 0, 1, 3) if mask >> e & 1]
                 for i, e in enumerate(edges):
-                    dx, dy = mid[e]
+                    dx, dy = half * STEPS[e][0], half * STEPS[e][1]
                     out.append(_line(cfg, cx, cy, cx + dx, cy + dy, color, 2))
                     if arrows and i == 1:
                         # head marker on the exit edge

@@ -27,7 +27,6 @@ from .grid import (
 from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
-    ORIENTED_CODES,
     grid_cell,
     image_geometry_scaled,
     label_table,
@@ -36,8 +35,9 @@ from .classifier import (
     xi_raw_scaled,
 )
 from .pet import (
-    _VEC,
+    STEPS,
     BadOffset,
+    _ENTRY,
     _center_cell,
     check_mesh,
     cover_bijection,
@@ -96,11 +96,12 @@ def suite_isomorphism(param: Param) -> dict:
     table = label_table(param)
     mismatches = []
     for bi, grid in enumerate(block_grids(param)):
+        masks = grid.masks()
         for n in range(w):
             a = bi * w + n
             for m in range(w):
                 code = table[grid_cell(param, *xi_raw_scaled(param, a, m))]
-                if CODE_MASKS[code] != grid.edge_mask(n, m):
+                if CODE_MASKS[code] != masks[n * w + m]:
                     mismatches.append(((a, m), CODE_LABELS[code],
                                        sorted(grid.good_edge_set(n, m))))
                     if len(mismatches) > 4:
@@ -118,26 +119,28 @@ def suite_pet_equivalence(param: Param) -> dict:
     for a in range(w * w):
         for b in range(2 * w):
             cell = _center_cell(param, a, b)
-            lab = ORIENTED_CODES[cover[cell]]
-            if lab == "EMPTY":
+            code = cover[cell]
+            if code % 5 == 0:
                 continue
-            dx, dy = _VEC[lab[1]]
-            cnext = cover_step(param, cell, lab[1])
+            out = code & 3
+            dx, dy = STEPS[out]
+            cnext = cover_step(param, cell, out)
             if cnext != _center_cell(param, a + dx, b + dy):
                 return {"ok": False, "reason": "conjugacy", "at": (a, b)}
-            lab2 = ORIENTED_CODES[cover[cnext]]
-            if cover_step(param, cnext, lab2[0]) != cell or \
-                    _VEC[lab2[0]] != (-dx, -dy):
+            # the next connector enters across the opposite edge, back to cell
+            if _ENTRY[cover[cnext]] != out ^ 1 or \
+                    cover_step(param, cnext, out ^ 1) != cell:
                 return {"ok": False, "reason": "inverse", "at": (a, b)}
     orbit_total = 0
     nonempty = 0
     for bi, grid in enumerate(block_grids(param)):
         traced = sorted(pg.verts2 for pg in trace_polygons(param, (bi, 0), grid))
+        masks = grid.masks()
         seen = set()
         vec = []
         for n in range(w):
             for m in range(w):
-                if not grid.edge_mask(n, m):
+                if not masks[n * w + m]:
                     continue
                 nonempty += 1
                 if (n, m) in seen:
@@ -226,31 +229,22 @@ def suite_symmetry(param: Param) -> dict:
 
 def suite_particle_geometry(param: Param) -> dict:
     w = param.omega
-    checked = 0
-    for y0 in range(w):
-        lit = line_lights(param, y0)
-        for j0 in range(w):
-            squares, types, _ = _h_particle_scaled(param, y0, j0, lit)
-            if len(squares) != 2 * w:
-                return {"ok": False, "case": "h-length", "at": (y0, j0)}
-            r = image_geometry_scaled(param, "horizontal", squares, types)
+    for c in range(w):
+        # the H particles of y0 = c and the V particles of x0 = c share lights
+        lit = line_lights(param, c)
+        particles = [(("h", c, j0), "horizontal", 2 * w,
+                      _h_particle_scaled(param, c, j0, lit)) for j0 in range(w)]
+        particles += [(("v", c, ty, j0), "vertical", w,
+                       _v_particle_scaled(param, c, ty, j0, lit))
+                      for ty in "PQ" for j0 in range(w)]
+        for at, orientation, length, (squares, types, _) in particles:
+            if len(squares) != length:
+                return {"ok": False, "case": at[0] + "-length", "at": at[1:]}
+            r = image_geometry_scaled(param, orientation, squares, types)
             if not r["ok"]:
-                r["at"] = ("h", y0, j0)
+                r["at"] = at
                 return r
-            checked += 1
-    for x0 in range(w):
-        lit = line_lights(param, x0)
-        for ty in "PQ":
-            for j0 in range(w):
-                squares, types, _ = _v_particle_scaled(param, x0, ty, j0, lit)
-                if len(squares) != w:
-                    return {"ok": False, "case": "v-length", "at": (x0, ty, j0)}
-                r = image_geometry_scaled(param, "vertical", squares, types)
-                if not r["ok"]:
-                    r["at"] = ("v", x0, ty, j0)
-                    return r
-                checked += 1
-    return {"ok": True, "particles": checked}
+    return {"ok": True, "particles": 3 * w * w}
 
 
 SUITES: Dict[str, Callable[[Param], dict]] = {

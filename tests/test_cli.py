@@ -231,3 +231,31 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
                          "error": f"ZeroDivisionError: boom at {r['param']}"}
         else:
             assert r["ok"] and "error" not in r
+
+
+@pytest.mark.parametrize("argv", [
+    ["irrational", "--P", "abc", "--offset", "0,0,0", "--window", "0,0,2,2"],
+    ["irrational", "--P", "1/0", "--offset", "0,0,0", "--window", "0,0,2,2"],
+    ["irrational", "--P", "8/21", "--offset", "a,b,c", "--window", "0,0,2,2"],
+    ["irrational", "--P", "8/21", "--offset", "0,0,0", "--window", "0,0,2,2",
+     "--eps", "zz"],
+    ["verify", "--suite", "mesh", "--params", "3/8,x"],
+    ["verify", "--suite", "mesh", "--params", "3"],
+    ["stats", "--p", "2", "--q", "5", "--blocks", "a"],
+    ["orbit", "--p", "2", "--q", "5", "--c", "1/0,1/2"],
+])
+def test_malformed_input_exits_2(argv):
+    """The command as a user runs it: exit 2 with a message, no traceback."""
+    import os
+    import subprocess
+    import sys
+
+    import plaid
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(plaid.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "plaid.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -2,7 +2,9 @@
 rationals far beyond the sweep bounds: the grid paths against the Fraction
 reference `segment_points`, tracing against the exchange orbits of
 `vector_polygon`, particle image geometry against a per-image reduction, and
-the label table against `fiber_label` and the per-point labels."""
+the label table against `fiber_label` and the per-point labels, and the
+per-cell code and exchange step against the Fraction path and the step
+through decoded points."""
 
 import math
 from fractions import Fraction as F
@@ -14,11 +16,16 @@ from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid.classifier import (
     CODE_LABELS,
     ORIENTED_CODES,
+    REVERSED,
     ClassifyingPoint,
     _ORDER,
     _ZONES,
+    _band,
+    _zone_spec,
+    _zones_at,
     canon_frac,
     canon_scaled,
+    cell_code,
     fiber_label,
     grid_cell,
     image_geometry_scaled,
@@ -28,6 +35,8 @@ from plaid.classifier import (
     xi_raw_scaled,
 )
 from plaid.pet import (
+    STEPS,
+    cover_step,
     decode_cell,
     oriented_label_scaled,
     special_orbit,
@@ -418,3 +427,64 @@ def test_table_orbit_matches_special_orbit(param, data):
             assert vectors == []
         else:
             assert vectors == list(orbit.vectors)
+
+
+def test_cell_code_matches_cover_table():
+    """cell_code on every cell of the cover table, at every omega <= 15."""
+    for param in even_rationals(15):
+        table = label_table(param, 2)
+        assert bytes(cell_code(param, cell) for cell in range(len(table))) \
+            == table, str(param)
+
+
+def oracle_code(param, cell):
+    """The directed code of a cover cell through the Fraction path: the
+    cell's point from the layout in the classifier docstring, canon_frac onto
+    the base torus, the row and column symbols of its checkerboard cell, and
+    the code reversed on the outer half of the cover (t >= omega)."""
+    w, P = param.omega, param.bigP
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    pt = canon_frac(P, F(2 * j - w, w), F(2 * i1 - w + 1, w),
+                    F(2 * i2 - w + 1, w))
+    spec = _zone_spec(P, _zones_at(P, pt.T)[0], pt.T)
+    row = spec.rows[3 - _band(pt.U2, spec.u)]
+    col = spec.cols[_band(pt.U1, spec.u)]
+    code = 4 * _ORDER.index(row) + _ORDER.index(col)
+    label, diag = fiber_label(P, pt)
+    assert (CODE_LABELS[code], row if row == col else None) == (label, diag)
+    return REVERSED[code] if j >= w else code
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(), st.data())
+def test_cell_code_matches_fiber_label(param, data):
+    """cell_code against the Fraction path on random cells of both halves of
+    the cover."""
+    w = param.omega
+    for _ in range(20):
+        cell = data.draw(st.integers(0, 2 * w ** 3 - 1))
+        assert cell_code(param, cell) == oracle_code(param, cell), cell
+
+
+def reference_cover_step(param, cell, edge):
+    """The exchange step through points: decode the cell to its canonical
+    point, add the image of the unit step across the edge, and reduce."""
+    dx, dy = STEPS[edge]
+    t, u1, u2 = decode_cell(param, cell)
+    du = 4 * param.p * dx
+    return grid_cell(param, t + du + 2 * param.omega * dy, u1 + du,
+                     u2 + du + 4 * param.p * dy, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(), st.data())
+def test_cover_step_matches_decoded_step(param, data):
+    """cover_step from the table point against the step from the decoded
+    point, across all four edges of random cells."""
+    w = param.omega
+    for _ in range(10):
+        cell = data.draw(st.integers(0, 2 * w ** 3 - 1))
+        for edge in range(4):
+            assert cover_step(param, cell, edge) == \
+                reference_cover_step(param, cell, edge), (cell, edge)

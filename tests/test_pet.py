@@ -23,8 +23,7 @@ from plaid.pet import (
     vector_polygon,
     wall_distance,
     xi_hat,
-    xi_hat_scaled,
-    _VEC,
+    STEPS,
 )
 from plaid.classifier import grid_cell, tile_of, unordered_label, xi_raw_scaled
 
@@ -62,8 +61,8 @@ class TestOrientedLabels:
         w = p25.omega
         for a in range(w * w):
             for b in range(2 * w):
-                lab = oriented_label_scaled(p25, *xi_hat_scaled(p25, a, b))
                 c = (F(2 * a + 1, 2), F(2 * b + 1, 2))
+                lab = oriented_label(p25, xi_hat(p25, c))
                 want = tile_of(p25, c)
                 got = "EMPTY" if lab == "EMPTY" else unordered_label(*lab)
                 assert got == want, c
@@ -74,9 +73,9 @@ class TestOrientedLabels:
         w = p25.omega
         for a in range(0, w * w, 5):
             for b in range(w):
-                lab = oriented_label_scaled(p25, *xi_hat_scaled(p25, a, b))
-                flipped = oriented_label_scaled(
-                    p25, *xi_hat_scaled(p25, a, b + w))
+                lab = oriented_label(p25, xi_hat(p25, (a + F(1, 2), b + F(1, 2))))
+                flipped = oriented_label(
+                    p25, xi_hat(p25, (a + F(1, 2), b + w + F(1, 2))))
                 assert flipped == (lab if lab == "EMPTY" else lab[::-1])
 
 
@@ -90,7 +89,7 @@ class TestPetStep:
         assert xi_hat(p25, (F(1, 2), F(1, 2))) == CoverPoint(
             *[F(v, w) for v in decode_cell(p25, cell)])
         start = grid_cell(p25, *xi_raw_scaled(p25, 0, 1), 2)
-        assert cover_step(p25, start, "S") == cell
+        assert cover_step(p25, start, 1) == cell  # edge S
 
     @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 8)])
     def test_conjugacy_exhaustive(self, pq):
@@ -102,9 +101,10 @@ class TestPetStep:
                 lab = oriented_label_scaled(prm, *decode_cell(prm, cell))
                 if lab == "EMPTY":
                     continue
-                v = _VEC[lab[1]]
-                assert decode_cell(prm, cover_step(prm, cell, lab[1])) == \
-                    xi_hat_scaled(prm, a + v[0], b + v[1]), (pq, a, b)
+                edge = "NSEW".index(lab[1])
+                v = STEPS[edge]
+                assert cover_step(prm, cell, edge) == grid_cell(
+                    prm, *xi_raw_scaled(prm, a + v[0], b + v[1]), 2), (pq, a, b)
 
     def test_hold_is_identity(self, p25):
         z = xi_hat(p25, (F(3, 2), F(3, 2)))  # empty tile at (2,5)
