@@ -117,22 +117,16 @@ class RectGrid:
     y_cuts: List[int]
 
 
-def _capacity_cuts(param: Param, K: int, lo: int) -> List[int]:
-    """Positions in [lo, lo + omega] of lines with capacity <= K."""
-    return [c for c in range(lo, lo + param.omega + 1)
-            if abs(capacity_scaled(param, c)) <= K]
-
-
 def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
     if K % 2 or K < 0 or K >= param.omega:
         raise PlaidError(f"K={K} must be even in [0, omega)")
     w = param.omega
     bi, bj = block
-    return RectGrid(
-        K=K,
-        x_cuts=_capacity_cuts(param, K, bi * w),
-        y_cuts=_capacity_cuts(param, K, bj * w),
-    )
+    # capacity depends on the line mod omega, so both axes of every block
+    # are cut at the same offsets
+    cuts = [k for k in range(w + 1) if abs(capacity_scaled(param, k)) <= K]
+    return RectGrid(K=K, x_cuts=[bi * w + k for k in cuts],
+                    y_cuts=[bj * w + k for k in cuts])
 
 
 def block_light_cache(param: Param, block: Tuple[int, int],

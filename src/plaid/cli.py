@@ -162,9 +162,13 @@ def cmd_irrational(args) -> int:
 
 def cmd_stats(args) -> int:
     param = make_param(args.p, args.q)
-    blocks = None
+    blocks = [(bi, 0) for bi in range(param.omega)]
     if args.blocks:
         blocks = [(_number("--blocks", b, int), 0) for b in args.blocks.split(",")]
+    if args.document:
+        polys = {b: trace_polygons(param, b) for b in blocks}
+        _emit(emit(polygon_document(param, sorted(polys), polys)), args.out)
+        return 0
     st = polygon_stats(param, blocks)
     doc = {
         "param": [args.p, args.q],
@@ -177,11 +181,6 @@ def cmd_stats(args) -> int:
     if args.gap_window:
         doc["gap_radius"] = str(gap_radius(param, args.gap_window))
         doc["gap_note"] = "finite trend observable, not an asymptotic claim"
-    if args.document:
-        polys = {b: trace_polygons(param, b) for b in st.per_block}
-        _emit(emit(polygon_document(param, sorted(st.per_block), polys)),
-              args.out)
-        return 0
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 

@@ -246,6 +246,14 @@ def _h_slots(w: int, s: int, primary: bool) -> List[Tuple[int, int]]:
     return slots
 
 
+def line_lights(param: Param, c: int) -> List[bool]:
+    """lit[r]: the crossing lines with intercept r mod omega are light on the
+    capacity line y = c or x = c, so one list serves the line's light
+    points, particles and symmetries."""
+    cap = capacity_scaled(param, c)
+    return [_light(cap, mass_scaled(param, b)) for b in range(param.omega)]
+
+
 def _light_residues(param: Param) -> Dict[int, List[int]]:
     """For each c in 0..omega-1 of nonzero capacity, the residues mod omega
     of the crossing lines that are light on the capacity line c.  Capacity
@@ -309,11 +317,10 @@ class BlockGrid:
             x_abs = bi * w + n
             col = n * w
             for s in (p, q):
-                num = 2 * s * x_abs
-                lo = -((-num) // w)
+                # closed_point_counts' crossing rule: line lo + e meets edge e
+                lo = -(-2 * s * x_abs // w)
                 for rho in res:
-                    b = lo + (rho - lo) % w
-                    vl[col + (b * w - num) // w] += 1
+                    vl[col + (rho - lo) % w] += 1
 
     def edge_mask(self, n: int, m: int) -> int:
         """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
@@ -382,30 +389,17 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     """Multiplicity-weighted intersection-point counts on every closed unit
     segment of a block (the two-points-per-segment census).
 
-    Returns (h_counts, v_counts) indexed like BlockGrid's arrays.
+    Returns (h_counts, v_counts) indexed like BlockGrid's arrays; neither
+    depends on the block.  Every row holds the _h_slots crossings.  The
+    crossing rule: on the line x, the slope -2s/omega family meets edge e
+    at the line of intercept ceil(2s*x/omega) + e, once per edge, so every
+    vertical edge holds 2 points (at x = 0 mod omega, its two corners).
     """
-    w, p, q = param.omega, param.p, param.q
-    bi %= w
-    # a block row's crossings do not depend on its height
+    w = param.omega
     row = [0] * w
-    for edge, weight in _h_slots(w, p, True) + _h_slots(w, q, False):
+    for edge, weight in _h_slots(w, param.p, True) + _h_slots(w, param.q, False):
         row[edge] += weight
-    hc = row * (w + 1)
-    vc = [0] * ((w + 1) * w)
-    for n in range(w + 1):
-        x_abs = bi * w + n
-        col = n * w
-        if x_abs % w == 0:
-            # corners at every integer height, shared by both touching edges
-            for m in range(w):
-                vc[col + m] += 2
-            continue
-        for s in (p, q):
-            num = 2 * s * x_abs
-            lo = -((-num) // w)
-            for b in range(lo, lo + w):
-                vc[col + (b * w - num) // w] += 1
-    return hc, vc
+    return row * (w + 1), [2] * ((w + 1) * w)
 
 
 def light_scale(param: Param, family: str) -> int:
@@ -417,30 +411,32 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
                         ) -> List[Tuple[int, int]]:
     """Light points (coordinate along the line times light_scale, so an
     integer, and multiplicity) on the closed intersection of the line with
-    the given block, sorted.  H lines read the crossing-slot weights; a V
-    line meets double points only at block corners, where capacity is 0."""
+    the given block, sorted, read from line_lights at each crossing's
+    intercept.  H lines take the crossing-slot weights; a V line takes the
+    crossing rule of closed_point_counts and meets double points only at
+    block corners, where capacity is 0."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
     if line.family not in ("H", "V"):
         raise InvalidParameter("light census applies to H and V lines")
     c = line.intercept
     across = bj if line.family == "H" else bi
-    cap = capacity_scaled(param, c)
-    if not cap or not across * w <= c <= (across + 1) * w:
+    if not across * w <= c <= (across + 1) * w:
         return []
+    lit = line_lights(param, c)
     out = []
     if line.family == "H":
         for s, step in ((p, w * q), (q, w * p)):
             # slot r sits at x = k*w/2s, k = 2s*bi + r, so x * 2pq = k * step
             for k, (_, weight) in enumerate(_h_slots(w, s, s == p), 2 * s * bi):
-                if weight and _light(cap, mass_scaled(param, c + k)):
+                if weight and lit[(c + k) % w]:
                     out.append((k * step, weight))
     else:
         for s in (p, q):
             num = 2 * s * c
-            lo = -((-(bj * w * w + num)) // w)
+            lo = -(-(bj * w * w + num) // w)
             for b in range(lo, lo + w):
-                if _light(cap, mass_scaled(param, b)):
+                if lit[b % w]:
                     out.append((b * w - num, 1))
     return sorted(out)
 
@@ -502,8 +498,10 @@ class PlaidPolygon:
             [(x, 2 * axis2 - y) for x, y in self.verts2])
 
 
-# an edge mask's exit bit -> (dx, dy, the bit of the next square's entry edge)
-_MOVES = {1: (0, 1, 2), 2: (0, -1, 1), 4: (1, 0, 8), 8: (-1, 0, 4)}
+# the unit step across each edge, indexed as in "NSEW"
+STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
+# an edge mask's exit bit 1 << e -> (dx, dy, the next square's entry bit)
+_MOVES = {1 << e: (*STEPS[e], 1 << (e ^ 1)) for e in range(4)}
 
 
 def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
@@ -569,13 +567,6 @@ class Particle:
     @property
     def brightness(self) -> str:
         return self.instances[0].brightness
-
-
-def line_lights(param: Param, c: int) -> List[bool]:
-    """lit[r]: the crossing lines with intercept r mod omega are light on the
-    capacity line y = c or x = c, so one list serves the line's particles."""
-    cap = capacity_scaled(param, c)
-    return [_light(cap, mass_scaled(param, b)) for b in range(param.omega)]
 
 
 def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]

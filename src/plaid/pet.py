@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
+from .grid import STEPS, PlaidPolygon
 from .classifier import (
     ClassifyingPoint,
     ORIENTED_CODES,
@@ -59,10 +60,6 @@ class BadOffset(PlaidError):
     def __init__(self, msg, suggestion=None):
         super().__init__(msg)
         self.suggestion = suggestion
-
-
-# the unit step across each edge, indexed as in "NSEW"
-STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -227,8 +224,6 @@ def table_orbit(param: Param, cover: bytes, a: int, b: int
 def path_polygon(a: int, b: int, vectors: Sequence[Tuple[int, int]]):
     """The closed path of unit vectors from the center (a+1/2, b+1/2) as a
     plaid polygon."""
-    from .grid import PlaidPolygon
-
     cx, cy = 2 * a + 1, 2 * b + 1
     centers = []
     for v in vectors:
@@ -391,6 +386,9 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
     P = Fraction(P)
     if not 0 < P < 1:
         raise PlaidError(f"P={P} outside (0, 1)")
+    x0, y0, x1, y1 = window
+    if x1 <= x0 or y1 <= y0:
+        raise PlaidError("window must be nonempty")
     offset = tuple(Fraction(v) for v in offset)
     labels: Dict[Tuple[int, int], str] = {}
     min_dist: Optional[Rat] = None

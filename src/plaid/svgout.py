@@ -12,9 +12,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError, Rat
-from .grid import BlockGrid, GridLine, light_points_on_line, trace_polygons
+from .grid import (STEPS, BlockGrid, GridLine, light_points_on_line,
+                   trace_polygons)
 from .classifier import cell_code
-from .pet import STEPS, _center_cell
+from .pet import _center_cell
 
 LAYERS = ("grid-lines", "light-points", "connectors", "polygons",
           "orientation-arrows")

@@ -13,15 +13,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
 from .grid import (
+    STEPS,
     _h_particle_scaled,
-    _light,
     _v_particle_scaled,
     block_grids,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
     line_lights,
-    mass_scaled,
     trace_polygons,
 )
 from .classifier import (
@@ -35,7 +34,6 @@ from .classifier import (
     xi_raw_scaled,
 )
 from .pet import (
-    STEPS,
     BadOffset,
     _ENTRY,
     _center_cell,
@@ -56,12 +54,12 @@ def suite_coherence(param: Param) -> dict:
 
 def suite_two_points(param: Param) -> dict:
     w = param.omega
-    for bi in range(w):
-        hc, vc = closed_point_counts(param, bi)
-        if set(hc) != {2} or set(vc) != {2}:
-            bad = [i for i, v in enumerate(hc) if v != 2][:3]
-            return {"ok": False, "block": bi, "h_bad": bad,
-                    "v_bad": [i for i, v in enumerate(vc) if v != 2][:3]}
+    # the census is the same in every block (closed_point_counts)
+    hc, vc = closed_point_counts(param, 0)
+    if set(hc) != {2} or set(vc) != {2}:
+        return {"ok": False,
+                "h_bad": [i for i, v in enumerate(hc) if v != 2][:3],
+                "v_bad": [i for i, v in enumerate(vc) if v != 2][:3]}
     return {"ok": True, "segments": 2 * w * w * (w + 1) * w}
 
 
@@ -198,20 +196,17 @@ def _grid_symmetries(param: Param) -> dict:
     """
     w = param.omega
     for c in range(w):
+        lit, mirror = line_lights(param, c), line_lights(param, -c % w)
         for b in range(w):
-            cap_h = capacity_scaled(param, c)
             # rotation: (H c, crossing b) -> (H -c, crossing -b)
-            if _light(cap_h, mass_scaled(param, b)) != _light(
-                    capacity_scaled(param, -c), mass_scaled(param, -b)):
+            if lit[b] != mirror[-b % w]:
                 return {"ok": False, "case": "rotation-H", "at": (c, b)}
             # x-reflection, horizontal host: crossing intercept b - 2c
-            if _light(cap_h, mass_scaled(param, b)) != _light(
-                    capacity_scaled(param, -c), mass_scaled(param, b - 2 * c)):
+            if lit[b] != mirror[(b - 2 * c) % w]:
                 return {"ok": False, "case": "reflect-H", "at": (c, b)}
             # x-reflection, vertical host x=c: type P line b maps to the
             # type Q line 2c - b through the mirror point
-            if _light(cap_h, mass_scaled(param, b)) != _light(
-                    cap_h, mass_scaled(param, 2 * c - b)):
+            if lit[b] != lit[(2 * c - b) % w]:
                 return {"ok": False, "case": "reflect-V", "at": (c, b)}
     return {"ok": True, "classes": w * w}
 
@@ -321,7 +316,6 @@ def suite_golden(golden_dir: str) -> List[dict]:
     byte for byte."""
     import os
 
-    from .grid import trace_polygons as _trace
     from .serialize import emit, parse_polygon_document, polygon_document
 
     records = []
@@ -333,7 +327,7 @@ def suite_golden(golden_dir: str) -> List[dict]:
         doc = parse_polygon_document(text)
         param = make_param(*doc["param"])
         blocks = [tuple(b) for b in doc["blocks"]]
-        polys = {b: _trace(param, b) for b in blocks}
+        polys = {b: trace_polygons(param, b) for b in blocks}
         fresh = emit(polygon_document(param, blocks, polys))
         records.append({"suite": "golden", "param": str(param),
                         "omega": param.omega, "file": name,

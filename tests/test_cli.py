@@ -243,6 +243,8 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["verify", "--suite", "mesh", "--params", "3"],
     ["stats", "--p", "2", "--q", "5", "--blocks", "a"],
     ["orbit", "--p", "2", "--q", "5", "--c", "1/0,1/2"],
+    ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
+     "--window", "0,0,0,0"],
 ])
 def test_malformed_input_exits_2(argv):
     """The command as a user runs it: exit 2 with a message, no traceback."""

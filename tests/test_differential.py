@@ -1,10 +1,11 @@
 """The integer fast paths against their references, at random even
 rationals far beyond the sweep bounds: the grid paths against the Fraction
 reference `segment_points`, tracing against the exchange orbits of
-`vector_polygon`, particle image geometry against a per-image reduction, and
-the label table against `fiber_label` and the per-point labels, and the
+`vector_polygon`, particle image geometry against a per-image reduction,
+the label table against `fiber_label` and the per-point labels, the
 per-cell code and exchange step against the Fraction path and the step
-through decoded points."""
+through decoded points, and the light-set symmetries past their sweep
+bound."""
 
 import math
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
+from plaid import verify
 from plaid.classifier import (
     CODE_LABELS,
     ORIENTED_CODES,
@@ -285,6 +287,29 @@ def test_block_counts_match_segment_points(param, bi, data):
         points = hc if axis == "h" else vc
         assert points[i] == sum(pt.multiplicity
                                 for pt in segment_points(param, seg))
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(), st.data())
+def test_grid_symmetries_beyond_sweep_bound(param, data):
+    """The light set's rotation and reflection laws hold past the symmetry
+    suite's bound, and flipping one light flag breaks one of them.  (0, 0)
+    is fixed by all three maps, so the flip is drawn elsewhere."""
+    w = param.omega
+    assert verify._grid_symmetries(param) == {"ok": True, "classes": w * w}
+    c0, b0 = divmod(data.draw(st.integers(1, w * w - 1)), w)
+
+    def flipped(prm, c):
+        lit = line_lights(prm, c)
+        if c % w == c0:
+            lit[b0] = not lit[b0]
+        return lit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "line_lights", flipped)
+        got = verify._grid_symmetries(param)
+    assert not got["ok"], (c0, b0)
+    assert got["case"] in ("rotation-H", "reflect-H", "reflect-V"), got
 
 
 @settings(max_examples=30, deadline=None)
