@@ -348,6 +348,12 @@ def grid_cell(param: Param, t: int, u1: int, u2: int, sheets: int = 1) -> int:
             + ((u2 + w - 1) // 2 - s) % w)
 
 
+def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
+    """The cell, with sheets=2 the cover cell, of the image of the center
+    (a+1/2, b+1/2)."""
+    return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
+
+
 def cell_point(param: Param, cell: int) -> Tuple[int, int, int]:
     """The scaled point the table reads for the cell, t in [-omega, 3*omega)."""
     w = param.omega
@@ -380,8 +386,7 @@ def cell_code(param: Param, cell: int) -> int:
 
 
 def tile_label_scaled(param: Param, a: int, b: int) -> str:
-    return CODE_LABELS[cell_code(
-        param, grid_cell(param, *xi_raw_scaled(param, a, b)))]
+    return CODE_LABELS[cell_code(param, center_cell(param, a, b))]
 
 
 def tile_of(param: Param, center: Tuple[RatLike, RatLike]) -> str:

@@ -166,6 +166,8 @@ def cmd_stats(args) -> int:
     if args.blocks:
         blocks = [(_number("--blocks", b, int), 0) for b in args.blocks.split(",")]
     if args.document:
+        if args.gap_window:
+            raise PlaidError("--gap-window applies to the statistics, not --document")
         polys = {b: trace_polygons(param, b) for b in blocks}
         _emit(emit(polygon_document(param, sorted(polys), polys)), args.out)
         return 0

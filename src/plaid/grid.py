@@ -283,9 +283,8 @@ class BlockGrid:
     {bi*w + n} x [m, m + 1].  light_res, when given, is
     _light_residues(param), which block_grids shares among its grids.
 
-    The grid side's one integer light structure: coherence and tracing read
-    masks(), single-square readers edge_mask, and hier and block_light_cache
-    the rows and columns.
+    The grid side's one integer light structure: every edge-mask reader
+    reads masks(), and hier and block_light_cache the rows and columns.
     """
 
     def __init__(self, param: Param, bi: int, light_res=None):
@@ -294,6 +293,7 @@ class BlockGrid:
         self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
+        self._masks: Optional[List[int]] = None
         self._fill(_light_residues(param) if light_res is None else light_res)
 
     def _fill(self, light_res):
@@ -325,20 +325,23 @@ class BlockGrid:
     def edge_mask(self, n: int, m: int) -> int:
         """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
         W."""
-        hl, vl, w = self.hl, self.vl, self.param.omega
-        return ((hl[(m + 1) * w + n] == 1) | (hl[m * w + n] == 1) << 1
-                | (vl[(n + 1) * w + m] == 1) << 2 | (vl[n * w + m] == 1) << 3)
+        return self.masks()[n * self.param.omega + m]
 
     def masks(self) -> List[int]:
-        """edge_mask of every square, square (n, m) at index n*w + m."""
-        hl, vl, w = self.hl, self.vl, self.param.omega
-        out: List[int] = []
-        for n in range(w):
-            col = hl[n::w]  # the column's north and south edges, m = 0..w
-            out += [(nth == 1) | (sth == 1) << 1 | (est == 1) << 2 | (wst == 1) << 3
-                    for nth, sth, est, wst in zip(col[1:], col, vl[(n + 1) * w:(n + 2) * w],
-                                                  vl[n * w:(n + 1) * w])]
-        return out
+        """edge_mask of every square, square (n, m) at index n*w + m.
+
+        Computed on the first call and kept on the grid; every later call
+        returns the same list, so readers must not modify it."""
+        if self._masks is None:
+            hl, vl, w = self.hl, self.vl, self.param.omega
+            out: List[int] = []
+            for n in range(w):
+                col = hl[n::w]  # the column's north and south edges, m = 0..w
+                out += [(nth == 1) | (sth == 1) << 1 | (est == 1) << 2 | (wst == 1) << 3
+                        for nth, sth, est, wst in zip(col[1:], col, vl[(n + 1) * w:(n + 2) * w],
+                                                      vl[n * w:(n + 1) * w])]
+            self._masks = out
+        return self._masks
 
     def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:
         mask = self.edge_mask(n, m)

@@ -38,12 +38,12 @@ from .classifier import (
     canon_frac,
     cell_code,
     cell_point,
+    center_cell,
     decode_cell,
     fiber_label,
     grid_cell,
     label_table,
     mark_classes,
-    xi_raw_scaled,
     _center_indices,
     _zones_at,
     _zones_scaled,
@@ -90,13 +90,8 @@ def _cover_point(param: Param, cell: int) -> CoverPoint:
     return CoverPoint(*(Fraction(v, w) for v in decode_cell(param, cell)))
 
 
-def _center_cell(param: Param, a: int, b: int) -> int:
-    """The cover cell of the image of the center (a+1/2, b+1/2)."""
-    return grid_cell(param, *xi_raw_scaled(param, a, b), 2)
-
-
 def xi_hat(param: Param, center) -> CoverPoint:
-    return _cover_point(param, _center_cell(param, *_center_indices(center)))
+    return _cover_point(param, center_cell(param, *_center_indices(center), 2))
 
 
 def lift_label(param: Param, t_hat: RatLike, base_label: str,
@@ -187,7 +182,7 @@ def _walk(param: Param, a: int, b: int, code) -> Tuple[list, list]:
     (a+1/2, b+1/2), to its first return, code(cell) giving a cell's code; a
     hold start gives itself alone.  Iteration is capped at 4*omega^2, past
     any polygon's perimeter; exceeding the cap means the model is broken."""
-    start = _center_cell(param, a, b)
+    start = center_cell(param, a, b, 2)
     cells, codes = [start], [code(start)]
     if codes[0] % 5 == 0:
         return cells, codes

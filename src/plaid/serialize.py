@@ -12,15 +12,6 @@ from .grid import PlaidPolygon
 FORMAT_VERSION = 1
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
-        else str(x.numerator)
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def polygon_document(param: Param,
                      blocks: Sequence[Tuple[int, int]],
                      polygons: Dict[Tuple[int, int], Sequence[PlaidPolygon]]
@@ -32,7 +23,7 @@ def polygon_document(param: Param,
         "polygons": [
             {
                 "block": list(block),
-                "vertices": [[_frac_str(x), _frac_str(y)]
+                "vertices": [[str(x), str(y)]
                              for x, y in pg.vertices],
             }
             for block in blocks
@@ -57,7 +48,7 @@ def document_polygons(doc: dict) -> Dict[Tuple[int, int], List[PlaidPolygon]]:
     out: Dict[Tuple[int, int], List[PlaidPolygon]] = {}
     for entry in doc["polygons"]:
         verts2 = tuple(
-            (int(2 * _parse_frac(x)), int(2 * _parse_frac(y)))
+            (int(2 * Fraction(x)), int(2 * Fraction(y)))
             for x, y in entry["vertices"])
         out.setdefault(tuple(entry["block"]), []).append(PlaidPolygon(verts2))
     return out

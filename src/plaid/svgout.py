@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from .params import Param, PlaidError, Rat
 from .grid import (STEPS, BlockGrid, GridLine, light_points_on_line,
                    trace_polygons)
-from .classifier import cell_code
-from .pet import _center_cell
+from .classifier import cell_code, center_cell
 
 LAYERS = ("grid-lines", "light-points", "connectors", "polygons",
           "orientation-arrows")
@@ -138,18 +137,15 @@ def _connectors(param: Param, cfg: RenderConfig,
     out = []
     half = Fraction(1, 2)
     for bi, bj in _blocks_of_window(param, cfg):
-        for n in range(w):
-            for m in range(w):
-                gx, gy = bi * w + n, bj * w + m
-                if not (x0 <= gx < x1 and y0 <= gy < y1):
-                    continue
+        for gx in range(max(x0, bi * w), min(x1, (bi + 1) * w)):
+            for gy in range(max(y0, bj * w), min(y1, (bj + 1) * w)):
                 cx, cy = gx + half, gy + half
                 if arrows:
-                    code = cell_code(param, _center_cell(param, gx, gy))
+                    code = cell_code(param, center_cell(param, gx, gy, 2))
                     edges = [code >> 2, code & 3] if code % 5 else []
                 else:
                     # in the order of the sorted letters: E, N, S, W
-                    mask = grids[bi].edge_mask(n, m)
+                    mask = grids[bi].edge_mask(gx - bi * w, gy - bj * w)
                     edges = [e for e in (2, 0, 1, 3) if mask >> e & 1]
                 for i, e in enumerate(edges):
                     dx, dy = half * STEPS[e][0], half * STEPS[e][1]

@@ -26,6 +26,7 @@ from .grid import (
 from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
+    center_cell,
     grid_cell,
     image_geometry_scaled,
     label_table,
@@ -36,7 +37,6 @@ from .classifier import (
 from .pet import (
     BadOffset,
     _ENTRY,
-    _center_cell,
     check_mesh,
     cover_bijection,
     cover_step,
@@ -116,14 +116,14 @@ def suite_pet_equivalence(param: Param) -> dict:
     cover = label_table(param, 2)
     for a in range(w * w):
         for b in range(2 * w):
-            cell = _center_cell(param, a, b)
+            cell = center_cell(param, a, b, 2)
             code = cover[cell]
             if code % 5 == 0:
                 continue
             out = code & 3
             dx, dy = STEPS[out]
             cnext = cover_step(param, cell, out)
-            if cnext != _center_cell(param, a + dx, b + dy):
+            if cnext != center_cell(param, a + dx, b + dy, 2):
                 return {"ok": False, "reason": "conjugacy", "at": (a, b)}
             # the next connector enters across the opposite edge, back to cell
             if _ENTRY[cover[cnext]] != out ^ 1 or \
@@ -132,30 +132,20 @@ def suite_pet_equivalence(param: Param) -> dict:
     orbit_total = 0
     nonempty = 0
     for bi, grid in enumerate(block_grids(param)):
-        traced = sorted(pg.verts2 for pg in trace_polygons(param, (bi, 0), grid))
-        masks = grid.masks()
-        seen = set()
-        vec = []
-        for n in range(w):
-            for m in range(w):
-                if not masks[n * w + m]:
-                    continue
-                nonempty += 1
-                if (n, m) in seen:
-                    continue
-                a = bi * w + n
-                vectors = table_orbit(param, cover, a, m)
-                if not vectors:
-                    return {"ok": False, "reason": "hold at nonempty square",
-                            "square": (a, m)}
-                orbit_total += len(vectors)
-                pg = path_polygon(a, m, vectors)
-                vec.append(pg.verts2)
-                for vx, vy in pg.verts2:
-                    seen.add(((vx - 1) // 2 - bi * w, (vy - 1) // 2))
-        if sorted(vec) != traced:
-            return {"ok": False, "block": bi, "reason": "polygon sets differ",
-                    "traced": len(traced), "vector": len(vec)}
+        # counted from the masks, not from the traced polygons, so that a
+        # polygon tracing drops still fails orbit_total == nonempty
+        nonempty += sum(1 for mask in grid.masks() if mask)
+        for pg in trace_polygons(param, (bi, 0), grid):
+            # the least vertex: the polygon's first square in (n, m) order
+            a, m = pg.verts2[0][0] // 2, pg.verts2[0][1] // 2
+            vectors = table_orbit(param, cover, a, m)
+            if not vectors:
+                return {"ok": False, "reason": "hold at nonempty square",
+                        "square": (a, m)}
+            orbit_total += len(vectors)
+            if path_polygon(a, m, vectors) != pg:
+                return {"ok": False, "reason": "orbit polygon differs",
+                        "block": bi, "square": (a, m)}
     return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
             "connector_squares": nonempty}
 

@@ -245,6 +245,7 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["orbit", "--p", "2", "--q", "5", "--c", "1/0,1/2"],
     ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
      "--window", "0,0,0,0"],
+    ["stats", "--p", "2", "--q", "5", "--document", "--gap-window", "0,0,7,7"],
 ])
 def test_malformed_input_exits_2(argv):
     """The command as a user runs it: exit 2 with a message, no traceback."""

@@ -52,6 +52,7 @@ from plaid.grid import (
     GridLine,
     UnitSegment,
     closed_point_counts,
+    good_edges,
     horizontal_particle,
     light_count,
     light_points_on_line,
@@ -316,14 +317,15 @@ def test_grid_symmetries_beyond_sweep_bound(param, data):
 @given(params(101), st.data())
 def test_traced_polygons_match_vector_polygon(param, data):
     """The traced polygon through a connector square against the polygon
-    drawn by the exchange orbit of the square's center."""
+    drawn by the exchange orbit of the square's center, and the edge masks
+    of the drawn squares, plus one square anywhere in the block, against
+    the Fraction reference good_edges."""
     w = param.omega
     bi = data.draw(st.integers(-w, 2 * w))
     bj = data.draw(st.integers(-1, 1))
     grid = BlockGrid(param, bi)
     polys = trace_polygons(param, (bi, bj), grid)
     masks = grid.masks()
-    assert masks == [grid.edge_mask(n, m) for n in range(w) for m in range(w)]
     connectors = [(n, m) for n in range(w) for m in range(w)
                   if masks[n * w + m]]
     assert len(connectors) == sum(len(pg) for pg in polys)
@@ -334,6 +336,11 @@ def test_traced_polygons_match_vector_polygon(param, data):
         c2 = (2 * (bi * w + n) + 1, 2 * (bj * w + m) + 1)
         (traced,) = [pg for pg in polys if c2 in pg.verts2]
         assert vector_polygon(param, (F(c2[0], 2), F(c2[1], 2))) == traced
+    anywhere = divmod(data.draw(st.integers(0, w * w - 1)), w)
+    for n, m in squares + [anywhere]:
+        mask = masks[n * w + m]
+        assert {e for i, e in enumerate("NSEW") if mask >> i & 1} == \
+            good_edges(param, (bi * w + n, bj * w + m)), (n, m)
 
 
 def cell_index(w, t, u1, u2):

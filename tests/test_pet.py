@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plaid import verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid, trace_polygons
 from plaid.pet import (
@@ -171,6 +172,67 @@ class TestOrbits:
 
         rec = suite_pet_equivalence(make_param(*pq))
         assert rec["ok"], rec
+
+
+def _fault_target(param):
+    """The first block past block 0 with polygons, and the least vertex of
+    its first polygon: where suite_pet_equivalence starts that orbit."""
+    bi = next(b for b in range(1, param.omega) if trace_polygons(param, (b, 0)))
+    x2, y2 = trace_polygons(param, (bi, 0))[0].verts2[0]
+    return bi, (x2 // 2, y2 // 2)
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+class TestPetEquivalenceFaults:
+    """suite_pet_equivalence with one fault injected into what it reads."""
+
+    def test_hold_orbit_at_connector(self, pq, monkeypatch):
+        param = make_param(*pq)
+        _, square = _fault_target(param)
+        real = verify.table_orbit
+
+        def orbit(prm, cover, a, b):
+            return [] if (a, b) == square else real(prm, cover, a, b)
+
+        monkeypatch.setattr(verify, "table_orbit", orbit)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "hold at nonempty square", "square": square}
+
+    def test_swapped_orbit_vectors(self, pq, monkeypatch):
+        """Two consecutive unequal steps swapped: the path still closes, on
+        another polygon."""
+        param = make_param(*pq)
+        bi, square = _fault_target(param)
+        real = verify.table_orbit
+
+        def orbit(prm, cover, a, b):
+            vectors = real(prm, cover, a, b)
+            if (a, b) == square:
+                i = next(i for i in range(len(vectors) - 1)
+                         if vectors[i] != vectors[i + 1])
+                vectors[i:i + 2] = vectors[i + 1], vectors[i]
+            return vectors
+
+        monkeypatch.setattr(verify, "table_orbit", orbit)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": bi,
+            "square": square}
+
+    def test_dropped_polygon(self, pq, monkeypatch):
+        """The connector count does not come from tracing, so a polygon
+        tracing loses leaves the orbit steps short."""
+        param = make_param(*pq)
+        bi, _ = _fault_target(param)
+        real = verify.trace_polygons
+
+        def trace(prm, block, grid=None):
+            polys = real(prm, block, grid)
+            return polys[1:] if block == (bi, 0) else polys
+
+        monkeypatch.setattr(verify, "trace_polygons", trace)
+        rec = verify.suite_pet_equivalence(param)
+        assert not rec["ok"], rec
+        assert rec["orbit_steps"] < rec["connector_squares"], rec
 
 
 class TestCoverBijection:

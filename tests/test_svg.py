@@ -1,8 +1,11 @@
 import re
+from fractions import Fraction as F
 
 import pytest
 
 from plaid.params import make_param
+from plaid.classifier import tile_of
+from plaid.grid import good_edges
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 
 
@@ -52,6 +55,29 @@ def test_orientation_arrows(p12):
                        layers=("orientation-arrows",))
     svg = render_svg(p12, cfg)
     assert svg.count("<circle ") == 8  # one arrowhead per ring square
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+def test_connector_layers_on_a_four_block_window(pq):
+    """On a window across a block corner, the connector layer draws two
+    half-edges per window square with good edges (the Fraction reference),
+    and the arrow layer one head per window square that is not a hold."""
+    param = make_param(*pq)
+    w = param.omega
+    window = (w - 3, w - 2, w + 4, w + 3)
+    squares = [(n, m) for n in range(window[0], window[2])
+               for m in range(window[1], window[3])]
+
+    def layer(name):
+        return render_svg(param, RenderConfig(window=window, scale=10,
+                                              layers=(name,)))
+
+    connected = sum(1 for sq in squares if good_edges(param, sq))
+    assert connected and layer("connectors").count("<line ") == 2 * connected
+    moving = sum(1 for n, m in squares
+                 if tile_of(param, (F(2 * n + 1, 2), F(2 * m + 1, 2))) != "EMPTY")
+    assert moving == connected
+    assert layer("orientation-arrows").count("<circle ") == moving
 
 
 def test_config_validation():

@@ -1,0 +1,115 @@
+"""Print one sha256 per group of the engine's outputs, so that two checkouts
+can be compared byte for byte.
+
+    python3 tools/output_digest.py [--root DIR] [--max-omega N]
+
+DIR is the checkout whose src/plaid is hashed; it defaults to the one this
+script lives in.  The explore requests always come from this checkout's
+perfbench/workloads.py, so an older checkout is fed the same requests.
+Groups:
+
+- suite:NAME    every run_suite record of NAME at omega <= N (default 17);
+- golden        suite_golden over tests/golden;
+- explore:SEED  every explore CLI request of seeds 1 and 2 (argv, exit code,
+                stdout, stderr and output file bytes);
+- render        render with all layers on windows spanning 2 x 2 blocks at
+                2/5, 4/11 and 10/11;
+- centers       tile_of, xi and xi_hat of every center class at omega <= 15.
+
+Standard library only.  Run it on two checkouts and diff the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ALL_LAYERS = "grid-lines,light-points,connectors,polygons,orientation-arrows"
+RENDER_PARAMS = ((2, 5), (4, 11), (10, 11))
+EXPLORE_SEEDS = (1, 2)
+EXPLORE_SECONDS = 8.0
+CENTER_OMEGA = 15
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else repr(chunk).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _cli_run(cli, argv, outdir, i):
+    """argv, exit code, stdout, stderr and the --out file of one request."""
+    path = os.path.join(outdir, f"{i}.out")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--out", path])
+        except SystemExit as exc:
+            code = exc.code
+    data = b""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        os.remove(path)
+    return [tuple(argv), code, out.getvalue(), err.getvalue(), data]
+
+
+def _render_windows(w: int):
+    """Windows straddling a block corner, so each spans 2 x 2 blocks."""
+    return ((w - 3, w - 3, w + 3, w + 3),
+            (3 * w - 2, 2 * w - 4, 3 * w + 4, 2 * w + 2))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=HERE)
+    ap.add_argument("--max-omega", type=int, default=17)
+    args = ap.parse_args(argv)
+    sys.path[:0] = [os.path.join(os.path.abspath(args.root), "src"),
+                    os.path.join(HERE, "perfbench")]
+    from fractions import Fraction
+
+    from plaid import cli, classifier, pet, verify
+    from plaid.params import even_rationals
+    import workloads
+
+    for name in verify.SUITES:
+        records = verify.run_suite(name, max_omega=args.max_omega)
+        print(f"suite:{name:<18} {_digest(records)}")
+    golden = verify.suite_golden(os.path.join(HERE, "tests", "golden"))
+    print(f"{'golden':<24} {_digest(golden)}")
+    with tempfile.TemporaryDirectory() as outdir:
+        for seed in EXPLORE_SEEDS:
+            ops = workloads.explore_ops(seed, EXPLORE_SECONDS)
+            runs = [_cli_run(cli, op.argv, outdir, i)
+                    for i, op in enumerate(ops)]
+            print(f"{f'explore:{seed}':<24} {_digest(runs)}"
+                  f"  ({len(runs)} requests)")
+        runs = [_cli_run(cli, ["render", "--p", str(p), "--q", str(q),
+                               "--window", ",".join(map(str, win)),
+                               "--layers", ALL_LAYERS], outdir, 0)
+                for p, q in RENDER_PARAMS for win in _render_windows(p + q)]
+        print(f"{'render':<24} {_digest(runs)}")
+    rows = []
+    for param in even_rationals(CENTER_OMEGA):
+        w = param.omega
+        for a in range(w * w):
+            for b in range(w):
+                c = (Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2))
+                rows.append((classifier.tile_of(param, c),
+                             classifier.xi(param, c), pet.xi_hat(param, c)))
+    print(f"{'centers':<24} {_digest(rows)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
