@@ -129,8 +129,7 @@ def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
                     y_cuts=[bj * w + k for k in cuts])
 
 
-def block_light_cache(param: Param, block: Tuple[int, int],
-                      grid: Optional[BlockGrid] = None
+def block_light_cache(param: Param, block: Tuple[int, int]
                       ) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
     """For each of the block's 2(omega+1) lines, the (e, count) pairs of its
     light unit edges [e, e+1], read from the BlockGrid row or column.  A
@@ -138,8 +137,7 @@ def block_light_cache(param: Param, block: Tuple[int, int],
     through corners have capacity 0."""
     w = param.omega
     bi, bj = block
-    if grid is None:
-        grid = BlockGrid(param, bi)
+    grid = BlockGrid(param, bi)
     cache = {}
     for k in range(w + 1):
         row = enumerate(grid.hl[k * w:(k + 1) * w], bi * w)

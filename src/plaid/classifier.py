@@ -413,7 +413,8 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
     """Mark the table cell of each of the sheets*omega^3 center classes:
     their images are distinct when they mark as many cells as there are
-    classes.  The base side also checks the image parity."""
+    classes.  The base side also checks the image parity.  A failure names
+    the first cell marked twice and the two classes that mark it."""
     w = param.omega
     classes = sheets * w ** 3
     seen = bytearray(classes)
@@ -424,6 +425,16 @@ def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
                 return {"ok": False, "reason": f"parity at {(a, b)}"}
             seen[grid_cell(param, t, u1, u2, sheets)] = 1
     marked = sum(seen)
+    if marked != classes:
+        # rescan for the first cell marked twice, and the two classes there
+        first: Dict[int, Tuple[int, int]] = {}
+        for a in range(w * w):
+            for b in range(sheets * w):
+                cell = center_cell(param, a, b, sheets)
+                if first.setdefault(cell, (a, b)) != (a, b):
+                    return {"ok": False, "reason": "two classes mark one cell",
+                            "sheets": sheets, "cell": cell,
+                            "first": first[cell], "second": (a, b)}
     return {"ok": marked == classes, "classes": marked, "expected": classes}
 
 

@@ -247,7 +247,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParameter, PlaidError) as exc:
+    except (InvalidParameter, PlaidError, OSError) as exc:
+        # OSError: an --out file or the golden corpus that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,16 @@ counts twice and a light point at an integer corner belongs to both horizontal
 segments touching it.  Squares with exactly two good edges chain into closed
 lattice loops, the plaid polygons.
 
+The light lists are closed form.  The mass of the crossing lines with
+intercept b depends on b mod omega alone and takes each of 0 and the odd
+values in (-omega, omega) once: the mass 2k+1 sits at b = (k - h)/p and the
+mass -2k-1 at b = (h - k)/p mod omega, h = (omega-1)/2.  A line of capacity
+cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
+the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
+capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
+(light_lists).  The light rule itself, _light, stays as the reference in
+segment_points.
+
 Everything here is exact: sweeps run on plain integers scaled by omega, and
 the Fraction-valued functions are the reference surface they are tested
 against.
@@ -231,42 +241,40 @@ def _h_slots(w: int, s: int, primary: bool) -> List[Tuple[int, int]]:
     x = r*omega/(2s) from the block's left corner.
 
     A corner (r = 0 or 2s) has weight 1 on edge 0 or w-1, since a block sees
-    its left corner on edge 0 and its right corner on edge w-1; a midpoint
-    has weight 2.  Corners and midpoints are points of both families, so
+    its left corner on edge 0 and its right corner on edge w-1.  The middle
+    crossing r = s sits at x = omega/2, the midpoint of edge (omega-1)/2, and
+    has weight 2; it is the only crossing at a half-integer, since omega is
+    prime to 2s.  Corners and midpoints are points of both families, so
     they are counted through the primary family (slope -P) alone and the
     secondary family's crossings there have weight 0."""
-    slots = []
-    for r in range(2 * s + 1):
-        if r % (2 * s) == 0:
-            slots.append((0 if r == 0 else w - 1, 1 if primary else 0))
-        elif (r * w) % (2 * s) == s:
-            slots.append(((r * w) // (2 * s), 2 if primary else 0))
-        else:
-            slots.append(((r * w) // (2 * s), 1))
+    one = 1 if primary else 0
+    slots = [(r * w // (2 * s), 1) for r in range(2 * s + 1)]
+    slots[0], slots[s], slots[2 * s] = (0, one), (w // 2, 2 * one), (w - 1, one)
     return slots
+
+
+def light_lists(param: Param) -> List[List[int]]:
+    """by_line[c], c in 0..omega-1: the residues mod omega of the crossing
+    lines that are light on the capacity lines y = c and x = c.  The lines
+    of capacity 2j and -2j sit at c = +-j/(2p) mod omega (anchor_lines), and
+    their lights are the first j entries of the module docstring's lists."""
+    w = param.omega
+    h, inv, step = (w - 1) // 2, pow(param.p, -1, w), pow(2 * param.p, -1, w)
+    up = [inv * (k - h) % w for k in range(h)]  # masses 1, 3, 5, ...
+    down = [-r % w for r in up]  # masses -1, -3, -5, ...
+    by_line = [[]] * w  # line 0 has capacity 0
+    for j in range(1, h + 1):
+        c = j * step % w
+        by_line[c], by_line[-c] = up[:j], down[:j]
+    return by_line
 
 
 def line_lights(param: Param, c: int) -> List[bool]:
     """lit[r]: the crossing lines with intercept r mod omega are light on the
     capacity line y = c or x = c, so one list serves the line's light
     points, particles and symmetries."""
-    cap = capacity_scaled(param, c)
-    return [_light(cap, mass_scaled(param, b)) for b in range(param.omega)]
-
-
-def _light_residues(param: Param) -> Dict[int, List[int]]:
-    """For each c in 0..omega-1 of nonzero capacity, the residues mod omega
-    of the crossing lines that are light on the capacity line c.  Capacity
-    depends on c mod omega alone, so row c and column c of every block share
-    one list."""
-    w = param.omega
-    mass = [mass_scaled(param, b) for b in range(w)]
-    out = {}
-    for c in range(w):
-        cap = capacity_scaled(param, c)
-        if cap:
-            out[c] = [r for r in range(w) if _light(cap, mass[r])]
-    return out
+    lit = set(light_lists(param)[c % param.omega])
+    return [r in lit for r in range(param.omega)]
 
 
 _COHERENT = frozenset(mask for mask in range(16) if mask.bit_count() in (0, 2))
@@ -280,40 +288,42 @@ class BlockGrid:
     block (bi mod omega, 0).  hl[m*w + n] counts light points (with
     multiplicity, corners shared) on the horizontal edge
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
-    {bi*w + n} x [m, m + 1].  light_res, when given, is
-    _light_residues(param), which block_grids shares among its grids.
+    {bi*w + n} x [m, m + 1].
 
     The grid side's one integer light structure: every edge-mask reader
     reads masks(), and hier and block_light_cache the rows and columns.
     """
 
-    def __init__(self, param: Param, bi: int, light_res=None):
+    def __init__(self, param: Param, bi: int):
         w = param.omega
         self.param = param
         self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
         self._masks: Optional[List[int]] = None
-        self._fill(_light_residues(param) if light_res is None else light_res)
+        self._fill()
 
-    def _fill(self, light_res):
+    def _fill(self):
         param, bi = self.param, self.bi
         w, p, q = param.omega, param.p, param.q
         hl, vl = self.hl, self.vl
-        families = ((p, _h_slots(w, p, True)), (q, _h_slots(w, q, False)))
-        for m, res in light_res.items():
+        # row c and column c of a block lie on lines of one capacity
+        by_line = light_lists(param)
+        families = ((2 * p, _h_slots(w, p, True)),
+                    (2 * q, _h_slots(w, q, False)))
+        for m, res in enumerate(by_line):
             row = m * w
-            for s, slots in families:
-                base = (m + 2 * s * bi) % w
+            for s2, slots in families:
+                base = (m + s2 * bi) % w
                 for rho in res:
                     # the crossing windows are longer than w for the steep
                     # family, so step residues by w
                     r = (rho - base) % w
-                    while r <= 2 * s:
+                    while r <= s2:
                         edge, weight = slots[r]
                         hl[row + edge] += weight
                         r += w
-        for n, res in light_res.items():
+        for n, res in enumerate(by_line):
             x_abs = bi * w + n
             col = n * w
             for s in (p, q):
@@ -353,13 +363,6 @@ class BlockGrid:
                 if masks[n * w + m] not in _COHERENT]
 
 
-def block_grids(param: Param):
-    """The BlockGrid of every block 0..omega-1, in order, built on one set of
-    light-residue lists."""
-    light_res = _light_residues(param)
-    return (BlockGrid(param, bi, light_res) for bi in range(param.omega))
-
-
 @dataclass
 class CoherenceReport:
     ok: bool
@@ -377,8 +380,8 @@ def check_coherence(param: Param, region: Optional[Tuple[int, int, int, int]] = 
     """
     bad: List[Tuple[int, int]] = []
     if region is None:
-        for grid in block_grids(param):
-            bad.extend(grid.incoherent_squares())
+        for bi in range(param.omega):
+            bad.extend(BlockGrid(param, bi).incoherent_squares())
     else:
         x0, y0, x1, y1 = region
         for n in range(x0, x1):
@@ -510,8 +513,10 @@ _MOVES = {1 << e: (*STEPS[e], 1 << (e ^ 1)) for e in range(4)}
 def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
                    grid: Optional[BlockGrid] = None) -> List[PlaidPolygon]:
     """All plaid polygons of one block, canonical, in the block's true
-    coordinates.  Raises IncoherentInput if any square breaks the 0-or-2
-    rule."""
+    coordinates, sorted.  Raises IncoherentInput if any square breaks the
+    0-or-2 rule.  The scan meets each polygon first at its least square,
+    which the walk leaves north, to its smaller neighbour: so walks come out
+    canonical and in sorted order."""
     w = param.omega
     bi, bj = block
     if grid is None:
@@ -543,10 +548,10 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
             exit_bit = here ^ entry
             if n * w + m == start:
                 break
-        if len(set(centers)) != len(centers):
-            raise PlaidError("polygon is not embedded")
-        polys.append(PlaidPolygon.from_centers(centers))
-    return sorted(polys, key=lambda pg: pg.verts2)
+            if seen[n * w + m]:
+                raise PlaidError("polygon is not embedded")
+        polys.append(PlaidPolygon(tuple(centers)))
+    return polys
 
 
 # ---------------------------------------------------------------------------

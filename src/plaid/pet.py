@@ -384,6 +384,9 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise PlaidError("window must be nonempty")
+    if eps <= 0:
+        # a center on a wall has distance 0, so eps <= 0 checks nothing
+        raise PlaidError(f"eps={eps} must be positive")
     offset = tuple(Fraction(v) for v in offset)
     labels: Dict[Tuple[int, int], str] = {}
     min_dist: Optional[Rat] = None

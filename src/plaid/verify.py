@@ -13,10 +13,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
 from .grid import (
+    BlockGrid,
     STEPS,
     _h_particle_scaled,
     _v_particle_scaled,
-    block_grids,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
@@ -68,7 +68,8 @@ def suite_hier(param: Param) -> dict:
     the light counts of a block row or column add up to the line's
     capacity."""
     w = param.omega
-    for bi, grid in enumerate(block_grids(param)):
+    for bi in range(w):
+        grid = BlockGrid(param, bi)
         for m in range(w):
             want = abs(capacity_scaled(param, m))
             got = sum(grid.hl[m * w:(m + 1) * w])
@@ -84,8 +85,12 @@ def suite_hier(param: Param) -> dict:
 
 def suite_bijection(param: Param) -> dict:
     r = verify_bijection(param)
+    if not r["ok"]:
+        return r
     r2 = cover_bijection(param)
-    return {"ok": r["ok"] and r2["ok"], "classes": r["classes"],
+    if not r2["ok"]:
+        return r2
+    return {"ok": True, "classes": r["classes"],
             "cover_classes": r2["classes"]}
 
 
@@ -93,7 +98,8 @@ def suite_isomorphism(param: Param) -> dict:
     w = param.omega
     table = label_table(param)
     mismatches = []
-    for bi, grid in enumerate(block_grids(param)):
+    for bi in range(w):
+        grid = BlockGrid(param, bi)
         masks = grid.masks()
         for n in range(w):
             a = bi * w + n
@@ -131,7 +137,8 @@ def suite_pet_equivalence(param: Param) -> dict:
                 return {"ok": False, "reason": "inverse", "at": (a, b)}
     orbit_total = 0
     nonempty = 0
-    for bi, grid in enumerate(block_grids(param)):
+    for bi in range(w):
+        grid = BlockGrid(param, bi)
         # counted from the masks, not from the traced polygons, so that a
         # polygon tracing drops still fails orbit_total == nonempty
         nonempty += sum(1 for mask in grid.masks() if mask)
@@ -165,8 +172,8 @@ def suite_first(param: Param) -> dict:
 
 def suite_empty_rect(param: Param) -> dict:
     w = param.omega
-    for bi, grid in enumerate(block_grids(param)):
-        cache = block_light_cache(param, (bi, 0), grid)
+    for bi in range(w):
+        cache = block_light_cache(param, (bi, 0))
         for K in range(0, w, 2):
             r = empty_rectangles(param, (bi, 0), K, cache)
             if not r["ok"]:

@@ -228,6 +228,31 @@ class TestBijection:
         r = verify_bijection(p12)
         assert r["ok"] and r["classes"] == 27
 
+    @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+    @pytest.mark.parametrize("sheets", [1, 2])
+    def test_collision_names_both_classes(self, monkeypatch, pq, sheets):
+        """A grid_cell that sends one class onto another's cell fails the
+        suite, and the record names the cell and both classes."""
+        from plaid import classifier, verify
+
+        prm = make_param(*pq)
+        w = prm.omega
+        first, second = (1, 2), (w + 3, sheets * w - 1)
+        real = classifier.grid_cell
+        image = xi_raw_scaled(prm, *second)
+        cell = real(prm, *xi_raw_scaled(prm, *first), sheets)
+
+        def grid_cell(param, t, u1, u2, n_sheets=1):
+            if n_sheets == sheets and (t, u1, u2) == image:
+                return cell
+            return real(param, t, u1, u2, n_sheets)
+
+        monkeypatch.setattr(classifier, "grid_cell", grid_cell)
+        r = verify.suite_bijection(prm)
+        assert r == {"ok": False, "reason": "two classes mark one cell",
+                     "sheets": sheets, "cell": cell,
+                     "first": first, "second": second}
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 8)])

@@ -246,9 +246,33 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
      "--window", "0,0,0,0"],
     ["stats", "--p", "2", "--q", "5", "--document", "--gap-window", "0,0,7,7"],
+    # eps <= 0 would switch the good-offset check off
+    ["irrational", "--P", "34/89", "--offset", "0,0,0", "--window", "0,0,2,2",
+     "--eps", "0"],
+    ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
+     "--window", "0,0,2,2", "--eps=-1/2"],
+    # {missing} is a directory that does not exist
+    ["render", "--p", "2", "--q", "5", "--window", "0,0,7,7",
+     "--out", "{missing}/x.svg"],
+    ["orbit", "--p", "2", "--q", "5", "--c", "1/2,1/2", "--out", "{missing}/x"],
+    ["verify", "--suite", "two-points", "--max-omega", "5",
+     "--out", "{missing}/x"],
+    ["stats", "--p", "2", "--q", "5", "--out", "{missing}/x"],
+    ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
+     "--window", "0,0,2,2", "--out", "{missing}/x"],
 ])
-def test_malformed_input_exits_2(argv):
+def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""
+    missing = str(tmp_path / "missing")
+    run_as_user_exits_2([arg.replace("{missing}", missing) for arg in argv])
+
+
+def test_missing_golden_corpus_exits_2(tmp_path):
+    run_as_user_exits_2(["verify", "--suite", "golden"],
+                        PLAID_GOLDEN_DIR=str(tmp_path / "missing"))
+
+
+def run_as_user_exits_2(argv, **env):
     import os
     import subprocess
     import sys
@@ -256,7 +280,7 @@ def test_malformed_input_exits_2(argv):
     import plaid
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(plaid.__file__)))
+        os.path.dirname(plaid.__file__)), **env)
     proc = subprocess.run([sys.executable, "-m", "plaid.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr

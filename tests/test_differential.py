@@ -1,11 +1,12 @@
 """The integer fast paths against their references, at random even
-rationals far beyond the sweep bounds: the grid paths against the Fraction
-reference `segment_points`, tracing against the exchange orbits of
-`vector_polygon`, particle image geometry against a per-image reduction,
-the label table against `fiber_label` and the per-point labels, the
-per-cell code and exchange step against the Fraction path and the step
-through decoded points, and the light-set symmetries past their sweep
-bound."""
+rationals far beyond the sweep bounds: the closed-form light lists against
+the light rule, the grid paths against the Fraction reference
+`segment_points`, tracing against its canonical form and against the
+exchange orbits of `vector_polygon`, particle image geometry against a
+per-image reduction, the label table against `fiber_label` and the
+per-point labels, the per-cell code and exchange step against the Fraction
+path and the step through decoded points, and the light-set symmetries past
+their sweep bound."""
 
 import math
 from fractions import Fraction as F
@@ -47,18 +48,23 @@ from plaid.pet import (
 )
 from plaid.grid import (
     _h_particle_scaled,
+    _light,
     _v_particle_scaled,
     BlockGrid,
     GridLine,
+    PlaidPolygon,
     UnitSegment,
+    capacity_scaled,
     closed_point_counts,
     good_edges,
     horizontal_particle,
     light_count,
+    light_lists,
     light_points_on_line,
     light_points_scaled,
     light_scale,
     line_lights,
+    mass_scaled,
     segment_points,
     trace_polygons,
     vertical_particle,
@@ -257,6 +263,41 @@ def test_corrupted_particles_fail_geometry(param, ptype, data):
         got = image_geometry_scaled(param, "horizontal", moved, h_types)
         assert not got["ok"] and got["case"] == "P-middle-zone", got
         assert got == reference_geometry(param, "horizontal", moved, h_types)
+
+
+def check_light_lists(param):
+    """The closed-form lights of every line against the light rule _light
+    on every crossing residue."""
+    w = param.omega
+    by_line = light_lists(param)
+    mass = [mass_scaled(param, b) for b in range(w)]
+    for c in range(w):
+        cap = capacity_scaled(param, c)
+        want = [_light(cap, mass[b]) for b in range(w)]
+        assert line_lights(param, c) == want, (str(param), c)
+        assert sorted(by_line[c]) == [b for b in range(w) if want[b]], \
+            (str(param), c)
+
+
+def test_light_lists_match_light_rule_to_61():
+    for param in even_rationals(61):
+        check_light_lists(param)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params())
+def test_light_lists_match_light_rule(param):
+    check_light_lists(param)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(), st.integers(-MAX_OMEGA, MAX_OMEGA), st.integers(-1, 1))
+def test_traced_polygons_come_out_canonical_and_sorted(param, bi, bj):
+    """The walk order of trace_polygons is the canonical vertex order, and
+    the scan order is the sorted polygon order."""
+    polys = trace_polygons(param, (bi, bj))
+    assert all(pg == PlaidPolygon.from_centers(pg.verts2) for pg in polys)
+    assert polys == sorted(polys, key=lambda pg: pg.verts2)
 
 
 @st.composite

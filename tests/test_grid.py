@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plaid import grid, verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import (
     BlockGrid,
@@ -455,3 +456,48 @@ class TestHier:
                     got = sum(mult for _, mult in light_points_on_line(
                         prm, GridLine("V", bi * w + m), (bi, 0)))
                     assert got == want, ("V", prm, bi, m)
+
+
+def drop_one_light(monkeypatch, c0):
+    """Plant a fault: the lights of the capacity line c0 (and its translates
+    by omega) lose their first residue."""
+    real = grid.light_lists
+
+    def light_lists(param):
+        by_line = real(param)
+        by_line[c0] = by_line[c0][1:]
+        return by_line
+
+    monkeypatch.setattr(grid, "light_lists", light_lists)
+
+
+class TestPlantedFaults:
+    """Each grid suite fails, and names the fault, when one light of one
+    line is dropped from the fill."""
+
+    @pytest.mark.parametrize("pq, c0", [((2, 5), 3), ((4, 11), 6)])
+    def test_coherence(self, monkeypatch, pq, c0):
+        drop_one_light(monkeypatch, c0)
+        r = verify.suite_coherence(make_param(*pq))
+        assert not r["ok"] and r["bad_squares"]
+
+    @pytest.mark.parametrize("pq, c0, family", [((2, 5), 2, "H"),
+                                                ((4, 11), 6, "V")])
+    def test_hier(self, monkeypatch, pq, c0, family):
+        """A column loses exactly one crossing per family, so 2 lights; a
+        row loses the slot weights of the dropped intercept in the block,
+        which are 2 at 2/5 line 2 (1 to 4 elsewhere)."""
+        drop_one_light(monkeypatch, c0)
+        prm = make_param(*pq)
+        r = verify.suite_hier(prm)
+        assert not r["ok"]
+        assert r["line"] == (family, c0) and r["block"] == 0
+        assert r["got"] == r["want"] - 2
+
+    @pytest.mark.parametrize("pq, c0", [((2, 5), 3), ((4, 11), 6)])
+    def test_empty_rect(self, monkeypatch, pq, c0):
+        drop_one_light(monkeypatch, c0)
+        r = verify.suite_empty_rect(make_param(*pq))
+        assert not r["ok"]
+        assert "block" in r and "K" in r
+        assert r["census"] < r["bound"]

@@ -14,7 +14,9 @@ Groups:
                 stdout, stderr and output file bytes);
 - render        render with all layers on windows spanning 2 x 2 blocks at
                 2/5, 4/11 and 10/11;
-- centers       tile_of, xi and xi_hat of every center class at omega <= 15.
+- centers       tile_of, xi and xi_hat of every center class at omega <= 15;
+- blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
+                (bi, 1) of every even rational at omega <= N.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -79,6 +81,7 @@ def main(argv=None) -> int:
     from fractions import Fraction
 
     from plaid import cli, classifier, pet, verify
+    from plaid.grid import BlockGrid, trace_polygons
     from plaid.params import even_rationals
     import workloads
 
@@ -108,6 +111,14 @@ def main(argv=None) -> int:
                 rows.append((classifier.tile_of(param, c),
                              classifier.xi(param, c), pet.xi_hat(param, c)))
     print(f"{'centers':<24} {_digest(rows)}")
+    rows = []
+    for param in even_rationals(args.max_omega):
+        for bi in range(param.omega):
+            grid = BlockGrid(param, bi)
+            rows += [bytes(grid.hl), bytes(grid.vl), bytes(grid.masks()),
+                     trace_polygons(param, (bi, 0), grid),
+                     trace_polygons(param, (bi, 1))]
+    print(f"{'blocks':<24} {_digest(rows)}")
     return 0
 
 
