@@ -35,7 +35,8 @@ being the diagnostic.  Over a zone-boundary fiber the fiber is built for
 both zones, and the two byte strings must be equal.  The table of the double
 cover continues t over [omega, 3*omega) with reversed codes, each read as
 4*entry + exit; its index, the cell, is the state of the exchange in pet.
-grid_cell is the one reduction of a scaled grid point to its cell.
+grid_cell is the one reduction of a scaled grid point to its cell, and
+cell_code computes one cell's byte from its indices as label_table does.
 """
 
 from __future__ import annotations
@@ -284,22 +285,6 @@ def _code(zone: int, band1: int, band2: int) -> int:
     return 4 * _ORDER.index(rows[3 - band2]) + _ORDER.index(cols[band1])
 
 
-def ordered_label_scaled(param: Param, t: int, u1: int, u2: int) -> int:
-    """Cell code at a canonical scaled point of the base torus, resolving
-    zone-boundary fibers by evaluating both zones and insisting they agree.
-    Points on a cut or on the seam raise OnWall."""
-    codes = []
-    for zone in _zones_scaled(param, t):
-        cuts = _cuts_scaled(param, zone, t)
-        if u1 in cuts or u2 in cuts or -param.omega in (u1, u2):
-            raise OnWall(f"scaled ({t},{u1},{u2}) on a wall")
-        codes.append(_code(zone, sum(u1 > c for c in cuts),
-                           sum(u2 > c for c in cuts)))
-    if codes[0] != codes[-1]:
-        raise PlaidError(f"zone disagreement at scaled ({t},{u1},{u2})")
-    return codes[0]
-
-
 # the connector label, edge mask and directed label of each code
 CODE_LABELS = tuple("EMPTY" if r == c else unordered_label(r, c)
                     for r in _ORDER for c in _ORDER)
@@ -374,15 +359,26 @@ def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
 
 
 def cell_code(param: Param, cell: int) -> int:
-    """label_table(param, 2)[cell] without a table; an outer cell (j >= omega)
-    reads base fiber j - omega with u indices shifted by -p, reversed."""
+    """label_table(param, 2)[cell] without a table, from the cell's indices
+    (j, i1, i2): an outer cell (j >= omega) is base fiber j - omega with i1
+    and i2 shifted by -p, its code reversed.  No cell lies on a wall, since
+    the cuts and the seam are odd and a cell's u is even.  Raises PlaidError
+    when the zones over a boundary fiber disagree."""
     w = param.omega
-    t, u1, u2 = cell_point(param, cell)
-    if t < w:
-        return ordered_label_scaled(param, t, u1, u2)
-    d = 2 * param.p
-    return REVERSED[ordered_label_scaled(param, t - 2 * w, sym_reduce(
-        u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w))]
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    outer = j >= w
+    if outer:
+        j, i1, i2 = j - w, (i1 - param.p) % w, (i2 - param.p) % w
+    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+    codes = []
+    for zone in _zones_scaled(param, t):
+        c1, c2, c3 = _cuts_scaled(param, zone, t)
+        codes.append(_code(zone, (u1 > c1) + (u1 > c2) + (u1 > c3),
+                           (u2 > c1) + (u2 > c2) + (u2 > c3)))
+    if codes[0] != codes[-1]:
+        raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
+    return REVERSED[codes[0]] if outer else codes[0]
 
 
 def tile_label_scaled(param: Param, a: int, b: int) -> str:

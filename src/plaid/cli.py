@@ -92,14 +92,17 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_omega is not None and args.max_omega < 3:
         raise PlaidError(f"--max-omega must be at least 3, got {args.max_omega}")
-    if args.suite == "irrational":
-        records = suite_irrational()
-    elif args.suite == "golden":
-        records = suite_golden(golden_dir())
+    if args.suite in ("golden", "irrational"):
+        for opt, value in (("--params", args.params), ("--jobs", args.jobs),
+                           ("--max-omega", args.max_omega)):
+            if value is not None:
+                raise PlaidError(f"--suite {args.suite} takes no {opt}")
+        records = suite_irrational() if args.suite == "irrational" else \
+            suite_golden(golden_dir())
     else:
         params = _parse_param_list(args.params) if args.params else None
         records = run_suite(args.suite, max_omega=args.max_omega,
-                            params=params, jobs=args.jobs)
+                            params=params, jobs=args.jobs or 1)
     lines = [report_line(r) for r in records]
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(r["ok"] for r in records) else 1
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["golden", "irrational"])
     v.add_argument("--max-omega", type=int)
     v.add_argument("--params", help="explicit list like 3/8,4/11")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, help="worker processes (default 1)")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

@@ -22,8 +22,9 @@ mass -2k-1 at b = (h - k)/p mod omega, h = (omega-1)/2.  A line of capacity
 cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
 the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
-(light_lists).  The light rule itself, _light, stays as the reference in
-segment_points.
+(light_lists).  A light point is a light residue placed on a crossing, by
+BlockGrid._fill for a whole block and by light_points_on_line for one line.
+The light rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
 the Fraction-valued functions are the reference surface they are tested
@@ -408,19 +409,14 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     return row * (w + 1), [2] * ((w + 1) * w)
 
 
-def light_scale(param: Param, family: str) -> int:
-    """What light_points_scaled multiplies coordinates on H or V lines by."""
-    return param.omega if family == "V" else 2 * param.p * param.q
-
-
-def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
-                        ) -> List[Tuple[int, int]]:
-    """Light points (coordinate along the line times light_scale, so an
-    integer, and multiplicity) on the closed intersection of the line with
-    the given block, sorted, read from line_lights at each crossing's
-    intercept.  H lines take the crossing-slot weights; a V line takes the
-    crossing rule of closed_point_counts and meets double points only at
-    block corners, where capacity is 0."""
+def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
+                         ) -> List[Tuple[Fraction, int]]:
+    """Light points (coordinate along the line, multiplicity) on the closed
+    intersection of the line with the given block, sorted.  The line's light
+    residues land on the block's crossings as in BlockGrid._fill: an H line
+    takes the crossing-slot weights; a V line takes the crossing rule of
+    closed_point_counts and meets double points only at block corners, where
+    capacity is 0."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
     if line.family not in ("H", "V"):
@@ -429,31 +425,24 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
     across = bj if line.family == "H" else bi
     if not across * w <= c <= (across + 1) * w:
         return []
-    lit = line_lights(param, c)
+    res = light_lists(param)[c % w]
     out = []
+    den = w if line.family == "V" else 2 * p * q
     if line.family == "H":
         for s, step in ((p, w * q), (q, w * p)):
             # slot r sits at x = k*w/2s, k = 2s*bi + r, so x * 2pq = k * step
-            for k, (_, weight) in enumerate(_h_slots(w, s, s == p), 2 * s * bi):
-                if weight and lit[(c + k) % w]:
-                    out.append((k * step, weight))
+            slots, k0 = _h_slots(w, s, s == p), 2 * s * bi
+            for rho in res:
+                # the steep family's window is longer than w
+                for r in range((rho - c - k0) % w, 2 * s + 1, w):
+                    if slots[r][1]:
+                        out.append(((k0 + r) * step, slots[r][1]))
     else:
         for s in (p, q):
             num = 2 * s * c
             lo = -(-(bj * w * w + num) // w)
-            for b in range(lo, lo + w):
-                if lit[b % w]:
-                    out.append((b * w - num, 1))
-    return sorted(out)
-
-
-def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
-                         ) -> List[Tuple[Fraction, int]]:
-    """Light points (coordinate along the line, multiplicity) on the closed
-    intersection of the line with the given block."""
-    den = light_scale(param, line.family)
-    return [(Fraction(v, den), mult)
-            for v, mult in light_points_scaled(param, line, block)]
+            out += [((lo + (rho - lo) % w) * w - num, 1) for rho in res]
+    return [(Fraction(v, den), mult) for v, mult in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +578,10 @@ def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]
         s2, period = 2 * s, 2 * s * w * w
         for r in rs:
             k = s2 * j + r
-            if r % s2 == 0 or r * w % s2 == s:
-                # both-type point: intercepts y0 + 2p*x/w and y0 + 2q*x/w of
-                # the two crossings through x, which must agree on brightness
+            if r % s == 0:
+                # both-type point, a corner (r = 0, 2s) or the midpoint (r = s)
+                # of _h_slots: its crossings of intercepts y0 + 2p*x/w and
+                # y0 + 2q*x/w must agree on brightness
                 b_p, rem_p = divmod(2 * p * k, s2)
                 b_q, rem_q = divmod(2 * q * k, s2)
                 if rem_p or rem_q:
@@ -641,8 +631,7 @@ def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
     for i, fam in enumerate(types):
         s, r = (p, i) if fam == "P" else (param.q, 2 * w - i)
         k = 2 * s * ((j0 + i * a) % w) + r
-        mid = r * w % (2 * s) == s
-        both = mid or r % (2 * s) == 0
+        mid, both = r == s, r % s == 0
         pts.append(IntersectionPoint(
             location=(Fraction(k * w % (2 * s * w * w), 2 * s), Fraction(y0)),
             host=GridLine("H", y0), brightness="light" if light else "dark",

@@ -7,6 +7,7 @@ an "ok" field; sweeps run them over all even rationals up to a bound.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
@@ -45,6 +46,7 @@ from .pet import (
     table_orbit,
 )
 from .analysis import block_light_cache, empty_rectangles, verify_first
+from .serialize import emit, parse_polygon_document, polygon_document
 
 
 def suite_coherence(param: Param) -> dict:
@@ -270,13 +272,19 @@ MESH_WITNESSES = ((3, 8), (4, 11))
 MESH_EXTRAS = ((1, 2), (2, 5), (2, 7))
 
 
+def _guarded(check: Callable[..., dict], *args, **names) -> dict:
+    """The record of check(*args) or, when it raises, an "ok": false record
+    that gives the names of what was checked and the exception."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return {**names, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_one(job) -> dict:
     suite, p, q = job
     param = make_param(p, q)
-    try:
-        record = SUITES[suite](param)
-    except Exception as exc:
-        record = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    record = _guarded(SUITES[suite], param)
     record.update({"suite": suite, "param": str(param), "omega": param.omega})
     return record
 
@@ -308,50 +316,53 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
     return records
 
 
+def _golden_file(golden_dir: str, name: str) -> dict:
+    with open(os.path.join(golden_dir, name)) as fh:
+        text = fh.read()
+    doc = parse_polygon_document(text)
+    param = make_param(*doc["param"])
+    blocks = [tuple(b) for b in doc["blocks"]]
+    polys = {b: trace_polygons(param, b) for b in blocks}
+    fresh = emit(polygon_document(param, blocks, polys))
+    return {"suite": "golden", "param": str(param), "omega": param.omega,
+            "file": name, "ok": fresh == text}
+
+
 def suite_golden(golden_dir: str) -> List[dict]:
     """Re-trace every polygon document in the golden corpus and compare
-    byte for byte."""
-    import os
-
-    from .serialize import emit, parse_polygon_document, polygon_document
-
-    records = []
+    byte for byte, one record per file."""
     names = sorted(n for n in os.listdir(golden_dir)
                    if n.startswith("polygons_") and n.endswith(".json"))
-    for name in names:
-        with open(os.path.join(golden_dir, name)) as fh:
-            text = fh.read()
-        doc = parse_polygon_document(text)
-        param = make_param(*doc["param"])
-        blocks = [tuple(b) for b in doc["blocks"]]
-        polys = {b: trace_polygons(param, b) for b in blocks}
-        fresh = emit(polygon_document(param, blocks, polys))
-        records.append({"suite": "golden", "param": str(param),
-                        "omega": param.omega, "file": name,
-                        "ok": fresh == text})
-    return records
+    return [_guarded(_golden_file, golden_dir, name, suite="golden", file=name)
+            for name in names]
+
+
+def _irrational_window(P: Fraction, seed) -> dict:
+    try:
+        irrational_tiling(P, (0, 0, 0), (0, 0, 2, 2))
+        rejected = False
+    except BadOffset:
+        rejected = True
+    r = irrational_tiling(P, seed, (0, 0, 100, 100))
+    return {
+        "suite": "irrational", "param": f"P={P}", "omega": 0,
+        "ok": rejected and r["ok"],
+        "zero_offset_rejected": rejected,
+        "coherent": r["ok"],
+        "min_wall_distance": str(r["min_wall_distance"]),
+    }
 
 
 def suite_irrational() -> List[dict]:
     """The geometric-limit procedure at parameters built from convergents of
-    sqrt(5) - 2, on a 100 x 100 window, plus the zero-offset rejection."""
-    records = []
+    sqrt(5) - 2, on a 100 x 100 window, plus the zero-offset rejection; one
+    record per P."""
     seed = (Fraction(1, 2 ** 20 + 7), Fraction(1, 2 ** 20 + 33),
             Fraction(1, 2 ** 20 + 37))
+    records = []
     for h, k in ((4, 17), (17, 72), (72, 305)):
         A = Fraction(h, k)
         P = 2 * A / (1 + A)
-        try:
-            irrational_tiling(P, (0, 0, 0), (0, 0, 2, 2))
-            rejected = False
-        except BadOffset:
-            rejected = True
-        r = irrational_tiling(P, seed, (0, 0, 100, 100))
-        records.append({
-            "suite": "irrational", "param": f"P={P}", "omega": 0,
-            "ok": rejected and r["ok"],
-            "zero_offset_rejected": rejected,
-            "coherent": r["ok"],
-            "min_wall_distance": str(r["min_wall_distance"]),
-        })
+        records.append(_guarded(_irrational_window, P, seed,
+                                suite="irrational", param=f"P={P}", omega=0))
     return records

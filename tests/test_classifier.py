@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plaid import classifier, verify
 from plaid.params import even_rationals, make_param
 from plaid.grid import BlockGrid, horizontal_particle, vertical_particle
 from plaid.classifier import (
@@ -11,9 +12,9 @@ from plaid.classifier import (
     OnWall,
     canon_frac,
     canon_scaled,
+    center_cell,
     checkerboard_label,
     fiber_label,
-    ordered_label_scaled,
     particle_image_geometry,
     symmetry_conjugacies,
     tile_label_scaled,
@@ -169,13 +170,6 @@ class TestCheckerboard:
                 for c in range(4):
                     assert (specials[r] == c) == (rows[r] == cols[c])
 
-    def test_scaled_on_wall(self, p25):
-        # 2/5 has the cut u = omega - 2p = 3 on every fiber, and the seam -7
-        with pytest.raises(OnWall):
-            ordered_label_scaled(p25, -5, 3, 0)
-        with pytest.raises(OnWall):
-            ordered_label_scaled(p25, -5, 0, -7)
-
     def test_matrix_rendering(self):
         m = FIG31.matrix()
         assert m[0][3] == "W" and m[1][0] == "N"
@@ -233,8 +227,6 @@ class TestBijection:
     def test_collision_names_both_classes(self, monkeypatch, pq, sheets):
         """A grid_cell that sends one class onto another's cell fails the
         suite, and the record names the cell and both classes."""
-        from plaid import classifier, verify
-
         prm = make_param(*pq)
         w = prm.omega
         first, second = (1, 2), (w + 3, sheets * w - 1)
@@ -258,6 +250,52 @@ class TestSymmetries:
     @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 8)])
     def test_conjugacies(self, pq):
         assert symmetry_conjugacies(make_param(*pq))["ok"]
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+class TestPlantedFaults:
+    """The tile-side suites that read the base table or the block masks
+    fail, and name the fault, when one byte is changed."""
+
+    def test_symmetry(self, monkeypatch, pq):
+        """One base-table byte given another edge mask fails a label case
+        at a class whose cell, rotated cell or reflected cell it is."""
+        prm = make_param(*pq)
+        cell = center_cell(prm, 1, 1)
+        real = classifier.label_table
+
+        def label_table(param, sheets=1):
+            table = real(param, sheets)
+            # a hold code has mask 0, the code 1 (N, S) mask 3
+            table[cell] = 0 if table[cell] % 5 else 1
+            return table
+
+        monkeypatch.setattr(classifier, "label_table", label_table)
+        r = verify.suite_symmetry(prm)
+        assert not r["ok"] and r["case"].endswith("-label"), r
+        a, b = r["at"]
+        assert cell in (center_cell(prm, a, b),
+                        center_cell(prm, -a - 1, -b - 1),
+                        center_cell(prm, a, -b - 1))
+
+    def test_isomorphism(self, monkeypatch, pq):
+        """One hl byte of block 1 flipped: the two squares beside that edge,
+        and only they, are mismatches."""
+        prm = make_param(*pq)
+        w = prm.omega
+        n0, m0 = 2, 1  # the edge [w + 2, w + 3] x {1}
+
+        class Flipped(BlockGrid):
+            def _fill(self):
+                super()._fill()
+                if self.bi == 1:
+                    self.hl[m0 * w + n0] ^= 1
+
+        monkeypatch.setattr(verify, "BlockGrid", Flipped)
+        r = verify.suite_isomorphism(prm)
+        assert not r["ok"]
+        assert {sq for sq, _, _ in r["mismatches"]} == \
+            {(w + n0, m0), (w + n0, m0 - 1)}
 
 
 class TestParticleImages:

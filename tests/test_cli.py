@@ -62,6 +62,52 @@ def test_verify_golden_corpus(capsys, monkeypatch):
     assert len(records) == 2 and all(r["ok"] for r in records)
 
 
+def test_verify_golden_truncated_file_becomes_record(capsys, monkeypatch,
+                                                     tmp_path):
+    """A truncated document next to the two good ones gets its own failing
+    record, and the good ones still pass."""
+    import shutil
+
+    from conftest import golden_path
+
+    for name in ("polygons_1_2.json", "polygons_2_5.json"):
+        shutil.copy(golden_path(name), tmp_path / name)
+    text = (tmp_path / "polygons_2_5.json").read_text()
+    (tmp_path / "polygons_3_8.json").write_text(text[:len(text) // 2])
+    monkeypatch.setenv("PLAID_GOLDEN_DIR", str(tmp_path))
+    code, out = run(capsys, "verify", "--suite", "golden")
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["file"], r["ok"]) for r in records] == [
+        ("polygons_1_2.json", True), ("polygons_2_5.json", True),
+        ("polygons_3_8.json", False)]
+    assert records[2]["suite"] == "golden"
+    assert records[2]["error"].startswith("JSONDecodeError: ")
+
+
+def test_verify_irrational_failure_becomes_record(capsys, monkeypatch):
+    """A BadOffset from the seeded window at one P becomes that P's failing
+    record; the other two P still run, on a 2 x 2 window to stay fast."""
+    from plaid import verify
+
+    real = verify.irrational_tiling
+
+    def tiling(P, offset, window, *rest):
+        if P == Fraction(34, 89):
+            raise verify.BadOffset("planted")
+        return real(P, offset, (0, 0, 2, 2), *rest)
+
+    monkeypatch.setattr(verify, "irrational_tiling", tiling)
+    code, out = run(capsys, "verify", "--suite", "irrational")
+    assert code == 1
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["param"] for r in records] == ["P=8/21", "P=34/89", "P=144/377"]
+    assert records[0]["ok"] and records[2]["ok"]
+    assert records[1] == {"suite": "irrational", "param": "P=34/89",
+                          "omega": 0, "ok": False,
+                          "error": "BadOffset: planted"}
+
+
 def test_verify_irrational_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "irrational")
     assert code == 0
@@ -260,6 +306,13 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["stats", "--p", "2", "--q", "5", "--out", "{missing}/x"],
     ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
      "--window", "0,0,2,2", "--out", "{missing}/x"],
+    # golden and irrational sweep no parameters and run in one process
+    ["verify", "--suite", "golden", "--params", "2/5"],
+    ["verify", "--suite", "golden", "--max-omega", "9"],
+    ["verify", "--suite", "golden", "--jobs", "2"],
+    ["verify", "--suite", "irrational", "--params", "2/5"],
+    ["verify", "--suite", "irrational", "--max-omega", "9"],
+    ["verify", "--suite", "irrational", "--jobs", "1"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

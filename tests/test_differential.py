@@ -33,7 +33,6 @@ from plaid.classifier import (
     grid_cell,
     image_geometry_scaled,
     label_table,
-    ordered_label_scaled,
     particle_image_geometry,
     xi_raw_scaled,
 )
@@ -61,8 +60,6 @@ from plaid.grid import (
     light_count,
     light_lists,
     light_points_on_line,
-    light_points_scaled,
-    light_scale,
     line_lights,
     mass_scaled,
     segment_points,
@@ -117,9 +114,6 @@ def test_light_points_match_segment_points(param, family, bi, bj, data):
         st.integers(lo, lo + w), st.integers(lo - 2 * w, lo + 3 * w))))
     want = reference_lights(param, line, (bi, bj))
     assert light_points_on_line(param, line, (bi, bj)) == want
-    den = light_scale(param, family)
-    assert [(F(v, den), mult) for v, mult in
-            light_points_scaled(param, line, (bi, bj))] == want
 
 
 def check_instances(param, particle, axis, core):
@@ -410,8 +404,8 @@ def test_label_table_matches_fiber_label(param, data):
 
 @pytest.mark.parametrize("max_omega, sheets", [(25, 1), (15, 2)])
 def test_whole_table_matches_per_point_labels(max_omega, sheets):
-    """Every cell of the base table against ordered_label_scaled, and of the
-    cover table against oriented_label_scaled."""
+    """Every cell of the base table against cell_code, and of the cover
+    table against oriented_label_scaled."""
     for param in even_rationals(max_omega):
         w = param.omega
         table = label_table(param, sheets)
@@ -423,7 +417,7 @@ def test_whole_table_matches_per_point_labels(max_omega, sheets):
                 got = [table[grid_cell(param, t, u1, u2, sheets)]
                        for u2 in evens]
                 if sheets == 1:
-                    want = [ordered_label_scaled(param, t, u1, u2)
+                    want = [cell_code(param, grid_cell(param, t, u1, u2))
                             for u2 in evens]
                 else:
                     got = [ORIENTED_CODES[c] for c in got]
@@ -434,14 +428,18 @@ def test_whole_table_matches_per_point_labels(max_omega, sheets):
 
 def test_label_table_rejects_zone_disagreement(monkeypatch):
     """Two swapped row symbols in the middle zone show on the first
-    boundary fiber, where that zone's fiber is built next to zone 1's."""
+    boundary fiber, where that zone's fiber is built next to zone 1's, in
+    the table and in cell_code of that fiber's top left cell (j = 2, i1 = 0,
+    i2 = omega - 1), whose row is one of the two."""
     rows, cols, specials = _ZONES[2]
     monkeypatch.setitem(_ZONES, 2, (rows[1] + rows[0] + rows[2:], cols,
                                     specials))
     param = make_param(2, 5)
-    with pytest.raises(PlaidError, match=r"zone disagreement on the fiber "
-                                         r"t=-3/7"):
+    fault = r"zone disagreement on the fiber t=-3/7"
+    with pytest.raises(PlaidError, match=fault):
         label_table(param)
+    with pytest.raises(PlaidError, match=fault):
+        cell_code(param, 2 * 7 * 7 + 6)
 
 
 def cover_oracle(param, t, u1, u2):

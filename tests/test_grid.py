@@ -473,7 +473,7 @@ def drop_one_light(monkeypatch, c0):
 
 class TestPlantedFaults:
     """Each grid suite fails, and names the fault, when one light of one
-    line is dropped from the fill."""
+    line is dropped from the light lists."""
 
     @pytest.mark.parametrize("pq, c0", [((2, 5), 3), ((4, 11), 6)])
     def test_coherence(self, monkeypatch, pq, c0):
@@ -501,3 +501,15 @@ class TestPlantedFaults:
         assert not r["ok"]
         assert "block" in r and "K" in r
         assert r["census"] < r["bound"]
+
+    @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+    def test_first(self, monkeypatch, pq):
+        """The capacity-2 witness line has one light residue; without it the
+        line has no light points in the first block."""
+        prm = make_param(*pq)
+        y0 = next(y for y in range(1, prm.omega)
+                  if capacity_scaled(prm, y) == 2)
+        drop_one_light(monkeypatch, y0)
+        assert verify.suite_first(prm) == {
+            "ok": False, "reason": "witness light points missing",
+            "line": y0, "lights": []}

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plaid import verify
+from plaid import pet, verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid, trace_polygons
 from plaid.pet import (
@@ -26,7 +26,8 @@ from plaid.pet import (
     xi_hat,
     STEPS,
 )
-from plaid.classifier import grid_cell, tile_of, unordered_label, xi_raw_scaled
+from plaid.classifier import (REVERSED, grid_cell, tile_of, unordered_label,
+                              xi_raw_scaled)
 
 
 class TestLiftLabel:
@@ -252,6 +253,33 @@ class TestMesh:
     def test_extra_parameters(self):
         r = check_mesh([make_param(1, 2), make_param(2, 5), make_param(2, 7)])
         assert r["failure_count"] == 0
+
+    @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+    def test_reversed_connector_is_named(self, monkeypatch, pq):
+        """One connector code of the cover table reversed (a hold code would
+        not change): the first failure names that cell's fiber and decoded
+        cell.  The cell is on the first fiber the check walks, t = 1 - 2w,
+        and its neighbours are on other fibers, so it fails first."""
+        param = make_param(*pq)
+        w = param.omega
+        j = (1 - w) // 2 % (2 * w)  # the table fiber of t = 1 - 2w
+        real = pet.label_table
+        cover = real(param, 2)
+        cell = next(c for c in range(j * w * w, (j + 1) * w * w)
+                    if cover[c] % 5)
+
+        def label_table(prm, sheets=1):
+            table = real(prm, sheets)
+            if sheets == 2:
+                table[cell] = REVERSED[table[cell]]
+            return table
+
+        monkeypatch.setattr(pet, "label_table", label_table)
+        r = verify.suite_mesh(param)
+        assert not r["ok"]
+        first = r["failures"][0]
+        assert (first["fiber"], first["cell"]) == \
+            (1 - 2 * w, decode_cell(param, cell)[1:])
 
 
 class TestIrrational:

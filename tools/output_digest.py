@@ -16,7 +16,11 @@ Groups:
                 2/5, 4/11 and 10/11;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
-                (bi, 1) of every even rational at omega <= N.
+                (bi, 1) of every even rational at omega <= N;
+- lights        light_points_on_line of every H and V line within one of
+                blocks (bi, bj), bi in {0, 1, omega-1} and bj in {0, 1}, at
+                omega <= N;
+- cells         cell_code of every cover cell at omega <= 15.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -81,7 +85,8 @@ def main(argv=None) -> int:
     from fractions import Fraction
 
     from plaid import cli, classifier, pet, verify
-    from plaid.grid import BlockGrid, trace_polygons
+    from plaid.grid import (BlockGrid, GridLine, light_points_on_line,
+                            trace_polygons)
     from plaid.params import even_rationals
     import workloads
 
@@ -119,6 +124,20 @@ def main(argv=None) -> int:
                      trace_polygons(param, (bi, 0), grid),
                      trace_polygons(param, (bi, 1))]
     print(f"{'blocks':<24} {_digest(rows)}")
+    rows = []
+    for param in even_rationals(args.max_omega):
+        w = param.omega
+        for bi in (0, 1, w - 1):
+            for bj in (0, 1):
+                for family, lo in (("H", bj * w), ("V", bi * w)):
+                    rows += [light_points_on_line(param, GridLine(family, c),
+                                                  (bi, bj))
+                             for c in range(lo - 1, lo + w + 2)]
+    print(f"{'lights':<24} {_digest(rows)}")
+    rows = [bytes(classifier.cell_code(param, cell)
+                  for cell in range(2 * param.omega ** 3))
+            for param in even_rationals(CENTER_OMEGA)]
+    print(f"{'cells':<24} {_digest(rows)}")
     return 0
 
 
