@@ -37,13 +37,24 @@ cover continues t over [omega, 3*omega) with reversed codes, each read as
 4*entry + exit; its index, the cell, is the state of the exchange in pet.
 grid_cell is the one reduction of a scaled grid point to its cell, and
 cell_code computes one cell's byte from its indices as label_table does.
+
+Center columns.  From the center (a, b) to (a, b+1) the cell (j, i1, i2)
+moves to (j, i1 - p, i2 + p) mod omega: the image gains (2*omega, 0, 4p),
+the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
+(4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
+fibers.  So a column runs along diagonals i1 + i2 = const of its fibers,
+which center_column reads from the column's first cells.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
@@ -339,19 +350,39 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
-def cell_point(param: Param, cell: int) -> Tuple[int, int, int]:
-    """The scaled point the table reads for the cell, t in [-omega, 3*omega)."""
+@lru_cache(maxsize=1)
+def _diagonals(w: int, s: int):
+    """The fiber indices i1*w + i2 of each diagonal i1 + i2 = d mod w, twice
+    round in steps of s in i2 from i2 = 0, as int arrays to stay small; and
+    1/s mod w."""
+    return tuple(array("i", [(d - s * k) % w * w + s * k % w for k in range(2 * w)])
+                 for d in range(w)), pow(s, -1, w)
+
+
+def center_column(param: Param, a: int, sheets: int = 1) -> List[int]:
+    """center_cell(param, a, b, sheets) for b = 0 .. sheets*omega - 1.  By
+    the column fact of the module docstring the cells of b = 0, and on the
+    cover those of b = 1, start one diagonal each, read in steps of sheets*p."""
     w = param.omega
-    rest, i2 = divmod(cell, w)
-    j, i1 = divmod(rest, w)
-    return 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+    diagonals, inverse = _diagonals(w, sheets * param.p)
+    column = [0] * (sheets * w)
+    for b in range(sheets):
+        rest, i2 = divmod(center_cell(param, a, b, sheets), w)
+        j, i1 = divmod(rest, w)
+        k = i2 * inverse % w
+        column[b::sheets] = map(add, repeat(j * w * w, w),
+                                diagonals[(i1 + i2) % w][k:k + w])
+    return column
 
 
 def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
     """The canonical scaled cover point of a cover cell, t in [-2*omega,
-    2*omega): the table's fibers t >= 2*omega fold back by (4*omega, 4p, 4p)."""
+    2*omega): the table's point of the cell (j, i1, i2), except that the
+    fibers t >= 2*omega fold back by (4*omega, 4p, 4p)."""
     w = param.omega
-    t, u1, u2 = cell_point(param, cell)
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
     if t < 2 * w:
         return t, u1, u2
     d = 4 * param.p
@@ -409,24 +440,24 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
     """Mark the table cell of each of the sheets*omega^3 center classes:
     their images are distinct when they mark as many cells as there are
-    classes.  The base side also checks the image parity.  A failure names
-    the first cell marked twice and the two classes that mark it."""
+    classes.  The base side also checks the image parity, once per column:
+    a step in b adds 2*omega to t and 4p to u2.  A failure names the first
+    cell marked twice and the two classes that mark it."""
     w = param.omega
     classes = sheets * w ** 3
     seen = bytearray(classes)
     for a in range(w * w):
-        for b in range(sheets * w):
-            t, u1, u2 = xi_raw_scaled(param, a, b)
-            if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
-                return {"ok": False, "reason": f"parity at {(a, b)}"}
-            seen[grid_cell(param, t, u1, u2, sheets)] = 1
+        t, u1, u2 = xi_raw_scaled(param, a, 0)
+        if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
+            return {"ok": False, "reason": f"parity at {(a, 0)}"}
+        for cell in center_column(param, a, sheets):
+            seen[cell] = 1
     marked = sum(seen)
     if marked != classes:
         # rescan for the first cell marked twice, and the two classes there
         first: Dict[int, Tuple[int, int]] = {}
         for a in range(w * w):
-            for b in range(sheets * w):
-                cell = center_cell(param, a, b, sheets)
+            for b, cell in enumerate(center_column(param, a, sheets)):
                 if first.setdefault(cell, (a, b)) != (a, b):
                     return {"ok": False, "reason": "two classes mark one cell",
                             "sheets": sheets, "cell": cell,
@@ -440,9 +471,11 @@ def verify_bijection(param: Param) -> Dict[str, object]:
     return mark_classes(param, 1)
 
 
-# an edge mask under rotation (N<->S, E<->W) and x-reflection (N<->S)
-_ROT_MASKS = bytes(m >> 1 & 5 | m << 1 & 10 for m in range(16))
-_FLIP_MASKS = bytes(m >> 1 & 1 | m << 1 & 2 | m & 12 for m in range(16))
+# translate tables, read at 0..15 only: the edge mask of each code, and an
+# edge mask under rotation (N<->S, E<->W) and x-reflection (N<->S)
+_MASK_TABLE = bytes(CODE_MASKS) + bytes(240)
+_ROT_MASKS = bytes(m >> 1 & 5 | m << 1 & 10 for m in range(256))
+_FLIP_MASKS = bytes(m >> 1 & 1 | m << 1 & 2 | m & 12 for m in range(256))
 
 
 def symmetry_conjugacies(param: Param) -> Dict[str, object]:
@@ -451,26 +484,29 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
 
     Rotation through the origin: Xi(-c) = -Xi(c) and labels swap N<->S,
     E<->W.  Reflection in the x-axis: Xi(x,-y) = swap(U1,U2) of Xi(x,y) and
-    labels swap N<->S only.
+    labels swap N<->S only.  The rotated centers of column a are column
+    -a-1 reversed, the reflected ones column a reversed (period omega in b).
     """
-    w = param.omega
+    w, p = param.omega, param.p
+    ww = w * w
     table = label_table(param)
-    for a in range(w * w):
-        for b in range(w):
-            t, u1, u2 = xi_raw_scaled(param, a, b)
-            i = grid_cell(param, t, u1, u2)
-            # rotation: the center -(c) has indices (-a-1, -b-1)
-            i_rot = grid_cell(param, *xi_raw_scaled(param, -a - 1, -b - 1))
-            if i_rot != grid_cell(param, -t, -u1, -u2):
-                return {"ok": False, "case": "rotation-map", "at": (a, b)}
-            # x-axis reflection: (x, -y) has indices (a, -b-1)
-            i_flip = grid_cell(param, *xi_raw_scaled(param, a, -b - 1))
-            if i_flip != grid_cell(param, t, u2, u1):
-                return {"ok": False, "case": "reflection-map", "at": (a, b)}
-            if CODE_MASKS[table[i_rot]] != _ROT_MASKS[CODE_MASKS[table[i]]]:
-                return {"ok": False, "case": "rotation-label", "at": (a, b)}
-            if CODE_MASKS[table[i_flip]] != _FLIP_MASKS[CODE_MASKS[table[i]]]:
-                return {"ok": False, "case": "reflection-label", "at": (a, b)}
+    for a in range(ww):
+        column = center_column(param, a)
+        rot, flip = center_column(param, -a - 1)[::-1], column[::-1]
+        # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
+        # but j = 0 is its own negative up to (2*omega, 2p, 2p)
+        neg = [w * ww + ww - 1 - c if c >= ww else
+               (-1 - p - c // w) % w * w + (-1 - p - c) % w for c in column]
+        swap = [c + (w - 1) * (c % w - c // w % w) for c in column]
+        mask = bytes(itemgetter(*column)(table)).translate(_MASK_TABLE)
+        rot_mask = bytes(itemgetter(*rot)(table)).translate(_MASK_TABLE)
+        checks = (("rotation-map", rot, neg), ("reflection-map", flip, swap),
+                  ("rotation-label", rot_mask, mask.translate(_ROT_MASKS)),
+                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
+        if any(got != want for _, got, want in checks):
+            b, case = next((b, case) for b in range(w)
+                           for case, got, want in checks if got[b] != want[b])
+            return {"ok": False, "case": case, "at": (a, b)}
     return {"ok": True, "classes": w ** 3}
 
 

@@ -90,8 +90,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_omega is not None and args.max_omega < 3:
-        raise PlaidError(f"--max-omega must be at least 3, got {args.max_omega}")
+    for opt, value, least in (("--max-omega", args.max_omega, 3),
+                              ("--jobs", args.jobs, 1)):
+        if value is not None and value < least:
+            raise PlaidError(f"{opt} must be at least {least}, got {value}")
     if args.suite in ("golden", "irrational"):
         for opt, value in (("--params", args.params), ("--jobs", args.jobs),
                            ("--max-omega", args.max_omega)):

@@ -278,6 +278,9 @@ def line_lights(param: Param, c: int) -> List[bool]:
     return [r in lit for r in range(param.omega)]
 
 
+# per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
+# good when it carries exactly one light point (translate tables)
+_GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
 _COHERENT = frozenset(mask for mask in range(16) if mask.bit_count() in (0, 2))
 
 
@@ -348,9 +351,12 @@ class BlockGrid:
             out: List[int] = []
             for n in range(w):
                 col = hl[n::w]  # the column's north and south edges, m = 0..w
-                out += [(nth == 1) | (sth == 1) << 1 | (est == 1) << 2 | (wst == 1) << 3
-                        for nth, sth, est, wst in zip(col[1:], col, vl[(n + 1) * w:(n + 2) * w],
-                                                      vl[n * w:(n + 1) * w])]
+                lanes = (col[1:], col[:-1], vl[(n + 1) * w:(n + 2) * w],
+                         vl[n * w:(n + 1) * w])
+                # the lanes of the N, S, E and W bits are disjoint, so their
+                # sum as big-endian integers is their bytewise or
+                out += sum(int.from_bytes(lane.translate(_GOOD[e]), "big")
+                           for e, lane in enumerate(lanes)).to_bytes(w, "big")
             self._masks = out
         return self._masks
 

@@ -18,12 +18,18 @@ The state of the exchange is the cover cell: the index that
 grid_cell(..., sheets=2) gives a scaled point of the image lattice (omega*T
 odd, omega*U1 and omega*U2 even).  Its layout, the edge indices and the
 directed codes 4*entry + exit are fixed in the classifier docstring.  Walks,
-pet_step, pet_back and the mesh check step cells with cover_step and compare
-codes; labels are spelled only at the public surface.
+pet_step and pet_back step cells with cover_step and compare codes; labels
+are spelled only at the public surface.
+
+Fiber shifts.  cover_step sends each cell (j, i1, i2) of table fiber j to
+(j', i1 + c1, i2 + c2) mod omega, j', c1 and c2 depending on j and the edge
+alone: the step adds one vector to a cell's point, and whether t leaves the
+table's range depends on the fiber.  check_mesh compares whole fibers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -33,11 +39,11 @@ from .grid import STEPS, PlaidPolygon
 from .classifier import (
     ClassifyingPoint,
     ORIENTED_CODES,
+    REVERSED,
     _ORDER,
     _zone_spec,
     canon_frac,
     cell_code,
-    cell_point,
     center_cell,
     decode_cell,
     fiber_label,
@@ -118,13 +124,13 @@ def oriented_label_scaled(param: Param, t: int, u1: int, u2: int) -> str:
 
 def cover_step(param: Param, cell: int, edge: int) -> int:
     """The cover cell one exchange step from cell across the edge (an index
-    into "NSEW"): the cell's table point moves by the image of that unit
-    step of the plane, and grid_cell reduces it."""
+    into "NSEW"): the cell (j, i1, i2) moves by its fiber's shift."""
+    w, p2 = param.omega, 2 * param.p
     dx, dy = STEPS[edge]
-    t, u1, u2 = cell_point(param, cell)
-    du = 4 * param.p * dx
-    return grid_cell(param, t + du + 2 * param.omega * dy, u1 + du,
-                     u2 + du + 4 * param.p * dy, 2)
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    k, j = divmod(j + p2 * dx + w * dy, 2 * w)
+    return (j * w + (i1 + p2 * (dx - k)) % w) * w + (i2 + p2 * (dx + dy - k)) % w
 
 
 def _point_cell(param: Param, point: CoverPoint) -> int:
@@ -249,9 +255,12 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 # Oriented coherence (the mesh equations)
 # ---------------------------------------------------------------------------
 
-# the entry and the exit edge of each directed code; 4, no edge, for hold
+# the entry edge of each directed code, 4 (no edge) for hold; and per edge
+# e, as translate tables read at 0..15 only, whether a code leaves across e
+# (bit 0) and enters across it (bit 1), bits that REVERSED swaps
 _ENTRY = bytes(4 if c % 5 == 0 else c >> 2 for c in range(16))
-_EXIT = bytes(4 if c % 5 == 0 else c & 3 for c in range(16))
+_ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
+         for e in range(4)]
 
 
 def _zone_half(param: Param, t: int) -> Tuple[int, int]:
@@ -268,11 +277,14 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     """Fiberwise equality of the eight region-matching equations on every
     populated fiber of every given parameter, sampled at the discrete grid,
     plus the triad-coverage condition over the parameter list (three points,
-    not all at one parameter, interior to each of the six base triangles)."""
+    not all at one parameter, interior to each of the six base triangles).
+    A fiber that fails is walked for the failure records; "worst" is (param,
+    fiber, cell, count) of the cell that fails most, the first on a tie."""
     failures = []
     coverage: Dict[Tuple[int, int], Set[Tuple[str, int]]] = {}
     for param in params:
         w = param.omega
+        ww = w * w
         cover = label_table(param, 2)
         # by the bijection, every odd fiber of the cover is populated
         for t in range(-2 * w + 1, 2 * w, 2):
@@ -281,21 +293,31 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
                 coverage.setdefault((zone, half), set()).add((str(param), t))
             # the fiber's cells are one block of the table
             j = (t + w) // 2 % (2 * w)
-            cells = range(j * w * w, (j + 1) * w * w)
+            fiber = cover[j * ww:(j + 1) * ww]
             # the matching neighbour always sits across the named edge, and
             # a connector into an edge comes out of the opposite one there
             for edge in (1, 0, 2, 3):  # S, N, E, W
+                # the fiber's shift is the step of its cell (j, 0, 0)
+                j2, shift = divmod(cover_step(param, j * ww, edge), ww)
+                c1, c2 = divmod(shift, w)
+                rows = [cover[r + c2 % w:r + w] + cover[r:r + c2 % w]
+                        for r in range(j2 * ww, (j2 + 1) * ww, w)]
+                here = fiber.translate(_ENDS[edge])
+                there = b"".join(rows[c1 % w:] + rows[:c1 % w]).translate(
+                    REVERSED).translate(_ENDS[edge ^ 1])
+                if here == there:
+                    continue
                 e, o = _ORDER[edge], _ORDER[edge ^ 1]
-                cases = ((_EXIT, _ENTRY, f"into-{e}->out-{o}"),
-                         (_ENTRY, _EXIT, f"out-{e}->into-{o}"))
-                for cell in cells:
-                    code, code2 = cover[cell], cover[cover_step(param, cell, edge)]
-                    for ends, ends2, case in cases:
-                        if (ends[code] == edge) != (ends2[code2] == edge ^ 1):
+                for i, (x, y) in enumerate(zip(here, there)):
+                    for bit, case in ((1, f"into-{e}->out-{o}"),
+                                      (2, f"out-{e}->into-{o}")):
+                        if (x ^ y) & bit:
                             failures.append({
                                 "param": str(param), "fiber": t,
-                                "cell": decode_cell(param, cell)[1:],
+                                "cell": decode_cell(param, j * ww + i)[1:],
                                 "case": case})
+    counts = Counter((f["param"], f["fiber"], f["cell"]) for f in failures)
+    worst = max(counts, key=counts.get, default=None)
     triads_ok = True
     detail = {}
     for zone in (1, 2, 3):
@@ -307,7 +329,7 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
                 triads_ok = False
     return {"ok": not failures and triads_ok, "failures": failures[:10],
             "failure_count": len(failures), "triads_ok": triads_ok,
-            "triad_detail": detail}
+            "triad_detail": detail, "worst": worst and (*worst, counts[worst])}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
@@ -27,13 +28,12 @@ from .grid import (
 from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
-    center_cell,
-    grid_cell,
+    _MASK_TABLE,
+    center_column,
     image_geometry_scaled,
     label_table,
     symmetry_conjugacies,
     verify_bijection,
-    xi_raw_scaled,
 )
 from .pet import (
     BadOffset,
@@ -97,16 +97,21 @@ def suite_bijection(param: Param) -> dict:
 
 
 def suite_isomorphism(param: Param) -> dict:
+    """The edge mask of every square equals the mask of its tile's code;
+    only a center column that differs is walked square by square."""
     w = param.omega
     table = label_table(param)
     mismatches = []
     for bi in range(w):
         grid = BlockGrid(param, bi)
-        masks = grid.masks()
+        masks = bytes(grid.masks())
         for n in range(w):
             a = bi * w + n
-            for m in range(w):
-                code = table[grid_cell(param, *xi_raw_scaled(param, a, m))]
+            column = center_column(param, a)
+            codes = bytes(itemgetter(*column)(table))
+            if codes.translate(_MASK_TABLE) == masks[n * w:(n + 1) * w]:
+                continue
+            for m, code in enumerate(codes):
                 if CODE_MASKS[code] != masks[n * w + m]:
                     mismatches.append(((a, m), CODE_LABELS[code],
                                        sorted(grid.good_edge_set(n, m))))
@@ -122,16 +127,18 @@ def suite_pet_equivalence(param: Param) -> dict:
     with an exact inverse."""
     w = param.omega
     cover = label_table(param, 2)
+    # the cover cells of the center columns a - 1, a and a + 1
+    columns = [center_column(param, -1, 2), center_column(param, 0, 2)]
     for a in range(w * w):
-        for b in range(2 * w):
-            cell = center_cell(param, a, b, 2)
+        columns = columns[-2:] + [center_column(param, a + 1, 2)]
+        for b, cell in enumerate(columns[1]):
             code = cover[cell]
             if code % 5 == 0:
                 continue
             out = code & 3
             dx, dy = STEPS[out]
             cnext = cover_step(param, cell, out)
-            if cnext != center_cell(param, a + dx, b + dy, 2):
+            if cnext != columns[1 + dx][(b + dy) % (2 * w)]:
                 return {"ok": False, "reason": "conjugacy", "at": (a, b)}
             # the next connector enters across the opposite edge, back to cell
             if _ENTRY[cover[cnext]] != out ^ 1 or \
@@ -161,9 +168,13 @@ def suite_pet_equivalence(param: Param) -> dict:
 
 def suite_mesh(param: Param) -> dict:
     r = check_mesh([param])
-    return {"ok": r["failure_count"] == 0,
-            "failure_count": r["failure_count"],
-            "failures": r["failures"][:3]}
+    record = {"ok": r["failure_count"] == 0,
+              "failure_count": r["failure_count"],
+              "failures": r["failures"][:3]}
+    if r["worst"]:
+        # (fiber, cell, count): the first failures may all be neighbours
+        record["worst"] = r["worst"][1:]
+    return record
 
 
 def suite_first(param: Param) -> dict:
@@ -257,10 +268,10 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 
 DEFAULT_BOUNDS = {
     "coherence": 40,
-    "isomorphism": 25,
+    "isomorphism": 31,
     "two-points": 40,
     "hier": 30,
-    "bijection": 25,
+    "bijection": 31,
     "pet-equivalence": 20,
     "first": 40,
     "empty-rect": 30,

@@ -225,21 +225,23 @@ class TestBijection:
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     @pytest.mark.parametrize("sheets", [1, 2])
     def test_collision_names_both_classes(self, monkeypatch, pq, sheets):
-        """A grid_cell that sends one class onto another's cell fails the
-        suite, and the record names the cell and both classes."""
+        """A center_column that sends one class onto another's cell fails
+        the suite, and the record names the cell and both classes.  The
+        second class is the last of its column, past the center_cell calls
+        the column starts from."""
         prm = make_param(*pq)
         w = prm.omega
         first, second = (1, 2), (w + 3, sheets * w - 1)
-        real = classifier.grid_cell
-        image = xi_raw_scaled(prm, *second)
-        cell = real(prm, *xi_raw_scaled(prm, *first), sheets)
+        real = classifier.center_column
+        cell = center_cell(prm, *first, sheets)
 
-        def grid_cell(param, t, u1, u2, n_sheets=1):
-            if n_sheets == sheets and (t, u1, u2) == image:
-                return cell
-            return real(param, t, u1, u2, n_sheets)
+        def center_column(param, a, n_sheets=1):
+            column = real(param, a, n_sheets)
+            if n_sheets == sheets and a == second[0]:
+                column[second[1]] = cell
+            return column
 
-        monkeypatch.setattr(classifier, "grid_cell", grid_cell)
+        monkeypatch.setattr(classifier, "center_column", center_column)
         r = verify.suite_bijection(prm)
         assert r == {"ok": False, "reason": "two classes mark one cell",
                      "sheets": sheets, "cell": cell,

@@ -313,6 +313,9 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["verify", "--suite", "irrational", "--params", "2/5"],
     ["verify", "--suite", "irrational", "--max-omega", "9"],
     ["verify", "--suite", "irrational", "--jobs", "1"],
+    # no worker count below one
+    ["verify", "--suite", "two-points", "--max-omega", "5", "--jobs", "0"],
+    ["verify", "--suite", "two-points", "--max-omega", "5", "--jobs", "-3"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

@@ -5,8 +5,8 @@ the light rule, the grid paths against the Fraction reference
 exchange orbits of `vector_polygon`, particle image geometry against a
 per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
-path and the step through decoded points, and the light-set symmetries past
-their sweep bound."""
+path and the step through points, the center columns against the per-class
+reduction, and the light-set symmetries past their sweep bound."""
 
 import math
 from fractions import Fraction as F
@@ -29,6 +29,7 @@ from plaid.classifier import (
     canon_frac,
     canon_scaled,
     cell_code,
+    center_column,
     fiber_label,
     grid_cell,
     image_geometry_scaled,
@@ -548,14 +549,66 @@ def reference_cover_step(param, cell, edge):
                      u2 + du + 4 * param.p * dy, 2)
 
 
+def cell_point(param, cell):
+    """The scaled point the table reads for the cell, t in [-omega, 3*omega)."""
+    w = param.omega
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    return 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+
+
+def point_cover_step(param, cell, edge):
+    """The exchange step through the cell's table point, plus the image of
+    the unit step, reduced by grid_cell."""
+    dx, dy = STEPS[edge]
+    t, u1, u2 = cell_point(param, cell)
+    du = 4 * param.p * dx
+    return grid_cell(param, t + du + 2 * param.omega * dy, u1 + du,
+                     u2 + du + 4 * param.p * dy, 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(params(), st.data())
 def test_cover_step_matches_decoded_step(param, data):
-    """cover_step from the table point against the step from the decoded
-    point, across all four edges of random cells."""
+    """cover_step, a fiber shift, against the step from the table point and
+    from the decoded point, across all four edges of random cells."""
     w = param.omega
     for _ in range(10):
         cell = data.draw(st.integers(0, 2 * w ** 3 - 1))
         for edge in range(4):
             assert cover_step(param, cell, edge) == \
+                point_cover_step(param, cell, edge) == \
                 reference_cover_step(param, cell, edge), (cell, edge)
+
+
+def test_cover_step_matches_point_step_to_15():
+    """cover_step against the step through the table point at every cell and
+    edge of every even rational with omega <= 15."""
+    for param in even_rationals(15):
+        for cell in range(2 * param.omega ** 3):
+            for edge in range(4):
+                assert cover_step(param, cell, edge) == \
+                    point_cover_step(param, cell, edge), (str(param), cell, edge)
+
+
+def point_column(param, a, sheets):
+    """The cells of the centers (a, 0 .. sheets*omega - 1), each reduced on
+    its own: grid_cell of its image."""
+    return [grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
+            for b in range(sheets * param.omega)]
+
+
+def test_center_column_matches_point_cells_to_15():
+    """center_column against the per-class reduction at every class, on both
+    sheets, of every even rational with omega <= 15."""
+    for param in even_rationals(15):
+        for sheets in (1, 2):
+            for a in range(param.omega ** 2):
+                assert center_column(param, a, sheets) == \
+                    point_column(param, a, sheets), (str(param), a, sheets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(), st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 2)))
+def test_center_column_matches_point_cells(param, a, sheets):
+    assert center_column(param, a, sheets) == point_column(param, a, sheets)

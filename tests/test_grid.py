@@ -503,6 +503,25 @@ class TestPlantedFaults:
         assert r["census"] < r["bound"]
 
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+    def test_two_points(self, monkeypatch, pq):
+        """The second crossing of the slope -P family weighted 2: its edge
+        counts 3 in every row, and the record names the first three."""
+        prm = make_param(*pq)
+        w = prm.omega
+        real = grid._h_slots
+
+        def h_slots(w, s, primary):
+            slots = real(w, s, primary)
+            if primary:
+                slots[1] = (slots[1][0], 2)
+            return slots
+
+        monkeypatch.setattr(grid, "_h_slots", h_slots)
+        edge = w // (2 * prm.p)
+        assert verify.suite_two_points(prm) == {
+            "ok": False, "h_bad": [edge, edge + w, edge + 2 * w], "v_bad": []}
+
+    @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     def test_first(self, monkeypatch, pq):
         """The capacity-2 witness line has one light residue; without it the
         line has no light points in the first block."""

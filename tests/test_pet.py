@@ -256,30 +256,33 @@ class TestMesh:
 
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     def test_reversed_connector_is_named(self, monkeypatch, pq):
-        """One connector code of the cover table reversed (a hold code would
-        not change): the first failure names that cell's fiber and decoded
-        cell.  The cell is on the first fiber the check walks, t = 1 - 2w,
-        and its neighbours are on other fibers, so it fails first."""
+        """The first connector of each table fiber reversed in turn (a hold
+        code would not change): the record's worst cell is that cell, with
+        its 4 failing cases against 2 at each of its two neighbours.  On the
+        first fiber the check walks, t = 1 - 2w, whose neighbours are on
+        other fibers, it is also the first failure."""
         param = make_param(*pq)
         w = param.omega
-        j = (1 - w) // 2 % (2 * w)  # the table fiber of t = 1 - 2w
         real = pet.label_table
         cover = real(param, 2)
-        cell = next(c for c in range(j * w * w, (j + 1) * w * w)
-                    if cover[c] % 5)
+        for j in range(2 * w):
+            cell = next(c for c in range(j * w * w, (j + 1) * w * w)
+                        if cover[c] % 5)
 
-        def label_table(prm, sheets=1):
-            table = real(prm, sheets)
-            if sheets == 2:
-                table[cell] = REVERSED[table[cell]]
-            return table
+            def label_table(prm, sheets=1, cell=cell):
+                table = real(prm, sheets)
+                if sheets == 2:
+                    table[cell] = REVERSED[table[cell]]
+                return table
 
-        monkeypatch.setattr(pet, "label_table", label_table)
-        r = verify.suite_mesh(param)
-        assert not r["ok"]
-        first = r["failures"][0]
-        assert (first["fiber"], first["cell"]) == \
-            (1 - 2 * w, decode_cell(param, cell)[1:])
+            monkeypatch.setattr(pet, "label_table", label_table)
+            r = verify.suite_mesh(param)
+            t, *rest = decode_cell(param, cell)
+            assert not r["ok"] and r["failure_count"] == 8
+            assert r["worst"] == (t, tuple(rest), 4), j
+            if t == 1 - 2 * w:
+                first = r["failures"][0]
+                assert (first["fiber"], first["cell"]) == (t, tuple(rest))
 
 
 class TestIrrational:
@@ -320,6 +323,45 @@ class TestIrrational:
             irrational_tiling(P, V, (0, 0, 5, 5), eps=F(1, 2))
         # no offset keeps a center half a unit from every wall
         assert err.value.suggestion is None
+
+    def test_flipped_label_is_named(self, monkeypatch):
+        """One window label turned into the label of the other two edges:
+        the window is not coherent, its mismatches are the four pairs of
+        that center and its neighbours, and the suite's record at that P
+        says so (its windows cut to 6 x 6 to stay fast)."""
+        P = F(8, 21)
+        seed = (F(1, 2 ** 20 + 7), F(1, 2 ** 20 + 33), F(1, 2 ** 20 + 37))
+        window = (0, 0, 6, 6)
+        labels = irrational_tiling(P, seed, window)["labels"]
+        n, m = center = next(c for c in ((2, 2), (2, 3), (3, 2), (3, 3))
+                             if labels[c] != "EMPTY")
+        point = dict(pet._window_images(P, seed, window))[center]
+        real = pet.fiber_label
+
+        def fiber_label(P_, pt):
+            label, diag = real(P_, pt)
+            if (P_, pt) == (P, point):
+                label = "".join(e for e in "NSEW" if e not in label)
+            return label, diag
+
+        monkeypatch.setattr(pet, "fiber_label", fiber_label)
+        r = irrational_tiling(P, seed, window)
+        assert not r["ok"]
+        assert sorted(r["mismatches"]) == [
+            ((n - 1, m), center), ((n, m - 1), center),
+            (center, (n, m + 1)), (center, (n + 1, m))]
+        real_tiling = verify.irrational_tiling
+
+        def tiling(P_, offset, win, *rest):
+            return real_tiling(P_, offset, window if win[2] > 6 else win,
+                               *rest)
+
+        monkeypatch.setattr(verify, "irrational_tiling", tiling)
+        records = {r["param"]: r for r in verify.suite_irrational()}
+        assert records["P=8/21"]["coherent"] is False
+        assert not records["P=8/21"]["ok"]
+        assert records["P=8/21"]["zero_offset_rejected"]
+        assert records["P=34/89"]["ok"] and records["P=144/377"]["ok"]
 
     @pytest.mark.parametrize("eps", [F(1, 2 ** 40), F(2, 2 ** 21 + 17)])
     @pytest.mark.parametrize("P, window", [(F(8, 21), (0, 0, 5, 5)),
