@@ -223,13 +223,13 @@ def xi_raw_scaled(param: Param, a: int, b: int) -> Tuple[int, int, int]:
     return s + w * (2 * b + 1), s, s + 2 * p * (2 * b + 1)
 
 
-def canon_scaled(param: Param, t: int, u1: int, u2: int) -> Tuple[int, int, int]:
-    """Canonical reduction, all coordinates scaled by omega."""
-    w2 = 2 * param.omega
+def canon_scaled(w: int, p2: int, t: int, u1: int, u2: int) -> Tuple[int, int, int]:
+    """Canonical reduction, all coordinates scaled by w, with p2 = P*w."""
+    w2 = 2 * w
     ts = sym_reduce(t, w2)
     k = (t - ts) // w2
     if k:
-        d = 2 * param.p * k
+        d = p2 * k
         return ts, sym_reduce(u1 - d, w2), sym_reduce(u2 - d, w2)
     return ts, sym_reduce(u1, w2), sym_reduce(u2, w2)
 
@@ -244,8 +244,8 @@ def _center_indices(center: Tuple[RatLike, RatLike]) -> Tuple[int, int]:
 def xi(param: Param, center: Tuple[RatLike, RatLike]) -> ClassifyingPoint:
     """The classifying map at a tile center, canonical form."""
     a, b = _center_indices(center)
-    t, u1, u2 = canon_scaled(param, *xi_raw_scaled(param, a, b))
     w = param.omega
+    t, u1, u2 = canon_scaled(w, 2 * param.p, *xi_raw_scaled(param, a, b))
     return ClassifyingPoint(Fraction(t, w), Fraction(u1, w), Fraction(u2, w))
 
 
@@ -269,9 +269,8 @@ def xi_local(param: Param, point: Tuple[RatLike, RatLike]) -> ClassifyingPoint:
 # Tile assignment
 # ---------------------------------------------------------------------------
 
-def _cuts_scaled(param: Param, zone: int, t: int) -> Tuple[int, int, int]:
-    """omega times the cuts of _zone_spec over the fiber t/omega."""
-    w, p2 = param.omega, 2 * param.p
+def _cuts_scaled(w: int, p2: int, zone: int, t: int) -> Tuple[int, int, int]:
+    """w times the cuts of _zone_spec over the fiber t/w, p2 = P*w."""
     if zone == 1:
         return (t, w - p2, 2 * w - p2 + t)
     if zone == 2:
@@ -279,9 +278,9 @@ def _cuts_scaled(param: Param, zone: int, t: int) -> Tuple[int, int, int]:
     return (p2 - 2 * w + t, p2 - w, t)
 
 
-def _zones_scaled(param: Param, t: int) -> Tuple[int, ...]:
-    """_zones_at over the scaled fiber t in [-omega, omega)."""
-    t1 = 2 * param.p - param.omega
+def _zones_scaled(w: int, p2: int, t: int) -> Tuple[int, ...]:
+    """_zones_at over the fiber t/w, t in [-w, w) and p2 = P*w."""
+    t1 = p2 - w
     if t == t1:
         return (1, 2)
     if t == -t1:
@@ -320,8 +319,8 @@ def label_table(param: Param, sheets: int = 1) -> bytearray:
         t -= 2 * w * outer
         us = [(u - 2 * p * outer + w) % (2 * w) - w for u in range(1 - w, w, 2)]
         fibers = []
-        for zone in _zones_scaled(param, t):
-            c1, c2, c3 = _cuts_scaled(param, zone, t)
+        for zone in _zones_scaled(w, 2 * p, t):
+            c1, c2, c3 = _cuts_scaled(w, 2 * p, zone, t)
             # the cuts are odd and every u even, so no cell is on a wall
             bands = [(u > c1) + (u > c2) + (u > c3) for u in us]
             codes = [[_code(zone, b1, b2) for b2 in range(4)] for b1 in range(4)]
@@ -403,8 +402,8 @@ def cell_code(param: Param, cell: int) -> int:
         j, i1, i2 = j - w, (i1 - param.p) % w, (i2 - param.p) % w
     t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
     codes = []
-    for zone in _zones_scaled(param, t):
-        c1, c2, c3 = _cuts_scaled(param, zone, t)
+    for zone in _zones_scaled(w, 2 * param.p, t):
+        c1, c2, c3 = _cuts_scaled(w, 2 * param.p, zone, t)
         codes.append(_code(zone, (u1 > c1) + (u1 > c2) + (u1 > c3),
                            (u2 > c1) + (u2 > c2) + (u2 > c3)))
     if codes[0] != codes[-1]:
@@ -560,7 +559,7 @@ def image_geometry_scaled(param: Param, orientation: str,
             (p_imgs, (base + w // p2, base + w // p2 + 1), "P-diagonal-step"),
             (q_imgs, (base, base - 1), "Q-axis-step")):
         # image shifts for horizontal center steps of d units
-        allowed = {canon_scaled(param, *[2 * p2 * d] * 3) for d in steps}
+        allowed = {canon_scaled(w, p2, *[2 * p2 * d] * 3) for d in steps}
         for (t, u1, u2), (t_, u1_, u2_) in zip(imgs, imgs[1:]):
             dt = (t_ - t + w) % w2 - w
             d = (t_ - t - dt) // w2 * p2 - w

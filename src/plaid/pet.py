@@ -29,6 +29,7 @@ table's range depends on the fiber.  check_mesh compares whole fibers.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,20 +38,23 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .grid import STEPS, PlaidPolygon
 from .classifier import (
+    CODE_LABELS,
     ClassifyingPoint,
     ORIENTED_CODES,
     REVERSED,
+    _MASK_TABLE,
     _ORDER,
     _zone_spec,
-    canon_frac,
+    canon_scaled,
     cell_code,
     center_cell,
     decode_cell,
-    fiber_label,
     grid_cell,
     label_table,
     mark_classes,
     _center_indices,
+    _code,
+    _cuts_scaled,
     _zones_at,
     _zones_scaled,
 )
@@ -268,7 +272,7 @@ def _zone_half(param: Param, t: int) -> Tuple[int, int]:
     0 on zone boundaries and on the seam, which are not interior."""
     w = param.omega
     tt = sym_reduce(t, 2 * w)
-    zones = _zones_scaled(param, tt)
+    zones = _zones_scaled(w, 2 * param.p, tt)
     return (zones[0] if len(zones) == 1 and tt != -w else 0,
             0 if -w <= t < w else 1)
 
@@ -361,28 +365,49 @@ def wall_distance(P: Rat, point: ClassifyingPoint) -> Rat:
     return dist
 
 
-def _window_images(P: Rat, offset: Sequence[Rat],
-                   window: Tuple[int, int, int, int]):
-    """((n, m), canonical offset image) of every center of the window."""
-    v0, v1, v2 = offset
+def _window_codes(P: Fraction, offset: Sequence[Fraction],
+                  window: Tuple[int, int, int, int], eps: Rat):
+    """(codes n-major, min wall distance, its center) as integers over the lcm
+    D of all denominators, or (None, d, center) at a center closer than eps."""
+    D = P.denominator
+    for v in offset:
+        D *= v.denominator // math.gcd(D, v.denominator)
+    p2, limit = int(P * D), -math.floor(-eps * D)  # d/D < eps iff d < limit
+    v0, v1, v2 = (int(v * D) for v in offset)
     x0, y0, x1, y1 = window
+    codes, best, closest = bytearray(), 2 * D, None
     for n in range(x0, x1):
-        base = P * (2 * n + 1)
+        s = p2 * (2 * n + 1)
         for m in range(y0, y1):
-            y2 = 2 * m + 1
-            yield (n, m), canon_frac(P, base + y2 + v0, base + v1,
-                                     base + P * y2 + v2)
+            t, u1, u2 = canon_scaled(D, p2, s + D * (2 * m + 1) + v0, s + v1,
+                                     s + p2 * (2 * m + 1) + v2)
+            zone = _zones_scaled(D, p2, t)[0]
+            c1, c2, c3 = _cuts_scaled(D, p2, zone, t)
+            # the zone-boundary fibers T = ±(1 - P) stay walls, for
+            # wall_distance's reason; on one d is 0 whichever zone is read
+            gaps = [abs(u - c) for u in (u1, u2) for c in (c1, c2, c3)]
+            gaps += abs(t + D - p2), abs(t - D + p2)
+            # gaps are <= 2D: min(g, 2D - g) round the circle; seam D - |u|
+            d = min(min(gaps), 2 * D - max(gaps), D - abs(u1), D - abs(u2))
+            if d < best:
+                best, closest = d, (n, m)
+            if d < limit:
+                return None, Fraction(d, D), (n, m)
+            # d >= eps > 0: the center lies in one zone and on no cut or
+            # seam, so its bands need no OnWall branch
+            codes.append(_code(zone, (u1 > c1) + (u1 > c2) + (u1 > c3),
+                               (u2 > c1) + (u2 > c2) + (u2 > c3)))
+    return codes, Fraction(best, D), closest
 
 
-def _checked_bump(P: Rat, offset: Sequence[Rat],
+def _checked_bump(P: Fraction, offset: Sequence[Fraction],
                   window: Tuple[int, int, int, int], eps: Rat):
     """The first of four successive bumps of the offset that keeps every
     window center at least eps from the walls, or None."""
     bump = Fraction(1, 2 ** 21 + 17)
     for j in range(1, 5):
         v = tuple(vi + j * k * bump for k, vi in enumerate(offset, 1))
-        if all(wall_distance(P, pt) >= eps
-               for _, pt in _window_images(P, v, window)):
+        if _window_codes(P, v, window, eps)[0] is not None:
             return v
     return None
 
@@ -398,7 +423,8 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
     BadOffset is raised with a perturbed offset that passes the check on the
     same window, or None when none of the tried ones does.  Returns the
     labels, the minimum wall distance met, and the coherence verdict of the
-    window.
+    window, computed on integers by _window_codes; canon_frac, wall_distance
+    and fiber_label are its Fraction reference.
     """
     P = Fraction(P)
     if not 0 < P < 1:
@@ -410,30 +436,25 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
         # a center on a wall has distance 0, so eps <= 0 checks nothing
         raise PlaidError(f"eps={eps} must be positive")
     offset = tuple(Fraction(v) for v in offset)
-    labels: Dict[Tuple[int, int], str] = {}
-    min_dist: Optional[Rat] = None
-    worst = None
-    for (n, m), pt in _window_images(P, offset, window):
-        d = wall_distance(P, pt)
-        if min_dist is None or d < min_dist:
-            min_dist, worst = d, (n, m)
-        if d < eps:
-            raise BadOffset(
-                f"center ({n}+1/2, {m}+1/2) is {d} from a wall (< {eps})",
-                suggestion=_checked_bump(P, offset, window, eps))
-        labels[(n, m)] = fiber_label(P, pt)[0]
-    # "EMPTY" has no edges, although it contains the letter E
-    edges = {c: set() if lab == "EMPTY" else set(lab)
-             for c, lab in labels.items()}
+    codes, min_dist, worst = _window_codes(P, offset, window, eps)
+    if codes is None:
+        n, m = worst
+        raise BadOffset(
+            f"center ({n}+1/2, {m}+1/2) is {min_dist} from a wall (< {eps})",
+            suggestion=_checked_bump(P, offset, window, eps))
+    centers = [(n, m) for n in range(x0, x1) for m in range(y0, y1)]
+    # edge bits: E (4) against W (8) of the east neighbour, h on; N (1), S (2)
+    masks, h = codes.translate(_MASK_TABLE), y1 - y0
     mismatches = []
-    for (n, m), e in edges.items():
-        for nb, side, opposite in (((n + 1, m), "E", "W"), ((n, m + 1), "N", "S")):
-            if nb in edges and (side in e) != (opposite in edges[nb]):
-                mismatches.append(((n, m), nb))
+    for i, (n, m) in enumerate(centers):
+        if n + 1 < x1 and (masks[i] >> 2 ^ masks[i + h] >> 3) & 1:
+            mismatches.append(((n, m), (n + 1, m)))
+        if m + 1 < y1 and (masks[i] ^ masks[i + 1] >> 1) & 1:
+            mismatches.append(((n, m), (n, m + 1)))
     return {
         "ok": not mismatches,
         "min_wall_distance": min_dist,
         "closest_center": worst,
-        "labels": labels,
+        "labels": dict(zip(centers, map(CODE_LABELS.__getitem__, codes))),
         "mismatches": mismatches,
     }

@@ -268,10 +268,10 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 
 DEFAULT_BOUNDS = {
     "coherence": 40,
-    "isomorphism": 31,
+    "isomorphism": 41,
     "two-points": 40,
     "hier": 30,
-    "bijection": 31,
+    "bijection": 41,
     "pet-equivalence": 20,
     "first": 40,
     "empty-rect": 30,

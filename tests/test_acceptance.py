@@ -49,7 +49,7 @@ def test_criterion_01_coherence(capsys):
 
 
 def test_criterion_02_isomorphism():
-    _sweep(2, "grid = tile isomorphism", "isomorphism", 31)
+    _sweep(2, "grid = tile isomorphism", "isomorphism", 41)
 
 
 def test_criterion_03_two_points_per_segment():
@@ -61,7 +61,7 @@ def test_criterion_04_capacity_census():
 
 
 def test_criterion_05_bijection():
-    _sweep(5, "omega^3 classifying bijection", "bijection", 31)
+    _sweep(5, "omega^3 classifying bijection", "bijection", 41)
 
 
 def test_criterion_06_pet_equivalence():

@@ -133,7 +133,8 @@ class TestZones:
             hit = 0
             for a in range(w * w):
                 for b in range(w):
-                    t, u1, u2 = canon_scaled(prm, *xi_raw_scaled(prm, a, b))
+                    t, u1, u2 = canon_scaled(prm.omega, 2 * prm.p,
+                                             *xi_raw_scaled(prm, a, b))
                     if t in boundary_ts:
                         hit += 1
                         tile_label_scaled(prm, a, b)  # raises on disagreement

@@ -6,7 +6,8 @@ exchange orbits of `vector_polygon`, particle image geometry against a
 per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns against the per-class
-reduction, and the light-set symmetries past their sweep bound."""
+reduction, the light-set symmetries past their sweep bound, and the integer
+irrational window against its Fraction oracle."""
 
 import math
 from fractions import Fraction as F
@@ -39,12 +40,15 @@ from plaid.classifier import (
 )
 from plaid.pet import (
     STEPS,
+    BadOffset,
     cover_step,
     decode_cell,
+    irrational_tiling,
     oriented_label_scaled,
     special_orbit,
     table_orbit,
     vector_polygon,
+    wall_distance,
 )
 from plaid.grid import (
     _h_particle_scaled,
@@ -163,7 +167,7 @@ def reference_geometry(param, orientation, squares, types):
     image difference."""
     w, p = param.omega, param.p
     t1, t2 = 2 * p - w, w - 2 * p
-    images = [canon_scaled(param, *xi_raw_scaled(param, a, b))
+    images = [canon_scaled(w, 2 * p, *xi_raw_scaled(param, a, b))
               for a, b in squares]
     if orientation == "vertical":
         fib = {t for t, _, _ in images}
@@ -179,7 +183,7 @@ def reference_geometry(param, orientation, squares, types):
             return {"ok": False, "case": "P-middle-zone", "t": t}
 
     def step_class(d):
-        return canon_scaled(param, 4 * p * d, 4 * p * d, 4 * p * d)
+        return canon_scaled(w, 2 * p, 4 * p * d, 4 * p * d, 4 * p * d)
 
     base = param.adj * w
     for imgs, steps, case in (
@@ -187,7 +191,7 @@ def reference_geometry(param, orientation, squares, types):
                       step_class(base + w // (2 * p) + 1)}, "P-diagonal-step"),
             (q_imgs, {step_class(base), step_class(base - 1)}, "Q-axis-step")):
         for a, b in zip(imgs, imgs[1:]):
-            d = canon_scaled(param, *(y - x for x, y in zip(a, b)))
+            d = canon_scaled(w, 2 * p, *(y - x for x, y in zip(a, b)))
             if d not in steps:
                 return {"ok": False, "case": case, "diff": d}
     counts = {}
@@ -251,7 +255,7 @@ def test_corrupted_particles_fail_geometry(param, ptype, data):
     # the open middle zone holds odd fibers only when q > p + 1
     t1 = 2 * param.p - w
     middle = [a for a in range(w * w) if t1 < canon_scaled(
-        param, *xi_raw_scaled(param, a, c))[0] < -t1]
+        w, 2 * param.p, *xi_raw_scaled(param, a, c))[0] < -t1]
     if middle:
         moved = list(h_squares)
         moved[i % (2 * param.p)] = (data.draw(st.sampled_from(middle)), c)
@@ -460,7 +464,7 @@ def test_grid_cell_matches_canonical_reduction(param, a, b):
     t, u1, u2 = xi_raw_scaled(param, a, b)
     for point in ((t, u1, u2), (-t, -u1, -u2), (t, u2, u1)):
         assert grid_cell(param, *point) == \
-            cell_index(w, *canon_scaled(param, *point))
+            cell_index(w, *canon_scaled(param.omega, 2 * param.p, *point))
         ct, cu1, cu2 = cover_oracle(param, *point)
         # the cover index runs t over [-w, 3w), canonical t over [-2w, 2w)
         if ct < -w:
@@ -612,3 +616,81 @@ def test_center_column_matches_point_cells_to_15():
 @given(params(), st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 2)))
 def test_center_column_matches_point_cells(param, a, sheets):
     assert center_column(param, a, sheets) == point_column(param, a, sheets)
+
+
+def oracle_tiling(P, offset, window, eps):
+    """irrational_tiling center by center in Fraction arithmetic: canon_frac
+    of each image, wall_distance and fiber_label, and the same four bumps
+    of the offset checked the same way.  Returns the result's labels,
+    minimum distance, closest center and mismatches, or the BadOffset
+    detail and suggestion."""
+    x0, y0, x1, y1 = window
+
+    def images(v):
+        for n in range(x0, x1):
+            x = P * (2 * n + 1)
+            for m in range(y0, y1):
+                y = 2 * m + 1
+                yield (n, m), canon_frac(P, x + y + v[0], x + v[1],
+                                         x + P * y + v[2])
+
+    labels, best = {}, None
+    for (n, m), pt in images(offset):
+        d = wall_distance(P, pt)
+        if best is None or d < best[0]:
+            best = d, (n, m)
+        if d < eps:
+            bump = F(1, 2 ** 21 + 17)
+            bumps = (tuple(v + j * k * bump for k, v in enumerate(offset, 1))
+                     for j in range(1, 5))
+            suggestion = next((v for v in bumps if all(
+                wall_distance(P, q) >= eps for _, q in images(v))), None)
+            return (f"center ({n}+1/2, {m}+1/2) is {d} from a wall (< {eps})",
+                    suggestion)
+        labels[(n, m)] = fiber_label(P, pt)[0]
+    edges = {c: set() if lab == "EMPTY" else set(lab)
+             for c, lab in labels.items()}
+    mismatches = [((n, m), nb) for (n, m), e in edges.items()
+                  for nb, side, opposite in (((n + 1, m), "E", "W"),
+                                             ((n, m + 1), "N", "S"))
+                  if nb in edges and (side in e) != (opposite in edges[nb])]
+    return labels, best[0], best[1], mismatches
+
+
+@st.composite
+def irrational_ps(draw):
+    """An even rational 2p/omega, or a convergent of a random continued
+    fraction [0; a1, a2, ...] with a1 >= 2, so in (0, 1)."""
+    if draw(st.booleans()):
+        return draw(params()).bigP
+    terms = draw(st.lists(st.integers(1, 6), min_size=0, max_size=12))
+    P = F(0)
+    for a in reversed([draw(st.integers(2, 6))] + terms):
+        P = 1 / (a + P)
+    return P
+
+
+offsets = st.one_of(st.just((F(0),) * 3), st.tuples(*[st.builds(
+    lambda den, num: F(num % (2 * den) - den, den),
+    st.integers(1, 2 ** 22), st.integers(0, 2 ** 23))] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(irrational_ps(), offsets, st.integers(-6, 6), st.integers(-6, 6),
+       st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from((F(1, 2 ** 40), F(1, 2 ** 12), F(1, 2))))
+def test_irrational_window_matches_fraction_oracle(P, offset, x0, y0, dx, dy,
+                                                   eps):
+    """The integer window against the Fraction oracle: labels, the exact
+    minimum wall distance, the closest center and the mismatches, or the
+    BadOffset detail and suggestion."""
+    window = (x0, y0, x0 + dx, y0 + dy)
+    want = oracle_tiling(P, offset, window, eps)
+    try:
+        r = irrational_tiling(P, offset, window, eps)
+    except BadOffset as exc:
+        assert (str(exc), exc.suggestion) == want
+    else:
+        assert (r["labels"], r["min_wall_distance"], r["closest_center"],
+                r["mismatches"]) == want
+        assert r["ok"] == (not want[3])

@@ -26,7 +26,8 @@ from plaid.pet import (
     xi_hat,
     STEPS,
 )
-from plaid.classifier import (REVERSED, grid_cell, tile_of, unordered_label,
+from plaid.classifier import (CODE_MASKS, REVERSED, canon_frac, fiber_label,
+                              grid_cell, tile_of, unordered_label,
                               xi_raw_scaled)
 
 
@@ -293,7 +294,6 @@ class TestIrrational:
             irrational_tiling(P, (0, 0, 0), (0, 0, 4, 4))
         assert err.value.suggestion is not None
         # the first center maps onto the zone boundary fiber exactly
-        from plaid.classifier import canon_frac
         pt = canon_frac(P, 2 * P * F(1, 2) + 1, 2 * P * F(1, 2),
                         2 * P * F(1, 2) + P)
         assert pt.as_tuple() == (-1 + P, F(0), P)
@@ -335,16 +335,22 @@ class TestIrrational:
         labels = irrational_tiling(P, seed, window)["labels"]
         n, m = center = next(c for c in ((2, 2), (2, 3), (3, 2), (3, 3))
                              if labels[c] != "EMPTY")
-        point = dict(pet._window_images(P, seed, window))[center]
-        real = pet.fiber_label
+        # the Fraction oracle labels the center's image alike
+        x, y = P * (2 * n + 1), 2 * m + 1
+        point = canon_frac(P, x + y + seed[0], x + seed[1],
+                           x + P * y + seed[2])
+        assert fiber_label(P, point)[0] == labels[center]
+        real = pet._window_codes
 
-        def fiber_label(P_, pt):
-            label, diag = real(P_, pt)
-            if (P_, pt) == (P, point):
-                label = "".join(e for e in "NSEW" if e not in label)
-            return label, diag
+        def window_codes(P_, offset, win, eps):
+            # the code of the other two edges at the center, on this window
+            codes, *rest = real(P_, offset, win, eps)
+            if (P_, offset, win) == (P, seed, window):
+                i = n * window[3] + m
+                codes[i] = CODE_MASKS.index(15 ^ CODE_MASKS[codes[i]])
+            return (codes, *rest)
 
-        monkeypatch.setattr(pet, "fiber_label", fiber_label)
+        monkeypatch.setattr(pet, "_window_codes", window_codes)
         r = irrational_tiling(P, seed, window)
         assert not r["ok"]
         assert sorted(r["mismatches"]) == [

@@ -35,7 +35,7 @@ def test_canon_frac_lattice_invariant(prm, t, u1, u2, k1, k2, k3):
        st.integers(-40, 40), st.integers(-40, 40))
 def test_canon_scaled_matches_fraction_path(prm, t, u1, u2, k1, k2, k3):
     w, p = prm.omega, prm.p
-    ts, us1, us2 = canon_scaled(prm, t + 2 * w * k1,
+    ts, us1, us2 = canon_scaled(w, 2 * p, t + 2 * w * k1,
                                 u1 + 2 * p * k1 + 2 * w * k2,
                                 u2 + 2 * p * k1 + 2 * w * k3)
     pt = canon_frac(prm.bigP, F(t, w), F(u1, w), F(u2, w))
@@ -62,9 +62,10 @@ def test_canon_cover_invariant(prm, t, u1, u2, k1, k2, k3):
 @given(param_st, st.integers(-50, 50), st.integers(-50, 50))
 def test_xi_respects_translation_lattice(prm, a, b):
     w = prm.omega
-    base = canon_scaled(prm, *xi_raw_scaled(prm, a, b))
-    assert canon_scaled(prm, *xi_raw_scaled(prm, a + w * w, b)) == base
-    assert canon_scaled(prm, *xi_raw_scaled(prm, a, b + w)) == base
+    p2 = 2 * prm.p
+    base = canon_scaled(w, p2, *xi_raw_scaled(prm, a, b))
+    assert canon_scaled(w, p2, *xi_raw_scaled(prm, a + w * w, b)) == base
+    assert canon_scaled(w, p2, *xi_raw_scaled(prm, a, b + w)) == base
 
 
 @given(st.integers(2, 60), st.integers(-10 ** 9, 10 ** 9))

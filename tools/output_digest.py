@@ -20,7 +20,11 @@ Groups:
 - lights        light_points_on_line of every H and V line within one of
                 blocks (bi, bj), bi in {0, 1, omega-1} and bj in {0, 1}, at
                 omega <= N;
-- cells         cell_code of every cover cell at omega <= 15.
+- cells         cell_code of every cover cell at omega <= 15;
+- irrational    irrational --tiles on a 24 x 24 window at the explore
+                windows' P and criterion 12's P, the BadOffset documents
+                of the zero offset there with a suggestion and without one
+                (--eps 1/2), and suite_irrational.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -42,6 +46,9 @@ RENDER_PARAMS = ((2, 5), (4, 11), (10, 11))
 EXPLORE_SEEDS = (1, 2)
 EXPLORE_SECONDS = 8.0
 CENTER_OMEGA = 15
+CRITERION_12_PS = ("8/21", "34/89", "144/377")
+IRRATIONAL_OFFSET = "1/1048583,1/1048609,1/1048613"
+IRRATIONAL_WINDOW = "0,0,24,24"
 
 
 def _digest(chunks) -> str:
@@ -107,6 +114,15 @@ def main(argv=None) -> int:
                                "--layers", ALL_LAYERS], outdir, 0)
                 for p, q in RENDER_PARAMS for win in _render_windows(p + q)]
         print(f"{'render':<24} {_digest(runs)}")
+        runs = []
+        for P in dict.fromkeys(workloads.IRRATIONAL_P + CRITERION_12_PS):
+            argv = ["irrational", "--P", P, "--window", IRRATIONAL_WINDOW]
+            for extra in (["--offset", IRRATIONAL_OFFSET, "--tiles"],
+                          ["--offset", "0,0,0"],
+                          ["--offset", "0,0,0", "--eps", "1/2"]):
+                runs.append(_cli_run(cli, argv + extra, outdir, 0))
+        runs.append(verify.suite_irrational())
+        print(f"{'irrational':<24} {_digest(runs)}  ({len(runs) - 1} requests)")
     rows = []
     for param in even_rationals(CENTER_OMEGA):
         w = param.omega
