@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .params import InvalidParameter, PlaidError, make_param
 from .grid import trace_polygons
@@ -201,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="emit an SVG picture")
     _add_pq(r)
-    r.add_argument("--window", type=_parse_window, required=True)
+    # argparse reads a value that starts with "-" as an option
+    r.add_argument("--window", type=_parse_window, required=True,
+                   help="x0,y0,x1,y1; negative ones as --window=-3,-3,2,2")
     r.add_argument("--scale", type=int, default=24)
     r.add_argument("--layers", default="polygons",
                    help=f"comma list from {','.join(LAYERS)}")
@@ -222,15 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("orbit", help="dump one special orbit")
     _add_pq(o)
-    o.add_argument("--c", required=True, help="tile center, e.g. 1/2,1/2")
+    o.add_argument("--c", required=True,
+                   help="tile center, e.g. 1/2,1/2; negative as --c=-1/2,1/2")
     o.add_argument("--oriented", action="store_true")
     o.add_argument("--out")
     o.set_defaults(func=cmd_orbit)
 
     i = sub.add_parser("irrational", help="offset tiling at any exact P")
     i.add_argument("--P", required=True, help="rational in (0,1), e.g. 34/89")
-    i.add_argument("--offset", required=True, help="three rationals a,b,c")
-    i.add_argument("--window", type=_parse_window, required=True)
+    i.add_argument("--offset", required=True,
+                   help="three rationals a,b,c; negative as --offset=-1/3,0,0")
+    i.add_argument("--window", type=_parse_window, required=True,
+                   help="x0,y0,x1,y1; negative ones as --window=-3,-3,2,2")
     i.add_argument("--eps", help="wall-distance threshold (default 2^-40)")
     i.add_argument("--tiles", action="store_true", help="include tile labels")
     i.add_argument("--out")
@@ -239,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stats", help="polygon census and trend observables")
     _add_pq(s)
     s.add_argument("--blocks", help="comma list of fundamental block indices")
-    s.add_argument("--gap-window", type=_parse_window)
+    s.add_argument("--gap-window", type=_parse_window,
+                   help="x0,y0,x1,y1; negative ones as --gap-window=-3,-3,2,2")
     s.add_argument("--document", action="store_true",
                    help="emit the polygon document instead of statistics")
     s.add_argument("--out")
@@ -247,9 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(suites: Tuple[str, ...]) -> argparse.ArgumentParser:
+    """build_parser, kept while SUITES keeps its names; parsing leaves no
+    state in the parser."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser(tuple(SUITES)).parse_args(argv)
     try:
         return args.func(args)
     except (InvalidParameter, PlaidError, OSError) as exc:

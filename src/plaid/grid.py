@@ -23,7 +23,7 @@ cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
 the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
 (light_lists).  A light point is a light residue placed on a crossing, by
-BlockGrid._fill for a whole block and by light_points_on_line for one line.
+BlockGrid._fill for a whole block and by light_points_scaled for one line.
 The light rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
@@ -415,25 +415,26 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     return row * (w + 1), [2] * ((w + 1) * w)
 
 
-def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
-                         ) -> List[Tuple[Fraction, int]]:
-    """Light points (coordinate along the line, multiplicity) on the closed
-    intersection of the line with the given block, sorted.  The line's light
-    residues land on the block's crossings as in BlockGrid._fill: an H line
-    takes the crossing-slot weights; a V line takes the crossing rule of
-    closed_point_counts and meets double points only at block corners, where
-    capacity is 0."""
+def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
+                        ) -> Tuple[int, List[Tuple[int, int]]]:
+    """(den, [(num, multiplicity)]): the light points on the closed
+    intersection of the line with the given block, at num/den along the
+    line, sorted; den is 2pq for an H line and omega for a V line.  The
+    line's light residues land on the block's crossings as in
+    BlockGrid._fill: an H line takes the crossing-slot weights; a V line
+    takes the crossing rule of closed_point_counts and meets double points
+    only at block corners, where capacity is 0."""
     w, p, q = param.omega, param.p, param.q
     bi, bj = block
     if line.family not in ("H", "V"):
         raise InvalidParameter("light census applies to H and V lines")
     c = line.intercept
+    den = w if line.family == "V" else 2 * p * q
     across = bj if line.family == "H" else bi
     if not across * w <= c <= (across + 1) * w:
-        return []
+        return den, []
     res = light_lists(param)[c % w]
     out = []
-    den = w if line.family == "V" else 2 * p * q
     if line.family == "H":
         for s, step in ((p, w * q), (q, w * p)):
             # slot r sits at x = k*w/2s, k = 2s*bi + r, so x * 2pq = k * step
@@ -448,7 +449,15 @@ def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
             num = 2 * s * c
             lo = -(-(bj * w * w + num) // w)
             out += [((lo + (rho - lo) % w) * w - num, 1) for rho in res]
-    return [(Fraction(v, den), mult) for v, mult in sorted(out)]
+    return den, sorted(out)
+
+
+def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
+                         ) -> List[Tuple[Fraction, int]]:
+    """The Fraction view of light_points_scaled: (coordinate along the line,
+    multiplicity) of each light point, sorted."""
+    den, pts = light_points_scaled(param, line, block)
+    return [(Fraction(v, den), mult) for v, mult in pts]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ from .grid import PlaidPolygon
 FORMAT_VERSION = 1
 
 
+def _half(v2: int) -> str:
+    """str(Fraction(v2, 2)) of a doubled coordinate."""
+    return f"{v2}/2" if v2 % 2 else str(v2 // 2)
+
+
 def polygon_document(param: Param,
                      blocks: Sequence[Tuple[int, int]],
                      polygons: Dict[Tuple[int, int], Sequence[PlaidPolygon]]
@@ -23,8 +28,7 @@ def polygon_document(param: Param,
         "polygons": [
             {
                 "block": list(block),
-                "vertices": [[str(x), str(y)]
-                             for x, y in pg.vertices],
+                "vertices": [[_half(x), _half(y)] for x, y in pg.verts2],
             }
             for block in blocks
             for pg in polygons[block]

@@ -1,18 +1,18 @@
 """Deterministic SVG pictures of the model.
 
-Coordinates are mapped to pixels with exact integer arithmetic
-(floor(scale * num / den)); re-rendering identical arguments is
+Coordinates are exact ratios num/den of integers (tile centers and polygon
+vertices doubled), mapped to pixels by one floor division,
+(num - x0*den) * scale // den; re-rendering identical arguments is
 byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .params import Param, PlaidError, Rat
-from .grid import (STEPS, BlockGrid, GridLine, light_points_on_line,
+from .params import Param, PlaidError
+from .grid import (STEPS, BlockGrid, GridLine, light_points_scaled,
                    trace_polygons)
 from .classifier import cell_code, center_cell
 
@@ -37,6 +37,8 @@ class RenderConfig:
         return self.palette.get(key, _DEFAULT_PALETTE[key])
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (*self.window, self.scale)):
+            raise PlaidError("window corners and scale must be integers")
         x0, y0, x1, y1 = self.window
         if self.scale < 1 or x1 <= x0 or y1 <= y0:
             raise PlaidError("window must be nonempty and scale >= 1")
@@ -45,55 +47,45 @@ class RenderConfig:
                 raise PlaidError(f"unknown layer {layer!r}")
 
 
-def _px(cfg: RenderConfig, x: Rat) -> int:
-    x = Fraction(x) - cfg.window[0]
-    return (x.numerator * cfg.scale) // x.denominator
+def _pixel(cfg: RenderConfig, x: int, y: int, den: int) -> Tuple[int, int]:
+    """The pixel of the point (x/den, y/den)."""
+    x0, _, _, y1 = cfg.window
+    return ((x - x0 * den) * cfg.scale // den,
+            (y1 * den - y) * cfg.scale // den)
 
 
-def _py(cfg: RenderConfig, y: Rat) -> int:
-    y = Fraction(cfg.window[3]) - Fraction(y)
-    return (y.numerator * cfg.scale) // y.denominator
-
-
-def _line(cfg, x0, y0, x1, y1, color, width=1) -> str:
-    return (f'<line x1="{_px(cfg, x0)}" y1="{_py(cfg, y0)}" '
-            f'x2="{_px(cfg, x1)}" y2="{_py(cfg, y1)}" '
+def _line(cfg, x0, y0, x1, y1, den, color, width=1) -> str:
+    """The segment from (x0/den, y0/den) to (x1/den, y1/den)."""
+    (ax, ay), (bx, by) = _pixel(cfg, x0, y0, den), _pixel(cfg, x1, y1, den)
+    return (f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}" '
             f'stroke="{color}" stroke-width="{width}"/>')
 
 
-def _clip_diag(param: Param, b: int, slope_num: int, cfg: RenderConfig):
-    """Endpoints of y = b - (slope_num/omega) x clipped to the window."""
-    w = param.omega
-    x0, y0, x1, y1 = cfg.window
-    s = Fraction(slope_num, w)
-    pts = []
-    for x in (Fraction(x0), Fraction(x1)):
-        y = b - s * x
-        if y0 <= y <= y1:
-            pts.append((x, y))
-    for y in (Fraction(y0), Fraction(y1)):
-        x = (b - y) / s
-        if x0 <= x <= x1:
-            pts.append((x, y))
-    pts = sorted(set(pts))
-    return (pts[0], pts[-1]) if len(pts) >= 2 else None
+def _clip_diag(param: Param, b: int, s: int, cfg: RenderConfig):
+    """Endpoints of y = b - (s/omega) x clipped to the window, as
+    numerators over den = omega*s, and den; None if it misses."""
+    w, (x0, y0, x1, y1) = param.omega, cfg.window
+    den = w * s
+    ends = [(x * den, (b * w - s * x) * s) for x in (x0, x1)]
+    ends += [((b - y) * w * w, y * den) for y in (y0, y1)]
+    pts = sorted({(x, y) for x, y in ends if x0 * den <= x <= x1 * den
+                  and y0 * den <= y <= y1 * den})
+    return (pts[0], pts[-1], den) if len(pts) >= 2 else None
 
 
 def _grid_lines(param: Param, cfg: RenderConfig) -> List[str]:
-    x0, y0, x1, y1 = cfg.window
+    w, (x0, y0, x1, y1) = param.omega, cfg.window
     out = []
     for m in range(y0, y1 + 1):
-        out.append(_line(cfg, x0, m, x1, m, cfg.color("H")))
+        out.append(_line(cfg, x0, m, x1, m, 1, cfg.color("H")))
     for n in range(x0, x1 + 1):
-        out.append(_line(cfg, n, y0, n, y1, cfg.color("V")))
+        out.append(_line(cfg, n, y0, n, y1, 1, cfg.color("V")))
     for fam, s in (("P", 2 * param.p), ("Q", 2 * param.q)):
-        blo = y0 + (s * x0) // param.omega
-        bhi = y1 + (s * x1) // param.omega + 1
-        for b in range(blo, bhi + 1):
+        for b in range(y0 + s * x0 // w, y1 + s * x1 // w + 2):
             seg = _clip_diag(param, b, s, cfg)
             if seg:
-                (ax, ay), (bx, by) = seg
-                out.append(_line(cfg, ax, ay, bx, by, cfg.color(fam)))
+                (ax, ay), (bx, by), den = seg
+                out.append(_line(cfg, ax, ay, bx, by, den, cfg.color(fam)))
     return out
 
 
@@ -106,8 +98,10 @@ def _blocks_of_window(param: Param, cfg: RenderConfig):
 
 
 def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
-    """The light points of the window's lines inside the closed window."""
+    """The light points of the window's lines inside the closed window,
+    each once: points meet in one coordinate system over den = 2pq*omega."""
     w = param.omega
+    den = 2 * param.p * param.q * w
     x0, y0, x1, y1 = cfg.window
     out = []
     seen = set()
@@ -116,30 +110,32 @@ def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
                 ("H", max(bj * w, y0), min((bj + 1) * w, y1), x0, x1),
                 ("V", max(bi * w, x0), min((bi + 1) * w, x1), y0, y1)):
             for c in range(lo, hi + 1):
-                line = GridLine(family, c)
-                for v, mult in light_points_on_line(param, line, (bi, bj)):
-                    x, y = (v, c) if family == "H" else (c, v)
-                    if v0 <= v <= v1 and (x, y) not in seen:
-                        seen.add((x, y))
-                        out.append(f'<circle cx="{_px(cfg, x)}" '
-                                   f'cy="{_py(cfg, y)}" r="{2 * mult}" '
+                line_den, pts = light_points_scaled(param, GridLine(family, c),
+                                                    (bi, bj))
+                k = den // line_den
+                for v, mult in pts:
+                    xy = (v * k, c * den) if family == "H" else (c * den, v * k)
+                    if v0 * line_den <= v <= v1 * line_den and xy not in seen:
+                        seen.add(xy)
+                        cx, cy = _pixel(cfg, *xy, den)
+                        out.append(f'<circle cx="{cx}" cy="{cy}" r="{2 * mult}" '
                                    f'fill="{cfg.color("light-points")}"/>')
     return out
 
 
 def _connectors(param: Param, cfg: RenderConfig,
                 grids: Optional[Dict[int, BlockGrid]]) -> List[str]:
-    """Good edges from grids[bi]; with grids None, oriented-label arrows."""
+    """Good edges from grids[bi]; with grids None, oriented-label arrows.
+    Tile centers and edge midpoints are drawn from doubled coordinates."""
     w = param.omega
     x0, y0, x1, y1 = cfg.window
     arrows = grids is None
     color = cfg.color("orientation-arrows" if arrows else "connectors")
     out = []
-    half = Fraction(1, 2)
     for bi, bj in _blocks_of_window(param, cfg):
         for gx in range(max(x0, bi * w), min(x1, (bi + 1) * w)):
             for gy in range(max(y0, bj * w), min(y1, (bj + 1) * w)):
-                cx, cy = gx + half, gy + half
+                cx, cy = 2 * gx + 1, 2 * gy + 1
                 if arrows:
                     code = cell_code(param, center_cell(param, gx, gy, 2))
                     edges = [code >> 2, code & 3] if code % 5 else []
@@ -148,11 +144,11 @@ def _connectors(param: Param, cfg: RenderConfig,
                     mask = grids[bi].edge_mask(gx - bi * w, gy - bj * w)
                     edges = [e for e in (2, 0, 1, 3) if mask >> e & 1]
                 for i, e in enumerate(edges):
-                    dx, dy = half * STEPS[e][0], half * STEPS[e][1]
-                    out.append(_line(cfg, cx, cy, cx + dx, cy + dy, color, 2))
+                    ex, ey = cx + STEPS[e][0], cy + STEPS[e][1]
+                    out.append(_line(cfg, cx, cy, ex, ey, 2, color, 2))
                     if arrows and i == 1:
                         # head marker on the exit edge
-                        hx, hy = _px(cfg, cx + dx), _py(cfg, cy + dy)
+                        hx, hy = _pixel(cfg, ex, ey, 2)
                         out.append(f'<circle cx="{hx}" cy="{hy}" r="3" '
                                    f'fill="{color}"/>')
     return out
@@ -160,11 +156,14 @@ def _connectors(param: Param, cfg: RenderConfig,
 
 def _polygons(param: Param, cfg: RenderConfig,
               grids: Dict[int, BlockGrid]) -> List[str]:
+    # _pixel(cfg, x, y, 2) written out: vertices are most of a render's points
+    scale, left, top = cfg.scale, 2 * cfg.window[0], 2 * cfg.window[3]
     out = []
     for bi, bj in _blocks_of_window(param, cfg):
         for pg in trace_polygons(param, (bi, bj), grids[bi]):
-            pts = " ".join(f"{_px(cfg, x)},{_py(cfg, y)}"
-                           for x, y in pg.vertices)
+            pts = " ".join(f"{(x - left) * scale // 2},"
+                           f"{(top - y) * scale // 2}"
+                           for x, y in pg.verts2)
             out.append(f'<polygon points="{pts}" fill="none" '
                        f'stroke="{cfg.color("polygons")}" stroke-width="2"/>')
     return out
@@ -172,9 +171,8 @@ def _polygons(param: Param, cfg: RenderConfig,
 
 def render_svg(param: Param, cfg: RenderConfig) -> str:
     """The requested layers over the window, as a standalone SVG document."""
-    x0, y0, x1, y1 = cfg.window
-    width = (x1 - x0) * cfg.scale
-    height = (y1 - y0) * cfg.scale
+    # the pixel of the window's southeast corner
+    width, height = _pixel(cfg, cfg.window[2], cfg.window[1], 1)
     body: List[str] = []
     grids = {}
     if "connectors" in cfg.layers or "polygons" in cfg.layers:

@@ -8,7 +8,6 @@ an "ok" field; sweeps run them over all even rationals up to a bound.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
@@ -314,6 +313,8 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
                                     if max_omega is None else max_omega)
     jobs_list = [(suite, prm.p, prm.q) for prm in params]
     if jobs > 1:
+        # imported here: a third of the package's import time otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_one, jobs_list))
     else:

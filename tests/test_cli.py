@@ -6,6 +6,7 @@ import pytest
 from plaid.cli import main
 from plaid.params import make_param
 from plaid.pet import pet_region, special_orbit, vector_polygon
+from plaid.svgout import RenderConfig, render_svg
 
 
 def run(capsys, *argv):
@@ -21,6 +22,41 @@ def test_render_deterministic(tmp_path, capsys):
     code, out2 = run(capsys, "render", "--p", "2", "--q", "5",
                      "--window", "0,0,7,7", "--layers", "polygons")
     assert out == out2 and "<svg" in out
+
+
+def test_render_negative_window(capsys):
+    """A window with negative corners, joined to its option by "="."""
+    code, out = run(capsys, "render", "--p", "2", "--q", "5",
+                    "--window=-3,-3,2,2")
+    assert code == 0
+    assert out == render_svg(make_param(2, 5),
+                             RenderConfig(window=(-3, -3, 2, 2)))
+
+
+def test_parser_kept_after_rejected_request(capsys):
+    """The parser is built once per process: a request argparse rejects
+    leaves nothing behind, and the next one prints what a fresh process
+    prints."""
+    import os
+    import subprocess
+    import sys
+
+    import plaid
+    from plaid import cli
+
+    argv = ["orbit", "--p", "2", "--q", "5", "--c", "3/2,1/2", "--oriented"]
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--p", "2", "--q", "5", "--c"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    built = cli._parser.cache_info().misses
+    code, out = run(capsys, *argv)
+    assert cli._parser.cache_info().misses == built
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(plaid.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "plaid.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert code == fresh.returncode == 0 and out == fresh.stdout
 
 
 def test_render_grid_lines(capsys):

@@ -6,8 +6,9 @@ exchange orbits of `vector_polygon`, particle image geometry against a
 per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns against the per-class
-reduction, the light-set symmetries past their sweep bound, and the integer
-irrational window against its Fraction oracle."""
+reduction, the light-set symmetries past their sweep bound, the integer
+irrational window against its Fraction oracle, and the integer SVG renderer
+against a Fraction renderer."""
 
 import math
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import verify
+from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
     CODE_LABELS,
     ORIENTED_CODES,
@@ -30,6 +32,7 @@ from plaid.classifier import (
     canon_frac,
     canon_scaled,
     cell_code,
+    center_cell,
     center_column,
     fiber_label,
     grid_cell,
@@ -694,3 +697,119 @@ def test_irrational_window_matches_fraction_oracle(P, offset, x0, y0, dx, dy,
         assert (r["labels"], r["min_wall_distance"], r["closest_center"],
                 r["mismatches"]) == want
         assert r["ok"] == (not want[3])
+
+
+# ---------------------------------------------------------------------------
+# The SVG renderer against a Fraction renderer
+# ---------------------------------------------------------------------------
+
+def reference_svg(param, cfg):
+    """render_svg with every coordinate a Fraction, floored once per pixel:
+    each block's light points through light_points_on_line, duplicates
+    dropped by their Fraction coordinates."""
+    w = param.omega
+    x0, y0, x1, y1 = cfg.window
+
+    def px(x):
+        x = F(x) - x0
+        return x.numerator * cfg.scale // x.denominator
+
+    def py(y):
+        y = F(y1) - F(y)
+        return y.numerator * cfg.scale // y.denominator
+
+    def line(ax, ay, bx, by, color, width=1):
+        return (f'<line x1="{px(ax)}" y1="{py(ay)}" x2="{px(bx)}" '
+                f'y2="{py(by)}" stroke="{color}" stroke-width="{width}"/>')
+
+    def clip_diag(b, s):
+        pts = [(F(x), b - F(s, w) * x) for x in (x0, x1)
+               if y0 <= b - F(s, w) * x <= y1]
+        pts += [((b - y) / F(s, w), F(y)) for y in (y0, y1)
+                if x0 <= (b - y) / F(s, w) <= x1]
+        pts = sorted(set(pts))
+        return (pts[0], pts[-1]) if len(pts) >= 2 else None
+
+    blocks = [(bi, bj) for bi in range(x0 // w, (x1 - 1) // w + 1)
+              for bj in range(y0 // w, (y1 - 1) // w + 1)]
+    grids = {bi: BlockGrid(param, bi) for bi, _ in blocks}
+    half = F(1, 2)
+
+    def connectors(arrows):
+        color = cfg.color("orientation-arrows" if arrows else "connectors")
+        out = []
+        for bi, bj in blocks:
+            for gx in range(max(x0, bi * w), min(x1, (bi + 1) * w)):
+                for gy in range(max(y0, bj * w), min(y1, (bj + 1) * w)):
+                    cx, cy = gx + half, gy + half
+                    if arrows:
+                        code = cell_code(param, center_cell(param, gx, gy, 2))
+                        edges = [code >> 2, code & 3] if code % 5 else []
+                    else:
+                        mask = grids[bi].edge_mask(gx - bi * w, gy - bj * w)
+                        edges = [e for e in (2, 0, 1, 3) if mask >> e & 1]
+                    for i, e in enumerate(edges):
+                        ex, ey = cx + half * STEPS[e][0], cy + half * STEPS[e][1]
+                        out.append(line(cx, cy, ex, ey, color, 2))
+                        if arrows and i == 1:
+                            out.append(f'<circle cx="{px(ex)}" cy="{py(ey)}" '
+                                       f'r="3" fill="{color}"/>')
+        return out
+
+    body = []
+    if "grid-lines" in cfg.layers:
+        body += [line(x0, m, x1, m, cfg.color("H")) for m in range(y0, y1 + 1)]
+        body += [line(n, y0, n, y1, cfg.color("V")) for n in range(x0, x1 + 1)]
+        for fam, s in (("P", 2 * param.p), ("Q", 2 * param.q)):
+            for b in range(y0 + s * x0 // w, y1 + s * x1 // w + 2):
+                seg = clip_diag(b, s)
+                if seg:
+                    body.append(line(*seg[0], *seg[1], cfg.color(fam)))
+    if "light-points" in cfg.layers:
+        seen = set()
+        for bi, bj in blocks:
+            for family, lo, hi, v0, v1 in (
+                    ("H", max(bj * w, y0), min((bj + 1) * w, y1), x0, x1),
+                    ("V", max(bi * w, x0), min((bi + 1) * w, x1), y0, y1)):
+                for c in range(lo, hi + 1):
+                    for v, mult in light_points_on_line(
+                            param, GridLine(family, c), (bi, bj)):
+                        xy = (v, c) if family == "H" else (c, v)
+                        if v0 <= v <= v1 and xy not in seen:
+                            seen.add(xy)
+                            body.append(
+                                f'<circle cx="{px(xy[0])}" cy="{py(xy[1])}" '
+                                f'r="{2 * mult}" '
+                                f'fill="{cfg.color("light-points")}"/>')
+    if "connectors" in cfg.layers:
+        body += connectors(False)
+    if "polygons" in cfg.layers:
+        for bi, bj in blocks:
+            for pg in trace_polygons(param, (bi, bj), grids[bi]):
+                pts = " ".join(f"{px(x)},{py(y)}" for x, y in pg.vertices)
+                body.append(f'<polygon points="{pts}" fill="none" '
+                            f'stroke="{cfg.color("polygons")}" '
+                            f'stroke-width="2"/>')
+    if "orientation-arrows" in cfg.layers:
+        body += connectors(True)
+    width, height = (x1 - x0) * cfg.scale, (y1 - y0) * cfg.scale
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">')
+    return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(61), st.data())
+def test_render_matches_fraction_renderer(param, data):
+    """All five layers, byte for byte, on windows of up to 2 x 2 blocks
+    anywhere within two blocks of the origin, negative corners included, at
+    odd and even scales."""
+    w = param.omega
+    x0 = data.draw(st.integers(-2 * w, 2 * w))
+    y0 = data.draw(st.integers(-2 * w, 2 * w))
+    window = (x0, y0, x0 + data.draw(st.integers(1, w)),
+              y0 + data.draw(st.integers(1, w)))
+    cfg = RenderConfig(window=window, scale=data.draw(st.integers(1, 31)),
+                       layers=LAYERS)
+    assert render_svg(param, cfg) == reference_svg(param, cfg)

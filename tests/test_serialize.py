@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 from conftest import golden_path
 from plaid.params import make_param
 from plaid.grid import trace_polygons
 from plaid.serialize import (
+    _half,
     document_polygons,
     emit,
     parse_polygon_document,
@@ -18,6 +21,13 @@ def test_roundtrip_identity(p25):
     back = document_polygons(parse_polygon_document(text))
     assert {b: [pg.verts2 for pg in ps] for b, ps in back.items()} == \
         {b: [pg.verts2 for pg in ps] for b, ps in polys.items()}
+
+
+def test_doubled_coordinates_written_as_fractions():
+    """Vertices are written straight from the doubled coordinates, in
+    Fraction's own string form, negative and odd ones included."""
+    for v2 in range(-13, 14):
+        assert _half(v2) == str(Fraction(v2, 2))
 
 
 def test_golden_corpus_roundtrip():

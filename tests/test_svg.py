@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plaid.params import make_param
+from plaid.params import PlaidError, make_param
 from plaid.classifier import tile_of
 from plaid.grid import good_edges
 from plaid.svgout import LAYERS, RenderConfig, render_svg
@@ -87,6 +87,16 @@ def test_config_validation():
         RenderConfig(window=(0, 0, 7, 7), scale=0)
     with pytest.raises(Exception):
         RenderConfig(window=(0, 0, 7, 7), layers=("nope",))
+
+
+@pytest.mark.parametrize("layer", ["polygons", "grid-lines"])
+@pytest.mark.parametrize("window,scale", [((F(1, 2), 0, 7, 7), 24),
+                                          ((0, 0, 7.0, 7), 24),
+                                          ((0, 0, 7, 7), F(3, 2))])
+def test_non_integer_window_or_scale_rejected(p25, layer, window, scale):
+    with pytest.raises(PlaidError, match="integers"):
+        render_svg(p25, RenderConfig(window=window, scale=scale,
+                                     layers=(layer,)))
 
 
 def test_integer_pixel_coordinates(p25):

@@ -13,7 +13,8 @@ Groups:
 - explore:SEED  every explore CLI request of seeds 1 and 2 (argv, exit code,
                 stdout, stderr and output file bytes);
 - render        render with all layers on windows spanning 2 x 2 blocks at
-                2/5, 4/11 and 10/11;
+                2/5, 4/11 and 10/11, one of them with negative corners,
+                each at the default scale and at scale 7;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
@@ -77,9 +78,11 @@ def _cli_run(cli, argv, outdir, i):
 
 
 def _render_windows(w: int):
-    """Windows straddling a block corner, so each spans 2 x 2 blocks."""
+    """Windows straddling a block corner, so each spans 2 x 2 blocks; the
+    last has negative corners."""
     return ((w - 3, w - 3, w + 3, w + 3),
-            (3 * w - 2, 2 * w - 4, 3 * w + 4, 2 * w + 2))
+            (3 * w - 2, 2 * w - 4, 3 * w + 4, 2 * w + 2),
+            (-4, -w - 3, 3, -w + 2))
 
 
 def main(argv=None) -> int:
@@ -109,10 +112,12 @@ def main(argv=None) -> int:
                     for i, op in enumerate(ops)]
             print(f"{f'explore:{seed}':<24} {_digest(runs)}"
                   f"  ({len(runs)} requests)")
+        # "--window=" since argparse reads "-4,..." as an option
         runs = [_cli_run(cli, ["render", "--p", str(p), "--q", str(q),
-                               "--window", ",".join(map(str, win)),
-                               "--layers", ALL_LAYERS], outdir, 0)
-                for p, q in RENDER_PARAMS for win in _render_windows(p + q)]
+                               "--window=" + ",".join(map(str, win)),
+                               "--layers", ALL_LAYERS, *scale], outdir, 0)
+                for p, q in RENDER_PARAMS for win in _render_windows(p + q)
+                for scale in ([], ["--scale", "7"])]
         print(f"{'render':<24} {_digest(runs)}")
         runs = []
         for P in dict.fromkeys(workloads.IRRATIONAL_P + CRITERION_12_PS):
