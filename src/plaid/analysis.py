@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat
 from .grid import (
@@ -195,29 +195,27 @@ def gap_radius(param: Param, window: Tuple[int, int, int, int]) -> Rat:
     """
     w = param.omega
     x0, y0, x1, y1 = window
-    occupied: Set[Tuple[int, int]] = set()
+    if x1 <= x0 or y1 <= y0:
+        raise PlaidError("window must be nonempty")
     masks = {bi: BlockGrid(param, bi).masks()
              for bi in {n // w % w for n in range(x0, x1)}}
-    for n in range(x0, x1):
-        block = masks[n // w % w]
-        for m in range(y0, y1):
-            if block[n % w * w + m % w]:
-                occupied.add((n, m))
-    if not occupied:
+    frontier = [(n, m) for n in range(x0, x1) for m in range(y0, y1)
+                if masks[n // w % w][n % w * w + m % w]]
+    if not frontier:
         raise PlaidError("window holds no connectors at all")
-    # multi-source 8-neighbour BFS gives the Chebyshev distance field
-    dist = {c: 0 for c in occupied}
-    frontier = list(occupied)
-    worst = 0
+    # multi-source 8-neighbour BFS from the connector squares: the level at
+    # which a cell is reached is its Chebyshev distance to the nearest one
+    reached = set(frontier)
+    worst = -1
     while frontier:
+        worst += 1
         nxt = []
         for n, m in frontier:
             for dn in (-1, 0, 1):
                 for dm in (-1, 0, 1):
                     c = (n + dn, m + dm)
-                    if x0 <= c[0] < x1 and y0 <= c[1] < y1 and c not in dist:
-                        dist[c] = dist[(n, m)] + 1
-                        worst = max(worst, dist[c])
+                    if x0 <= c[0] < x1 and y0 <= c[1] < y1 and c not in reached:
+                        reached.add(c)
                         nxt.append(c)
         frontier = nxt
     return Fraction(worst)

@@ -25,6 +25,12 @@ Fiber shifts.  cover_step sends each cell (j, i1, i2) of table fiber j to
 (j', i1 + c1, i2 + c2) mod omega, j', c1 and c2 depending on j and the edge
 alone: the step adds one vector to a cell's point, and whether t leaves the
 table's range depends on the fiber.  check_mesh compares whole fibers.
+Along a center column b -> b + 2 is one shift on all fibers (classifier
+docstring, "Center columns"), so conjugacy, cover_step(center_cell(a, b), e)
+== center_cell(a + dx, b + dy), holds on a column if it holds at b = 0, 1;
+every cover cell is a center's, so a step across e and back across e ^ 1
+returns to the cell.  Like check_mesh, this rests on cover_step being a
+fiber shift, which test_cover_step_matches_decoded_step guards.
 """
 
 from __future__ import annotations
@@ -259,10 +265,8 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 # Oriented coherence (the mesh equations)
 # ---------------------------------------------------------------------------
 
-# the entry edge of each directed code, 4 (no edge) for hold; and per edge
-# e, as translate tables read at 0..15 only, whether a code leaves across e
-# (bit 0) and enters across it (bit 1), bits that REVERSED swaps
-_ENTRY = bytes(4 if c % 5 == 0 else c >> 2 for c in range(16))
+# per edge e, as translate tables read at 0..15 only, whether a code leaves
+# across e (bit 0) and enters across it (bit 1), bits that REVERSED swaps
 _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
          for e in range(4)]
 

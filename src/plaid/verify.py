@@ -28,6 +28,7 @@ from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
     _MASK_TABLE,
+    center_cell,
     center_column,
     image_geometry_scaled,
     label_table,
@@ -36,7 +37,6 @@ from .classifier import (
 )
 from .pet import (
     BadOffset,
-    _ENTRY,
     check_mesh,
     cover_bijection,
     cover_step,
@@ -123,26 +123,22 @@ def suite_isomorphism(param: Param) -> dict:
 def suite_pet_equivalence(param: Param) -> dict:
     """Vector dynamics redraw every traced polygon, orbit lengths sum to the
     connector count, and the exchange is conjugate to connector-following
-    with an exact inverse."""
+    with an exact inverse: conjugacy on rows b = 0 and 1 of every center
+    column across every edge, the next connector's entry edge by check_mesh,
+    and the step back because every cover cell is a center's (criterion 5)."""
     w = param.omega
-    cover = label_table(param, 2)
-    # the cover cells of the center columns a - 1, a and a + 1
-    columns = [center_column(param, -1, 2), center_column(param, 0, 2)]
     for a in range(w * w):
-        columns = columns[-2:] + [center_column(param, a + 1, 2)]
-        for b, cell in enumerate(columns[1]):
-            code = cover[cell]
-            if code % 5 == 0:
-                continue
-            out = code & 3
-            dx, dy = STEPS[out]
-            cnext = cover_step(param, cell, out)
-            if cnext != columns[1 + dx][(b + dy) % (2 * w)]:
-                return {"ok": False, "reason": "conjugacy", "at": (a, b)}
-            # the next connector enters across the opposite edge, back to cell
-            if _ENTRY[cover[cnext]] != out ^ 1 or \
-                    cover_step(param, cnext, out ^ 1) != cell:
-                return {"ok": False, "reason": "inverse", "at": (a, b)}
+        for b in (0, 1):
+            cell = center_cell(param, a, b, 2)
+            for e, (dx, dy) in enumerate(STEPS):
+                if cover_step(param, cell, e) != \
+                        center_cell(param, a + dx, b + dy, 2):
+                    return {"ok": False, "reason": "conjugacy", "at": (a, b),
+                            "edge": "NSEW"[e]}
+    r = check_mesh([param])
+    if r["failure_count"]:
+        return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
+    cover = label_table(param, 2)
     orbit_total = 0
     nonempty = 0
     for bi in range(w):
@@ -268,13 +264,13 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 DEFAULT_BOUNDS = {
     "coherence": 40,
     "isomorphism": 41,
-    "two-points": 40,
-    "hier": 30,
+    "two-points": 61,
+    "hier": 41,
     "bijection": 41,
-    "pet-equivalence": 20,
-    "first": 40,
+    "pet-equivalence": 25,
+    "first": 61,
     "empty-rect": 30,
-    "symmetry": 25,
+    "symmetry": 31,
     "particle-geometry": 25,
 }
 

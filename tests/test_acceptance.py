@@ -53,11 +53,11 @@ def test_criterion_02_isomorphism():
 
 
 def test_criterion_03_two_points_per_segment():
-    _sweep(3, "two points per unit segment", "two-points", 40)
+    _sweep(3, "two points per unit segment", "two-points", 61)
 
 
 def test_criterion_04_capacity_census():
-    _sweep(4, "capacity-k lines carry k light points", "hier", 30)
+    _sweep(4, "capacity-k lines carry k light points", "hier", 41)
 
 
 def test_criterion_05_bijection():
@@ -65,7 +65,7 @@ def test_criterion_05_bijection():
 
 
 def test_criterion_06_pet_equivalence():
-    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 20)
+    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 25)
 
 
 def test_criterion_07_oriented_coherence():
@@ -80,7 +80,7 @@ def test_criterion_07_oriented_coherence():
 
 
 def test_criterion_08_large_symmetric_polygon():
-    _sweep(8, "large symmetric polygon", "first", 40)
+    _sweep(8, "large symmetric polygon", "first", 61)
 
 
 def test_criterion_09_empty_rectangles():
@@ -88,7 +88,7 @@ def test_criterion_09_empty_rectangles():
 
 
 def test_criterion_10_symmetries():
-    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 25)
+    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 31)
 
 
 def test_criterion_11_particle_geometry():

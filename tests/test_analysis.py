@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import golden_path
-from plaid.params import even_rationals, make_param
+from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid
 from plaid.analysis import (
     block_light_cache,
@@ -112,6 +112,12 @@ class TestGapRadius:
         monkeypatch.setattr(BlockGrid, "__init__", counting_init)
         gap_radius(p25, (0, 0, 7, 7))
         assert built == [0]
+
+    @pytest.mark.parametrize("window", [(3, 3, 0, 0), (0, 0, 0, 7),
+                                        (0, 5, 7, 5)])
+    def test_empty_window_rejected(self, p25, window):
+        with pytest.raises(PlaidError, match="window must be nonempty"):
+            gap_radius(p25, window)
 
     def test_bounded_along_convergents(self):
         r1 = gap_radius(make_param(4, 17), (0, 0, 21, 21))

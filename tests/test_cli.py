@@ -352,6 +352,8 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     # no worker count below one
     ["verify", "--suite", "two-points", "--max-omega", "5", "--jobs", "0"],
     ["verify", "--suite", "two-points", "--max-omega", "5", "--jobs", "-3"],
+    # an empty gap window, not a window without connectors
+    ["stats", "--p", "2", "--q", "5", "--gap-window", "3,3,0,0"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

@@ -6,15 +6,18 @@ exchange orbits of `vector_polygon`, particle image geometry against a
 per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns against the per-class
-reduction, the light-set symmetries past their sweep bound, the integer
-irrational window against its Fraction oracle, and the integer SVG renderer
-against a Fraction renderer."""
+reduction, the exchange's conjugacy and inverse against the per-class loop,
+the light-set symmetries past their sweep bound, the integer irrational
+window against its Fraction oracle, and the integer SVG renderer against a
+Fraction renderer."""
 
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import verify
@@ -619,6 +622,60 @@ def test_center_column_matches_point_cells_to_15():
 @given(params(), st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 2)))
 def test_center_column_matches_point_cells(param, a, sheets):
     assert center_column(param, a, sheets) == point_column(param, a, sheets)
+
+
+# the entry edge of each directed code, 4 (no edge) for hold
+ENTRY = bytes(4 if c % 5 == 0 else c >> 2 for c in range(16))
+
+
+def reference_conjugacy_inverse(param, step=cover_step):
+    """suite_pet_equivalence's conjugacy and inverse checks class by class:
+    each connector's exit step lands on the neighbouring center's cell, the
+    next connector enters across the opposite edge, and stepping back
+    returns to the cell.  step stands for cover_step."""
+    w = param.omega
+    cover = label_table(param, 2)
+    # the cover cells of the center columns a - 1, a and a + 1
+    columns = [center_column(param, -1, 2), center_column(param, 0, 2)]
+    for a in range(w * w):
+        columns = columns[-2:] + [center_column(param, a + 1, 2)]
+        for b, cell in enumerate(columns[1]):
+            code = cover[cell]
+            if code % 5 == 0:
+                continue
+            out = code & 3
+            dx, dy = STEPS[out]
+            cnext = step(param, cell, out)
+            if cnext != columns[1 + dx][(b + dy) % (2 * w)]:
+                return {"ok": False, "reason": "conjugacy", "at": (a, b)}
+            # the next connector enters across the opposite edge, back to cell
+            if ENTRY[cover[cnext]] != out ^ 1 or \
+                    step(param, cnext, out ^ 1) != cell:
+                return {"ok": False, "reason": "inverse", "at": (a, b)}
+    return {"ok": True}
+
+
+def test_pet_equivalence_matches_per_class_reference_to_15():
+    """The fiber-shift conjugacy and mesh inverse of the suite against the
+    per-class loop, at every even rational with omega <= 15."""
+    for param in even_rationals(15):
+        assert verify.suite_pet_equivalence(param)["ok"], str(param)
+        assert reference_conjugacy_inverse(param)["ok"], str(param)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(61))
+def test_pet_equivalence_matches_per_class_reference(param):
+    assert verify.suite_pet_equivalence(param)["ok"]
+    assert reference_conjugacy_inverse(param)["ok"]
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (3, 8), (4, 11)])
+def test_cover_step_mutant_fails_suite_and_reference(pq, monkeypatch):
+    param = make_param(*pq)
+    assert not reference_conjugacy_inverse(param, mutant_cover_step)["ok"]
+    monkeypatch.setattr(verify, "cover_step", mutant_cover_step)
+    assert not verify.suite_pet_equivalence(param)["ok"]
 
 
 def oracle_tiling(P, offset, window, eps):

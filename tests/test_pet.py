@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import mutant_cover_step
 from plaid import pet, verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid, trace_polygons
@@ -16,7 +17,6 @@ from plaid.pet import (
     irrational_tiling,
     lift_label,
     oriented_label,
-    oriented_label_scaled,
     pet_back,
     pet_region,
     pet_step,
@@ -96,18 +96,17 @@ class TestPetStep:
 
     @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 8)])
     def test_conjugacy_exhaustive(self, pq):
+        """Across every edge of every center, hold centers included, the step
+        lands on the neighbouring center's cell."""
         prm = make_param(*pq)
         w = prm.omega
         for a in range(w * w):
             for b in range(2 * w):
                 cell = grid_cell(prm, *xi_raw_scaled(prm, a, b), 2)
-                lab = oriented_label_scaled(prm, *decode_cell(prm, cell))
-                if lab == "EMPTY":
-                    continue
-                edge = "NSEW".index(lab[1])
-                v = STEPS[edge]
-                assert cover_step(prm, cell, edge) == grid_cell(
-                    prm, *xi_raw_scaled(prm, a + v[0], b + v[1]), 2), (pq, a, b)
+                for edge, (dx, dy) in enumerate(STEPS):
+                    assert cover_step(prm, cell, edge) == grid_cell(
+                        prm, *xi_raw_scaled(prm, a + dx, b + dy), 2), \
+                        (pq, a, b, edge)
 
     def test_hold_is_identity(self, p25):
         z = xi_hat(p25, (F(3, 2), F(3, 2)))  # empty tile at (2,5)
@@ -219,6 +218,33 @@ class TestPetEquivalenceFaults:
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "orbit polygon differs", "block": bi,
             "square": square}
+
+    def test_cover_step_mutant(self, pq, monkeypatch):
+        """A wrong fiber shift fails conjugacy at the first center."""
+        monkeypatch.setattr(verify, "cover_step", mutant_cover_step)
+        assert verify.suite_pet_equivalence(make_param(*pq)) == {
+            "ok": False, "reason": "conjugacy", "at": (0, 0), "edge": "N"}
+
+    def test_reversed_connector_breaks_inverse(self, pq, monkeypatch):
+        """One connector reversed in the cover table that check_mesh reads:
+        its next connector no longer enters across the opposite edge.  The
+        orbit half reads verify.label_table, which stays whole."""
+        param = make_param(*pq)
+        real = pet.label_table
+        cell = next(i for i, c in enumerate(real(param, 2)) if c % 5)
+
+        def table(prm, sheets=1):
+            codes = real(prm, sheets)
+            if sheets == 2:
+                codes[cell] = REVERSED[codes[cell]]
+            return codes
+
+        monkeypatch.setattr(pet, "label_table", table)
+        t, *planted = decode_cell(param, cell)
+        # both of the cell's edges fail in both directions; a neighbour
+        # fails in two
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}
 
     def test_dropped_polygon(self, pq, monkeypatch):
         """The connector count does not come from tracing, so a polygon
