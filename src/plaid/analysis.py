@@ -7,16 +7,18 @@ symmetric polygon with its x-diameter bound, empty rectangles in the coarse
 capacity grids with the counting identity behind them, and a bounded
 nearest-polygon radius over a window (a trend observable only).
 
-Empty rectangles are found on light unit edges, not exact light points: a
-light edge lies between two neighbouring cuts.  Block corners, the only light
-points on a cut, sit on the block's boundary beside just their edge's cells.
+Empty rectangles are found on running light counts along each row and
+column of a block, not on exact light points: the side a line gives a cell
+between cuts a < b carries a light point when the line's count grows from a
+to b.  Block corners, the only light points on a cut, sit on the block's
+boundary beside just their edge's cells.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat
@@ -81,7 +83,7 @@ def verify_first(param: Param) -> Dict[str, object]:
     xs = [x for x, _ in lights]
     if Fraction(0) not in xs or expected_x2 not in xs:
         return {"ok": False, "reason": "witness light points missing",
-                "line": y0, "lights": xs}
+                "line": y0, "lights": [str(x) for x in xs]}
     polys = trace_polygons(param, (0, 0))
     witness = None
     for pg in polys:
@@ -107,80 +109,57 @@ def verify_first(param: Param) -> Dict[str, object]:
     }
 
 
-@dataclass
-class RectGrid:
-    """The (K+1) x (K+1) rectangles a block is cut into by its lines of
-    capacity at most K."""
-
-    K: int
-    x_cuts: List[int]
-    y_cuts: List[int]
-
-
-def rect_grid(param: Param, block: Tuple[int, int], K: int) -> RectGrid:
+def cut_offsets(param: Param, K: int) -> List[int]:
+    """The offsets in [0, omega] of the lines of capacity at most K, which
+    cut a block into (K+1) x (K+1) rectangles.  Capacity depends on the line
+    mod omega, so both axes of every block are cut at the same offsets."""
     if K % 2 or K < 0 or K >= param.omega:
         raise PlaidError(f"K={K} must be even in [0, omega)")
-    w = param.omega
-    bi, bj = block
-    # capacity depends on the line mod omega, so both axes of every block
-    # are cut at the same offsets
-    cuts = [k for k in range(w + 1) if abs(capacity_scaled(param, k)) <= K]
-    return RectGrid(K=K, x_cuts=[bi * w + k for k in cuts],
-                    y_cuts=[bj * w + k for k in cuts])
+    return [k for k in range(param.omega + 1)
+            if abs(capacity_scaled(param, k)) <= K]
 
 
 def block_light_cache(param: Param, block: Tuple[int, int]
-                      ) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
-    """For each of the block's 2(omega+1) lines, the (e, count) pairs of its
-    light unit edges [e, e+1], read from the BlockGrid row or column.  A
-    light block corner sits on an H row's first or last edge; V lines
-    through corners have capacity 0."""
+                      ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Running light counts of the block's omega+1 rows and omega+1 columns,
+    read from the BlockGrid: rows[k][n] is the light count (with
+    multiplicity) of row offset k's edges west of offset n, cols[k][m] that
+    of column offset k's edges south of offset m.  A light block corner sits
+    on an H row's first or last edge; V lines through corners have
+    capacity 0."""
     w = param.omega
-    bi, bj = block
-    grid = BlockGrid(param, bi)
-    cache = {}
-    for k in range(w + 1):
-        row = enumerate(grid.hl[k * w:(k + 1) * w], bi * w)
-        col = enumerate(grid.vl[k * w:(k + 1) * w], bj * w)
-        cache[("H", bj * w + k)] = [(e, c) for e, c in row if c]
-        cache[("V", bi * w + k)] = [(e, c) for e, c in col if c]
-    return cache
+    grid = BlockGrid(param, block[0])
+
+    def running(counts):
+        return [list(accumulate(counts[k * w:(k + 1) * w], initial=0))
+                for k in range(w + 1)]
+
+    return running(grid.hl), running(grid.vl)
 
 
 def empty_rectangles(param: Param, block: Tuple[int, int], K: int,
-                     cache: Optional[Dict] = None) -> Dict[str, object]:
+                     cache: Optional[Tuple] = None) -> Dict[str, object]:
     """Cells of the capacity-K grid with no light point on their boundary.
 
     Also reports the multiplicity-weighted light census over the grid lines,
     which always totals (K+1)^2 - 1: one short of what filling every cell
     boundary twice would need, so at least one empty cell must exist.
     """
-    grid = rect_grid(param, block, K)
-    xc, yc = grid.x_cuts, grid.y_cuts
-    nx, ny = len(xc) - 1, len(yc) - 1
-    marked = [[False] * ny for _ in range(nx)]
-    census = 0
-    if cache is None:
-        cache = block_light_cache(param, block)
-    # a light edge lies in exactly one cut interval
-    for j_line, y_line in enumerate(yc):
-        rows = [j for j in (j_line - 1, j_line) if 0 <= j < ny]
-        for x, count in cache[("H", y_line)]:
-            census += count
-            i = bisect_right(xc, x) - 1
-            for j in rows:
-                marked[i][j] = True
-    for i_line, x_line in enumerate(xc):
-        cols = [i for i in (i_line - 1, i_line) if 0 <= i < nx]
-        for y, count in cache[("V", x_line)]:
-            census += count
-            j = bisect_right(yc, y) - 1
-            for i in cols:
-                marked[i][j] = True
-    empty = [(i, j) for i in range(nx) for j in range(ny) if not marked[i][j]]
+    cuts = cut_offsets(param, K)
+    rows, cols = block_light_cache(param, block) if cache is None else cache
+    spans = list(zip(cuts, cuts[1:]))
+    n = len(spans)
+    # lit[t][s]: cut line t carries a light point on its side of span s
+    h_lit, v_lit = ([[run[a] < run[b] for a, b in spans]
+                     for run in (lines[k] for k in cuts)]
+                    for lines in (rows, cols))
+    empty = [(i, j) for i in range(n) for j in range(n)
+             if not (v_lit[i][j] or v_lit[i + 1][j]
+                     or h_lit[j][i] or h_lit[j + 1][i])]
+    census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
     return {
         "ok": bool(empty) and census == (K + 1) ** 2 - 1,
-        "cells": (nx, ny),
+        "cells": (n, n),
         "empty": empty,
         "light_census": census,
         "census_bound": (K + 1) ** 2 - 1,

@@ -8,10 +8,10 @@ from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid
 from plaid.analysis import (
     block_light_cache,
+    cut_offsets,
     empty_rectangles,
     gap_radius,
     polygon_stats,
-    rect_grid,
     verify_first,
 )
 
@@ -89,12 +89,11 @@ class TestEmptyRectangles:
                         (prm, bi, K)
 
     def test_grid_shape(self, p25):
-        g = rect_grid(p25, (0, 0), 2)
-        assert len(g.x_cuts) == 4 and len(g.y_cuts) == 4
+        assert len(cut_offsets(p25, 2)) == 4
         with pytest.raises(Exception):
-            rect_grid(p25, (0, 0), 3)
+            cut_offsets(p25, 3)
         with pytest.raises(Exception):
-            rect_grid(p25, (0, 0), 8)
+            cut_offsets(p25, 8)
 
 
 class TestGapRadius:

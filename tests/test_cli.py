@@ -144,6 +144,22 @@ def test_verify_irrational_failure_becomes_record(capsys, monkeypatch):
                           "error": "BadOffset: planted"}
 
 
+def test_verify_first_failure_lights_are_strings(capsys, monkeypatch):
+    """A witness line that keeps one of its two light points fails with a
+    JSON record that lists the kept point, not a traceback."""
+    from plaid import analysis
+
+    real = analysis.light_points_on_line
+    monkeypatch.setattr(analysis, "light_points_on_line",
+                        lambda *args: real(*args)[1:])
+    code, out = run(capsys, "verify", "--suite", "first", "--params", "2/5")
+    assert code == 1
+    assert json.loads(out) == {
+        "suite": "first", "param": "2/5", "omega": 7, "ok": False,
+        "reason": "witness light points missing", "line": 2,
+        "lights": ["49/10"]}
+
+
 def test_verify_irrational_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "irrational")
     assert code == 0

@@ -7,11 +7,13 @@ per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns against the per-class
 reduction, the exchange's conjugacy and inverse against the per-class loop,
-the light-set symmetries past their sweep bound, the integer irrational
-window against its Fraction oracle, and the integer SVG renderer against a
-Fraction renderer."""
+the light-set symmetries past their sweep bound, the empty rectangles on
+running light counts against a search over light edges, the integer
+irrational window against its Fraction oracle, and the integer SVG renderer
+against a Fraction renderer."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +23,7 @@ from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import verify
+from plaid.analysis import block_light_cache, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
     CODE_LABELS,
@@ -357,6 +360,70 @@ def test_grid_symmetries_beyond_sweep_bound(param, data):
         got = verify._grid_symmetries(param)
     assert not got["ok"], (c0, b0)
     assert got["case"] in ("rotation-H", "reflect-H", "reflect-V"), got
+
+
+def reference_empty_rectangles(param, block, K):
+    """empty_rectangles by search: each light unit edge of a cut line, in
+    absolute coordinates, is placed by bisect in the one cut interval it
+    lies in and marks the cells on both sides of its line."""
+    w = param.omega
+    bi, bj = block
+    cuts = [k for k in range(w + 1) if abs(capacity_scaled(param, k)) <= K]
+    xc, yc = [bi * w + k for k in cuts], [bj * w + k for k in cuts]
+    nx, ny = len(xc) - 1, len(yc) - 1
+    grid = BlockGrid(param, bi)
+    marked = [[False] * ny for _ in range(nx)]
+    census = 0
+    for j_line, k in enumerate(cuts):
+        rows = [j for j in (j_line - 1, j_line) if 0 <= j < ny]
+        for e, count in enumerate(grid.hl[k * w:(k + 1) * w], bi * w):
+            if count:
+                census += count
+                i = bisect_right(xc, e) - 1
+                for j in rows:
+                    marked[i][j] = True
+    for i_line, k in enumerate(cuts):
+        cols = [i for i in (i_line - 1, i_line) if 0 <= i < nx]
+        for e, count in enumerate(grid.vl[k * w:(k + 1) * w], bj * w):
+            if count:
+                census += count
+                j = bisect_right(yc, e) - 1
+                for i in cols:
+                    marked[i][j] = True
+    empty = [(i, j) for i in range(nx) for j in range(ny) if not marked[i][j]]
+    return {
+        "ok": bool(empty) and census == (K + 1) ** 2 - 1,
+        "cells": (nx, ny),
+        "empty": empty,
+        "light_census": census,
+        "census_bound": (K + 1) ** 2 - 1,
+    }
+
+
+def test_empty_rectangles_match_reference_to_15():
+    """Whole records, blocks (bi, 0) and (bi, 1), every even K."""
+    for param in even_rationals(15):
+        w = param.omega
+        for block in [(bi, bj) for bi in range(w) for bj in (0, 1)]:
+            cache = block_light_cache(param, block)
+            for K in range(0, w, 2):
+                assert empty_rectangles(param, block, K, cache) == \
+                    reference_empty_rectangles(param, block, K), \
+                    (str(param), block, K)
+
+
+@settings(max_examples=8, deadline=None)
+@given(params(), st.data())
+def test_empty_rectangles_match_reference(param, data):
+    """Blocks off the fundamental domain on both axes, random even K."""
+    w = param.omega
+    bi = data.draw(st.one_of(st.integers(-3 * w, -1), st.integers(w, 3 * w)))
+    bj = data.draw(st.integers(-3, 3).filter(bool))
+    cache = block_light_cache(param, (bi, bj))
+    for K in data.draw(st.lists(st.integers(0, (w - 1) // 2), min_size=1,
+                                max_size=3)):
+        assert empty_rectangles(param, (bi, bj), 2 * K, cache) == \
+            reference_empty_rectangles(param, (bi, bj), 2 * K), (bi, bj, K)
 
 
 @settings(max_examples=30, deadline=None)

@@ -25,7 +25,9 @@ Groups:
 - irrational    irrational --tiles on a 24 x 24 window at the explore
                 windows' P and criterion 12's P, the BadOffset documents
                 of the zero offset there with a suggestion and without one
-                (--eps 1/2), and suite_irrational.
+                (--eps 1/2), and suite_irrational;
+- empty         the empty_rectangles record of blocks (bi, 0) and (bi, 1) of
+                every even rational at omega <= N, for every even K.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
                     os.path.join(HERE, "perfbench")]
     from fractions import Fraction
 
-    from plaid import cli, classifier, pet, verify
+    from plaid import analysis, cli, classifier, pet, verify
     from plaid.grid import (BlockGrid, GridLine, light_points_on_line,
                             trace_polygons)
     from plaid.params import even_rationals
@@ -159,6 +161,13 @@ def main(argv=None) -> int:
                   for cell in range(2 * param.omega ** 3))
             for param in even_rationals(CENTER_OMEGA)]
     print(f"{'cells':<24} {_digest(rows)}")
+    rows = []
+    for param in even_rationals(args.max_omega):
+        for block in [(bi, bj) for bi in range(param.omega) for bj in (0, 1)]:
+            cache = analysis.block_light_cache(param, block)
+            rows += [analysis.empty_rectangles(param, block, K, cache)
+                     for K in range(0, param.omega, 2)]
+    print(f"{'empty':<24} {_digest(rows)}")
     return 0
 
 
