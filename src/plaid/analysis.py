@@ -41,7 +41,8 @@ class PolygonStats:
 
 def polygon_stats(param: Param, blocks: Optional[Sequence[Tuple[int, int]]] = None
                   ) -> PolygonStats:
-    """Exact census over the given blocks (default: the fundamental domain).
+    """Exact census over the given blocks (default: the fundamental domain),
+    each block counted once.
 
     Diameters are width/height maxima (exact in halves of integers); the
     x-diameter is the width of the projection to the x-axis.
@@ -52,7 +53,7 @@ def polygon_stats(param: Param, blocks: Optional[Sequence[Tuple[int, int]]] = No
     per_block: Dict[Tuple[int, int], int] = {}
     best_d2 = 0
     best_x2 = 0
-    for block in blocks:
+    for block in dict.fromkeys(blocks):
         polys = trace_polygons(param, block)
         per_block[block] = len(polys)
         count += len(polys)

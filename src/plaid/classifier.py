@@ -42,8 +42,9 @@ Center columns.  From the center (a, b) to (a, b+1) the cell (j, i1, i2)
 moves to (j, i1 - p, i2 + p) mod omega: the image gains (2*omega, 0, 4p),
 the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
 (4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
-fibers.  So a column runs along diagonals i1 + i2 = const of its fibers,
-which center_column reads from the column's first cells.
+fibers.  So the classes b = r mod sheets of a column run along one diagonal
+i1 + i2 = const of one fiber from the column start (a, r): center_column
+reads a base column from its start, and mark_classes reads only starts.
 """
 
 from __future__ import annotations
@@ -350,28 +351,25 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
 
 
 @lru_cache(maxsize=1)
-def _diagonals(w: int, s: int):
+def _diagonals(w: int, p: int):
     """The fiber indices i1*w + i2 of each diagonal i1 + i2 = d mod w, twice
-    round in steps of s in i2 from i2 = 0, as int arrays to stay small; and
-    1/s mod w."""
-    return tuple(array("i", [(d - s * k) % w * w + s * k % w for k in range(2 * w)])
-                 for d in range(w)), pow(s, -1, w)
+    round in steps of p in i2 from i2 = 0, as int arrays to stay small; and
+    1/p mod w."""
+    return tuple(array("i", [(d - p * k) % w * w + p * k % w for k in range(2 * w)])
+                 for d in range(w)), pow(p, -1, w)
 
 
-def center_column(param: Param, a: int, sheets: int = 1) -> List[int]:
-    """center_cell(param, a, b, sheets) for b = 0 .. sheets*omega - 1.  By
-    the column fact of the module docstring the cells of b = 0, and on the
-    cover those of b = 1, start one diagonal each, read in steps of sheets*p."""
+def center_column(param: Param, a: int) -> List[int]:
+    """center_cell(param, a, b) for b = 0 .. omega - 1.  By the column fact of
+    the module docstring the cell of b = 0 starts one diagonal, read in
+    steps of p."""
     w = param.omega
-    diagonals, inverse = _diagonals(w, sheets * param.p)
-    column = [0] * (sheets * w)
-    for b in range(sheets):
-        rest, i2 = divmod(center_cell(param, a, b, sheets), w)
-        j, i1 = divmod(rest, w)
-        k = i2 * inverse % w
-        column[b::sheets] = map(add, repeat(j * w * w, w),
-                                diagonals[(i1 + i2) % w][k:k + w])
-    return column
+    diagonals, inverse = _diagonals(w, param.p)
+    rest, i2 = divmod(center_cell(param, a, 0), w)
+    j, i1 = divmod(rest, w)
+    k = i2 * inverse % w
+    return list(map(add, repeat(j * w * w, w),
+                    diagonals[(i1 + i2) % w][k:k + w]))
 
 
 def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
@@ -437,31 +435,32 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
-    """Mark the table cell of each of the sheets*omega^3 center classes:
-    their images are distinct when they mark as many cells as there are
-    classes.  The base side also checks the image parity, once per column:
-    a step in b adds 2*omega to t and 4p to u2.  A failure names the first
-    cell marked twice and the two classes that mark it."""
+    """The sheets*omega^3 center classes have distinct images.  By the column
+    fact of the module docstring the classes b = r mod sheets of column a
+    fill the diagonal i1 + i2 = d of one fiber j (sheets*p is a unit mod
+    omega), so they are distinct when the keys (j, d) of the starts (a, r)
+    are.  The base side checks the image parity once per column, as a step
+    in b adds 2*omega to t and 4p to u2.  A failure names the first start
+    whose key repeats, its cell and the earlier class with that cell."""
     w = param.omega
-    classes = sheets * w ** 3
-    seen = bytearray(classes)
+    starts: Dict[int, Tuple[int, int, int]] = {}
     for a in range(w * w):
         t, u1, u2 = xi_raw_scaled(param, a, 0)
         if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
             return {"ok": False, "reason": f"parity at {(a, 0)}"}
-        for cell in center_column(param, a, sheets):
-            seen[cell] = 1
-    marked = sum(seen)
-    if marked != classes:
-        # rescan for the first cell marked twice, and the two classes there
-        first: Dict[int, Tuple[int, int]] = {}
-        for a in range(w * w):
-            for b, cell in enumerate(center_column(param, a, sheets)):
-                if first.setdefault(cell, (a, b)) != (a, b):
-                    return {"ok": False, "reason": "two classes mark one cell",
-                            "sheets": sheets, "cell": cell,
-                            "first": first[cell], "second": (a, b)}
-    return {"ok": marked == classes, "classes": marked, "expected": classes}
+        for r in range(sheets):
+            cell = center_cell(param, a, r, sheets)
+            rest, i2 = divmod(cell, w)
+            j, i1 = divmod(rest, w)
+            a0, r0, i2_0 = starts.setdefault(j * w + (i1 + i2) % w, (a, r, i2))
+            if (a0, r0) != (a, r):
+                # the class k steps of sheets down the earlier start's column
+                k = (i2 - i2_0) * pow(sheets * param.p, -1, w) % w
+                return {"ok": False, "reason": "two classes mark one cell",
+                        "sheets": sheets, "cell": cell,
+                        "first": (a0, r0 + sheets * k), "second": (a, r)}
+    classes = sheets * w ** 3
+    return {"ok": True, "classes": classes, "expected": classes}
 
 
 def verify_bijection(param: Param) -> Dict[str, object]:
@@ -526,53 +525,46 @@ def image_geometry_scaled(param: Param, orientation: str,
     the type-Q portion steps parallel to the T-axis (zero U increments), and
     its fibers over the closed middle zone are hit twice, others once.
 
-    Images are canon_scaled(*xi_raw_scaled(param, a, b)) inline: the raw
-    t = s + omega*(2b + 1), s = 2p(2a + 1), reduces to (s mod 2*omega) - omega
-    with quotient k = s // (2*omega) + b + 1; d below is 2pk - omega.
+    With s = 2p(2a + 1) the image of (a, b) lies on the fiber t = (s mod
+    2*omega) - omega, and U1, U2 drop by 2pk, k = s // (2*omega) + b + 1.
+    Horizontal squares of a type step by (d mod omega^2, 0 mod omega), d one
+    of its two center steps, else the step's image is the "diff".  This is
+    never looser than reading image steps: (omega^2, 0) and (0, omega) being
+    periods of the map, images step by d's image; the converse is criterion 5.
     """
     w, p2 = param.omega, 2 * param.p
     w2 = 2 * w
     t1, t2 = p2 - w, w - p2
-
-    images = []
-    for a, b in squares:
-        s = p2 * (2 * a + 1)
-        d = (s // w2 + b + 1) * p2 - w
-        images.append((s % w2 - w, (s - d) % w2 - w,
-                       (s - d + p2 * (2 * b + 1)) % w2 - w))
+    fibers = [p2 * (2 * a + 1) % w2 - w for a, _ in squares]
     if orientation == "vertical":
-        fib = {t for t, _, _ in images}
-        if len(fib) != 1:
-            return {"ok": False, "case": "fiber", "fibers": sorted(fib)}
-        col = 1 if types[0] == "P" else 2
-        const = {im[col] for im in images}
+        if len(set(fibers)) != 1:
+            return {"ok": False, "case": "fiber", "fibers": sorted(set(fibers))}
+        # U1 of each image, for type Q its U2
+        q = types[0] == "Q"
+        const = {(s - (s // w2 + b + 1) * p2 + w + q * p2 * (2 * b + 1)) % w2 - w
+                 for s, b in ((p2 * (2 * a + 1), b) for a, b in squares)}
         return {"ok": len(const) == 1, "case": "vertical", "const": sorted(const)}
-
-    p_imgs = [im for im, ty in zip(images, types) if ty == "P"]
-    q_imgs = [im for im, ty in zip(images, types) if ty == "Q"]
-    for t, _, _ in p_imgs:
+    p_fibers = [t for t, ty in zip(fibers, types) if ty == "P"]
+    for t in p_fibers:
         if t1 < t < t2:
             return {"ok": False, "case": "P-middle-zone", "t": t}
-
-    base = param.adj * w
-    for imgs, steps, case in (
-            (p_imgs, (base + w // p2, base + w // p2 + 1), "P-diagonal-step"),
-            (q_imgs, (base, base - 1), "Q-axis-step")):
-        # image shifts for horizontal center steps of d units
-        allowed = {canon_scaled(w, p2, *[2 * p2 * d] * 3) for d in steps}
-        for (t, u1, u2), (t_, u1_, u2_) in zip(imgs, imgs[1:]):
-            dt = (t_ - t + w) % w2 - w
-            d = (t_ - t - dt) // w2 * p2 - w
-            diff = (dt, (u1_ - u1 - d) % w2 - w, (u2_ - u2 - d) % w2 - w)
-            if diff not in allowed:
-                return {"ok": False, "case": case, "diff": diff}
-    counts = Counter(t for t, _, _ in q_imgs)
+    ww, base = w * w, param.adj * w
+    for kind, steps, case in (
+            ("P", (base + w // p2, base + w // p2 + 1), "P-diagonal-step"),
+            ("Q", (base, base - 1), "Q-axis-step")):
+        allowed = {(d % ww, 0) for d in steps}
+        run = [sq for sq, ty in zip(squares, types) if ty == kind]
+        for (a, b), (a_, b_) in zip(run, run[1:]):
+            da, db = a_ - a, b_ - b
+            if (da % ww, db % w) not in allowed:
+                return {"ok": False, "case": case, "diff": canon_scaled(
+                    w, p2, 2 * p2 * da + w2 * db, 2 * p2 * da, 2 * p2 * (da + db))}
+    counts = Counter(t for t, ty in zip(fibers, types) if ty == "Q")
     for t, n in counts.items():
         # the middle-zone fibers are crossed twice, closed on the left
         # boundary and open on the right
         want = 2 if t1 <= t < t2 else 1
         if n != want:
             return {"ok": False, "case": "Q-fiber-count", "t": t, "count": n}
-    return {"ok": True, "case": "horizontal",
-            "p_fibers": len({t for t, _, _ in p_imgs}),
+    return {"ok": True, "case": "horizontal", "p_fibers": len(set(p_fibers)),
             "q_fibers": len(counts)}

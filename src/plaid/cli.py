@@ -17,7 +17,7 @@ from .pet import (_REGIONS, BadOffset, irrational_tiling, path_polygon,
                   special_orbit)
 from .analysis import gap_radius, polygon_stats
 from .serialize import polygon_document, emit, report_line
-from .svgout import LAYERS, RenderConfig, render_svg
+from .svgout import _DEFAULT_PALETTE, LAYERS, RenderConfig, render_svg
 from .verify import SUITES, run_suite, suite_golden, suite_irrational
 
 
@@ -74,6 +74,9 @@ def _parse_palette(text: str) -> Dict[str, str]:
         key, sep, color = entry.partition("=")
         if not (sep and key and color) or "=" in color:
             raise PlaidError(f"--palette entries are layer=color, got {entry!r}")
+        if key not in _DEFAULT_PALETTE:
+            raise PlaidError(f"--palette keys are {','.join(_DEFAULT_PALETTE)}, "
+                             f"got {key!r}")
         palette[key] = color
     return palette
 
@@ -103,6 +106,8 @@ def cmd_verify(args) -> int:
         records = suite_irrational() if args.suite == "irrational" else \
             suite_golden(golden_dir())
     else:
+        if args.params and args.max_omega is not None:
+            raise PlaidError("--params takes no --max-omega")
         params = _parse_param_list(args.params) if args.params else None
         records = run_suite(args.suite, max_omega=args.max_omega,
                             params=params, jobs=args.jobs or 1)

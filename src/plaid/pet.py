@@ -256,8 +256,8 @@ def vector_polygon(param: Param, center):
 
 
 def cover_bijection(param: Param) -> Dict[str, object]:
-    """The doubled map is injective on the 2*omega^3 center classes: they
-    mark as many cover cells as there are classes."""
+    """The doubled map is injective on the 2*omega^3 center classes: the
+    2*omega^2 cover column starts read distinct diagonals."""
     return mark_classes(param, 2)
 
 

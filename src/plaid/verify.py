@@ -266,7 +266,7 @@ DEFAULT_BOUNDS = {
     "isomorphism": 41,
     "two-points": 61,
     "hier": 41,
-    "bijection": 41,
+    "bijection": 51,
     "pet-equivalence": 25,
     "first": 61,
     "empty-rect": 30,

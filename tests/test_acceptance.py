@@ -61,7 +61,7 @@ def test_criterion_04_capacity_census():
 
 
 def test_criterion_05_bijection():
-    _sweep(5, "omega^3 classifying bijection", "bijection", 41)
+    _sweep(5, "omega^3 classifying bijection", "bijection", 51)
 
 
 def test_criterion_06_pet_equivalence():

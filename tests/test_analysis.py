@@ -34,6 +34,12 @@ class TestPolygonStats:
         assert a.count == b.count == c.count
         assert a.max_diameter == b.max_diameter == c.max_diameter
 
+    def test_repeated_block_counted_once(self, p25):
+        once = polygon_stats(p25, [(1, 0)])
+        twice = polygon_stats(p25, [(1, 0), (1, 0)])
+        assert twice == once
+        assert twice.count == sum(twice.per_block.values())
+
     def test_diameter_growth_along_convergents(self):
         # desk-scale echo of the growth statements, not a proof of them
         d1 = polygon_stats(make_param(4, 17), [(0, 0)]).max_diameter

@@ -226,23 +226,22 @@ class TestBijection:
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     @pytest.mark.parametrize("sheets", [1, 2])
     def test_collision_names_both_classes(self, monkeypatch, pq, sheets):
-        """A center_column that sends one class onto another's cell fails
-        the suite, and the record names the cell and both classes.  The
-        second class is the last of its column, past the center_cell calls
-        the column starts from."""
+        """A center_cell that sends the column start (omega+3, sheets-1) onto
+        the cell of (1, 2) fails the suite, and the record names the cell
+        and both classes: (1, 2), read down the diagonal of the start
+        (1, 0)."""
         prm = make_param(*pq)
         w = prm.omega
-        first, second = (1, 2), (w + 3, sheets * w - 1)
-        real = classifier.center_column
-        cell = center_cell(prm, *first, sheets)
+        first, second = (1, 2), (w + 3, sheets - 1)
+        real = classifier.center_cell
+        cell = real(prm, *first, sheets)
 
-        def center_column(param, a, n_sheets=1):
-            column = real(param, a, n_sheets)
-            if n_sheets == sheets and a == second[0]:
-                column[second[1]] = cell
-            return column
+        def center_cell(param, a, b, n_sheets=1):
+            if (a, b, n_sheets) == (*second, sheets):
+                return cell
+            return real(param, a, b, n_sheets)
 
-        monkeypatch.setattr(classifier, "center_column", center_column)
+        monkeypatch.setattr(classifier, "center_cell", center_cell)
         r = verify.suite_bijection(prm)
         assert r == {"ok": False, "reason": "two classes mark one cell",
                      "sheets": sheets, "cell": cell,

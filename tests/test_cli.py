@@ -258,6 +258,13 @@ def test_stats_and_document(capsys):
     assert json.loads(out)["format"] == 1
 
 
+def test_stats_counts_a_repeated_block_once(capsys):
+    code, out = run(capsys, "stats", "--p", "2", "--q", "5", "--blocks", "1,1")
+    doc = json.loads(out)
+    assert code == 0 and doc["per_block"] == {"1,0": 1}
+    assert doc["count"] == sum(doc["per_block"].values())
+
+
 def test_stats_gap_window(capsys):
     code, out = run(capsys, "stats", "--p", "1", "--q", "2",
                     "--gap-window", "0,0,9,3")
@@ -281,7 +288,7 @@ def test_verify_max_omega_below_3_rejected(capsys, bound):
 
 
 @pytest.mark.parametrize("palette", ["bad", "polygons=#000,x", "=#000",
-                                     "polygons=a=b"])
+                                     "polygons=a=b", "nolayer=red"])
 def test_render_malformed_palette(capsys, palette):
     code = main(["render", "--p", "2", "--q", "5", "--window", "0,0,7,7",
                  "--palette", palette])
@@ -370,6 +377,8 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["verify", "--suite", "two-points", "--max-omega", "5", "--jobs", "-3"],
     # an empty gap window, not a window without connectors
     ["stats", "--p", "2", "--q", "5", "--gap-window", "3,3,0,0"],
+    # an explicit parameter list is not cut by a bound
+    ["verify", "--suite", "two-points", "--params", "2/5", "--max-omega", "5"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

@@ -5,14 +5,16 @@ the light rule, the grid paths against the Fraction reference
 exchange orbits of `vector_polygon`, particle image geometry against a
 per-image reduction, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
-path and the step through points, the center columns against the per-class
-reduction, the exchange's conjugacy and inverse against the per-class loop,
-the light-set symmetries past their sweep bound, the empty rectangles on
-running light counts against a search over light edges, the integer
-irrational window against its Fraction oracle, and the integer SVG renderer
-against a Fraction renderer."""
+path and the step through points, the center columns and the column fact
+against the per-class reduction, the bijection on column starts against
+marking every class, the exchange's conjugacy and inverse against the
+per-class loop, the light-set symmetries past their sweep bound, the empty
+rectangles on running light counts against a search over light edges, the
+integer irrational window against its Fraction oracle, and the integer SVG
+renderer against a Fraction renderer."""
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -22,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
-from plaid import verify
+from plaid import classifier, verify
 from plaid.analysis import block_light_cache, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
@@ -44,6 +46,7 @@ from plaid.classifier import (
     grid_cell,
     image_geometry_scaled,
     label_table,
+    mark_classes,
     particle_image_geometry,
     xi_raw_scaled,
 )
@@ -271,6 +274,51 @@ def test_corrupted_particles_fail_geometry(param, ptype, data):
         got = image_geometry_scaled(param, "horizontal", moved, h_types)
         assert not got["ok"] and got["case"] == "P-middle-zone", got
         assert got == reference_geometry(param, "horizontal", moved, h_types)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(), st.data())
+def test_period_moved_square_keeps_geometry(param, data):
+    """A horizontal square moved by a period of the map, (omega^2, 0) or
+    (0, omega), keeps the particle's record: the steps are read modulo the
+    periods."""
+    w = param.omega
+    c = data.draw(st.integers(0, w - 1))
+    j0 = data.draw(st.integers(0, w - 1))
+    squares, types, _ = _h_particle_scaled(param, c, j0, line_lights(param, c))
+    k = data.draw(st.integers(0, 2 * w - 1))
+    da, db = data.draw(st.sampled_from(((w * w, 0), (-w * w, 0), (0, w),
+                                        (0, -w))))
+    moved = list(squares)
+    moved[k] = (squares[k][0] + da, squares[k][1] + db)
+    got = image_geometry_scaled(param, "horizontal", moved, types)
+    assert got["ok"], got
+    assert got == image_geometry_scaled(param, "horizontal", squares, types)
+
+
+def test_moved_square_geometry_matches_reference_to_11():
+    """Every particle of every even rational with omega <= 11, with one
+    square moved at random, against the per-image reference.  A move is a
+    unit, omega or period step in each coordinate, or none, so that every
+    record case occurs, passes included."""
+    rng = random.Random(11)
+    for param in even_rationals(11):
+        w = param.omega
+        for c in range(w):
+            lit = line_lights(param, c)
+            cores = [("horizontal", _h_particle_scaled(param, c, j0, lit))
+                     for j0 in range(w)]
+            cores += [("vertical", _v_particle_scaled(param, c, ty, j0, lit))
+                      for ty in "PQ" for j0 in range(w)]
+            for orientation, (squares, types, _) in cores:
+                k = rng.randrange(len(squares))
+                a, b = squares[k]
+                moved = list(squares)
+                moved[k] = (a + rng.randint(-1, 1) * rng.choice((1, w, w * w)),
+                            b + rng.randint(-1, 1) * rng.choice((1, w)))
+                assert image_geometry_scaled(param, orientation, moved, types) \
+                    == reference_geometry(param, orientation, moved, types), \
+                    (str(param), orientation, c, k)
 
 
 def check_light_lists(param):
@@ -676,19 +724,120 @@ def point_column(param, a, sheets):
 
 
 def test_center_column_matches_point_cells_to_15():
-    """center_column against the per-class reduction at every class, on both
-    sheets, of every even rational with omega <= 15."""
+    """center_column against the per-class reduction at every class of every
+    even rational with omega <= 15."""
     for param in even_rationals(15):
-        for sheets in (1, 2):
-            for a in range(param.omega ** 2):
-                assert center_column(param, a, sheets) == \
-                    point_column(param, a, sheets), (str(param), a, sheets)
+        for a in range(param.omega ** 2):
+            assert center_column(param, a) == point_column(param, a, 1), \
+                (str(param), a)
 
 
 @settings(max_examples=25, deadline=None)
-@given(params(), st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 2)))
-def test_center_column_matches_point_cells(param, a, sheets):
-    assert center_column(param, a, sheets) == point_column(param, a, sheets)
+@given(params(), st.integers(-10 ** 6, 10 ** 6))
+def test_center_column_matches_point_cells(param, a):
+    assert center_column(param, a) == point_column(param, a, 1)
+
+
+def step_cell(param, cell, k, sheets):
+    """The cell moved k steps of (0, -sheets*p, +sheets*p) in (i1, i2)."""
+    w, s = param.omega, sheets * param.p
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    return (j * w + (i1 - s * k) % w) * w + (i2 + s * k) % w
+
+
+def test_column_fact_to_15():
+    """The column fact the bijection and pet-equivalence rest on: from the
+    center (a, b) to (a, b + sheets) the cell moves by (0, -sheets*p,
+    +sheets*p), at every class on both sheets of every even rational with
+    omega <= 15."""
+    for param in even_rationals(15):
+        for sheets in (1, 2):
+            for a in range(param.omega ** 2):
+                for b in range(sheets * param.omega):
+                    assert center_cell(param, a, b + sheets, sheets) == \
+                        step_cell(param, center_cell(param, a, b, sheets), 1,
+                                  sheets), (str(param), a, b, sheets)
+
+
+@settings(max_examples=50, deadline=None)
+@given(params(), st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.sampled_from((1, 2)))
+def test_column_fact(param, a, b, sheets):
+    assert center_cell(param, a, b + sheets, sheets) == \
+        step_cell(param, center_cell(param, a, b, sheets), 1, sheets)
+
+
+def reference_mark_classes(param, sheets, column=point_column):
+    """mark_classes by marking the cell of every class, then rescanning for
+    the first cell marked twice and the two classes there.  column(param, a,
+    sheets) gives the cells of the centers (a, 0 .. sheets*omega - 1)."""
+    w = param.omega
+    classes = sheets * w ** 3
+    seen = bytearray(classes)
+    for a in range(w * w):
+        t, u1, u2 = xi_raw_scaled(param, a, 0)
+        if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
+            return {"ok": False, "reason": f"parity at {(a, 0)}"}
+        for cell in column(param, a, sheets):
+            seen[cell] = 1
+    marked = sum(seen)
+    if marked != classes:
+        first = {}
+        for a in range(w * w):
+            for b, cell in enumerate(column(param, a, sheets)):
+                if first.setdefault(cell, (a, b)) != (a, b):
+                    return {"ok": False, "reason": "two classes mark one cell",
+                            "sheets": sheets, "cell": cell,
+                            "first": first[cell], "second": (a, b)}
+    return {"ok": marked == classes, "classes": marked, "expected": classes}
+
+
+def test_mark_classes_matches_reference_to_15():
+    """The column starts against marking every class, on both sheets of
+    every even rational with omega <= 15."""
+    for param in even_rationals(15):
+        for sheets in (1, 2):
+            assert mark_classes(param, sheets) == \
+                reference_mark_classes(param, sheets), (str(param), sheets)
+
+
+@settings(max_examples=4, deadline=None)
+@given(params(61), st.sampled_from((1, 2)))
+def test_mark_classes_matches_reference(param, sheets):
+    assert mark_classes(param, sheets) == reference_mark_classes(param, sheets)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(31), st.sampled_from((1, 2)), st.data())
+def test_planted_start_fault_matches_reference(param, sheets, data):
+    """A column start (a, r) sent to the cell of a class of another column
+    fails mark_classes with the reference's record, where the reference's
+    column a carries the classes b = r mod sheets along the planted cell's
+    diagonal, as the column fact would."""
+    w = param.omega
+    a = data.draw(st.integers(0, w * w - 1))
+    r = data.draw(st.integers(0, sheets - 1))
+    a0 = data.draw(st.integers(0, w * w - 2))
+    a0 += a0 >= a
+    planted = center_cell(param, a0, data.draw(st.integers(0, sheets * w - 1)),
+                          sheets)
+    real = classifier.center_cell
+
+    def faulty_cell(prm, x, y, n=1):
+        return planted if (x, y, n) == (a, r, sheets) else real(prm, x, y, n)
+
+    def faulty_column(prm, x, n):
+        column = point_column(prm, x, n)
+        if x == a:
+            column[r::n] = [step_cell(prm, planted, k, n) for k in range(w)]
+        return column
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "center_cell", faulty_cell)
+        got = mark_classes(param, sheets)
+    assert not got["ok"]
+    assert got == reference_mark_classes(param, sheets, faulty_column)
 
 
 # the entry edge of each directed code, 4 (no edge) for hold
@@ -703,9 +852,9 @@ def reference_conjugacy_inverse(param, step=cover_step):
     w = param.omega
     cover = label_table(param, 2)
     # the cover cells of the center columns a - 1, a and a + 1
-    columns = [center_column(param, -1, 2), center_column(param, 0, 2)]
+    columns = [point_column(param, -1, 2), point_column(param, 0, 2)]
     for a in range(w * w):
-        columns = columns[-2:] + [center_column(param, a + 1, 2)]
+        columns = columns[-2:] + [point_column(param, a + 1, 2)]
         for b, cell in enumerate(columns[1]):
             code = cover[cell]
             if code % 5 == 0:
