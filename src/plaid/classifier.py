@@ -44,7 +44,8 @@ the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
 (4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
 fibers.  So the classes b = r mod sheets of a column run along one diagonal
 i1 + i2 = const of one fiber from the column start (a, r): center_column
-reads a base column from its start, and mark_classes reads only starts.
+reads a base column from its start, and mark_classes and the map checks of
+symmetry_conjugacies read only starts.
 """
 
 from __future__ import annotations
@@ -484,26 +485,30 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     E<->W.  Reflection in the x-axis: Xi(x,-y) = swap(U1,U2) of Xi(x,y) and
     labels swap N<->S only.  The rotated centers of column a are column
     -a-1 reversed, the reflected ones column a reversed (period omega in b).
+    A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
+    (the column fact), and its negative, its swap and the cells of the
+    rotated and reflected centers by (0, +p, -p): both sides of a map check
+    step alike, so the maps are checked at the column start center_cell(a, 0).
     """
     w, p = param.omega, param.p
     ww = w * w
-    table = label_table(param)
-    for a in range(ww):
-        column = center_column(param, a)
-        rot, flip = center_column(param, -a - 1)[::-1], column[::-1]
+    table = label_table(param).translate(_MASK_TABLE)
+    masks = [bytes(itemgetter(*center_column(param, a))(table)) for a in range(ww)]
+    for a, mask in enumerate(masks):
+        c = center_cell(param, a, 0)
         # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
         # but j = 0 is its own negative up to (2*omega, 2p, 2p)
-        neg = [w * ww + ww - 1 - c if c >= ww else
-               (-1 - p - c // w) % w * w + (-1 - p - c) % w for c in column]
-        swap = [c + (w - 1) * (c % w - c // w % w) for c in column]
-        mask = bytes(itemgetter(*column)(table)).translate(_MASK_TABLE)
-        rot_mask = bytes(itemgetter(*rot)(table)).translate(_MASK_TABLE)
-        checks = (("rotation-map", rot, neg), ("reflection-map", flip, swap),
-                  ("rotation-label", rot_mask, mask.translate(_ROT_MASKS)),
+        neg = w * ww + ww - 1 - c if c >= ww else \
+            (-1 - p - c // w) % w * w + (-1 - p - c) % w
+        swap = c + (w - 1) * (c % w - c // w % w)
+        # a map check holds only its start, read at b = 0 by the slice compares
+        checks = (("rotation-map", [center_cell(param, -a - 1, -1)], [neg]),
+                  ("reflection-map", [center_cell(param, a, -1)], [swap]),
+                  ("rotation-label", masks[-a - 1][::-1], mask.translate(_ROT_MASKS)),
                   ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
         if any(got != want for _, got, want in checks):
-            b, case = next((b, case) for b in range(w)
-                           for case, got, want in checks if got[b] != want[b])
+            b, case = next((b, case) for b in range(w) for case, got, want in checks
+                           if got[b:b + 1] != want[b:b + 1])
             return {"ok": False, "case": case, "at": (a, b)}
     return {"ok": True, "classes": w ** 3}
 

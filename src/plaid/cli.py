@@ -106,9 +106,9 @@ def cmd_verify(args) -> int:
         records = suite_irrational() if args.suite == "irrational" else \
             suite_golden(golden_dir())
     else:
-        if args.params and args.max_omega is not None:
+        if args.params is not None and args.max_omega is not None:
             raise PlaidError("--params takes no --max-omega")
-        params = _parse_param_list(args.params) if args.params else None
+        params = None if args.params is None else _parse_param_list(args.params)
         records = run_suite(args.suite, max_omega=args.max_omega,
                             params=params, jobs=args.jobs or 1)
     lines = [report_line(r) for r in records]
@@ -149,7 +149,7 @@ def cmd_irrational(args) -> int:
     offset = tuple(_number("--offset", v) for v in args.offset.split(","))
     if len(offset) != 3:
         raise PlaidError("--offset needs three rationals")
-    eps = _number("--eps", args.eps) if args.eps else Fraction(1, 2 ** 40)
+    eps = Fraction(1, 2 ** 40) if args.eps is None else _number("--eps", args.eps)
     try:
         r = irrational_tiling(P, offset, args.window, eps)
     except BadOffset as exc:
@@ -174,7 +174,7 @@ def cmd_irrational(args) -> int:
 def cmd_stats(args) -> int:
     param = make_param(args.p, args.q)
     blocks = [(bi, 0) for bi in range(param.omega)]
-    if args.blocks:
+    if args.blocks is not None:
         blocks = [(_number("--blocks", b, int), 0) for b in args.blocks.split(",")]
     if args.document:
         if args.gap_window:

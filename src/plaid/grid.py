@@ -270,14 +270,6 @@ def light_lists(param: Param) -> List[List[int]]:
     return by_line
 
 
-def line_lights(param: Param, c: int) -> List[bool]:
-    """lit[r]: the crossing lines with intercept r mod omega are light on the
-    capacity line y = c or x = c, so one list serves the line's light
-    points, particles and symmetries."""
-    lit = set(light_lists(param)[c % param.omega])
-    return [r in lit for r in range(param.omega)]
-
-
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
 # good when it carries exactly one light point (translate tables)
 _GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
@@ -581,10 +573,10 @@ class Particle:
         return self.instances[0].brightness
 
 
-def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]
+def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Set[int]
                        ) -> Tuple[list, tuple, bool]:
     """(squares, types, light) of the horizontal particle through the block
-    corner (j0*omega, y0), lit being line_lights(param, y0).  Its step-r
+    corner (j0*omega, y0), lit the set of y0's light residues.  Its step-r
     instance of slope -2s/omega in block j sits at x = k*omega/(2s) on the
     crossing line y0 + k, k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
@@ -601,9 +593,9 @@ def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]
                 b_q, rem_q = divmod(2 * q * k, s2)
                 if rem_p or rem_q:
                     raise PlaidError(f"double point at x={k * w}/{s2} is not integral")
-                if lit[(y0 + b_p) % w] != lit[(y0 + b_q) % w]:
+                if ((y0 + b_p) % w in lit) != ((y0 + b_q) % w in lit):
                     raise PlaidError(f"brightness mismatch at double point x={k * w}/{s2}")
-            n_lit += lit[(y0 + k) % w]
+            n_lit += (y0 + k) % w in lit
             squares.append((k * w % period // s2, y0))
             j = (j + a) % w
     if j != j0 % w:
@@ -614,9 +606,9 @@ def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Sequence[bool]
 
 
 def _v_particle_scaled(param: Param, x0: int, ptype: str, j0: int,
-                       lit: Sequence[bool]) -> Tuple[list, tuple, bool]:
+                       lit: Set[int]) -> Tuple[list, tuple, bool]:
     """(squares, types, light) of the vertical particle of the given type on
-    the lines x = x0 + j*omega, lit being line_lights(param, x0).  Its scaled
+    the lines x = x0 + j*omega, lit the set of x0's light residues.  Its scaled
     height y*omega starts in [0, omega) on block j0's line and moves by
     +omega (type P) or -omega (type Q) mod omega^2 from block to block."""
     w, a = param.omega, param.adj
@@ -628,7 +620,7 @@ def _v_particle_scaled(param: Param, x0: int, ptype: str, j0: int,
         b, rem = divmod(yn + s2 * x_abs, w)
         if rem:
             raise PlaidError("vertical particle left the line family")
-        n_lit += lit[b % w]
+        n_lit += b % w in lit
         squares.append((x_abs, yn // w))
         j = (j + a) % w
         yn = (yn + step) % (w * w)
@@ -641,7 +633,8 @@ def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
     """The horizontal particle through the block corner (j0*omega, y0): the
     Fraction view of _h_particle_scaled, walking its instances again."""
     w, p, a = param.omega, param.p, param.adj
-    squares, types, light = _h_particle_scaled(param, y0, j0, line_lights(param, y0))
+    lit = set(light_lists(param)[y0 % w])
+    squares, types, light = _h_particle_scaled(param, y0, j0, lit)
     pts = []
     for i, fam in enumerate(types):
         s, r = (p, i) if fam == "P" else (param.q, 2 * w - i)
@@ -660,8 +653,8 @@ def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
     from block j0's instance with y in [0, 1): the view of _v_particle_scaled."""
     w = param.omega
     s2 = 2 * (param.p if ptype == "P" else param.q)
-    squares, types, light = _v_particle_scaled(param, x0, ptype, j0,
-                                               line_lights(param, x0))
+    lit = set(light_lists(param)[x0 % w])
+    squares, types, light = _v_particle_scaled(param, x0, ptype, j0, lit)
     frac = -s2 * x0 % w  # every instance's scaled height within its square
     pts = tuple(IntersectionPoint(
         location=(Fraction(x), Fraction(y * w + frac, w)), host=GridLine("V", x),

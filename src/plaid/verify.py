@@ -21,7 +21,7 @@ from .grid import (
     capacity_scaled,
     check_coherence,
     closed_point_counts,
-    line_lights,
+    light_lists,
     trace_polygons,
 )
 from .classifier import (
@@ -198,21 +198,23 @@ def _grid_symmetries(param: Param) -> dict:
     Rotation through the origin preserves brightness and type on both hosts;
     reflection in the x-axis preserves brightness, keeps the type of
     horizontally hosted points and swaps it for vertically hosted ones.
+    Each law is a set identity on line c's light residues; a failure names
+    the least crossing b in a difference, with the first law holding it.
     """
     w = param.omega
-    for c in range(w):
-        lit, mirror = line_lights(param, c), line_lights(param, -c % w)
-        for b in range(w):
-            # rotation: (H c, crossing b) -> (H -c, crossing -b)
-            if lit[b] != mirror[-b % w]:
-                return {"ok": False, "case": "rotation-H", "at": (c, b)}
-            # x-reflection, horizontal host: crossing intercept b - 2c
-            if lit[b] != mirror[(b - 2 * c) % w]:
-                return {"ok": False, "case": "reflect-H", "at": (c, b)}
-            # x-reflection, vertical host x=c: type P line b maps to the
-            # type Q line 2c - b through the mirror point
-            if lit[b] != lit[(2 * c - b) % w]:
-                return {"ok": False, "case": "reflect-V", "at": (c, b)}
+    lights = [set(res) for res in light_lists(param)]
+    for c, lit in enumerate(lights):
+        mirror = lights[-c % w]
+        # rotation: (H c, crossing b) -> (H -c, crossing -b); x-reflection,
+        # H host: crossing intercept b - 2c; V host x=c: the type P line b
+        # maps to the type Q line 2c - b through the mirror point
+        faults = (("rotation-H", lit ^ {-r % w for r in mirror}),
+                  ("reflect-H", lit ^ {(r + 2 * c) % w for r in mirror}),
+                  ("reflect-V", lit ^ {(2 * c - r) % w for r in lit}))
+        if any(bad for _, bad in faults):
+            b = min(min(bad) for _, bad in faults if bad)
+            case = next(case for case, bad in faults if b in bad)
+            return {"ok": False, "case": case, "at": (c, b)}
     return {"ok": True, "classes": w * w}
 
 
@@ -229,9 +231,8 @@ def suite_symmetry(param: Param) -> dict:
 
 def suite_particle_geometry(param: Param) -> dict:
     w = param.omega
-    for c in range(w):
-        # the H particles of y0 = c and the V particles of x0 = c share lights
-        lit = line_lights(param, c)
+    # the H particles of y0 = c and the V particles of x0 = c share lights
+    for c, lit in enumerate(map(set, light_lists(param))):
         particles = [(("h", c, j0), "horizontal", 2 * w,
                       _h_particle_scaled(param, c, j0, lit)) for j0 in range(w)]
         particles += [(("v", c, ty, j0), "vertical", w,
@@ -270,7 +271,7 @@ DEFAULT_BOUNDS = {
     "pet-equivalence": 25,
     "first": 61,
     "empty-rect": 30,
-    "symmetry": 31,
+    "symmetry": 35,
     "particle-geometry": 25,
 }
 

@@ -88,7 +88,7 @@ def test_criterion_09_empty_rectangles():
 
 
 def test_criterion_10_symmetries():
-    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 31)
+    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 35)
 
 
 def test_criterion_11_particle_geometry():

@@ -280,6 +280,25 @@ class TestPlantedFaults:
                         center_cell(prm, -a - 1, -b - 1),
                         center_cell(prm, a, -b - 1))
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_symmetry_map(self, monkeypatch, pq, first):
+        """One column start moved a step down its column fails the suite at
+        that column or at its rotation partner -a-1 mod omega^2, whichever
+        the sweep reaches first: the partner reads the moved column's masks
+        reversed."""
+        prm = make_param(*pq)
+        ww = prm.omega ** 2
+        a0 = 2 if first else ww - 3
+        real = classifier.center_cell
+
+        def center_cell(param, a, b, sheets=1):
+            return real(param, a, b + ((a, b) == (a0, 0)), sheets)
+
+        monkeypatch.setattr(classifier, "center_cell", center_cell)
+        r = verify.suite_symmetry(prm)
+        assert not r["ok"], r
+        assert r["at"][0] in (a0, -a0 - 1 + ww), r
+
     def test_isomorphism(self, monkeypatch, pq):
         """One hl byte of block 1 flipped: the two squares beside that edge,
         and only they, are mismatches."""

@@ -379,6 +379,11 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["stats", "--p", "2", "--q", "5", "--gap-window", "3,3,0,0"],
     # an explicit parameter list is not cut by a bound
     ["verify", "--suite", "two-points", "--params", "2/5", "--max-omega", "5"],
+    # an empty value is a malformed value, not a missing option
+    ["verify", "--suite", "two-points", "--params", ""],
+    ["stats", "--p", "2", "--q", "5", "--blocks", ""],
+    ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
+     "--window", "0,0,2,2", "--eps", ""],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

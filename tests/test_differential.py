@@ -8,15 +8,18 @@ per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns and the column fact
 against the per-class reduction, the bijection on column starts against
 marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the light-set symmetries past their sweep bound, the empty
-rectangles on running light counts against a search over light edges, the
-integer irrational window against its Fraction oracle, and the integer SVG
-renderer against a Fraction renderer."""
+per-class loop, the light-set laws and the classifier conjugacies against
+per-crossing and whole-column references, past their sweep bound and under
+planted light and label faults, the empty rectangles on running light
+counts against a search over light edges, the integer irrational window
+against its Fraction oracle, and the integer SVG renderer against a
+Fraction renderer."""
 
 import math
 import random
 from bisect import bisect_right
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +35,10 @@ from plaid.classifier import (
     ORIENTED_CODES,
     REVERSED,
     ClassifyingPoint,
+    _FLIP_MASKS,
+    _MASK_TABLE,
     _ORDER,
+    _ROT_MASKS,
     _ZONES,
     _band,
     _zone_spec,
@@ -48,6 +54,7 @@ from plaid.classifier import (
     label_table,
     mark_classes,
     particle_image_geometry,
+    symmetry_conjugacies,
     xi_raw_scaled,
 )
 from plaid.pet import (
@@ -77,7 +84,6 @@ from plaid.grid import (
     light_count,
     light_lists,
     light_points_on_line,
-    line_lights,
     mass_scaled,
     segment_points,
     trace_polygons,
@@ -160,7 +166,7 @@ def test_horizontal_particle_matches_segment_points(param, data):
     w = param.omega
     y0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    core = _h_particle_scaled(param, y0, j0, line_lights(param, y0))
+    core = _h_particle_scaled(param, y0, j0, set(light_lists(param)[y0]))
     check_instances(param, horizontal_particle(param, y0, j0), "h", core)
 
 
@@ -170,7 +176,7 @@ def test_vertical_particle_matches_segment_points(param, ptype, data):
     w = param.omega
     x0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    core = _v_particle_scaled(param, x0, ptype, j0, line_lights(param, x0))
+    core = _v_particle_scaled(param, x0, ptype, j0, set(light_lists(param)[x0]))
     check_instances(param, vertical_particle(param, x0, ptype, j0), "v", core)
 
 
@@ -226,10 +232,11 @@ def test_image_geometry_matches_reference(param, ptype, data):
     w = param.omega
     c = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
+    lit = set(light_lists(param)[c])
     for core, part in (
-            (_h_particle_scaled(param, c, j0, line_lights(param, c)),
+            (_h_particle_scaled(param, c, j0, lit),
              horizontal_particle(param, c, j0)),
-            (_v_particle_scaled(param, c, ptype, j0, line_lights(param, c)),
+            (_v_particle_scaled(param, c, ptype, j0, lit),
              vertical_particle(param, c, ptype, j0))):
         squares, types, _ = core
         got = image_geometry_scaled(param, part.orientation, squares, types)
@@ -248,10 +255,9 @@ def test_corrupted_particles_fail_geometry(param, ptype, data):
     w = param.omega
     c = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    h_squares, h_types, _ = _h_particle_scaled(param, c, j0,
-                                               line_lights(param, c))
-    v_squares, v_types, _ = _v_particle_scaled(param, c, ptype, j0,
-                                               line_lights(param, c))
+    lit = set(light_lists(param)[c])
+    h_squares, h_types, _ = _h_particle_scaled(param, c, j0, lit)
+    v_squares, v_types, _ = _v_particle_scaled(param, c, ptype, j0, lit)
     i = data.draw(st.integers(0, w - 1))
     h_i = i + data.draw(st.sampled_from((0, w)))  # a type-P or type-Q instance
     # a northward move keeps the image's fiber and moves U1 and U2 apart
@@ -285,7 +291,7 @@ def test_period_moved_square_keeps_geometry(param, data):
     w = param.omega
     c = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    squares, types, _ = _h_particle_scaled(param, c, j0, line_lights(param, c))
+    squares, types, _ = _h_particle_scaled(param, c, j0, set(light_lists(param)[c]))
     k = data.draw(st.integers(0, 2 * w - 1))
     da, db = data.draw(st.sampled_from(((w * w, 0), (-w * w, 0), (0, w),
                                         (0, -w))))
@@ -304,8 +310,7 @@ def test_moved_square_geometry_matches_reference_to_11():
     rng = random.Random(11)
     for param in even_rationals(11):
         w = param.omega
-        for c in range(w):
-            lit = line_lights(param, c)
+        for c, lit in enumerate(map(set, light_lists(param))):
             cores = [("horizontal", _h_particle_scaled(param, c, j0, lit))
                      for j0 in range(w)]
             cores += [("vertical", _v_particle_scaled(param, c, ty, j0, lit))
@@ -330,7 +335,6 @@ def check_light_lists(param):
     for c in range(w):
         cap = capacity_scaled(param, c)
         want = [_light(cap, mass[b]) for b in range(w)]
-        assert line_lights(param, c) == want, (str(param), c)
         assert sorted(by_line[c]) == [b for b in range(w) if want[b]], \
             (str(param), c)
 
@@ -387,27 +391,112 @@ def test_block_counts_match_segment_points(param, bi, data):
                                 for pt in segment_points(param, seg))
 
 
+def reference_grid_symmetries(param, by_line):
+    """_grid_symmetries crossing by crossing on light flags, line c's lights
+    being by_line[c] (light_lists)."""
+    w = param.omega
+    flags = [[r in lit for r in range(w)] for lit in map(set, by_line)]
+    for c in range(w):
+        lit, mirror = flags[c], flags[-c % w]
+        for b in range(w):
+            # rotation: (H c, crossing b) -> (H -c, crossing -b)
+            if lit[b] != mirror[-b % w]:
+                return {"ok": False, "case": "rotation-H", "at": (c, b)}
+            # x-reflection, horizontal host: crossing intercept b - 2c
+            if lit[b] != mirror[(b - 2 * c) % w]:
+                return {"ok": False, "case": "reflect-H", "at": (c, b)}
+            # x-reflection, vertical host x=c: type P line b maps to the
+            # type Q line 2c - b through the mirror point
+            if lit[b] != lit[(2 * c - b) % w]:
+                return {"ok": False, "case": "reflect-V", "at": (c, b)}
+    return {"ok": True, "classes": w * w}
+
+
+def reference_symmetry_conjugacies(param, table):
+    """symmetry_conjugacies on whole columns of the label table table: the
+    cells of every rotated and reflected class against the negated and
+    swapped cells of its column, and the label permutations."""
+    w, p = param.omega, param.p
+    ww = w * w
+    for a in range(ww):
+        column = center_column(param, a)
+        rot, flip = center_column(param, -a - 1)[::-1], column[::-1]
+        # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
+        # but j = 0 is its own negative up to (2*omega, 2p, 2p)
+        neg = [w * ww + ww - 1 - c if c >= ww else
+               (-1 - p - c // w) % w * w + (-1 - p - c) % w for c in column]
+        swap = [c + (w - 1) * (c % w - c // w % w) for c in column]
+        mask = bytes(itemgetter(*column)(table)).translate(_MASK_TABLE)
+        rot_mask = bytes(itemgetter(*rot)(table)).translate(_MASK_TABLE)
+        checks = (("rotation-map", rot, neg), ("reflection-map", flip, swap),
+                  ("rotation-label", rot_mask, mask.translate(_ROT_MASKS)),
+                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
+        if any(got != want for _, got, want in checks):
+            b, case = next((b, case) for b in range(w)
+                           for case, got, want in checks if got[b] != want[b])
+            return {"ok": False, "case": case, "at": (a, b)}
+    return {"ok": True, "classes": w ** 3}
+
+
+def check_symmetry_references(param):
+    assert verify._grid_symmetries(param) == \
+        reference_grid_symmetries(param, light_lists(param)), str(param)
+    assert symmetry_conjugacies(param) == \
+        reference_symmetry_conjugacies(param, label_table(param)), str(param)
+
+
+def test_symmetry_matches_references_to_15():
+    """Both halves of the symmetry suite, on light-residue sets and column
+    starts, against the per-crossing and whole-column references at every
+    even rational with omega <= 15."""
+    for param in even_rationals(15):
+        check_symmetry_references(param)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(45))
+def test_symmetry_matches_references(param):
+    check_symmetry_references(param)
+
+
+@pytest.mark.parametrize("pq, stride", [((2, 5), 1), ((4, 11), 41)])
+def test_label_faults_match_symmetry_reference(pq, stride):
+    """Every single-byte label fault at 2/5, and every stride-th cell's at
+    4/11, gives the whole-column reference's record: a hold code given the
+    mask of the code 1 (N, S), any other code the hold mask."""
+    param = make_param(*pq)
+    real = label_table(param)
+    failed = 0
+    for cell in range(0, len(real), stride):
+        table = bytearray(real)
+        table[cell] = 0 if table[cell] % 5 else 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifier, "label_table",
+                       lambda prm, sheets=1: bytearray(table))
+            got = symmetry_conjugacies(param)
+        assert got == reference_symmetry_conjugacies(param, table), cell
+        failed += not got["ok"]
+    assert failed > len(real) // stride * 9 // 10
+
+
 @settings(max_examples=10, deadline=None)
 @given(params(), st.data())
 def test_grid_symmetries_beyond_sweep_bound(param, data):
     """The light set's rotation and reflection laws hold past the symmetry
-    suite's bound, and flipping one light flag breaks one of them.  (0, 0)
-    is fixed by all three maps, so the flip is drawn elsewhere."""
+    suite's bound, and flipping one light residue breaks one of them, with
+    the reference's record.  (0, 0) is fixed by all three maps, so the flip
+    is drawn elsewhere."""
     w = param.omega
     assert verify._grid_symmetries(param) == {"ok": True, "classes": w * w}
     c0, b0 = divmod(data.draw(st.integers(1, w * w - 1)), w)
-
-    def flipped(prm, c):
-        lit = line_lights(prm, c)
-        if c % w == c0:
-            lit[b0] = not lit[b0]
-        return lit
-
+    by_line = [list(res) for res in light_lists(param)]
+    by_line[c0] = sorted(set(by_line[c0]) ^ {b0})
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "line_lights", flipped)
+        mp.setattr(verify, "light_lists", lambda prm: by_line)
         got = verify._grid_symmetries(param)
     assert not got["ok"], (c0, b0)
     assert got["case"] in ("rotation-H", "reflect-H", "reflect-V"), got
+    assert got == reference_grid_symmetries(param, by_line)
 
 
 def reference_empty_rectangles(param, block, K):
