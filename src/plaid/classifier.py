@@ -536,6 +536,12 @@ def image_geometry_scaled(param: Param, orientation: str,
     of its two center steps, else the step's image is the "diff".  This is
     never looser than reading image steps: (omega^2, 0) and (0, omega) being
     periods of the map, images step by d's image; the converse is criterion 5.
+
+    So a particle's record on line 0 stands for every line.  Horizontal
+    squares on line c are (x_i, c), and the record reads b only through the
+    steps db, which are 0.  Vertical squares on line c are (c + omega*j_n,
+    y_n): the move by (c, 0) adds 4pc to every s, so it moves every fiber
+    and, when the fibers are one, every U by one value mod 2*omega.
     """
     w, p2 = param.omega, 2 * param.p
     w2 = 2 * w

@@ -61,7 +61,7 @@ def _add_pq(sub):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .params import (
@@ -561,7 +562,9 @@ class Particle:
     type; horizontal particles have 2p type-P instances then 2q type-Q
     instances, passing twice through one block corner and one midpoint.
     squares[i] is the floor (a, b) of instance i's location: the unit square
-    with the instance on its south (horizontal) or west (vertical) edge."""
+    with the instance on its south (horizontal) or west (vertical) edge.
+    A particle is a walk, the same on every line but for its squares'
+    placement (_h_walk, _v_walk), and its brightness there (_read_light)."""
 
     orientation: str
     instances: Tuple[IntersectionPoint, ...]
@@ -573,14 +576,16 @@ class Particle:
         return self.instances[0].brightness
 
 
-def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Set[int]
-                       ) -> Tuple[list, tuple, bool]:
-    """(squares, types, light) of the horizontal particle through the block
-    corner (j0*omega, y0), lit the set of y0's light residues.  Its step-r
-    instance of slope -2s/omega in block j sits at x = k*omega/(2s) on the
-    crossing line y0 + k, k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1."""
+def _h_walk(param: Param, j0: int, y0: int = 0) -> tuple:
+    """(squares, types, take, doubles) of the horizontal particle through
+    the block corner (j0*omega, y0).  Its step-r instance of slope -2s/omega
+    in block j sits at x = k*omega/(2s) on the crossing line y0 + k,
+    k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1, and take gathers the
+    k mod omega.  doubles holds, in walk order, the residues of the two
+    crossings of each both-type point and its "x=..." text.  Only the
+    squares depend on y0."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
-    squares, n_lit, j = [], 0, j0 % w
+    squares, residues, doubles, j = [], [], [], j0 % w
     for s, rs in ((p, range(2 * p)), (q, range(2 * q, 0, -1))):
         s2, period = 2 * s, 2 * s * w * w
         for r in rs:
@@ -593,45 +598,73 @@ def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Set[int]
                 b_q, rem_q = divmod(2 * q * k, s2)
                 if rem_p or rem_q:
                     raise PlaidError(f"double point at x={k * w}/{s2} is not integral")
-                if ((y0 + b_p) % w in lit) != ((y0 + b_q) % w in lit):
-                    raise PlaidError(f"brightness mismatch at double point x={k * w}/{s2}")
-            n_lit += (y0 + k) % w in lit
+                doubles.append((b_p % w, b_q % w, f"x={k * w}/{s2}"))
+            residues.append(k % w)
             squares.append((k * w % period // s2, y0))
             j = (j + a) % w
     if j != j0 % w:
         raise PlaidError("horizontal particle failed to close")
-    if n_lit not in (0, 2 * w):
-        raise PlaidError("particle brightness not constant")
-    return squares, ("P",) * (2 * p) + ("Q",) * (2 * q), bool(n_lit)
+    types = ("P",) * (2 * p) + ("Q",) * (2 * q)
+    return squares, types, itemgetter(*residues), doubles
+
+
+def _v_walk(param: Param, x0: int, ptype: str, j0: int) -> tuple:
+    """(squares, types, take, ()) of the vertical particle of the given type
+    on the lines x = x0 + j*omega from block j0.  Its height starts in
+    [0, 1) and moves by +1 (type P) or -1 (type Q) mod omega per block, and
+    take gathers the row offsets, instance n crossing the line of intercept
+    offset + ceil(2s*x0/omega) mod omega.  Only the squares depend on x0."""
+    w, a = param.omega, param.adj
+    s2, step = (2 * param.p, 1) if ptype == "P" else (2 * param.q, -1)
+    squares, offsets, j = [], [], j0 % w
+    for n in range(w):
+        squares.append((x0 + j * w, n * step % w))
+        offsets.append((n * step + s2 * j) % w)
+        j = (j + a) % w
+    return squares, (ptype,) * w, itemgetter(*offsets), ()
+
+
+def _read_light(param: Param, lit: Set[int], c: int, walks) -> List[bool]:
+    """Whether the particle of each (key, walk) is light on line c, lit the
+    set of c's light residues: the line's flags are rotated by c for a
+    horizontal walk (key "h") and by ceil(2s*c/omega) for a vertical one of
+    type key, and gathered by the walk's take.  Double points must agree,
+    in walk order, and then all or none of the instances be light."""
+    w, flags, out = param.omega, {}, []
+    for key, (_, types, take, doubles) in walks:
+        if key not in flags:
+            s = c % w if key == "h" else \
+                -(-2 * (param.p if key == "P" else param.q) * c // w) % w
+            flags[key] = bytes(map(lit.__contains__, [*range(s, w), *range(s)]))
+        for r_p, r_q, x in doubles:
+            if flags[key][r_p] != flags[key][r_q]:
+                raise PlaidError(f"brightness mismatch at double point {x}")
+        n_lit = sum(take(flags[key]))
+        if n_lit not in (0, len(types)):
+            raise PlaidError("particle brightness not constant")
+        out.append(bool(n_lit))
+    return out
+
+
+def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Set[int]
+                       ) -> Tuple[list, tuple, bool]:
+    """(squares, types, light) of the horizontal particle through the block
+    corner (j0*omega, y0), lit the set of y0's light residues."""
+    walk = _h_walk(param, j0, y0)
+    return walk[0], walk[1], _read_light(param, lit, y0, [("h", walk)])[0]
 
 
 def _v_particle_scaled(param: Param, x0: int, ptype: str, j0: int,
                        lit: Set[int]) -> Tuple[list, tuple, bool]:
     """(squares, types, light) of the vertical particle of the given type on
-    the lines x = x0 + j*omega, lit the set of x0's light residues.  Its scaled
-    height y*omega starts in [0, omega) on block j0's line and moves by
-    +omega (type P) or -omega (type Q) mod omega^2 from block to block."""
-    w, a = param.omega, param.adj
-    s2, step = (2 * param.p, w) if ptype == "P" else (2 * param.q, -w)
-    squares, n_lit, j = [], 0, j0 % w
-    yn = -s2 * x0 % w
-    for _ in range(w):
-        x_abs = x0 + j * w
-        b, rem = divmod(yn + s2 * x_abs, w)
-        if rem:
-            raise PlaidError("vertical particle left the line family")
-        n_lit += b % w in lit
-        squares.append((x_abs, yn // w))
-        j = (j + a) % w
-        yn = (yn + step) % (w * w)
-    if n_lit not in (0, w):
-        raise PlaidError("particle brightness not constant")
-    return squares, (ptype,) * w, bool(n_lit)
+    the lines x = x0 + j*omega, lit the set of x0's light residues."""
+    walk = _v_walk(param, x0, ptype, j0)
+    return walk[0], walk[1], _read_light(param, lit, x0, [(ptype, walk)])[0]
 
 
 def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
     """The horizontal particle through the block corner (j0*omega, y0): the
-    Fraction view of _h_particle_scaled, walking its instances again."""
+    Fraction view of _h_particle_scaled, with each instance's k."""
     w, p, a = param.omega, param.p, param.adj
     lit = set(light_lists(param)[y0 % w])
     squares, types, light = _h_particle_scaled(param, y0, j0, lit)

@@ -16,8 +16,9 @@ from .params import Param, even_rationals, make_param
 from .grid import (
     BlockGrid,
     STEPS,
-    _h_particle_scaled,
-    _v_particle_scaled,
+    _h_walk,
+    _read_light,
+    _v_walk,
     capacity_scaled,
     check_coherence,
     closed_point_counts,
@@ -230,21 +231,25 @@ def suite_symmetry(param: Param) -> dict:
 
 
 def suite_particle_geometry(param: Param) -> dict:
+    """Criterion 11 with one walk per start block: its geometry is read on
+    line 0, which stands for every line (image_geometry_scaled), and each
+    line c reads only brightness, line 0's before any geometry."""
     w = param.omega
-    # the H particles of y0 = c and the V particles of x0 = c share lights
-    for c, lit in enumerate(map(set, light_lists(param))):
-        particles = [(("h", c, j0), "horizontal", 2 * w,
-                      _h_particle_scaled(param, c, j0, lit)) for j0 in range(w)]
-        particles += [(("v", c, ty, j0), "vertical", w,
-                       _v_particle_scaled(param, c, ty, j0, lit))
-                      for ty in "PQ" for j0 in range(w)]
-        for at, orientation, length, (squares, types, _) in particles:
-            if len(squares) != length:
-                return {"ok": False, "case": at[0] + "-length", "at": at[1:]}
-            r = image_geometry_scaled(param, orientation, squares, types)
-            if not r["ok"]:
-                r["at"] = at
-                return r
+    lights = [set(res) for res in light_lists(param)]
+    walks = []
+    for key, j0 in [(key, j0) for key in "hPQ" for j0 in range(w)]:
+        walks.append((key, _h_walk(param, j0) if key == "h" else
+                      _v_walk(param, 0, key, j0)))
+        _read_light(param, lights[0], 0, walks[-1:])
+    for i, (key, (squares, types, _, _)) in enumerate(walks):
+        h = key == "h"
+        r = image_geometry_scaled(param, "horizontal" if h else "vertical",
+                                  squares, types)
+        if not r["ok"]:
+            r["at"] = ("h", 0, i) if h else ("v", 0, key, i % w)
+            return r
+    for c in range(1, w):
+        _read_light(param, lights[c], c, walks)
     return {"ok": True, "particles": 3 * w * w}
 
 
@@ -272,7 +277,7 @@ DEFAULT_BOUNDS = {
     "first": 61,
     "empty-rect": 30,
     "symmetry": 35,
-    "particle-geometry": 25,
+    "particle-geometry": 41,
 }
 
 MESH_WITNESSES = ((3, 8), (4, 11))

@@ -92,7 +92,7 @@ def test_criterion_10_symmetries():
 
 
 def test_criterion_11_particle_geometry():
-    _sweep(11, "particle image geometry", "particle-geometry", 25)
+    _sweep(11, "particle image geometry", "particle-geometry", 41)
 
 
 def test_criterion_12_irrational_mode():

@@ -384,6 +384,8 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
     ["stats", "--p", "2", "--q", "5", "--blocks", ""],
     ["irrational", "--P", "34/89", "--offset", "1/1048583,1/1048609,1/1048613",
      "--window", "0,0,2,2", "--eps", ""],
+    # an empty --out names no file, it does not mean standard output
+    ["orbit", "--p", "2", "--q", "5", "--c", "1/2,1/2", "--out", ""],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""

@@ -3,17 +3,18 @@ rationals far beyond the sweep bounds: the closed-form light lists against
 the light rule, the grid paths against the Fraction reference
 `segment_points`, tracing against its canonical form and against the
 exchange orbits of `vector_polygon`, particle image geometry against a
-per-image reduction, the label table against `fiber_label` and the
-per-point labels, the per-cell code and exchange step against the Fraction
-path and the step through points, the center columns and the column fact
-against the per-class reduction, the bijection on column starts against
-marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the light-set laws and the classifier conjugacies against
-per-crossing and whole-column references, past their sweep bound and under
-planted light and label faults, the empty rectangles on running light
-counts against a search over light edges, the integer irrational window
-against its Fraction oracle, and the integer SVG renderer against a
-Fraction renderer."""
+per-image reduction, the particle walks and their suite against a walk
+per line, also under planted light and square faults, the label table
+against `fiber_label` and the per-point labels, the per-cell code and
+exchange step against the Fraction path and the step through points, the
+center columns and the column fact against the per-class reduction, the
+bijection on column starts against marking every class, the exchange's
+conjugacy and inverse against the per-class loop, the light-set laws and
+the classifier conjugacies against per-crossing and whole-column
+references, past their sweep bound and under planted light and label
+faults, the empty rectangles on running light counts against a search over
+light edges, the integer irrational window against its Fraction oracle,
+and the integer SVG renderer against a Fraction renderer."""
 
 import math
 import random
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
-from plaid import classifier, verify
+from plaid import classifier, grid, verify
 from plaid.analysis import block_light_cache, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
@@ -324,6 +325,236 @@ def test_moved_square_geometry_matches_reference_to_11():
                 assert image_geometry_scaled(param, orientation, moved, types) \
                     == reference_geometry(param, orientation, moved, types), \
                     (str(param), orientation, c, k)
+
+
+def reference_h_particle(param, y0, j0, lit):
+    """_h_particle_scaled as one walk per line, brightness counted on the
+    way, lit the set of y0's light residues."""
+    w, p, q, a = param.omega, param.p, param.q, param.adj
+    squares, n_lit, j = [], 0, j0 % w
+    for s, rs in ((p, range(2 * p)), (q, range(2 * q, 0, -1))):
+        s2, period = 2 * s, 2 * s * w * w
+        for r in rs:
+            k = s2 * j + r
+            if r % s == 0:
+                b_p, rem_p = divmod(2 * p * k, s2)
+                b_q, rem_q = divmod(2 * q * k, s2)
+                if rem_p or rem_q:
+                    raise PlaidError(f"double point at x={k * w}/{s2} is not integral")
+                if ((y0 + b_p) % w in lit) != ((y0 + b_q) % w in lit):
+                    raise PlaidError(f"brightness mismatch at double point x={k * w}/{s2}")
+            n_lit += (y0 + k) % w in lit
+            squares.append((k * w % period // s2, y0))
+            j = (j + a) % w
+    if j != j0 % w:
+        raise PlaidError("horizontal particle failed to close")
+    if n_lit not in (0, 2 * w):
+        raise PlaidError("particle brightness not constant")
+    return squares, ("P",) * (2 * p) + ("Q",) * (2 * q), bool(n_lit)
+
+
+def reference_v_particle(param, x0, ptype, j0, lit):
+    """_v_particle_scaled as one walk per line: the scaled height starts at
+    -2s*x0 mod omega and each instance's crossing is read from it."""
+    w, a = param.omega, param.adj
+    s2, step = (2 * param.p, w) if ptype == "P" else (2 * param.q, -w)
+    squares, n_lit, j = [], 0, j0 % w
+    yn = -s2 * x0 % w
+    for _ in range(w):
+        x_abs = x0 + j * w
+        b, rem = divmod(yn + s2 * x_abs, w)
+        if rem:
+            raise PlaidError("vertical particle left the line family")
+        n_lit += b % w in lit
+        squares.append((x_abs, yn // w))
+        j = (j + a) % w
+        yn = (yn + step) % (w * w)
+    if n_lit not in (0, w):
+        raise PlaidError("particle brightness not constant")
+    return squares, (ptype,) * w, bool(n_lit)
+
+
+def reference_particle_geometry(param, by_line, move=None):
+    """suite_particle_geometry line by line: every particle's reference core
+    on every line c, lit by by_line[c], then image_geometry_scaled on each.
+    move(at, squares) may plant a fault in a core's squares."""
+    w = param.omega
+    for c, lit in enumerate(map(set, by_line)):
+        particles = [(("h", c, j0), "horizontal", 2 * w,
+                      reference_h_particle(param, c, j0, lit)) for j0 in range(w)]
+        particles += [(("v", c, ty, j0), "vertical", w,
+                       reference_v_particle(param, c, ty, j0, lit))
+                      for ty in "PQ" for j0 in range(w)]
+        for at, orientation, length, (squares, types, _) in particles:
+            if move:
+                squares = move(at, squares)
+            if len(squares) != length:
+                return {"ok": False, "case": at[0] + "-length", "at": at[1:]}
+            r = image_geometry_scaled(param, orientation, squares, types)
+            if not r["ok"]:
+                r["at"] = at
+                return r
+    return {"ok": True, "particles": 3 * w * w}
+
+
+def test_particle_cores_match_reference_to_11():
+    """The walk-and-read cores against the per-line walks on every particle
+    of every even rational with omega <= 11, on the lines -1 .. omega and
+    from the blocks j0 = -1 .. omega."""
+    for param in even_rationals(11):
+        w = param.omega
+        by_line = light_lists(param)
+        for c in range(-1, w + 1):
+            lit = set(by_line[c % w])
+            for j0 in range(-1, w + 1):
+                assert _h_particle_scaled(param, c, j0, lit) == \
+                    reference_h_particle(param, c, j0, lit), (str(param), c, j0)
+                for ty in "PQ":
+                    assert _v_particle_scaled(param, c, ty, j0, lit) == \
+                        reference_v_particle(param, c, ty, j0, lit), \
+                        (str(param), c, ty, j0)
+
+
+def check_particle_geometry(param):
+    assert verify.suite_particle_geometry(param) == \
+        reference_particle_geometry(param, light_lists(param)), str(param)
+
+
+def test_particle_geometry_matches_reference_to_11():
+    for param in even_rationals(11):
+        check_particle_geometry(param)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(61))
+def test_particle_geometry_matches_reference(param):
+    check_particle_geometry(param)
+
+
+def test_vertical_geometry_moves_with_the_line_to_13():
+    """The line-0 argument of suite_particle_geometry: a vertical particle's
+    squares on line c are its line-0 squares moved by (c, 0), and its record
+    there is line 0's with every "const" (or, with a square moved east,
+    every fiber) moved by one value mod 2*omega; with one square moved north
+    the record fails alike on every line."""
+    for param in even_rationals(13):
+        w = param.omega
+        for ty in "PQ":
+            for j0 in range(w):
+                line = [_v_particle_scaled(param, c, ty, j0, set())[0]
+                        for c in range(w)]
+                for c, squares in enumerate(line):
+                    assert squares == [(a + c, b) for a, b in line[0]]
+                for da, db in ((0, 0), (0, 1), (1, 0)):
+                    records = []
+                    for squares in line:
+                        moved = list(squares)
+                        moved[1] = (moved[1][0] + da, moved[1][1] + db)
+                        records.append(image_geometry_scaled(
+                            param, "vertical", moved, (ty,) * w))
+                    key = "fibers" if records[0]["case"] == "fiber" else "const"
+                    assert records[0]["ok"] == (da == db == 0)
+                    assert len(records[0][key]) == 1 + (da or db)
+                    for c, r in enumerate(records):
+                        assert (r["ok"], r["case"]) == \
+                            (records[0]["ok"], records[0]["case"])
+                        assert any({(v + d) % (2 * w) for v in records[0][key]}
+                                   == {v % (2 * w) for v in r[key]}
+                                   for d in range(2 * w)), \
+                            (str(param), ty, j0, da, db, c)
+
+
+@pytest.mark.parametrize("pq, drop_error, add_error", [
+    ((2, 5), "x=28/4", "x=56/4"),
+    ((3, 8), "x=330/6", "x=132/6"),
+    ((4, 11), "x=720/8", "x=240/8"),
+])
+def test_light_faults_fail_particle_geometry(pq, drop_error, add_error):
+    """One light residue dropped from line 1, or one added there, breaks a
+    double point of a horizontal particle on line 1, in the suite's record
+    and in the per-line reference's."""
+    param = make_param(*pq)
+    w = param.omega
+    real = light_lists(param)
+    first_dark = min(set(range(w)) - set(real[1]))
+    for lights, error in ((real[1][1:], drop_error),
+                          (real[1] + [first_dark], add_error)):
+        by_line = [list(res) for res in real]
+        by_line[1] = lights
+        want = {"ok": False,
+                "error": f"PlaidError: brightness mismatch at double point {error}"}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "light_lists", lambda prm: by_line)
+            got = verify.run_suite("particle-geometry", params=[param])
+        assert got == [{**want, "suite": "particle-geometry",
+                        "param": str(param), "omega": w}]
+        assert verify._guarded(reference_particle_geometry, param,
+                               by_line) == want
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (3, 8), (4, 11)])
+def test_light_faults_match_reference_on_every_line(pq):
+    """Every line's least light residue dropped, and its least dark residue
+    added, one at a time: the suite gives the reference's record.  Three of
+    these flips keep line c's lights symmetric about c (b light with
+    2c - b), residue 0 added on line 0 and the one light dropped from each
+    line of capacity +-2, and particles see only asymmetries; every other
+    flip fails."""
+    param = make_param(*pq)
+    w = param.omega
+    real = light_lists(param)
+    failed = 0
+    for c in range(w):
+        for flip in real[c][:1] + [min(set(range(w)) - set(real[c]))]:
+            by_line = [list(res) for res in real]
+            by_line[c] = sorted(set(real[c]) ^ {flip})
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "light_lists", lambda prm: by_line)
+                got = verify._guarded(verify.suite_particle_geometry, param)
+            assert got == verify._guarded(reference_particle_geometry, param,
+                                          by_line), (c, flip)
+            failed += not got["ok"]
+    assert failed == 2 * w - 4  # line 0 has no light to drop
+
+
+def moved_square(squares, i, step):
+    squares = list(squares)
+    squares[i] = (squares[i][0] + step[0], squares[i][1] + step[1])
+    return squares
+
+
+@pytest.mark.parametrize("key, i, step, want", [
+    ("h", 5, (1, 0), {"ok": False, "case": "P-middle-zone", "t": 3,
+                      "at": ("h", 0, 3)}),
+    ("h", 12, (1, 0), {"ok": False, "case": "Q-axis-step",
+                       "diff": (-14, -14, -14), "at": ("h", 0, 3)}),
+    ("v", 2, (0, 1), {"ok": False, "case": "vertical", "const": [-12, 10],
+                      "at": ("v", 0, "P", 3)}),
+])
+def test_moved_walk_square_fails_particle_geometry(key, i, step, want,
+                                                   monkeypatch):
+    """Square i of block 3's walks at 4/11 moved by one unit, east (H, a
+    type-P or a type-Q square) or north (V, both types), fails the first
+    such walk's geometry on line 0, with the reference's record: the square
+    moves on every line."""
+    param = make_param(4, 11)
+    name = "_h_walk" if key == "h" else "_v_walk"
+    walk = getattr(grid, name)
+
+    def moved_walk(param, *args):
+        squares, *rest = walk(param, *args)
+        if args[-1] == 3:
+            squares = moved_square(squares, i, step)
+        return (squares, *rest)
+
+    def move(at, squares):
+        return moved_square(squares, i, step) \
+            if at[0] == key and at[-1] == 3 else squares
+
+    monkeypatch.setattr(verify, name, moved_walk)
+    got = verify.suite_particle_geometry(param)
+    assert got == reference_particle_geometry(param, light_lists(param), move)
+    assert got == want
 
 
 def check_light_lists(param):

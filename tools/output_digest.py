@@ -27,7 +27,11 @@ Groups:
                 of the zero offset there with a suggestion and without one
                 (--eps 1/2), and suite_irrational;
 - empty         the empty_rectangles record of blocks (bi, 0) and (bi, 1) of
-                every even rational at omega <= N, for every even K.
+                every even rational at omega <= N, for every even K;
+- particles     the integer cores (squares, types, light) of every particle
+                of every even rational at omega <= N, and the instances of
+                horizontal_particle and vertical_particle on the lines 0, 1
+                and omega-1.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -97,8 +101,10 @@ def main(argv=None) -> int:
     from fractions import Fraction
 
     from plaid import analysis, cli, classifier, pet, verify
-    from plaid.grid import (BlockGrid, GridLine, light_points_on_line,
-                            trace_polygons)
+    from plaid.grid import (BlockGrid, GridLine, _h_particle_scaled,
+                            _v_particle_scaled, horizontal_particle,
+                            light_lists, light_points_on_line, trace_polygons,
+                            vertical_particle)
     from plaid.params import even_rationals
     import workloads
 
@@ -168,6 +174,18 @@ def main(argv=None) -> int:
             rows += [analysis.empty_rectangles(param, block, K, cache)
                      for K in range(0, param.omega, 2)]
     print(f"{'empty':<24} {_digest(rows)}")
+    rows = []
+    for param in even_rationals(args.max_omega):
+        w = param.omega
+        for c, lit in enumerate(map(set, light_lists(param))):
+            for j0 in range(w):
+                rows.append(_h_particle_scaled(param, c, j0, lit))
+                rows += [_v_particle_scaled(param, c, ty, j0, lit) for ty in "PQ"]
+                if c in (0, 1, w - 1):
+                    rows.append(horizontal_particle(param, c, j0).instances)
+                    rows += [vertical_particle(param, c, ty, j0).instances
+                             for ty in "PQ"]
+    print(f"{'particles':<24} {_digest(rows)}")
     return 0
 
 
