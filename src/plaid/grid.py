@@ -33,9 +33,9 @@ against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .params import (
@@ -563,8 +563,9 @@ class Particle:
     instances, passing twice through one block corner and one midpoint.
     squares[i] is the floor (a, b) of instance i's location: the unit square
     with the instance on its south (horizontal) or west (vertical) edge.
-    A particle is a walk, the same on every line but for its squares'
-    placement (_h_walk, _v_walk), and its brightness there (_read_light)."""
+    A particle is a walk (_h_walk, _v_walk), the same on every line but for
+    its squares' placement, read for brightness on its line (_read_light);
+    the views below and criterion 11's suite both read the walk."""
 
     orientation: str
     instances: Tuple[IntersectionPoint, ...]
@@ -577,13 +578,13 @@ class Particle:
 
 
 def _h_walk(param: Param, j0: int, y0: int = 0) -> tuple:
-    """(squares, types, take, doubles) of the horizontal particle through
+    """(squares, types, counts, doubles) of the horizontal particle through
     the block corner (j0*omega, y0).  Its step-r instance of slope -2s/omega
     in block j sits at x = k*omega/(2s) on the crossing line y0 + k,
-    k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1, and take gathers the
-    k mod omega.  doubles holds, in walk order, the residues of the two
-    crossings of each both-type point and its "x=..." text.  Only the
-    squares depend on y0."""
+    k = 2sj + r: r runs 0..2p-1 (s = p), then 2q..1, and counts holds the
+    (residue, count) pairs of the k mod omega.  doubles holds, in walk
+    order, the residues of the two crossings of each both-type point and
+    its "x=..." text.  Only the squares depend on y0."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
     squares, residues, doubles, j = [], [], [], j0 % w
     for s, rs in ((p, range(2 * p)), (q, range(2 * q, 0, -1))):
@@ -605,15 +606,15 @@ def _h_walk(param: Param, j0: int, y0: int = 0) -> tuple:
     if j != j0 % w:
         raise PlaidError("horizontal particle failed to close")
     types = ("P",) * (2 * p) + ("Q",) * (2 * q)
-    return squares, types, itemgetter(*residues), doubles
+    return squares, types, tuple(Counter(residues).items()), doubles
 
 
 def _v_walk(param: Param, x0: int, ptype: str, j0: int) -> tuple:
-    """(squares, types, take, ()) of the vertical particle of the given type
-    on the lines x = x0 + j*omega from block j0.  Its height starts in
-    [0, 1) and moves by +1 (type P) or -1 (type Q) mod omega per block, and
-    take gathers the row offsets, instance n crossing the line of intercept
-    offset + ceil(2s*x0/omega) mod omega.  Only the squares depend on x0."""
+    """(squares, types, counts, ()) of the vertical particle of the given
+    type on the lines x = x0 + j*omega from block j0.  Its height starts in
+    [0, 1) and moves by +1 (type P) or -1 (type Q) mod omega per block;
+    counts pairs each row offset with its count, instance n crossing the
+    line offset + ceil(2s*x0/omega) mod omega.  Only squares depend on x0."""
     w, a = param.omega, param.adj
     s2, step = (2 * param.p, 1) if ptype == "P" else (2 * param.q, -1)
     squares, offsets, j = [], [], j0 % w
@@ -621,55 +622,37 @@ def _v_walk(param: Param, x0: int, ptype: str, j0: int) -> tuple:
         squares.append((x0 + j * w, n * step % w))
         offsets.append((n * step + s2 * j) % w)
         j = (j + a) % w
-    return squares, (ptype,) * w, itemgetter(*offsets), ()
+    return squares, (ptype,) * w, tuple(Counter(offsets).items()), ()
 
 
 def _read_light(param: Param, lit: Set[int], c: int, walks) -> List[bool]:
     """Whether the particle of each (key, walk) is light on line c, lit the
-    set of c's light residues: the line's flags are rotated by c for a
-    horizontal walk (key "h") and by ceil(2s*c/omega) for a vertical one of
-    type key, and gathered by the walk's take.  Double points must agree,
-    in walk order, and then all or none of the instances be light."""
-    w, flags, out = param.omega, {}, []
-    for key, (_, types, take, doubles) in walks:
-        if key not in flags:
-            s = c % w if key == "h" else \
-                -(-2 * (param.p if key == "P" else param.q) * c // w) % w
-            flags[key] = bytes(map(lit.__contains__, [*range(s, w), *range(s)]))
+    set of c's light residues: a walk's residues, shifted by c (key "h") or
+    by ceil(2s*c/omega) (a vertical walk of type key), are tested in lit.
+    Double points must agree, in walk order, and then all or none of the
+    instances, counted by the walk's counts, be light."""
+    w, out = param.omega, []
+    shift = {"h": c, "P": -(-2 * param.p * c // w), "Q": -(-2 * param.q * c // w)}
+    for key, (_, types, counts, doubles) in walks:
+        s = shift[key]
         for r_p, r_q, x in doubles:
-            if flags[key][r_p] != flags[key][r_q]:
+            if ((r_p + s) % w in lit) != ((r_q + s) % w in lit):
                 raise PlaidError(f"brightness mismatch at double point {x}")
-        n_lit = sum(take(flags[key]))
+        n_lit = sum(n for r, n in counts if (r + s) % w in lit)
         if n_lit not in (0, len(types)):
             raise PlaidError("particle brightness not constant")
         out.append(bool(n_lit))
     return out
 
 
-def _h_particle_scaled(param: Param, y0: int, j0: int, lit: Set[int]
-                       ) -> Tuple[list, tuple, bool]:
-    """(squares, types, light) of the horizontal particle through the block
-    corner (j0*omega, y0), lit the set of y0's light residues."""
-    walk = _h_walk(param, j0, y0)
-    return walk[0], walk[1], _read_light(param, lit, y0, [("h", walk)])[0]
-
-
-def _v_particle_scaled(param: Param, x0: int, ptype: str, j0: int,
-                       lit: Set[int]) -> Tuple[list, tuple, bool]:
-    """(squares, types, light) of the vertical particle of the given type on
-    the lines x = x0 + j*omega, lit the set of x0's light residues."""
-    walk = _v_walk(param, x0, ptype, j0)
-    return walk[0], walk[1], _read_light(param, lit, x0, [(ptype, walk)])[0]
-
-
 def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
     """The horizontal particle through the block corner (j0*omega, y0): the
-    Fraction view of _h_particle_scaled, with each instance's k."""
+    Fraction view of its walk, read on line y0, with each instance's k."""
     w, p, a = param.omega, param.p, param.adj
-    lit = set(light_lists(param)[y0 % w])
-    squares, types, light = _h_particle_scaled(param, y0, j0, lit)
+    walk = _h_walk(param, j0, y0)
+    light, = _read_light(param, set(light_lists(param)[y0 % w]), y0, [("h", walk)])
     pts = []
-    for i, fam in enumerate(types):
+    for i, fam in enumerate(walk[1]):
         s, r = (p, i) if fam == "P" else (param.q, 2 * w - i)
         k = 2 * s * ((j0 + i * a) % w) + r
         mid, both = r == s, r % s == 0
@@ -678,23 +661,23 @@ def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
             host=GridLine("H", y0), brightness="light" if light else "dark",
             crossing=GridLine("P", y0 + p * k // s) if both else GridLine(fam, y0 + k),
             ptype="both" if both else fam, multiplicity=2 if mid else 1))
-    return Particle("horizontal", tuple(pts), types, tuple(squares))
+    return Particle("horizontal", tuple(pts), walk[1], tuple(walk[0]))
 
 
 def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
     """The vertical particle of the given type through the lines x = x0 + j*w
-    from block j0's instance with y in [0, 1): the view of _v_particle_scaled."""
+    from block j0's instance with y in [0, 1): its walk's view on line x0."""
     w = param.omega
     s2 = 2 * (param.p if ptype == "P" else param.q)
-    lit = set(light_lists(param)[x0 % w])
-    squares, types, light = _v_particle_scaled(param, x0, ptype, j0, lit)
+    walk = _v_walk(param, x0, ptype, j0)
+    light, = _read_light(param, set(light_lists(param)[x0 % w]), x0, [(ptype, walk)])
     frac = -s2 * x0 % w  # every instance's scaled height within its square
     pts = tuple(IntersectionPoint(
         location=(Fraction(x), Fraction(y * w + frac, w)), host=GridLine("V", x),
         crossing=GridLine(ptype, (y * w + frac + s2 * x) // w),
         brightness="light" if light else "dark", ptype=ptype, multiplicity=1)
-        for x, y in squares)
-    return Particle("vertical", pts, types, tuple(squares))
+        for x, y in walk[0])
+    return Particle("vertical", pts, walk[1], tuple(walk[0]))
 
 
 def trace_particle(param: Param, start: IntersectionPoint) -> Particle:

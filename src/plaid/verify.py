@@ -314,6 +314,7 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
             params = even_rationals(DEFAULT_BOUNDS.get(suite, 20)
                                     if max_omega is None else max_omega)
     jobs_list = [(suite, prm.p, prm.q) for prm in params]
+    jobs = min(jobs, len(jobs_list))  # fork starts every worker at once
     if jobs > 1:
         # imported here: a third of the package's import time otherwise
         from concurrent.futures import ProcessPoolExecutor

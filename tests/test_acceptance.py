@@ -2,9 +2,11 @@
 bound, with zero tolerance.  One printed line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear;
-the whole gate takes a couple of minutes single-threaded.
+the whole gate takes a couple of minutes single-threaded, so its sweeps run
+on up to two worker processes.
 """
 
+import os
 import time
 
 from plaid.params import make_param
@@ -27,7 +29,8 @@ def _criterion(number, name, ok, detail=""):
 
 def _sweep(number, name, suite, max_omega):
     t0 = time.time()
-    records = run_suite(suite, max_omega=max_omega)
+    records = run_suite(suite, max_omega=max_omega,
+                        jobs=min(2, os.cpu_count() or 1))
     bad = [r for r in records if not r["ok"]]
     _criterion(number, name, not bad,
                f"{len(records)} parameters to omega {max_omega}, "
@@ -40,7 +43,8 @@ def test_criterion_01_coherence(capsys):
     from plaid.cli import main
 
     t0 = time.time()
-    code = main(["verify", "--suite", "coherence", "--max-omega", "40"])
+    code = main(["verify", "--suite", "coherence", "--max-omega", "40",
+                 "--jobs", "2"])
     out = capsys.readouterr().out
     with capsys.disabled():
         _criterion(1, "coherence", code == 0 and out.count('"ok":true') == 158,

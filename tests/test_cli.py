@@ -178,6 +178,41 @@ def test_verify_jobs_parallel(capsys):
     assert run(capsys, *argv) == (0, out)
 
 
+def test_run_suite_starts_at_most_one_worker_per_parameter(monkeypatch):
+    """The fork context starts all max_workers processes at the first
+    submit, so run_suite asks for no more workers than parameters, and
+    runs one parameter serially.  The pool is a recorder that starts no
+    process."""
+    import concurrent.futures
+
+    from plaid.verify import run_suite
+
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    params = [make_param(1, 2), make_param(2, 5)]
+    serial = run_suite("two-points", params=params)
+    assert started == []
+    assert run_suite("two-points", params=params, jobs=8) == serial
+    assert started == [2]
+    assert run_suite("two-points", params=params[:1], jobs=8) == serial[:1]
+    assert run_suite("two-points", params=params, jobs=2) == serial
+    assert started == [2, 2]
+
+
 def test_orbit(capsys):
     code, out = run(capsys, "orbit", "--p", "2", "--q", "5",
                     "--c", "1/2,1/2", "--oriented")

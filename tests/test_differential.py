@@ -29,7 +29,7 @@ from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import classifier, grid, verify
-from plaid.analysis import block_light_cache, empty_rectangles
+from plaid.analysis import block_light_cache, cut_offsets, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
     CODE_LABELS,
@@ -71,9 +71,10 @@ from plaid.pet import (
     wall_distance,
 )
 from plaid.grid import (
-    _h_particle_scaled,
+    _h_walk,
     _light,
-    _v_particle_scaled,
+    _read_light,
+    _v_walk,
     BlockGrid,
     GridLine,
     PlaidPolygon,
@@ -140,6 +141,14 @@ def test_light_points_match_segment_points(param, family, bi, bj, data):
     assert light_points_on_line(param, line, (bi, bj)) == want
 
 
+def particle_core(param, key, c, j0, lit):
+    """(squares, types, light) of one particle on line c, lit the set of
+    c's light residues: the walk of key "h" (horizontal) or of type key
+    (vertical) from block j0, read by _read_light."""
+    walk = _h_walk(param, j0, c) if key == "h" else _v_walk(param, c, key, j0)
+    return walk[0], walk[1], _read_light(param, lit, c, [(key, walk)])[0]
+
+
 def check_instances(param, particle, axis, core):
     """The Fraction particle against segment_points, and the integer core's
     (squares, types, light) against the Fraction particle."""
@@ -167,7 +176,7 @@ def test_horizontal_particle_matches_segment_points(param, data):
     w = param.omega
     y0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    core = _h_particle_scaled(param, y0, j0, set(light_lists(param)[y0]))
+    core = particle_core(param, "h", y0, j0, set(light_lists(param)[y0]))
     check_instances(param, horizontal_particle(param, y0, j0), "h", core)
 
 
@@ -177,7 +186,7 @@ def test_vertical_particle_matches_segment_points(param, ptype, data):
     w = param.omega
     x0 = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    core = _v_particle_scaled(param, x0, ptype, j0, set(light_lists(param)[x0]))
+    core = particle_core(param, ptype, x0, j0, set(light_lists(param)[x0]))
     check_instances(param, vertical_particle(param, x0, ptype, j0), "v", core)
 
 
@@ -235,9 +244,9 @@ def test_image_geometry_matches_reference(param, ptype, data):
     j0 = data.draw(st.integers(0, w - 1))
     lit = set(light_lists(param)[c])
     for core, part in (
-            (_h_particle_scaled(param, c, j0, lit),
+            (particle_core(param, "h", c, j0, lit),
              horizontal_particle(param, c, j0)),
-            (_v_particle_scaled(param, c, ptype, j0, lit),
+            (particle_core(param, ptype, c, j0, lit),
              vertical_particle(param, c, ptype, j0))):
         squares, types, _ = core
         got = image_geometry_scaled(param, part.orientation, squares, types)
@@ -257,8 +266,8 @@ def test_corrupted_particles_fail_geometry(param, ptype, data):
     c = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
     lit = set(light_lists(param)[c])
-    h_squares, h_types, _ = _h_particle_scaled(param, c, j0, lit)
-    v_squares, v_types, _ = _v_particle_scaled(param, c, ptype, j0, lit)
+    h_squares, h_types, _ = particle_core(param, "h", c, j0, lit)
+    v_squares, v_types, _ = particle_core(param, ptype, c, j0, lit)
     i = data.draw(st.integers(0, w - 1))
     h_i = i + data.draw(st.sampled_from((0, w)))  # a type-P or type-Q instance
     # a northward move keeps the image's fiber and moves U1 and U2 apart
@@ -292,7 +301,7 @@ def test_period_moved_square_keeps_geometry(param, data):
     w = param.omega
     c = data.draw(st.integers(0, w - 1))
     j0 = data.draw(st.integers(0, w - 1))
-    squares, types, _ = _h_particle_scaled(param, c, j0, set(light_lists(param)[c]))
+    squares, types, _ = particle_core(param, "h", c, j0, set(light_lists(param)[c]))
     k = data.draw(st.integers(0, 2 * w - 1))
     da, db = data.draw(st.sampled_from(((w * w, 0), (-w * w, 0), (0, w),
                                         (0, -w))))
@@ -312,9 +321,9 @@ def test_moved_square_geometry_matches_reference_to_11():
     for param in even_rationals(11):
         w = param.omega
         for c, lit in enumerate(map(set, light_lists(param))):
-            cores = [("horizontal", _h_particle_scaled(param, c, j0, lit))
+            cores = [("horizontal", particle_core(param, "h", c, j0, lit))
                      for j0 in range(w)]
-            cores += [("vertical", _v_particle_scaled(param, c, ty, j0, lit))
+            cores += [("vertical", particle_core(param, ty, c, j0, lit))
                       for ty in "PQ" for j0 in range(w)]
             for orientation, (squares, types, _) in cores:
                 k = rng.randrange(len(squares))
@@ -328,8 +337,8 @@ def test_moved_square_geometry_matches_reference_to_11():
 
 
 def reference_h_particle(param, y0, j0, lit):
-    """_h_particle_scaled as one walk per line, brightness counted on the
-    way, lit the set of y0's light residues."""
+    """particle_core of a horizontal particle as one walk per line,
+    brightness counted on the way, lit the set of y0's light residues."""
     w, p, q, a = param.omega, param.p, param.q, param.adj
     squares, n_lit, j = [], 0, j0 % w
     for s, rs in ((p, range(2 * p)), (q, range(2 * q, 0, -1))):
@@ -354,8 +363,9 @@ def reference_h_particle(param, y0, j0, lit):
 
 
 def reference_v_particle(param, x0, ptype, j0, lit):
-    """_v_particle_scaled as one walk per line: the scaled height starts at
-    -2s*x0 mod omega and each instance's crossing is read from it."""
+    """particle_core of a vertical particle as one walk per line: the
+    scaled height starts at -2s*x0 mod omega and each instance's crossing
+    is read from it."""
     w, a = param.omega, param.adj
     s2, step = (2 * param.p, w) if ptype == "P" else (2 * param.q, -w)
     squares, n_lit, j = [], 0, j0 % w
@@ -407,10 +417,10 @@ def test_particle_cores_match_reference_to_11():
         for c in range(-1, w + 1):
             lit = set(by_line[c % w])
             for j0 in range(-1, w + 1):
-                assert _h_particle_scaled(param, c, j0, lit) == \
+                assert particle_core(param, "h", c, j0, lit) == \
                     reference_h_particle(param, c, j0, lit), (str(param), c, j0)
                 for ty in "PQ":
-                    assert _v_particle_scaled(param, c, ty, j0, lit) == \
+                    assert particle_core(param, ty, c, j0, lit) == \
                         reference_v_particle(param, c, ty, j0, lit), \
                         (str(param), c, ty, j0)
 
@@ -441,7 +451,7 @@ def test_vertical_geometry_moves_with_the_line_to_13():
         w = param.omega
         for ty in "PQ":
             for j0 in range(w):
-                line = [_v_particle_scaled(param, c, ty, j0, set())[0]
+                line = [particle_core(param, ty, c, j0, set())[0]
                         for c in range(w)]
                 for c, squares in enumerate(line):
                     assert squares == [(a + c, b) for a, b in line[0]]
@@ -792,6 +802,30 @@ def test_empty_rectangles_match_reference(param, data):
                                 max_size=3)):
         assert empty_rectangles(param, (bi, bj), 2 * K, cache) == \
             reference_empty_rectangles(param, (bi, bj), 2 * K), (bi, bj, K)
+
+
+def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
+    """Block 0 of 2/5 with a light point on the boundary of every cell of
+    the K = 2 grid: its two inner rows carry one on each of the three spans
+    and its two inner columns one each, so the census keeps its bound 8 and
+    only the missing empty cell fails, at K = 2 after K = 0 passes."""
+    param = make_param(2, 5)
+    assert cut_offsets(param, 2) == [0, 2, 5, 7]
+    fill = BlockGrid._fill
+
+    def lit_fill(self):
+        fill(self)
+        if self.bi == 0:
+            for k in (2, 5):
+                self.hl[k * 7:(k + 1) * 7] = bytes((1, 0, 1, 0, 0, 1, 0))
+                self.vl[k * 7:(k + 1) * 7] = bytes((1, 0, 0, 0, 0, 0, 0))
+
+    monkeypatch.setattr(BlockGrid, "_fill", lit_fill)
+    assert verify.suite_empty_rect(param) == {
+        "ok": False, "block": 0, "K": 2, "empty": 0, "census": 8, "bound": 8}
+    assert reference_empty_rectangles(param, (0, 0), 2) == {
+        "ok": False, "cells": (3, 3), "empty": [], "light_census": 8,
+        "census_bound": 8}
 
 
 @settings(max_examples=30, deadline=None)

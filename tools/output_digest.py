@@ -28,8 +28,9 @@ Groups:
                 (--eps 1/2), and suite_irrational;
 - empty         the empty_rectangles record of blocks (bi, 0) and (bi, 1) of
                 every even rational at omega <= N, for every even K;
-- particles     the integer cores (squares, types, light) of every particle
-                of every even rational at omega <= N, and the instances of
+- particles     (squares, types, light) of every particle of every even
+                rational at omega <= N, from its walk (_h_walk, _v_walk)
+                read on its line by _read_light, and the instances of
                 horizontal_particle and vertical_particle on the lines 0, 1
                 and omega-1.
 
@@ -101,9 +102,9 @@ def main(argv=None) -> int:
     from fractions import Fraction
 
     from plaid import analysis, cli, classifier, pet, verify
-    from plaid.grid import (BlockGrid, GridLine, _h_particle_scaled,
-                            _v_particle_scaled, horizontal_particle,
-                            light_lists, light_points_on_line, trace_polygons,
+    from plaid.grid import (BlockGrid, GridLine, _h_walk, _read_light,
+                            _v_walk, horizontal_particle, light_lists,
+                            light_points_on_line, trace_polygons,
                             vertical_particle)
     from plaid.params import even_rationals
     import workloads
@@ -179,8 +180,11 @@ def main(argv=None) -> int:
         w = param.omega
         for c, lit in enumerate(map(set, light_lists(param))):
             for j0 in range(w):
-                rows.append(_h_particle_scaled(param, c, j0, lit))
-                rows += [_v_particle_scaled(param, c, ty, j0, lit) for ty in "PQ"]
+                walks = [("h", _h_walk(param, j0, c))]
+                walks += [(ty, _v_walk(param, c, ty, j0)) for ty in "PQ"]
+                lights = _read_light(param, lit, c, walks)
+                rows += [(walk[0], walk[1], light)
+                         for (_, walk), light in zip(walks, lights)]
                 if c in (0, 1, w - 1):
                     rows.append(horizontal_particle(param, c, j0).instances)
                     rows += [vertical_particle(param, c, ty, j0).instances
