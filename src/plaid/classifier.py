@@ -31,8 +31,9 @@ and 1 << e its bit in an edge mask, as in BlockGrid.edge_mask.  The byte is
 the cell code 4*i + j, i and j the edges of the row and column symbols:
 twelve codes for the ordered pairs and the four multiples of 5 for the
 special cells (in every zone, the cells whose two symbols agree), the symbol
-being the diagnostic.  Over a zone-boundary fiber the fiber is built for
-both zones, and the two byte strings must be equal.  The table of the double
+being the diagnostic.  _boards is the one owner of zone dispatch, cuts and
+codes: it gives each zone over a fiber, both over a zone-boundary fiber,
+where the two byte strings built must be equal.  The table of the double
 cover continues t over [omega, 3*omega) with reversed codes, each read as
 4*entry + exit; its index, the cell, is the state of the exchange in pet.
 grid_cell is the one reduction of a scaled grid point to its cell, and
@@ -271,30 +272,26 @@ def xi_local(param: Param, point: Tuple[RatLike, RatLike]) -> ClassifyingPoint:
 # Tile assignment
 # ---------------------------------------------------------------------------
 
-def _cuts_scaled(w: int, p2: int, zone: int, t: int) -> Tuple[int, int, int]:
-    """w times the cuts of _zone_spec over the fiber t/w, p2 = P*w."""
-    if zone == 1:
-        return (t, w - p2, 2 * w - p2 + t)
-    if zone == 2:
-        return (p2 - w, t, w - p2)
-    return (p2 - 2 * w + t, p2 - w, t)
+# board[b1][b2], the code of a zone's cell in U1 band b1 and U2 band b2
+# (bands count the cuts below, so rows run top down), read at 0..3 only
+_BOARDS = {zone: tuple(bytes(4 * _ORDER.index(r) + _ORDER.index(c)
+                             for r in rows[::-1]) + bytes(252) for c in cols)
+           for zone, (rows, cols, _) in _ZONES.items()}
 
 
-def _zones_scaled(w: int, p2: int, t: int) -> Tuple[int, ...]:
-    """_zones_at over the fiber t/w, t in [-w, w) and p2 = P*w."""
+def _boards(w: int, p2: int, t: int) -> List[tuple]:
+    """(zone, w times its cuts, board) of each zone of _zones_at and
+    _zone_spec over the fiber t/w, t in [-w, w) and p2 = P*w: both
+    neighbours on the boundary fibers t = +-(p2 - w), one elsewhere."""
     t1 = p2 - w
-    if t == t1:
-        return (1, 2)
-    if t == -t1:
-        return (2, 3)
-    return (1,) if t < t1 else (2,) if t < -t1 else (3,)
-
-
-def _code(zone: int, band1: int, band2: int) -> int:
-    """Code of the cell of a zone's checkerboard in column band band1 and
-    U2 band band2 (bands count the cuts below, so rows run top down)."""
-    rows, cols, _ = _ZONES[zone]
-    return 4 * _ORDER.index(rows[3 - band2]) + _ORDER.index(cols[band1])
+    out = []
+    if t <= t1:
+        out.append((1, (t, -t1, w - t1 + t), _BOARDS[1]))
+    if t1 <= t <= -t1:
+        out.append((2, (t1, t, -t1), _BOARDS[2]))
+    if t >= -t1:
+        out.append((3, (t1 - w + t, t1, t), _BOARDS[3]))
+    return out
 
 
 # the connector label, edge mask and directed label of each code
@@ -311,8 +308,8 @@ REVERSED = bytes.maketrans(bytes(range(16)), bytes(
 def label_table(param: Param, sheets: int = 1) -> bytearray:
     """The code of every cell of the base torus or, with sheets=2, the
     directed code of every cell of the double cover, laid out as in the
-    module docstring.  Raises PlaidError when the two zones over a boundary
-    fiber disagree."""
+    module docstring, a fiber's u banded once per zone of _boards.  Raises
+    PlaidError when the two zones over a boundary fiber disagree."""
     w, p = param.omega, param.p
     table = bytearray()
     for t in range(-w, (2 * sheets - 1) * w, 2):
@@ -321,13 +318,11 @@ def label_table(param: Param, sheets: int = 1) -> bytearray:
         t -= 2 * w * outer
         us = [(u - 2 * p * outer + w) % (2 * w) - w for u in range(1 - w, w, 2)]
         fibers = []
-        for zone in _zones_scaled(w, 2 * p, t):
-            c1, c2, c3 = _cuts_scaled(w, 2 * p, zone, t)
+        for _, (c1, c2, c3), board in _boards(w, 2 * p, t):
             # the cuts are odd and every u even, so no cell is on a wall
-            bands = [(u > c1) + (u > c2) + (u > c3) for u in us]
-            codes = [[_code(zone, b1, b2) for b2 in range(4)] for b1 in range(4)]
-            columns = [bytes(col[b2] for b2 in bands) for col in codes]
-            fibers.append(b"".join(columns[b1] for b1 in bands))
+            bands = bytes((u > c1) + (u > c2) + (u > c3) for u in us)
+            columns = [bands.translate(col) for col in board]
+            fibers.append(b"".join(map(columns.__getitem__, bands)))
         if fibers[0] != fibers[-1]:
             raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
         table += fibers[0].translate(REVERSED) if outer else fibers[0]
@@ -390,9 +385,9 @@ def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
 def cell_code(param: Param, cell: int) -> int:
     """label_table(param, 2)[cell] without a table, from the cell's indices
     (j, i1, i2): an outer cell (j >= omega) is base fiber j - omega with i1
-    and i2 shifted by -p, its code reversed.  No cell lies on a wall, since
-    the cuts and the seam are odd and a cell's u is even.  Raises PlaidError
-    when the zones over a boundary fiber disagree."""
+    and i2 shifted by -p, its code reversed, read off each zone's board in
+    _boards.  No cell lies on a wall, since the cuts and the seam are odd and
+    a cell's u is even.  Raises PlaidError when the zones disagree."""
     w = param.omega
     rest, i2 = divmod(cell, w)
     j, i1 = divmod(rest, w)
@@ -401,10 +396,9 @@ def cell_code(param: Param, cell: int) -> int:
         j, i1, i2 = j - w, (i1 - param.p) % w, (i2 - param.p) % w
     t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
     codes = []
-    for zone in _zones_scaled(w, 2 * param.p, t):
-        c1, c2, c3 = _cuts_scaled(w, 2 * param.p, zone, t)
-        codes.append(_code(zone, (u1 > c1) + (u1 > c2) + (u1 > c3),
-                           (u2 > c1) + (u2 > c2) + (u2 > c3)))
+    for _, (c1, c2, c3), board in _boards(w, 2 * param.p, t):
+        column = board[(u1 > c1) + (u1 > c2) + (u1 > c3)]
+        codes.append(column[(u2 > c1) + (u2 > c2) + (u2 > c3)])
     if codes[0] != codes[-1]:
         raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
     return REVERSED[codes[0]] if outer else codes[0]

@@ -23,7 +23,8 @@ cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
 the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
 (light_lists).  A light point is a light residue placed on a crossing, by
-BlockGrid._fill for a whole block and by light_points_scaled for one line.
+BlockGrid._fill for a whole block and by light_points_scaled for one line's
+residues, so that a caller drawing many lines builds the lists once.
 The light rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
@@ -408,12 +409,13 @@ def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
     return row * (w + 1), [2] * ((w + 1) * w)
 
 
-def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
-                        ) -> Tuple[int, List[Tuple[int, int]]]:
+def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int],
+                        res: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
     """(den, [(num, multiplicity)]): the light points on the closed
     intersection of the line with the given block, at num/den along the
     line, sorted; den is 2pq for an H line and omega for a V line.  The
-    line's light residues land on the block's crossings as in
+    line's light residues res, light_lists(param)[c % omega] for the line
+    of intercept c, land on the block's crossings as in
     BlockGrid._fill: an H line takes the crossing-slot weights; a V line
     takes the crossing rule of closed_point_counts and meets double points
     only at block corners, where capacity is 0."""
@@ -426,7 +428,6 @@ def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int]
     across = bj if line.family == "H" else bi
     if not across * w <= c <= (across + 1) * w:
         return den, []
-    res = light_lists(param)[c % w]
     out = []
     if line.family == "H":
         for s, step in ((p, w * q), (q, w * p)):
@@ -449,7 +450,8 @@ def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
                          ) -> List[Tuple[Fraction, int]]:
     """The Fraction view of light_points_scaled: (coordinate along the line,
     multiplicity) of each light point, sorted."""
-    den, pts = light_points_scaled(param, line, block)
+    res = light_lists(param)[line.intercept % param.omega]
+    den, pts = light_points_scaled(param, line, block, res)
     return [(Fraction(v, den), mult) for v, mult in pts]
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .params import Param, PlaidError, Rat, RatLike, sym_reduce
+from .params import Param, PlaidError, Rat, RatLike
 from .grid import STEPS, PlaidPolygon
 from .classifier import (
     CODE_LABELS,
@@ -50,6 +50,7 @@ from .classifier import (
     REVERSED,
     _MASK_TABLE,
     _ORDER,
+    _boards,
     _zone_spec,
     canon_scaled,
     cell_code,
@@ -59,10 +60,7 @@ from .classifier import (
     label_table,
     mark_classes,
     _center_indices,
-    _code,
-    _cuts_scaled,
     _zones_at,
-    _zones_scaled,
 )
 
 
@@ -271,34 +269,27 @@ _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
          for e in range(4)]
 
 
-def _zone_half(param: Param, t: int) -> Tuple[int, int]:
-    """(zone 1..3, half 0 middle / 1 outer) of a scaled cover fiber; zone is
-    0 on zone boundaries and on the seam, which are not interior."""
-    w = param.omega
-    tt = sym_reduce(t, 2 * w)
-    zones = _zones_scaled(w, 2 * param.p, tt)
-    return (zones[0] if len(zones) == 1 and tt != -w else 0,
-            0 if -w <= t < w else 1)
-
-
 def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     """Fiberwise equality of the eight region-matching equations on every
     populated fiber of every given parameter, sampled at the discrete grid,
     plus the triad-coverage condition over the parameter list (three points,
     not all at one parameter, interior to each of the six base triangles).
     A fiber that fails is walked for the failure records; "worst" is (param,
-    fiber, cell, count) of the cell that fails most, the first on a tie."""
+    fiber, cell, count) of the cell that fails most, the first on a tie.
+    The triads count each zone's base fibers, off the seam, where _boards
+    gives it alone; both halves of the cover lie once over each base fiber."""
     failures = []
-    coverage: Dict[Tuple[int, int], Set[Tuple[str, int]]] = {}
+    coverage: Dict[int, Set[Tuple[str, int]]] = {1: set(), 2: set(), 3: set()}
     for param in params:
         w = param.omega
         ww = w * w
+        for t in range(2 - w, w, 2):
+            boards = _boards(w, 2 * param.p, t)
+            if len(boards) == 1:
+                coverage[boards[0][0]].add((str(param), t))
         cover = label_table(param, 2)
         # by the bijection, every odd fiber of the cover is populated
         for t in range(-2 * w + 1, 2 * w, 2):
-            zone, half = _zone_half(param, t)
-            if zone:
-                coverage.setdefault((zone, half), set()).add((str(param), t))
             # the fiber's cells are one block of the table
             j = (t + w) // 2 % (2 * w)
             fiber = cover[j * ww:(j + 1) * ww]
@@ -328,13 +319,9 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     worst = max(counts, key=counts.get, default=None)
     triads_ok = True
     detail = {}
-    for zone in (1, 2, 3):
-        for half in (0, 1):
-            pts = coverage.get((zone, half), set())
-            names = {nm for nm, _ in pts}
-            detail[f"zone{zone}-half{half}"] = len(pts)
-            if len(pts) < 3 or len(names) < 2:
-                triads_ok = False
+    for zone, pts in coverage.items():
+        detail[f"zone{zone}-half0"] = detail[f"zone{zone}-half1"] = len(pts)
+        triads_ok &= len(pts) >= 3 and len({nm for nm, _ in pts}) >= 2
     return {"ok": not failures and triads_ok, "failures": failures[:10],
             "failure_count": len(failures), "triads_ok": triads_ok,
             "triad_detail": detail, "worst": worst and (*worst, counts[worst])}
@@ -372,7 +359,8 @@ def wall_distance(P: Rat, point: ClassifyingPoint) -> Rat:
 def _window_codes(P: Fraction, offset: Sequence[Fraction],
                   window: Tuple[int, int, int, int], eps: Rat):
     """(codes n-major, min wall distance, its center) as integers over the lcm
-    D of all denominators, or (None, d, center) at a center closer than eps."""
+    D of all denominators, or (None, d, center) at a center closer than eps.
+    A center is coded on the board of its fiber's zone in _boards."""
     D = P.denominator
     for v in offset:
         D *= v.denominator // math.gcd(D, v.denominator)
@@ -385,8 +373,7 @@ def _window_codes(P: Fraction, offset: Sequence[Fraction],
         for m in range(y0, y1):
             t, u1, u2 = canon_scaled(D, p2, s + D * (2 * m + 1) + v0, s + v1,
                                      s + p2 * (2 * m + 1) + v2)
-            zone = _zones_scaled(D, p2, t)[0]
-            c1, c2, c3 = _cuts_scaled(D, p2, zone, t)
+            _, (c1, c2, c3), board = _boards(D, p2, t)[0]
             # the zone-boundary fibers T = ±(1 - P) stay walls, for
             # wall_distance's reason; on one d is 0 whichever zone is read
             gaps = [abs(u - c) for u in (u1, u2) for c in (c1, c2, c3)]
@@ -399,8 +386,8 @@ def _window_codes(P: Fraction, offset: Sequence[Fraction],
                 return None, Fraction(d, D), (n, m)
             # d >= eps > 0: the center lies in one zone and on no cut or
             # seam, so its bands need no OnWall branch
-            codes.append(_code(zone, (u1 > c1) + (u1 > c2) + (u1 > c3),
-                               (u2 > c1) + (u2 > c2) + (u2 > c3)))
+            column = board[(u1 > c1) + (u1 > c2) + (u1 > c3)]
+            codes.append(column[(u2 > c1) + (u2 > c2) + (u2 > c3)])
     return codes, Fraction(best, D), closest
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError
-from .grid import (STEPS, BlockGrid, GridLine, light_points_scaled,
+from .grid import (STEPS, BlockGrid, GridLine, light_lists, light_points_scaled,
                    trace_polygons)
 from .classifier import cell_code, center_cell
 
@@ -103,6 +103,7 @@ def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
     w = param.omega
     den = 2 * param.p * param.q * w
     x0, y0, x1, y1 = cfg.window
+    by_line = light_lists(param)
     out = []
     seen = set()
     for bi, bj in _blocks_of_window(param, cfg):
@@ -111,7 +112,7 @@ def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
                 ("V", max(bi * w, x0), min((bi + 1) * w, x1), y0, y1)):
             for c in range(lo, hi + 1):
                 line_den, pts = light_points_scaled(param, GridLine(family, c),
-                                                    (bi, bj))
+                                                    (bi, bj), by_line[c % w])
                 k = den // line_den
                 for v, mult in pts:
                     xy = (v * k, c * den) if family == "H" else (c * den, v * k)

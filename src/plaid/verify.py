@@ -51,7 +51,8 @@ from .serialize import emit, parse_polygon_document, polygon_document
 
 def suite_coherence(param: Param) -> dict:
     rep = check_coherence(param)
-    return {"ok": rep.ok, "bad_squares": rep.bad_squares[:5]}
+    return {"ok": rep.ok, "squares": param.omega ** 3,
+            "bad_squares": rep.bad_squares[:5]}
 
 
 def suite_two_points(param: Param) -> dict:

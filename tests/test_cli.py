@@ -71,6 +71,8 @@ def test_verify_suite(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["ok"] and r["suite"] == "coherence" for r in records)
+    # the records state what they swept: the omega^3 fundamental squares
+    assert all(r["squares"] == r["omega"] ** 3 for r in records)
     keys = [(r["omega"], int(r["param"].split("/")[0])) for r in records]
     assert keys == sorted(keys)
 

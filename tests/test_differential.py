@@ -36,12 +36,13 @@ from plaid.classifier import (
     ORIENTED_CODES,
     REVERSED,
     ClassifyingPoint,
+    _BOARDS,
     _FLIP_MASKS,
     _MASK_TABLE,
     _ORDER,
     _ROT_MASKS,
-    _ZONES,
     _band,
+    _boards,
     _zone_spec,
     _zones_at,
     canon_frac,
@@ -49,6 +50,7 @@ from plaid.classifier import (
     cell_code,
     center_cell,
     center_column,
+    checkerboard_label,
     fiber_label,
     grid_cell,
     image_geometry_scaled,
@@ -907,19 +909,62 @@ def test_whole_table_matches_per_point_labels(max_omega, sheets):
 
 
 def test_label_table_rejects_zone_disagreement(monkeypatch):
-    """Two swapped row symbols in the middle zone show on the first
-    boundary fiber, where that zone's fiber is built next to zone 1's, in
-    the table and in cell_code of that fiber's top left cell (j = 2, i1 = 0,
-    i2 = omega - 1), whose row is one of the two."""
-    rows, cols, specials = _ZONES[2]
-    monkeypatch.setitem(_ZONES, 2, (rows[1] + rows[0] + rows[2:], cols,
-                                    specials))
+    """Two swapped rows of the middle zone's board (U2 bands 3 and 2, the
+    top two rows) show on the first boundary fiber, where that zone's fiber
+    is built next to zone 1's, in the table and in cell_code of that fiber's
+    top left cell (j = 2, i1 = 0, i2 = omega - 1), whose row is one of the
+    two."""
+    monkeypatch.setitem(_BOARDS, 2, tuple(col[:2] + col[3:1:-1] + col[4:]
+                                          for col in _BOARDS[2]))
     param = make_param(2, 5)
     fault = r"zone disagreement on the fiber t=-3/7"
     with pytest.raises(PlaidError, match=fault):
         label_table(param)
     with pytest.raises(PlaidError, match=fault):
         cell_code(param, 2 * 7 * 7 + 6)
+
+
+def check_boards(P, w, t):
+    """_boards over the fiber t/w against the Fraction reference: its zones
+    are _zones_at's, its cuts w times _zone_spec's, and each board entry of a
+    nonempty band pair codes the label of checkerboard_label at the pair's
+    middle."""
+    T = F(t, w)
+    got = _boards(w, int(P * w), t)
+    assert tuple(zone for zone, _, _ in got) == _zones_at(P, T), (P, w, t)
+    for zone, cuts, board in got:
+        spec = _zone_spec(P, zone, T)
+        assert cuts == tuple(w * u for u in spec.u), (P, w, t, zone)
+        ends = (-w, *cuts, w)
+        mids = [F(lo + hi, 2 * w) if lo < hi else None
+                for lo, hi in zip(ends, ends[1:])]
+        for b1, m1 in enumerate(mids):
+            for b2, m2 in enumerate(mids):
+                if m1 is not None and m2 is not None:
+                    want = checkerboard_label(spec, m1, m2)[0]
+                    assert CODE_LABELS[board[b1][b2]] == want, (P, w, t, b1, b2)
+
+
+def test_boards_match_zone_spec():
+    """Every integer fiber t in [-omega, omega), odd and even, at every even
+    rational with omega <= 15."""
+    for param in even_rationals(15):
+        w = param.omega
+        for t in range(-w, w):
+            check_boards(param.bigP, w, t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10 ** 6), st.data())
+def test_boards_match_zone_spec_at_any_denominator(D, data):
+    """Irrational windows read the boards over the lcm D of their
+    denominators, odd or even, with any p2 = P*D in (0, D)."""
+    p2 = data.draw(st.integers(1, D - 1))
+    t1 = p2 - D
+    for t in (-D, t1 - 1, t1, t1 + 1, 0, -t1 - 1, -t1, -t1 + 1, D - 1,
+              data.draw(st.integers(-D, D - 1))):
+        if -D <= t < D:
+            check_boards(F(p2, D), D, t)
 
 
 def cover_oracle(param, t, u1, u2):

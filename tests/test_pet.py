@@ -277,6 +277,18 @@ class TestMesh:
         assert r["triads_ok"]
         assert all(v >= 3 for v in r["triad_detail"].values())
 
+    def test_triad_detail(self):
+        """The interior fibers counted per zone and half: zones 1 and 3 get
+        5 per half from the pair, the middle zone 10; 2/5 alone has too few
+        for any triad."""
+        r = check_mesh([make_param(3, 8), make_param(4, 11)])
+        assert r["triad_detail"] == {
+            "zone1-half0": 5, "zone1-half1": 5, "zone2-half0": 10,
+            "zone2-half1": 10, "zone3-half0": 5, "zone3-half1": 5}
+        r = check_mesh([make_param(2, 5)])
+        assert list(r["triad_detail"].values()) == [1, 1, 2, 2, 1, 1]
+        assert not r["triads_ok"]
+
     def test_extra_parameters(self):
         r = check_mesh([make_param(1, 2), make_param(2, 5), make_param(2, 7)])
         assert r["failure_count"] == 0
