@@ -11,7 +11,8 @@ Empty rectangles are found on running light counts along each row and
 column of a block, not on exact light points: the side a line gives a cell
 between cuts a < b carries a light point when the line's count grows from a
 to b.  Block corners, the only light points on a cut, sit on the block's
-boundary beside just their edge's cells.
+boundary beside just their edge's cells.  _empty_cells tests the cells: the
+empty-rect suite takes the first empty one, empty_rectangles lists them all.
 """
 
 from __future__ import annotations
@@ -138,29 +139,31 @@ def block_light_cache(param: Param, block: Tuple[int, int]
     return running(grid.hl), running(grid.vl)
 
 
-def empty_rectangles(param: Param, block: Tuple[int, int], K: int,
-                     cache: Optional[Tuple] = None) -> Dict[str, object]:
-    """Cells of the capacity-K grid with no light point on their boundary.
+def _empty_cells(rows, cols, cuts):
+    """The empty cells (i, j) of the grid cut at cuts, in order of i and then
+    j, read from the running counts of block_light_cache."""
+    spans = list(enumerate(zip(cuts, cuts[1:])))
+    for i, (a, b) in spans:
+        west, east = cols[a], cols[b]
+        for j, (c, d) in spans:
+            if (west[c] == west[d] and east[c] == east[d]
+                    and rows[c][a] == rows[c][b] and rows[d][a] == rows[d][b]):
+                yield i, j
 
-    Also reports the multiplicity-weighted light census over the grid lines,
-    which always totals (K+1)^2 - 1: one short of what filling every cell
-    boundary twice would need, so at least one empty cell must exist.
-    """
+
+def empty_rectangles(param: Param, block: Tuple[int, int], K: int
+                     ) -> Dict[str, object]:
+    """Every cell of the capacity-K grid with no light point on its boundary,
+    and the multiplicity-weighted light census over the grid lines, which
+    always totals (K+1)^2 - 1: one short of what filling every cell boundary
+    twice would need, so at least one empty cell must exist."""
     cuts = cut_offsets(param, K)
-    rows, cols = block_light_cache(param, block) if cache is None else cache
-    spans = list(zip(cuts, cuts[1:]))
-    n = len(spans)
-    # lit[t][s]: cut line t carries a light point on its side of span s
-    h_lit, v_lit = ([[run[a] < run[b] for a, b in spans]
-                     for run in (lines[k] for k in cuts)]
-                    for lines in (rows, cols))
-    empty = [(i, j) for i in range(n) for j in range(n)
-             if not (v_lit[i][j] or v_lit[i + 1][j]
-                     or h_lit[j][i] or h_lit[j + 1][i])]
+    rows, cols = block_light_cache(param, block)
+    empty = list(_empty_cells(rows, cols, cuts))
     census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
     return {
         "ok": bool(empty) and census == (K + 1) ** 2 - 1,
-        "cells": (n, n),
+        "cells": (len(cuts) - 1,) * 2,
         "empty": empty,
         "light_census": census,
         "census_bound": (K + 1) ** 2 - 1,

@@ -392,7 +392,7 @@ def check_coherence(param: Param, region: Optional[Tuple[int, int, int, int]] = 
     return CoherenceReport(ok=not bad, bad_squares=bad)
 
 
-def closed_point_counts(param: Param, bi: int) -> Tuple[List[int], List[int]]:
+def closed_point_counts(param: Param) -> Tuple[List[int], List[int]]:
     """Multiplicity-weighted intersection-point counts on every closed unit
     segment of a block (the two-points-per-segment census).
 

@@ -45,7 +45,7 @@ from .pet import (
     path_polygon,
     table_orbit,
 )
-from .analysis import block_light_cache, empty_rectangles, verify_first
+from .analysis import _empty_cells, block_light_cache, cut_offsets, verify_first
 from .serialize import emit, parse_polygon_document, polygon_document
 
 
@@ -57,8 +57,7 @@ def suite_coherence(param: Param) -> dict:
 
 def suite_two_points(param: Param) -> dict:
     w = param.omega
-    # the census is the same in every block (closed_point_counts)
-    hc, vc = closed_point_counts(param, 0)
+    hc, vc = closed_point_counts(param)
     if set(hc) != {2} or set(vc) != {2}:
         return {"ok": False,
                 "h_bad": [i for i, v in enumerate(hc) if v != 2][:3],
@@ -182,15 +181,16 @@ def suite_first(param: Param) -> dict:
 
 def suite_empty_rect(param: Param) -> dict:
     w = param.omega
+    grids = [(K, cut_offsets(param, K)) for K in range(0, w, 2)]
     for bi in range(w):
-        cache = block_light_cache(param, (bi, 0))
-        for K in range(0, w, 2):
-            r = empty_rectangles(param, (bi, 0), K, cache)
-            if not r["ok"]:
+        rows, cols = block_light_cache(param, (bi, 0))
+        for K, cuts in grids:
+            census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
+            if (census != (K + 1) ** 2 - 1
+                    or next(_empty_cells(rows, cols, cuts), None) is None):
                 return {"ok": False, "block": bi, "K": K,
-                        "empty": len(r["empty"]),
-                        "census": r["light_census"],
-                        "bound": r["census_bound"]}
+                        "empty": sum(1 for _ in _empty_cells(rows, cols, cuts)),
+                        "census": census, "bound": (K + 1) ** 2 - 1}
     return {"ok": True, "blocks": w, "K_values": list(range(0, w, 2))}
 
 
@@ -276,7 +276,7 @@ DEFAULT_BOUNDS = {
     "bijection": 51,
     "pet-equivalence": 25,
     "first": 61,
-    "empty-rect": 30,
+    "empty-rect": 41,
     "symmetry": 35,
     "particle-geometry": 41,
 }

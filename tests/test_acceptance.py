@@ -88,7 +88,7 @@ def test_criterion_08_large_symmetric_polygon():
 
 
 def test_criterion_09_empty_rectangles():
-    _sweep(9, "empty rectangle and its census", "empty-rect", 30)
+    _sweep(9, "empty rectangle and its census", "empty-rect", 41)
 
 
 def test_criterion_10_symmetries():

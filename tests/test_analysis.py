@@ -7,7 +7,6 @@ from conftest import golden_path
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid
 from plaid.analysis import (
-    block_light_cache,
     cut_offsets,
     empty_rectangles,
     gap_radius,
@@ -89,9 +88,8 @@ class TestEmptyRectangles:
     def test_all_blocks_small(self):
         for prm in even_rationals(11):
             for bi in range(prm.omega):
-                cache = block_light_cache(prm, (bi, 0))
                 for K in range(0, prm.omega, 2):
-                    assert empty_rectangles(prm, (bi, 0), K, cache)["ok"], \
+                    assert empty_rectangles(prm, (bi, 0), K)["ok"], \
                         (prm, bi, K)
 
     def test_grid_shape(self, p25):

@@ -29,7 +29,7 @@ from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import classifier, grid, verify
-from plaid.analysis import block_light_cache, cut_offsets, empty_rectangles
+from plaid.analysis import cut_offsets, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
     CODE_LABELS,
@@ -623,7 +623,7 @@ def test_block_counts_match_segment_points(param, bi, data):
     edge by edge, against the reference on the block's true segments."""
     w = param.omega
     grid = BlockGrid(param, bi)
-    hc, vc = closed_point_counts(param, bi)
+    hc, vc = closed_point_counts(param)
     for axis, n, m in data.draw(block_edges(w)):
         i = m * w + n if axis == "h" else n * w + m
         seg = UnitSegment(axis, bi * w + n, m)
@@ -785,9 +785,8 @@ def test_empty_rectangles_match_reference_to_15():
     for param in even_rationals(15):
         w = param.omega
         for block in [(bi, bj) for bi in range(w) for bj in (0, 1)]:
-            cache = block_light_cache(param, block)
             for K in range(0, w, 2):
-                assert empty_rectangles(param, block, K, cache) == \
+                assert empty_rectangles(param, block, K) == \
                     reference_empty_rectangles(param, block, K), \
                     (str(param), block, K)
 
@@ -799,35 +798,84 @@ def test_empty_rectangles_match_reference(param, data):
     w = param.omega
     bi = data.draw(st.one_of(st.integers(-3 * w, -1), st.integers(w, 3 * w)))
     bj = data.draw(st.integers(-3, 3).filter(bool))
-    cache = block_light_cache(param, (bi, bj))
     for K in data.draw(st.lists(st.integers(0, (w - 1) // 2), min_size=1,
                                 max_size=3)):
-        assert empty_rectangles(param, (bi, bj), 2 * K, cache) == \
+        assert empty_rectangles(param, (bi, bj), 2 * K) == \
             reference_empty_rectangles(param, (bi, bj), 2 * K), (bi, bj, K)
+
+
+def reference_suite_empty_rect(param):
+    """suite_empty_rect on whole empty_rectangles records: every cell of
+    every (block, K) listed, the first record that fails reported."""
+    w = param.omega
+    for bi in range(w):
+        for K in range(0, w, 2):
+            r = empty_rectangles(param, (bi, 0), K)
+            if not r["ok"]:
+                return {"ok": False, "block": bi, "K": K,
+                        "empty": len(r["empty"]),
+                        "census": r["light_census"],
+                        "bound": r["census_bound"]}
+    return {"ok": True, "blocks": w, "K_values": list(range(0, w, 2))}
+
+
+def test_suite_empty_rect_matches_reference_to_15():
+    for param in even_rationals(15):
+        assert verify.suite_empty_rect(param) == \
+            reference_suite_empty_rect(param), str(param)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(45))
+def test_suite_empty_rect_matches_reference(param):
+    assert verify.suite_empty_rect(param) == reference_suite_empty_rect(param)
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (3, 8), (4, 11)])
+def test_dropped_lights_fail_empty_rect_as_reference(pq):
+    """The first light residue of one line dropped, for each line that has
+    one: the suite fails with the reference's record."""
+    param = make_param(*pq)
+    real = grid.light_lists
+    for c0, res in enumerate(real(param)):
+        if not res:
+            continue
+        by_line = real(param)
+        by_line[c0] = res[1:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "light_lists", lambda prm: by_line)
+            got = verify.suite_empty_rect(param)
+            assert not got["ok"], (pq, c0)
+            assert got == reference_suite_empty_rect(param), (pq, c0)
 
 
 def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
     """Block 0 of 2/5 with a light point on the boundary of every cell of
     the K = 2 grid: its two inner rows carry one on each of the three spans
     and its two inner columns one each, so the census keeps its bound 8 and
-    only the missing empty cell fails, at K = 2 after K = 0 passes."""
+    only the missing empty cell fails, at K = 2 after K = 0 passes.  The
+    same fault in block 4 alone fails there, after blocks 0 to 3 pass."""
     param = make_param(2, 5)
     assert cut_offsets(param, 2) == [0, 2, 5, 7]
     fill = BlockGrid._fill
 
     def lit_fill(self):
         fill(self)
-        if self.bi == 0:
+        if self.bi == lit_block:
             for k in (2, 5):
                 self.hl[k * 7:(k + 1) * 7] = bytes((1, 0, 1, 0, 0, 1, 0))
                 self.vl[k * 7:(k + 1) * 7] = bytes((1, 0, 0, 0, 0, 0, 0))
 
     monkeypatch.setattr(BlockGrid, "_fill", lit_fill)
-    assert verify.suite_empty_rect(param) == {
-        "ok": False, "block": 0, "K": 2, "empty": 0, "census": 8, "bound": 8}
-    assert reference_empty_rectangles(param, (0, 0), 2) == {
-        "ok": False, "cells": (3, 3), "empty": [], "light_census": 8,
-        "census_bound": 8}
+    for lit_block in (0, 4):
+        assert verify.suite_empty_rect(param) == {
+            "ok": False, "block": lit_block, "K": 2, "empty": 0, "census": 8,
+            "bound": 8}
+        assert reference_suite_empty_rect(param) == \
+            verify.suite_empty_rect(param)
+        assert reference_empty_rectangles(param, (lit_block, 0), 2) == {
+            "ok": False, "cells": (3, 3), "empty": [], "light_census": 8,
+            "census_bound": 8}
 
 
 @settings(max_examples=30, deadline=None)

@@ -171,8 +171,7 @@ def main(argv=None) -> int:
     rows = []
     for param in even_rationals(args.max_omega):
         for block in [(bi, bj) for bi in range(param.omega) for bj in (0, 1)]:
-            cache = analysis.block_light_cache(param, block)
-            rows += [analysis.empty_rectangles(param, block, K, cache)
+            rows += [analysis.empty_rectangles(param, block, K)
                      for K in range(0, param.omega, 2)]
     print(f"{'empty':<24} {_digest(rows)}")
     rows = []
