@@ -275,7 +275,8 @@ def light_lists(param: Param) -> List[List[int]]:
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
 # good when it carries exactly one light point (translate tables)
 _GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
-_COHERENT = frozenset(mask for mask in range(16) if mask.bit_count() in (0, 2))
+# an edge mask -> 1 when its square breaks the 0-or-2 rule (translate table)
+_INCOHERENT = bytes(mask.bit_count() not in (0, 2) for mask in range(256))
 
 
 class BlockGrid:
@@ -288,8 +289,8 @@ class BlockGrid:
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
     {bi*w + n} x [m, m + 1].
 
-    The grid side's one integer light structure: every edge-mask reader
-    reads masks(), and hier and block_light_cache the rows and columns.
+    The grid side's one integer light structure: edge-mask readers read the
+    bytes of masks(), hier and block_light_cache the rows and columns.
     """
 
     def __init__(self, param: Param, bi: int):
@@ -298,7 +299,7 @@ class BlockGrid:
         self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
-        self._masks: Optional[List[int]] = None
+        self._masks: Optional[bytes] = None
         self._fill()
 
     def _fill(self):
@@ -335,23 +336,19 @@ class BlockGrid:
         W."""
         return self.masks()[n * self.param.omega + m]
 
-    def masks(self) -> List[int]:
-        """edge_mask of every square, square (n, m) at index n*w + m.
-
-        Computed on the first call and kept on the grid; every later call
-        returns the same list, so readers must not modify it."""
+    def masks(self) -> bytes:
+        """edge_mask of every square, square (n, m) at index n*w + m, built
+        on the first call; every later call returns the same bytes."""
         if self._masks is None:
             hl, vl, w = self.hl, self.vl, self.param.omega
-            out: List[int] = []
-            for n in range(w):
-                col = hl[n::w]  # the column's north and south edges, m = 0..w
-                lanes = (col[1:], col[:-1], vl[(n + 1) * w:(n + 2) * w],
-                         vl[n * w:(n + 1) * w])
-                # the lanes of the N, S, E and W bits are disjoint, so their
-                # sum as big-endian integers is their bytewise or
-                out += sum(int.from_bytes(lane.translate(_GOOD[e]), "big")
-                           for e, lane in enumerate(lanes)).to_bytes(w, "big")
-            self._masks = out
+            cols = [hl[n::w] for n in range(w)]  # column n's edges m = 0..w
+            lanes = (b"".join(col[1:] for col in cols),
+                     b"".join(col[:-1] for col in cols), vl[w:], vl[:-w])
+            # the lanes of the N, S, E and W bits are disjoint, so their sum
+            # as big-endian integers is their bytewise or
+            self._masks = sum(int.from_bytes(lane.translate(_GOOD[e]), "big")
+                              for e, lane in enumerate(lanes)
+                              ).to_bytes(w * w, "big")
         return self._masks
 
     def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:
@@ -359,9 +356,10 @@ class BlockGrid:
         return frozenset(e for i, e in enumerate("NSEW") if mask >> i & 1)
 
     def incoherent_squares(self) -> List[Tuple[int, int]]:
-        w, masks = self.param.omega, self.masks()
-        return [(self.bi * w + n, m) for m in range(w) for n in range(w)
-                if masks[n * w + m] not in _COHERENT]
+        w, bad = self.param.omega, self.masks().translate(_INCOHERENT)
+        # bad[m::w] is row m: only rows holding a bad square are walked
+        return [(self.bi * w + n, m) for m in range(w) if 1 in bad[m::w]
+                for n in range(w) if bad[n * w + m]]
 
 
 @dataclass
@@ -521,11 +519,10 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
     if grid is None:
         grid = BlockGrid(param, bi)
     masks = grid.masks()
-    for i, mask in enumerate(masks):
-        if mask not in _COHERENT:
-            n, m = divmod(i, w)
-            raise IncoherentInput(f"square {(bi * w + n, bj * w + m)} has "
-                                  f"{mask.bit_count()} good edges")
+    i = masks.translate(_INCOHERENT).find(1)
+    if i >= 0:
+        raise IncoherentInput(f"square {(bi * w + i // w, bj * w + i % w)} has "
+                              f"{masks[i].bit_count()} good edges")
     polys = []
     seen = bytearray(w * w)
     for start, mask in enumerate(masks):

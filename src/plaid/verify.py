@@ -104,7 +104,7 @@ def suite_isomorphism(param: Param) -> dict:
     mismatches = []
     for bi in range(w):
         grid = BlockGrid(param, bi)
-        masks = bytes(grid.masks())
+        masks = grid.masks()
         for n in range(w):
             a = bi * w + n
             column = center_column(param, a)
@@ -146,7 +146,7 @@ def suite_pet_equivalence(param: Param) -> dict:
         grid = BlockGrid(param, bi)
         # counted from the masks, not from the traced polygons, so that a
         # polygon tracing drops still fails orbit_total == nonempty
-        nonempty += sum(1 for mask in grid.masks() if mask)
+        nonempty += w * w - grid.masks().count(0)
         for pg in trace_polygons(param, (bi, 0), grid):
             # the least vertex: the polygon's first square in (n, m) order
             a, m = pg.verts2[0][0] // 2, pg.verts2[0][1] // 2
@@ -269,12 +269,12 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 }
 
 DEFAULT_BOUNDS = {
-    "coherence": 40,
+    "coherence": 51,
     "isomorphism": 41,
     "two-points": 61,
     "hier": 41,
     "bijection": 51,
-    "pet-equivalence": 25,
+    "pet-equivalence": 31,
     "first": 61,
     "empty-rect": 41,
     "symmetry": 35,

@@ -43,12 +43,12 @@ def test_criterion_01_coherence(capsys):
     from plaid.cli import main
 
     t0 = time.time()
-    code = main(["verify", "--suite", "coherence", "--max-omega", "40",
+    code = main(["verify", "--suite", "coherence", "--max-omega", "51",
                  "--jobs", "2"])
     out = capsys.readouterr().out
     with capsys.disabled():
-        _criterion(1, "coherence", code == 0 and out.count('"ok":true') == 158,
-                   f"158 parameters to omega 40 via the CLI, "
+        _criterion(1, "coherence", code == 0 and out.count('"ok":true') == 271,
+                   f"271 parameters to omega 51 via the CLI, "
                    f"{time.time() - t0:.0f}s")
 
 
@@ -69,7 +69,7 @@ def test_criterion_05_bijection():
 
 
 def test_criterion_06_pet_equivalence():
-    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 25)
+    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 31)
 
 
 def test_criterion_07_oriented_coherence():

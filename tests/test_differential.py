@@ -1,20 +1,21 @@
-"""The integer fast paths against their references, at random even
-rationals far beyond the sweep bounds: the closed-form light lists against
-the light rule, the grid paths against the Fraction reference
-`segment_points`, tracing against its canonical form and against the
-exchange orbits of `vector_polygon`, particle image geometry against a
-per-image reduction, the particle walks and their suite against a walk
-per line, also under planted light and square faults, the label table
-against `fiber_label` and the per-point labels, the per-cell code and
-exchange step against the Fraction path and the step through points, the
-center columns and the column fact against the per-class reduction, the
-bijection on column starts against marking every class, the exchange's
-conjugacy and inverse against the per-class loop, the light-set laws and
-the classifier conjugacies against per-crossing and whole-column
-references, past their sweep bound and under planted light and label
-faults, the empty rectangles on running light counts against a search over
-light edges, the integer irrational window against its Fraction oracle,
-and the integer SVG renderer against a Fraction renderer."""
+"""The integer fast paths against their references, at random even rationals
+far beyond the sweep bounds: the closed-form light lists against the light
+rule, the grid paths against the Fraction reference `segment_points`, the
+edge masks against a per-column builder, also under single edge toggles,
+with the bad squares and tracing's message against a per-square 0-or-2 test,
+tracing against its canonical form and against the exchange orbits of
+`vector_polygon`, particle image geometry against a per-image reduction, the
+particle walks and their suite against a walk per line, also under planted
+light and square faults, the label table against `fiber_label` and the
+per-point labels, the per-cell code and exchange step against the Fraction
+path and the step through points, the center columns and the column fact
+against the per-class reduction, the bijection on column starts against
+marking every class, the exchange's conjugacy and inverse against the
+per-class loop, the light-set laws and the classifier conjugacies against
+per-crossing and whole-column references, past their sweep bound and under
+planted light and label faults, the empty rectangles on running light counts
+against a search over light edges, the integer irrational window against its
+Fraction oracle, and the integer SVG renderer against a Fraction renderer."""
 
 import math
 import random
@@ -79,6 +80,7 @@ from plaid.grid import (
     _v_walk,
     BlockGrid,
     GridLine,
+    IncoherentInput,
     PlaidPolygon,
     UnitSegment,
     capacity_scaled,
@@ -632,6 +634,82 @@ def test_block_counts_match_segment_points(param, bi, data):
         points = hc if axis == "h" else vc
         assert points[i] == sum(pt.multiplicity
                                 for pt in segment_points(param, seg))
+
+
+GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
+
+
+def reference_masks(grid):
+    """The edge masks built one column at a time, as bytes."""
+    hl, vl, w = grid.hl, grid.vl, grid.param.omega
+    out = b""
+    for n in range(w):
+        col = hl[n::w]  # the column's north and south edges, m = 0..w
+        lanes = (col[1:], col[:-1], vl[(n + 1) * w:(n + 2) * w],
+                 vl[n * w:(n + 1) * w])
+        out += sum(int.from_bytes(lane.translate(GOOD[e]), "big")
+                   for e, lane in enumerate(lanes)).to_bytes(w, "big")
+    return out
+
+
+def check_masks(grid):
+    masks = grid.masks()
+    assert type(masks) is bytes
+    assert grid.masks() is masks
+    assert masks == reference_masks(grid)
+
+
+def test_masks_match_column_reference_to_15():
+    for param in even_rationals(15):
+        for bi in range(param.omega):
+            check_masks(BlockGrid(param, bi))
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA))
+def test_masks_match_column_reference(param, bi):
+    check_masks(BlockGrid(param, bi))
+
+
+def check_toggle(param, bi, axis, i):
+    """One edge's count toggled between 1 and not 1 before the first masks()
+    call: the masks, the bad squares in row order and the square that
+    tracing names, against a per-square 0-or-2 test."""
+    w = param.omega
+    grid = BlockGrid(param, bi)
+    counts = grid.hl if axis == "h" else grid.vl
+    counts[i] = 0 if counts[i] == 1 else 1
+    check_masks(grid)
+    ref = reference_masks(grid)
+    bad = [(n, m) for m in range(w) for n in range(w)
+           if ref[n * w + m].bit_count() not in (0, 2)]
+    assert grid.incoherent_squares() == [(grid.bi * w + n, m) for n, m in bad]
+    # a toggled edge changes its squares' good-edge counts by one
+    n, m = min(bad)
+    with pytest.raises(IncoherentInput) as err:
+        trace_polygons(param, (bi, 0), grid)
+    assert str(err.value) == (f"square {(bi * w + n, m)} has "
+                              f"{ref[n * w + m].bit_count()} good edges")
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (4, 11)])
+def test_edge_toggles_match_per_square_reference(pq):
+    """Every edge of blocks 0 and 1, rows 0 and omega of hl and columns 0
+    and omega of vl among them, where the lanes meet."""
+    param = make_param(*pq)
+    for bi in (0, 1):
+        for axis in "hv":
+            for i in range((param.omega + 1) * param.omega):
+                check_toggle(param, bi, axis, i)
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(101), st.integers(-101, 101), st.sampled_from("hv"), st.data())
+def test_edge_toggle_matches_per_square_reference(param, bi, axis, data):
+    """A toggle on a random line, or on the block's first or last one."""
+    w = param.omega
+    line = data.draw(st.sampled_from([0, w]) | st.integers(0, w))
+    check_toggle(param, bi, axis, line * w + data.draw(st.integers(0, w - 1)))
 
 
 def reference_grid_symmetries(param, by_line):

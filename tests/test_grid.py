@@ -330,8 +330,8 @@ class TestPolygons:
 
             def masks(self):
                 w = p25.omega
-                return [self.by_square.get((n, m), 0)
-                        for n in range(w) for m in range(w)]
+                return bytes(self.by_square.get((n, m), 0)
+                             for n in range(w) for m in range(w))
 
         N, S, E, W = 1, 2, 4, 8
         cases = [
