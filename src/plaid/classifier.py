@@ -45,8 +45,8 @@ the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
 (4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
 fibers.  So the classes b = r mod sheets of a column run along one diagonal
 i1 + i2 = const of one fiber from the column start (a, r): center_column
-reads a base column from its start, and mark_classes and the map checks of
-symmetry_conjugacies read only starts.
+reads a base column's bytes off that fiber's slice of a table, and
+mark_classes and the map checks of symmetry_conjugacies read only starts.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
@@ -355,17 +354,17 @@ def _diagonals(w: int, p: int):
                  for d in range(w)), pow(p, -1, w)
 
 
-def center_column(param: Param, a: int) -> List[int]:
-    """center_cell(param, a, b) for b = 0 .. omega - 1.  By the column fact of
-    the module docstring the cell of b = 0 starts one diagonal, read in
-    steps of p."""
+def center_column(param: Param, table: bytes, a: int) -> bytes:
+    """table[center_cell(param, a, b)] for b = 0 .. omega - 1, table being
+    label_table(param) or a translate of it: by the column fact of the module
+    docstring one diagonal of one fiber, read in steps of p from b = 0."""
     w = param.omega
     diagonals, inverse = _diagonals(w, param.p)
     rest, i2 = divmod(center_cell(param, a, 0), w)
     j, i1 = divmod(rest, w)
     k = i2 * inverse % w
-    return list(map(add, repeat(j * w * w, w),
-                    diagonals[(i1 + i2) % w][k:k + w]))
+    fiber = memoryview(table)[j * w * w:(j + 1) * w * w]
+    return bytes(itemgetter(*diagonals[(i1 + i2) % w][k:k + w])(fiber))
 
 
 def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
@@ -478,7 +477,8 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     Rotation through the origin: Xi(-c) = -Xi(c) and labels swap N<->S,
     E<->W.  Reflection in the x-axis: Xi(x,-y) = swap(U1,U2) of Xi(x,y) and
     labels swap N<->S only.  The rotated centers of column a are column
-    -a-1 reversed, the reflected ones column a reversed (period omega in b).
+    -a-1 reversed, the reflected ones column a reversed (period omega in b),
+    and the label checks compare the columns' center_column mask bytes.
     A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
     (the column fact), and its negative, its swap and the cells of the
     rotated and reflected centers by (0, +p, -p): both sides of a map check
@@ -487,7 +487,7 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     w, p = param.omega, param.p
     ww = w * w
     table = label_table(param).translate(_MASK_TABLE)
-    masks = [bytes(itemgetter(*center_column(param, a))(table)) for a in range(ww)]
+    masks = [center_column(param, table, a) for a in range(ww)]
     for a, mask in enumerate(masks):
         c = center_cell(param, a, 0)
         # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),

@@ -405,7 +405,7 @@ def _checked_bump(P: Fraction, offset: Sequence[Fraction],
 
 def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
                       window: Tuple[int, int, int, int],
-                      eps: Rat = Fraction(1, 2 ** 40)) -> Dict[str, object]:
+                      eps: RatLike = Fraction(1, 2 ** 40)) -> Dict[str, object]:
     """Tile a finite window with the offset classifying map at an arbitrary
     exact parameter P in (0,1).
 
@@ -423,6 +423,7 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise PlaidError("window must be nonempty")
+    eps = Fraction(eps)  # a float eps would round in _window_codes
     if eps <= 0:
         # a center on a wall has distance 0, so eps <= 0 checks nothing
         raise PlaidError(f"eps={eps} must be positive")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .params import Param, even_rationals, make_param
@@ -97,26 +96,25 @@ def suite_bijection(param: Param) -> dict:
 
 
 def suite_isomorphism(param: Param) -> dict:
-    """The edge mask of every square equals the mask of its tile's code;
-    only a center column that differs is walked square by square."""
+    """The edge mask of every square equals the mask of its tile's code, a
+    block at a time; only a block that differs is walked square by square."""
     w = param.omega
     table = label_table(param)
     mismatches = []
     for bi in range(w):
         grid = BlockGrid(param, bi)
         masks = grid.masks()
-        for n in range(w):
-            a = bi * w + n
-            column = center_column(param, a)
-            codes = bytes(itemgetter(*column)(table))
-            if codes.translate(_MASK_TABLE) == masks[n * w:(n + 1) * w]:
-                continue
-            for m, code in enumerate(codes):
-                if CODE_MASKS[code] != masks[n * w + m]:
-                    mismatches.append(((a, m), CODE_LABELS[code],
-                                       sorted(grid.good_edge_set(n, m))))
-                    if len(mismatches) > 4:
-                        return {"ok": False, "mismatches": mismatches}
+        codes = b"".join(center_column(param, table, bi * w + n)
+                         for n in range(w))
+        if codes.translate(_MASK_TABLE) == masks:
+            continue
+        for i, code in enumerate(codes):
+            if CODE_MASKS[code] != masks[i]:
+                n, m = divmod(i, w)
+                mismatches.append(((bi * w + n, m), CODE_LABELS[code],
+                                   sorted(grid.good_edge_set(n, m))))
+                if len(mismatches) > 4:
+                    return {"ok": False, "mismatches": mismatches}
     return {"ok": not mismatches, "squares": w ** 3,
             "mismatches": mismatches}
 
@@ -277,7 +275,7 @@ DEFAULT_BOUNDS = {
     "pet-equivalence": 31,
     "first": 61,
     "empty-rect": 41,
-    "symmetry": 35,
+    "symmetry": 41,
     "particle-geometry": 41,
 }
 

@@ -92,7 +92,7 @@ def test_criterion_09_empty_rectangles():
 
 
 def test_criterion_10_symmetries():
-    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 35)
+    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 41)
 
 
 def test_criterion_11_particle_geometry():

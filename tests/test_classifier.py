@@ -318,6 +318,36 @@ class TestPlantedFaults:
         assert {sq for sq, _, _ in r["mismatches"]} == \
             {(w + n0, m0), (w + n0, m0 - 1)}
 
+    def test_isomorphism_record(self, monkeypatch, pq):
+        """hl edges (n, m) flipped in blocks 1 and 2, each count 0 or 1 so
+        that a flip toggles the edge: the record lists the squares beside
+        them in (block, n, m) order and stops at the fifth mismatch, inside
+        block 2."""
+        prm = make_param(*pq)
+        w = prm.omega
+        flips, tail = {
+            (2, 5): ({1: [(1, 1), (5, 2)], 2: [(2, 2)]},
+                     [((8, 0), "EMPTY", ["N"]), ((8, 1), "EMPTY", ["S"]),
+                      ((12, 1), "NW", ["W"]), ((12, 2), "SE", ["E"]),
+                      ((16, 1), "SE", ["E", "N", "S"])]),
+            (4, 11): ({1: [(1, 1), (12, 2)], 2: [(4, 2)]},
+                      [((27, 2), "NW", ["N", "S", "W"]),
+                       ((34, 1), "EW", ["E", "N", "W"])]),
+        }[pq]
+
+        class Flipped(BlockGrid):
+            def _fill(self):
+                super()._fill()
+                for n, m in flips.get(self.bi, ()):
+                    assert self.hl[m * w + n] in (0, 1)
+                    self.hl[m * w + n] ^= 1
+
+        monkeypatch.setattr(verify, "BlockGrid", Flipped)
+        r = verify.suite_isomorphism(prm)
+        assert r["ok"] is False and len(r["mismatches"]) == 5, r
+        assert r["mismatches"][-len(tail):] == tail, r
+        assert r["mismatches"][-1][0][0] // w == 2, r
+
 
 class TestParticleImages:
     def test_vertical_fiber_constancy(self, p25):

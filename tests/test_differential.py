@@ -740,8 +740,8 @@ def reference_symmetry_conjugacies(param, table):
     w, p = param.omega, param.p
     ww = w * w
     for a in range(ww):
-        column = center_column(param, a)
-        rot, flip = center_column(param, -a - 1)[::-1], column[::-1]
+        column = point_column(param, a, 1)
+        rot, flip = point_column(param, -a - 1, 1)[::-1], column[::-1]
         # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
         # but j = 0 is its own negative up to (2*omega, 2p, 2p)
         neg = [w * ww + ww - 1 - c if c >= ww else
@@ -1248,19 +1248,36 @@ def point_column(param, a, sheets):
             for b in range(sheets * param.omega)]
 
 
+def check_center_column(param, table, a):
+    """center_column on table, and on a translate of it, against the table
+    read at the per-class reduction of every center of column a."""
+    want = bytes(table[c] for c in point_column(param, a, 1))
+    got = center_column(param, table, a)
+    assert type(got) is bytes and got == want, (str(param), a)
+    shift = bytes(range(1, 256)) + b"\0"
+    assert center_column(param, bytes(table).translate(shift), a) == \
+        want.translate(shift), (str(param), a)
+
+
 def test_center_column_matches_point_cells_to_15():
     """center_column against the per-class reduction at every class of every
-    even rational with omega <= 15."""
+    even rational with omega <= 15, on a random table."""
     for param in even_rationals(15):
-        for a in range(param.omega ** 2):
-            assert center_column(param, a) == point_column(param, a, 1), \
-                (str(param), a)
+        w = param.omega
+        for a in range(w * w):
+            check_center_column(param, random.Random(a).randbytes(w ** 3), a)
 
 
 @settings(max_examples=25, deadline=None)
-@given(params(), st.integers(-10 ** 6, 10 ** 6))
-def test_center_column_matches_point_cells(param, a):
-    assert center_column(param, a) == point_column(param, a, 1)
+@given(params(), st.integers(-10 ** 6, 10 ** 6), st.integers(0, 2 ** 32))
+def test_center_column_matches_point_cells(param, a, seed):
+    """The same up to MAX_OMEGA, on a table that is random on the column's
+    fiber only, so that no example draws omega^3 random bytes."""
+    w = param.omega
+    j = center_cell(param, a, 0) // (w * w)
+    table = bytearray(w ** 3)
+    table[j * w * w:(j + 1) * w * w] = random.Random(seed).randbytes(w * w)
+    check_center_column(param, table, a)
 
 
 def step_cell(param, cell, k, sheets):

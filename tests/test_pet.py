@@ -362,6 +362,22 @@ class TestIrrational:
         # no offset keeps a center half a unit from every wall
         assert err.value.suggestion is None
 
+    def test_float_eps_is_exact(self):
+        """A float eps is the Fraction it equals: this window's least wall
+        distance lies just below 6.938893903907223e-17, which the check once
+        compared in floats and passed."""
+        P = F(8, 21)
+        V = (F(5, 72057594037927993), F(3, 5864062014806),
+             F(1, 70368744178457))
+        eps = 6.938893903907223e-17
+        assert F(5, 72057594037927993) < F(eps)
+        errors = []
+        for e in (eps, F(eps)):
+            with pytest.raises(BadOffset) as err:
+                irrational_tiling(P, V, (0, 0, 2, 2), eps=e)
+            errors.append((str(err.value), err.value.suggestion))
+        assert errors[0] == errors[1] and errors[0][1] is not None
+
     def test_flipped_label_is_named(self, monkeypatch):
         """One window label turned into the label of the other two edges:
         the window is not coherent, its mismatches are the four pairs of
