@@ -37,7 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .params import (
     InvalidParameter,
@@ -507,13 +508,11 @@ STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 _MOVES = {1 << e: (*STEPS[e], 1 << (e ^ 1)) for e in range(4)}
 
 
-def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
-                   grid: Optional[BlockGrid] = None) -> List[PlaidPolygon]:
-    """All plaid polygons of one block, canonical, in the block's true
-    coordinates, sorted.  Raises IncoherentInput if any square breaks the
-    0-or-2 rule.  The scan meets each polygon first at its least square,
-    which the walk leaves north, to its smaller neighbour: so walks come out
-    canonical and in sorted order."""
+def _block_loops(param: Param, block: Tuple[int, int],
+                 grid: Optional[BlockGrid] = None) -> Iterator[List[int]]:
+    """The block walker: each polygon of one block as its squares' flat
+    indices n*w + m, from its least square north, to its smaller neighbour,
+    in scan order.  Raises IncoherentInput for 1, 3 or 4 good edges."""
     w = param.omega
     bi, bj = block
     if grid is None:
@@ -523,17 +522,18 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
     if i >= 0:
         raise IncoherentInput(f"square {(bi * w + i // w, bj * w + i % w)} has "
                               f"{masks[i].bit_count()} good edges")
-    polys = []
     seen = bytearray(w * w)
     for start, mask in enumerate(masks):
         if not mask or seen[start]:
             continue
-        centers = []
+        loop = []
         n, m = divmod(start, w)
         exit_bit = mask & -mask
-        while True:
+        while not loop or n * w + m != start:
+            if seen[n * w + m]:
+                raise PlaidError("polygon is not embedded")
             seen[n * w + m] = 1
-            centers.append((2 * (bi * w + n) + 1, 2 * (bj * w + m) + 1))
+            loop.append(n * w + m)
             dx, dy, entry = _MOVES[exit_bit]
             n, m = n + dx, m + dy
             if not (0 <= n < w and 0 <= m < w):
@@ -542,12 +542,18 @@ def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
             if not here & entry:
                 raise PlaidError(f"connector mismatch entering {(n, m)}")
             exit_bit = here ^ entry
-            if n * w + m == start:
-                break
-            if seen[n * w + m]:
-                raise PlaidError("polygon is not embedded")
-        polys.append(PlaidPolygon(tuple(centers)))
-    return polys
+        yield loop
+
+
+def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),
+                   grid: Optional[BlockGrid] = None) -> List[PlaidPolygon]:
+    """All plaid polygons of one block, in the block's true coordinates: the
+    loops of _block_loops, which come out canonical and sorted."""
+    w = param.omega
+    x0, y0 = 2 * block[0] * w + 1, 2 * block[1] * w + 1
+    return [PlaidPolygon(tuple((x0 + 2 * (i // w), y0 + 2 * (i % w))
+                               for i in loop))
+            for loop in _block_loops(param, block, grid)]
 
 
 # ---------------------------------------------------------------------------

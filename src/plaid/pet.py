@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike
 from .grid import STEPS, PlaidPolygon
@@ -191,43 +191,27 @@ class PetOrbit:
     vectors: Tuple[Tuple[int, int], ...]
 
 
-def _walk(param: Param, a: int, b: int, code) -> Tuple[list, list]:
-    """The cells and codes of the exchange orbit of the image of the center
-    (a+1/2, b+1/2), to its first return, code(cell) giving a cell's code; a
-    hold start gives itself alone.  Iteration is capped at 4*omega^2, past
-    any polygon's perimeter; exceeding the cap means the model is broken."""
-    start = center_cell(param, a, b, 2)
-    cells, codes = [start], [code(start)]
-    if codes[0] % 5 == 0:
-        return cells, codes
-    limit = 4 * param.omega ** 2
-    for _ in range(limit):
-        cell = cover_step(param, cells[-1], codes[-1] & 3)
-        if cell == start:
-            return cells, codes
-        cells.append(cell)
-        codes.append(code(cell))
-    raise NonPeriodicOrbit(f"orbit of center {(a, b)} did not close in {limit}")
-
-
 def special_orbit(param: Param, center) -> PetOrbit:
     """The orbit of the image of a tile center, iterated to first return,
     each cell coded on its own (no table).  Hold points have orbits of
-    length one."""
-    cells, codes = _walk(param, *_center_indices(center),
-                         lambda cell: cell_code(param, cell))
+    length one.  Iteration is capped at 4*omega^2, past any polygon's
+    perimeter; exceeding the cap means the model is broken."""
+    a, b = _center_indices(center)
+    cells = [center_cell(param, a, b, 2)]
+    codes = [cell_code(param, cells[0])]
+    while codes[0] % 5:
+        if len(cells) > 4 * param.omega ** 2:
+            raise NonPeriodicOrbit(f"orbit of center {(a, b)} did not close "
+                                   f"in {len(cells) - 1}")
+        cell = cover_step(param, cells[-1], codes[-1] & 3)
+        if cell == cells[0]:
+            break
+        cells.append(cell)
+        codes.append(cell_code(param, cell))
     states = tuple(_cover_point(param, cell) for cell in cells)
     vectors = tuple(STEPS[c & 3] if c % 5 else (0, 0) for c in codes)
     return PetOrbit(states[0], states, tuple(ORIENTED_CODES[c] for c in codes),
                     vectors)
-
-
-def table_orbit(param: Param, cover: bytes, a: int, b: int
-                ) -> List[Tuple[int, int]]:
-    """The vectors of special_orbit at the center (a+1/2, b+1/2), with the
-    codes read from the cover's label table; empty for hold centers."""
-    _, codes = _walk(param, a, b, cover.__getitem__)
-    return [STEPS[c & 3] for c in codes if c % 5]
 
 
 def path_polygon(a: int, b: int, vectors: Sequence[Tuple[int, int]]):

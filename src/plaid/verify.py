@@ -15,6 +15,7 @@ from .params import Param, even_rationals, make_param
 from .grid import (
     BlockGrid,
     STEPS,
+    _block_loops,
     _h_walk,
     _read_light,
     _v_walk,
@@ -41,8 +42,6 @@ from .pet import (
     cover_bijection,
     cover_step,
     irrational_tiling,
-    path_polygon,
-    table_orbit,
 )
 from .analysis import _empty_cells, block_light_cache, cut_offsets, verify_first
 from .serialize import emit, parse_polygon_document, polygon_document
@@ -120,8 +119,9 @@ def suite_isomorphism(param: Param) -> dict:
 
 
 def suite_pet_equivalence(param: Param) -> dict:
-    """Vector dynamics redraw every traced polygon, orbit lengths sum to the
-    connector count, and the exchange is conjugate to connector-following
+    """The orbit from each traced loop's first square follows the loop step
+    by step, in either direction, and closes with it; orbit lengths sum to
+    the connector count; and the exchange is conjugate to connector-following
     with an exact inverse: conjugacy on rows b = 0 and 1 of every center
     column across every edge, the next connector's entry edge by check_mesh,
     and the step back because every cover cell is a center's (criterion 5)."""
@@ -138,24 +138,33 @@ def suite_pet_equivalence(param: Param) -> dict:
     if r["failure_count"]:
         return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
     cover = label_table(param, 2)
+    move = [w * dx + dy for dx, dy in STEPS]  # in flat indices n*w + m
     orbit_total = 0
     nonempty = 0
     for bi in range(w):
         grid = BlockGrid(param, bi)
-        # counted from the masks, not from the traced polygons, so that a
-        # polygon tracing drops still fails orbit_total == nonempty
+        # counted from the masks, not from the loops, so that a loop the
+        # walker drops still fails orbit_total == nonempty
         nonempty += w * w - grid.masks().count(0)
-        for pg in trace_polygons(param, (bi, 0), grid):
-            # the least vertex: the polygon's first square in (n, m) order
-            a, m = pg.verts2[0][0] // 2, pg.verts2[0][1] // 2
-            vectors = table_orbit(param, cover, a, m)
-            if not vectors:
+        for loop in _block_loops(param, (bi, 0), grid):
+            a, m = divmod(bi * w * w + loop[0], w)
+            start = cell = center_cell(param, a, m, 2)
+            if cover[cell] % 5 == 0:
                 return {"ok": False, "reason": "hold at nonempty square",
                         "square": (a, m)}
-            orbit_total += len(vectors)
-            if path_polygon(a, m, vectors) != pg:
-                return {"ok": False, "reason": "orbit polygon differs",
-                        "block": bi, "square": (a, m)}
+            if move[cover[cell] & 3] == loop[-1] - loop[0]:
+                loop = loop[:1] + loop[:0:-1]  # the orbit leaves east
+            for i, j in zip(loop, loop[1:] + loop[:1]):
+                code = cover[cell]
+                if code % 5 == 0 or move[code & 3] != j - i:
+                    break
+                cell = cover_step(param, cell, code & 3)
+            else:  # no break: the orbit followed the loop, and must close
+                if cell == start:
+                    orbit_total += len(loop)
+                    continue
+            return {"ok": False, "reason": "orbit polygon differs",
+                    "block": bi, "square": (a, m)}
     return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
             "connector_squares": nonempty}
 

@@ -11,14 +11,17 @@ per-point labels, the per-cell code and exchange step against the Fraction
 path and the step through points, the center columns and the column fact
 against the per-class reduction, the bijection on column starts against
 marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the light-set laws and the classifier conjugacies against
-per-crossing and whole-column references, past their sweep bound and under
-planted light and label faults, the empty rectangles on running light counts
-against a search over light edges, the integer irrational window against its
-Fraction oracle, and the integer SVG renderer against a Fraction renderer."""
+per-class loop, the pet-equivalence record against the suite's former body,
+which rebuilt each orbit's polygon, also under planted faults, the light-set
+laws and the classifier conjugacies against per-crossing and whole-column
+references, past their sweep bound and under planted light and label faults,
+the empty rectangles on running light counts against a search over light
+edges, the integer irrational window against its Fraction oracle, and the
+integer SVG renderer against a Fraction renderer."""
 
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 from operator import itemgetter
@@ -29,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
-from plaid import classifier, grid, verify
+from plaid import classifier, grid, pet, verify
 from plaid.analysis import cut_offsets, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
@@ -64,12 +67,13 @@ from plaid.classifier import (
 from plaid.pet import (
     STEPS,
     BadOffset,
+    NonPeriodicOrbit,
     cover_step,
     decode_cell,
     irrational_tiling,
     oriented_label_scaled,
+    path_polygon,
     special_orbit,
-    table_orbit,
     vector_polygon,
     wall_distance,
 )
@@ -1136,19 +1140,19 @@ def test_decoded_cover_cells_match_oracle(param, data):
 
 @settings(max_examples=10, deadline=None)
 @given(params(101), st.data())
-def test_table_orbit_matches_special_orbit(param, data):
-    """The orbit walked on the cover table against the per-point orbit."""
+def test_cover_table_codes_match_special_orbit(param, data):
+    """The cover table's code at every state of the per-point orbit is the
+    orbit's label there."""
     w = param.omega
     cover = label_table(param, 2)
     for _ in range(5):
         a = data.draw(st.integers(0, w * w - 1))
         b = data.draw(st.integers(0, 2 * w - 1))
         orbit = special_orbit(param, (F(2 * a + 1, 2), F(2 * b + 1, 2)))
-        vectors = table_orbit(param, cover, a, b)
-        if orbit.labels == ("EMPTY",):
-            assert vectors == []
-        else:
-            assert vectors == list(orbit.vectors)
+        for state, label in zip(orbit.states, orbit.labels):
+            t, u1, u2 = (int(v * w) for v in state.as_tuple())
+            assert ORIENTED_CODES[cover[grid_cell(param, t, u1, u2, 2)]] \
+                == label
 
 
 def test_cell_code_matches_cover_table():
@@ -1413,18 +1417,94 @@ def reference_conjugacy_inverse(param, step=cover_step):
     return {"ok": True}
 
 
+def reference_table_orbit(param, cover, a, b):
+    """The vectors of the exchange orbit of the center (a+1/2, b+1/2), codes
+    read from the cover table, to its first return; empty for hold."""
+    start = center_cell(param, a, b, 2)
+    cells, codes = [start], [cover[start]]
+    if codes[0] % 5 == 0:
+        return []
+    limit = 4 * param.omega ** 2
+    for _ in range(limit):
+        cell = pet.cover_step(param, cells[-1], codes[-1] & 3)
+        if cell == start:
+            return [STEPS[c & 3] for c in codes if c % 5]
+        cells.append(cell)
+        codes.append(cover[cell])
+    raise NonPeriodicOrbit(f"orbit of center {(a, b)} did not close in {limit}")
+
+
+def reference_suite_pet_equivalence(param):
+    """suite_pet_equivalence as it traced polygons, walked each orbit into a
+    vector list and compared the vector path's polygon with the traced one;
+    it reads what the suite reads through verify, so faults planted there
+    reach both."""
+    w = param.omega
+    for a in range(w * w):
+        for b in (0, 1):
+            cell = verify.center_cell(param, a, b, 2)
+            for e, (dx, dy) in enumerate(STEPS):
+                if verify.cover_step(param, cell, e) != \
+                        verify.center_cell(param, a + dx, b + dy, 2):
+                    return {"ok": False, "reason": "conjugacy", "at": (a, b),
+                            "edge": "NSEW"[e]}
+    r = verify.check_mesh([param])
+    if r["failure_count"]:
+        return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
+    cover = verify.label_table(param, 2)
+    orbit_total = 0
+    nonempty = 0
+    for bi in range(w):
+        grid = verify.BlockGrid(param, bi)
+        nonempty += w * w - grid.masks().count(0)
+        for pg in verify.trace_polygons(param, (bi, 0), grid):
+            a, m = pg.verts2[0][0] // 2, pg.verts2[0][1] // 2
+            vectors = reference_table_orbit(param, cover, a, m)
+            if not vectors:
+                return {"ok": False, "reason": "hold at nonempty square",
+                        "square": (a, m)}
+            orbit_total += len(vectors)
+            if path_polygon(a, m, vectors) != pg:
+                return {"ok": False, "reason": "orbit polygon differs",
+                        "block": bi, "square": (a, m)}
+    return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
+            "connector_squares": nonempty}
+
+
+def check_pet_equivalence_record(param):
+    """suite_pet_equivalence's record, or the PlaidError it raises, equals
+    the reference's.  Where the reference's orbit does not close, or its
+    vector path does not, the suite names that orbit's loop as "orbit
+    polygon differs": it never walks past the loop's length."""
+    def outcome(suite):
+        try:
+            return suite(param)
+        except PlaidError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(verify.suite_pet_equivalence)
+    want = outcome(reference_suite_pet_equivalence)
+    if isinstance(want, tuple) and "close" in want[1]:
+        a, b = map(int, re.search(r"center \((\d+), (\d+)\)", want[1]).groups())
+        want = {"ok": False, "reason": "orbit polygon differs",
+                "block": a // param.omega, "square": (a, b)}
+    assert got == want, str(param)
+    return got
+
+
 def test_pet_equivalence_matches_per_class_reference_to_15():
     """The fiber-shift conjugacy and mesh inverse of the suite against the
-    per-class loop, at every even rational with omega <= 15."""
+    per-class loop, and its whole record against the reference suite, at
+    every even rational with omega <= 15."""
     for param in even_rationals(15):
-        assert verify.suite_pet_equivalence(param)["ok"], str(param)
+        assert check_pet_equivalence_record(param)["ok"], str(param)
         assert reference_conjugacy_inverse(param)["ok"], str(param)
 
 
 @settings(max_examples=3, deadline=None)
 @given(params(61))
 def test_pet_equivalence_matches_per_class_reference(param):
-    assert verify.suite_pet_equivalence(param)["ok"]
+    assert check_pet_equivalence_record(param)["ok"]
     assert reference_conjugacy_inverse(param)["ok"]
 
 
@@ -1433,7 +1513,54 @@ def test_cover_step_mutant_fails_suite_and_reference(pq, monkeypatch):
     param = make_param(*pq)
     assert not reference_conjugacy_inverse(param, mutant_cover_step)["ok"]
     monkeypatch.setattr(verify, "cover_step", mutant_cover_step)
-    assert not verify.suite_pet_equivalence(param)["ok"]
+    monkeypatch.setattr(pet, "cover_step", mutant_cover_step)
+    assert not check_pet_equivalence_record(param)["ok"]
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+def test_pet_equivalence_reversed_code_matches_reference(pq, monkeypatch):
+    """One cover code reversed where the orbit half reads it: at a loop's
+    start cell, at each cell of one orbit, and at random connector cells.
+    A reversed start runs back and forth to a neighbour, a reversed cell
+    past it sends the reference's orbit into a two-cell cycle that never
+    returns; check_mesh reads pet.label_table, which stays whole."""
+    param = make_param(*pq)
+    w = param.omega
+    real = verify.label_table
+    loop = next(grid._block_loops(param, (1, 0)))
+    cells = [center_cell(param, *divmod(w * w + i, w), 2) for i in loop]
+    connectors = [c for c, code in enumerate(real(param, 2)) if code % 5]
+    cells += random.Random(w).sample(connectors, 8)
+    for k, cell in enumerate(cells):
+        def table(prm, sheets=1, cell=cell):
+            codes = real(prm, sheets)
+            if sheets == 2:
+                codes[cell] = REVERSED[codes[cell]]
+            return codes
+
+        monkeypatch.setattr(verify, "label_table", table)
+        got = check_pet_equivalence_record(param)
+        if k < len(loop):
+            assert got == {"ok": False, "reason": "orbit polygon differs",
+                           "block": 1, "square": divmod(w * w + loop[0], w)}
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
+def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
+    """One edge's goodness toggled in one block's light counts: both walks
+    stop at the same incoherent square."""
+    param = make_param(*pq)
+    w = param.omega
+    for bi, i in ((1, 2 * w + 3), (w - 1, 0), (2, w * w + w - 1)):
+        def faulty(prm, b, bi=bi, i=i):
+            g = BlockGrid(prm, b)
+            if b == bi:
+                g.hl[i] = 0 if g.hl[i] == 1 else 1
+            return g
+
+        monkeypatch.setattr(verify, "BlockGrid", faulty)
+        got = check_pet_equivalence_record(param)
+        assert got[0] is IncoherentInput, got
 
 
 def oracle_tiling(P, offset, window, eps):

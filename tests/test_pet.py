@@ -5,7 +5,7 @@ import pytest
 from conftest import mutant_cover_step
 from plaid import pet, verify
 from plaid.params import PlaidError, even_rationals, make_param
-from plaid.grid import BlockGrid, trace_polygons
+from plaid.grid import BlockGrid, _block_loops, trace_polygons
 from plaid.pet import (
     BadOffset,
     CoverPoint,
@@ -26,8 +26,8 @@ from plaid.pet import (
     xi_hat,
     STEPS,
 )
-from plaid.classifier import (CODE_MASKS, REVERSED, canon_frac, fiber_label,
-                              grid_cell, tile_of, unordered_label,
+from plaid.classifier import (CODE_MASKS, REVERSED, canon_frac, center_cell,
+                              fiber_label, grid_cell, tile_of, unordered_label,
                               xi_raw_scaled)
 
 
@@ -183,6 +183,32 @@ def _fault_target(param):
     return bi, (x2 // 2, y2 // 2)
 
 
+def _orbit_starts(param):
+    """(block, first square, its cover cell, the code there) of every loop
+    suite_pet_equivalence walks, in its order."""
+    w, cover = param.omega, pet.label_table(param, 2)
+    for bi in range(w):
+        for loop in _block_loops(param, (bi, 0)):
+            square = divmod(bi * w * w + loop[0], w)
+            cell = center_cell(param, *square, 2)
+            yield bi, square, cell, cover[cell]
+
+
+def _plant_code(monkeypatch, cell, code):
+    """Set one code of the cover table that the orbit half of
+    suite_pet_equivalence reads through verify.label_table; check_mesh
+    reads pet.label_table, which stays whole."""
+    real = verify.label_table
+
+    def table(prm, sheets=1):
+        codes = real(prm, sheets)
+        if sheets == 2:
+            codes[cell] = code
+        return codes
+
+    monkeypatch.setattr(verify, "label_table", table)
+
+
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 class TestPetEquivalenceFaults:
     """suite_pet_equivalence with one fault injected into what it reads."""
@@ -190,31 +216,74 @@ class TestPetEquivalenceFaults:
     def test_hold_orbit_at_connector(self, pq, monkeypatch):
         param = make_param(*pq)
         _, square = _fault_target(param)
-        real = verify.table_orbit
-
-        def orbit(prm, cover, a, b):
-            return [] if (a, b) == square else real(prm, cover, a, b)
-
-        monkeypatch.setattr(verify, "table_orbit", orbit)
+        _plant_code(monkeypatch, center_cell(param, *square, 2), 0)
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "hold at nonempty square", "square": square}
 
     def test_swapped_orbit_vectors(self, pq, monkeypatch):
-        """Two consecutive unequal steps swapped: the path still closes, on
-        another polygon."""
+        """One orbit cell past the start given another exit: the orbit
+        leaves the traced loop there."""
         param = make_param(*pq)
         bi, square = _fault_target(param)
-        real = verify.table_orbit
+        cover = pet.label_table(param, 2)
+        start = center_cell(param, *square, 2)
+        cell = cover_step(param, start, cover[start] & 3)
+        # keep the entry, take the next edge that is neither it nor the exit
+        entry = cover[cell] >> 2
+        out = next(e for e in range(4) if e not in (entry, cover[cell] & 3))
+        _plant_code(monkeypatch, cell, 4 * entry + out)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": bi,
+            "square": square}
 
-        def orbit(prm, cover, a, b):
-            vectors = real(prm, cover, a, b)
-            if (a, b) == square:
-                i = next(i for i in range(len(vectors) - 1)
-                         if vectors[i] != vectors[i + 1])
-                vectors[i:i + 2] = vectors[i + 1], vectors[i]
-            return vectors
+    def test_hold_inside_orbit(self, pq, monkeypatch):
+        """A hold code with the exit bits of the connector it replaces, one
+        cell past the start: the step it would take is right, but the
+        exchange holds there."""
+        param = make_param(*pq)
+        bi, square = _fault_target(param)
+        cover = pet.label_table(param, 2)
+        start = center_cell(param, *square, 2)
+        cell = cover_step(param, start, cover[start] & 3)
+        _plant_code(monkeypatch, cell, 5 * (cover[cell] & 3))
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": bi,
+            "square": square}
 
-        monkeypatch.setattr(verify, "table_orbit", orbit)
+    def test_first_step_checked(self, pq, monkeypatch):
+        """A start connector that leaves south, with an exchange that steps
+        north from it anyway: only the first step's exit is wrong.  The
+        start is off rows 0 and 1, where the conjugacy check would meet
+        the fault first."""
+        param = make_param(*pq)
+        bi, square, start, code = next(
+            t for t in _orbit_starts(param) if t[1][1] >= 2 and t[3] & 3 == 0)
+        real = verify.cover_step
+
+        def step(prm, cell, edge):
+            return real(prm, cell, 0 if cell == start else edge)
+
+        monkeypatch.setattr(verify, "cover_step", step)
+        _plant_code(monkeypatch, start, code & 12 | 1)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": bi,
+            "square": square}
+
+    def test_orbit_misses_start(self, pq, monkeypatch):
+        """The exchange's last step round one loop lands beside its start
+        cell: every exit follows the loop, but the orbit does not close.
+        The start is off rows 0 to 2, whose cells the conjugacy check
+        reaches."""
+        param = make_param(*pq)
+        bi, square, start, _ = next(
+            t for t in _orbit_starts(param) if t[1][1] >= 3)
+        real = verify.cover_step
+
+        def step(prm, cell, edge):
+            nxt = real(prm, cell, edge)
+            return nxt ^ 1 if nxt == start else nxt
+
+        monkeypatch.setattr(verify, "cover_step", step)
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "orbit polygon differs", "block": bi,
             "square": square}
@@ -247,17 +316,19 @@ class TestPetEquivalenceFaults:
             "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}
 
     def test_dropped_polygon(self, pq, monkeypatch):
-        """The connector count does not come from tracing, so a polygon
-        tracing loses leaves the orbit steps short."""
+        """The connector count does not come from the walker, so a loop it
+        drops leaves the orbit steps short."""
         param = make_param(*pq)
         bi, _ = _fault_target(param)
-        real = verify.trace_polygons
+        real = verify._block_loops
 
-        def trace(prm, block, grid=None):
-            polys = real(prm, block, grid)
-            return polys[1:] if block == (bi, 0) else polys
+        def loops(prm, block, grid=None):
+            found = real(prm, block, grid)
+            if block == (bi, 0):
+                next(found)
+            return found
 
-        monkeypatch.setattr(verify, "trace_polygons", trace)
+        monkeypatch.setattr(verify, "_block_loops", loops)
         rec = verify.suite_pet_equivalence(param)
         assert not rec["ok"], rec
         assert rec["orbit_steps"] < rec["connector_squares"], rec
