@@ -463,11 +463,13 @@ def verify_bijection(param: Param) -> Dict[str, object]:
     return mark_classes(param, 1)
 
 
-# translate tables, read at 0..15 only: the edge mask of each code, and an
-# edge mask under rotation (N<->S, E<->W) and x-reflection (N<->S)
+# translate tables, read at 0..15 only: the edge mask of each code, an edge
+# mask under rotation (N<->S, E<->W) and x-reflection (N<->S), and the N, S, E
+# and W bit of each code's mask as 0/1 lanes
 _MASK_TABLE = bytes(CODE_MASKS) + bytes(240)
 _ROT_MASKS = bytes(m >> 1 & 5 | m << 1 & 10 for m in range(256))
 _FLIP_MASKS = bytes(m >> 1 & 1 | m << 1 & 2 | m & 12 for m in range(256))
+_EDGE_LANES = [bytes(m >> k & 1 for m in _MASK_TABLE) for k in range(4)]
 
 
 def symmetry_conjugacies(param: Param) -> Dict[str, object]:

@@ -1,4 +1,4 @@
-"""Command line surface: render | verify | orbit | irrational | stats."""
+"""Command line: render | verify | orbit | irrational | stats | bench."""
 
 from __future__ import annotations
 
@@ -198,6 +198,12 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def cmd_bench(args) -> int:
+    from .bench import write_bench  # no other command imports it
+    print(write_bench(args.label))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plaid",
@@ -256,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the polygon document instead of statistics")
     s.add_argument("--out")
     s.set_defaults(func=cmd_stats)
+
+    b = sub.add_parser("bench", help="time each layer into BENCH_<label>.json")
+    b.add_argument("--label", required=True)
+    b.set_defaults(func=cmd_bench)
     return ap
 
 

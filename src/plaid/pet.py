@@ -48,7 +48,7 @@ from .classifier import (
     ClassifyingPoint,
     ORIENTED_CODES,
     REVERSED,
-    _MASK_TABLE,
+    _EDGE_LANES,
     _ORDER,
     _boards,
     _zone_spec,
@@ -354,24 +354,27 @@ def _window_codes(P: Fraction, offset: Sequence[Fraction],
     codes, best, closest = bytearray(), 2 * D, None
     for n in range(x0, x1):
         s = p2 * (2 * n + 1)
+        t, u1, u2 = canon_scaled(D, p2, s + D * (2 * y0 + 1) + v0, s + v1,
+                                 s + p2 * (2 * y0 + 1) + v2)
+        _, (c1, c2, c3), board = _boards(D, p2, t)[0]
+        # t and the board stay over a column while u1, u2 step by -p2, +p2; the
+        # walls: seam, cuts, seam in u, and T = +-(1 - P) as in wall_distance
+        walls = (-D, c1, c2, c3, D)
+        dt = min(min(g, 2 * D - g) for g in (abs(t + D - p2), abs(t - D + p2)))
         for m in range(y0, y1):
-            t, u1, u2 = canon_scaled(D, p2, s + D * (2 * m + 1) + v0, s + v1,
-                                     s + p2 * (2 * m + 1) + v2)
-            _, (c1, c2, c3), board = _boards(D, p2, t)[0]
-            # the zone-boundary fibers T = ±(1 - P) stay walls, for
-            # wall_distance's reason; on one d is 0 whichever zone is read
-            gaps = [abs(u - c) for u in (u1, u2) for c in (c1, c2, c3)]
-            gaps += abs(t + D - p2), abs(t - D + p2)
-            # gaps are <= 2D: min(g, 2D - g) round the circle; seam D - |u|
-            d = min(min(gaps), 2 * D - max(gaps), D - abs(u1), D - abs(u2))
+            b1 = (u1 > c1) + (u1 > c2) + (u1 > c3)
+            b2 = (u2 > c1) + (u2 > c2) + (u2 > c3)
+            d = min(dt, u1 - walls[b1], walls[b1 + 1] - u1,
+                    u2 - walls[b2], walls[b2 + 1] - u2)
             if d < best:
                 best, closest = d, (n, m)
             if d < limit:
                 return None, Fraction(d, D), (n, m)
             # d >= eps > 0: the center lies in one zone and on no cut or
             # seam, so its bands need no OnWall branch
-            column = board[(u1 > c1) + (u1 > c2) + (u1 > c3)]
-            codes.append(column[(u2 > c1) + (u2 > c2) + (u2 > c3)])
+            codes.append(board[b1][b2])
+            u1 = u1 - p2 if u1 - p2 >= -D else u1 - p2 + 2 * D
+            u2 = u2 + p2 if u2 + p2 < D else u2 + p2 - 2 * D
     return codes, Fraction(best, D), closest
 
 
@@ -418,19 +421,21 @@ def irrational_tiling(P: RatLike, offset: Sequence[RatLike],
         raise BadOffset(
             f"center ({n}+1/2, {m}+1/2) is {min_dist} from a wall (< {eps})",
             suggestion=_checked_bump(P, offset, window, eps))
-    centers = [(n, m) for n in range(x0, x1) for m in range(y0, y1)]
-    # edge bits: E (4) against W (8) of the east neighbour, h on; N (1), S (2)
-    masks, h = codes.translate(_MASK_TABLE), y1 - y0
-    mismatches = []
-    for i, (n, m) in enumerate(centers):
-        if n + 1 < x1 and (masks[i] >> 2 ^ masks[i + h] >> 3) & 1:
-            mismatches.append(((n, m), (n + 1, m)))
-        if m + 1 < y1 and (masks[i] ^ masks[i + 1] >> 1) & 1:
-            mismatches.append(((n, m), (n, m + 1)))
+    labels = dict(zip(((n, m) for n in range(x0, x1) for m in range(y0, y1)),
+                      map(CODE_LABELS.__getitem__, codes)))
+    north, south, east, west = map(bytearray, map(codes.translate, _EDGE_LANES))
+    h, mismatches = y1 - y0, []
+    north[h - 1::h] = south[::h] = bytes(x1 - x0)  # no pair across columns
+    if east[:-h] != west[h:] or north[:-1] != south[1:]:
+        for i, (n, m) in enumerate(labels):
+            if n + 1 < x1 and east[i] != west[i + h]:
+                mismatches.append(((n, m), (n + 1, m)))
+            if m + 1 < y1 and north[i] != south[i + 1]:
+                mismatches.append(((n, m), (n, m + 1)))
     return {
         "ok": not mismatches,
         "min_wall_distance": min_dist,
         "closest_center": worst,
-        "labels": dict(zip(centers, map(CODE_LABELS.__getitem__, codes))),
+        "labels": labels,
         "mismatches": mismatches,
     }

@@ -423,6 +423,8 @@ def test_verify_crashing_suite_becomes_record(capsys, monkeypatch, jobs):
      "--window", "0,0,2,2", "--eps", ""],
     # an empty --out names no file, it does not mean standard output
     ["orbit", "--p", "2", "--q", "5", "--c", "1/2,1/2", "--out", ""],
+    # a label is part of a file name, so it names no directory
+    ["bench", "--label", "a/b"],
 ])
 def test_malformed_input_exits_2(argv, tmp_path):
     """The command as a user runs it: exit 2 with a message, no traceback."""
@@ -449,3 +451,56 @@ def run_as_user_exits_2(argv, **env):
     assert proc.returncode == 2, proc.stderr
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "trace_polygons",
+                "label_table", "label_table_cover", "center_column", "orbit",
+                "render", "stats_document"]
+
+
+def check_bench_document(doc, label, repeats, omegas, windows):
+    assert list(doc) == ["label", "machine", "repeats", "omega", "irrational",
+                         "entries"]
+    assert (doc["label"], doc["repeats"]) == (label, repeats)
+    assert list(doc["machine"]) == ["nproc", "python", "cpu"]
+    assert list(doc["omega"]) == [str(w) for w in omegas]
+    irrational = doc["irrational"]
+    assert irrational["P"] == "34/89" and irrational["offset"] == [
+        "1/1048583", "1/1048609", "1/1048613"]
+    assert list(irrational["seconds"]) == [f"irrational_{w}x{w}"
+                                           for w in windows]
+    for seconds in [*doc["omega"].values(), irrational["seconds"]]:
+        assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+    assert all(list(layers) == BENCH_LAYERS for layers in doc["omega"].values())
+    assert isinstance(doc["entries"], list)
+
+
+def test_bench_document(tmp_path, monkeypatch, capsys):
+    """plaid bench cut down to omega 5, one round and a 4 x 4 window: the
+    machine, the round count and every layer's seconds, and a rewrite keeps
+    the entries appended to the file."""
+    from plaid import bench
+    monkeypatch.setattr(bench, "OMEGAS", (5,))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "IRRATIONAL_WINDOWS", (4,))
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "BENCH_t.json"
+    assert run(capsys, "bench", "--label", "t") == (0, "BENCH_t.json\n")
+    doc = json.loads(path.read_text())
+    check_bench_document(doc, "t", 1, (5,), (4,))
+    assert doc["entries"] == []
+    doc["entries"] = [{"change": "a before/after entry"}]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "bench", "--label", "t") == (0, "BENCH_t.json\n")
+    assert json.loads(path.read_text())["entries"] == doc["entries"]
+
+
+def test_bench_baseline_committed():
+    """The committed baseline has the schema plaid bench writes, at omega 51
+    and 101 and on the 16 x 16 and 100 x 100 windows."""
+    import os
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCH_baseline.json")) as f:
+        doc = json.load(f)
+    check_bench_document(doc, "baseline", 3, (51, 101), (16, 100))
+    assert doc["entries"]

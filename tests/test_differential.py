@@ -16,14 +16,16 @@ which rebuilt each orbit's polygon, also under planted faults, the light-set
 laws and the classifier conjugacies against per-crossing and whole-column
 references, past their sweep bound and under planted light and label faults,
 the empty rectangles on running light counts against a search over light
-edges, the integer irrational window against its Fraction oracle, and the
-integer SVG renderer against a Fraction renderer."""
+edges, the integer irrational window against its Fraction oracle and its
+column walk against the former per-center body, its coherence lanes against
+the per-center loop, and the integer SVG renderer against a Fraction
+renderer."""
 
 import math
 import random
 import re
 from bisect import bisect_right
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from operator import itemgetter
 
 import pytest
@@ -1755,3 +1757,138 @@ def test_render_matches_fraction_renderer(param, data):
     cfg = RenderConfig(window=window, scale=data.draw(st.integers(1, 31)),
                        layers=LAYERS)
     assert render_svg(param, cfg) == reference_svg(param, cfg)
+
+
+def reference_window_codes(P, offset, window, eps):
+    """pet._window_codes before it walked the window by columns, kept as its
+    oracle: each center reduced by canon_scaled and read on _boards on its
+    own, its wall distance the least of eight gaps round the circle and the
+    two seams.  (codes n-major, min wall distance, its center) as integers
+    over the lcm D of all denominators, or (None, d, center) at a center
+    closer than eps."""
+    D = P.denominator
+    for v in offset:
+        D *= v.denominator // math.gcd(D, v.denominator)
+    p2, limit = int(P * D), -math.floor(-eps * D)  # d/D < eps iff d < limit
+    v0, v1, v2 = (int(v * D) for v in offset)
+    x0, y0, x1, y1 = window
+    codes, best, closest = bytearray(), 2 * D, None
+    for n in range(x0, x1):
+        s = p2 * (2 * n + 1)
+        for m in range(y0, y1):
+            t, u1, u2 = canon_scaled(D, p2, s + D * (2 * m + 1) + v0, s + v1,
+                                     s + p2 * (2 * m + 1) + v2)
+            _, (c1, c2, c3), board = _boards(D, p2, t)[0]
+            # the zone-boundary fibers T = ±(1 - P) stay walls, for
+            # wall_distance's reason; on one d is 0 whichever zone is read
+            gaps = [abs(u - c) for u in (u1, u2) for c in (c1, c2, c3)]
+            gaps += abs(t + D - p2), abs(t - D + p2)
+            # gaps are <= 2D: min(g, 2D - g) round the circle; seam D - |u|
+            d = min(min(gaps), 2 * D - max(gaps), D - abs(u1), D - abs(u2))
+            if d < best:
+                best, closest = d, (n, m)
+            if d < limit:
+                return None, Fraction(d, D), (n, m)
+            # d >= eps > 0: the center lies in one zone and on no cut or
+            # seam, so its bands need no OnWall branch
+            column = board[(u1 > c1) + (u1 > c2) + (u1 > c3)]
+            codes.append(column[(u2 > c1) + (u2 > c2) + (u2 > c3)])
+    return codes, Fraction(best, D), closest
+
+
+def reference_window_mismatches(codes, window):
+    """irrational_tiling's coherence loop before the lanes: each center's E
+    bit against the W bit of its east neighbour and its N bit against the S
+    bit of the one above, read from the masks center by center."""
+    x0, y0, x1, y1 = window
+    centers = [(n, m) for n in range(x0, x1) for m in range(y0, y1)]
+    # edge bits: E (4) against W (8) of the east neighbour, h on; N (1), S (2)
+    masks, h = codes.translate(_MASK_TABLE), y1 - y0
+    mismatches = []
+    for i, (n, m) in enumerate(centers):
+        if n + 1 < x1 and (masks[i] >> 2 ^ masks[i + h] >> 3) & 1:
+            mismatches.append(((n, m), (n + 1, m)))
+        if m + 1 < y1 and (masks[i] ^ masks[i + 1] >> 1) & 1:
+            mismatches.append(((n, m), (n, m + 1)))
+    return mismatches
+
+
+@st.composite
+def boundary_windows(draw):
+    """(P, offset, window, eps).  P as in irrational_ps, or a convergent of
+    up to 40 terms, so D runs past 2^64.  The offset is zero, or puts the T
+    of one window column on a zone-boundary fiber T = +-(1 - P), near one
+    or anywhere; its denominators reach 2^64.  Column n's T is
+    P(2n + 1) + 1 + V0 mod 2, the same at every m."""
+    if draw(st.booleans()):
+        P = draw(irrational_ps())
+    else:
+        P = F(0)
+        for a in reversed([2] + draw(st.lists(st.integers(1, 9), min_size=20,
+                                              max_size=40))):
+            P = 1 / (a + P)
+    x0, y0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    window = (x0, y0, x0 + draw(st.integers(1, 9)),
+              y0 + draw(st.integers(1, 9)))
+    den = draw(st.sampled_from((1, 2 ** 21 + 17, 2 ** 64 + 13)))
+    v1, v2 = (F(draw(st.integers(-den, den - 1)), den) for _ in range(2))
+    kind = draw(st.sampled_from(("zero", "on", "near", "any")))
+    if kind == "zero":
+        offset = (F(0),) * 3
+    elif kind == "any":
+        offset = (F(draw(st.integers(-den, den - 1)), den), v1, v2)
+    else:
+        n = draw(st.integers(x0, window[2] - 1))
+        fiber = draw(st.sampled_from((1 - P, P - 1)))
+        gap = F(0) if kind == "on" else F(
+            draw(st.integers(-2 ** 12, 2 ** 12)), 2 ** 40 * den)
+        offset = (fiber - P * (2 * n + 1) - 1 + gap, v1, v2)
+    eps = draw(st.sampled_from((F(1, 2 ** 100), F(1, 2 ** 40), F(1, 2 ** 12),
+                                F(1, 2))))
+    return P, offset, window, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_windows())
+def test_window_columns_match_reference(case):
+    """The column walk against the per-center reduction: whole (codes, min
+    distance, closest center) triples, the early BadOffset returns and
+    the zone-boundary fibers included."""
+    assert pet._window_codes(*case) == reference_window_codes(*case)
+
+
+@pytest.mark.parametrize("P", ["34/89", "55/144", "89/233", "8/21", "13/34",
+                               "21/55"])
+def test_explore_windows_match_reference(P):
+    """The explore workload's P values with README's offset on a 100 x 100
+    window."""
+    case = (F(P), (F(1, 1048583), F(1, 1048609), F(1, 1048613)),
+            (0, 0, 100, 100), F(1, 2 ** 40))
+    got = pet._window_codes(*case)
+    assert got[0] is not None and got == reference_window_codes(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 8),
+       st.integers(1, 8), st.data())
+def test_window_lanes_match_reference(x0, y0, dx, dy, data):
+    """Coherence by lanes against the per-center loop, on a coherent window
+    at 34/89 with up to three codes overwritten, or on random codes: the
+    same mismatches in the same order."""
+    window = (x0, y0, x0 + dx, y0 + dy)
+    seed = (F(1, 1048583), F(1, 1048609), F(1, 1048613))
+    codes = pet._window_codes(F(34, 89), seed, window, F(1, 2 ** 40))[0]
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(0, 3))):
+            codes[data.draw(st.integers(0, dx * dy - 1))] = data.draw(
+                st.integers(0, 15))
+    else:
+        codes = bytearray(data.draw(st.binary(min_size=dx * dy,
+                                              max_size=dx * dy)).translate(
+            bytes(range(16)) * 16))
+    want = reference_window_mismatches(codes, window)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pet, "_window_codes",
+                   lambda *args: (codes, F(1, 2), (x0, y0)))
+        r = irrational_tiling(F(34, 89), seed, window)
+    assert r["mismatches"] == want and r["ok"] is not bool(want)
