@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .params import InvalidParameter, PlaidError, make_param
-from .grid import trace_polygons
 from .pet import (_REGIONS, BadOffset, irrational_tiling, path_polygon,
                   special_orbit)
 from .analysis import gap_radius, polygon_stats
@@ -179,8 +178,7 @@ def cmd_stats(args) -> int:
     if args.document:
         if args.gap_window:
             raise PlaidError("--gap-window applies to the statistics, not --document")
-        polys = {b: trace_polygons(param, b) for b in blocks}
-        _emit(emit(polygon_document(param, sorted(polys), polys)), args.out)
+        _emit(emit(polygon_document(param, sorted(set(blocks)))), args.out)
         return 0
     st = polygon_stats(param, blocks)
     doc = {

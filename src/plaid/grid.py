@@ -504,8 +504,8 @@ class PlaidPolygon:
 
 # the unit step across each edge, indexed as in "NSEW"
 STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
-# an edge mask's exit bit 1 << e -> (dx, dy, the next square's entry bit)
-_MOVES = {1 << e: (*STEPS[e], 1 << (e ^ 1)) for e in range(4)}
+# an edge mask's exit bit 1 << e -> the next square's entry bit 1 << (e ^ 1)
+_ENTRY = bytes((0, 2, 1, 0, 8, 0, 0, 0, 4))
 
 
 def _block_loops(param: Param, block: Tuple[int, int],
@@ -522,25 +522,32 @@ def _block_loops(param: Param, block: Tuple[int, int],
     if i >= 0:
         raise IncoherentInput(f"square {(bi * w + i // w, bj * w + i % w)} has "
                               f"{masks[i].bit_count()} good edges")
+    # the flat step across each exit bit, and each square's exit bits that
+    # leave the block: S at m = 0, N at m = w - 1 (omega >= 3), W and E on
+    # the first and last columns
+    step = (0, 1, -1, 0, w, 0, 0, 0, -w)
+    column = b"\2" + bytes(w - 2) + b"\1"
+    border = bytearray(column * w)
+    border[:w] = bytes(b | 8 for b in column)
+    border[-w:] = bytes(b | 4 for b in column)
     seen = bytearray(w * w)
     for start, mask in enumerate(masks):
         if not mask or seen[start]:
             continue
-        loop = []
-        n, m = divmod(start, w)
-        exit_bit = mask & -mask
-        while not loop or n * w + m != start:
-            if seen[n * w + m]:
+        loop, i, exit_bit = [], start, mask & -mask
+        while not loop or i != start:
+            if seen[i]:
                 raise PlaidError("polygon is not embedded")
-            seen[n * w + m] = 1
-            loop.append(n * w + m)
-            dx, dy, entry = _MOVES[exit_bit]
-            n, m = n + dx, m + dy
-            if not (0 <= n < w and 0 <= m < w):
-                raise PlaidError(f"polygon escaped block at {(n, m)}")
-            here = masks[n * w + m]
+            seen[i] = 1
+            loop.append(i)
+            if exit_bit & border[i]:
+                dx, dy = STEPS[exit_bit.bit_length() - 1]
+                raise PlaidError(f"polygon escaped block at "
+                                 f"{(i // w + dx, i % w + dy)}")
+            i += step[exit_bit]
+            entry, here = _ENTRY[exit_bit], masks[i]
             if not here & entry:
-                raise PlaidError(f"connector mismatch entering {(n, m)}")
+                raise PlaidError(f"connector mismatch entering {divmod(i, w)}")
             exit_bit = here ^ entry
         yield loop
 

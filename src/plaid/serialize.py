@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .params import Param, PlaidError
-from .grid import PlaidPolygon
+from .grid import PlaidPolygon, _block_loops
 
 FORMAT_VERSION = 1
 
@@ -18,22 +18,21 @@ def _half(v2: int) -> str:
 
 
 def polygon_document(param: Param,
-                     blocks: Sequence[Tuple[int, int]],
-                     polygons: Dict[Tuple[int, int], Sequence[PlaidPolygon]]
-                     ) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "param": [param.p, param.q],
-        "blocks": [list(b) for b in blocks],
-        "polygons": [
-            {
-                "block": list(block),
-                "vertices": [[_half(x), _half(y)] for x, y in pg.verts2],
-            }
-            for block in blocks
-            for pg in polygons[block]
-        ],
-    }
+                     blocks: Sequence[Tuple[int, int]]) -> dict:
+    """The polygons of each block, in order, written straight from the block
+    walk: a loop's squares map to vertices through one table per block."""
+    w, polygons = param.omega, []
+    for bi, bj in blocks:
+        xs = [_half(2 * (bi * w + n) + 1) for n in range(w)]
+        ys = [_half(2 * (bj * w + m) + 1) for m in range(w)]
+        # tuples, so that entries shared between loops stay as they are;
+        # json writes them as arrays
+        table = [(x, y) for x in xs for y in ys]
+        polygons += [{"block": [bi, bj],
+                      "vertices": list(map(table.__getitem__, loop))}
+                     for loop in _block_loops(param, (bi, bj))]
+    return {"format": FORMAT_VERSION, "param": [param.p, param.q],
+            "blocks": [list(b) for b in blocks], "polygons": polygons}
 
 
 def emit(doc: dict) -> str:

@@ -8,12 +8,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError
-from .grid import (STEPS, BlockGrid, GridLine, light_lists, light_points_scaled,
-                   trace_polygons)
+from .grid import (STEPS, BlockGrid, GridLine, _block_loops, light_lists,
+                   light_points_scaled)
 from .classifier import cell_code, center_cell
 
 LAYERS = ("grid-lines", "light-points", "connectors", "polygons",
@@ -24,6 +25,8 @@ _DEFAULT_PALETTE = {
     "light-points": "#111111", "connectors": "#007700",
     "polygons": "#000000", "orientation-arrows": "#aa00aa",
 }
+# a palette colour goes into attributes as it stands
+_COLOR = re.compile(r"#[0-9a-fA-F]{3}|#[0-9a-fA-F]{6}|[A-Za-z]+")
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,10 @@ class RenderConfig:
         for layer in self.layers:
             if layer not in LAYERS:
                 raise PlaidError(f"unknown layer {layer!r}")
+        for color in self.palette.values():
+            if not (isinstance(color, str) and _COLOR.fullmatch(color)):
+                raise PlaidError("--palette colours are #rgb, #rrggbb or "
+                                 f"letters, got {color!r}")
 
 
 def _pixel(cfg: RenderConfig, x: int, y: int, den: int) -> Tuple[int, int]:
@@ -157,16 +164,17 @@ def _connectors(param: Param, cfg: RenderConfig,
 
 def _polygons(param: Param, cfg: RenderConfig,
               grids: Dict[int, BlockGrid]) -> List[str]:
-    # _pixel(cfg, x, y, 2) written out: vertices are most of a render's points
-    scale, left, top = cfg.scale, 2 * cfg.window[0], 2 * cfg.window[3]
+    # _pixel(cfg, x, y, 2) of each square center (2x + 1, 2y + 1), written
+    # out once per column and row: vertices are most of a render's points
+    w, scale, (x0, _, _, y1) = param.omega, cfg.scale, cfg.window
+    tail = f'" fill="none" stroke="{cfg.color("polygons")}" stroke-width="2"/>'
     out = []
     for bi, bj in _blocks_of_window(param, cfg):
-        for pg in trace_polygons(param, (bi, bj), grids[bi]):
-            pts = " ".join(f"{(x - left) * scale // 2},"
-                           f"{(top - y) * scale // 2}"
-                           for x, y in pg.verts2)
-            out.append(f'<polygon points="{pts}" fill="none" '
-                       f'stroke="{cfg.color("polygons")}" stroke-width="2"/>')
+        xs = [f"{(2 * (bi * w + n - x0) + 1) * scale // 2}," for n in range(w)]
+        ys = [str((2 * (y1 - bj * w - m) - 1) * scale // 2) for m in range(w)]
+        table = [x + y for x in xs for y in ys]
+        out += ['<polygon points="' + " ".join(map(table.__getitem__, loop))
+                + tail for loop in _block_loops(param, (bi, bj), grids[bi])]
     return out
 
 

@@ -325,7 +325,8 @@ def test_verify_max_omega_below_3_rejected(capsys, bound):
 
 
 @pytest.mark.parametrize("palette", ["bad", "polygons=#000,x", "=#000",
-                                     "polygons=a=b", "nolayer=red"])
+                                     "polygons=a=b", "nolayer=red",
+                                     'polygons=red"/><script>'])
 def test_render_malformed_palette(capsys, palette):
     code = main(["render", "--p", "2", "--q", "5", "--window", "0,0,7,7",
                  "--palette", palette])

@@ -18,8 +18,10 @@ references, past their sweep bound and under planted light and label faults,
 the empty rectangles on running light counts against a search over light
 edges, the integer irrational window against its Fraction oracle and its
 column walk against the former per-center body, its coherence lanes against
-the per-center loop, and the integer SVG renderer against a Fraction
-renderer."""
+the per-center loop, the integer SVG renderer against a Fraction
+renderer, and the flat-index block walk, also under planted mask faults,
+and the polygon layer and polygon documents written from it against the
+former walker and emitters."""
 
 import math
 import random
@@ -34,7 +36,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
-from plaid import classifier, grid, pet, verify
+from plaid import classifier, grid, pet, serialize, svgout, verify
 from plaid.analysis import cut_offsets, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
@@ -106,8 +108,8 @@ MAX_OMEGA = 301
 
 
 @st.composite
-def params(draw, max_omega=MAX_OMEGA):
-    w = draw(st.integers(1, (max_omega - 1) // 2)) * 2 + 1
+def params(draw, max_omega=MAX_OMEGA, min_omega=3):
+    w = draw(st.integers((min_omega - 1) // 2, (max_omega - 1) // 2)) * 2 + 1
     ps = [p for p in range(1, (w + 1) // 2) if math.gcd(p, w) == 1]
     p = draw(st.sampled_from(ps))
     return make_param(p, w - p)
@@ -1892,3 +1894,197 @@ def test_window_lanes_match_reference(x0, y0, dx, dy, data):
                    lambda *args: (codes, F(1, 2), (x0, y0)))
         r = irrational_tiling(F(34, 89), seed, window)
     assert r["mismatches"] == want and r["ok"] is not bool(want)
+
+
+# ---------------------------------------------------------------------------
+# The flat-index block walk, and the pictures and polygon documents written
+# straight from it, against the former walker and emitters
+# ---------------------------------------------------------------------------
+
+# an edge mask's exit bit 1 << e -> (dx, dy, the next square's entry bit)
+REFERENCE_MOVES = {1 << e: (*grid.STEPS[e], 1 << (e ^ 1)) for e in range(4)}
+
+
+def reference_block_loops(param, block, block_grid=None):
+    """grid._block_loops before it stepped flat indices, kept as its oracle:
+    the walk on (n, m) pairs, one move per exit bit, bounds tested on n and
+    m after every step."""
+    w = param.omega
+    bi, bj = block
+    if block_grid is None:
+        block_grid = BlockGrid(param, bi)
+    masks = block_grid.masks()
+    i = masks.translate(grid._INCOHERENT).find(1)
+    if i >= 0:
+        raise IncoherentInput(f"square {(bi * w + i // w, bj * w + i % w)} has "
+                              f"{masks[i].bit_count()} good edges")
+    seen = bytearray(w * w)
+    for start, mask in enumerate(masks):
+        if not mask or seen[start]:
+            continue
+        loop = []
+        n, m = divmod(start, w)
+        exit_bit = mask & -mask
+        while not loop or n * w + m != start:
+            if seen[n * w + m]:
+                raise PlaidError("polygon is not embedded")
+            seen[n * w + m] = 1
+            loop.append(n * w + m)
+            dx, dy, entry = REFERENCE_MOVES[exit_bit]
+            n, m = n + dx, m + dy
+            if not (0 <= n < w and 0 <= m < w):
+                raise PlaidError(f"polygon escaped block at {(n, m)}")
+            here = masks[n * w + m]
+            if not here & entry:
+                raise PlaidError(f"connector mismatch entering {(n, m)}")
+            exit_bit = here ^ entry
+        yield loop
+
+
+def reference_polygons(param, cfg, grids):
+    """svgout._polygons before it read the block walk: each vertex of
+    trace_polygons formatted by its own f-string."""
+    scale, left, top = cfg.scale, 2 * cfg.window[0], 2 * cfg.window[3]
+    out = []
+    for bi, bj in svgout._blocks_of_window(param, cfg):
+        for pg in trace_polygons(param, (bi, bj), grids[bi]):
+            pts = " ".join(f"{(x - left) * scale // 2},"
+                           f"{(top - y) * scale // 2}"
+                           for x, y in pg.verts2)
+            out.append(f'<polygon points="{pts}" fill="none" '
+                       f'stroke="{cfg.color("polygons")}" stroke-width="2"/>')
+    return out
+
+
+def reference_polygon_document(param, blocks):
+    """serialize.polygon_document before it walked the blocks itself: the
+    traced polygons of each block, two _half calls per vertex."""
+    polygons = {b: trace_polygons(param, b) for b in blocks}
+    return {
+        "format": serialize.FORMAT_VERSION,
+        "param": [param.p, param.q],
+        "blocks": [list(b) for b in blocks],
+        "polygons": [
+            {
+                "block": list(block),
+                "vertices": [[serialize._half(x), serialize._half(y)]
+                             for x, y in pg.verts2],
+            }
+            for block in blocks
+            for pg in polygons[block]
+        ],
+    }
+
+
+def walk_outcome(walker, param, block, block_grid=None):
+    """The loops a walker yields, then the type and text of what it raised,
+    or None."""
+    loops = []
+    try:
+        for loop in walker(param, block, block_grid):
+            loops.append(loop)
+    except PlaidError as exc:
+        return loops, type(exc), str(exc)
+    return loops, None
+
+
+def test_block_loops_match_reference_to_21():
+    """Every block (bi, 0) and (bi, 1) of every even rational to 21."""
+    for param in even_rationals(21):
+        for bi in range(param.omega):
+            for bj in (0, 1):
+                block_grid = BlockGrid(param, bi)
+                assert list(grid._block_loops(param, (bi, bj), block_grid)) \
+                    == list(reference_block_loops(param, (bi, bj),
+                                                  block_grid))
+
+
+@settings(max_examples=6, deadline=None)
+@given(params(301, 101), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA),
+       st.integers(-1, 1))
+def test_block_loops_match_reference(param, bi, bj):
+    block_grid = BlockGrid(param, bi)
+    assert list(grid._block_loops(param, (bi, bj), block_grid)) == \
+        list(reference_block_loops(param, (bi, bj), block_grid))
+
+
+class PlantedMasks:
+    """A grid whose masks() are given bytes."""
+
+    def __init__(self, masks):
+        self._masks = bytes(masks)
+
+    def masks(self):
+        return self._masks
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (4, 11), (10, 11), (8, 23)])
+def test_planted_mask_faults_match_reference(pq):
+    """Random squares of a block given other masks: a two-bit mask pointing
+    out of the block on its border, any two-bit mask, or any mask.  Both
+    walkers yield the same loops and then raise the same error with the
+    same text; across the parameters every error shows."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    border = [i for i in range(w * w) if i < w or i >= w * w - w
+              or i % w in (0, w - 1)]
+    two_bits = [a | b for a in (1, 2, 4, 8) for b in (1, 2, 4, 8) if a < b]
+    kinds = ("good edges", "escaped block", "connector mismatch")
+    seen = set()
+    for trial in range(120):
+        bi, bj = rng.randrange(-w, 2 * w), rng.randrange(-1, 2)
+        masks = bytearray(BlockGrid(param, bi).masks())
+        kind = trial % 3
+        for _ in range(rng.randint(1, 3)):
+            i = rng.choice(border) if kind == 0 else rng.randrange(w * w)
+            masks[i] = rng.choice(two_bits) if kind < 2 else rng.randrange(16)
+        planted = PlantedMasks(masks)
+        got = walk_outcome(grid._block_loops, param, (bi, bj), planted)
+        assert got == walk_outcome(reference_block_loops, param, (bi, bj),
+                                   planted)
+        if got[1] is not None:
+            seen.update(k for k in kinds if k in got[2])
+    assert seen == set(kinds)
+
+
+@st.composite
+def edge_windows(draw, w):
+    """A window of up to 13 x 13 round the block corner (kx*w, ky*w), kx
+    and ky in {-1, 0}: it spans four blocks, and its southwest corner is
+    negative."""
+    kx, ky = draw(st.integers(-1, 0)) * w, draw(st.integers(-1, 0)) * w
+    return (kx - draw(st.integers(1, 6)), ky - draw(st.integers(1, 6)),
+            kx + draw(st.integers(1, 7)), ky + draw(st.integers(1, 7)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(params(151), st.data())
+def test_polygon_layer_matches_reference(param, data):
+    """The polygon layer, byte for byte, at odd and even scales, on windows
+    across four blocks."""
+    cfg = RenderConfig(window=data.draw(edge_windows(param.omega)),
+                       scale=data.draw(st.integers(1, 31)),
+                       layers=("polygons",))
+    grids = {bi: BlockGrid(param, bi)
+             for bi, _ in svgout._blocks_of_window(param, cfg)}
+    polygons = reference_polygons(param, cfg, grids)
+    head = render_svg(param, RenderConfig(window=cfg.window, scale=cfg.scale,
+                                          layers=()))
+    want = head[:-len("</svg>\n")] + "".join(p + "\n" for p in polygons) + \
+        "</svg>\n"
+    assert render_svg(param, cfg) == want
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(151), st.lists(st.tuples(st.integers(-2 * MAX_OMEGA,
+                                                   2 * MAX_OMEGA),
+                                       st.integers(-1, 1)),
+                             min_size=1, max_size=3), st.data())
+def test_polygon_document_matches_reference(param, blocks, data):
+    """Document bytes over block lists with negative blocks, and with a
+    block repeated or not."""
+    if data.draw(st.booleans()):
+        blocks.append(blocks[0])
+    assert serialize.emit(serialize.polygon_document(param, blocks)) == \
+        serialize.emit(reference_polygon_document(param, blocks))

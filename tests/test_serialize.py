@@ -14,13 +14,11 @@ from plaid.serialize import (
 
 def test_roundtrip_identity(p25):
     blocks = [(bi, 0) for bi in range(7)]
-    polys = {b: trace_polygons(p25, b) for b in blocks}
-    doc = polygon_document(p25, blocks, polys)
-    text = emit(doc)
+    text = emit(polygon_document(p25, blocks))
     assert emit(parse_polygon_document(text)) == text
     back = document_polygons(parse_polygon_document(text))
     assert {b: [pg.verts2 for pg in ps] for b, ps in back.items()} == \
-        {b: [pg.verts2 for pg in ps] for b, ps in polys.items()}
+        {b: [pg.verts2 for pg in trace_polygons(p25, b)] for b in blocks}
 
 
 def test_doubled_coordinates_written_as_fractions():
@@ -38,10 +36,8 @@ def test_golden_corpus_roundtrip():
         doc = parse_polygon_document(text)
         assert emit(doc) == text
         prm = make_param(*pq)
-        recomputed = {
-            (bi, 0): trace_polygons(prm, (bi, 0)) for bi in range(prm.omega)}
-        assert emit(polygon_document(
-            prm, sorted(recomputed), recomputed)) == text
+        blocks = [(bi, 0) for bi in range(prm.omega)]
+        assert emit(polygon_document(prm, blocks)) == text
 
 
 def test_format_version_enforced():

@@ -89,6 +89,18 @@ def test_config_validation():
         RenderConfig(window=(0, 0, 7, 7), layers=("nope",))
 
 
+@pytest.mark.parametrize("color", ['red"/><script>', "#12", "#1234",
+                                   "#12345g", "light blue", "r\u00e9d", "",
+                                   7])
+def test_palette_colours_go_into_markup_only_when_plain(color):
+    """A colour is written into attributes as it stands: only #rgb,
+    #rrggbb and ASCII names are taken."""
+    with pytest.raises(PlaidError, match="colours"):
+        RenderConfig(window=(0, 0, 7, 7), palette={"polygons": color})
+    for good in ("#abc", "#A0b1C2", "rebeccapurple"):
+        RenderConfig(window=(0, 0, 7, 7), palette={"polygons": good})
+
+
 @pytest.mark.parametrize("layer", ["polygons", "grid-lines"])
 @pytest.mark.parametrize("window,scale", [((F(1, 2), 0, 7, 7), 24),
                                           ((0, 0, 7.0, 7), 24),

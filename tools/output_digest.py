@@ -15,6 +15,11 @@ Groups:
 - render        render with all layers on windows spanning 2 x 2 blocks at
                 2/5, 4/11 and 10/11, one of them with negative corners,
                 each at the default scale and at scale 7;
+- documents     stats --document over every block (bi, 0) and over the
+                --blocks list 1,-1,1,0 (a repeated and a negative block) of
+                every even rational at omega <= N, and one all-layer render
+                at omega 101 on a window with negative corners crossing four
+                blocks;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
@@ -57,6 +62,8 @@ CENTER_OMEGA = 15
 CRITERION_12_PS = ("8/21", "34/89", "144/377")
 IRRATIONAL_OFFSET = "1/1048583,1/1048609,1/1048613"
 IRRATIONAL_WINDOW = "0,0,24,24"
+DOCUMENT_BLOCKS = "1,-1,1,0"
+DOCUMENT_WINDOW = "-6,-5,7,8"
 
 
 def _digest(chunks) -> str:
@@ -128,6 +135,16 @@ def main(argv=None) -> int:
                 for p, q in RENDER_PARAMS for win in _render_windows(p + q)
                 for scale in ([], ["--scale", "7"])]
         print(f"{'render':<24} {_digest(runs)}")
+        runs = []
+        for param in even_rationals(args.max_omega):
+            pq = ["--p", str(param.p), "--q", str(param.q)]
+            for blocks in ([], ["--blocks=" + DOCUMENT_BLOCKS]):
+                runs.append(_cli_run(cli, ["stats", "--document", *pq,
+                                           *blocks], outdir, 0))
+        runs.append(_cli_run(cli, ["render", "--p", "50", "--q", "51",
+                                   "--window=" + DOCUMENT_WINDOW,
+                                   "--layers", ALL_LAYERS], outdir, 0))
+        print(f"{'documents':<24} {_digest(runs)}  ({len(runs)} requests)")
         runs = []
         for P in dict.fromkeys(workloads.IRRATIONAL_P + CRITERION_12_PS):
             argv = ["irrational", "--P", P, "--window", IRRATIONAL_WINDOW]
