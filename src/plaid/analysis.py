@@ -27,7 +27,8 @@ from .grid import (
     BlockGrid,
     GridLine,
     capacity_scaled,
-    light_points_on_line,
+    light_lists,
+    light_points_scaled,
     trace_polygons,
 )
 
@@ -73,19 +74,19 @@ def verify_first(param: Param) -> Dict[str, object]:
     """The large symmetric polygon of the first block.
 
     Finds the positive capacity-2 horizontal line, whose two light points sit
-    at x = 0 and x = omega^2/(2q); the polygon crossing the unit segment east
-    of the first one must reach the second, so its x-diameter is at least
-    omega^2/(2q) - 1, and it is preserved by reflection in the block's
-    horizontal midline.
+    at x = 0 and x = omega^2/(2q), read in units of 1/(2pq) at 0 and
+    omega^2*p; the polygon crossing the unit segment east of the first one
+    must reach the second, so its x-diameter is at least omega^2/(2q) - 1,
+    and it is preserved by reflection in the block's horizontal midline.
     """
     w, p, q = param.omega, param.p, param.q
     y0 = next(y for y in range(1, w) if capacity_scaled(param, y) == 2)
-    lights = light_points_on_line(param, GridLine("H", y0), (0, 0))
-    expected_x2 = Fraction(w * w, 2 * q)
+    den, lights = light_points_scaled(param, GridLine("H", y0), (0, 0),
+                                      light_lists(param)[y0])
     xs = [x for x, _ in lights]
-    if Fraction(0) not in xs or expected_x2 not in xs:
+    if 0 not in xs or w * w * p not in xs:
         return {"ok": False, "reason": "witness light points missing",
-                "line": y0, "lights": [str(x) for x in xs]}
+                "line": y0, "lights": [str(Fraction(x, den)) for x in xs]}
     polys = trace_polygons(param, (0, 0))
     witness = None
     for pg in polys:

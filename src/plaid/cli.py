@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(SUITES) + ["golden", "irrational"])
     v.add_argument("--max-omega", type=int)
     v.add_argument("--params", help="explicit list like 3/8,4/11")
-    v.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    v.add_argument("--jobs", type=int, help="worker processes, at most one "
+                   "per CPU and per parameter (default 1)")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 

@@ -28,8 +28,8 @@ residues, so that a caller drawing many lines builds the lists once.
 The light rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
-the Fraction-valued functions are the reference surface they are tested
-against.
+the Fraction-valued functions are test oracles only: no suite or command
+reaches them (tests/test_exactness.py).
 """
 
 from __future__ import annotations
@@ -371,23 +371,20 @@ class CoherenceReport:
 
 def check_coherence(param: Param, region: Optional[Tuple[int, int, int, int]] = None
                     ) -> CoherenceReport:
-    """0-or-2 good edges for every unit square.
-
-    With region=None the full fundamental domain [0, omega^2] x [0, omega] is
-    swept blockwise with integer arithmetic.  An explicit region
-    (x0, y0, x1, y1) is checked square by square through the reference path.
-    Failures are returned as data, never raised.
-    """
+    """0-or-2 good edges for every unit square (n, m), x0 <= n < x1 and
+    y0 <= m < y1, of the region (x0, y0, x1, y1), by default the fundamental
+    domain.  Each block column's incoherent_squares go into every block row
+    the region meets, as block (bi, bj) copies (bi mod omega, 0), so bad
+    squares come in block order; they are returned, never raised."""
+    w = param.omega
+    x0, y0, x1, y1 = region or (0, 0, w * w, w)
     bad: List[Tuple[int, int]] = []
-    if region is None:
-        for bi in range(param.omega):
-            bad.extend(BlockGrid(param, bi).incoherent_squares())
-    else:
-        x0, y0, x1, y1 = region
-        for n in range(x0, x1):
-            for m in range(y0, y1):
-                if len(good_edges(param, (n, m))) not in (0, 2):
-                    bad.append((n, m))
+    for bi in range(x0 // w, -(-x1 // w)):
+        dx = bi // w * w * w  # incoherent_squares places block bi mod omega
+        squares = BlockGrid(param, bi).incoherent_squares()
+        for dy in range(y0 // w * w, y1, w):
+            bad += [(n + dx, m + dy) for n, m in squares
+                    if x0 <= n + dx < x1 and y0 <= m + dy < y1]
     return CoherenceReport(ok=not bad, bad_squares=bad)
 
 
@@ -705,10 +702,11 @@ def trace_particle(param: Param, start: IntersectionPoint) -> Particle:
             k = Fraction(x) % (w * w) * 2 * s / w
             if k.denominator == 1:
                 j, r = divmod(k.numerator, 2 * s)
-                return horizontal_particle(param, int(y0) % w, (j + sign * r * a) % w)
+                return horizontal_particle(param, int(y0), (j + sign * r * a) % w)
         raise PlaidError(f"no horizontal particle through {start.location}")
     if start.host.family == "V":
-        x0, j = start.host.intercept % w, start.host.intercept // w % w
+        c = start.host.intercept  # c = x0 + j*w with j in [0, w)
+        x0, j = c - c % (w * w) + c % w, c % (w * w) // w
         ptype = start.ptype if start.ptype in ("P", "Q") else "P"
         s2 = 2 * (param.p if ptype == "P" else param.q)
         # instance n sits d/w units above the particle's first, n = +-d/w

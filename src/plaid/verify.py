@@ -319,10 +319,10 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
         if suite == "mesh" and max_omega is None:
             params = [make_param(*pq) for pq in MESH_WITNESSES + MESH_EXTRAS]
         else:
-            params = even_rationals(DEFAULT_BOUNDS.get(suite, 20)
+            params = even_rationals(DEFAULT_BOUNDS[suite]
                                     if max_omega is None else max_omega)
     jobs_list = [(suite, prm.p, prm.q) for prm in params]
-    jobs = min(jobs, len(jobs_list))  # fork starts every worker at once
+    jobs = min(jobs, len(jobs_list), os.cpu_count() or 1)  # all forked at once
     if jobs > 1:
         # imported here: a third of the package's import time otherwise
         from concurrent.futures import ProcessPoolExecutor

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -151,9 +152,13 @@ def test_verify_first_failure_lights_are_strings(capsys, monkeypatch):
     JSON record that lists the kept point, not a traceback."""
     from plaid import analysis
 
-    real = analysis.light_points_on_line
-    monkeypatch.setattr(analysis, "light_points_on_line",
-                        lambda *args: real(*args)[1:])
+    real = analysis.light_points_scaled
+
+    def drop_first(*args):
+        den, pts = real(*args)
+        return den, pts[1:]
+
+    monkeypatch.setattr(analysis, "light_points_scaled", drop_first)
     code, out = run(capsys, "verify", "--suite", "first", "--params", "2/5")
     assert code == 1
     assert json.loads(out) == {
@@ -180,14 +185,10 @@ def test_verify_jobs_parallel(capsys):
     assert run(capsys, *argv) == (0, out)
 
 
-def test_run_suite_starts_at_most_one_worker_per_parameter(monkeypatch):
-    """The fork context starts all max_workers processes at the first
-    submit, so run_suite asks for no more workers than parameters, and
-    runs one parameter serially.  The pool is a recorder that starts no
-    process."""
+def recording_pool(monkeypatch):
+    """A ProcessPoolExecutor stand-in that runs the map in this process and
+    records each pool's max_workers: it starts no process."""
     import concurrent.futures
-
-    from plaid.verify import run_suite
 
     started = []
 
@@ -205,6 +206,17 @@ def test_run_suite_starts_at_most_one_worker_per_parameter(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return started
+
+
+def test_run_suite_starts_at_most_one_worker_per_parameter(monkeypatch):
+    """The fork context starts all max_workers processes at the first
+    submit, so run_suite asks for no more workers than parameters, and
+    runs one parameter serially."""
+    from plaid.verify import run_suite
+
+    started = recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     params = [make_param(1, 2), make_param(2, 5)]
     serial = run_suite("two-points", params=params)
     assert started == []
@@ -213,6 +225,25 @@ def test_run_suite_starts_at_most_one_worker_per_parameter(monkeypatch):
     assert run_suite("two-points", params=params[:1], jobs=8) == serial[:1]
     assert run_suite("two-points", params=params, jobs=2) == serial
     assert started == [2, 2]
+
+
+def test_run_suite_starts_at_most_one_worker_per_cpu(monkeypatch):
+    """--jobs above the CPU count starts one worker per CPU, and a host
+    whose CPU count is unknown runs serially."""
+    from plaid.verify import run_suite
+
+    started = recording_pool(monkeypatch)
+    params = [make_param(1, 2), make_param(2, 5), make_param(3, 8),
+              make_param(4, 11)]
+    serial = run_suite("two-points", params=params)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_suite("two-points", params=params, jobs=1000) == serial
+    assert started == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_suite("two-points", params=params, jobs=1000) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_suite("two-points", params=params, jobs=1000) == serial
+    assert started == [3]
 
 
 def test_orbit(capsys):

@@ -21,7 +21,9 @@ column walk against the former per-center body, its coherence lanes against
 the per-center loop, the integer SVG renderer against a Fraction
 renderer, and the flat-index block walk, also under planted mask faults,
 and the polygon layer and polygon documents written from it against the
-former walker and emitters."""
+former walker and emitters, and criterion 8 and region coherence on the
+integer grid against their former Fraction paths, also under planted light,
+witness and mask faults."""
 
 import math
 import random
@@ -36,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
-from plaid import classifier, grid, pet, serialize, svgout, verify
+from plaid import analysis, classifier, grid, pet, serialize, svgout, verify
 from plaid.analysis import cut_offsets, empty_rectangles
 from plaid.svgout import LAYERS, RenderConfig, render_svg
 from plaid.classifier import (
@@ -92,6 +94,7 @@ from plaid.grid import (
     PlaidPolygon,
     UnitSegment,
     capacity_scaled,
+    check_coherence,
     closed_point_counts,
     good_edges,
     horizontal_particle,
@@ -2088,3 +2091,184 @@ def test_polygon_document_matches_reference(param, blocks, data):
         blocks.append(blocks[0])
     assert serialize.emit(serialize.polygon_document(param, blocks)) == \
         serialize.emit(reference_polygon_document(param, blocks))
+
+
+# Criterion 8 and region coherence on the integer grid, against their former
+# Fraction paths
+# ---------------------------------------------------------------------------
+
+def reference_verify_first(param, trace_polygons=trace_polygons):
+    """analysis.verify_first as it read the witness line through the
+    Fraction view light_points_on_line, kept as its oracle."""
+    w, p, q = param.omega, param.p, param.q
+    y0 = next(y for y in range(1, w) if capacity_scaled(param, y) == 2)
+    lights = light_points_on_line(param, GridLine("H", y0), (0, 0))
+    expected_x2 = Fraction(w * w, 2 * q)
+    xs = [x for x, _ in lights]
+    if Fraction(0) not in xs or expected_x2 not in xs:
+        return {"ok": False, "reason": "witness light points missing",
+                "line": y0, "lights": [str(x) for x in xs]}
+    polys = trace_polygons(param, (0, 0))
+    witness = None
+    for pg in polys:
+        pairs = set(zip(pg.verts2, pg.verts2[1:] + pg.verts2[:1]))
+        # the polygon crossing [0,1] x {y0} joins the centers below and above
+        lowc, highc = (1, 2 * y0 - 1), (1, 2 * y0 + 1)
+        if (lowc, highc) in pairs or (highc, lowc) in pairs:
+            witness = pg
+            break
+    if witness is None:
+        return {"ok": False, "reason": "no polygon crosses the witness segment",
+                "line": y0}
+    bound = Fraction(w * w, 2 * q) - 1
+    x_diam = Fraction(witness.x_diameter2(), 2)
+    symmetric = witness.reflected_y2(w).verts2 == witness.verts2
+    return {
+        "ok": x_diam >= bound and symmetric,
+        "line": y0,
+        "x_diameter": x_diam,
+        "bound": bound,
+        "symmetric": symmetric,
+        "perimeter": len(witness),
+    }
+
+
+def reference_region_coherence(param, region, good_edges=good_edges):
+    """check_coherence's former region path, kept as its oracle: every
+    square of the region through good_edges, in n-major order."""
+    bad = []
+    x0, y0, x1, y1 = region
+    for n in range(x0, x1):
+        for m in range(y0, y1):
+            if len(good_edges(param, (n, m))) not in (0, 2):
+                bad.append((n, m))
+    return bad
+
+
+def witness_line(param):
+    return next(y for y in range(1, param.omega)
+                if capacity_scaled(param, y) == 2)
+
+
+def outcome(check, *args):
+    """check(*args), or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except PlaidError as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_first_matches_reference_to_61():
+    for param in even_rationals(61):
+        assert analysis.verify_first(param) == reference_verify_first(param)
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda res, w: res[1:], "witness light points missing"),
+    (lambda res, w: [(r + 1) % w for r in res], "witness light points missing"),
+    (lambda res, w: res + [(res[0] + 1) % w], None),
+])
+def test_light_faults_on_witness_line_match_first_reference(change, reason,
+                                                            monkeypatch):
+    """The witness line's light residues removed, moved or joined by
+    another: the same record, or the same error when the changed lights
+    break the block's coherence."""
+    real = grid.light_lists
+
+    def light_lists(param):
+        by_line = list(real(param))
+        y0 = witness_line(param)
+        by_line[y0] = change(by_line[y0], param.omega)
+        return by_line
+
+    monkeypatch.setattr(grid, "light_lists", light_lists)
+    monkeypatch.setattr(analysis, "light_lists", light_lists)
+    for param in even_rationals(31):
+        got = outcome(analysis.verify_first, param)
+        assert got == outcome(reference_verify_first, param), param
+        if reason is not None:
+            assert got["reason"] == reason and got["line"] == witness_line(param)
+
+
+def test_dropped_witness_matches_first_reference(monkeypatch):
+    def dropped(param, block=(0, 0), block_grid=None):
+        highc = (1, 2 * witness_line(param) + 1)
+        return [pg for pg in trace_polygons(param, block, block_grid)
+                if highc not in pg.verts2]
+
+    monkeypatch.setattr(analysis, "trace_polygons", dropped)
+    for param in even_rationals(31):
+        got = analysis.verify_first(param)
+        assert got == reference_verify_first(param, dropped), param
+        assert got["reason"] == "no polygon crosses the witness segment"
+
+
+def coherence_regions(rng, w):
+    """A region round a block corner, negative or not, crossing a block row
+    and a block column; a strip wider than omega^2 across a block row; and
+    an empty region."""
+    kx, ky = rng.randrange(-w, w + 1) * w, rng.randrange(-2, 3) * w
+    corner = (kx - rng.randint(1, w), ky - rng.randint(1, w),
+              kx + rng.randint(1, w), ky + rng.randint(1, w))
+    x0 = rng.randrange(-2 * w * w, w * w)
+    strip = (x0, ky - 1, x0 + w * w + rng.randint(1, 2 * w), ky + 1)
+    return corner, strip, (kx, ky, kx, ky + w)
+
+
+COHERENCE_PARAMS = [(1, 2), (2, 5), (4, 11), (8, 13), (10, 11)]
+
+
+@pytest.mark.parametrize("pq", COHERENCE_PARAMS)
+def test_region_coherence_matches_reference(pq):
+    param = make_param(*pq)
+    for region in coherence_regions(random.Random(param.omega), param.omega):
+        rep = check_coherence(param, region)
+        assert rep.ok and rep.bad_squares == []
+        assert reference_region_coherence(param, region) == []
+
+
+@pytest.mark.parametrize("pq", COHERENCE_PARAMS)
+def test_planted_mask_faults_match_region_reference(pq, monkeypatch):
+    """One to three squares of the fundamental domain given other masks,
+    which every copy of a square shares: the same bad squares, in block
+    order, as the reference's n-major order; and the default sweep lists
+    them as the block sweep does."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    planted = {}
+    real_masks = BlockGrid.masks
+
+    def masks(self):
+        out = bytearray(real_masks(self))
+        for (x, y), mask in planted.items():
+            if x // w == self.bi:
+                out[x % w * w + y] = mask
+        return bytes(out)
+
+    known = {}
+
+    def planted_good_edges(param, square):
+        key = (square[0] % (w * w), square[1] % w)
+        if key in planted:
+            return {e for i, e in enumerate("NSEW") if planted[key] >> i & 1}
+        if square not in known:
+            known[square] = good_edges(param, square)
+        return known[square]
+
+    monkeypatch.setattr(BlockGrid, "masks", masks)
+    regions = coherence_regions(rng, w)[:2]
+    found = 0
+    for trial in range(12):
+        x0, y0, x1, y1 = region = regions[trial % 2]
+        planted.clear()
+        for _ in range(rng.randint(1, 3)):
+            n, m = rng.randrange(x0, x1), rng.randrange(y0, y1)
+            planted[n % (w * w), m % w] = rng.randrange(16)
+        got = check_coherence(param, region).bad_squares
+        assert sorted(got) == \
+            reference_region_coherence(param, region, planted_good_edges)
+        assert check_coherence(param).bad_squares == [
+            sq for bi in range(w) for sq in BlockGrid(param, bi).incoherent_squares()]
+        found += len(got)
+    assert found

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from plaid import grid, verify
+from plaid import analysis, grid, verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import (
     BlockGrid,
@@ -431,6 +431,21 @@ class TestParticles:
                     for inst in part.instances:
                         assert trace_particle(prm, inst) == key, (prm, inst)
 
+    def test_trace_particle_contains_its_start_off_the_first_block(self):
+        """An instance on a line outside [0, omega), a horizontal one at
+        height y0 or a vertical one on x = x0 + j*omega, traces to a
+        particle that holds it."""
+        for prm in even_rationals(7):
+            w = prm.omega
+            for c in [*range(-w, 0), *range(w, 2 * w)]:
+                for j0 in range(w):
+                    for part in (horizontal_particle(prm, c, j0),
+                                 vertical_particle(prm, c, "P", j0),
+                                 vertical_particle(prm, c, "Q", j0)):
+                        for inst in part.instances:
+                            assert inst in trace_particle(prm, inst).instances, \
+                                (prm, inst)
+
     def test_trace_particle_rejects_made_up_points(self, p25):
         def point(location, host, ptype):
             return IntersectionPoint(location, host, GridLine(ptype, 0),
@@ -459,7 +474,7 @@ class TestHier:
 
 def drop_one_light(monkeypatch, c0):
     """Plant a fault: the lights of the capacity line c0 (and its translates
-    by omega) lose their first residue."""
+    by omega) lose their first residue, in every module that reads them."""
     real = grid.light_lists
 
     def light_lists(param):
@@ -467,7 +482,8 @@ def drop_one_light(monkeypatch, c0):
         by_line[c0] = by_line[c0][1:]
         return by_line
 
-    monkeypatch.setattr(grid, "light_lists", light_lists)
+    for module in (grid, analysis, verify):
+        monkeypatch.setattr(module, "light_lists", light_lists)
 
 
 class TestPlantedFaults:
