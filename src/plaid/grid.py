@@ -22,10 +22,11 @@ mass -2k-1 at b = (h - k)/p mod omega, h = (omega-1)/2.  A line of capacity
 cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
 the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
-(light_lists).  A light point is a light residue placed on a crossing, by
-BlockGrid._fill for a whole block and by light_points_scaled for one line's
-residues, so that a caller drawing many lines builds the lists once.
-The light rule itself, _light, stays as the reference in segment_points.
+(light_lists).  A light point is a light residue placed on a crossing:
+light_points_scaled places one line's residues, so that a caller drawing
+many lines builds the lists once, and BlockGrid gathers a whole block's
+counts as edge columns of skewed light strings (the column fact).  The
+light rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
 the Fraction-valued functions are test oracles only: no suite or command
@@ -37,6 +38,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -273,6 +276,24 @@ def light_lists(param: Param) -> List[List[int]]:
     return by_line
 
 
+@lru_cache(maxsize=1)
+def _fill_tables(w: int, p: int, by_line: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """BlockGrid's tables: the light strings L_c doubled; diag[k], byte
+    (m + k) % w of L_m for m = 0..w, then a zero column 2w; three itemgetters
+    of each edge's weighted slots in diag rotated for p, then q, padded by
+    2w.  Keyed on the light lists, so changed lights meet no stale table."""
+    strings = [bytes(map(set(res).__contains__, range(w))) for res in by_line]
+    skew = b"".join(s[m:] + s[:m] for m, s in enumerate(strings)) + bytes(w)
+    diag = [skew[k::w] for k in range(w)] + [bytes(w + 1)]
+    picks = [[] for _ in range(w)]
+    for s, offset in ((p, 0), (w - p, w)):
+        for r, (edge, weight) in enumerate(_h_slots(w, s, s == p)):
+            picks[edge] += [offset + r % w] * weight
+    edges = [itemgetter(*slots) for slots in
+             zip(*(pick + [2 * w] * (3 - len(pick)) for pick in picks))]
+    return [s + s for s in strings], diag, edges
+
+
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
 # good when it carries exactly one light point (translate tables)
 _GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
@@ -290,6 +311,13 @@ class BlockGrid:
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
     {bi*w + n} x [m, m + 1].
 
+    The column fact fills them in O(omega) Python steps.  With L_m line m's
+    0/1 light string, slot r of family s (_h_slots) on row m is lit exactly
+    when L_m[(m + r + 2s*bi) % w] is 1, so the slot's values down all rows
+    are diag[(r + 2s*bi) % w], one skewed string per parameter.  An hl edge
+    column sums at most three of them, and vl column n sums L_n rotated by
+    ceil(2s*(bi*w + n)/w), s = p, q; each sum is taken on big-endian ints.
+
     The grid side's one integer light structure: edge-mask readers read the
     bytes of masks(), hier and block_light_cache the rows and columns.
     """
@@ -304,33 +332,23 @@ class BlockGrid:
         self._fill()
 
     def _fill(self):
-        param, bi = self.param, self.bi
-        w, p, q = param.omega, param.p, param.q
-        hl, vl = self.hl, self.vl
+        w, p, bi = self.param.omega, self.param.p, self.bi
         # row c and column c of a block lie on lines of one capacity
-        by_line = light_lists(param)
-        families = ((2 * p, _h_slots(w, p, True)),
-                    (2 * q, _h_slots(w, q, False)))
-        for m, res in enumerate(by_line):
-            row = m * w
-            for s2, slots in families:
-                base = (m + s2 * bi) % w
-                for rho in res:
-                    # the crossing windows are longer than w for the steep
-                    # family, so step residues by w
-                    r = (rho - base) % w
-                    while r <= s2:
-                        edge, weight = slots[r]
-                        hl[row + edge] += weight
-                        r += w
-        for n, res in enumerate(by_line):
-            x_abs = bi * w + n
-            col = n * w
-            for s in (p, q):
-                # closed_point_counts' crossing rule: line lo + e meets edge e
-                lo = -(-2 * s * x_abs // w)
-                for rho in res:
-                    vl[col + (rho - lo) % w] += 1
+        lines, diag, edges = _fill_tables(
+            w, p, tuple(map(tuple, light_lists(self.param))))
+        # slot r of family s reads diag[(r + 2s*bi) % w]; 2q*bi = -2p*bi
+        k = 2 * p * bi % w
+        slots = diag[k:w] + diag[:k] + diag[w - k:w] + diag[:w - k] + diag[w:]
+        # no edge counts more than 4, so the big-endian sums carry no byte
+        cols = sum(int.from_bytes(b"".join(get(slots)), "big")
+                   for get in edges).to_bytes((w + 1) * w, "big")
+        self.hl[:] = b"".join(cols[m::w + 1] for m in range(w + 1))
+        # closed_point_counts' crossing rule: on the line x, the line of
+        # intercept ceil(2s*x/w) + e meets edge e
+        self.vl[:w * w] = sum(int.from_bytes(b"".join(
+            line[j:j + w] for line, j in zip(lines, (
+                -(-2 * s * x // w) % w for x in range(bi * w, bi * w + w)))),
+            "big") for s in (p, w - p)).to_bytes(w * w, "big")
 
     def edge_mask(self, n: int, m: int) -> int:
         """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
@@ -656,7 +674,8 @@ def _read_light(param: Param, lit: Set[int], c: int, walks) -> List[bool]:
 
 def horizontal_particle(param: Param, y0: int, j0: int) -> Particle:
     """The horizontal particle through the block corner (j0*omega, y0): the
-    Fraction view of its walk, read on line y0, with each instance's k."""
+    Fraction view of its walk, read on line y0, with each instance's k.  It
+    is given mod omega^2 in x: its instances lie in [0, omega^2)."""
     w, p, a = param.omega, param.p, param.adj
     walk = _h_walk(param, j0, y0)
     light, = _read_light(param, set(light_lists(param)[y0 % w]), y0, [("h", walk)])
@@ -691,7 +710,8 @@ def vertical_particle(param: Param, x0: int, ptype: str, j0: int) -> Particle:
 
 def trace_particle(param: Param, start: IntersectionPoint) -> Particle:
     """Trace the particle through a given intersection point, whose block and
-    step give the particle's starting block j0."""
+    step give the particle's starting block j0.  A horizontal particle is
+    given mod omega^2: H instances at x and x +- omega^2 give one particle."""
     w, a = param.omega, param.adj
     if start.host.family == "H":
         x, y0 = start.location

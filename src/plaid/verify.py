@@ -277,13 +277,13 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 
 DEFAULT_BOUNDS = {
     "coherence": 51,
-    "isomorphism": 41,
+    "isomorphism": 51,
     "two-points": 61,
-    "hier": 41,
+    "hier": 51,
     "bijection": 51,
     "pet-equivalence": 31,
     "first": 61,
-    "empty-rect": 41,
+    "empty-rect": 51,
     "symmetry": 41,
     "particle-geometry": 41,
 }

@@ -53,7 +53,7 @@ def test_criterion_01_coherence(capsys):
 
 
 def test_criterion_02_isomorphism():
-    _sweep(2, "grid = tile isomorphism", "isomorphism", 41)
+    _sweep(2, "grid = tile isomorphism", "isomorphism", 51)
 
 
 def test_criterion_03_two_points_per_segment():
@@ -61,7 +61,7 @@ def test_criterion_03_two_points_per_segment():
 
 
 def test_criterion_04_capacity_census():
-    _sweep(4, "capacity-k lines carry k light points", "hier", 41)
+    _sweep(4, "capacity-k lines carry k light points", "hier", 51)
 
 
 def test_criterion_05_bijection():
@@ -88,7 +88,7 @@ def test_criterion_08_large_symmetric_polygon():
 
 
 def test_criterion_09_empty_rectangles():
-    _sweep(9, "empty rectangle and its census", "empty-rect", 41)
+    _sweep(9, "empty rectangle and its census", "empty-rect", 51)
 
 
 def test_criterion_10_symmetries():

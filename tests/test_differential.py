@@ -1,8 +1,10 @@
 """The integer fast paths against their references, at random even rationals
 far beyond the sweep bounds: the closed-form light lists against the light
 rule, the grid paths against the Fraction reference `segment_points`, the
-edge masks against a per-column builder, also under single edge toggles,
-with the bad squares and tracing's message against a per-square 0-or-2 test,
+block fill by lanes against its former per-residue loop, also under planted
+light faults, the edge masks against a per-column builder, also under single
+edge toggles, with the bad squares and tracing's message against a
+per-square 0-or-2 test,
 tracing against its canonical form and against the exchange orbits of
 `vector_polygon`, particle image geometry against a per-image reduction, the
 particle walks and their suite against a walk per line, also under planted
@@ -84,6 +86,7 @@ from plaid.pet import (
     wall_distance,
 )
 from plaid.grid import (
+    _h_slots,
     _h_walk,
     _light,
     _read_light,
@@ -645,6 +648,104 @@ def test_block_counts_match_segment_points(param, bi, data):
         points = hc if axis == "h" else vc
         assert points[i] == sum(pt.multiplicity
                                 for pt in segment_points(param, seg))
+
+
+def reference_fill(self):
+    """BlockGrid._fill's former body: every light residue placed on its
+    crossings, one Python step per residue and crossing."""
+    param, bi = self.param, self.bi
+    w, p, q = param.omega, param.p, param.q
+    hl, vl = self.hl, self.vl
+    # row c and column c of a block lie on lines of one capacity
+    by_line = light_lists(param)
+    families = ((2 * p, _h_slots(w, p, True)),
+                (2 * q, _h_slots(w, q, False)))
+    for m, res in enumerate(by_line):
+        row = m * w
+        for s2, slots in families:
+            base = (m + s2 * bi) % w
+            for rho in res:
+                # the crossing windows are longer than w for the steep
+                # family, so step residues by w
+                r = (rho - base) % w
+                while r <= s2:
+                    edge, weight = slots[r]
+                    hl[row + edge] += weight
+                    r += w
+    for n, res in enumerate(by_line):
+        x_abs = bi * w + n
+        col = n * w
+        for s in (p, q):
+            # closed_point_counts' crossing rule: line lo + e meets edge e
+            lo = -(-2 * s * x_abs // w)
+            for rho in res:
+                vl[col + (rho - lo) % w] += 1
+
+
+class ReferenceGrid(BlockGrid):
+    _fill = reference_fill
+
+
+def check_fill(param, bi):
+    """hl, vl and masks() of one block, filled by lanes, against the former
+    fill, byte for byte."""
+    got, want = BlockGrid(param, bi), ReferenceGrid(param, bi)
+    assert type(got.hl) is bytearray and type(got.vl) is bytearray
+    assert got.hl == want.hl and got.vl == want.vl, (str(param), bi)
+    assert got.masks() == want.masks(), (str(param), bi)
+    return got.hl + got.vl
+
+
+def test_fill_matches_reference_to_31():
+    for param in even_rationals(31):
+        for bi in range(param.omega):
+            check_fill(param, bi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(min_omega=101), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA))
+def test_fill_matches_reference(param, bi):
+    check_fill(param, bi)
+
+
+def free_residue(res, w):
+    return next(r for r in range(w) if r not in res)
+
+
+@pytest.mark.parametrize("change", [
+    lambda res, w: res[1:],
+    lambda res, w: [free_residue(res, w)] + res[1:],
+    lambda res, w: res + [free_residue(res, w)],
+], ids=["dropped", "moved", "added"])
+def test_light_faults_reach_fill_as_reference(change, monkeypatch):
+    """One residue of one line dropped, moved to a free residue or added,
+    through the same patched light_lists on both sides, for every line in
+    turn and every block: the fault reaches every block, through column c0.
+    Between two faults a block is built from the true lights, and two
+    parameters share omega 21, so any table that outlived the lists it came
+    from would show the previous fault."""
+    real, planted = grid.light_lists, {}
+
+    def faulty(param):
+        by_line = real(param)
+        if param in planted:
+            c0 = planted[param]
+            by_line[c0] = change(by_line[c0], param.omega)
+        return by_line
+
+    monkeypatch.setattr(grid, "light_lists", faulty)
+    monkeypatch.setitem(globals(), "light_lists", faulty)
+    for param in map(make_param, (1, 2, 4, 8, 10), (2, 5, 11, 13, 11)):
+        w = param.omega
+        true = [check_fill(param, bi) for bi in range(w)]
+        for c0, res in enumerate(real(param)):
+            if change(res, w) == res:
+                continue
+            planted[param] = c0
+            for bi in range(w):
+                assert check_fill(param, bi) != true[bi], (str(param), c0, bi)
+            del planted[param]
+            assert check_fill(param, c0) == true[c0]
 
 
 GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]

@@ -446,6 +446,19 @@ class TestParticles:
                             assert inst in trace_particle(prm, inst).instances, \
                                 (prm, inst)
 
+    def test_trace_particle_takes_horizontal_instances_mod_omega_squared(
+            self, p25):
+        """A horizontal particle is given mod omega^2 in x: its instances
+        shifted by +-omega^2 trace to the particle itself."""
+        part = horizontal_particle(p25, 2, 0)
+        ww = p25.omega ** 2
+        shifted = [dataclasses.replace(inst, location=(x + dx, y))
+                   for inst in part.instances for (x, y) in [inst.location]
+                   for dx in (-ww, ww)]
+        assert len(shifted) == 4 * p25.omega
+        for inst in shifted:
+            assert trace_particle(p25, inst) == part, inst
+
     def test_trace_particle_rejects_made_up_points(self, p25):
         def point(location, host, ptype):
             return IntersectionPoint(location, host, GridLine(ptype, 0),

@@ -23,6 +23,8 @@ Groups:
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
+- blocks-large  hl, vl and masks() of every block (bi, 0) at 50/51, 41/60
+                and 100/101, and of blocks 0, 1, 100 and 200 at 100/201;
 - lights        light_points_on_line of every H and V line within one of
                 blocks (bi, bj), bi in {0, 1, omega-1} and bj in {0, 1}, at
                 omega <= N;
@@ -64,6 +66,9 @@ IRRATIONAL_OFFSET = "1/1048583,1/1048609,1/1048613"
 IRRATIONAL_WINDOW = "0,0,24,24"
 DOCUMENT_BLOCKS = "1,-1,1,0"
 DOCUMENT_WINDOW = "-6,-5,7,8"
+# (p, q) and its blocks (bi, 0), None for all of them
+LARGE_BLOCKS = (((50, 51), None), ((41, 60), None), ((100, 101), None),
+                ((100, 201), (0, 1, 100, 200)))
 
 
 def _digest(chunks) -> str:
@@ -113,7 +118,7 @@ def main(argv=None) -> int:
                             _v_walk, horizontal_particle, light_lists,
                             light_points_on_line, trace_polygons,
                             vertical_particle)
-    from plaid.params import even_rationals
+    from plaid.params import even_rationals, make_param
     import workloads
 
     for name in verify.SUITES:
@@ -171,6 +176,13 @@ def main(argv=None) -> int:
                      trace_polygons(param, (bi, 0), grid),
                      trace_polygons(param, (bi, 1))]
     print(f"{'blocks':<24} {_digest(rows)}")
+    rows = []
+    for pq, blocks in LARGE_BLOCKS:
+        param = make_param(*pq)
+        for bi in range(param.omega) if blocks is None else blocks:
+            grid = BlockGrid(param, bi)
+            rows += [bytes(grid.hl), bytes(grid.vl), grid.masks()]
+    print(f"{'blocks-large':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
         w = param.omega
