@@ -545,14 +545,13 @@ def _block_loops(param: Param, block: Tuple[int, int],
     border = bytearray(column * w)
     border[:w] = bytes(b | 8 for b in column)
     border[-w:] = bytes(b | 4 for b in column)
+    # the first square a walk revisits is its start, so seen only skips starts
     seen = bytearray(w * w)
     for start, mask in enumerate(masks):
         if not mask or seen[start]:
             continue
         loop, i, exit_bit = [], start, mask & -mask
         while not loop or i != start:
-            if seen[i]:
-                raise PlaidError("polygon is not embedded")
             seen[i] = 1
             loop.append(i)
             if exit_bit & border[i]:

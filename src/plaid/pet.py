@@ -24,13 +24,14 @@ are spelled only at the public surface.
 Fiber shifts.  cover_step sends each cell (j, i1, i2) of table fiber j to
 (j', i1 + c1, i2 + c2) mod omega, j', c1 and c2 depending on j and the edge
 alone: the step adds one vector to a cell's point, and whether t leaves the
-table's range depends on the fiber.  check_mesh compares whole fibers.
-Along a center column b -> b + 2 is one shift on all fibers (classifier
-docstring, "Center columns"), so conjugacy, cover_step(center_cell(a, b), e)
-== center_cell(a + dx, b + dy), holds on a column if it holds at b = 0, 1;
-every cover cell is a center's, so a step across e and back across e ^ 1
-returns to the cell.  Like check_mesh, this rests on cover_step being a
-fiber shift, which test_cover_step_matches_decoded_step guards.
+table's range depends on the fiber.  fiber_shifts reads the shifts from
+cover_step once per parameter, and the checks read them there: check_mesh
+compares whole fibers, and criterion 6 steps orbits and checks conjugacy,
+cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy), at b = 0, 1,
+which covers each center column, as b -> b + 2 is one shift on all fibers
+(classifier docstring, "Center columns").  Every cover cell is a center's, so
+a step across e and back across e ^ 1 returns to the cell.  All of it rests
+on cover_step being a fiber shift (test_cover_step_matches_decoded_step).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike
 from .grid import STEPS, PlaidPolygon
@@ -139,6 +140,17 @@ def cover_step(param: Param, cell: int, edge: int) -> int:
     j, i1 = divmod(rest, w)
     k, j = divmod(j + p2 * dx + w * dy, 2 * w)
     return (j * w + (i1 + p2 * (dx - k)) % w) * w + (i2 + p2 * (dx + dy - k)) % w
+
+
+def fiber_shifts(param: Param, step) -> List[Tuple[int, int, int, int]]:
+    """A fiber shift step, such as cover_step, as a table read at the cells
+    (j, 0, 0): row 4*j + e is (j'*omega^2, 4*j', c1*omega, c2), so a cell J +
+    I1 + i2 of fiber j (J = j*omega^2, I1 = i1*omega) steps across e to J' +
+    (I1 + C1) % omega^2 + (i2 + c2) % omega, and 4*j' picks its next rows."""
+    w = param.omega
+    steps = [divmod(step(param, j * w * w, e), w * w)
+             for j in range(2 * w) for e in range(4)]
+    return [(j * w * w, 4 * j, c - c % w, c % w) for j, c in steps]
 
 
 def _point_cell(param: Param, point: CoverPoint) -> int:
@@ -272,6 +284,7 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
             if len(boards) == 1:
                 coverage[boards[0][0]].add((str(param), t))
         cover = label_table(param, 2)
+        shifts = fiber_shifts(param, cover_step)
         # by the bijection, every odd fiber of the cover is populated
         for t in range(-2 * w + 1, 2 * w, 2):
             # the fiber's cells are one block of the table
@@ -280,13 +293,12 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
             # the matching neighbour always sits across the named edge, and
             # a connector into an edge comes out of the opposite one there
             for edge in (1, 0, 2, 3):  # S, N, E, W
-                # the fiber's shift is the step of its cell (j, 0, 0)
-                j2, shift = divmod(cover_step(param, j * ww, edge), ww)
-                c1, c2 = divmod(shift, w)
-                rows = [cover[r + c2 % w:r + w] + cover[r:r + c2 % w]
-                        for r in range(j2 * ww, (j2 + 1) * ww, w)]
+                # fiber j', named by fiber_shifts' row, turned by c2 and c1
+                J2, _, C1, c2 = shifts[4 * j + edge]
+                rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
+                                for r in range(J2, J2 + ww, w))
                 here = fiber.translate(_ENDS[edge])
-                there = b"".join(rows[c1 % w:] + rows[:c1 % w]).translate(
+                there = (rows[C1:] + rows[:C1]).translate(
                     REVERSED).translate(_ENDS[edge ^ 1])
                 if here == there:
                     continue

@@ -41,6 +41,7 @@ from .pet import (
     check_mesh,
     cover_bijection,
     cover_step,
+    fiber_shifts,
     irrational_tiling,
 )
 from .analysis import _empty_cells, block_light_cache, cut_offsets, verify_first
@@ -124,14 +125,20 @@ def suite_pet_equivalence(param: Param) -> dict:
     the connector count; and the exchange is conjugate to connector-following
     with an exact inverse: conjugacy on rows b = 0 and 1 of every center
     column across every edge, the next connector's entry edge by check_mesh,
-    and the step back because every cover cell is a center's (criterion 5)."""
-    w = param.omega
-    for a in range(w * w):
+    and the step back because every cover cell is a center's (criterion 5).
+    Cells step by fiber_shifts' rows, an orbit's closing step by cover_step."""
+    w, ww = param.omega, param.omega ** 2
+    shifts = fiber_shifts(param, cover_step)
+    # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
+    rows = [[center_cell(param, a, b, 2) for a in (*range(ww + 1), -1)]
+            for b in (0, 1, 2, -1)]
+    for a in range(ww):
         for b in (0, 1):
-            cell = center_cell(param, a, b, 2)
+            cell = rows[b][a]
+            j4, I1, i2 = cell // ww * 4, cell % ww - cell % w, cell % w
             for e, (dx, dy) in enumerate(STEPS):
-                if cover_step(param, cell, e) != \
-                        center_cell(param, a + dx, b + dy, 2):
+                J, _, C1, c2 = shifts[j4 + e]
+                if J + (I1 + C1) % ww + (i2 + c2) % w != rows[b + dy][a + dx]:
                     return {"ok": False, "reason": "conjugacy", "at": (a, b),
                             "edge": "NSEW"[e]}
     r = check_mesh([param])
@@ -145,22 +152,26 @@ def suite_pet_equivalence(param: Param) -> dict:
         grid = BlockGrid(param, bi)
         # counted from the masks, not from the loops, so that a loop the
         # walker drops still fails orbit_total == nonempty
-        nonempty += w * w - grid.masks().count(0)
+        nonempty += ww - grid.masks().count(0)
         for loop in _block_loops(param, (bi, 0), grid):
-            a, m = divmod(bi * w * w + loop[0], w)
+            a, m = divmod(bi * ww + loop[0], w)
             start = cell = center_cell(param, a, m, 2)
             if cover[cell] % 5 == 0:
                 return {"ok": False, "reason": "hold at nonempty square",
                         "square": (a, m)}
             if move[cover[cell] & 3] == loop[-1] - loop[0]:
                 loop = loop[:1] + loop[:0:-1]  # the orbit leaves east
+            J, I1, i2 = cell - cell % ww, cell % ww - cell % w, cell % w
+            j4 = cell // ww * 4
             for i, j in zip(loop, loop[1:] + loop[:1]):
+                cell = J + I1 + i2
                 code = cover[cell]
                 if code % 5 == 0 or move[code & 3] != j - i:
                     break
-                cell = cover_step(param, cell, code & 3)
-            else:  # no break: the orbit followed the loop, and must close
-                if cell == start:
+                J, j4, C1, c2 = shifts[j4 + (code & 3)]
+                I1, i2 = (I1 + C1) % ww, (i2 + c2) % w
+            else:  # no break: the orbit followed the loop, cover_step closes it
+                if cover_step(param, cell, code & 3) == start:
                     orbit_total += len(loop)
                     continue
             return {"ok": False, "reason": "orbit polygon differs",
@@ -281,11 +292,11 @@ DEFAULT_BOUNDS = {
     "two-points": 61,
     "hier": 51,
     "bijection": 51,
-    "pet-equivalence": 31,
+    "pet-equivalence": 51,
     "first": 61,
     "empty-rect": 51,
-    "symmetry": 41,
-    "particle-geometry": 41,
+    "symmetry": 51,
+    "particle-geometry": 51,
 }
 
 MESH_WITNESSES = ((3, 8), (4, 11))

@@ -69,7 +69,7 @@ def test_criterion_05_bijection():
 
 
 def test_criterion_06_pet_equivalence():
-    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 31)
+    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 51)
 
 
 def test_criterion_07_oriented_coherence():
@@ -92,11 +92,11 @@ def test_criterion_09_empty_rectangles():
 
 
 def test_criterion_10_symmetries():
-    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 41)
+    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 51)
 
 
 def test_criterion_11_particle_geometry():
-    _sweep(11, "particle image geometry", "particle-geometry", 41)
+    _sweep(11, "particle image geometry", "particle-geometry", 51)
 
 
 def test_criterion_12_irrational_mode():

@@ -31,6 +31,7 @@ import math
 import random
 import re
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction, Fraction as F
 from operator import itemgetter
 
@@ -78,6 +79,7 @@ from plaid.pet import (
     NonPeriodicOrbit,
     cover_step,
     decode_cell,
+    fiber_shifts,
     irrational_tiling,
     oriented_label_scaled,
     path_polygon,
@@ -1671,6 +1673,115 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
         assert got[0] is IncoherentInput, got
 
 
+def table_step(shifts, w, cell, edge):
+    """The step of a cell through fiber_shifts' rows, as the suite takes it,
+    and the row index its next step reads."""
+    ww = w * w
+    J, j4, C1, c2 = shifts[cell // ww * 4 + edge]
+    return J + (cell % ww - cell % w + C1) % ww + (cell % w + c2) % w, j4
+
+
+def check_fiber_shifts(param, cells):
+    """Every row reproduces cover_step at the given cells and every edge,
+    and names the fiber of the cell it steps to."""
+    w = param.omega
+    shifts = fiber_shifts(param, cover_step)
+    assert len(shifts) == 8 * w
+    for cell in cells:
+        for edge in range(4):
+            nxt, j4 = table_step(shifts, w, cell, edge)
+            assert nxt == cover_step(param, cell, edge), (str(param), cell, edge)
+            assert j4 == nxt // (w * w) * 4, (str(param), cell, edge)
+
+
+def test_fiber_shifts_match_cover_step_to_15():
+    for param in even_rationals(15):
+        check_fiber_shifts(param, range(2 * param.omega ** 3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(params(min_omega=101), st.data())
+def test_fiber_shifts_match_cover_step(param, data):
+    cells = st.integers(0, 2 * param.omega ** 3 - 1)
+    check_fiber_shifts(param, [data.draw(cells) for _ in range(50)])
+
+
+def plant_shift_row(monkeypatch, row, field, change):
+    """One field of one fiber_shifts row changed, wherever the suite and
+    check_mesh read the table."""
+    real = pet.fiber_shifts
+
+    def shifts(prm, step):
+        rows = real(prm, step)
+        values = list(rows[row])
+        values[field] = change(values[field])
+        rows[row] = tuple(values)
+        return rows
+
+    monkeypatch.setattr(pet, "fiber_shifts", shifts)
+    monkeypatch.setattr(verify, "fiber_shifts", shifts)
+
+
+def orbit_rows(param):
+    """Per loop the suite walks, in its order: its block, first square, and
+    the table rows its orbit reads at every step but the last (whose next
+    rows it never reads)."""
+    w = param.omega
+    cover, move = pet.label_table(param, 2), [w * dx + dy for dx, dy in STEPS]
+    for bi in range(w):
+        for loop in grid._block_loops(param, (bi, 0)):
+            square = divmod(bi * w * w + loop[0], w)
+            cell = center_cell(param, *square, 2)
+            if move[cover[cell] & 3] == loop[-1] - loop[0]:
+                loop = loop[:1] + loop[:0:-1]
+            rows = []
+            for _ in loop[1:]:
+                rows.append(cell // (w * w) * 4 + (cover[cell] & 3))
+                cell = cover_step(param, cell, cover[cell] & 3)
+            yield bi, square, rows
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
+def test_corrupt_shift_row_fails_conjugacy_and_mesh(pq, monkeypatch):
+    """The c2 shift of one row off by one: in the fiber of the center (0, 0)
+    across N, and in a fiber an orbit of block 1 crosses.  The conjugacy
+    half reads every row, since every fiber holds a center of rows 0 and 1,
+    so the suite fails there at the least such center; check_mesh fails on
+    that fiber alone."""
+    param = make_param(*pq)
+    w = param.omega
+    _, _, rows = next(t for t in orbit_rows(param) if t[0] == 1)
+    for row in (center_cell(param, 0, 0, 2) // (w * w) * 4, rows[len(rows) // 2]):
+        plant_shift_row(monkeypatch, row, 3, lambda c2: (c2 + 1) % w)
+        j, e = divmod(row, 4)
+        a, b = next((a, b) for a in range(w * w) for b in (0, 1)
+                    if center_cell(param, a, b, 2) // (w * w) == j)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "conjugacy", "at": (a, b), "edge": "NSEW"[e]}
+        r = pet.check_mesh([param])
+        assert r["failure_count"], row
+        assert {(f["fiber"] + w) // 2 % (2 * w) for f in r["failures"]} == {j}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
+def test_corrupt_next_rows_fail_the_orbit_walk(pq, monkeypatch):
+    """The 4*j' of one row an orbit crosses pointed at the next fiber's
+    rows: only the orbit walk reads that field, so conjugacy and check_mesh
+    pass, and the first loop whose orbit reads the row before its last step
+    takes its next step from the wrong rows and fails."""
+    param = make_param(*pq)
+    w = param.omega
+    walks = list(orbit_rows(param))
+    row = next(t for t in walks if t[0] == 1)[2][1]
+    plant_shift_row(monkeypatch, row, 1, lambda j4: (j4 + 4) % (8 * w))
+    bi, square, _ = next(t for t in walks if row in t[2])
+    assert verify.suite_pet_equivalence(param) == {
+        "ok": False, "reason": "orbit polygon differs", "block": bi,
+        "square": square}
+    assert pet.check_mesh([param])["failure_count"] == 0
+
+
 def oracle_tiling(P, offset, window, eps):
     """irrational_tiling center by center in Fraction arithmetic: canon_frac
     of each image, wall_distance and fiber_label, and the same four bumps
@@ -2150,6 +2261,37 @@ def test_planted_mask_faults_match_reference(pq):
         if got[1] is not None:
             seen.update(k for k in kinds if k in got[2])
     assert seen == set(kinds)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 3), (3, 4)])
+def test_coherent_walks_revisit_only_their_start(pq):
+    """With 0 or 2 good edges on every square, and each step checking the
+    entry edge of the square it enters, the first square a walk revisits is
+    its start: a revisit through either of a square's two edges would need
+    an earlier revisit of the neighbour across it.  So the reference walker,
+    which raises "polygon is not embedded" at any other revisit, never does,
+    on random two-bit masks (omega 3, 5, 7) and on true blocks with squares
+    replanted, and the walker yields the same loops and errors."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    two_bits = [a | b for a in (1, 2, 4, 8) for b in (1, 2, 4, 8) if a < b]
+    outcomes = Counter()
+    for trial in range(3000):
+        if trial % 2:
+            masks = [rng.choice(two_bits) if rng.random() < 0.8 else 0
+                     for _ in range(w * w)]
+        else:
+            masks = bytearray(BlockGrid(param, rng.randrange(w)).masks())
+            for _ in range(rng.randint(1, 3)):
+                masks[rng.randrange(w * w)] = rng.choice(two_bits + [0])
+        planted = PlantedMasks(masks)
+        want = walk_outcome(reference_block_loops, param, (0, 0), planted)
+        assert want[1] is None or "not embedded" not in want[2], masks
+        assert walk_outcome(grid._block_loops, param, (0, 0), planted) == want
+        outcomes[want[2].split(" ")[1] if want[1] else "closed"] += 1
+    # loops closed, and walks stopped at both errors a coherent mask allows
+    assert set(outcomes) == {"closed", "escaped", "mismatch"}, outcomes
 
 
 @st.composite
