@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Tuple
 
 from .params import PlaidError, make_param
 from .grid import BlockGrid, trace_polygons
-from .classifier import center_column, label_table
+from .classifier import center_codes, label_table
 from .pet import irrational_tiling, special_orbit
 from .svgout import LAYERS
 from .cli import main
@@ -58,9 +58,9 @@ def machine() -> Dict[str, object]:
 
 def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     """(name, thunk) of each layer at one omega, in pipeline order: every
-    block (bi, 0) for the grid layers, every center column of the base
-    table, one orbit through a center of block 0's first polygon, and the
-    render and stats --document requests of the command line."""
+    block (bi, 0) for the grid layers, center_codes of the base table (named
+    center_column, as before it), one orbit through a center of block 0's
+    first polygon, and the render and stats --document requests."""
     p = omega // 2
     state = {}
 
@@ -88,9 +88,8 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
         ("label_table", lambda: state.update(
             table=label_table(state["param"]))),
         ("label_table_cover", lambda: label_table(state["param"], 2)),
-        ("center_column", lambda: [center_column(state["param"],
-                                                 state["table"], a)
-                                   for a in range(omega * omega)]),
+        ("center_column", lambda: center_codes(state["param"],
+                                               state["table"])),
         ("orbit", orbit),
         ("render", lambda: request("render", "--window",
                                    f"0,0,{RENDER_WINDOW},{RENDER_WINDOW}",

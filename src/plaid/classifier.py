@@ -44,19 +44,19 @@ moves to (j, i1 - p, i2 + p) mod omega: the image gains (2*omega, 0, 4p),
 the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
 (4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
 fibers.  So the classes b = r mod sheets of a column run along one diagonal
-i1 + i2 = const of one fiber from the column start (a, r): center_column
-reads a base column's bytes off that fiber's slice of a table, and
-mark_classes and the map checks of symmetry_conjugacies read only starts.
+i1 + i2 = const of one fiber from the column start (a, r), and mark_classes
+and the map checks of symmetry_conjugacies read only starts.  From (a, b) to
+(a + omega, b) the image gains 2p(2*omega, 2p, 2p) plus 4p(omega - p) in u1
+and u2, so the columns a = a0 mod omega share a fiber and a step of omega
+moves a column's diagonal by -4p^2 and its start, in steps of p, by -2p:
+center_codes reads every column off omega fibers, each skewed once.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
@@ -345,26 +345,28 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
-@lru_cache(maxsize=1)
-def _diagonals(w: int, p: int):
-    """The fiber indices i1*w + i2 of each diagonal i1 + i2 = d mod w, twice
-    round in steps of p in i2 from i2 = 0, as int arrays to stay small; and
-    1/p mod w."""
-    return tuple(array("i", [(d - p * k) % w * w + p * k % w for k in range(2 * w)])
-                 for d in range(w)), pow(p, -1, w)
-
-
-def center_column(param: Param, table: bytes, a: int) -> bytes:
-    """table[center_cell(param, a, b)] for b = 0 .. omega - 1, table being
-    label_table(param) or a translate of it: by the column fact of the module
-    docstring one diagonal of one fiber, read in steps of p from b = 0."""
-    w = param.omega
-    diagonals, inverse = _diagonals(w, param.p)
-    rest, i2 = divmod(center_cell(param, a, 0), w)
-    j, i1 = divmod(rest, w)
-    k = i2 * inverse % w
-    fiber = memoryview(table)[j * w * w:(j + 1) * w * w]
-    return bytes(itemgetter(*diagonals[(i1 + i2) % w][k:k + w])(fiber))
+def center_codes(param: Param, table: bytes) -> bytearray:
+    """table[center_cell(param, a, b)] at a*omega + b for every center class,
+    table being label_table(param) or a translate of it.  Skew column k (and
+    k + omega) of a fiber is its column pk turned down by pk, so skew row d is
+    diagonal d twice round in steps of p, and a center column one slice."""
+    w, p, ww = param.omega, param.p, param.omega ** 2
+    codes = bytearray(w * ww)
+    out = memoryview(codes)  # fixed length: a short slice raises
+    for a0 in range(w):
+        rest, i2 = divmod(center_cell(param, a0, 0), w)
+        j, i1 = divmod(rest, w)
+        fiber = table[j * ww:(j + 1) * ww] * 2
+        skew = bytearray(2 * ww)
+        for k in range(w):
+            c = p * k % w
+            skew[k::2 * w] = skew[k + w::2 * w] = fiber[(w - c) * w + c::w][:w]
+        d, k = i1 + i2, i2 * pow(p, -1, w)
+        for a in range(a0, ww, w):
+            start = d % w * 2 * w + k % w
+            out[a * w:(a + 1) * w] = skew[start:start + w]
+            d, k = d - 4 * p * p, k - 2 * p
+    return codes
 
 
 def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
@@ -480,17 +482,16 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     E<->W.  Reflection in the x-axis: Xi(x,-y) = swap(U1,U2) of Xi(x,y) and
     labels swap N<->S only.  The rotated centers of column a are column
     -a-1 reversed, the reflected ones column a reversed (period omega in b),
-    and the label checks compare the columns' center_column mask bytes.
+    and the label checks compare slices of one center_codes mask string.
     A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
     (the column fact), and its negative, its swap and the cells of the
     rotated and reflected centers by (0, +p, -p): both sides of a map check
     step alike, so the maps are checked at the column start center_cell(a, 0).
     """
-    w, p = param.omega, param.p
-    ww = w * w
-    table = label_table(param).translate(_MASK_TABLE)
-    masks = [center_column(param, table, a) for a in range(ww)]
-    for a, mask in enumerate(masks):
+    w, p, ww = param.omega, param.p, param.omega ** 2
+    masks = center_codes(param, label_table(param).translate(_MASK_TABLE))
+    for a in range(ww):
+        mask, rot = masks[a * w:(a + 1) * w], masks[(ww - 1 - a) * w:(ww - a) * w]
         c = center_cell(param, a, 0)
         # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
         # but j = 0 is its own negative up to (2*omega, 2p, 2p)
@@ -500,7 +501,7 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
         # a map check holds only its start, read at b = 0 by the slice compares
         checks = (("rotation-map", [center_cell(param, -a - 1, -1)], [neg]),
                   ("reflection-map", [center_cell(param, a, -1)], [swap]),
-                  ("rotation-label", masks[-a - 1][::-1], mask.translate(_ROT_MASKS)),
+                  ("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
                   ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
         if any(got != want for _, got, want in checks):
             b, case = next((b, case) for b in range(w) for case, got, want in checks

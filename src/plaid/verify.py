@@ -30,7 +30,7 @@ from .classifier import (
     CODE_MASKS,
     _MASK_TABLE,
     center_cell,
-    center_column,
+    center_codes,
     image_geometry_scaled,
     label_table,
     symmetry_conjugacies,
@@ -97,15 +97,15 @@ def suite_bijection(param: Param) -> dict:
 
 def suite_isomorphism(param: Param) -> dict:
     """The edge mask of every square equals the mask of its tile's code, a
-    block at a time; only a block that differs is walked square by square."""
-    w = param.omega
-    table = label_table(param)
+    block at a time against the block's slice of center_codes; only a block
+    that differs is walked square by square."""
+    w, ww = param.omega, param.omega ** 2
+    all_codes = center_codes(param, label_table(param))
     mismatches = []
     for bi in range(w):
         grid = BlockGrid(param, bi)
         masks = grid.masks()
-        codes = b"".join(center_column(param, table, bi * w + n)
-                         for n in range(w))
+        codes = all_codes[bi * ww:(bi + 1) * ww]
         if codes.translate(_MASK_TABLE) == masks:
             continue
         for i, code in enumerate(codes):
@@ -288,14 +288,14 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
 
 DEFAULT_BOUNDS = {
     "coherence": 51,
-    "isomorphism": 51,
+    "isomorphism": 61,
     "two-points": 61,
     "hier": 51,
     "bijection": 51,
     "pet-equivalence": 51,
     "first": 61,
     "empty-rect": 51,
-    "symmetry": 51,
+    "symmetry": 61,
     "particle-geometry": 51,
 }
 

@@ -53,7 +53,7 @@ def test_criterion_01_coherence(capsys):
 
 
 def test_criterion_02_isomorphism():
-    _sweep(2, "grid = tile isomorphism", "isomorphism", 51)
+    _sweep(2, "grid = tile isomorphism", "isomorphism", 61)
 
 
 def test_criterion_03_two_points_per_segment():
@@ -92,7 +92,7 @@ def test_criterion_09_empty_rectangles():
 
 
 def test_criterion_10_symmetries():
-    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 51)
+    _sweep(10, "reflection symmetries and conjugacies", "symmetry", 61)
 
 
 def test_criterion_11_particle_geometry():

@@ -284,8 +284,10 @@ class TestPlantedFaults:
     def test_symmetry_map(self, monkeypatch, pq, first):
         """One column start moved a step down its column fails the suite at
         that column or at its rotation partner -a-1 mod omega^2, whichever
-        the sweep reaches first: the partner reads the moved column's masks
-        reversed."""
+        the sweep reaches first.  center_codes reads the starts a < omega
+        only, so the start a0 = 2 moves the codes of every column a = 2 mod
+        omega, and the start omega^2 - 3 reaches the map checks alone; at
+        both, the rotation map check of a0 fails first."""
         prm = make_param(*pq)
         ww = prm.omega ** 2
         a0 = 2 if first else ww - 3

@@ -10,7 +10,9 @@ tracing against its canonical form and against the exchange orbits of
 particle walks and their suite against a walk per line, also under planted
 light and square faults, the label table against `fiber_label` and the
 per-point labels, the per-cell code and exchange step against the Fraction
-path and the step through points, the center columns and the column fact
+path and the step through points, the center codes against the former
+per-column reader and the per-class reduction, criteria 2 and 10 against
+their former bodies under planted table and edge faults, the column fact
 against the per-class reduction, the bijection on column starts against
 marking every class, the exchange's conjugacy and inverse against the
 per-class loop, the pet-equivalence record against the suite's former body,
@@ -30,9 +32,11 @@ witness and mask faults."""
 import math
 import random
 import re
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction, Fraction as F
+from functools import lru_cache
 from operator import itemgetter
 
 import pytest
@@ -62,7 +66,7 @@ from plaid.classifier import (
     canon_scaled,
     cell_code,
     center_cell,
-    center_column,
+    center_codes,
     checkerboard_label,
     fiber_label,
     grid_cell,
@@ -1362,36 +1366,188 @@ def point_column(param, a, sheets):
             for b in range(sheets * param.omega)]
 
 
-def check_center_column(param, table, a):
-    """center_column on table, and on a translate of it, against the table
-    read at the per-class reduction of every center of column a."""
-    want = bytes(table[c] for c in point_column(param, a, 1))
-    got = center_column(param, table, a)
-    assert type(got) is bytes and got == want, (str(param), a)
-    shift = bytes(range(1, 256)) + b"\0"
-    assert center_column(param, bytes(table).translate(shift), a) == \
-        want.translate(shift), (str(param), a)
+@lru_cache(maxsize=1)
+def reference_diagonals(w: int, p: int):
+    """The fiber indices i1*w + i2 of each diagonal i1 + i2 = d mod w, twice
+    round in steps of p in i2 from i2 = 0, as int arrays to stay small; and
+    1/p mod w."""
+    return tuple(array("i", [(d - p * k) % w * w + p * k % w for k in range(2 * w)])
+                 for d in range(w)), pow(p, -1, w)
 
 
-def test_center_column_matches_point_cells_to_15():
-    """center_column against the per-class reduction at every class of every
-    even rational with omega <= 15, on a random table."""
-    for param in even_rationals(15):
-        w = param.omega
-        for a in range(w * w):
-            check_center_column(param, random.Random(a).randbytes(w ** 3), a)
-
-
-@settings(max_examples=25, deadline=None)
-@given(params(), st.integers(-10 ** 6, 10 ** 6), st.integers(0, 2 ** 32))
-def test_center_column_matches_point_cells(param, a, seed):
-    """The same up to MAX_OMEGA, on a table that is random on the column's
-    fiber only, so that no example draws omega^3 random bytes."""
+def reference_center_column(param, table, a):
+    """table[center_cell(param, a, b)] for b = 0 .. omega - 1, table being
+    label_table(param) or a translate of it: by the column fact of the module
+    docstring one diagonal of one fiber, read in steps of p from b = 0."""
     w = param.omega
-    j = center_cell(param, a, 0) // (w * w)
+    diagonals, inverse = reference_diagonals(w, param.p)
+    rest, i2 = divmod(center_cell(param, a, 0), w)
+    j, i1 = divmod(rest, w)
+    k = i2 * inverse % w
+    fiber = memoryview(table)[j * w * w:(j + 1) * w * w]
+    return bytes(itemgetter(*diagonals[(i1 + i2) % w][k:k + w])(fiber))
+
+
+SHIFT = bytes(range(1, 256)) + b"\0"
+
+
+def check_center_codes(param, table, columns=None):
+    """center_codes on table, and on a translate of it, against the former
+    per-column reader and the table read at the per-class reduction of every
+    center of the columns (all of them by default)."""
+    w = param.omega
+    got = center_codes(param, table)
+    assert type(got) is bytearray and len(got) == w ** 3, str(param)
+    shifted = center_codes(param, bytes(table).translate(SHIFT))
+    for a in range(w * w) if columns is None else columns:
+        want = bytes(table[c] for c in point_column(param, a, 1))
+        assert reference_center_column(param, table, a) == want
+        assert got[a * w:(a + 1) * w] == want, (str(param), a)
+        assert shifted[a * w:(a + 1) * w] == want.translate(SHIFT), (str(param), a)
+
+
+def test_center_codes_match_references_to_31():
+    """center_codes against the former columns and the per-class reduction
+    at every class of every even rational with omega <= 31, on a random
+    table."""
+    for param in even_rationals(31):
+        w = param.omega
+        check_center_codes(param, random.Random(w * w + param.p).randbytes(w ** 3))
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(min_omega=101), st.lists(st.integers(0, 10 ** 6), min_size=1,
+                                       max_size=3), st.integers(0, 2 ** 32))
+def test_center_codes_match_references(param, columns, seed):
+    """The same at omega 101 .. MAX_OMEGA for a few columns, on a table that
+    is random on their fibers only, so that no example draws omega^3 random
+    bytes; a column a = a0 + m*omega with m > 0 reads its fiber through the
+    residue law."""
+    w = param.omega
+    columns = [a % (w * w) for a in columns]
     table = bytearray(w ** 3)
-    table[j * w * w:(j + 1) * w * w] = random.Random(seed).randbytes(w * w)
-    check_center_column(param, table, a)
+    rng = random.Random(seed)
+    for a in columns:
+        j = center_cell(param, a, 0) // (w * w)
+        table[j * w * w:(j + 1) * w * w] = rng.randbytes(w * w)
+    check_center_codes(param, table, columns)
+
+
+def former_suite_isomorphism(param):
+    """suite_isomorphism's body before center_codes: each block's codes
+    joined from reference_center_column, table from verify.label_table and
+    blocks from verify.BlockGrid, so that both see the same planted faults."""
+    w = param.omega
+    table = verify.label_table(param)
+    mismatches = []
+    for bi in range(w):
+        grid = verify.BlockGrid(param, bi)
+        masks = grid.masks()
+        codes = b"".join(reference_center_column(param, table, bi * w + n)
+                         for n in range(w))
+        if codes.translate(_MASK_TABLE) == masks:
+            continue
+        for i, code in enumerate(codes):
+            if classifier.CODE_MASKS[code] != masks[i]:
+                n, m = divmod(i, w)
+                mismatches.append(((bi * w + n, m), CODE_LABELS[code],
+                                   sorted(grid.good_edge_set(n, m))))
+                if len(mismatches) > 4:
+                    return {"ok": False, "mismatches": mismatches}
+    return {"ok": not mismatches, "squares": w ** 3,
+            "mismatches": mismatches}
+
+
+def former_symmetry_conjugacies(param):
+    """symmetry_conjugacies' body before center_codes: the masks as
+    reference_center_column of every column of classifier.label_table."""
+    w, p = param.omega, param.p
+    ww = w * w
+    table = classifier.label_table(param).translate(_MASK_TABLE)
+    masks = [reference_center_column(param, table, a) for a in range(ww)]
+    for a, mask in enumerate(masks):
+        c = center_cell(param, a, 0)
+        neg = w * ww + ww - 1 - c if c >= ww else \
+            (-1 - p - c // w) % w * w + (-1 - p - c) % w
+        swap = c + (w - 1) * (c % w - c // w % w)
+        checks = (("rotation-map", [center_cell(param, -a - 1, -1)], [neg]),
+                  ("reflection-map", [center_cell(param, a, -1)], [swap]),
+                  ("rotation-label", masks[-a - 1][::-1], mask.translate(_ROT_MASKS)),
+                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
+        if any(got != want for _, got, want in checks):
+            b, case = next((b, case) for b in range(w) for case, got, want in checks
+                           if got[b:b + 1] != want[b:b + 1])
+            return {"ok": False, "case": case, "at": (a, b)}
+    return {"ok": True, "classes": w ** 3}
+
+
+def former_suite_symmetry(param):
+    g = verify._grid_symmetries(param)
+    if not g["ok"]:
+        return g
+    c = former_symmetry_conjugacies(param)
+    if not c["ok"]:
+        return c
+    return {"ok": True, "grid_classes": g["classes"],
+            "center_classes": c["classes"]}
+
+
+def check_former_suites(param):
+    got = (verify.suite_isomorphism(param), verify.suite_symmetry(param))
+    assert got == (former_suite_isomorphism(param),
+                   former_suite_symmetry(param)), str(param)
+    return got
+
+
+FAULT_PARAMS = [(2, 5), (4, 11), (8, 13), (10, 21)]
+
+
+@pytest.mark.parametrize("pq", FAULT_PARAMS)
+def test_table_faults_match_former_suites(pq, monkeypatch):
+    """Criteria 2 and 10 against their former bodies on the true table and
+    with label_table patched in both modules: one cell given another edge
+    mask, for 12 random cells and for one group of 6 (the record stops at
+    the fifth mismatch), and the whole table turned by one byte."""
+    param = make_param(*pq)
+    real = label_table(param)
+    assert all(r["ok"] for r in check_former_suites(param))
+    rng = random.Random(sum(pq))
+    faults = [[c] for c in rng.sample(range(len(real)), 12)]
+    faults += [rng.sample(range(len(real)), 6), None]
+    failed = Counter()
+    for cells in faults:
+        table = bytearray(real[1:] + real[:1]) if cells is None else bytearray(real)
+        for c in cells or ():
+            # a hold code has mask 0, the code 1 (N, S) mask 3
+            table[c] = 0 if table[c] % 5 else 1
+        for module in (verify, classifier):
+            monkeypatch.setattr(module, "label_table",
+                                lambda prm, sheets=1: bytearray(table))
+        iso, sym = check_former_suites(param)
+        failed["isomorphism"] += not iso["ok"]
+        failed["symmetry"] += not sym["ok"]
+    assert failed["isomorphism"] == len(faults), failed
+    assert failed["symmetry"] > len(faults) // 2, failed
+
+
+@pytest.mark.parametrize("pq", FAULT_PARAMS)
+def test_flipped_edges_match_former_isomorphism(pq, monkeypatch):
+    """Criterion 2 against its former body with hl edges of three blocks
+    flipped, one, two and three at a time."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    flips = {bi: rng.sample(range(w * w), k) for bi, k in ((0, 1), (1, 2), (w - 1, 3))}
+
+    class Flipped(BlockGrid):
+        def _fill(self):
+            super()._fill()
+            for i in flips.get(self.bi, ()):
+                self.hl[i] ^= 1
+
+    monkeypatch.setattr(verify, "BlockGrid", Flipped)
+    got = verify.suite_isomorphism(param)
+    assert not got["ok"] and got == former_suite_isomorphism(param), got
 
 
 def step_cell(param, cell, k, sheets):

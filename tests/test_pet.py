@@ -253,8 +253,11 @@ class TestPetEquivalenceFaults:
     def test_first_step_checked(self, pq, monkeypatch):
         """A start connector that leaves south, with an exchange that steps
         north from it anyway: only the first step's exit is wrong.  The
-        start is off rows 0 and 1, where the conjugacy check would meet
-        the fault first."""
+        suite reads verify.cover_step through fiber_shifts, at the cells
+        (j, 0, 0) only, and at each orbit's closing step, taken from the
+        loop's last cell; the start is none of those cells, so the
+        conjugacy half reads true shifts and the orbit half meets the
+        planted exit first."""
         param = make_param(*pq)
         bi, square, start, code = next(
             t for t in _orbit_starts(param) if t[1][1] >= 2 and t[3] & 3 == 0)
@@ -272,8 +275,10 @@ class TestPetEquivalenceFaults:
     def test_orbit_misses_start(self, pq, monkeypatch):
         """The exchange's last step round one loop lands beside its start
         cell: every exit follows the loop, but the orbit does not close.
-        The start is off rows 0 to 2, whose cells the conjugacy check
-        reaches."""
+        The suite reads verify.cover_step through fiber_shifts, from the
+        cells (j, 0, 0) only, and no step from those lands on the start,
+        so the conjugacy half reads true shifts and only the orbit's
+        closing step meets the fault."""
         param = make_param(*pq)
         bi, square, start, _ = next(
             t for t in _orbit_starts(param) if t[1][1] >= 3)

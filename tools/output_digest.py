@@ -21,6 +21,9 @@ Groups:
                 at omega 101 on a window with negative corners crossing four
                 blocks;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
+- columns       the base table's code at every center class, a*omega + b,
+                at 16/35, 41/60, 50/51 and 100/101: center_codes where the
+                package has it, else joined center_column calls;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
 - blocks-large  hl, vl and masks() of every block (bi, 0) at 50/51, 41/60
@@ -69,6 +72,7 @@ DOCUMENT_WINDOW = "-6,-5,7,8"
 # (p, q) and its blocks (bi, 0), None for all of them
 LARGE_BLOCKS = (((50, 51), None), ((41, 60), None), ((100, 101), None),
                 ((100, 201), (0, 1, 100, 200)))
+COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
 
 
 def _digest(chunks) -> str:
@@ -168,6 +172,16 @@ def main(argv=None) -> int:
                 rows.append((classifier.tile_of(param, c),
                              classifier.xi(param, c), pet.xi_hat(param, c)))
     print(f"{'centers':<24} {_digest(rows)}")
+    rows = []
+    for pq in COLUMN_PARAMS:
+        param = make_param(*pq)
+        table = classifier.label_table(param)
+        if hasattr(classifier, "center_codes"):
+            rows.append(bytes(classifier.center_codes(param, table)))
+        else:
+            rows.append(b"".join(classifier.center_column(param, table, a)
+                                 for a in range(param.omega ** 2)))
+    print(f"{'columns':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
