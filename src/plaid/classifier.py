@@ -48,8 +48,8 @@ i1 + i2 = const of one fiber from the column start (a, r), and mark_classes
 and the map checks of symmetry_conjugacies read only starts.  From (a, b) to
 (a + omega, b) the image gains 2p(2*omega, 2p, 2p) plus 4p(omega - p) in u1
 and u2, so the columns a = a0 mod omega share a fiber and a step of omega
-moves a column's diagonal by -4p^2 and its start, in steps of p, by -2p:
-center_codes reads every column off omega fibers, each skewed once.
+moves a start by -2p^2 in i1 and i2, on the cover too: from the starts
+a < omega, center_cells reads every start's cell and center_codes every code.
 """
 
 from __future__ import annotations
@@ -345,6 +345,19 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
+def center_cells(param: Param, b: int = 0, sheets: int = 1) -> List[int]:
+    """center_cell(param, a, b, sheets) for every a in range(omega^2), from
+    the starts a < omega by the -2p^2 law of the module docstring."""
+    w, s = param.omega, 2 * param.p ** 2
+    cells = [0] * w * w
+    for a0 in range(w):
+        c = center_cell(param, a0, b, sheets)
+        J, i1, i2 = c - c % (w * w), c // w % w, c % w
+        cells[a0::w] = [J + (i1 - d) % w * w + (i2 - d) % w
+                        for d in range(0, s * w, s)]
+    return cells
+
+
 def center_codes(param: Param, table: bytes) -> bytearray:
     """table[center_cell(param, a, b)] at a*omega + b for every center class,
     table being label_table(param) or a translate of it.  Skew column k (and
@@ -434,27 +447,32 @@ def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
     """The sheets*omega^3 center classes have distinct images.  By the column
     fact of the module docstring the classes b = r mod sheets of column a
     fill the diagonal i1 + i2 = d of one fiber j (sheets*p is a unit mod
-    omega), so they are distinct when the keys (j, d) of the starts (a, r)
-    are.  The base side checks the image parity once per column, as a step
-    in b adds 2*omega to t and 4p to u2.  A failure names the first start
-    whose key repeats, its cell and the earlier class with that cell."""
-    w = param.omega
-    starts: Dict[int, Tuple[int, int, int]] = {}
-    for a in range(w * w):
+    omega), so they are distinct when the keys (j, d) of the starts (a, r),
+    center_cells rows, are.  The base side checks the parity once per column,
+    as a step in b adds 2*omega to t and 4p to u2.  A failure names the first
+    start whose key repeats, its cell and the earlier class with that cell."""
+    w, ww = param.omega, param.omega ** 2
+    for a in range(ww if sheets == 1 else 0):
         t, u1, u2 = xi_raw_scaled(param, a, 0)
-        if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
+        if t % 2 == 0 or u1 % 2 or u2 % 2:
             return {"ok": False, "reason": f"parity at {(a, 0)}"}
-        for r in range(sheets):
-            cell = center_cell(param, a, r, sheets)
-            rest, i2 = divmod(cell, w)
-            j, i1 = divmod(rest, w)
-            a0, r0, i2_0 = starts.setdefault(j * w + (i1 + i2) % w, (a, r, i2))
-            if (a0, r0) != (a, r):
-                # the class k steps of sheets down the earlier start's column
-                k = (i2 - i2_0) * pow(sheets * param.p, -1, w) % w
-                return {"ok": False, "reason": "two classes mark one cell",
-                        "sheets": sheets, "cell": cell,
-                        "first": (a0, r0 + sheets * k), "second": (a, r)}
+    rows = [center_cells(param, r, sheets) for r in range(sheets)]
+    # as many keys as starts, so a repeat leaves some key unmarked
+    marked = bytearray(sheets * ww)
+    for row in rows:
+        for c in row:
+            marked[c // ww * w + (c // w + c) % w] = 1
+    cells = [c for starts in zip(*rows) for c in starts] if 0 in marked else []
+    first: Dict[int, int] = {}
+    for n, c in enumerate(cells):
+        n0 = first.setdefault(c // ww * w + (c // w + c) % w, n)
+        if n0 != n:
+            # the class k steps of sheets down the earlier start's column
+            k = (c - cells[n0]) * pow(sheets * param.p, -1, w) % w
+            (a0, r0), second = divmod(n0, sheets), divmod(n, sheets)
+            return {"ok": False, "reason": "two classes mark one cell",
+                    "sheets": sheets, "cell": c,
+                    "first": (a0, r0 + sheets * k), "second": second}
     classes = sheets * w ** 3
     return {"ok": True, "classes": classes, "expected": classes}
 
@@ -486,21 +504,22 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
     (the column fact), and its negative, its swap and the cells of the
     rotated and reflected centers by (0, +p, -p): both sides of a map check
-    step alike, so the maps are checked at the column start center_cell(a, 0).
+    step alike, so the maps are checked on the center_cells rows b = 0, -1.
     """
     w, p, ww = param.omega, param.p, param.omega ** 2
     masks = center_codes(param, label_table(param).translate(_MASK_TABLE))
+    starts, below = center_cells(param), center_cells(param, -1)
     for a in range(ww):
         mask, rot = masks[a * w:(a + 1) * w], masks[(ww - 1 - a) * w:(ww - a) * w]
-        c = center_cell(param, a, 0)
+        c = starts[a]
         # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
         # but j = 0 is its own negative up to (2*omega, 2p, 2p)
         neg = w * ww + ww - 1 - c if c >= ww else \
             (-1 - p - c // w) % w * w + (-1 - p - c) % w
         swap = c + (w - 1) * (c % w - c // w % w)
         # a map check holds only its start, read at b = 0 by the slice compares
-        checks = (("rotation-map", [center_cell(param, -a - 1, -1)], [neg]),
-                  ("reflection-map", [center_cell(param, a, -1)], [swap]),
+        checks = (("rotation-map", [below[ww - 1 - a]], [neg]),
+                  ("reflection-map", [below[a]], [swap]),
                   ("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
                   ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
         if any(got != want for _, got, want in checks):

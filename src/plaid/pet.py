@@ -27,11 +27,11 @@ alone: the step adds one vector to a cell's point, and whether t leaves the
 table's range depends on the fiber.  fiber_shifts reads the shifts from
 cover_step once per parameter, and the checks read them there: check_mesh
 compares whole fibers, and criterion 6 steps orbits and checks conjugacy,
-cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy), at b = 0, 1,
-which covers each center column, as b -> b + 2 is one shift on all fibers
-(classifier docstring, "Center columns").  Every cover cell is a center's, so
-a step across e and back across e ^ 1 returns to the cell.  All of it rests
-on cover_step being a fiber shift (test_cover_step_matches_decoded_step).
+cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy), on the
+center_cells rows b = 0, 1, enough as b -> b + 2 is one shift on all fibers
+(classifier docstring, "Center columns").  Every cover cell is a center's,
+so a step across e and back across e ^ 1 returns to the cell.  All of it
+rests on cover_step being a fiber shift (test_cover_step_matches_decoded_step).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .classifier import (
     CODE_MASKS,
     _MASK_TABLE,
     center_cell,
+    center_cells,
     center_codes,
     image_geometry_scaled,
     label_table,
@@ -123,15 +124,15 @@ def suite_pet_equivalence(param: Param) -> dict:
     """The orbit from each traced loop's first square follows the loop step
     by step, in either direction, and closes with it; orbit lengths sum to
     the connector count; and the exchange is conjugate to connector-following
-    with an exact inverse: conjugacy on rows b = 0 and 1 of every center
-    column across every edge, the next connector's entry edge by check_mesh,
-    and the step back because every cover cell is a center's (criterion 5).
+    with an exact inverse: conjugacy on the center_cells rows b = 0 and 1
+    across every edge, the next connector's entry edge by check_mesh, and
+    the step back because every cover cell is a center's (criterion 5).
     Cells step by fiber_shifts' rows, an orbit's closing step by cover_step."""
     w, ww = param.omega, param.omega ** 2
     shifts = fiber_shifts(param, cover_step)
     # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
-    rows = [[center_cell(param, a, b, 2) for a in (*range(ww + 1), -1)]
-            for b in (0, 1, 2, -1)]
+    rows = [[*r, r[0], r[-1]] for r in (center_cells(param, b, 2)
+                                        for b in (0, 1, 2, -1))]
     for a in range(ww):
         for b in (0, 1):
             cell = rows[b][a]

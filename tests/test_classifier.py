@@ -226,13 +226,13 @@ class TestBijection:
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     @pytest.mark.parametrize("sheets", [1, 2])
     def test_collision_names_both_classes(self, monkeypatch, pq, sheets):
-        """A center_cell that sends the column start (omega+3, sheets-1) onto
-        the cell of (1, 2) fails the suite, and the record names the cell
-        and both classes: (1, 2), read down the diagonal of the start
-        (1, 0)."""
+        """A center_cell that sends the column start (3, sheets-1) onto the
+        cell of (1, 2) fails the suite, and the record names the cell and
+        both classes: (1, 2), read down the diagonal of the start (1, 0).
+        The start is one of the a < omega that center_cells reads; the
+        starts a = 3 mod omega after it move with it."""
         prm = make_param(*pq)
-        w = prm.omega
-        first, second = (1, 2), (w + 3, sheets - 1)
+        first, second = (1, 2), (3, sheets - 1)
         real = classifier.center_cell
         cell = real(prm, *first, sheets)
 
@@ -282,24 +282,23 @@ class TestPlantedFaults:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_symmetry_map(self, monkeypatch, pq, first):
-        """One column start moved a step down its column fails the suite at
-        that column or at its rotation partner -a-1 mod omega^2, whichever
-        the sweep reaches first.  center_codes reads the starts a < omega
-        only, so the start a0 = 2 moves the codes of every column a = 2 mod
-        omega, and the start omega^2 - 3 reaches the map checks alone; at
-        both, the rotation map check of a0 fails first."""
+        """The center (2, b0) moved a step down its column fails a map check
+        at column 2.  center_codes and center_cells read the starts a <
+        omega only, so the fault moves every column a = 2 mod omega.  The
+        start b0 = 0 reaches the codes and the starts, and the rotation map
+        check fails first; the center (2, -1) reaches the map checks alone,
+        and the reflection map check fails first."""
         prm = make_param(*pq)
-        ww = prm.omega ** 2
-        a0 = 2 if first else ww - 3
+        b0 = 0 if first else -1
         real = classifier.center_cell
 
         def center_cell(param, a, b, sheets=1):
-            return real(param, a, b + ((a, b) == (a0, 0)), sheets)
+            return real(param, a, b + ((a, b) == (2, b0)), sheets)
 
         monkeypatch.setattr(classifier, "center_cell", center_cell)
         r = verify.suite_symmetry(prm)
-        assert not r["ok"], r
-        assert r["at"][0] in (a0, -a0 - 1 + ww), r
+        case = "rotation-map" if first else "reflection-map"
+        assert r == {"ok": False, "case": case, "at": (2, 0)}, r
 
     def test_isomorphism(self, monkeypatch, pq):
         """One hl byte of block 1 flipped: the two squares beside that edge,

@@ -66,6 +66,7 @@ from plaid.classifier import (
     canon_scaled,
     cell_code,
     center_cell,
+    center_cells,
     center_codes,
     checkerboard_label,
     fiber_label,
@@ -1381,7 +1382,7 @@ def reference_center_column(param, table, a):
     docstring one diagonal of one fiber, read in steps of p from b = 0."""
     w = param.omega
     diagonals, inverse = reference_diagonals(w, param.p)
-    rest, i2 = divmod(center_cell(param, a, 0), w)
+    rest, i2 = divmod(classifier.center_cell(param, a, 0), w)
     j, i1 = divmod(rest, w)
     k = i2 * inverse % w
     fiber = memoryview(table)[j * w * w:(j + 1) * w * w]
@@ -1459,10 +1460,13 @@ def former_suite_isomorphism(param):
 
 
 def former_symmetry_conjugacies(param):
-    """symmetry_conjugacies' body before center_codes: the masks as
-    reference_center_column of every column of classifier.label_table."""
+    """symmetry_conjugacies' body before center_codes and center_cells: the
+    masks as reference_center_column of every column of
+    classifier.label_table, and the map checks on a classifier.center_cell
+    call per center."""
     w, p = param.omega, param.p
     ww = w * w
+    center_cell = classifier.center_cell
     table = classifier.label_table(param).translate(_MASK_TABLE)
     masks = [reference_center_column(param, table, a) for a in range(ww)]
     for a, mask in enumerate(masks):
@@ -1580,6 +1584,98 @@ def test_column_fact(param, a, b, sheets):
         step_cell(param, center_cell(param, a, b, sheets), 1, sheets)
 
 
+def omega_step(param, cell, k):
+    """The cell moved k steps of -2p^2 in i1 and i2, as from the center
+    (a, b) to (a + k*omega, b) on either sheet."""
+    w, s = param.omega, 2 * param.p ** 2 * k
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    return (j * w + (i1 - s) % w) * w + (i2 - s) % w
+
+
+def check_center_cells(param, b, sheets):
+    """center_cells against a center_cell call per center, and the period
+    omega^2 in a that the map checks and pet-equivalence's padded rows read
+    at a = -1 and a = omega^2."""
+    w = param.omega
+    got = center_cells(param, b, sheets)
+    want = [center_cell(param, a, b, sheets) for a in range(w * w)]
+    assert got == want, (str(param), b, sheets)
+    assert center_cell(param, -1, b, sheets) == got[-1], (str(param), b, sheets)
+    assert center_cell(param, w * w, b, sheets) == got[0], (str(param), b, sheets)
+    assert omega_step(param, got[0], 1) == got[w], (str(param), b, sheets)
+
+
+def test_center_cells_match_center_cell_to_31():
+    """Every start of the rows b = -1, 0, 1, 2 and omega - 1 on both sheets
+    of every even rational with omega <= 31."""
+    for param in even_rationals(31):
+        for b in (-1, 0, 1, 2, param.omega - 1):
+            for sheets in (1, 2):
+                check_center_cells(param, b, sheets)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(min_omega=101), st.integers(-10 ** 6, 10 ** 6),
+       st.sampled_from((1, 2)))
+def test_center_cells_match_center_cell(param, b, sheets):
+    """The same at omega 101 .. MAX_OMEGA, one whole row per example, b
+    drawn from the rows the suites read or at random."""
+    rows = (-1, 0, 1, 2, param.omega - 1)
+    check_center_cells(param, rows[b % 5] if b % 7 else b, sheets)
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (8, 13), (10, 21)])
+def test_center_cell_calls_per_suite(pq, monkeypatch):
+    """center_cell calls in classifier: omega per center_cells row, so
+    3*omega for bijection (one base and two cover rows), 3*omega for
+    symmetry (center_codes' starts and two rows) and 4*omega for
+    pet-equivalence's conjugacy rows, whose loop starts call verify's."""
+    param = make_param(*pq)
+    w = param.omega
+    calls = Counter()
+    real = classifier.center_cell
+
+    def counted(module):
+        def center_cell(prm, a, b, sheets=1):
+            calls[module] += 1
+            return real(prm, a, b, sheets)
+        return center_cell
+
+    monkeypatch.setattr(classifier, "center_cell", counted("classifier"))
+    monkeypatch.setattr(verify, "center_cell", counted("verify"))
+    for suite, want in (("bijection", 3 * w), ("symmetry", 3 * w),
+                        ("pet-equivalence", 4 * w)):
+        calls.clear()
+        assert verify.SUITES[suite](param)["ok"], suite
+        assert calls["classifier"] == want, (suite, calls)
+        assert calls["verify"] == (suite == "pet-equivalence") * sum(
+            1 for bi in range(w) for _ in grid._block_loops(param, (bi, 0)))
+
+
+def former_mark_classes(param, sheets):
+    """mark_classes' body before center_cells: a classifier.center_cell call
+    per start (a, r) and a key dict walk over all of them."""
+    w = param.omega
+    starts = {}
+    for a in range(w * w):
+        t, u1, u2 = xi_raw_scaled(param, a, 0)
+        if sheets == 1 and (t % 2 == 0 or u1 % 2 or u2 % 2):
+            return {"ok": False, "reason": f"parity at {(a, 0)}"}
+        for r in range(sheets):
+            cell = classifier.center_cell(param, a, r, sheets)
+            rest, i2 = divmod(cell, w)
+            j, i1 = divmod(rest, w)
+            a0, r0, i2_0 = starts.setdefault(j * w + (i1 + i2) % w, (a, r, i2))
+            if (a0, r0) != (a, r):
+                k = (i2 - i2_0) * pow(sheets * param.p, -1, w) % w
+                return {"ok": False, "reason": "two classes mark one cell",
+                        "sheets": sheets, "cell": cell,
+                        "first": (a0, r0 + sheets * k), "second": (a, r)}
+    classes = sheets * w ** 3
+    return {"ok": True, "classes": classes, "expected": classes}
+
+
 def reference_mark_classes(param, sheets, column=point_column):
     """mark_classes by marking the cell of every class, then rescanning for
     the first cell marked twice and the two classes there.  column(param, a,
@@ -1623,15 +1719,18 @@ def test_mark_classes_matches_reference(param, sheets):
 @settings(max_examples=15, deadline=None)
 @given(params(31), st.sampled_from((1, 2)), st.data())
 def test_planted_start_fault_matches_reference(param, sheets, data):
-    """A column start (a, r) sent to the cell of a class of another column
-    fails mark_classes with the reference's record, where the reference's
-    column a carries the classes b = r mod sheets along the planted cell's
-    diagonal, as the column fact would."""
+    """A column start (a, r), a < omega, sent to the cell of a class of a
+    column a0 of another residue mod omega fails mark_classes with the
+    reference's record.  center_cells reads only the starts a < omega and
+    moves the fault to the starts a + k*omega by k steps of -2p^2, so the
+    reference's columns a + k*omega carry the classes b = r mod sheets
+    along the diagonal of the planted cell so moved, as the column fact
+    and the residue law would."""
     w = param.omega
-    a = data.draw(st.integers(0, w * w - 1))
+    a = data.draw(st.integers(0, w - 1))
     r = data.draw(st.integers(0, sheets - 1))
-    a0 = data.draw(st.integers(0, w * w - 2))
-    a0 += a0 >= a
+    a0 = data.draw(st.integers(0, w - 2))
+    a0 += (a0 >= a) + w * data.draw(st.integers(0, w - 1))
     planted = center_cell(param, a0, data.draw(st.integers(0, sheets * w - 1)),
                           sheets)
     real = classifier.center_cell
@@ -1641,8 +1740,10 @@ def test_planted_start_fault_matches_reference(param, sheets, data):
 
     def faulty_column(prm, x, n):
         column = point_column(prm, x, n)
-        if x == a:
-            column[r::n] = [step_cell(prm, planted, k, n) for k in range(w)]
+        k, x0 = divmod(x, w)
+        if x0 == a:
+            start = omega_step(prm, planted, k)
+            column[r::n] = [step_cell(prm, start, i, n) for i in range(w)]
         return column
 
     with pytest.MonkeyPatch.context() as mp:
@@ -1735,6 +1836,103 @@ def reference_suite_pet_equivalence(param):
                         "block": bi, "square": (a, m)}
     return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
             "connector_squares": nonempty}
+
+
+def former_suite_pet_equivalence(param):
+    """suite_pet_equivalence's body before center_cells, its conjugacy rows
+    from a verify.center_cell call per center; it reads what the suite
+    reads through verify, so faults planted there reach both."""
+    w, ww = param.omega, param.omega ** 2
+    shifts = verify.fiber_shifts(param, verify.cover_step)
+    rows = [[verify.center_cell(param, a, b, 2) for a in (*range(ww + 1), -1)]
+            for b in (0, 1, 2, -1)]
+    for a in range(ww):
+        for b in (0, 1):
+            cell = rows[b][a]
+            j4, I1, i2 = cell // ww * 4, cell % ww - cell % w, cell % w
+            for e, (dx, dy) in enumerate(STEPS):
+                J, _, C1, c2 = shifts[j4 + e]
+                if J + (I1 + C1) % ww + (i2 + c2) % w != rows[b + dy][a + dx]:
+                    return {"ok": False, "reason": "conjugacy", "at": (a, b),
+                            "edge": "NSEW"[e]}
+    r = verify.check_mesh([param])
+    if r["failure_count"]:
+        return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
+    cover = verify.label_table(param, 2)
+    move = [w * dx + dy for dx, dy in STEPS]
+    orbit_total = 0
+    nonempty = 0
+    for bi in range(w):
+        grid_ = verify.BlockGrid(param, bi)
+        nonempty += ww - grid_.masks().count(0)
+        for loop in verify._block_loops(param, (bi, 0), grid_):
+            a, m = divmod(bi * ww + loop[0], w)
+            start = cell = verify.center_cell(param, a, m, 2)
+            if cover[cell] % 5 == 0:
+                return {"ok": False, "reason": "hold at nonempty square",
+                        "square": (a, m)}
+            if move[cover[cell] & 3] == loop[-1] - loop[0]:
+                loop = loop[:1] + loop[:0:-1]
+            J, I1, i2 = cell - cell % ww, cell % ww - cell % w, cell % w
+            j4 = cell // ww * 4
+            for i, j in zip(loop, loop[1:] + loop[:1]):
+                cell = J + I1 + i2
+                code = cover[cell]
+                if code % 5 == 0 or move[code & 3] != j - i:
+                    break
+                J, j4, C1, c2 = shifts[j4 + (code & 3)]
+                I1, i2 = (I1 + C1) % ww, (i2 + c2) % w
+            else:
+                if verify.cover_step(param, cell, code & 3) == start:
+                    orbit_total += len(loop)
+                    continue
+            return {"ok": False, "reason": "orbit polygon differs",
+                    "block": bi, "square": (a, m)}
+    return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
+            "connector_squares": nonempty}
+
+
+@pytest.mark.parametrize("pq", FAULT_PARAMS)
+def test_residue_faults_match_former_suites(pq, monkeypatch):
+    """mark_classes on both sheets, the center conjugacies of criterion 10
+    and criterion 6 against their bodies before center_cells, whole records,
+    with center_cell patched in classifier and verify: the centers (a, b0)
+    with a = a0 mod omega read the cells of (a + da, b0 + db).  True cells
+    obey the residue law, so the fault moves along a = a0 as center_cells
+    carries it from its start a0, and the former per-center calls see the
+    same cells.  da is not a multiple of omega, so every check that reads
+    the row b0 on its sheet fails."""
+    param = make_param(*pq)
+    w = param.omega
+    real = classifier.center_cell
+    rng = random.Random(w)
+    checks = [(lambda: mark_classes(param, 1), lambda: former_mark_classes(param, 1)),
+              (lambda: mark_classes(param, 2), lambda: former_mark_classes(param, 2)),
+              (lambda: symmetry_conjugacies(param),
+               lambda: former_symmetry_conjugacies(param)),
+              (lambda: verify.suite_pet_equivalence(param),
+               lambda: former_suite_pet_equivalence(param))]
+    assert all(got() == want() for got, want in checks)
+    failed = Counter()
+    for sheets in (1, 2):
+        for b0 in (0, 1, 2, -1):
+            # da != 0 mod omega: the fault leaves the residue class
+            a0, da = rng.randrange(w), rng.randrange(1, w) + w * rng.randrange(w)
+            db = rng.randrange(2 * w)
+
+            def center_cell(prm, x, y, n=1, fault=(a0, b0, sheets, da, db)):
+                if (x % w, y, n) == fault[:3]:
+                    return real(prm, x + fault[3], y + fault[4], n)
+                return real(prm, x, y, n)
+
+            for module in (classifier, verify):
+                monkeypatch.setattr(module, "center_cell", center_cell)
+            for k, (got, want) in enumerate(checks):
+                record = got()
+                assert record == want(), (sheets, b0, a0, da, db, k)
+                failed[k] += not record["ok"]
+    monkeypatch.undo()
+    assert failed == {0: 1, 1: 2, 2: 2, 3: 4}, failed  # rows each check reads
 
 
 def check_pet_equivalence_record(param):

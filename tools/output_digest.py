@@ -24,6 +24,10 @@ Groups:
 - columns       the base table's code at every center class, a*omega + b,
                 at 16/35, 41/60, 50/51 and 100/101: center_codes where the
                 package has it, else joined center_column calls;
+- center-cells  the cell of every center (a, b), a < omega^2, on the rows
+                b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
+                100/101: center_cells where the package has it, else
+                center_cell calls;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
 - blocks-large  hl, vl and masks() of every block (bi, 0) at 50/51, 41/60
@@ -73,6 +77,7 @@ DOCUMENT_WINDOW = "-6,-5,7,8"
 LARGE_BLOCKS = (((50, 51), None), ((41, 60), None), ((100, 101), None),
                 ((100, 201), (0, 1, 100, 200)))
 COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
+CELL_PARAMS = ((16, 35), (50, 51), (100, 101))
 
 
 def _digest(chunks) -> str:
@@ -182,6 +187,17 @@ def main(argv=None) -> int:
             rows.append(b"".join(classifier.center_column(param, table, a)
                                  for a in range(param.omega ** 2)))
     print(f"{'columns':<24} {_digest(rows)}")
+    rows = []
+    for pq in CELL_PARAMS:
+        param = make_param(*pq)
+        for b in (-1, 0, 1, 2):
+            for sheets in (1, 2):
+                if hasattr(classifier, "center_cells"):
+                    rows.append(classifier.center_cells(param, b, sheets))
+                else:
+                    rows.append([classifier.center_cell(param, a, b, sheets)
+                                 for a in range(param.omega ** 2)])
+    print(f"{'center-cells':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
