@@ -47,8 +47,8 @@ fibers.  So the classes b = r mod sheets of a column run along one diagonal
 i1 + i2 = const of one fiber from the column start (a, r), and mark_classes
 and the map checks of symmetry_conjugacies read only starts.  From (a, b) to
 (a + omega, b) the image gains 2p(2*omega, 2p, 2p) plus 4p(omega - p) in u1
-and u2, so the columns a = a0 mod omega share a fiber and a step of omega
-moves a start by -2p^2 in i1 and i2, on the cover too: from the starts
+and u2, so columns a = a0 mod omega share a fiber and a step of omega moves
+a start by -2p^2 in i1 and i2, on the cover too: from the starts (a, r) with
 a < omega, center_cells reads every start's cell and center_codes every code.
 """
 
@@ -358,26 +358,27 @@ def center_cells(param: Param, b: int = 0, sheets: int = 1) -> List[int]:
     return cells
 
 
-def center_codes(param: Param, table: bytes) -> bytearray:
-    """table[center_cell(param, a, b)] at a*omega + b for every center class,
-    table being label_table(param) or a translate of it.  Skew column k (and
-    k + omega) of a fiber is its column pk turned down by pk, so skew row d is
-    diagonal d twice round in steps of p, and a center column one slice."""
+def center_codes(param: Param, table: bytes, sheets: int = 1) -> bytearray:
+    """table[center_cell(param, a, b, sheets)] at a*omega + b, b < omega,
+    table being label_table(param, sheets) or a translate of it.  Skew
+    column k (and k + omega) of a fiber is its column pk turned down by pk,
+    so skew row d is diagonal d twice round in steps of p, and the classes
+    b = r mod sheets of a center column one slice in steps of sheets."""
     w, p, ww = param.omega, param.p, param.omega ** 2
     codes = bytearray(w * ww)
     out = memoryview(codes)  # fixed length: a short slice raises
-    for a0 in range(w):
-        rest, i2 = divmod(center_cell(param, a0, 0), w)
+    for a0, r in [(a0, r) for a0 in range(w) for r in range(sheets)]:
+        rest, i2 = divmod(center_cell(param, a0, r, sheets), w)
         j, i1 = divmod(rest, w)
         fiber = table[j * ww:(j + 1) * ww] * 2
         skew = bytearray(2 * ww)
         for k in range(w):
             c = p * k % w
             skew[k::2 * w] = skew[k + w::2 * w] = fiber[(w - c) * w + c::w][:w]
-        d, k = i1 + i2, i2 * pow(p, -1, w)
-        for a in range(a0, ww, w):
+        d, k, n = i1 + i2, i2 * pow(p, -1, w), w - r
+        for lo in range(a0 * w + r, w * ww, w * w):  # column a = a0 mod omega
             start = d % w * 2 * w + k % w
-            out[a * w:(a + 1) * w] = skew[start:start + w]
+            out[lo:lo + n:sheets] = skew[start:start + n:sheets]
             d, k = d - 4 * p * p, k - 2 * p
     return codes
 

@@ -25,13 +25,12 @@ Fiber shifts.  cover_step sends each cell (j, i1, i2) of table fiber j to
 (j', i1 + c1, i2 + c2) mod omega, j', c1 and c2 depending on j and the edge
 alone: the step adds one vector to a cell's point, and whether t leaves the
 table's range depends on the fiber.  fiber_shifts reads the shifts from
-cover_step once per parameter, and the checks read them there: check_mesh
-compares whole fibers, and criterion 6 steps orbits and checks conjugacy,
-cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy), on the
-center_cells rows b = 0, 1, enough as b -> b + 2 is one shift on all fibers
-(classifier docstring, "Center columns").  Every cover cell is a center's,
-so a step across e and back across e ^ 1 returns to the cell.  All of it
-rests on cover_step being a fiber shift (test_cover_step_matches_decoded_step).
+cover_step once per parameter, and the checks read the exchange there alone:
+check_mesh compares whole fibers, and criterion 6, which steps no orbit,
+checks conjugacy, cover_step(center_cell(a, b), e) == center_cell(a + dx,
+b + dy), on the center_cells rows b = 0, 1, enough as b -> b + 2 is one
+shift on all fibers (classifier docstring, "Center columns").  Every cover
+cell is a center's, so a step across e and back across e ^ 1 returns to it.
 """
 
 from __future__ import annotations
@@ -142,15 +141,15 @@ def cover_step(param: Param, cell: int, edge: int) -> int:
     return (j * w + (i1 + p2 * (dx - k)) % w) * w + (i2 + p2 * (dx + dy - k)) % w
 
 
-def fiber_shifts(param: Param, step) -> List[Tuple[int, int, int, int]]:
+def fiber_shifts(param: Param, step) -> List[Tuple[int, int, int]]:
     """A fiber shift step, such as cover_step, as a table read at the cells
-    (j, 0, 0): row 4*j + e is (j'*omega^2, 4*j', c1*omega, c2), so a cell J +
-    I1 + i2 of fiber j (J = j*omega^2, I1 = i1*omega) steps across e to J' +
-    (I1 + C1) % omega^2 + (i2 + c2) % omega, and 4*j' picks its next rows."""
+    (j, 0, 0): row 4*j + e is (j'*omega^2, c1*omega, c2), so a cell J + I1 +
+    i2 of fiber j (J = j*omega^2, I1 = i1*omega) steps across e to J' +
+    (I1 + C1) % omega^2 + (i2 + c2) % omega."""
     w = param.omega
     steps = [divmod(step(param, j * w * w, e), w * w)
              for j in range(2 * w) for e in range(4)]
-    return [(j * w * w, 4 * j, c - c % w, c % w) for j, c in steps]
+    return [(j * w * w, c - c % w, c % w) for j, c in steps]
 
 
 def _point_cell(param: Param, point: CoverPoint) -> int:
@@ -259,10 +258,11 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 # Oriented coherence (the mesh equations)
 # ---------------------------------------------------------------------------
 
-# per edge e, as translate tables read at 0..15 only, whether a code leaves
-# across e (bit 0) and enters across it (bit 1), bits that REVERSED swaps
+# _ENDS[e]: whether a code leaves (bit 0) and enters (bit 1) across edge e;
+# _MEETS[e]: the _ENDS[e] that meet a code across e; tables read at 0..15
 _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
          for e in range(4)]
+_MEETS = [REVERSED.translate(_ENDS[e ^ 1]) for e in range(4)]
 
 
 def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
@@ -294,12 +294,11 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
             # a connector into an edge comes out of the opposite one there
             for edge in (1, 0, 2, 3):  # S, N, E, W
                 # fiber j', named by fiber_shifts' row, turned by c2 and c1
-                J2, _, C1, c2 = shifts[4 * j + edge]
+                J2, C1, c2 = shifts[4 * j + edge]
                 rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
                                 for r in range(J2, J2 + ww, w))
                 here = fiber.translate(_ENDS[edge])
-                there = (rows[C1:] + rows[:C1]).translate(
-                    REVERSED).translate(_ENDS[edge ^ 1])
+                there = (rows[C1:] + rows[:C1]).translate(_MEETS[edge])
                 if here == there:
                     continue
                 e, o = _ORDER[edge], _ORDER[edge ^ 1]

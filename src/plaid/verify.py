@@ -15,7 +15,6 @@ from .params import Param, even_rationals, make_param
 from .grid import (
     BlockGrid,
     STEPS,
-    _block_loops,
     _h_walk,
     _read_light,
     _v_walk,
@@ -29,7 +28,6 @@ from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
     _MASK_TABLE,
-    center_cell,
     center_cells,
     center_codes,
     image_geometry_scaled,
@@ -38,6 +36,8 @@ from .classifier import (
     verify_bijection,
 )
 from .pet import (
+    _ENDS,
+    _MEETS,
     BadOffset,
     check_mesh,
     cover_bijection,
@@ -121,13 +121,15 @@ def suite_isomorphism(param: Param) -> dict:
 
 
 def suite_pet_equivalence(param: Param) -> dict:
-    """The orbit from each traced loop's first square follows the loop step
-    by step, in either direction, and closes with it; orbit lengths sum to
-    the connector count; and the exchange is conjugate to connector-following
-    with an exact inverse: conjugacy on the center_cells rows b = 0 and 1
-    across every edge, the next connector's entry edge by check_mesh, and
-    the step back because every cover cell is a center's (criterion 5).
-    Cells step by fiber_shifts' rows, an orbit's closing step by cover_step."""
+    """Conjugacy and the inverse as in pet's "Fiber shifts", on the
+    center_cells rows b = 0, 1 and by check_mesh, which read the exchange in
+    fiber_shifts alone: a cover_step fault at one cell is the fiber-shift
+    property's to catch.  Given them, the orbit from a connector square's
+    center follows the square's loop and closes after len(loop) steps when
+    every square's cover code spans its mask (a hold only at mask 0), meets
+    its neighbours' codes end to end (the mesh equations on centers) and has
+    no end on the block's border: byte compares of each block's slice of
+    center_codes; a failing block names its first failing square in flat order."""
     w, ww = param.omega, param.omega ** 2
     shifts = fiber_shifts(param, cover_step)
     # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
@@ -138,45 +140,38 @@ def suite_pet_equivalence(param: Param) -> dict:
             cell = rows[b][a]
             j4, I1, i2 = cell // ww * 4, cell % ww - cell % w, cell % w
             for e, (dx, dy) in enumerate(STEPS):
-                J, _, C1, c2 = shifts[j4 + e]
+                J, C1, c2 = shifts[j4 + e]
                 if J + (I1 + C1) % ww + (i2 + c2) % w != rows[b + dy][a + dx]:
                     return {"ok": False, "reason": "conjugacy", "at": (a, b),
                             "edge": "NSEW"[e]}
     r = check_mesh([param])
     if r["failure_count"]:
         return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
-    cover = label_table(param, 2)
-    move = [w * dx + dy for dx, dy in STEPS]  # in flat indices n*w + m
-    orbit_total = 0
-    nonempty = 0
+    codes = center_codes(param, label_table(param, 2), 2)
+    orbit_total = nonempty = 0
     for bi in range(w):
-        grid = BlockGrid(param, bi)
-        # counted from the masks, not from the loops, so that a loop the
-        # walker drops still fails orbit_total == nonempty
-        nonempty += ww - grid.masks().count(0)
-        for loop in _block_loops(param, (bi, 0), grid):
-            a, m = divmod(bi * ww + loop[0], w)
-            start = cell = center_cell(param, a, m, 2)
-            if cover[cell] % 5 == 0:
-                return {"ok": False, "reason": "hold at nonempty square",
-                        "square": (a, m)}
-            if move[cover[cell] & 3] == loop[-1] - loop[0]:
-                loop = loop[:1] + loop[:0:-1]  # the orbit leaves east
-            J, I1, i2 = cell - cell % ww, cell % ww - cell % w, cell % w
-            j4 = cell // ww * 4
-            for i, j in zip(loop, loop[1:] + loop[:1]):
-                cell = J + I1 + i2
-                code = cover[cell]
-                if code % 5 == 0 or move[code & 3] != j - i:
-                    break
-                J, j4, C1, c2 = shifts[j4 + (code & 3)]
-                I1, i2 = (I1 + C1) % ww, (i2 + c2) % w
-            else:  # no break: the orbit followed the loop, cover_step closes it
-                if cover_step(param, cell, code & 3) == start:
-                    orbit_total += len(loop)
-                    continue
-            return {"ok": False, "reason": "orbit polygon differs",
-                    "block": bi, "square": (a, m)}
+        masks = BlockGrid(param, bi).masks()
+        block = codes[bi * ww:(bi + 1) * ww]
+        spans = block.translate(_MASK_TABLE)
+        # each square's N and E ends, and those the squares below and west need
+        north, east = block.translate(_ENDS[0]), block.translate(_ENDS[2])
+        south, west = block.translate(_MEETS[0]), block.translate(_MEETS[2])
+        if (spans == masks and north[:-1] == south[1:] and east[:-w] == west[w:]
+                and north[w - 1::w] + south[::w] + east[-w:] + west[:w]
+                == bytes(4 * w)):
+            orbit_total += ww - spans.count(0)
+            nonempty += ww - masks.count(0)
+            continue
+        i = next(i for i in range(ww) if spans[i] != masks[i]
+                 or north[i] != (south[i + 1] if i % w < w - 1 else 0)
+                 or east[i] != (west[i + w] if i < ww - w else 0)
+                 or south[i] and i % w == 0 or west[i] and i < w)
+        square = divmod(bi * ww + i, w)
+        if masks[i] and not spans[i]:
+            return {"ok": False, "reason": "hold at nonempty square",
+                    "square": square}
+        return {"ok": False, "reason": "orbit polygon differs", "block": bi,
+                "square": square}
     return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
             "connector_squares": nonempty}
 
@@ -293,7 +288,7 @@ DEFAULT_BOUNDS = {
     "two-points": 61,
     "hier": 51,
     "bijection": 51,
-    "pet-equivalence": 51,
+    "pet-equivalence": 61,
     "first": 61,
     "empty-rect": 51,
     "symmetry": 61,

@@ -69,7 +69,7 @@ def test_criterion_05_bijection():
 
 
 def test_criterion_06_pet_equivalence():
-    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 51)
+    _sweep(6, "vector dynamics redraw the polygons", "pet-equivalence", 61)
 
 
 def test_criterion_07_oriented_coherence():

@@ -15,10 +15,11 @@ per-column reader and the per-class reduction, criteria 2 and 10 against
 their former bodies under planted table and edge faults, the column fact
 against the per-class reduction, the bijection on column starts against
 marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the pet-equivalence record against the suite's former body,
-which rebuilt each orbit's polygon, also under planted faults, the light-set
-laws and the classifier conjugacies against per-crossing and whole-column
-references, past their sweep bound and under planted light and label faults,
+per-class loop, the pet-equivalence record against the suite's walked
+former body and the reference that rebuilt each orbit's polygon, also under
+planted faults, the light-set laws and the classifier conjugacies against
+per-crossing and whole-column references, past their sweep bound and under
+planted light and label faults,
 the empty rectangles on running light counts against a search over light
 edges, the integer irrational window against its Fraction oracle and its
 column walk against the former per-center body, its coherence lanes against
@@ -31,7 +32,6 @@ witness and mask faults."""
 
 import math
 import random
-import re
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -42,7 +42,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mutant_cover_step
+from conftest import check_fiber_shifts, mutant_cover_step
 
 from plaid.params import PlaidError, even_rationals, make_param, sym_reduce
 from plaid import analysis, classifier, grid, pet, serialize, svgout, verify
@@ -84,7 +84,6 @@ from plaid.pet import (
     NonPeriodicOrbit,
     cover_step,
     decode_cell,
-    fiber_shifts,
     irrational_tiling,
     oriented_label_scaled,
     path_polygon,
@@ -1392,46 +1391,57 @@ def reference_center_column(param, table, a):
 SHIFT = bytes(range(1, 256)) + b"\0"
 
 
-def check_center_codes(param, table, columns=None):
-    """center_codes on table, and on a translate of it, against the former
-    per-column reader and the table read at the per-class reduction of every
-    center of the columns (all of them by default)."""
+def check_center_codes(param, table, columns=None, sheets=1):
+    """center_codes on table, and on a translate of it, against the table
+    read at the per-class reduction of every center (a, b), b < omega, of
+    the columns (all of them by default), and on the base against the former
+    per-column reader."""
     w = param.omega
-    got = center_codes(param, table)
+    got = center_codes(param, table, sheets)
     assert type(got) is bytearray and len(got) == w ** 3, str(param)
-    shifted = center_codes(param, bytes(table).translate(SHIFT))
+    shifted = center_codes(param, table.translate(SHIFT), sheets)
     for a in range(w * w) if columns is None else columns:
-        want = bytes(table[c] for c in point_column(param, a, 1))
-        assert reference_center_column(param, table, a) == want
-        assert got[a * w:(a + 1) * w] == want, (str(param), a)
-        assert shifted[a * w:(a + 1) * w] == want.translate(SHIFT), (str(param), a)
+        want = bytes(table[grid_cell(param, *xi_raw_scaled(param, a, b), sheets)]
+                     for b in range(w))
+        if sheets == 1:
+            assert reference_center_column(param, table, a) == want
+        assert got[a * w:(a + 1) * w] == want, (str(param), a, sheets)
+        assert shifted[a * w:(a + 1) * w] == want.translate(SHIFT), \
+            (str(param), a, sheets)
 
 
 def test_center_codes_match_references_to_31():
-    """center_codes against the former columns and the per-class reduction
-    at every class of every even rational with omega <= 31, on a random
-    table."""
+    """center_codes on both sheets against the former columns and the
+    per-class reduction at every class of every even rational with omega
+    <= 31, on a random table, and on the cover table at omega <= 21."""
     for param in even_rationals(31):
         w = param.omega
-        check_center_codes(param, random.Random(w * w + param.p).randbytes(w ** 3))
+        rng = random.Random(w * w + param.p)
+        for sheets in (1, 2):
+            check_center_codes(param, rng.randbytes(sheets * w ** 3),
+                               sheets=sheets)
+        if w <= 21:
+            check_center_codes(param, label_table(param, 2), sheets=2)
 
 
 @settings(max_examples=10, deadline=None)
 @given(params(min_omega=101), st.lists(st.integers(0, 10 ** 6), min_size=1,
-                                       max_size=3), st.integers(0, 2 ** 32))
-def test_center_codes_match_references(param, columns, seed):
+                                       max_size=3), st.integers(0, 2 ** 32),
+       st.sampled_from((1, 2)))
+def test_center_codes_match_references(param, columns, seed, sheets):
     """The same at omega 101 .. MAX_OMEGA for a few columns, on a table that
-    is random on their fibers only, so that no example draws omega^3 random
-    bytes; a column a = a0 + m*omega with m > 0 reads its fiber through the
-    residue law."""
+    is random on the fibers of their starts (a, r), r < sheets, only, so
+    that no example draws sheets*omega^3 random bytes; a column a = a0 +
+    m*omega with m > 0 reads its fiber through the residue law."""
     w = param.omega
     columns = [a % (w * w) for a in columns]
-    table = bytearray(w ** 3)
+    table = bytearray(sheets * w ** 3)
     rng = random.Random(seed)
     for a in columns:
-        j = center_cell(param, a, 0) // (w * w)
-        table[j * w * w:(j + 1) * w * w] = rng.randbytes(w * w)
-    check_center_codes(param, table, columns)
+        for r in range(sheets):
+            j = center_cell(param, a, r, sheets) // (w * w)
+            table[j * w * w:(j + 1) * w * w] = rng.randbytes(w * w)
+    check_center_codes(param, table, columns, sheets)
 
 
 def former_suite_isomorphism(param):
@@ -1627,30 +1637,29 @@ def test_center_cells_match_center_cell(param, b, sheets):
 
 @pytest.mark.parametrize("pq", [(2, 5), (8, 13), (10, 21)])
 def test_center_cell_calls_per_suite(pq, monkeypatch):
-    """center_cell calls in classifier: omega per center_cells row, so
-    3*omega for bijection (one base and two cover rows), 3*omega for
-    symmetry (center_codes' starts and two rows) and 4*omega for
-    pet-equivalence's conjugacy rows, whose loop starts call verify's."""
+    """center_cell calls, all in classifier: omega per center_cells row and
+    sheets*omega per center_codes, so 3*omega for bijection (one base and
+    two cover rows), 3*omega for symmetry (center_codes' starts and two
+    rows) and 6*omega for pet-equivalence (four conjugacy rows and the
+    cover codes' starts).  verify makes none: it no longer imports
+    center_cell."""
     param = make_param(*pq)
     w = param.omega
     calls = Counter()
     real = classifier.center_cell
 
-    def counted(module):
-        def center_cell(prm, a, b, sheets=1):
-            calls[module] += 1
-            return real(prm, a, b, sheets)
-        return center_cell
+    def center_cell(prm, a, b, sheets=1):
+        calls[sheets] += 1
+        return real(prm, a, b, sheets)
 
-    monkeypatch.setattr(classifier, "center_cell", counted("classifier"))
-    monkeypatch.setattr(verify, "center_cell", counted("verify"))
-    for suite, want in (("bijection", 3 * w), ("symmetry", 3 * w),
-                        ("pet-equivalence", 4 * w)):
+    monkeypatch.setattr(classifier, "center_cell", center_cell)
+    assert not hasattr(verify, "center_cell")
+    for suite, want in (("bijection", {1: w, 2: 2 * w}),
+                        ("symmetry", {1: 3 * w}),
+                        ("pet-equivalence", {2: 6 * w})):
         calls.clear()
         assert verify.SUITES[suite](param)["ok"], suite
-        assert calls["classifier"] == want, (suite, calls)
-        assert calls["verify"] == (suite == "pet-equivalence") * sum(
-            1 for bi in range(w) for _ in grid._block_loops(param, (bi, 0)))
+        assert calls == want, (suite, calls)
 
 
 def former_mark_classes(param, sheets):
@@ -1809,10 +1818,10 @@ def reference_suite_pet_equivalence(param):
     w = param.omega
     for a in range(w * w):
         for b in (0, 1):
-            cell = verify.center_cell(param, a, b, 2)
+            cell = classifier.center_cell(param, a, b, 2)
             for e, (dx, dy) in enumerate(STEPS):
                 if verify.cover_step(param, cell, e) != \
-                        verify.center_cell(param, a + dx, b + dy, 2):
+                        classifier.center_cell(param, a + dx, b + dy, 2):
                     return {"ok": False, "reason": "conjugacy", "at": (a, b),
                             "edge": "NSEW"[e]}
     r = verify.check_mesh([param])
@@ -1838,14 +1847,28 @@ def reference_suite_pet_equivalence(param):
             "connector_squares": nonempty}
 
 
-def former_suite_pet_equivalence(param):
-    """suite_pet_equivalence's body before center_cells, its conjugacy rows
-    from a verify.center_cell call per center; it reads what the suite
-    reads through verify, so faults planted there reach both."""
+def per_center_row(param, b, sheets):
+    """center_cells' row b from a classifier.center_cell call per center, as
+    criterion 6 read its conjugacy rows before center_cells."""
+    return [classifier.center_cell(param, a, b, sheets)
+            for a in range(param.omega ** 2)]
+
+
+def walked_suite_pet_equivalence(param, row=None):
+    """suite_pet_equivalence's body before its byte compares, kept as their
+    oracle: the orbit from each traced loop's first square follows the loop
+    step by step, in either direction, through fiber_shifts' rows, and one
+    cover_step call closes it.  The conjugacy rows are classifier's
+    center_cells or, when given, row(param, b, 2).  It reads what the suite
+    reads through verify, and center_cell and _block_loops through classifier
+    and grid, so faults planted there reach it.  fiber_shifts' rows no
+    longer name the next fiber's rows, so 4*j' is read off j'*omega^2."""
     w, ww = param.omega, param.omega ** 2
-    shifts = verify.fiber_shifts(param, verify.cover_step)
-    rows = [[verify.center_cell(param, a, b, 2) for a in (*range(ww + 1), -1)]
-            for b in (0, 1, 2, -1)]
+    shifts = [(J, J // ww * 4, C1, c2)
+              for J, C1, c2 in verify.fiber_shifts(param, verify.cover_step)]
+    # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
+    rows = [[*r, r[0], r[-1]] for r in ((row or classifier.center_cells)(
+        param, b, 2) for b in (0, 1, 2, -1))]
     for a in range(ww):
         for b in (0, 1):
             cell = rows[b][a]
@@ -1859,20 +1882,22 @@ def former_suite_pet_equivalence(param):
     if r["failure_count"]:
         return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
     cover = verify.label_table(param, 2)
-    move = [w * dx + dy for dx, dy in STEPS]
+    move = [w * dx + dy for dx, dy in STEPS]  # in flat indices n*w + m
     orbit_total = 0
     nonempty = 0
     for bi in range(w):
         grid_ = verify.BlockGrid(param, bi)
+        # counted from the masks, not from the loops, so that a loop the
+        # walker drops still fails orbit_total == nonempty
         nonempty += ww - grid_.masks().count(0)
-        for loop in verify._block_loops(param, (bi, 0), grid_):
+        for loop in grid._block_loops(param, (bi, 0), grid_):
             a, m = divmod(bi * ww + loop[0], w)
-            start = cell = verify.center_cell(param, a, m, 2)
+            start = cell = classifier.center_cell(param, a, m, 2)
             if cover[cell] % 5 == 0:
                 return {"ok": False, "reason": "hold at nonempty square",
                         "square": (a, m)}
             if move[cover[cell] & 3] == loop[-1] - loop[0]:
-                loop = loop[:1] + loop[:0:-1]
+                loop = loop[:1] + loop[:0:-1]  # the orbit leaves east
             J, I1, i2 = cell - cell % ww, cell % ww - cell % w, cell % w
             j4 = cell // ww * 4
             for i, j in zip(loop, loop[1:] + loop[:1]):
@@ -1882,7 +1907,7 @@ def former_suite_pet_equivalence(param):
                     break
                 J, j4, C1, c2 = shifts[j4 + (code & 3)]
                 I1, i2 = (I1 + C1) % ww, (i2 + c2) % w
-            else:
+            else:  # no break: the orbit followed the loop, cover_step closes it
                 if verify.cover_step(param, cell, code & 3) == start:
                     orbit_total += len(loop)
                     continue
@@ -1896,7 +1921,7 @@ def former_suite_pet_equivalence(param):
 def test_residue_faults_match_former_suites(pq, monkeypatch):
     """mark_classes on both sheets, the center conjugacies of criterion 10
     and criterion 6 against their bodies before center_cells, whole records,
-    with center_cell patched in classifier and verify: the centers (a, b0)
+    with center_cell patched in classifier: the centers (a, b0)
     with a = a0 mod omega read the cells of (a + da, b0 + db).  True cells
     obey the residue law, so the fault moves along a = a0 as center_cells
     carries it from its start a0, and the former per-center calls see the
@@ -1911,7 +1936,7 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
               (lambda: symmetry_conjugacies(param),
                lambda: former_symmetry_conjugacies(param)),
               (lambda: verify.suite_pet_equivalence(param),
-               lambda: former_suite_pet_equivalence(param))]
+               lambda: walked_suite_pet_equivalence(param, per_center_row))]
     assert all(got() == want() for got, want in checks)
     failed = Counter()
     for sheets in (1, 2):
@@ -1925,8 +1950,7 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
                     return real(prm, x + fault[3], y + fault[4], n)
                 return real(prm, x, y, n)
 
-            for module in (classifier, verify):
-                monkeypatch.setattr(module, "center_cell", center_cell)
+            monkeypatch.setattr(classifier, "center_cell", center_cell)
             for k, (got, want) in enumerate(checks):
                 record = got()
                 assert record == want(), (sheets, b0, a0, da, db, k)
@@ -1936,30 +1960,18 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
 
 
 def check_pet_equivalence_record(param):
-    """suite_pet_equivalence's record, or the PlaidError it raises, equals
-    the reference's.  Where the reference's orbit does not close, or its
-    vector path does not, the suite names that orbit's loop as "orbit
-    polygon differs": it never walks past the loop's length."""
-    def outcome(suite):
-        try:
-            return suite(param)
-        except PlaidError as exc:
-            return type(exc), str(exc)
-
-    got = outcome(verify.suite_pet_equivalence)
-    want = outcome(reference_suite_pet_equivalence)
-    if isinstance(want, tuple) and "close" in want[1]:
-        a, b = map(int, re.search(r"center \((\d+), (\d+)\)", want[1]).groups())
-        want = {"ok": False, "reason": "orbit polygon differs",
-                "block": a // param.omega, "square": (a, b)}
-    assert got == want, str(param)
+    """suite_pet_equivalence's whole record equals the walked suite's and
+    the reference's."""
+    got = verify.suite_pet_equivalence(param)
+    assert got == walked_suite_pet_equivalence(param) == \
+        reference_suite_pet_equivalence(param), str(param)
     return got
 
 
 def test_pet_equivalence_matches_per_class_reference_to_15():
     """The fiber-shift conjugacy and mesh inverse of the suite against the
-    per-class loop, and its whole record against the reference suite, at
-    every even rational with omega <= 15."""
+    per-class loop, and its whole record against the walked suite and the
+    reference suite, at every even rational with omega <= 15."""
     for param in even_rationals(15):
         assert check_pet_equivalence_record(param)["ok"], str(param)
         assert reference_conjugacy_inverse(param)["ok"], str(param)
@@ -1978,41 +1990,78 @@ def test_cover_step_mutant_fails_suite_and_reference(pq, monkeypatch):
     assert not reference_conjugacy_inverse(param, mutant_cover_step)["ok"]
     monkeypatch.setattr(verify, "cover_step", mutant_cover_step)
     monkeypatch.setattr(pet, "cover_step", mutant_cover_step)
-    assert not check_pet_equivalence_record(param)["ok"]
+    assert check_pet_equivalence_record(param) == {
+        "ok": False, "reason": "conjugacy", "at": (0, 0), "edge": "N"}
+
+
+def plant_cover_code(monkeypatch, cell, change):
+    """One code of the cover table that the orbit half of the suites reads
+    through verify.label_table changed; check_mesh reads pet.label_table,
+    which stays whole."""
+    real = verify.label_table
+
+    def table(prm, sheets=1):
+        codes = real(prm, sheets)
+        if sheets == 2:
+            codes[cell] = change(codes[cell])
+        return codes
+
+    monkeypatch.setattr(verify, "label_table", table)
 
 
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 def test_pet_equivalence_reversed_code_matches_reference(pq, monkeypatch):
-    """One cover code reversed where the orbit half reads it: at a loop's
-    start cell, at each cell of one orbit, and at random connector cells.
-    A reversed start runs back and forth to a neighbour, a reversed cell
-    past it sends the reference's orbit into a two-cell cycle that never
-    returns; check_mesh reads pet.label_table, which stays whole."""
+    """One cover code reversed at each cell of one loop of block 1.  Its
+    ends no longer meet its two loop neighbours', so the suite fails at the
+    lower square of each broken pair, the least of the square and its
+    neighbours; the walked suite fails the loop at its start, where a
+    reversed start runs back and forth to a neighbour and a reversed cell
+    past it leaves the loop."""
     param = make_param(*pq)
     w = param.omega
-    real = verify.label_table
     loop = next(grid._block_loops(param, (1, 0)))
-    cells = [center_cell(param, *divmod(w * w + i, w), 2) for i in loop]
-    connectors = [c for c, code in enumerate(real(param, 2)) if code % 5]
-    cells += random.Random(w).sample(connectors, 8)
-    for k, cell in enumerate(cells):
-        def table(prm, sheets=1, cell=cell):
-            codes = real(prm, sheets)
-            if sheets == 2:
-                codes[cell] = REVERSED[codes[cell]]
-            return codes
+    for k, i in enumerate(loop):
+        monkeypatch.undo()
+        plant_cover_code(monkeypatch, center_cell(param, *divmod(w * w + i, w), 2),
+                         REVERSED.__getitem__)
+        least = min(i, loop[k - 1], loop[(k + 1) % len(loop)])
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": 1,
+            "square": divmod(w * w + least, w)}, k
+        assert walked_suite_pet_equivalence(param) == {
+            "ok": False, "reason": "orbit polygon differs", "block": 1,
+            "square": divmod(w * w + loop[0], w)}, k
 
-        monkeypatch.setattr(verify, "label_table", table)
-        got = check_pet_equivalence_record(param)
-        if k < len(loop):
-            assert got == {"ok": False, "reason": "orbit polygon differs",
-                           "block": 1, "square": divmod(w * w + loop[0], w)}
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21), (8, 19)])
+def test_reversed_codes_caught_as_walked(pq, monkeypatch):
+    """One cover code reversed at each of 60 sampled connector cells: the
+    suite fails exactly where the walked suite does, at the cells of the
+    centers (a, b), b < omega, that the blocks (bi, 0) read.  A reversed
+    code elsewhere on the cover passes both: their orbit halves never read
+    it, and check_mesh, which would see it, reads pet.label_table."""
+    param = make_param(*pq)
+    w = param.omega
+    cover = label_table(param, 2)
+    read = {c for b in range(w) for c in center_cells(param, b, 2)}
+    cells = random.Random(w).sample([c for c, code in enumerate(cover)
+                                     if code % 5], 60)
+    for cell in cells:
+        monkeypatch.undo()
+        plant_cover_code(monkeypatch, cell, REVERSED.__getitem__)
+        got = verify.suite_pet_equivalence(param)
+        assert got["ok"] == walked_suite_pet_equivalence(param)["ok"] == \
+            (cell not in read), (cell, got)
 
 
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
-    """One edge's goodness toggled in one block's light counts: both walks
-    stop at the same incoherent square."""
+    """One edge's goodness toggled in one block's light counts.  The walked
+    suite's walker stops at the incoherent square; the suite's codes stay
+    whole, so only the masks of the squares the edge bounds change, and it
+    fails at the lower of them: "hold at nonempty square" where that
+    square's mask was 0, so that its code is a hold, else "orbit polygon
+    differs"."""
     param = make_param(*pq)
     w = param.omega
     for bi, i in ((1, 2 * w + 3), (w - 1, 0), (2, w * w + w - 1)):
@@ -2022,30 +2071,18 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
                 g.hl[i] = 0 if g.hl[i] == 1 else 1
             return g
 
+        # hl[m*w + n] is the S edge of the square (n, m), the N edge of (n, m - 1)
+        m, n = divmod(i, w)
+        square = n * w + max(m - 1, 0)
+        held = BlockGrid(param, bi).masks()[square] == 0
         monkeypatch.setattr(verify, "BlockGrid", faulty)
-        got = check_pet_equivalence_record(param)
-        assert got[0] is IncoherentInput, got
-
-
-def table_step(shifts, w, cell, edge):
-    """The step of a cell through fiber_shifts' rows, as the suite takes it,
-    and the row index its next step reads."""
-    ww = w * w
-    J, j4, C1, c2 = shifts[cell // ww * 4 + edge]
-    return J + (cell % ww - cell % w + C1) % ww + (cell % w + c2) % w, j4
-
-
-def check_fiber_shifts(param, cells):
-    """Every row reproduces cover_step at the given cells and every edge,
-    and names the fiber of the cell it steps to."""
-    w = param.omega
-    shifts = fiber_shifts(param, cover_step)
-    assert len(shifts) == 8 * w
-    for cell in cells:
-        for edge in range(4):
-            nxt, j4 = table_step(shifts, w, cell, edge)
-            assert nxt == cover_step(param, cell, edge), (str(param), cell, edge)
-            assert j4 == nxt // (w * w) * 4, (str(param), cell, edge)
+        with pytest.raises(IncoherentInput):
+            walked_suite_pet_equivalence(param)
+        square = divmod(bi * w * w + square, w)
+        assert verify.suite_pet_equivalence(param) == (
+            {"ok": False, "reason": "hold at nonempty square", "square": square}
+            if held else {"ok": False, "reason": "orbit polygon differs",
+                          "block": bi, "square": square}), (bi, i)
 
 
 def test_fiber_shifts_match_cover_step_to_15():
@@ -2077,9 +2114,8 @@ def plant_shift_row(monkeypatch, row, field, change):
 
 
 def orbit_rows(param):
-    """Per loop the suite walks, in its order: its block, first square, and
-    the table rows its orbit reads at every step but the last (whose next
-    rows it never reads)."""
+    """Per loop the walked suite walks, in its order: its block, first
+    square, and the table rows its orbit reads at every step but the last."""
     w = param.omega
     cover, move = pet.label_table(param, 2), [w * dx + dy for dx, dy in STEPS]
     for bi in range(w):
@@ -2106,7 +2142,7 @@ def test_corrupt_shift_row_fails_conjugacy_and_mesh(pq, monkeypatch):
     w = param.omega
     _, _, rows = next(t for t in orbit_rows(param) if t[0] == 1)
     for row in (center_cell(param, 0, 0, 2) // (w * w) * 4, rows[len(rows) // 2]):
-        plant_shift_row(monkeypatch, row, 3, lambda c2: (c2 + 1) % w)
+        plant_shift_row(monkeypatch, row, 2, lambda c2: (c2 + 1) % w)
         j, e = divmod(row, 4)
         a, b = next((a, b) for a in range(w * w) for b in (0, 1)
                     if center_cell(param, a, b, 2) // (w * w) == j)
@@ -2116,24 +2152,6 @@ def test_corrupt_shift_row_fails_conjugacy_and_mesh(pq, monkeypatch):
         assert r["failure_count"], row
         assert {(f["fiber"] + w) // 2 % (2 * w) for f in r["failures"]} == {j}
         monkeypatch.undo()
-
-
-@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
-def test_corrupt_next_rows_fail_the_orbit_walk(pq, monkeypatch):
-    """The 4*j' of one row an orbit crosses pointed at the next fiber's
-    rows: only the orbit walk reads that field, so conjugacy and check_mesh
-    pass, and the first loop whose orbit reads the row before its last step
-    takes its next step from the wrong rows and fails."""
-    param = make_param(*pq)
-    w = param.omega
-    walks = list(orbit_rows(param))
-    row = next(t for t in walks if t[0] == 1)[2][1]
-    plant_shift_row(monkeypatch, row, 1, lambda j4: (j4 + 4) % (8 * w))
-    bi, square, _ = next(t for t in walks if row in t[2])
-    assert verify.suite_pet_equivalence(param) == {
-        "ok": False, "reason": "orbit polygon differs", "block": bi,
-        "square": square}
-    assert pet.check_mesh([param])["failure_count"] == 0
 
 
 def oracle_tiling(P, offset, window, eps):

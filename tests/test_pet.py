@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mutant_cover_step
+from conftest import check_fiber_shifts, mutant_cover_step
 from plaid import pet, verify
 from plaid.params import PlaidError, even_rationals, make_param
 from plaid.grid import BlockGrid, _block_loops, trace_polygons
@@ -26,9 +26,9 @@ from plaid.pet import (
     xi_hat,
     STEPS,
 )
-from plaid.classifier import (CODE_MASKS, REVERSED, canon_frac, center_cell,
-                              fiber_label, grid_cell, tile_of, unordered_label,
-                              xi_raw_scaled)
+from plaid.classifier import (CODE_MASKS, REVERSED, _MASK_TABLE, canon_frac,
+                              center_cell, fiber_label, grid_cell, tile_of,
+                              unordered_label, xi_raw_scaled)
 
 
 class TestLiftLabel:
@@ -177,7 +177,7 @@ class TestOrbits:
 
 def _fault_target(param):
     """The first block past block 0 with polygons, and the least vertex of
-    its first polygon: where suite_pet_equivalence starts that orbit."""
+    its first polygon: that loop's least square in flat order."""
     bi = next(b for b in range(1, param.omega) if trace_polygons(param, (b, 0)))
     x2, y2 = trace_polygons(param, (bi, 0))[0].verts2[0]
     return bi, (x2 // 2, y2 // 2)
@@ -185,7 +185,7 @@ def _fault_target(param):
 
 def _orbit_starts(param):
     """(block, first square, its cover cell, the code there) of every loop
-    suite_pet_equivalence walks, in its order."""
+    of the blocks (bi, 0), in walker order."""
     w, cover = param.omega, pet.label_table(param, 2)
     for bi in range(w):
         for loop in _block_loops(param, (bi, 0)):
@@ -211,9 +211,16 @@ def _plant_code(monkeypatch, cell, code):
 
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 class TestPetEquivalenceFaults:
-    """suite_pet_equivalence with one fault injected into what it reads."""
+    """suite_pet_equivalence with one fault injected into what it reads.  A
+    code fault fails it at the first square in flat order where a compare
+    fails; a pair of squares whose ends do not meet fails at its lower
+    square.  A fault of cover_step at one cell is read by no suite: the
+    suites read the exchange through fiber_shifts' rows alone, so the
+    fiber-shift property, run over every cell, must catch it."""
 
     def test_hold_orbit_at_connector(self, pq, monkeypatch):
+        """A hold at a loop's least square: its code no longer spans its
+        mask, and the pairs it breaks lie above and east of it."""
         param = make_param(*pq)
         _, square = _fault_target(param)
         _plant_code(monkeypatch, center_cell(param, *square, 2), 0)
@@ -221,8 +228,10 @@ class TestPetEquivalenceFaults:
             "ok": False, "reason": "hold at nonempty square", "square": square}
 
     def test_swapped_orbit_vectors(self, pq, monkeypatch):
-        """One orbit cell past the start given another exit: the orbit
-        leaves the traced loop there."""
+        """One orbit cell past the start given another exit, its entry kept:
+        the pair with the start still meets, and at both parameters the
+        first failing square is the swapped one, whose code no longer spans
+        its mask."""
         param = make_param(*pq)
         bi, square = _fault_target(param)
         cover = pet.label_table(param, 2)
@@ -232,14 +241,16 @@ class TestPetEquivalenceFaults:
         entry = cover[cell] >> 2
         out = next(e for e in range(4) if e not in (entry, cover[cell] & 3))
         _plant_code(monkeypatch, cell, 4 * entry + out)
+        dx, dy = STEPS[cover[start] & 3]
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": square}
+            "square": (square[0] + dx, square[1] + dy)}
 
     def test_hold_inside_orbit(self, pq, monkeypatch):
         """A hold code with the exit bits of the connector it replaces, one
         cell past the start: the step it would take is right, but the
-        exchange holds there."""
+        exchange holds there, so its pair with the start, the loop's least
+        square, no longer meets."""
         param = make_param(*pq)
         bi, square = _fault_target(param)
         cover = pet.label_table(param, 2)
@@ -251,47 +262,70 @@ class TestPetEquivalenceFaults:
             "square": square}
 
     def test_first_step_checked(self, pq, monkeypatch):
-        """A start connector that leaves south, with an exchange that steps
-        north from it anyway: only the first step's exit is wrong.  The
-        suite reads verify.cover_step through fiber_shifts, at the cells
-        (j, 0, 0) only, and at each orbit's closing step, taken from the
-        loop's last cell; the start is none of those cells, so the
-        conjugacy half reads true shifts and the orbit half meets the
-        planted exit first."""
+        """A loop's first connector that leaves north, planted to leave
+        south: its S end no longer meets the N end of the square below,
+        the lower square of that pair, where the suite fails.  The
+        exchange that steps north from that cell anyway, whatever the edge,
+        is a cover_step fault at one cell: it fails the fiber-shift
+        property."""
         param = make_param(*pq)
         bi, square, start, code = next(
             t for t in _orbit_starts(param) if t[1][1] >= 2 and t[3] & 3 == 0)
-        real = verify.cover_step
-
-        def step(prm, cell, edge):
-            return real(prm, cell, 0 if cell == start else edge)
-
-        monkeypatch.setattr(verify, "cover_step", step)
         _plant_code(monkeypatch, start, code & 12 | 1)
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": square}
-
-    def test_orbit_misses_start(self, pq, monkeypatch):
-        """The exchange's last step round one loop lands beside its start
-        cell: every exit follows the loop, but the orbit does not close.
-        The suite reads verify.cover_step through fiber_shifts, from the
-        cells (j, 0, 0) only, and no step from those lands on the start,
-        so the conjugacy half reads true shifts and only the orbit's
-        closing step meets the fault."""
-        param = make_param(*pq)
-        bi, square, start, _ = next(
-            t for t in _orbit_starts(param) if t[1][1] >= 3)
-        real = verify.cover_step
+            "square": (square[0], square[1] - 1)}
 
         def step(prm, cell, edge):
-            nxt = real(prm, cell, edge)
+            return cover_step(prm, cell, 0 if cell == start else edge)
+
+        with pytest.raises(AssertionError):
+            check_fiber_shifts(param, range(2 * param.omega ** 3), step)
+
+    def test_orbit_misses_start(self, pq):
+        """The exchange's last step round one loop lands beside its start
+        cell: a cover_step fault at the cells that step to the start, which
+        the fiber-shift property over every cell catches."""
+        param = make_param(*pq)
+        _, _, start, _ = next(t for t in _orbit_starts(param) if t[1][1] >= 3)
+
+        def step(prm, cell, edge):
+            nxt = cover_step(prm, cell, edge)
             return nxt ^ 1 if nxt == start else nxt
 
-        monkeypatch.setattr(verify, "cover_step", step)
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": square}
+        with pytest.raises(AssertionError):
+            check_fiber_shifts(param, range(2 * param.omega ** 3), step)
+
+    def test_connector_across_block(self, pq, monkeypatch):
+        """Block 0 planted as one straight connector from border to border,
+        holds elsewhere, with masks to match: a column of codes that enter
+        S and leave N, then a row of codes that enter W and leave E.  Every
+        code spans its mask and meets its neighbours, so only the border
+        lanes fail, at the connector's first square."""
+        param = make_param(*pq)
+        w = param.omega
+        real_codes = verify.center_codes
+        for line, code, square in ((slice(2 * w, 3 * w), 4 * 1 + 0, (2, 0)),
+                                   (slice(3, w * w, w), 4 * 3 + 2, (0, 3))):
+            block = bytearray(w * w)
+            block[line] = bytes([code]) * w
+
+            def codes(prm, table, sheets=1, block=bytes(block)):
+                out = real_codes(prm, table, sheets)
+                out[:w * w] = block
+                return out
+
+            def grid(prm, bi, block=bytes(block)):
+                g = BlockGrid(prm, bi)
+                if bi == 0:
+                    g._masks = block.translate(_MASK_TABLE)
+                return g
+
+            monkeypatch.setattr(verify, "center_codes", codes)
+            monkeypatch.setattr(verify, "BlockGrid", grid)
+            assert verify.suite_pet_equivalence(param) == {
+                "ok": False, "reason": "orbit polygon differs", "block": 0,
+                "square": square}
 
     def test_cover_step_mutant(self, pq, monkeypatch):
         """A wrong fiber shift fails conjugacy at the first center."""
@@ -319,24 +353,6 @@ class TestPetEquivalenceFaults:
         # fails in two
         assert verify.suite_pet_equivalence(param) == {
             "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}
-
-    def test_dropped_polygon(self, pq, monkeypatch):
-        """The connector count does not come from the walker, so a loop it
-        drops leaves the orbit steps short."""
-        param = make_param(*pq)
-        bi, _ = _fault_target(param)
-        real = verify._block_loops
-
-        def loops(prm, block, grid=None):
-            found = real(prm, block, grid)
-            if block == (bi, 0):
-                next(found)
-            return found
-
-        monkeypatch.setattr(verify, "_block_loops", loops)
-        rec = verify.suite_pet_equivalence(param)
-        assert not rec["ok"], rec
-        assert rec["orbit_steps"] < rec["connector_squares"], rec
 
 
 class TestCoverBijection:

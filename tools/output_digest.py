@@ -28,6 +28,10 @@ Groups:
                 b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
                 100/101: center_cells where the package has it, else
                 center_cell calls;
+- cover-columns the cover code at every center a < omega^2, b < omega, at
+                16/35 and 50/51: center_codes(..., 2) where the package
+                takes its sheets argument, else a per-center gather;
+- pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
 - blocks-large  hl, vl and masks() of every block (bi, 0) at 50/51, 41/60
@@ -56,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import os
 import sys
@@ -78,6 +83,8 @@ LARGE_BLOCKS = (((50, 51), None), ((41, 60), None), ((100, 101), None),
                 ((100, 201), (0, 1, 100, 200)))
 COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
 CELL_PARAMS = ((16, 35), (50, 51), (100, 101))
+COVER_COLUMN_PARAMS = ((16, 35), (50, 51))
+PET_PARAMS = ((50, 51), (41, 60), (100, 101))
 
 
 def _digest(chunks) -> str:
@@ -198,6 +205,18 @@ def main(argv=None) -> int:
                     rows.append([classifier.center_cell(param, a, b, sheets)
                                  for a in range(param.omega ** 2)])
     print(f"{'center-cells':<24} {_digest(rows)}")
+    rows = []
+    for pq in COVER_COLUMN_PARAMS:
+        param = make_param(*pq)
+        table, w = classifier.label_table(param, 2), param.omega
+        if "sheets" in inspect.signature(classifier.center_codes).parameters:
+            rows.append(bytes(classifier.center_codes(param, table, 2)))
+        else:
+            rows.append(bytes(table[classifier.center_cell(param, a, b, 2)]
+                              for a in range(w * w) for b in range(w)))
+    print(f"{'cover-columns':<24} {_digest(rows)}")
+    rows = [verify.suite_pet_equivalence(make_param(*pq)) for pq in PET_PARAMS]
+    print(f"{'pet-large':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
