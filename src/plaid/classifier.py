@@ -449,11 +449,11 @@ def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
     fact of the module docstring the classes b = r mod sheets of column a
     fill the diagonal i1 + i2 = d of one fiber j (sheets*p is a unit mod
     omega), so they are distinct when the keys (j, d) of the starts (a, r),
-    center_cells rows, are.  The base side checks the parity once per column,
-    as a step in b adds 2*omega to t and 4p to u2.  A failure names the first
-    start whose key repeats, its cell and the earlier class with that cell."""
+    center_cells rows, are.  The base side's parity, read at a < omega, holds
+    everywhere: b + 1 adds 2*omega, 0, 4p and a + omega 4p*omega to (t, u1,
+    u2).  A failure names the first repeat's start, cell and earlier class."""
     w, ww = param.omega, param.omega ** 2
-    for a in range(ww if sheets == 1 else 0):
+    for a in range(w if sheets == 1 else 0):
         t, u1, u2 = xi_raw_scaled(param, a, 0)
         if t % 2 == 0 or u1 % 2 or u2 % 2:
             return {"ok": False, "reason": f"parity at {(a, 0)}"}

@@ -26,11 +26,12 @@ Fiber shifts.  cover_step sends each cell (j, i1, i2) of table fiber j to
 alone: the step adds one vector to a cell's point, and whether t leaves the
 table's range depends on the fiber.  fiber_shifts reads the shifts from
 cover_step once per parameter, and the checks read the exchange there alone:
-check_mesh compares whole fibers, and criterion 6, which steps no orbit,
-checks conjugacy, cover_step(center_cell(a, b), e) == center_cell(a + dx,
-b + dy), on the center_cells rows b = 0, 1, enough as b -> b + 2 is one
-shift on all fibers (classifier docstring, "Center columns").  Every cover
-cell is a center's, so a step across e and back across e ^ 1 returns to it.
+_mesh_failures compares whole fibers of a cover table, for check_mesh and
+for criterion 6, which reads its codes from that same table and checks
+conjugacy, cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy),
+on the center_cells rows b = 0, 1, enough as b -> b + 2 is one shift on all
+fibers (classifier docstring, "Center columns").  Every cover cell is a
+center's, so a step across e and back across e ^ 1 returns to it.
 """
 
 from __future__ import annotations
@@ -265,53 +266,62 @@ _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
 _MEETS = [REVERSED.translate(_ENDS[e ^ 1]) for e in range(4)]
 
 
+def _mesh_failures(param: Param, cover: bytes, shifts) -> List[dict]:
+    """The failure records of the mesh equations on every cover table fiber."""
+    w, ww = param.omega, param.omega ** 2
+    failures = []
+    # by the bijection, every odd fiber of the cover is populated
+    for t in range(-2 * w + 1, 2 * w, 2):
+        # the fiber's cells are one block of the table
+        j = (t + w) // 2 % (2 * w)
+        fiber = cover[j * ww:(j + 1) * ww]
+        # the matching neighbour always sits across the named edge, and
+        # a connector into an edge comes out of the opposite one there
+        for edge in (1, 0, 2, 3):  # S, N, E, W
+            # fiber j', named by fiber_shifts' row, turned by c2 and c1
+            J2, C1, c2 = shifts[4 * j + edge]
+            rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
+                            for r in range(J2, J2 + ww, w))
+            here = fiber.translate(_ENDS[edge])
+            there = (rows[C1:] + rows[:C1]).translate(_MEETS[edge])
+            if here == there:
+                continue
+            e, o = _ORDER[edge], _ORDER[edge ^ 1]
+            for i, (x, y) in enumerate(zip(here, there)):
+                for bit, case in ((1, f"into-{e}->out-{o}"),
+                                  (2, f"out-{e}->into-{o}")):
+                    if (x ^ y) & bit:
+                        failures.append({
+                            "param": str(param), "fiber": t,
+                            "cell": decode_cell(param, j * ww + i)[1:],
+                            "case": case})
+    return failures
+
+
+def _worst(failures: Sequence[dict]):
+    """(param, fiber, cell, count) of the cell failing most, first on a tie."""
+    counts = Counter((f["param"], f["fiber"], f["cell"]) for f in failures)
+    worst = max(counts, key=counts.get, default=None)
+    return worst and (*worst, counts[worst])
+
+
 def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     """Fiberwise equality of the eight region-matching equations on every
     populated fiber of every given parameter, sampled at the discrete grid,
     plus the triad-coverage condition over the parameter list (three points,
     not all at one parameter, interior to each of the six base triangles).
-    A fiber that fails is walked for the failure records; "worst" is (param,
-    fiber, cell, count) of the cell that fails most, the first on a tie.
     The triads count each zone's base fibers, off the seam, where _boards
     gives it alone; both halves of the cover lie once over each base fiber."""
     failures = []
     coverage: Dict[int, Set[Tuple[str, int]]] = {1: set(), 2: set(), 3: set()}
     for param in params:
         w = param.omega
-        ww = w * w
         for t in range(2 - w, w, 2):
             boards = _boards(w, 2 * param.p, t)
             if len(boards) == 1:
                 coverage[boards[0][0]].add((str(param), t))
-        cover = label_table(param, 2)
-        shifts = fiber_shifts(param, cover_step)
-        # by the bijection, every odd fiber of the cover is populated
-        for t in range(-2 * w + 1, 2 * w, 2):
-            # the fiber's cells are one block of the table
-            j = (t + w) // 2 % (2 * w)
-            fiber = cover[j * ww:(j + 1) * ww]
-            # the matching neighbour always sits across the named edge, and
-            # a connector into an edge comes out of the opposite one there
-            for edge in (1, 0, 2, 3):  # S, N, E, W
-                # fiber j', named by fiber_shifts' row, turned by c2 and c1
-                J2, C1, c2 = shifts[4 * j + edge]
-                rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
-                                for r in range(J2, J2 + ww, w))
-                here = fiber.translate(_ENDS[edge])
-                there = (rows[C1:] + rows[:C1]).translate(_MEETS[edge])
-                if here == there:
-                    continue
-                e, o = _ORDER[edge], _ORDER[edge ^ 1]
-                for i, (x, y) in enumerate(zip(here, there)):
-                    for bit, case in ((1, f"into-{e}->out-{o}"),
-                                      (2, f"out-{e}->into-{o}")):
-                        if (x ^ y) & bit:
-                            failures.append({
-                                "param": str(param), "fiber": t,
-                                "cell": decode_cell(param, j * ww + i)[1:],
-                                "case": case})
-    counts = Counter((f["param"], f["fiber"], f["cell"]) for f in failures)
-    worst = max(counts, key=counts.get, default=None)
+        failures += _mesh_failures(param, label_table(param, 2),
+                                   fiber_shifts(param, cover_step))
     triads_ok = True
     detail = {}
     for zone, pts in coverage.items():
@@ -319,7 +329,7 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
         triads_ok &= len(pts) >= 3 and len({nm for nm, _ in pts}) >= 2
     return {"ok": not failures and triads_ok, "failures": failures[:10],
             "failure_count": len(failures), "triads_ok": triads_ok,
-            "triad_detail": detail, "worst": worst and (*worst, counts[worst])}
+            "triad_detail": detail, "worst": _worst(failures)}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .grid import (
 from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
+    ORIENTED_CODES,
     _MASK_TABLE,
     center_cells,
     center_codes,
@@ -36,8 +37,8 @@ from .classifier import (
     verify_bijection,
 )
 from .pet import (
-    _ENDS,
-    _MEETS,
+    _mesh_failures,
+    _worst,
     BadOffset,
     check_mesh,
     cover_bijection,
@@ -121,16 +122,16 @@ def suite_isomorphism(param: Param) -> dict:
 
 
 def suite_pet_equivalence(param: Param) -> dict:
-    """Conjugacy and the inverse as in pet's "Fiber shifts", on the
-    center_cells rows b = 0, 1 and by check_mesh, which read the exchange in
-    fiber_shifts alone: a cover_step fault at one cell is the fiber-shift
-    property's to catch.  Given them, the orbit from a connector square's
-    center follows the square's loop and closes after len(loop) steps when
-    every square's cover code spans its mask (a hold only at mask 0), meets
-    its neighbours' codes end to end (the mesh equations on centers) and has
-    no end on the block's border: byte compares of each block's slice of
-    center_codes; a failing block names its first failing square in flat order."""
+    """Conjugacy and the inverse as in pet's "Fiber shifts", on one cover
+    table and its fiber_shifts rows; a cover_step fault at one cell is the
+    fiber-shift property's to catch.  Given conjugacy, the mesh equations
+    make every square's cover code meet its neighbours' end to end, so the
+    orbit from a connector square's center follows the square's loop and
+    closes after len(loop) steps when every code also spans its mask and
+    has no end on the block's border: byte compares of each block's codes,
+    which name a failing block's first bad square, its good edges and code."""
     w, ww = param.omega, param.omega ** 2
+    cover = label_table(param, 2)
     shifts = fiber_shifts(param, cover_step)
     # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
     rows = [[*r, r[0], r[-1]] for r in (center_cells(param, b, 2)
@@ -144,36 +145,34 @@ def suite_pet_equivalence(param: Param) -> dict:
                 if J + (I1 + C1) % ww + (i2 + c2) % w != rows[b + dy][a + dx]:
                     return {"ok": False, "reason": "conjugacy", "at": (a, b),
                             "edge": "NSEW"[e]}
-    r = check_mesh([param])
-    if r["failure_count"]:
-        return {"ok": False, "reason": "inverse", "worst": r["worst"][1:]}
-    codes = center_codes(param, label_table(param, 2), 2)
-    orbit_total = nonempty = 0
+    failures = _mesh_failures(param, cover, shifts)
+    if failures:
+        return {"ok": False, "reason": "inverse", "worst": _worst(failures)[1:]}
+    codes = center_codes(param, cover, 2)
+    # each square's edges on its block's border, as the mask bits N 1, S 2,
+    # E 4 and W 8 that spans gives a code's edges: no code may end there
+    rim = bytes((m == w - 1) | (m == 0) << 1 | (n == w - 1) << 2
+                | (n == 0) << 3 for n in range(w) for m in range(w))
+    border = int.from_bytes(rim, "big")
+    steps = 0
     for bi in range(w):
         masks = BlockGrid(param, bi).masks()
         block = codes[bi * ww:(bi + 1) * ww]
         spans = block.translate(_MASK_TABLE)
-        # each square's N and E ends, and those the squares below and west need
-        north, east = block.translate(_ENDS[0]), block.translate(_ENDS[2])
-        south, west = block.translate(_MEETS[0]), block.translate(_MEETS[2])
-        if (spans == masks and north[:-1] == south[1:] and east[:-w] == west[w:]
-                and north[w - 1::w] + south[::w] + east[-w:] + west[:w]
-                == bytes(4 * w)):
-            orbit_total += ww - spans.count(0)
-            nonempty += ww - masks.count(0)
+        if spans == masks and not int.from_bytes(spans, "big") & border:
+            steps += ww - masks.count(0)
             continue
-        i = next(i for i in range(ww) if spans[i] != masks[i]
-                 or north[i] != (south[i + 1] if i % w < w - 1 else 0)
-                 or east[i] != (west[i + w] if i < ww - w else 0)
-                 or south[i] and i % w == 0 or west[i] and i < w)
-        square = divmod(bi * ww + i, w)
-        if masks[i] and not spans[i]:
-            return {"ok": False, "reason": "hold at nonempty square",
-                    "square": square}
-        return {"ok": False, "reason": "orbit polygon differs", "block": bi,
-                "square": square}
-    return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
-            "connector_squares": nonempty}
+        i = next(i for i in range(ww)
+                 if spans[i] != masks[i] or spans[i] & rim[i])
+        record = {"ok": False, "reason": "orbit polygon differs", "block": bi}
+        if not spans[i]:  # flagged, so its mask is not 0
+            record = {"ok": False, "reason": "hold at nonempty square"}
+        return {**record, "square": divmod(bi * ww + i, w),
+                "good_edges": sorted(e for k, e in enumerate("NSEW")
+                                     if masks[i] >> k & 1),
+                "label": ORIENTED_CODES[block[i]]}
+    # each connector square's code spans its mask: one orbit step a square
+    return {"ok": True, "orbit_steps": steps, "connector_squares": steps}
 
 
 def suite_mesh(param: Param) -> dict:
@@ -282,18 +281,8 @@ SUITES: Dict[str, Callable[[Param], dict]] = {
     "particle-geometry": suite_particle_geometry,
 }
 
-DEFAULT_BOUNDS = {
-    "coherence": 51,
-    "isomorphism": 61,
-    "two-points": 61,
-    "hier": 51,
-    "bijection": 51,
-    "pet-equivalence": 61,
-    "first": 61,
-    "empty-rect": 51,
-    "symmetry": 61,
-    "particle-geometry": 51,
-}
+# every suite's sweep bound; mesh runs its witnesses by default
+DEFAULT_MAX_OMEGA = 61
 
 MESH_WITNESSES = ((3, 8), (4, 11))
 MESH_EXTRAS = ((1, 2), (2, 5), (2, 7))
@@ -326,8 +315,8 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
         if suite == "mesh" and max_omega is None:
             params = [make_param(*pq) for pq in MESH_WITNESSES + MESH_EXTRAS]
         else:
-            params = even_rationals(DEFAULT_BOUNDS[suite]
-                                    if max_omega is None else max_omega)
+            params = even_rationals(DEFAULT_MAX_OMEGA if max_omega is None
+                                    else max_omega)
     jobs_list = [(suite, prm.p, prm.q) for prm in params]
     jobs = min(jobs, len(jobs_list), os.cpu_count() or 1)  # all forked at once
     if jobs > 1:

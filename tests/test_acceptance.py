@@ -43,12 +43,12 @@ def test_criterion_01_coherence(capsys):
     from plaid.cli import main
 
     t0 = time.time()
-    code = main(["verify", "--suite", "coherence", "--max-omega", "51",
+    code = main(["verify", "--suite", "coherence", "--max-omega", "61",
                  "--jobs", "2"])
     out = capsys.readouterr().out
     with capsys.disabled():
-        _criterion(1, "coherence", code == 0 and out.count('"ok":true') == 271,
-                   f"271 parameters to omega 51 via the CLI, "
+        _criterion(1, "coherence", code == 0 and out.count('"ok":true') == 394,
+                   f"394 parameters to omega 61 via the CLI, "
                    f"{time.time() - t0:.0f}s")
 
 
@@ -61,11 +61,11 @@ def test_criterion_03_two_points_per_segment():
 
 
 def test_criterion_04_capacity_census():
-    _sweep(4, "capacity-k lines carry k light points", "hier", 51)
+    _sweep(4, "capacity-k lines carry k light points", "hier", 61)
 
 
 def test_criterion_05_bijection():
-    _sweep(5, "omega^3 classifying bijection", "bijection", 51)
+    _sweep(5, "omega^3 classifying bijection", "bijection", 61)
 
 
 def test_criterion_06_pet_equivalence():
@@ -88,7 +88,7 @@ def test_criterion_08_large_symmetric_polygon():
 
 
 def test_criterion_09_empty_rectangles():
-    _sweep(9, "empty rectangle and its census", "empty-rect", 51)
+    _sweep(9, "empty rectangle and its census", "empty-rect", 61)
 
 
 def test_criterion_10_symmetries():
@@ -96,7 +96,7 @@ def test_criterion_10_symmetries():
 
 
 def test_criterion_11_particle_geometry():
-    _sweep(11, "particle image geometry", "particle-geometry", 51)
+    _sweep(11, "particle image geometry", "particle-geometry", 61)
 
 
 def test_criterion_12_irrational_mode():

@@ -1725,6 +1725,32 @@ def test_mark_classes_matches_reference(param, sheets):
     assert mark_classes(param, sheets) == reference_mark_classes(param, sheets)
 
 
+@pytest.mark.parametrize("pq", FAULT_PARAMS)
+def test_planted_parity_fault_at_start_column(pq, monkeypatch):
+    """The base side reads the parity of the start columns a < omega alone:
+    a step of omega in a adds 4p*omega, an even number, to t, u1 and u2, so
+    every column has its start's parity.  A parity fault planted at a start
+    column, an even t or an odd u1, fails mark_classes there, and the
+    cover side, which has no parity check, passes."""
+    param = make_param(*pq)
+    w = param.omega
+    for a in range(w * w):
+        assert [v % 2 for v in xi_raw_scaled(param, a, 0)] == \
+            [v % 2 for v in xi_raw_scaled(param, a % w, 0)], a
+    real = classifier.xi_raw_scaled
+    for a0, change in ((0, (1, 0, 0)), (w - 1, (0, 1, 0)), (w // 2, (1, 0, 0))):
+        def faulty(prm, a, b, a0=a0, change=change):
+            point = real(prm, a, b)
+            if (a, b) != (a0, 0):
+                return point
+            return tuple(v + d for v, d in zip(point, change))
+
+        monkeypatch.setattr(classifier, "xi_raw_scaled", faulty)
+        assert mark_classes(param, 1) == {"ok": False,
+                                          "reason": f"parity at {(a0, 0)}"}
+        assert mark_classes(param, 2)["ok"]
+
+
 @settings(max_examples=15, deadline=None)
 @given(params(31), st.sampled_from((1, 2)), st.data())
 def test_planted_start_fault_matches_reference(param, sheets, data):
@@ -1995,9 +2021,10 @@ def test_cover_step_mutant_fails_suite_and_reference(pq, monkeypatch):
 
 
 def plant_cover_code(monkeypatch, cell, change):
-    """One code of the cover table that the orbit half of the suites reads
-    through verify.label_table changed; check_mesh reads pet.label_table,
-    which stays whole."""
+    """One code of the cover table that suite_pet_equivalence reads through
+    verify.label_table changed, for its mesh equations and its block
+    compares alike.  The walked suite's orbit half reads it too, but its
+    check_mesh reads pet.label_table, which stays whole."""
     real = verify.label_table
 
     def table(prm, sheets=1):
@@ -2012,22 +2039,21 @@ def plant_cover_code(monkeypatch, cell, change):
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 def test_pet_equivalence_reversed_code_matches_reference(pq, monkeypatch):
     """One cover code reversed at each cell of one loop of block 1.  Its
-    ends no longer meet its two loop neighbours', so the suite fails at the
-    lower square of each broken pair, the least of the square and its
-    neighbours; the walked suite fails the loop at its start, where a
-    reversed start runs back and forth to a neighbour and a reversed cell
-    past it leaves the loop."""
+    ends no longer meet its two loop neighbours', so the suite's mesh
+    equations fail at the cell in 4 cases and at each neighbour in 2; the
+    walked suite, whose mesh reads the whole table, fails the loop at its
+    start, where a reversed start runs back and forth to a neighbour and a
+    reversed cell past it leaves the loop."""
     param = make_param(*pq)
     w = param.omega
     loop = next(grid._block_loops(param, (1, 0)))
     for k, i in enumerate(loop):
         monkeypatch.undo()
-        plant_cover_code(monkeypatch, center_cell(param, *divmod(w * w + i, w), 2),
-                         REVERSED.__getitem__)
-        least = min(i, loop[k - 1], loop[(k + 1) % len(loop)])
+        cell = center_cell(param, *divmod(w * w + i, w), 2)
+        plant_cover_code(monkeypatch, cell, REVERSED.__getitem__)
+        t, *planted = decode_cell(param, cell)
         assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "orbit polygon differs", "block": 1,
-            "square": divmod(w * w + least, w)}, k
+            "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}, k
         assert walked_suite_pet_equivalence(param) == {
             "ok": False, "reason": "orbit polygon differs", "block": 1,
             "square": divmod(w * w + loop[0], w)}, k
@@ -2036,10 +2062,10 @@ def test_pet_equivalence_reversed_code_matches_reference(pq, monkeypatch):
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21), (8, 19)])
 def test_reversed_codes_caught_as_walked(pq, monkeypatch):
     """One cover code reversed at each of 60 sampled connector cells: the
-    suite fails exactly where the walked suite does, at the cells of the
-    centers (a, b), b < omega, that the blocks (bi, 0) read.  A reversed
-    code elsewhere on the cover passes both: their orbit halves never read
-    it, and check_mesh, which would see it, reads pet.label_table."""
+    suite fails at every one, naming the cell, as its mesh equations run
+    on the table it reads.  The walked suite fails only at the cells of
+    the centers (a, b), b < omega, that the blocks (bi, 0) read: its orbit
+    half never reads the others, and its check_mesh reads pet.label_table."""
     param = make_param(*pq)
     w = param.omega
     cover = label_table(param, 2)
@@ -2049,9 +2075,11 @@ def test_reversed_codes_caught_as_walked(pq, monkeypatch):
     for cell in cells:
         monkeypatch.undo()
         plant_cover_code(monkeypatch, cell, REVERSED.__getitem__)
-        got = verify.suite_pet_equivalence(param)
-        assert got["ok"] == walked_suite_pet_equivalence(param)["ok"] == \
-            (cell not in read), (cell, got)
+        t, *planted = decode_cell(param, cell)
+        assert verify.suite_pet_equivalence(param) == {
+            "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}
+        assert walked_suite_pet_equivalence(param)["ok"] == (cell not in read), \
+            cell
 
 
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
@@ -2061,9 +2089,11 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
     whole, so only the masks of the squares the edge bounds change, and it
     fails at the lower of them: "hold at nonempty square" where that
     square's mask was 0, so that its code is a hold, else "orbit polygon
-    differs"."""
+    differs".  The record names both sides: the square's good edges after
+    the toggle and its cover code's directed label, EMPTY for a hold."""
     param = make_param(*pq)
     w = param.omega
+    cover = label_table(param, 2)
     for bi, i in ((1, 2 * w + 3), (w - 1, 0), (2, w * w + w - 1)):
         def faulty(prm, b, bi=bi, i=i):
             g = BlockGrid(prm, b)
@@ -2075,14 +2105,20 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
         m, n = divmod(i, w)
         square = n * w + max(m - 1, 0)
         held = BlockGrid(param, bi).masks()[square] == 0
+        mask = faulty(param, bi).masks()[square]
         monkeypatch.setattr(verify, "BlockGrid", faulty)
         with pytest.raises(IncoherentInput):
             walked_suite_pet_equivalence(param)
         square = divmod(bi * w * w + square, w)
+        sides = {"square": square,
+                 "good_edges": sorted(e for k, e in enumerate("NSEW")
+                                      if mask >> k & 1),
+                 "label": ORIENTED_CODES[cover[center_cell(param, *square, 2)]]}
         assert verify.suite_pet_equivalence(param) == (
-            {"ok": False, "reason": "hold at nonempty square", "square": square}
+            {"ok": False, "reason": "hold at nonempty square", **sides}
             if held else {"ok": False, "reason": "orbit polygon differs",
-                          "block": bi, "square": square}), (bi, i)
+                          "block": bi, **sides}), (bi, i)
+        assert (sides["label"] == "EMPTY") == held, (bi, i)
 
 
 def test_fiber_shifts_match_cover_step_to_15():

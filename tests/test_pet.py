@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -195,9 +196,9 @@ def _orbit_starts(param):
 
 
 def _plant_code(monkeypatch, cell, code):
-    """Set one code of the cover table that the orbit half of
-    suite_pet_equivalence reads through verify.label_table; check_mesh
-    reads pet.label_table, which stays whole."""
+    """Set one code of the cover table that suite_pet_equivalence reads
+    through verify.label_table: the one table whose fibers the mesh
+    equations compare and whose codes the block compares read."""
     real = verify.label_table
 
     def table(prm, sheets=1):
@@ -209,31 +210,40 @@ def _plant_code(monkeypatch, cell, code):
     monkeypatch.setattr(verify, "label_table", table)
 
 
+def _inverse_at(param, cell, count):
+    """The suite's "inverse" record naming the cover cell as the one that
+    fails most, with count failing cases."""
+    t, *planted = decode_cell(param, cell)
+    return {"ok": False, "reason": "inverse", "worst": (t, tuple(planted), count)}
+
+
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
 class TestPetEquivalenceFaults:
     """suite_pet_equivalence with one fault injected into what it reads.  A
-    code fault fails it at the first square in flat order where a compare
-    fails; a pair of squares whose ends do not meet fails at its lower
-    square.  A fault of cover_step at one cell is read by no suite: the
-    suites read the exchange through fiber_shifts' rows alone, so the
-    fiber-shift property, run over every cell, must catch it."""
+    code planted in its cover table breaks the mesh equations at that cell:
+    it fails in 2 cases where it loses or gains one end (its neighbour
+    across that edge in 1) and in 4 where it is reversed, so the "inverse"
+    record names it.  Codes and masks planted past the table fail at the
+    first square in flat order where a block compare fails.  A fault of
+    cover_step at one cell is read by no suite: the suites read the
+    exchange through fiber_shifts' rows alone, so the fiber-shift property,
+    run over every cell, must catch it."""
 
     def test_hold_orbit_at_connector(self, pq, monkeypatch):
-        """A hold at a loop's least square: its code no longer spans its
-        mask, and the pairs it breaks lie above and east of it."""
+        """A hold at a loop's least square: the code loses its entry and
+        its exit, each an end its neighbour's code still meets."""
         param = make_param(*pq)
         _, square = _fault_target(param)
-        _plant_code(monkeypatch, center_cell(param, *square, 2), 0)
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "hold at nonempty square", "square": square}
+        cell = center_cell(param, *square, 2)
+        _plant_code(monkeypatch, cell, 0)
+        assert verify.suite_pet_equivalence(param) == _inverse_at(param, cell, 2)
 
     def test_swapped_orbit_vectors(self, pq, monkeypatch):
         """One orbit cell past the start given another exit, its entry kept:
-        the pair with the start still meets, and at both parameters the
-        first failing square is the swapped one, whose code no longer spans
-        its mask."""
+        the old exit's neighbour still enters from it, and the new exit's
+        neighbour has no end there."""
         param = make_param(*pq)
-        bi, square = _fault_target(param)
+        _, square = _fault_target(param)
         cover = pet.label_table(param, 2)
         start = center_cell(param, *square, 2)
         cell = cover_step(param, start, cover[start] & 3)
@@ -241,40 +251,30 @@ class TestPetEquivalenceFaults:
         entry = cover[cell] >> 2
         out = next(e for e in range(4) if e not in (entry, cover[cell] & 3))
         _plant_code(monkeypatch, cell, 4 * entry + out)
-        dx, dy = STEPS[cover[start] & 3]
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": (square[0] + dx, square[1] + dy)}
+        assert verify.suite_pet_equivalence(param) == _inverse_at(param, cell, 2)
 
     def test_hold_inside_orbit(self, pq, monkeypatch):
         """A hold code with the exit bits of the connector it replaces, one
         cell past the start: the step it would take is right, but the
-        exchange holds there, so its pair with the start, the loop's least
-        square, no longer meets."""
+        exchange holds there, so neither of its ends is left."""
         param = make_param(*pq)
-        bi, square = _fault_target(param)
+        _, square = _fault_target(param)
         cover = pet.label_table(param, 2)
         start = center_cell(param, *square, 2)
         cell = cover_step(param, start, cover[start] & 3)
         _plant_code(monkeypatch, cell, 5 * (cover[cell] & 3))
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": square}
+        assert verify.suite_pet_equivalence(param) == _inverse_at(param, cell, 2)
 
     def test_first_step_checked(self, pq, monkeypatch):
         """A loop's first connector that leaves north, planted to leave
-        south: its S end no longer meets the N end of the square below,
-        the lower square of that pair, where the suite fails.  The
-        exchange that steps north from that cell anyway, whatever the edge,
-        is a cover_step fault at one cell: it fails the fiber-shift
-        property."""
+        south: the square above still enters from it.  The exchange that
+        steps north from that cell anyway, whatever the edge, is a
+        cover_step fault at one cell: it fails the fiber-shift property."""
         param = make_param(*pq)
-        bi, square, start, code = next(
+        _, _, start, code = next(
             t for t in _orbit_starts(param) if t[1][1] >= 2 and t[3] & 3 == 0)
         _plant_code(monkeypatch, start, code & 12 | 1)
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "orbit polygon differs", "block": bi,
-            "square": (square[0], square[1] - 1)}
+        assert verify.suite_pet_equivalence(param) == _inverse_at(param, start, 2)
 
         def step(prm, cell, edge):
             return cover_step(prm, cell, 0 if cell == start else edge)
@@ -297,18 +297,30 @@ class TestPetEquivalenceFaults:
             check_fiber_shifts(param, range(2 * param.omega ** 3), step)
 
     def test_connector_across_block(self, pq, monkeypatch):
-        """Block 0 planted as one straight connector from border to border,
-        holds elsewhere, with masks to match: a column of codes that enter
-        S and leave N, then a row of codes that enter W and leave E.  Every
-        code spans its mask and meets its neighbours, so only the border
-        lanes fail, at the connector's first square."""
+        """Block 0 planted as one connector from border to border, holds
+        elsewhere, with masks to match: a column of codes that enter S and
+        leave N, a row of codes that enter W and leave E, and two bent ones.
+        Every code spans its mask and meets its neighbours, so only the
+        border lanes fail, at the connector's first square in flat order:
+        for the bent ones, a square with one end on the border, so that the
+        lane it is on must be read as that end's (S for (2, 0), W for
+        (0, 3))."""
         param = make_param(*pq)
         w = param.omega
         real_codes = verify.center_codes
-        for line, code, square in ((slice(2 * w, 3 * w), 4 * 1 + 0, (2, 0)),
-                                   (slice(3, w * w, w), 4 * 3 + 2, (0, 3))):
+        # square index n*w + m -> code 4*entry + exit, edges indexed NSEW
+        column, row = range(2 * w, 3 * w), range(3, w * w, w)
+        for plant, square, edges, label in (
+                (dict.fromkeys(column, 4 * 1 + 0), (2, 0), ["N", "S"], "SN"),
+                (dict.fromkeys(row, 4 * 3 + 2), (0, 3), ["E", "W"], "WE"),
+                ({2 * w: 4 * 1 + 2, **dict.fromkeys(range(3 * w, w * w, w),
+                                                    4 * 3 + 2)},
+                 (2, 0), ["E", "S"], "SE"),
+                ({3: 4 * 3 + 0, **dict.fromkeys(range(4, w), 4 * 1 + 0)},
+                 (0, 3), ["N", "W"], "WN")):
             block = bytearray(w * w)
-            block[line] = bytes([code]) * w
+            for i, code in plant.items():
+                block[i] = code
 
             def codes(prm, table, sheets=1, block=bytes(block)):
                 out = real_codes(prm, table, sheets)
@@ -325,7 +337,7 @@ class TestPetEquivalenceFaults:
             monkeypatch.setattr(verify, "BlockGrid", grid)
             assert verify.suite_pet_equivalence(param) == {
                 "ok": False, "reason": "orbit polygon differs", "block": 0,
-                "square": square}
+                "square": square, "good_edges": edges, "label": label}, label
 
     def test_cover_step_mutant(self, pq, monkeypatch):
         """A wrong fiber shift fails conjugacy at the first center."""
@@ -334,25 +346,37 @@ class TestPetEquivalenceFaults:
             "ok": False, "reason": "conjugacy", "at": (0, 0), "edge": "N"}
 
     def test_reversed_connector_breaks_inverse(self, pq, monkeypatch):
-        """One connector reversed in the cover table that check_mesh reads:
-        its next connector no longer enters across the opposite edge.  The
-        orbit half reads verify.label_table, which stays whole."""
+        """The first connector of the cover table reversed: its next
+        connector no longer enters across the opposite edge.  Both of the
+        cell's edges fail in both directions; a neighbour fails in two."""
         param = make_param(*pq)
-        real = pet.label_table
-        cell = next(i for i, c in enumerate(real(param, 2)) if c % 5)
+        cover = pet.label_table(param, 2)
+        cell = next(i for i, c in enumerate(cover) if c % 5)
+        _plant_code(monkeypatch, cell, REVERSED[cover[cell]])
+        assert verify.suite_pet_equivalence(param) == _inverse_at(param, cell, 4)
 
-        def table(prm, sheets=1):
-            codes = real(prm, sheets)
-            if sheets == 2:
-                codes[cell] = REVERSED[codes[cell]]
-            return codes
 
-        monkeypatch.setattr(pet, "label_table", table)
-        t, *planted = decode_cell(param, cell)
-        # both of the cell's edges fail in both directions; a neighbour
-        # fails in two
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "inverse", "worst": (t, tuple(planted), 4)}
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
+def test_pet_equivalence_reads_one_cover_table(pq, monkeypatch):
+    """One suite_pet_equivalence run builds the cover table once and the
+    fiber shifts once, and runs the mesh equations on them itself, with no
+    check_mesh call to build them again."""
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(prm, *args):
+            calls[name, args[:1] if name == "label_table" else ()] += 1
+            return real(prm, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (verify, pet):
+        for name in ("label_table", "fiber_shifts", "check_mesh"):
+            counted(module, name)
+    assert verify.suite_pet_equivalence(make_param(*pq))["ok"]
+    assert calls == {("label_table", (2,)): 1, ("fiber_shifts", ()): 1}
 
 
 class TestCoverBijection:

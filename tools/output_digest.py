@@ -32,6 +32,8 @@ Groups:
                 16/35 and 50/51: center_codes(..., 2) where the package
                 takes its sheets argument, else a per-center gather;
 - pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
+- mesh-large    the check_mesh records at 50/51, at 41/60, and for the
+                list 3/8, 4/11, 50/51;
 - blocks        hl, vl, masks() and the traced polygons of blocks (bi, 0) and
                 (bi, 1) of every even rational at omega <= N;
 - blocks-large  hl, vl and masks() of every block (bi, 0) at 50/51, 41/60
@@ -85,6 +87,8 @@ COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
 CELL_PARAMS = ((16, 35), (50, 51), (100, 101))
 COVER_COLUMN_PARAMS = ((16, 35), (50, 51))
 PET_PARAMS = ((50, 51), (41, 60), (100, 101))
+# one check_mesh call per entry
+MESH_LISTS = (((50, 51),), ((41, 60),), ((3, 8), (4, 11), (50, 51)))
 
 
 def _digest(chunks) -> str:
@@ -217,6 +221,9 @@ def main(argv=None) -> int:
     print(f"{'cover-columns':<24} {_digest(rows)}")
     rows = [verify.suite_pet_equivalence(make_param(*pq)) for pq in PET_PARAMS]
     print(f"{'pet-large':<24} {_digest(rows)}")
+    rows = [pet.check_mesh([make_param(*pq) for pq in pqs])
+            for pqs in MESH_LISTS]
+    print(f"{'mesh-large':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
