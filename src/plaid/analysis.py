@@ -27,6 +27,7 @@ from .grid import (
     BlockGrid,
     GridLine,
     capacity_scaled,
+    fill_tables,
     light_lists,
     light_points_scaled,
     trace_polygons,
@@ -51,12 +52,12 @@ def polygon_stats(param: Param, blocks: Optional[Sequence[Tuple[int, int]]] = No
     """
     if blocks is None:
         blocks = [(bi, 0) for bi in range(param.omega)]
-    count = 0
+    count, tables = 0, fill_tables(param)
     per_block: Dict[Tuple[int, int], int] = {}
     best_d2 = 0
     best_x2 = 0
     for block in dict.fromkeys(blocks):
-        polys = trace_polygons(param, block)
+        polys = trace_polygons(param, block, BlockGrid(param, block[0], tables))
         per_block[block] = len(polys)
         count += len(polys)
         for pg in polys:
@@ -122,16 +123,15 @@ def cut_offsets(param: Param, K: int) -> List[int]:
             if abs(capacity_scaled(param, k)) <= K]
 
 
-def block_light_cache(param: Param, block: Tuple[int, int]
+def block_light_cache(grid: BlockGrid
                       ) -> Tuple[List[List[int]], List[List[int]]]:
     """Running light counts of the block's omega+1 rows and omega+1 columns,
-    read from the BlockGrid: rows[k][n] is the light count (with
+    read from its BlockGrid: rows[k][n] is the light count (with
     multiplicity) of row offset k's edges west of offset n, cols[k][m] that
     of column offset k's edges south of offset m.  A light block corner sits
     on an H row's first or last edge; V lines through corners have
     capacity 0."""
-    w = param.omega
-    grid = BlockGrid(param, block[0])
+    w = grid.param.omega
 
     def running(counts):
         return [list(accumulate(counts[k * w:(k + 1) * w], initial=0))
@@ -159,7 +159,7 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int
     always totals (K+1)^2 - 1: one short of what filling every cell boundary
     twice would need, so at least one empty cell must exist."""
     cuts = cut_offsets(param, K)
-    rows, cols = block_light_cache(param, block)
+    rows, cols = block_light_cache(BlockGrid(param, block[0]))
     empty = list(_empty_cells(rows, cols, cuts))
     census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
     return {
@@ -177,11 +177,11 @@ def gap_radius(param: Param, window: Tuple[int, int, int, int]) -> Rat:
     stays modest as parameters grow, echoing the no-big-gaps behaviour, and
     proves nothing asymptotic.
     """
-    w = param.omega
+    w, tables = param.omega, fill_tables(param)
     x0, y0, x1, y1 = window
     if x1 <= x0 or y1 <= y0:
         raise PlaidError("window must be nonempty")
-    masks = {bi: BlockGrid(param, bi).masks()
+    masks = {bi: BlockGrid(param, bi, tables).masks()
              for bi in {n // w % w for n in range(x0, x1)}}
     frontier = [(n, m) for n in range(x0, x1) for m in range(y0, y1)
                 if masks[n // w % w][n % w * w + m % w]]

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .params import PlaidError, make_param
-from .grid import BlockGrid, trace_polygons
+from .grid import BlockGrid, fill_tables, trace_polygons
 from .classifier import center_codes, label_table
 from .pet import irrational_tiling, special_orbit
 from .svgout import LAYERS
@@ -58,14 +58,16 @@ def machine() -> Dict[str, object]:
 
 def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     """(name, thunk) of each layer at one omega, in pipeline order: every
-    block (bi, 0) for the grid layers, center_codes of the base table (named
-    center_column, as before it), one orbit through a center of block 0's
-    first polygon, and the render and stats --document requests."""
+    block (bi, 0) for the grid layers, center_codes of the base table
+    (center_column in older entries), one orbit through a center of block
+    0's first polygon, and the render and stats --document requests."""
     p = omega // 2
     state = {}
 
     def fill():
-        state["grids"] = [BlockGrid(state["param"], bi) for bi in range(omega)]
+        tables = fill_tables(state["param"])
+        state["grids"] = [BlockGrid(state["param"], bi, tables)
+                          for bi in range(omega)]
 
     def trace():
         state["polygons"] = [trace_polygons(state["param"], (g.bi, 0), g)
@@ -88,8 +90,8 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
         ("label_table", lambda: state.update(
             table=label_table(state["param"]))),
         ("label_table_cover", lambda: label_table(state["param"], 2)),
-        ("center_column", lambda: center_codes(state["param"],
-                                               state["table"])),
+        ("center_codes", lambda: center_codes(state["param"],
+                                              state["table"])),
         ("orbit", orbit),
         ("render", lambda: request("render", "--window",
                                    f"0,0,{RENDER_WINDOW},{RENDER_WINDOW}",

@@ -24,9 +24,9 @@ the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
 (light_lists).  A light point is a light residue placed on a crossing:
 light_points_scaled places one line's residues, so that a caller drawing
-many lines builds the lists once, and BlockGrid gathers a whole block's
-counts as edge columns of skewed light strings (the column fact).  The
-light rule itself, _light, stays as the reference in segment_points.
+many lines builds the lists once, and BlockGrid a whole block's counts from
+tables built once per parameter, never cached (fill_tables).  The light
+rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
 the Fraction-valued functions are test oracles only: no suite or command
@@ -38,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
                     Tuple)
@@ -276,13 +275,19 @@ def light_lists(param: Param) -> List[List[int]]:
     return by_line
 
 
-@lru_cache(maxsize=1)
-def _fill_tables(w: int, p: int, by_line: Tuple[Tuple[int, ...], ...]) -> tuple:
-    """BlockGrid's tables: the light strings L_c doubled; diag[k], byte
-    (m + k) % w of L_m for m = 0..w, then a zero column 2w; three itemgetters
-    of each edge's weighted slots in diag rotated for p, then q, padded by
-    2w.  Keyed on the light lists, so changed lights meet no stale table."""
-    strings = [bytes(map(set(res).__contains__, range(w))) for res in by_line]
+def fill_tables(param: Param) -> tuple:
+    """BlockGrid's tables from one light_lists call: a caller building several
+    blocks of a parameter builds them once and passes them to each; nothing
+    caches them.  With L_c line c's 0/1 light string: per family s = p, q,
+    block 0's vl lanes in row-major order, byte m*w + n being
+    L_n[(m + ceil(2s*n/w)) % w], doubled; diag[k], byte (m + k) % w of L_m
+    for m = 0..w, then a zero column 2w; three itemgetters of each edge's
+    weighted slots in diag rotated for p, then q, padded by 2w."""
+    w, p = param.omega, param.p
+    strings = [bytearray(w) for _ in range(w)]
+    for lit, res in zip(strings, light_lists(param)):
+        for r in res:
+            lit[r] = 1
     skew = b"".join(s[m:] + s[:m] for m, s in enumerate(strings)) + bytes(w)
     diag = [skew[k::w] for k in range(w)] + [bytes(w + 1)]
     picks = [[] for _ in range(w)]
@@ -291,7 +296,11 @@ def _fill_tables(w: int, p: int, by_line: Tuple[Tuple[int, ...], ...]) -> tuple:
             picks[edge] += [offset + r % w] * weight
     edges = [itemgetter(*slots) for slots in
              zip(*(pick + [2 * w] * (3 - len(pick)) for pick in picks))]
-    return [s + s for s in strings], diag, edges
+    # closed_point_counts' crossing rule: on the line x, the line of
+    # intercept ceil(2s*x/w) + e meets edge e
+    cols = [b"".join(line[j:] + line[:j] for line, j in zip(
+        strings, (-(-2 * s * n // w) % w for n in range(w)))) for s in (p, w - p)]
+    return [2 * b"".join(c[m::w] for m in range(w)) for c in cols], diag, edges
 
 
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
@@ -311,31 +320,32 @@ class BlockGrid:
     [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
     {bi*w + n} x [m, m + 1].
 
-    The column fact fills them in O(omega) Python steps.  With L_m line m's
-    0/1 light string, slot r of family s (_h_slots) on row m is lit exactly
-    when L_m[(m + r + 2s*bi) % w] is 1, so the slot's values down all rows
-    are diag[(r + 2s*bi) % w], one skewed string per parameter.  An hl edge
-    column sums at most three of them, and vl column n sums L_n rotated by
-    ceil(2s*(bi*w + n)/w), s = p, q; each sum is taken on big-endian ints.
+    The fill reads the parameter's tables, built here when not given.  With
+    L_m line m's 0/1 light string, slot r of family s (_h_slots) on row m is
+    lit when L_m[(m + r + 2s*bi) % w] is 1, so its values down all rows are
+    diag[(r + 2s*bi) % w]; an hl edge column sums at most three of them.
+    vl column n is L_n rotated by ceil(2s*(bi*w + n)/w) = 2s*bi +
+    ceil(2s*n/w): block 0's column turned by a uniform 2s*bi, whole rows in
+    row-major order, so one slice of each family's table, then transposed.
+    Sums are taken on big-endian ints.
 
     The grid side's one integer light structure: edge-mask readers read the
     bytes of masks(), hier and block_light_cache the rows and columns.
     """
 
-    def __init__(self, param: Param, bi: int):
+    def __init__(self, param: Param, bi: int, tables: Optional[tuple] = None):
         w = param.omega
         self.param = param
         self.bi = bi % w
         self.hl = bytearray((w + 1) * w)
         self.vl = bytearray((w + 1) * w)
         self._masks: Optional[bytes] = None
-        self._fill()
+        self._fill(tables)
 
-    def _fill(self):
+    def _fill(self, tables: Optional[tuple]):
         w, p, bi = self.param.omega, self.param.p, self.bi
         # row c and column c of a block lie on lines of one capacity
-        lines, diag, edges = _fill_tables(
-            w, p, tuple(map(tuple, light_lists(self.param))))
+        rows, diag, edges = tables or fill_tables(self.param)
         # slot r of family s reads diag[(r + 2s*bi) % w]; 2q*bi = -2p*bi
         k = 2 * p * bi % w
         slots = diag[k:w] + diag[:k] + diag[w - k:w] + diag[:w - k] + diag[w:]
@@ -343,12 +353,10 @@ class BlockGrid:
         cols = sum(int.from_bytes(b"".join(get(slots)), "big")
                    for get in edges).to_bytes((w + 1) * w, "big")
         self.hl[:] = b"".join(cols[m::w + 1] for m in range(w + 1))
-        # closed_point_counts' crossing rule: on the line x, the line of
-        # intercept ceil(2s*x/w) + e meets edge e
-        self.vl[:w * w] = sum(int.from_bytes(b"".join(
-            line[j:j + w] for line, j in zip(lines, (
-                -(-2 * s * x // w) % w for x in range(bi * w, bi * w + w)))),
-            "big") for s in (p, w - p)).to_bytes(w * w, "big")
+        # each family's block-0 vl lanes with whole rows rotated by 2s*bi
+        lanes = sum(int.from_bytes(table[j * w:(j + w) * w], "big")
+                    for table, j in zip(rows, (k, w - k))).to_bytes(w * w, "big")
+        self.vl[:w * w] = b"".join(lanes[n::w] for n in range(w))
 
     def edge_mask(self, n: int, m: int) -> int:
         """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
@@ -394,12 +402,12 @@ def check_coherence(param: Param, region: Optional[Tuple[int, int, int, int]] = 
     domain.  Each block column's incoherent_squares go into every block row
     the region meets, as block (bi, bj) copies (bi mod omega, 0), so bad
     squares come in block order; they are returned, never raised."""
-    w = param.omega
+    w, tables = param.omega, fill_tables(param)
     x0, y0, x1, y1 = region or (0, 0, w * w, w)
     bad: List[Tuple[int, int]] = []
     for bi in range(x0 // w, -(-x1 // w)):
         dx = bi // w * w * w  # incoherent_squares places block bi mod omega
-        squares = BlockGrid(param, bi).incoherent_squares()
+        squares = BlockGrid(param, bi, tables).incoherent_squares()
         for dy in range(y0 // w * w, y1, w):
             bad += [(n + dx, m + dy) for n, m in squares
                     if x0 <= n + dx < x1 and y0 <= m + dy < y1]

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .params import Param, PlaidError
-from .grid import PlaidPolygon, _block_loops
+from .grid import BlockGrid, PlaidPolygon, _block_loops, fill_tables
 
 FORMAT_VERSION = 1
 
@@ -21,7 +21,7 @@ def polygon_document(param: Param,
                      blocks: Sequence[Tuple[int, int]]) -> dict:
     """The polygons of each block, in order, written straight from the block
     walk: a loop's squares map to vertices through one table per block."""
-    w, polygons = param.omega, []
+    w, polygons, tables = param.omega, [], fill_tables(param)
     for bi, bj in blocks:
         xs = [_half(2 * (bi * w + n) + 1) for n in range(w)]
         ys = [_half(2 * (bj * w + m) + 1) for m in range(w)]
@@ -30,7 +30,8 @@ def polygon_document(param: Param,
         table = [(x, y) for x in xs for y in ys]
         polygons += [{"block": [bi, bj],
                       "vertices": list(map(table.__getitem__, loop))}
-                     for loop in _block_loops(param, (bi, bj))]
+                     for loop in _block_loops(param, (bi, bj),
+                                              BlockGrid(param, bi, tables))]
     return {"format": FORMAT_VERSION, "param": [param.p, param.q],
             "blocks": [list(b) for b in blocks], "polygons": polygons}
 

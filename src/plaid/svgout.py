@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .params import Param, PlaidError
-from .grid import (STEPS, BlockGrid, GridLine, _block_loops, light_lists,
-                   light_points_scaled)
+from .grid import (STEPS, BlockGrid, GridLine, _block_loops, fill_tables,
+                   light_lists, light_points_scaled)
 from .classifier import cell_code, center_cell
 
 LAYERS = ("grid-lines", "light-points", "connectors", "polygons",
@@ -185,7 +185,8 @@ def render_svg(param: Param, cfg: RenderConfig) -> str:
     body: List[str] = []
     grids = {}
     if "connectors" in cfg.layers or "polygons" in cfg.layers:
-        grids = {bi: BlockGrid(param, bi)
+        tables = fill_tables(param)
+        grids = {bi: BlockGrid(param, bi, tables)
                  for bi, _ in _blocks_of_window(param, cfg)}
     if "grid-lines" in cfg.layers:
         body += _grid_lines(param, cfg)

@@ -21,6 +21,7 @@ from .grid import (
     capacity_scaled,
     check_coherence,
     closed_point_counts,
+    fill_tables,
     light_lists,
     trace_polygons,  # perfbench's tracer wraps plaid.verify.trace_polygons
 )
@@ -70,9 +71,9 @@ def suite_hier(param: Param) -> dict:
     """Every capacity-k line carries exactly k light points in every block:
     the light counts of a block row or column add up to the line's
     capacity."""
-    w = param.omega
+    w, tables = param.omega, fill_tables(param)
     for bi in range(w):
-        grid = BlockGrid(param, bi)
+        grid = BlockGrid(param, bi, tables)
         for m in range(w):
             want = abs(capacity_scaled(param, m))
             got = sum(grid.hl[m * w:(m + 1) * w])
@@ -103,9 +104,9 @@ def suite_isomorphism(param: Param) -> dict:
     that differs is walked square by square."""
     w, ww = param.omega, param.omega ** 2
     all_codes = center_codes(param, label_table(param))
-    mismatches = []
+    mismatches, tables = [], fill_tables(param)
     for bi in range(w):
-        grid = BlockGrid(param, bi)
+        grid = BlockGrid(param, bi, tables)
         masks = grid.masks()
         codes = all_codes[bi * ww:(bi + 1) * ww]
         if codes.translate(_MASK_TABLE) == masks:
@@ -154,9 +155,9 @@ def suite_pet_equivalence(param: Param) -> dict:
     rim = bytes((m == w - 1) | (m == 0) << 1 | (n == w - 1) << 2
                 | (n == 0) << 3 for n in range(w) for m in range(w))
     border = int.from_bytes(rim, "big")
-    steps = 0
+    steps, tables = 0, fill_tables(param)
     for bi in range(w):
-        masks = BlockGrid(param, bi).masks()
+        masks = BlockGrid(param, bi, tables).masks()
         block = codes[bi * ww:(bi + 1) * ww]
         spans = block.translate(_MASK_TABLE)
         if spans == masks and not int.from_bytes(spans, "big") & border:
@@ -193,10 +194,10 @@ def suite_first(param: Param) -> dict:
 
 
 def suite_empty_rect(param: Param) -> dict:
-    w = param.omega
+    w, tables = param.omega, fill_tables(param)
     grids = [(K, cut_offsets(param, K)) for K in range(0, w, 2)]
     for bi in range(w):
-        rows, cols = block_light_cache(param, (bi, 0))
+        rows, cols = block_light_cache(BlockGrid(param, bi, tables))
         for K, cuts in grids:
             census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
             if (census != (K + 1) ** 2 - 1

@@ -308,8 +308,8 @@ class TestPlantedFaults:
         n0, m0 = 2, 1  # the edge [w + 2, w + 3] x {1}
 
         class Flipped(BlockGrid):
-            def _fill(self):
-                super()._fill()
+            def _fill(self, tables):
+                super()._fill(tables)
                 if self.bi == 1:
                     self.hl[m0 * w + n0] ^= 1
 
@@ -337,8 +337,8 @@ class TestPlantedFaults:
         }[pq]
 
         class Flipped(BlockGrid):
-            def _fill(self):
-                super()._fill()
+            def _fill(self, tables):
+                super()._fill(tables)
                 for n, m in flips.get(self.bi, ()):
                     assert self.hl[m * w + n] in (0, 1)
                     self.hl[m * w + n] ^= 1

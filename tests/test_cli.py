@@ -486,7 +486,7 @@ def run_as_user_exits_2(argv, **env):
 
 
 BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "trace_polygons",
-                "label_table", "label_table_cover", "center_column", "orbit",
+                "label_table", "label_table_cover", "center_codes", "orbit",
                 "render", "stats_document"]
 
 

@@ -656,9 +656,10 @@ def test_block_counts_match_segment_points(param, bi, data):
                                 for pt in segment_points(param, seg))
 
 
-def reference_fill(self):
+def reference_fill(self, tables):
     """BlockGrid._fill's former body: every light residue placed on its
-    crossings, one Python step per residue and crossing."""
+    crossings, one Python step per residue and crossing; the parameter's
+    tables go unread."""
     param, bi = self.param, self.bi
     w, p, q = param.omega, param.p, param.q
     hl, vl = self.hl, self.vl
@@ -692,10 +693,11 @@ class ReferenceGrid(BlockGrid):
     _fill = reference_fill
 
 
-def check_fill(param, bi):
-    """hl, vl and masks() of one block, filled by lanes, against the former
+def check_fill(param, bi, tables=None):
+    """hl, vl and masks() of one block, filled by lanes from the parameter's
+    tables (built for the block when tables is None), against the former
     fill, byte for byte."""
-    got, want = BlockGrid(param, bi), ReferenceGrid(param, bi)
+    got, want = BlockGrid(param, bi, tables), ReferenceGrid(param, bi)
     assert type(got.hl) is bytearray and type(got.vl) is bytearray
     assert got.hl == want.hl and got.vl == want.vl, (str(param), bi)
     assert got.masks() == want.masks(), (str(param), bi)
@@ -703,9 +705,12 @@ def check_fill(param, bi):
 
 
 def test_fill_matches_reference_to_31():
+    """Every block (bi, 0) of every even rational with omega <= 31, all
+    filled from one set of tables per parameter."""
     for param in even_rationals(31):
+        tables = grid.fill_tables(param)
         for bi in range(param.omega):
-            check_fill(param, bi)
+            check_fill(param, bi, tables)
 
 
 @settings(max_examples=10, deadline=None)
@@ -743,13 +748,16 @@ def test_light_faults_reach_fill_as_reference(change, monkeypatch):
     monkeypatch.setitem(globals(), "light_lists", faulty)
     for param in map(make_param, (1, 2, 4, 8, 10), (2, 5, 11, 13, 11)):
         w = param.omega
-        true = [check_fill(param, bi) for bi in range(w)]
+        tables = grid.fill_tables(param)
+        true = [check_fill(param, bi, tables) for bi in range(w)]
         for c0, res in enumerate(real(param)):
             if change(res, w) == res:
                 continue
             planted[param] = c0
+            tables = grid.fill_tables(param)
             for bi in range(w):
-                assert check_fill(param, bi) != true[bi], (str(param), c0, bi)
+                assert check_fill(param, bi, tables) != true[bi], (
+                    str(param), c0, bi)
             del planted[param]
             assert check_fill(param, c0) == true[c0]
 
@@ -1055,8 +1063,8 @@ def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
     assert cut_offsets(param, 2) == [0, 2, 5, 7]
     fill = BlockGrid._fill
 
-    def lit_fill(self):
-        fill(self)
+    def lit_fill(self, tables):
+        fill(self, tables)
         if self.bi == lit_block:
             for k in (2, 5):
                 self.hl[k * 7:(k + 1) * 7] = bytes((1, 0, 1, 0, 0, 1, 0))
@@ -1554,8 +1562,8 @@ def test_flipped_edges_match_former_isomorphism(pq, monkeypatch):
     flips = {bi: rng.sample(range(w * w), k) for bi, k in ((0, 1), (1, 2), (w - 1, 3))}
 
     class Flipped(BlockGrid):
-        def _fill(self):
-            super()._fill()
+        def _fill(self, tables):
+            super()._fill(tables)
             for i in flips.get(self.bi, ()):
                 self.hl[i] ^= 1
 
@@ -2095,8 +2103,8 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
     w = param.omega
     cover = label_table(param, 2)
     for bi, i in ((1, 2 * w + 3), (w - 1, 0), (2, w * w + w - 1)):
-        def faulty(prm, b, bi=bi, i=i):
-            g = BlockGrid(prm, b)
+        def faulty(prm, b, tables=None, bi=bi, i=i):
+            g = BlockGrid(prm, b, tables)
             if b == bi:
                 g.hl[i] = 0 if g.hl[i] == 1 else 1
             return g

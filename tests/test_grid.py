@@ -563,3 +563,40 @@ class TestPlantedFaults:
         assert verify.suite_first(prm) == {
             "ok": False, "reason": "witness light points missing",
             "line": y0, "lights": []}
+
+
+def test_blockgrid_reads_the_light_lists_it_is_built_under(monkeypatch):
+    """No table outlives its light lists: a light dropped between two
+    builds of the same block changes the second build's row and column c0
+    and nothing else, and the second build equals a build from tables made
+    under the fault."""
+    prm, c0 = make_param(4, 11), 6
+    w = prm.omega
+    before = BlockGrid(prm, 3)
+    drop_one_light(monkeypatch, c0)
+    after = BlockGrid(prm, 3)
+    for k in range(w):
+        lane = slice(k * w, (k + 1) * w)
+        assert (after.hl[lane] != before.hl[lane]) == (k == c0), k
+        assert (after.vl[lane] != before.vl[lane]) == (k == c0), k
+    shared = BlockGrid(prm, 3, grid.fill_tables(prm))
+    assert (after.hl, after.vl) == (shared.hl, shared.vl)
+
+
+@pytest.mark.parametrize("suite", ["coherence", "hier", "isomorphism",
+                                   "empty-rect", "pet-equivalence"])
+def test_one_light_lists_call_per_parameter(monkeypatch, suite):
+    """Each block-level suite builds its fill tables once per parameter,
+    so it reads the light lists once per parameter, not once per block."""
+    real, calls = grid.light_lists, []
+
+    def light_lists(param):
+        calls.append((param.p, param.q))
+        return real(param)
+
+    for module in (grid, analysis, verify):
+        monkeypatch.setattr(module, "light_lists", light_lists)
+    params = [make_param(2, 5), make_param(4, 11), make_param(8, 13)]
+    records = verify.run_suite(suite, params=params)
+    assert all(r["ok"] for r in records), records
+    assert calls == [(2, 5), (4, 11), (8, 13)]

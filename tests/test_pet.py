@@ -327,8 +327,8 @@ class TestPetEquivalenceFaults:
                 out[:w * w] = block
                 return out
 
-            def grid(prm, bi, block=bytes(block)):
-                g = BlockGrid(prm, bi)
+            def grid(prm, bi, tables=None, block=bytes(block)):
+                g = BlockGrid(prm, bi, tables)
                 if bi == 0:
                     g._masks = block.translate(_MASK_TABLE)
                 return g
