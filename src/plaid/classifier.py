@@ -44,12 +44,13 @@ moves to (j, i1 - p, i2 + p) mod omega: the image gains (2*omega, 0, 4p),
 the lattice vector (2*omega, 2p, 2p) plus (0, -2p, 2p).  On the cover, with
 (4*omega, 4p, 4p), b + 2 moves it by (0, -2p, 2p), even and odd b on two
 fibers.  So the classes b = r mod sheets of a column run along one diagonal
-i1 + i2 = const of one fiber from the column start (a, r), and mark_classes
-and the map checks of symmetry_conjugacies read only starts.  From (a, b) to
+i1 + i2 = const of one fiber from the column start (a, r).  From (a, b) to
 (a + omega, b) the image gains 2p(2*omega, 2p, 2p) plus 4p(omega - p) in u1
 and u2, so columns a = a0 mod omega share a fiber and a step of omega moves
-a start by -2p^2 in i1 and i2, on the cover too: from the starts (a, r) with
-a < omega, center_cells reads every start's cell and center_codes every code.
+a start by -2p^2 in i1 and i2, on the cover too.  The move commutes with
+every fiber shift and with the maps of symmetry_conjugacies, so the starts
+a < omega stand for their columns: criteria 5, 6 and 10 check them alone,
+and center_codes reads every code from them.
 """
 
 from __future__ import annotations
@@ -345,19 +346,6 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
-def center_cells(param: Param, b: int = 0, sheets: int = 1) -> List[int]:
-    """center_cell(param, a, b, sheets) for every a in range(omega^2), from
-    the starts a < omega by the -2p^2 law of the module docstring."""
-    w, s = param.omega, 2 * param.p ** 2
-    cells = [0] * w * w
-    for a0 in range(w):
-        c = center_cell(param, a0, b, sheets)
-        J, i1, i2 = c - c % (w * w), c // w % w, c % w
-        cells[a0::w] = [J + (i1 - d) % w * w + (i2 - d) % w
-                        for d in range(0, s * w, s)]
-    return cells
-
-
 def center_codes(param: Param, table: bytes, sheets: int = 1) -> bytearray:
     """table[center_cell(param, a, b, sheets)] at a*omega + b, b < omega,
     table being label_table(param, sheets) or a translate of it.  Skew
@@ -447,35 +435,35 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
     """The sheets*omega^3 center classes have distinct images.  By the column
     fact of the module docstring the classes b = r mod sheets of column a
-    fill the diagonal i1 + i2 = d of one fiber j (sheets*p is a unit mod
-    omega), so they are distinct when the keys (j, d) of the starts (a, r),
-    center_cells rows, are.  The base side's parity, read at a < omega, holds
-    everywhere: b + 1 adds 2*omega, 0, 4p and a + omega 4p*omega to (t, u1,
-    u2).  A failure names the first repeat's start, cell and earlier class."""
-    w, ww = param.omega, param.omega ** 2
+    fill the diagonal i1 + i2 = d of one fiber (sheets*p is a unit mod
+    omega), and a + omega moves d by -4p^2, a unit too, so they are distinct
+    when the sheets*omega starts (a, r), a < omega, lie on distinct fibers.
+    The base side's parity, read at a < omega, holds everywhere: b + 1 adds
+    2*omega, 0, 4p and a + omega 4p*omega to (t, u1, u2).  A failure names
+    the first repeat's start, cell and earlier class."""
+    w, ww, classes = param.omega, param.omega ** 2, sheets * param.omega ** 3
     for a in range(w if sheets == 1 else 0):
         t, u1, u2 = xi_raw_scaled(param, a, 0)
         if t % 2 == 0 or u1 % 2 or u2 % 2:
             return {"ok": False, "reason": f"parity at {(a, 0)}"}
-    rows = [center_cells(param, r, sheets) for r in range(sheets)]
-    # as many keys as starts, so a repeat leaves some key unmarked
-    marked = bytearray(sheets * ww)
-    for row in rows:
-        for c in row:
-            marked[c // ww * w + (c // w + c) % w] = 1
-    cells = [c for starts in zip(*rows) for c in starts] if 0 in marked else []
-    first: Dict[int, int] = {}
-    for n, c in enumerate(cells):
-        n0 = first.setdefault(c // ww * w + (c // w + c) % w, n)
+    starts = [center_cell(param, a, r, sheets)
+              for a in range(w) for r in range(sheets)]
+    if len({c // ww for c in starts}) == len(starts):
+        return {"ok": True, "classes": classes, "expected": classes}
+    # a fiber holds two starts: walk the column starts (a, r), a < omega^2
+    first: Dict[int, Tuple[int, int]] = {}
+    for n in range(sheets * ww):
+        c, d = starts[n % len(starts)], n // len(starts) * 2 * param.p ** 2
+        c = c - c % ww + (c // w - d) % w * w + (c - d) % w
+        n0, c0 = first.setdefault(c // ww * w + (c // w + c) % w, (n, c))
         if n0 != n:
             # the class k steps of sheets down the earlier start's column
-            k = (c - cells[n0]) * pow(sheets * param.p, -1, w) % w
+            k = (c - c0) * pow(sheets * param.p, -1, w) % w
             (a0, r0), second = divmod(n0, sheets), divmod(n, sheets)
             return {"ok": False, "reason": "two classes mark one cell",
                     "sheets": sheets, "cell": c,
                     "first": (a0, r0 + sheets * k), "second": second}
-    classes = sheets * w ** 3
-    return {"ok": True, "classes": classes, "expected": classes}
+    return {"ok": False, "reason": "two starts on one fiber", "sheets": sheets}
 
 
 def verify_bijection(param: Param) -> Dict[str, object]:
@@ -505,24 +493,25 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
     A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
     (the column fact), and its negative, its swap and the cells of the
     rotated and reflected centers by (0, +p, -p): both sides of a map check
-    step alike, so the maps are checked on the center_cells rows b = 0, -1.
+    step alike, so the maps are checked at b = 0 and -1, and at the starts
+    a < omega alone, which stand for their columns ("Center columns").
     """
     w, p, ww = param.omega, param.p, param.omega ** 2
     masks = center_codes(param, label_table(param).translate(_MASK_TABLE))
-    starts, below = center_cells(param), center_cells(param, -1)
     for a in range(ww):
         mask, rot = masks[a * w:(a + 1) * w], masks[(ww - 1 - a) * w:(ww - a) * w]
-        c = starts[a]
-        # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 - i2),
-        # but j = 0 is its own negative up to (2*omega, 2p, 2p)
-        neg = w * ww + ww - 1 - c if c >= ww else \
-            (-1 - p - c // w) % w * w + (-1 - p - c) % w
-        swap = c + (w - 1) * (c % w - c // w % w)
-        # a map check holds only its start, read at b = 0 by the slice compares
-        checks = (("rotation-map", [below[ww - 1 - a]], [neg]),
-                  ("reflection-map", [below[a]], [swap]),
-                  ("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
-                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS)))
+        checks = [("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
+                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS))]
+        if a < w:  # a map check holds only its start, read at b = 0
+            c = center_cell(param, a, 0)
+            # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 -
+            # i2), but j = 0 is its own negative up to (2*omega, 2p, 2p)
+            neg = w * ww + ww - 1 - c if c >= ww else \
+                (-1 - p - c // w) % w * w + (-1 - p - c) % w
+            swap = c + (w - 1) * (c % w - c // w % w)
+            checks[:0] = [
+                ("rotation-map", [center_cell(param, ww - 1 - a, -1)], [neg]),
+                ("reflection-map", [center_cell(param, a, -1)], [swap])]
         if any(got != want for _, got, want in checks):
             b, case = next((b, case) for b in range(w) for case, got, want in checks
                            if got[b:b + 1] != want[b:b + 1])

@@ -29,9 +29,10 @@ cover_step once per parameter, and the checks read the exchange there alone:
 _mesh_failures compares whole fibers of a cover table, for check_mesh and
 for criterion 6, which reads its codes from that same table and checks
 conjugacy, cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy),
-on the center_cells rows b = 0, 1, enough as b -> b + 2 is one shift on all
-fibers (classifier docstring, "Center columns").  Every cover cell is a
-center's, so a step across e and back across e ^ 1 returns to it.
+at the starts a < omega, b = 0, 1: b + 2 and a + omega each move the cells
+of all fibers alike, which commutes with every fiber shift (classifier
+docstring, "Center columns").  Every cover cell is a center's, so a step
+across e and back across e ^ 1 returns to it.
 """
 
 from __future__ import annotations

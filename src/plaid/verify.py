@@ -30,7 +30,7 @@ from .classifier import (
     CODE_MASKS,
     ORIENTED_CODES,
     _MASK_TABLE,
-    center_cells,
+    center_cell,
     center_codes,
     image_geometry_scaled,
     label_table,
@@ -125,19 +125,20 @@ def suite_isomorphism(param: Param) -> dict:
 def suite_pet_equivalence(param: Param) -> dict:
     """Conjugacy and the inverse as in pet's "Fiber shifts", on one cover
     table and its fiber_shifts rows; a cover_step fault at one cell is the
-    fiber-shift property's to catch.  Given conjugacy, the mesh equations
-    make every square's cover code meet its neighbours' end to end, so the
-    orbit from a connector square's center follows the square's loop and
-    closes after len(loop) steps when every code also spans its mask and
+    fiber-shift property's to catch.  Conjugacy is read at the starts a <
+    omega, as a + omega commutes with the shifts.  Given conjugacy, the mesh
+    equations make every square's cover code meet its neighbours' end to end,
+    so the orbit from a connector square's center follows the square's loop
+    and closes after len(loop) steps when every code also spans its mask and
     has no end on the block's border: byte compares of each block's codes,
-    which name a failing block's first bad square, its good edges and code."""
+    naming a failing block's first bad square, its good edges and code."""
     w, ww = param.omega, param.omega ** 2
     cover = label_table(param, 2)
     shifts = fiber_shifts(param, cover_step)
-    # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
-    rows = [[*r, r[0], r[-1]] for r in (center_cells(param, b, 2)
-                                        for b in (0, 1, 2, -1))]
-    for a in range(ww):
+    # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. w
+    rows = [[center_cell(param, a, b, 2) for a in (*range(w + 1), -1)]
+            for b in (0, 1, 2, -1)]
+    for a in range(w):
         for b in (0, 1):
             cell = rows[b][a]
             j4, I1, i2 = cell // ww * 4, cell % ww - cell % w, cell % w

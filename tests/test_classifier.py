@@ -229,8 +229,8 @@ class TestBijection:
         """A center_cell that sends the column start (3, sheets-1) onto the
         cell of (1, 2) fails the suite, and the record names the cell and
         both classes: (1, 2), read down the diagonal of the start (1, 0).
-        The start is one of the a < omega that center_cells reads; the
-        starts a = 3 mod omega after it move with it."""
+        The start is one of the a < omega that mark_classes reads, and its
+        walk moves the columns a = 3 mod omega after it with it."""
         prm = make_param(*pq)
         first, second = (1, 2), (3, sheets - 1)
         real = classifier.center_cell
@@ -283,11 +283,12 @@ class TestPlantedFaults:
     @pytest.mark.parametrize("first", [True, False])
     def test_symmetry_map(self, monkeypatch, pq, first):
         """The center (2, b0) moved a step down its column fails a map check
-        at column 2.  center_codes and center_cells read the starts a <
-        omega only, so the fault moves every column a = 2 mod omega.  The
-        start b0 = 0 reaches the codes and the starts, and the rotation map
-        check fails first; the center (2, -1) reaches the map checks alone,
-        and the reflection map check fails first."""
+        at column 2.  center_codes reads the starts a < omega only, so the
+        fault moves the codes of every column a = 2 mod omega, and the map
+        checks read the starts alone.  The start b0 = 0 reaches the codes
+        and the starts, and the rotation map check fails first; the center
+        (2, -1) reaches the map checks alone, and the reflection map check
+        fails first."""
         prm = make_param(*pq)
         b0 = 0 if first else -1
         real = classifier.center_cell

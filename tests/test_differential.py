@@ -66,7 +66,6 @@ from plaid.classifier import (
     canon_scaled,
     cell_code,
     center_cell,
-    center_cells,
     center_codes,
     checkerboard_label,
     fiber_label,
@@ -1478,10 +1477,10 @@ def former_suite_isomorphism(param):
 
 
 def former_symmetry_conjugacies(param):
-    """symmetry_conjugacies' body before center_codes and center_cells: the
-    masks as reference_center_column of every column of
-    classifier.label_table, and the map checks on a classifier.center_cell
-    call per center."""
+    """symmetry_conjugacies' body before center_codes and before the map
+    checks read the starts alone: the masks as reference_center_column of
+    every column of classifier.label_table, and the map checks at every
+    column on a classifier.center_cell call per center."""
     w, p = param.omega, param.p
     ww = w * w
     center_cell = classifier.center_cell
@@ -1611,46 +1610,37 @@ def omega_step(param, cell, k):
     return (j * w + (i1 - s) % w) * w + (i2 - s) % w
 
 
-def check_center_cells(param, b, sheets):
-    """center_cells against a center_cell call per center, and the period
-    omega^2 in a that the map checks and pet-equivalence's padded rows read
-    at a = -1 and a = omega^2."""
-    w = param.omega
-    got = center_cells(param, b, sheets)
-    want = [center_cell(param, a, b, sheets) for a in range(w * w)]
-    assert got == want, (str(param), b, sheets)
-    assert center_cell(param, -1, b, sheets) == got[-1], (str(param), b, sheets)
-    assert center_cell(param, w * w, b, sheets) == got[0], (str(param), b, sheets)
-    assert omega_step(param, got[0], 1) == got[w], (str(param), b, sheets)
+def test_omega_step_law_to_15():
+    """The law by which criteria 5, 6 and 10 read the starts a < omega
+    alone: from the center (a, b) to (a + omega, b) the cell moves by
+    -2p^2 in i1 and i2, at every class on both sheets of every even
+    rational with omega <= 15."""
+    for param in even_rationals(15):
+        w = param.omega
+        for sheets in (1, 2):
+            for a in range(w * w):
+                for b in range(sheets * w):
+                    assert center_cell(param, a + w, b, sheets) == \
+                        omega_step(param, center_cell(param, a, b, sheets), 1), \
+                        (str(param), a, b, sheets)
 
 
-def test_center_cells_match_center_cell_to_31():
-    """Every start of the rows b = -1, 0, 1, 2 and omega - 1 on both sheets
-    of every even rational with omega <= 31."""
-    for param in even_rationals(31):
-        for b in (-1, 0, 1, 2, param.omega - 1):
-            for sheets in (1, 2):
-                check_center_cells(param, b, sheets)
-
-
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(params(min_omega=101), st.integers(-10 ** 6, 10 ** 6),
-       st.sampled_from((1, 2)))
-def test_center_cells_match_center_cell(param, b, sheets):
-    """The same at omega 101 .. MAX_OMEGA, one whole row per example, b
-    drawn from the rows the suites read or at random."""
-    rows = (-1, 0, 1, 2, param.omega - 1)
-    check_center_cells(param, rows[b % 5] if b % 7 else b, sheets)
+       st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 2)))
+def test_omega_step_law(param, a, b, sheets):
+    assert center_cell(param, a + param.omega, b, sheets) == \
+        omega_step(param, center_cell(param, a, b, sheets), 1)
 
 
 @pytest.mark.parametrize("pq", [(2, 5), (8, 13), (10, 21)])
 def test_center_cell_calls_per_suite(pq, monkeypatch):
-    """center_cell calls, all in classifier: omega per center_cells row and
-    sheets*omega per center_codes, so 3*omega for bijection (one base and
-    two cover rows), 3*omega for symmetry (center_codes' starts and two
-    rows) and 6*omega for pet-equivalence (four conjugacy rows and the
-    cover codes' starts).  verify makes none: it no longer imports
-    center_cell."""
+    """center_cell calls, in classifier and verify: sheets*omega per
+    center_codes and per mark_classes, so omega + 2*omega for bijection;
+    omega for center_codes' starts and 3*omega for symmetry's map checks,
+    three at each start a < omega; and 4*(omega + 2) for
+    pet-equivalence's conjugacy cells, b = -1 .. 2 at a = -1 .. omega, and
+    2*omega for the cover codes' starts.  No suite reads omega^2 cells."""
     param = make_param(*pq)
     w = param.omega
     calls = Counter()
@@ -1661,18 +1651,19 @@ def test_center_cell_calls_per_suite(pq, monkeypatch):
         return real(prm, a, b, sheets)
 
     monkeypatch.setattr(classifier, "center_cell", center_cell)
-    assert not hasattr(verify, "center_cell")
+    monkeypatch.setattr(verify, "center_cell", center_cell)
     for suite, want in (("bijection", {1: w, 2: 2 * w}),
-                        ("symmetry", {1: 3 * w}),
-                        ("pet-equivalence", {2: 6 * w})):
+                        ("symmetry", {1: w + 3 * w}),
+                        ("pet-equivalence", {2: 4 * (w + 2) + 2 * w})):
         calls.clear()
         assert verify.SUITES[suite](param)["ok"], suite
         assert calls == want, (suite, calls)
 
 
 def former_mark_classes(param, sheets):
-    """mark_classes' body before center_cells: a classifier.center_cell call
-    per start (a, r) and a key dict walk over all of them."""
+    """mark_classes' body before it read the starts a < omega alone: a
+    classifier.center_cell call per column start (a, r), a < omega^2, and a
+    key dict walk over all of them."""
     w = param.omega
     starts = {}
     for a in range(w * w):
@@ -1764,7 +1755,7 @@ def test_planted_parity_fault_at_start_column(pq, monkeypatch):
 def test_planted_start_fault_matches_reference(param, sheets, data):
     """A column start (a, r), a < omega, sent to the cell of a class of a
     column a0 of another residue mod omega fails mark_classes with the
-    reference's record.  center_cells reads only the starts a < omega and
+    reference's record.  mark_classes reads only the starts a < omega and
     moves the fault to the starts a + k*omega by k steps of -2p^2, so the
     reference's columns a + k*omega carry the classes b = r mod sheets
     along the diagonal of the planted cell so moved, as the column fact
@@ -1882,27 +1873,29 @@ def reference_suite_pet_equivalence(param):
 
 
 def per_center_row(param, b, sheets):
-    """center_cells' row b from a classifier.center_cell call per center, as
-    criterion 6 read its conjugacy rows before center_cells."""
+    """The cells of the centers (a, b), a < omega^2, from a
+    classifier.center_cell call per center, as criterion 6 read its
+    conjugacy rows before it read the starts a < omega alone."""
     return [classifier.center_cell(param, a, b, sheets)
             for a in range(param.omega ** 2)]
 
 
-def walked_suite_pet_equivalence(param, row=None):
+def walked_suite_pet_equivalence(param):
     """suite_pet_equivalence's body before its byte compares, kept as their
     oracle: the orbit from each traced loop's first square follows the loop
     step by step, in either direction, through fiber_shifts' rows, and one
-    cover_step call closes it.  The conjugacy rows are classifier's
-    center_cells or, when given, row(param, b, 2).  It reads what the suite
-    reads through verify, and center_cell and _block_loops through classifier
-    and grid, so faults planted there reach it.  fiber_shifts' rows no
-    longer name the next fiber's rows, so 4*j' is read off j'*omega^2."""
+    cover_step call closes it.  Its conjugacy half checks every center (a,
+    b), a < omega^2, b = 0, 1, on per_center_row's rows.  It reads what the
+    suite reads through verify, and center_cell and _block_loops through
+    classifier and grid, so faults planted there reach it.  fiber_shifts'
+    rows no longer name the next fiber's rows, so 4*j' is read off
+    j'*omega^2."""
     w, ww = param.omega, param.omega ** 2
     shifts = [(J, J // ww * 4, C1, c2)
               for J, C1, c2 in verify.fiber_shifts(param, verify.cover_step)]
     # rows[b][a] is the center (a, b)'s cover cell, b = -1 .. 2, a = -1 .. ww
-    rows = [[*r, r[0], r[-1]] for r in ((row or classifier.center_cells)(
-        param, b, 2) for b in (0, 1, 2, -1))]
+    rows = [[*r, r[0], r[-1]] for r in (per_center_row(param, b, 2)
+                                        for b in (0, 1, 2, -1))]
     for a in range(ww):
         for b in (0, 1):
             cell = rows[b][a]
@@ -1954,13 +1947,13 @@ def walked_suite_pet_equivalence(param, row=None):
 @pytest.mark.parametrize("pq", FAULT_PARAMS)
 def test_residue_faults_match_former_suites(pq, monkeypatch):
     """mark_classes on both sheets, the center conjugacies of criterion 10
-    and criterion 6 against their bodies before center_cells, whole records,
-    with center_cell patched in classifier: the centers (a, b0)
-    with a = a0 mod omega read the cells of (a + da, b0 + db).  True cells
-    obey the residue law, so the fault moves along a = a0 as center_cells
-    carries it from its start a0, and the former per-center calls see the
-    same cells.  da is not a multiple of omega, so every check that reads
-    the row b0 on its sheet fails."""
+    and criterion 6 against their bodies before they read the starts a <
+    omega alone, whole records, with center_cell patched in classifier and
+    verify: the centers (a, b0) with a = a0 mod omega read the cells of (a
+    + da, b0 + db).  True cells obey the residue law, so the fault moves
+    along a = a0 as it would from its start a0, and the former per-center
+    calls see the same cells.  da is not a multiple of omega, so every
+    check that reads the row b0 on its sheet fails."""
     param = make_param(*pq)
     w = param.omega
     real = classifier.center_cell
@@ -1970,7 +1963,7 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
               (lambda: symmetry_conjugacies(param),
                lambda: former_symmetry_conjugacies(param)),
               (lambda: verify.suite_pet_equivalence(param),
-               lambda: walked_suite_pet_equivalence(param, per_center_row))]
+               lambda: walked_suite_pet_equivalence(param))]
     assert all(got() == want() for got, want in checks)
     failed = Counter()
     for sheets in (1, 2):
@@ -1985,6 +1978,7 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
                 return real(prm, x, y, n)
 
             monkeypatch.setattr(classifier, "center_cell", center_cell)
+            monkeypatch.setattr(verify, "center_cell", center_cell)
             for k, (got, want) in enumerate(checks):
                 record = got()
                 assert record == want(), (sheets, b0, a0, da, db, k)
@@ -2077,7 +2071,7 @@ def test_reversed_codes_caught_as_walked(pq, monkeypatch):
     param = make_param(*pq)
     w = param.omega
     cover = label_table(param, 2)
-    read = {c for b in range(w) for c in center_cells(param, b, 2)}
+    read = {c for b in range(w) for c in per_center_row(param, b, 2)}
     cells = random.Random(w).sample([c for c, code in enumerate(cover)
                                      if code % 5], 60)
     for cell in cells:
@@ -2175,27 +2169,48 @@ def orbit_rows(param):
             yield bi, square, rows
 
 
+def check_corrupt_shift_row(param, row, monkeypatch):
+    """The c2 shift of one fiber_shifts row off by one fails the suite's
+    conjugacy half at the least center (a, b), b = 0, 1, on the row's
+    fiber, which is a start: a < omega."""
+    w = param.omega
+    plant_shift_row(monkeypatch, row, 2, lambda c2: (c2 + 1) % w)
+    j, e = divmod(row, 4)
+    a, b = next((a, b) for a in range(w * w) for b in (0, 1)
+                if center_cell(param, a, b, 2) // (w * w) == j)
+    assert a < w, (str(param), row)
+    assert verify.suite_pet_equivalence(param) == {
+        "ok": False, "reason": "conjugacy", "at": (a, b), "edge": "NSEW"[e]}, \
+        (str(param), row)
+    return j
+
+
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
 def test_corrupt_shift_row_fails_conjugacy_and_mesh(pq, monkeypatch):
     """The c2 shift of one row off by one: in the fiber of the center (0, 0)
     across N, and in a fiber an orbit of block 1 crosses.  The conjugacy
-    half reads every row, since every fiber holds a center of rows 0 and 1,
-    so the suite fails there at the least such center; check_mesh fails on
+    half reads every row, since every fiber holds a start of rows 0 and 1,
+    so the suite fails there at the least such start; check_mesh fails on
     that fiber alone."""
     param = make_param(*pq)
     w = param.omega
     _, _, rows = next(t for t in orbit_rows(param) if t[0] == 1)
     for row in (center_cell(param, 0, 0, 2) // (w * w) * 4, rows[len(rows) // 2]):
-        plant_shift_row(monkeypatch, row, 2, lambda c2: (c2 + 1) % w)
-        j, e = divmod(row, 4)
-        a, b = next((a, b) for a in range(w * w) for b in (0, 1)
-                    if center_cell(param, a, b, 2) // (w * w) == j)
-        assert verify.suite_pet_equivalence(param) == {
-            "ok": False, "reason": "conjugacy", "at": (a, b), "edge": "NSEW"[e]}
+        j = check_corrupt_shift_row(param, row, monkeypatch)
         r = pet.check_mesh([param])
         assert r["failure_count"], row
         assert {(f["fiber"] + w) // 2 % (2 * w) for f in r["failures"]} == {j}
         monkeypatch.undo()
+
+
+def test_every_shift_row_fails_conjugacy_at_a_start(monkeypatch):
+    """Each of the 8*omega fiber_shifts rows in turn, at every even rational
+    with omega <= 11: the conjugacy half, which reads the starts a < omega
+    alone, reaches every row."""
+    for param in even_rationals(11):
+        for row in range(8 * param.omega):
+            check_corrupt_shift_row(param, row, monkeypatch)
+            monkeypatch.undo()
 
 
 def oracle_tiling(P, offset, window, eps):

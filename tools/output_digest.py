@@ -21,16 +21,13 @@ Groups:
                 at omega 101 on a window with negative corners crossing four
                 blocks;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
-- columns       the base table's code at every center class, a*omega + b,
-                at 16/35, 41/60, 50/51 and 100/101: center_codes where the
-                package has it, else joined center_column calls;
-- center-cells  the cell of every center (a, b), a < omega^2, on the rows
-                b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
-                100/101: center_cells where the package has it, else
-                center_cell calls;
-- cover-columns the cover code at every center a < omega^2, b < omega, at
-                16/35 and 50/51: center_codes(..., 2) where the package
-                takes its sheets argument, else a per-center gather;
+- columns       center_codes of the base table, the code at every center
+                class at a*omega + b, at 16/35, 41/60, 50/51 and 100/101;
+- center-cells  center_cell of every center (a, b), a < omega^2, on the
+                rows b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
+                100/101;
+- cover-columns center_codes(..., 2) of the cover table, the code at every
+                center a < omega^2, b < omega, at 16/35 and 50/51;
 - pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
 - mesh-large    the check_mesh records at 50/51, at 41/60, and for the
                 list 3/8, 4/11, 50/51;
@@ -62,7 +59,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import os
 import sys
@@ -192,32 +188,21 @@ def main(argv=None) -> int:
     for pq in COLUMN_PARAMS:
         param = make_param(*pq)
         table = classifier.label_table(param)
-        if hasattr(classifier, "center_codes"):
-            rows.append(bytes(classifier.center_codes(param, table)))
-        else:
-            rows.append(b"".join(classifier.center_column(param, table, a)
-                                 for a in range(param.omega ** 2)))
+        rows.append(bytes(classifier.center_codes(param, table)))
     print(f"{'columns':<24} {_digest(rows)}")
     rows = []
     for pq in CELL_PARAMS:
         param = make_param(*pq)
         for b in (-1, 0, 1, 2):
             for sheets in (1, 2):
-                if hasattr(classifier, "center_cells"):
-                    rows.append(classifier.center_cells(param, b, sheets))
-                else:
-                    rows.append([classifier.center_cell(param, a, b, sheets)
-                                 for a in range(param.omega ** 2)])
+                rows.append([classifier.center_cell(param, a, b, sheets)
+                             for a in range(param.omega ** 2)])
     print(f"{'center-cells':<24} {_digest(rows)}")
     rows = []
     for pq in COVER_COLUMN_PARAMS:
         param = make_param(*pq)
-        table, w = classifier.label_table(param, 2), param.omega
-        if "sheets" in inspect.signature(classifier.center_codes).parameters:
-            rows.append(bytes(classifier.center_codes(param, table, 2)))
-        else:
-            rows.append(bytes(table[classifier.center_cell(param, a, b, 2)]
-                              for a in range(w * w) for b in range(w)))
+        table = classifier.label_table(param, 2)
+        rows.append(bytes(classifier.center_codes(param, table, 2)))
     print(f"{'cover-columns':<24} {_digest(rows)}")
     rows = [verify.suite_pet_equivalence(make_param(*pq)) for pq in PET_PARAMS]
     print(f"{'pet-large':<24} {_digest(rows)}")
