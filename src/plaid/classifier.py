@@ -547,7 +547,11 @@ def image_geometry_scaled(param: Param, orientation: str,
     squares on line c are (x_i, c), and the record reads b only through the
     steps db, which are 0.  Vertical squares on line c are (c + omega*j_n,
     y_n): the move by (c, 0) adds 4pc to every s, so it moves every fiber
-    and, when the fibers are one, every U by one value mod 2*omega.
+    and, when the fibers are one, every U by one value mod 2*omega.  Its
+    record from block 0 stands for every block: the walk from block j0 is
+    block 0's moved by (j0*omega, 0) mod omega^2, which adds a multiple of
+    2*omega to every s, so it keeps every fiber and step and moves every U
+    by -4p^2*j0 mod 2*omega.
     """
     w, p2 = param.omega, 2 * param.p
     w2 = 2 * w

@@ -599,7 +599,10 @@ class Particle:
     with the instance on its south (horizontal) or west (vertical) edge.
     A particle is a walk (_h_walk, _v_walk), the same on every line but for
     its squares' placement, read for brightness on its line (_read_light);
-    the views below and criterion 11's suite both read the walk."""
+    the views below read the walk.  The walk from block j0 is block 0's
+    moved by (j0*omega, 0) mod omega^2, its residues moved by 2s*j0, so
+    criterion 11's suite reads block 0's three walks and each line's
+    lights alone."""
 
     orientation: str
     instances: Tuple[IntersectionPoint, ...]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from .params import Param, even_rationals, make_param
+from .params import Param, PlaidError, even_rationals, make_param
 from .grid import (
     BlockGrid,
     STEPS,
     _h_walk,
-    _read_light,
     _v_walk,
     capacity_scaled,
     check_coherence,
@@ -209,6 +208,13 @@ def suite_empty_rect(param: Param) -> dict:
     return {"ok": True, "blocks": w, "K_values": list(range(0, w, 2))}
 
 
+def _mirror_faults(w: int, c: int, lit: Set[int]) -> Set[int]:
+    """The residues b of line c whose mirror 2c - b about c differs from b
+    in brightness, lit the set of c's light residues: empty exactly when the
+    lights are symmetric about c."""
+    return lit ^ {(2 * c - r) % w for r in lit}
+
+
 def _grid_symmetries(param: Param) -> dict:
     """Reflection laws of the light set, checked on all residue classes.
 
@@ -227,7 +233,7 @@ def _grid_symmetries(param: Param) -> dict:
         # maps to the type Q line 2c - b through the mirror point
         faults = (("rotation-H", lit ^ {-r % w for r in mirror}),
                   ("reflect-H", lit ^ {(r + 2 * c) % w for r in mirror}),
-                  ("reflect-V", lit ^ {(2 * c - r) % w for r in lit}))
+                  ("reflect-V", _mirror_faults(w, c, lit)))
         if any(bad for _, bad in faults):
             b = min(min(bad) for _, bad in faults if bad)
             case = next(case for case, bad in faults if b in bad)
@@ -247,25 +253,26 @@ def suite_symmetry(param: Param) -> dict:
 
 
 def suite_particle_geometry(param: Param) -> dict:
-    """Criterion 11 with one walk per start block: its geometry is read on
-    line 0, which stands for every line (image_geometry_scaled), and each
-    line c reads only brightness, line 0's before any geometry."""
-    w = param.omega
-    lights = [set(res) for res in light_lists(param)]
-    walks = []
-    for key, j0 in [(key, j0) for key in "hPQ" for j0 in range(w)]:
-        walks.append((key, _h_walk(param, j0) if key == "h" else
-                      _v_walk(param, 0, key, j0)))
-        _read_light(param, lights[0], 0, walks[-1:])
-    for i, (key, (squares, types, _, _)) in enumerate(walks):
-        h = key == "h"
-        r = image_geometry_scaled(param, "horizontal" if h else "vertical",
-                                  squares, types)
-        if not r["ok"]:
-            r["at"] = ("h", 0, i) if h else ("v", 0, key, i % w)
-            return r
-    for c in range(1, w):
-        _read_light(param, lights[c], c, walks)
+    """Criterion 11 on block 0's three walks, which stand for every block's
+    (image_geometry_scaled).  On line c the horizontal particle from block
+    j0 reads the residues c +- 2p*j0, that pair at each double point, and a
+    vertical one a single residue, so brightness is constant on the line
+    exactly when its lights are symmetric about c; else the first particle
+    to fail is the horizontal one from the least j0 that meets a mirror
+    fault, at its first double point."""
+    w, p2 = param.omega, 2 * param.p
+    walks = [(("h", 0, 0), "horizontal", _h_walk(param, 0))]
+    walks += [(("v", 0, ty, 0), "vertical", _v_walk(param, 0, ty, 0)) for ty in "PQ"]
+    for c, lit in enumerate(map(set, light_lists(param))):
+        bad = _mirror_faults(w, c, lit)
+        if bad:
+            j0 = min((b - c) * pow(p2, -1, w) % w for b in bad)
+            raise PlaidError(f"brightness mismatch at double point x={p2 * j0 * w}/{p2}")
+        # the geometry, after line 0's brightness and before the other lines'
+        for at, orientation, (squares, types, _, _) in walks if c == 0 else ():
+            r = image_geometry_scaled(param, orientation, squares, types)
+            if not r["ok"]:
+                return {**r, "at": at}
     return {"ok": True, "particles": 3 * w * w}
 
 

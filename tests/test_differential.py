@@ -7,10 +7,11 @@ edge toggles, with the bad squares and tracing's message against a
 per-square 0-or-2 test,
 tracing against its canonical form and against the exchange orbits of
 `vector_polygon`, particle image geometry against a per-image reduction, the
-particle walks and their suite against a walk per line, also under planted
-light and square faults, the label table against `fiber_label` and the
-per-point labels, the per-cell code and exchange step against the Fraction
-path and the step through points, the center codes against the former
+particle walks and their suite against a walk per line and the suite against
+its former body that walked every block, also under planted light and square
+faults, the block-0 laws of the walks, the label table against `fiber_label`
+and the per-point labels, the per-cell code and exchange step against the
+Fraction path and the step through points, the center codes against the former
 per-column reader and the per-class reduction, criteria 2 and 10 against
 their former bodies under planted table and edge faults, the column fact
 against the per-class reduction, the bijection on column starts against
@@ -558,36 +559,198 @@ def moved_square(squares, i, step):
 
 @pytest.mark.parametrize("key, i, step, want", [
     ("h", 5, (1, 0), {"ok": False, "case": "P-middle-zone", "t": 3,
-                      "at": ("h", 0, 3)}),
+                      "at": ("h", 0, 0)}),
     ("h", 12, (1, 0), {"ok": False, "case": "Q-axis-step",
-                       "diff": (-14, -14, -14), "at": ("h", 0, 3)}),
-    ("v", 2, (0, 1), {"ok": False, "case": "vertical", "const": [-12, 10],
-                      "at": ("v", 0, "P", 3)}),
+                       "diff": (-14, -14, -14), "at": ("h", 0, 0)}),
+    ("v", 2, (0, 1), {"ok": False, "case": "vertical", "const": [-8, 0],
+                      "at": ("v", 0, "P", 0)}),
 ])
 def test_moved_walk_square_fails_particle_geometry(key, i, step, want,
                                                    monkeypatch):
-    """Square i of block 3's walks at 4/11 moved by one unit, east (H, a
+    """Square i of block 0's walks at 4/11 moved by one unit, east (H, a
     type-P or a type-Q square) or north (V, both types), fails the first
     such walk's geometry on line 0, with the reference's record: the square
-    moves on every line."""
+    moves on every line.  The suite reads block 0's walks alone, which
+    stand for every block's (test_walk_laws_to_15)."""
     param = make_param(4, 11)
     name = "_h_walk" if key == "h" else "_v_walk"
     walk = getattr(grid, name)
 
     def moved_walk(param, *args):
         squares, *rest = walk(param, *args)
-        if args[-1] == 3:
+        if args[-1] == 0:
             squares = moved_square(squares, i, step)
         return (squares, *rest)
 
     def move(at, squares):
         return moved_square(squares, i, step) \
-            if at[0] == key and at[-1] == 3 else squares
+            if at[0] == key and at[-1] == 0 else squares
 
     monkeypatch.setattr(verify, name, moved_walk)
     got = verify.suite_particle_geometry(param)
     assert got == reference_particle_geometry(param, light_lists(param), move)
     assert got == want
+
+
+def walked_suite_particle_geometry(param):
+    """The former suite_particle_geometry, which walked every particle from
+    every block and read each one's brightness on every line; the walks and
+    the light lists are looked up on verify, so a plant there reaches both."""
+    w = param.omega
+    lights = [set(res) for res in verify.light_lists(param)]
+    walks = []
+    for key, j0 in [(key, j0) for key in "hPQ" for j0 in range(w)]:
+        walks.append((key, verify._h_walk(param, j0) if key == "h" else
+                      verify._v_walk(param, 0, key, j0)))
+        _read_light(param, lights[0], 0, walks[-1:])
+    for i, (key, (squares, types, _, _)) in enumerate(walks):
+        h = key == "h"
+        r = image_geometry_scaled(param, "horizontal" if h else "vertical",
+                                  squares, types)
+        if not r["ok"]:
+            r["at"] = ("h", 0, i) if h else ("v", 0, key, i % w)
+            return r
+    for c in range(1, w):
+        _read_light(param, lights[c], c, walks)
+    return {"ok": True, "particles": 3 * w * w}
+
+
+def check_particle_geometry_walked(param):
+    got = verify._guarded(verify.suite_particle_geometry, param)
+    assert got == verify._guarded(walked_suite_particle_geometry, param), \
+        str(param)
+    return got
+
+
+def test_particle_geometry_matches_walked_to_31():
+    for param in even_rationals(31):
+        assert check_particle_geometry_walked(param)["ok"]
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(151, 101))
+def test_particle_geometry_matches_walked(param):
+    assert check_particle_geometry_walked(param)["ok"]
+
+
+def test_light_flips_match_walked_to_11(monkeypatch):
+    """Every light residue of every line flipped, one at a time, at every
+    even rational with omega <= 11: the suite's record is the walked
+    suite's, a pass where the flip keeps the line symmetric about itself.
+    The walks, which no flip changes, are built once per parameter."""
+    monkeypatch.setattr(verify, "_h_walk", lru_cache(None)(_h_walk))
+    monkeypatch.setattr(verify, "_v_walk", lru_cache(None)(_v_walk))
+    for param in even_rationals(11):
+        w = param.omega
+        real = light_lists(param)
+        for c in range(w):
+            for flip in range(w):
+                by_line = [list(res) for res in real]
+                by_line[c] = sorted(set(real[c]) ^ {flip})
+                monkeypatch.setattr(verify, "light_lists", lambda prm: by_line)
+                got = check_particle_geometry_walked(param)
+                assert got["ok"] == (flip == c), (str(param), c, flip)
+
+
+def test_light_and_square_faults_match_walked():
+    """Seeded plants of up to four light flips on random lines, line 0
+    among them half the time, each with or without one square of one walk
+    (horizontal, type P or type Q) moved a unit at the same instance in
+    every block: the suite's record is the walked suite's, so line 0's
+    brightness is read before the geometry, the other lines' after it, and
+    the geometry of all three walks is read."""
+    rng = random.Random(38)
+    seen = Counter()
+    for param in even_rationals(31)[::7]:
+        w = param.omega
+        real = light_lists(param)
+        for _ in range(12):
+            lines = rng.sample(range(1, w), min(w - 1, rng.randint(0, 3)))
+            by_line = [set(res) for res in real]
+            for c in lines + [0] * (rng.random() < 0.5):
+                by_line[c] ^= {rng.randrange(w)}
+            by_line = [sorted(res) for res in by_line]
+            key = rng.choice(("h", "P", "Q", None))
+            name = "_h_walk" if key == "h" else "_v_walk"
+            walk, i = getattr(grid, name), rng.randrange(w)
+            step = rng.choice(((1, 0), (0, 1)))
+
+            def moved_walk(param, *args, key=key, walk=walk, i=i, step=step):
+                squares, *rest = walk(param, *args)
+                if key == "h" or args[1] == key:
+                    squares = moved_square(squares, i, step)
+                return (squares, *rest)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "light_lists", lambda prm: by_line)
+                if key:
+                    mp.setattr(verify, name, moved_walk)
+                got = check_particle_geometry_walked(param)
+            if "at" in got:  # the walk whose geometry failed
+                outcome = got["at"][2] if got["at"][0] == "v" else "h"
+            else:
+                outcome = "error" if "error" in got else "ok"
+            seen[bool(key), outcome] += 1
+    assert {(True, "error"), (True, "h"), (True, "P"), (True, "Q"),
+            (False, "error"), (False, "ok")} <= seen.keys(), seen
+
+
+def test_walk_laws_to_15():
+    for param in even_rationals(15):
+        check_walk_laws(param)
+
+
+@settings(max_examples=2, deadline=None)
+@given(params(301, 101))
+def test_walk_laws(param):
+    check_walk_laws(param)
+
+
+def check_walk_laws(param):
+    """The laws suite_particle_geometry reads in place of every block's walk:
+    the walks from block j0 are block 0's moved by (j0*omega, 0) mod
+    omega^2; the horizontal one counts 2p residues 2p*j0 and 2q residues
+    2q*j0, its double points read that pair, the first at x = 2p*j0*omega/2p,
+    and a vertical one counts omega residues 2s*j0; and the geometry records
+    are block 0's, a vertical "const" moved by -4p^2*j0 mod 2*omega, also
+    with one square moved a unit at the same instance in every block."""
+    w, p2, q2 = param.omega, 2 * param.p, 2 * param.q
+    ww = w * w
+
+    def shifted(record, j0):
+        if record.get("case") != "vertical":
+            return record
+        const = sorted((v - p2 * p2 * j0 + w) % (2 * w) - w
+                       for v in record["const"])
+        return {**record, "const": const}
+
+    def records(key, squares, types):
+        orientation = "horizontal" if key == "h" else "vertical"
+        # east and north, on a type-P and a type-Q square of a horizontal walk
+        moves = [moved_square(squares, 1, (1, 0)),
+                 moved_square(squares, len(squares) - 2, (0, 1))]
+        return [image_geometry_scaled(param, orientation, moved, types)
+                for moved in [squares] + moves]
+
+    zero = {key: _h_walk(param, 0) if key == "h" else _v_walk(param, 0, key, 0)
+            for key in "hPQ"}
+    block0 = {key: records(key, *walk[:2]) for key, walk in zero.items()}
+    for j0 in range(w):
+        for key, s2 in (("h", None), ("P", p2), ("Q", q2)):
+            squares, types, counts, doubles = \
+                _h_walk(param, j0) if key == "h" else _v_walk(param, 0, key, j0)
+            assert squares == [((a + j0 * w) % ww, b) for a, b in zero[key][0]]
+            if key == "h":
+                want = Counter()
+                want[p2 * j0 % w] += p2
+                want[q2 * j0 % w] += q2
+                assert dict(counts) == want
+                assert {d[:2] for d in doubles} == {(p2 * j0 % w, q2 * j0 % w)}
+                assert doubles[0][2] == f"x={p2 * j0 * w}/{p2}"
+            else:
+                assert counts == ((s2 * j0 % w, w),) and not doubles
+            assert records(key, squares, types) == \
+                [shifted(r, j0) for r in block0[key]], (str(param), key, j0)
 
 
 def check_light_lists(param):

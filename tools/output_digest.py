@@ -49,7 +49,9 @@ Groups:
                 rational at omega <= N, from its walk (_h_walk, _v_walk)
                 read on its line by _read_light, and the instances of
                 horizontal_particle and vertical_particle on the lines 0, 1
-                and omega-1.
+                and omega-1;
+- particles-large the particle-geometry records at 50/51, 41/60, 100/101
+                and 200/201.
 
 Standard library only.  Run it on two checkouts and diff the output.
 """
@@ -83,6 +85,7 @@ COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
 CELL_PARAMS = ((16, 35), (50, 51), (100, 101))
 COVER_COLUMN_PARAMS = ((16, 35), (50, 51))
 PET_PARAMS = ((50, 51), (41, 60), (100, 101))
+PARTICLE_PARAMS = ((50, 51), (41, 60), (100, 101), (200, 201))
 # one check_mesh call per entry
 MESH_LISTS = (((50, 51),), ((41, 60),), ((3, 8), (4, 11), (50, 51)))
 
@@ -259,6 +262,9 @@ def main(argv=None) -> int:
                     rows += [vertical_particle(param, c, ty, j0).instances
                              for ty in "PQ"]
     print(f"{'particles':<24} {_digest(rows)}")
+    rows = verify.run_suite("particle-geometry",
+                            params=[make_param(*pq) for pq in PARTICLE_PARAMS])
+    print(f"{'particles-large':<24} {_digest(rows)}")
     return 0
 
 
