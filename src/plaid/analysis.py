@@ -26,6 +26,8 @@ from .params import Param, PlaidError, Rat
 from .grid import (
     BlockGrid,
     GridLine,
+    PlaidPolygon,
+    _block_loops,
     capacity_scaled,
     fill_tables,
     light_lists,
@@ -82,21 +84,21 @@ def verify_first(param: Param) -> Dict[str, object]:
     """
     w, p, q = param.omega, param.p, param.q
     y0 = next(y for y in range(1, w) if capacity_scaled(param, y) == 2)
-    den, lights = light_points_scaled(param, GridLine("H", y0), (0, 0),
+    den, lights = light_points_scaled(param, GridLine("H", y0), (0, w),
                                       light_lists(param)[y0])
     xs = [x for x, _ in lights]
     if 0 not in xs or w * w * p not in xs:
         return {"ok": False, "reason": "witness light points missing",
                 "line": y0, "lights": [str(Fraction(x, den)) for x in xs]}
-    polys = trace_polygons(param, (0, 0))
+    # the polygon crossing [0,1] x {y0} joins the squares of flat indices
+    # y0 - 1 and y0; every loop is walked, so a faulty block raises
     witness = None
-    for pg in polys:
-        pairs = set(zip(pg.verts2, pg.verts2[1:] + pg.verts2[:1]))
-        # the polygon crossing [0,1] x {y0} joins the centers below and above
-        lowc, highc = (1, 2 * y0 - 1), (1, 2 * y0 + 1)
-        if (lowc, highc) in pairs or (highc, lowc) in pairs:
-            witness = pg
-            break
+    for loop in _block_loops(param, (0, 0)):
+        if y0 in loop:
+            j = loop.index(y0)
+            if y0 - 1 in (loop[j - 1], loop[(j + 1) % len(loop)]):
+                witness = PlaidPolygon(tuple(
+                    (2 * (i // w) + 1, 2 * (i % w) + 1) for i in loop))
     if witness is None:
         return {"ok": False, "reason": "no polygon crosses the witness segment",
                 "line": y0}

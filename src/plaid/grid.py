@@ -22,10 +22,11 @@ mass -2k-1 at b = (h - k)/p mod omega, h = (omega-1)/2.  A line of capacity
 cap > 0 is light exactly on the masses 1, 3, ..., cap-1, so its lights are
 the first cap/2 entries of the list for the masses 1, 3, 5, ...; a line of
 capacity cap < 0 takes a prefix of the list for -1, -3, -5, ...
-(light_lists).  A light point is a light residue placed on a crossing:
-light_points_scaled places one line's residues, so that a caller drawing
-many lines builds the lists once, and BlockGrid a whole block's counts from
-tables built once per parameter, never cached (fill_tables).  The light
+(light_lists).  A light point is a crossing whose crossing line's residue
+is light: light_points_scaled tests only the crossings of the stretch of a
+line it is given, so that a caller drawing many lines builds the lists once
+and places only the points it draws, and BlockGrid a whole block's counts
+from tables built once per parameter, never cached (fill_tables).  The light
 rule itself, _light, stays as the reference in segment_points.
 
 Everything here is exact: sweeps run on plain integers scaled by omega, and
@@ -431,49 +432,48 @@ def closed_point_counts(param: Param) -> Tuple[List[int], List[int]]:
     return row * (w + 1), [2] * ((w + 1) * w)
 
 
-def light_points_scaled(param: Param, line: GridLine, block: Tuple[int, int],
+def light_points_scaled(param: Param, line: GridLine, stretch: Tuple[int, int],
                         res: Sequence[int]) -> Tuple[int, List[Tuple[int, int]]]:
-    """(den, [(num, multiplicity)]): the light points on the closed
-    intersection of the line with the given block, at num/den along the
-    line, sorted; den is 2pq for an H line and omega for a V line.  The
-    line's light residues res, light_lists(param)[c % omega] for the line
-    of intercept c, land on the block's crossings as in
-    BlockGrid._fill: an H line takes the crossing-slot weights; a V line
-    takes the crossing rule of closed_point_counts and meets double points
-    only at block corners, where capacity is 0."""
+    """(den, [(num, multiplicity)]): the light points on the closed stretch
+    v0 <= v <= v1 of the line, v its x (H line) or y (V line), at num/den
+    along the line, sorted; den is 2pq for an H line and omega for a V
+    line.  Only the stretch's crossings are placed, each lit when its
+    crossing line's residue is in res, light_lists(param)[c % omega] for the
+    line of intercept c.  On an H line the step-k crossing of slope
+    -2s/omega sits at x = k*omega/(2s), on the line of intercept c + k, and
+    weighs as _h_slots' slot k mod 2s; on a V line the line of intercept b
+    crosses at y = b - 2s*c/omega, and double points sit only at block
+    corners, where capacity is 0."""
     w, p, q = param.omega, param.p, param.q
-    bi, bj = block
-    if line.family not in ("H", "V"):
-        raise InvalidParameter("light census applies to H and V lines")
-    c = line.intercept
-    den = w if line.family == "V" else 2 * p * q
-    across = bj if line.family == "H" else bi
-    if not across * w <= c <= (across + 1) * w:
-        return den, []
-    out = []
+    (v0, v1), c, lit, out = stretch, line.intercept, set(res), []
     if line.family == "H":
-        for s, step in ((p, w * q), (q, w * p)):
-            # slot r sits at x = k*w/2s, k = 2s*bi + r, so x * 2pq = k * step
-            slots, k0 = _h_slots(w, s, s == p), 2 * s * bi
-            for rho in res:
-                # the steep family's window is longer than w
-                for r in range((rho - c - k0) % w, 2 * s + 1, w):
-                    if slots[r][1]:
-                        out.append(((k0 + r) * step, slots[r][1]))
-    else:
+        for s, step in ((p, w * q), (q, w * p)):  # x * 2pq = k * step
+            for k in range(-(-2 * s * v0 // w), 2 * s * v1 // w + 1):
+                r = k % (2 * s)
+                weight = 1 if r % s else (s == p) * (2 if r else 1)
+                if weight and (c + k) % w in lit:
+                    out.append((k * step, weight))
+        return 2 * p * q, sorted(out)
+    if line.family == "V":
         for s in (p, q):
             num = 2 * s * c
-            lo = -(-(bj * w * w + num) // w)
-            out += [((lo + (rho - lo) % w) * w - num, 1) for rho in res]
-    return den, sorted(out)
+            out += [(b * w - num, 1) for b in range(
+                -(-(v0 * w + num) // w), (v1 * w + num) // w + 1) if b % w in lit]
+        return w, sorted(out)
+    raise InvalidParameter("light census applies to H and V lines")
 
 
 def light_points_on_line(param: Param, line: GridLine, block: Tuple[int, int]
                          ) -> List[Tuple[Fraction, int]]:
-    """The Fraction view of light_points_scaled: (coordinate along the line,
-    multiplicity) of each light point, sorted."""
-    res = light_lists(param)[line.intercept % param.omega]
-    den, pts = light_points_scaled(param, line, block, res)
+    """The Fraction view of light_points_scaled on the line's stretch across
+    the closed block: (coordinate along the line, multiplicity) of each
+    light point, sorted, and none when the line misses the block."""
+    w, c = param.omega, line.intercept
+    along, across = block if line.family == "H" else block[::-1]
+    den, pts = light_points_scaled(param, line, (along * w, (along + 1) * w),
+                                   light_lists(param)[c % w])
+    if not across * w <= c <= (across + 1) * w:
+        return []
     return [(Fraction(v, den), mult) for v, mult in pts]
 
 
@@ -516,9 +516,6 @@ class PlaidPolygon:
         ys = [v[1] for v in self.verts2]
         return max(max(xs) - min(xs), max(ys) - min(ys))
 
-    def translated2(self, dx2: int, dy2: int) -> "PlaidPolygon":
-        return PlaidPolygon.from_centers([(x + dx2, y + dy2) for x, y in self.verts2])
-
     def reflected_y2(self, axis2: int) -> "PlaidPolygon":
         """Reflection across the horizontal line y = axis2/2."""
         return PlaidPolygon.from_centers(
@@ -527,15 +524,42 @@ class PlaidPolygon:
 
 # the unit step across each edge, indexed as in "NSEW"
 STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
-# an edge mask's exit bit 1 << e -> the next square's entry bit 1 << (e ^ 1)
-_ENTRY = bytes((0, 2, 1, 0, 8, 0, 0, 0, 4))
+# an edge mask -> its bit e as 0 or 1, per edge e of "NSEW", and -> 1 when
+# it is not 0 (translate tables)
+_LANES = [bytes(mask >> e & 1 for mask in range(256)) for e in range(4)]
+_NONZERO = bytes(mask > 0 for mask in range(256))
+
+
+def _rim(w: int) -> bytes:
+    """Each square's edges on an omega x omega block's border, as edge-mask
+    bits at the square's flat index n*w + m (omega >= 3)."""
+    column = b"\2" + bytes(w - 2) + b"\1"  # S at m = 0, N at m = w - 1
+    return (bytes(b | 8 for b in column) + column * (w - 2)
+            + bytes(b | 4 for b in column))
+
+
+def _sealed(masks: bytes, rim: bytes, w: int) -> bool:
+    """Whether no walk over coherent masks can fail a step: no good edge on
+    the rim, and the N and E lanes equal the S and W lanes one square north
+    and one square east."""
+    n, s, e, west = (masks.translate(lane) for lane in _LANES)
+    return (not int.from_bytes(masks, "big") & int.from_bytes(rim, "big")
+            and n[:-1] == s[1:] and e[:-w] == west[w:])
 
 
 def _block_loops(param: Param, block: Tuple[int, int],
                  grid: Optional[BlockGrid] = None) -> Iterator[List[int]]:
     """The block walker: each polygon of one block as its squares' flat
     indices n*w + m, from its least square north, to its smaller neighbour,
-    in scan order.  Raises IncoherentInput for 1, 3 or 4 good edges."""
+    in scan order.  Raises IncoherentInput for 1, 3 or 4 good edges.
+
+    A step fails when it leaves the block or enters a square without the
+    matching good edge.  Every good edge of a coherent square is its walk's
+    exit or entry, and no walk enters across the border, so some step fails
+    exactly when a good edge lies on the border or is not met across it.
+    _sealed tests that once: a sealed block, nearly every one, is walked
+    without the two per-step tests; any other with them, so that it yields
+    the same loops and then the same error as a walk testing every step."""
     w = param.omega
     bi, bj = block
     if grid is None:
@@ -545,33 +569,34 @@ def _block_loops(param: Param, block: Tuple[int, int],
     if i >= 0:
         raise IncoherentInput(f"square {(bi * w + i // w, bj * w + i % w)} has "
                               f"{masks[i].bit_count()} good edges")
-    # the flat step across each exit bit, and each square's exit bits that
-    # leave the block: S at m = 0, N at m = w - 1 (omega >= 3), W and E on
-    # the first and last columns
-    step = (0, 1, -1, 0, w, 0, 0, 0, -w)
-    column = b"\2" + bytes(w - 2) + b"\1"
-    border = bytearray(column * w)
-    border[:w] = bytes(b | 8 for b in column)
-    border[-w:] = bytes(b | 4 for b in column)
-    # the first square a walk revisits is its start, so seen only skips starts
-    seen = bytearray(w * w)
-    for start, mask in enumerate(masks):
-        if not mask or seen[start]:
-            continue
-        loop, i, exit_bit = [], start, mask & -mask
-        while not loop or i != start:
-            seen[i] = 1
+    rim = _rim(w)
+    checked = not _sealed(masks, rim, w)
+    # the flat step across each edge bit, and back; a walk that steps by
+    # delta into a two-bit square leaves it by delta + turn[square], the sum
+    # of the square's two steps
+    step, bit = (0, 1, -1, 0, w, 0, 0, 0, -w), {1: 1, -1: 2, w: 4, -w: 8}
+    turn = list(map({m: step[m & -m] + step[m & m - 1]
+                     for m in (0, 3, 5, 6, 9, 10, 12)}.__getitem__, masks))
+    # the first square a walk revisits is its start, so todo only skips starts
+    todo = bytearray(masks.translate(_NONZERO))
+    start = todo.find(1)
+    while start >= 0:
+        loop, i, delta = [], start, step[masks[start] & -masks[start]]
+        while True:
             loop.append(i)
-            if exit_bit & border[i]:
-                dx, dy = STEPS[exit_bit.bit_length() - 1]
+            todo[i] = 0
+            if checked and bit[delta] & rim[i]:
+                dx, dy = STEPS[bit[delta].bit_length() - 1]
                 raise PlaidError(f"polygon escaped block at "
                                  f"{(i // w + dx, i % w + dy)}")
-            i += step[exit_bit]
-            entry, here = _ENTRY[exit_bit], masks[i]
-            if not here & entry:
+            i += delta
+            if checked and not masks[i] & bit[-delta]:
                 raise PlaidError(f"connector mismatch entering {divmod(i, w)}")
-            exit_bit = here ^ entry
+            if i == start:
+                break
+            delta += turn[i]
         yield loop
+        start = todo.find(1, start)
 
 
 def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),

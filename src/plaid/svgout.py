@@ -114,16 +114,17 @@ def _light_points(param: Param, cfg: RenderConfig) -> List[str]:
     out = []
     seen = set()
     for bi, bj in _blocks_of_window(param, cfg):
-        for family, lo, hi, v0, v1 in (
-                ("H", max(bj * w, y0), min((bj + 1) * w, y1), x0, x1),
-                ("V", max(bi * w, x0), min((bi + 1) * w, x1), y0, y1)):
+        xs = max(bi * w, x0), min((bi + 1) * w, x1)
+        ys = max(bj * w, y0), min((bj + 1) * w, y1)
+        # each line's stretch within the block and the window
+        for family, (lo, hi), stretch in (("H", ys, xs), ("V", xs, ys)):
             for c in range(lo, hi + 1):
                 line_den, pts = light_points_scaled(param, GridLine(family, c),
-                                                    (bi, bj), by_line[c % w])
+                                                    stretch, by_line[c % w])
                 k = den // line_den
                 for v, mult in pts:
                     xy = (v * k, c * den) if family == "H" else (c * den, v * k)
-                    if v0 * line_den <= v <= v1 * line_den and xy not in seen:
+                    if xy not in seen:
                         seen.add(xy)
                         cx, cy = _pixel(cfg, *xy, den)
                         out.append(f'<circle cx="{cx}" cy="{cy}" r="{2 * mult}" '

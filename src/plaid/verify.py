@@ -16,6 +16,7 @@ from .grid import (
     BlockGrid,
     STEPS,
     _h_walk,
+    _rim,
     _v_walk,
     capacity_scaled,
     check_coherence,
@@ -71,10 +72,10 @@ def suite_hier(param: Param) -> dict:
     the light counts of a block row or column add up to the line's
     capacity."""
     w, tables = param.omega, fill_tables(param)
+    wants = [abs(capacity_scaled(param, m)) for m in range(w)]
     for bi in range(w):
         grid = BlockGrid(param, bi, tables)
-        for m in range(w):
-            want = abs(capacity_scaled(param, m))
+        for m, want in enumerate(wants):
             got = sum(grid.hl[m * w:(m + 1) * w])
             if got != want:
                 return {"ok": False, "line": ("H", m), "block": bi,
@@ -150,10 +151,9 @@ def suite_pet_equivalence(param: Param) -> dict:
     if failures:
         return {"ok": False, "reason": "inverse", "worst": _worst(failures)[1:]}
     codes = center_codes(param, cover, 2)
-    # each square's edges on its block's border, as the mask bits N 1, S 2,
-    # E 4 and W 8 that spans gives a code's edges: no code may end there
-    rim = bytes((m == w - 1) | (m == 0) << 1 | (n == w - 1) << 2
-                | (n == 0) << 3 for n in range(w) for m in range(w))
+    # each square's edges on its block's border, as the mask bits that
+    # spans gives a code's edges: no code may end there
+    rim = _rim(w)
     border = int.from_bytes(rim, "big")
     steps, tables = 0, fill_tables(param)
     for bi in range(w):

@@ -25,11 +25,13 @@ the empty rectangles on running light counts against a search over light
 edges, the integer irrational window against its Fraction oracle and its
 column walk against the former per-center body, its coherence lanes against
 the per-center loop, the integer SVG renderer against a Fraction
-renderer, and the flat-index block walk, also under planted mask faults,
-and the polygon layer and polygon documents written from it against the
-former walker and emitters, and criterion 8 and region coherence on the
-integer grid against their former Fraction paths, also under planted light,
-witness and mask faults."""
+renderer, its light points also at large omega, and the flat-index block
+walk, also under planted mask faults, with its whole-block test against
+the reference walk, and the polygon layer and polygon documents written
+from it against the former walker and emitters, and criterion 8 and region
+coherence on the integer grid against their former Fraction paths, also
+under planted light, witness and mask faults, and criterion 4 against its
+former body, also under planted count faults."""
 
 import math
 import random
@@ -2570,6 +2572,33 @@ def test_render_matches_fraction_renderer(param, data):
     assert render_svg(param, cfg) == reference_svg(param, cfg)
 
 
+@st.composite
+def crossing_windows(draw, w):
+    """A window of up to 13 x 13 by the block corner (kx*w, ky*w), kx in
+    -2..1 and ky in -1..1, often with an edge on the corner's lines, whose
+    only crossings at integer points sit at block corners; or a window
+    inside one block, possibly far from its corners."""
+    kx, ky = draw(st.integers(-2, 1)) * w, draw(st.integers(-1, 1)) * w
+    if draw(st.booleans()):
+        kx += draw(st.integers(7, w - 7))
+        ky += draw(st.integers(7, w - 7))
+    x0, y0 = kx - draw(st.integers(0, 6)), ky - draw(st.integers(0, 6))
+    return (x0, y0, max(kx + draw(st.integers(0, 7)), x0 + 1),
+            max(ky + draw(st.integers(0, 7)), y0 + 1))
+
+
+@settings(max_examples=8, deadline=None)
+@given(params(201, 101), st.data())
+def test_light_points_match_fraction_renderer_large(param, data):
+    """The light-point layer, past the Fraction renderer test's bound:
+    each line's stretch within the window gives the points the Fraction
+    renderer keeps from the whole block's."""
+    cfg = RenderConfig(window=data.draw(crossing_windows(param.omega)),
+                       scale=data.draw(st.integers(1, 31)),
+                       layers=("light-points",))
+    assert render_svg(param, cfg) == reference_svg(param, cfg)
+
+
 def reference_window_codes(P, offset, window, eps):
     """pet._window_codes before it walked the window by columns, kept as its
     oracle: each center reduced by canon_scaled and read on _boards on its
@@ -2888,6 +2917,33 @@ def test_coherent_walks_revisit_only_their_start(pq):
     assert set(outcomes) == {"closed", "escaped", "mismatch"}, outcomes
 
 
+@pytest.mark.parametrize("pq", [(1, 2), (2, 3), (3, 4)])
+def test_sealed_exactly_when_reference_walks(pq):
+    """The walker's whole-block test passes on coherent masks exactly when
+    the reference walker, testing every step, raises nothing: on random
+    two-bit masks (omega 3, 5, 7) and on true blocks, as they are or with
+    one to three squares replanted."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    two_bits = [a | b for a in (1, 2, 4, 8) for b in (1, 2, 4, 8) if a < b]
+    outcomes = Counter()
+    for trial in range(3000):
+        if trial % 2:
+            masks = [rng.choice(two_bits) if rng.random() < 0.8 else 0
+                     for _ in range(w * w)]
+        else:
+            masks = bytearray(BlockGrid(param, rng.randrange(w)).masks())
+            for _ in range(rng.randint(0, 3)):
+                masks[rng.randrange(w * w)] = rng.choice(two_bits + [0])
+        want = walk_outcome(reference_block_loops, param, (0, 0),
+                            PlantedMasks(masks))
+        sealed = grid._sealed(bytes(masks), grid._rim(w), w)
+        assert sealed == (want[1] is None), masks
+        outcomes[sealed] += 1
+    assert set(outcomes) == {True, False}, outcomes
+
+
 @st.composite
 def edge_windows(draw, w):
     """A window of up to 13 x 13 round the block corner (kx*w, ky*w), kx
@@ -3000,6 +3056,63 @@ def test_verify_first_matches_reference_to_61():
         assert analysis.verify_first(param) == reference_verify_first(param)
 
 
+@settings(max_examples=4, deadline=None)
+@given(params(301, 101))
+def test_verify_first_matches_reference(param):
+    assert analysis.verify_first(param) == reference_verify_first(param)
+
+
+def former_suite_hier(param):
+    """verify.suite_hier as it read each line's capacity once per block,
+    kept as its oracle."""
+    w, tables = param.omega, grid.fill_tables(param)
+    for bi in range(w):
+        block_grid = BlockGrid(param, bi, tables)
+        for m in range(w):
+            want = abs(capacity_scaled(param, m))
+            got = sum(block_grid.hl[m * w:(m + 1) * w])
+            if got != want:
+                return {"ok": False, "line": ("H", m), "block": bi,
+                        "got": got, "want": want}
+            got = sum(block_grid.vl[m * w:(m + 1) * w])
+            if got != want:
+                return {"ok": False, "line": ("V", bi * w + m), "block": bi,
+                        "got": got, "want": want}
+    return {"ok": True, "lines_checked": 2 * w * w}
+
+
+def test_suite_hier_matches_former_to_31():
+    for param in even_rationals(31):
+        assert verify.suite_hier(param) == former_suite_hier(param)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (4, 11), (8, 13), (10, 21)])
+def test_planted_count_faults_match_former_hier(pq, monkeypatch):
+    """One byte of one block's hl or vl changed, row omega of hl and the
+    unused row of vl included: the same record, naming the same line."""
+    param = make_param(*pq)
+    w = param.omega
+    rng = random.Random(w)
+    real_fill = BlockGrid._fill
+    plant = {}
+
+    def fill(self, tables):
+        real_fill(self, tables)
+        if self.bi == plant["bi"]:
+            lane = getattr(self, plant["lane"])
+            lane[plant["i"]] = (lane[plant["i"]] + plant["change"]) % 256
+
+    monkeypatch.setattr(BlockGrid, "_fill", fill)
+    failed = 0
+    for trial in range(16):
+        plant.update(bi=rng.randrange(w), lane=rng.choice(("hl", "vl")),
+                     i=rng.randrange((w + 1) * w), change=rng.choice((-1, 1, 2)))
+        got = verify.suite_hier(param)
+        assert got == former_suite_hier(param), plant
+        failed += not got["ok"]
+    assert failed
+
+
 @pytest.mark.parametrize("change, reason", [
     (lambda res, w: res[1:], "witness light points missing"),
     (lambda res, w: [(r + 1) % w for r in res], "witness light points missing"),
@@ -3028,12 +3141,18 @@ def test_light_faults_on_witness_line_match_first_reference(change, reason,
 
 
 def test_dropped_witness_matches_first_reference(monkeypatch):
+    """The walk and the traced polygons without the loop through square
+    (0, y0), the witness line's, whose center is (1, 2*y0 + 1) doubled."""
     def dropped(param, block=(0, 0), block_grid=None):
         highc = (1, 2 * witness_line(param) + 1)
         return [pg for pg in trace_polygons(param, block, block_grid)
                 if highc not in pg.verts2]
 
-    monkeypatch.setattr(analysis, "trace_polygons", dropped)
+    def dropped_loops(param, block, block_grid=None):
+        return [loop for loop in grid._block_loops(param, block, block_grid)
+                if witness_line(param) not in loop]
+
+    monkeypatch.setattr(analysis, "_block_loops", dropped_loops)
     for param in even_rationals(31):
         got = analysis.verify_first(param)
         assert got == reference_verify_first(param, dropped), param

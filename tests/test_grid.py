@@ -10,6 +10,7 @@ from plaid.grid import (
     GridLine,
     IncoherentInput,
     IntersectionPoint,
+    PlaidPolygon,
     UnitSegment,
     anchor_lines,
     capacity_scaled,
@@ -299,8 +300,8 @@ class TestPolygons:
         a = trace_polygons(p25, (0, 0))
         b = trace_polygons(p25, (p25.omega, 0))  # same block mod omega^2
         shift = 2 * p25.omega * p25.omega
-        assert [pg.translated2(shift, 0).verts2 for pg in a] == \
-            [pg.verts2 for pg in b]
+        assert [PlaidPolygon.from_centers([(x + shift, y) for x, y in pg.verts2])
+                for pg in a] == b
 
     def test_incoherent_squares_in_row_order(self, p25):
         """Toggling one edge's goodness breaks both squares beside it; the
