@@ -28,8 +28,9 @@ from typing import Callable, Dict, List, Tuple
 
 from .params import PlaidError, make_param
 from .grid import BlockGrid, fill_tables, trace_polygons
-from .classifier import center_codes, label_table
-from .pet import irrational_tiling, special_orbit
+from .classifier import center_codes, label_table, symmetry_conjugacies
+from .pet import (_mesh_failures, cover_step, fiber_shifts, irrational_tiling,
+                  special_orbit)
 from .svgout import LAYERS
 from .cli import main
 
@@ -59,7 +60,8 @@ def machine() -> Dict[str, object]:
 def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     """(name, thunk) of each layer at one omega, in pipeline order: every
     block (bi, 0) for the grid layers, center_codes of the base table
-    (center_column in older entries), one orbit through a center of block
+    (center_column in older entries), criterion 10's conjugacies and the
+    mesh equations on the cover table, one orbit through a center of block
     0's first polygon, and the render and stats --document requests."""
     p = omega // 2
     state = {}
@@ -89,9 +91,14 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
         ("trace_polygons", trace),
         ("label_table", lambda: state.update(
             table=label_table(state["param"]))),
-        ("label_table_cover", lambda: label_table(state["param"], 2)),
+        ("label_table_cover", lambda: state.update(
+            cover=label_table(state["param"], 2))),
         ("center_codes", lambda: center_codes(state["param"],
                                               state["table"])),
+        ("symmetry_conjugacies", lambda: symmetry_conjugacies(state["param"])),
+        ("mesh_failures", lambda: _mesh_failures(
+            state["param"], state["cover"],
+            fiber_shifts(state["param"], cover_step))),
         ("orbit", orbit),
         ("render", lambda: request("render", "--window",
                                    f"0,0,{RENDER_WINDOW},{RENDER_WINDOW}",

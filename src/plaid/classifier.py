@@ -49,8 +49,8 @@ i1 + i2 = const of one fiber from the column start (a, r).  From (a, b) to
 and u2, so columns a = a0 mod omega share a fiber and a step of omega moves
 a start by -2p^2 in i1 and i2, on the cover too.  The move commutes with
 every fiber shift and with the maps of symmetry_conjugacies, so the starts
-a < omega stand for their columns: criteria 5, 6 and 10 check them alone,
-and center_codes reads every code from them.
+a < omega stand for their columns: criteria 5 and 6 and the maps of 10
+check them alone, and center_codes reads every code from them.
 """
 
 from __future__ import annotations
@@ -371,18 +371,14 @@ def center_codes(param: Param, table: bytes, sheets: int = 1) -> bytearray:
     return codes
 
 
-def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
-    """The canonical scaled cover point of a cover cell, t in [-2*omega,
-    2*omega): the table's point of the cell (j, i1, i2), except that the
-    fibers t >= 2*omega fold back by (4*omega, 4p, 4p)."""
-    w = param.omega
-    rest, i2 = divmod(cell, w)
-    j, i1 = divmod(rest, w)
-    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
-    if t < 2 * w:
-        return t, u1, u2
-    d = 4 * param.p
-    return t - 4 * w, sym_reduce(u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w)
+def turn_fiber(fiber: bytearray, w: int, C1: int, c2: int) -> bytearray:
+    """A table fiber turned: (i1, i2) reads (i1 + c1, i2 + c2) mod omega,
+    C1 = c1*omega; one roll by C1 + c2 reads each row's last c2 a row on."""
+    pair = fiber * 2
+    turned, back = pair[C1 + c2:C1 + c2 + w * w], (C1 + c2 - w) % (w * w)
+    for r in range(w - c2, w * w if c2 else 0, w):  # those from a row back
+        turned[r:r + c2] = pair[back + r:back + r + c2]
+    return turned
 
 
 def cell_code(param: Param, cell: int) -> int:
@@ -433,14 +429,13 @@ def fiber_label(P: Rat, point: ClassifyingPoint) -> Tuple[str, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 def mark_classes(param: Param, sheets: int) -> Dict[str, object]:
-    """The sheets*omega^3 center classes have distinct images.  By the column
-    fact of the module docstring the classes b = r mod sheets of column a
-    fill the diagonal i1 + i2 = d of one fiber (sheets*p is a unit mod
-    omega), and a + omega moves d by -4p^2, a unit too, so they are distinct
-    when the sheets*omega starts (a, r), a < omega, lie on distinct fibers.
-    The base side's parity, read at a < omega, holds everywhere: b + 1 adds
-    2*omega, 0, 4p and a + omega 4p*omega to (t, u1, u2).  A failure names
-    the first repeat's start, cell and earlier class."""
+    """The sheets*omega^3 center classes have distinct images: a column's
+    fill one diagonal of its start's fiber (steps of sheets*p, a unit mod
+    omega) and a + omega moves it by -4p^2, a unit too ("Center columns"),
+    so when the sheets*omega starts (a, r), a < omega, lie on distinct
+    fibers.  The base side's parity, read at a < omega, holds everywhere: b
+    + 1 adds 2*omega, 0, 4p and a + omega 4p*omega to (t, u1, u2).  A
+    failure names the first repeat's start, cell and earlier class."""
     w, ww, classes = param.omega, param.omega ** 2, sheets * param.omega ** 3
     for a in range(w if sheets == 1 else 0):
         t, u1, u2 = xi_raw_scaled(param, a, 0)
@@ -487,31 +482,36 @@ def symmetry_conjugacies(param: Param) -> Dict[str, object]:
 
     Rotation through the origin: Xi(-c) = -Xi(c) and labels swap N<->S,
     E<->W.  Reflection in the x-axis: Xi(x,-y) = swap(U1,U2) of Xi(x,y) and
-    labels swap N<->S only.  The rotated centers of column a are column
-    -a-1 reversed, the reflected ones column a reversed (period omega in b),
-    and the label checks compare slices of one center_codes mask string.
-    A step b -> b + 1 moves the cell of (a, b) by (0, -p, +p) on its fiber
-    (the column fact), and its negative, its swap and the cells of the
-    rotated and reflected centers by (0, +p, -p): both sides of a map check
-    step alike, so the maps are checked at b = 0 and -1, and at the starts
-    a < omega alone, which stand for their columns ("Center columns").
-    """
+    labels swap N<->S only.  The maps are checked at the starts, b = 0 and
+    -1: a step in b, or of omega in a, moves both sides alike ("Center
+    columns").  As each cell is one center's (the bijection), the label laws
+    are then laws of the table: fiber -j reversed (fiber 0 then turned by p,
+    p) has fiber j's masks turned by _ROT_MASKS, and fiber j transposed its
+    own turned by _FLIP_MASKS; the center columns are walked only on failure."""
     w, p, ww = param.omega, param.p, param.omega ** 2
-    masks = center_codes(param, label_table(param).translate(_MASK_TABLE))
-    for a in range(ww):
+    table, maps, laws = label_table(param), [], True
+    for a in range(w):  # the maps at the start a, the label laws on fiber a
+        c = center_cell(param, a, 0)
+        # -Xi of a cell, reversed; fiber 0 is its own negative up to (2*omega, 2p, 2p)
+        neg = w * ww + ww - 1 - c if c >= ww else \
+            (-1 - p - c // w) % w * w + (-1 - p - c) % w
+        swap = c + (w - 1) * (c % w - c // w % w)
+        maps.append([("rotation-map", [center_cell(param, ww - 1 - a, -1)], [neg]),
+                     ("reflection-map", [center_cell(param, a, -1)], [swap])])
+        fiber = table[a * ww:(a + 1) * ww].translate(_MASK_TABLE)
+        rot = table[-a % w * ww:(-a % w + 1) * ww].translate(_MASK_TABLE)[::-1]
+        rot = rot if a else turn_fiber(rot, w, p * w, p)
+        laws = laws and all(got == want for _, got, want in maps[a]) and \
+            rot == fiber.translate(_ROT_MASKS) and \
+            b"".join(fiber[i::w] for i in range(w)) == fiber.translate(_FLIP_MASKS)
+    if laws:
+        return {"ok": True, "classes": w ** 3}
+    masks = center_codes(param, table.translate(_MASK_TABLE))
+    for a in range(ww):  # a law fails: name its first center
         mask, rot = masks[a * w:(a + 1) * w], masks[(ww - 1 - a) * w:(ww - a) * w]
-        checks = [("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
-                  ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS))]
-        if a < w:  # a map check holds only its start, read at b = 0
-            c = center_cell(param, a, 0)
-            # -Xi of a cell (j, i1, i2) is (omega - j, omega-1 - i1, omega-1 -
-            # i2), but j = 0 is its own negative up to (2*omega, 2p, 2p)
-            neg = w * ww + ww - 1 - c if c >= ww else \
-                (-1 - p - c // w) % w * w + (-1 - p - c) % w
-            swap = c + (w - 1) * (c % w - c // w % w)
-            checks[:0] = [
-                ("rotation-map", [center_cell(param, ww - 1 - a, -1)], [neg]),
-                ("reflection-map", [center_cell(param, a, -1)], [swap])]
+        checks = (maps[a] if a < w else []) + [
+            ("rotation-label", rot[::-1], mask.translate(_ROT_MASKS)),
+            ("reflection-label", mask[::-1], mask.translate(_FLIP_MASKS))]
         if any(got != want for _, got, want in checks):
             b, case = next((b, case) for b in range(w) for case, got, want in checks
                            if got[b:b + 1] != want[b:b + 1])

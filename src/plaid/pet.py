@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .params import Param, PlaidError, Rat, RatLike
+from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .grid import STEPS, PlaidPolygon
 from .classifier import (
     CODE_LABELS,
@@ -57,10 +57,10 @@ from .classifier import (
     canon_scaled,
     cell_code,
     center_cell,
-    decode_cell,
     grid_cell,
     label_table,
     mark_classes,
+    turn_fiber,
     _center_indices,
     _zones_at,
 )
@@ -99,6 +99,20 @@ class CoverPoint:
 
     def as_tuple(self):
         return (self.That, self.U1, self.U2)
+
+
+def decode_cell(param: Param, cell: int) -> Tuple[int, int, int]:
+    """The canonical scaled cover point of a cover cell, t in [-2*omega,
+    2*omega): the table's point of the cell (j, i1, i2), except that the
+    fibers t >= 2*omega fold back by (4*omega, 4p, 4p)."""
+    w = param.omega
+    rest, i2 = divmod(cell, w)
+    j, i1 = divmod(rest, w)
+    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
+    if t < 2 * w:
+        return t, u1, u2
+    d = 4 * param.p
+    return t - 4 * w, sym_reduce(u1 - d, 2 * w), sym_reduce(u2 - d, 2 * w)
 
 
 def _cover_point(param: Param, cell: int) -> CoverPoint:
@@ -267,7 +281,7 @@ _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
 _MEETS = [REVERSED.translate(_ENDS[e ^ 1]) for e in range(4)]
 
 
-def _mesh_failures(param: Param, cover: bytes, shifts) -> List[dict]:
+def _mesh_failures(param: Param, cover: bytearray, shifts) -> List[dict]:
     """The failure records of the mesh equations on every cover table fiber."""
     w, ww = param.omega, param.omega ** 2
     failures = []
@@ -279,12 +293,11 @@ def _mesh_failures(param: Param, cover: bytes, shifts) -> List[dict]:
         # the matching neighbour always sits across the named edge, and
         # a connector into an edge comes out of the opposite one there
         for edge in (1, 0, 2, 3):  # S, N, E, W
-            # fiber j', named by fiber_shifts' row, turned by c2 and c1
+            # fiber j', named by fiber_shifts' row, turned by c1 and c2: one
+            # slice where c2 is 0, else each row's last c2 codes a row back
             J2, C1, c2 = shifts[4 * j + edge]
-            rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
-                            for r in range(J2, J2 + ww, w))
             here = fiber.translate(_ENDS[edge])
-            there = (rows[C1:] + rows[:C1]).translate(_MEETS[edge])
+            there = turn_fiber(cover[J2:J2 + ww], w, C1, c2).translate(_MEETS[edge])
             if here == there:
                 continue
             e, o = _ORDER[edge], _ORDER[edge ^ 1]

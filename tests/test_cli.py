@@ -486,8 +486,9 @@ def run_as_user_exits_2(argv, **env):
 
 
 BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "trace_polygons",
-                "label_table", "label_table_cover", "center_codes", "orbit",
-                "render", "stats_document"]
+                "label_table", "label_table_cover", "center_codes",
+                "symmetry_conjugacies", "mesh_failures", "orbit", "render",
+                "stats_document"]
 
 
 def check_bench_document(doc, label, repeats, omegas, windows):

@@ -16,11 +16,14 @@ per-column reader and the per-class reduction, criteria 2 and 10 against
 their former bodies under planted table and edge faults, the column fact
 against the per-class reduction, the bijection on column starts against
 marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the pet-equivalence record against the suite's walked
-former body and the reference that rebuilt each orbit's polygon, also under
-planted faults, the light-set laws and the classifier conjugacies against
-per-crossing and whole-column references, past their sweep bound and under
-planted light and label faults,
+per-class loop, the mesh equations on turned fibers against their former
+per-row body, also under planted cover and shift faults, the
+pet-equivalence record against the suite's walked former body and the
+reference that rebuilt each orbit's polygon, also under planted faults, the
+light-set laws and the classifier conjugacies against per-crossing and
+whole-column references and the label laws on the table against the former
+column walk, past their sweep bound and under planted light and label
+faults,
 the empty rectangles on running light counts against a search over light
 edges, the integer irrational window against its Fraction oracle and its
 column walk against the former per-center body, its coherence lanes against
@@ -86,6 +89,7 @@ from plaid.pet import (
     NonPeriodicOrbit,
     cover_step,
     decode_cell,
+    fiber_shifts,
     irrational_tiling,
     oriented_label_scaled,
     path_polygon,
@@ -1090,6 +1094,65 @@ def test_label_faults_match_symmetry_reference(pq, stride):
     assert failed > len(real) // stride * 9 // 10
 
 
+def paired_label_fault(param, table, cell, law):
+    """table with the mask of cell changed and its image under the law's
+    cell map, the negative for "rotation" and the transpose for
+    "reflection", given the mask that law wants there: that law still
+    holds on the table, and the other fails at the cell unless by
+    coincidence."""
+    w, p, ww = param.omega, param.p, param.omega ** 2
+    j, i1, i2 = cell // ww, cell // w % w, cell % w
+    if law == "rotation":
+        image, turn = ((w - j) * ww + (w - 1 - i1) * w + w - 1 - i2 if j else
+                       (-1 - p - i1) % w * w + (-1 - p - i2) % w), _ROT_MASKS
+    else:
+        image, turn = j * ww + i2 * w + i1, _FLIP_MASKS
+    code_of = {classifier.CODE_MASKS[c]: c for c in range(16)}
+    old = classifier.CODE_MASKS[table[cell]]
+    # a mask its own image where the map fixes the cell, else any other one
+    mask = next(m for m in code_of if m != old and
+                (image != cell or turn[m] == m))
+    table[cell], table[image] = code_of[mask], code_of[turn[mask]]
+    return table
+
+
+@pytest.mark.parametrize("pq, stride", [((2, 5), 3), ((4, 11), 29)])
+def test_paired_label_faults_match_former_symmetry(pq, stride):
+    """Two-cell label faults that keep one label law and break the other,
+    at every stride-th cell, fiber 0 among them: the table laws must each
+    be read, since neither stands for the other, and the column walk names
+    the former body's center."""
+    param = make_param(*pq)
+    real = label_table(param)
+    failed = Counter()
+    for cell in range(0, len(real), stride):
+        for law in ("rotation", "reflection"):
+            table = paired_label_fault(param, bytearray(real), cell, law)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(classifier, "label_table",
+                           lambda prm, sheets=1: bytearray(table))
+                got = symmetry_conjugacies(param)
+                assert got == former_symmetry_conjugacies(param), (cell, law)
+            failed[law] += not got["ok"]
+    assert min(failed.values()) > len(real) // stride * 3 // 4, failed
+
+
+@settings(max_examples=5, deadline=None)
+@given(params(61), st.data())
+def test_label_fault_matches_former_symmetry(param, data):
+    """One planted label fault at a random cell, past the sweep bound: the
+    table laws fail and the column walk names the former body's center."""
+    real = label_table(param)
+    table = bytearray(real)
+    cell = data.draw(st.integers(0, len(real) - 1))
+    table[cell] = 0 if table[cell] % 5 else 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "label_table", lambda prm, sheets=1: bytearray(table))
+        got = symmetry_conjugacies(param)
+        assert got == former_symmetry_conjugacies(param), (str(param), cell)
+    assert not got["ok"], (str(param), cell)
+
+
 @settings(max_examples=10, deadline=None)
 @given(params(), st.data())
 def test_grid_symmetries_beyond_sweep_bound(param, data):
@@ -1802,8 +1865,9 @@ def test_omega_step_law(param, a, b, sheets):
 def test_center_cell_calls_per_suite(pq, monkeypatch):
     """center_cell calls, in classifier and verify: sheets*omega per
     center_codes and per mark_classes, so omega + 2*omega for bijection;
-    omega for center_codes' starts and 3*omega for symmetry's map checks,
-    three at each start a < omega; and 4*(omega + 2) for
+    3*omega for symmetry's map checks, three at each start a < omega, as
+    its label laws read the table and center_codes runs only when a law
+    fails; and 4*(omega + 2) for
     pet-equivalence's conjugacy cells, b = -1 .. 2 at a = -1 .. omega, and
     2*omega for the cover codes' starts.  No suite reads omega^2 cells."""
     param = make_param(*pq)
@@ -1818,7 +1882,7 @@ def test_center_cell_calls_per_suite(pq, monkeypatch):
     monkeypatch.setattr(classifier, "center_cell", center_cell)
     monkeypatch.setattr(verify, "center_cell", center_cell)
     for suite, want in (("bijection", {1: w, 2: 2 * w}),
-                        ("symmetry", {1: w + 3 * w}),
+                        ("symmetry", {1: 3 * w}),
                         ("pet-equivalence", {2: 4 * (w + 2) + 2 * w})):
         calls.clear()
         assert verify.SUITES[suite](param)["ok"], suite
@@ -2376,6 +2440,112 @@ def test_every_shift_row_fails_conjugacy_at_a_start(monkeypatch):
         for row in range(8 * param.omega):
             check_corrupt_shift_row(param, row, monkeypatch)
             monkeypatch.undo()
+
+
+def former_mesh_failures(param, cover, shifts):
+    """pet._mesh_failures' body before turn_fiber: each neighbour fiber
+    joined row by row, each row turned by c2, then the whole by C1."""
+    w, ww = param.omega, param.omega ** 2
+    failures = []
+    for t in range(-2 * w + 1, 2 * w, 2):
+        j = (t + w) // 2 % (2 * w)
+        fiber = cover[j * ww:(j + 1) * ww]
+        for edge in (1, 0, 2, 3):
+            J2, C1, c2 = shifts[4 * j + edge]
+            rows = b"".join(cover[r + c2:r + w] + cover[r:r + c2]
+                            for r in range(J2, J2 + ww, w))
+            here = fiber.translate(pet._ENDS[edge])
+            there = (rows[C1:] + rows[:C1]).translate(pet._MEETS[edge])
+            if here == there:
+                continue
+            e, o = _ORDER[edge], _ORDER[edge ^ 1]
+            for i, (x, y) in enumerate(zip(here, there)):
+                for bit, case in ((1, f"into-{e}->out-{o}"),
+                                  (2, f"out-{e}->into-{o}")):
+                    if (x ^ y) & bit:
+                        failures.append({
+                            "param": str(param), "fiber": t,
+                            "cell": decode_cell(param, j * ww + i)[1:],
+                            "case": case})
+    return failures
+
+
+@pytest.mark.parametrize("w", [3, 5, 21])
+def test_turn_fiber_matches_row_rotation(w):
+    """Every turn (c1, c2) of a random fiber equals the rows rotated one by
+    one by c2 and then the fiber by c1 rows."""
+    ww = w * w
+    fiber = bytearray(random.Random(w).randbytes(ww))
+    for C1 in range(0, ww, w):
+        for c2 in range(w):
+            rows = b"".join(fiber[r + c2:r + w] + fiber[r:r + c2]
+                            for r in range(0, ww, w))
+            assert classifier.turn_fiber(fiber, w, C1, c2) == \
+                rows[C1:] + rows[:C1], (C1, c2)
+
+
+def check_mesh_failures(param, cover=None, shifts=None):
+    """The failure list, order included, against the former body."""
+    cover = label_table(param, 2) if cover is None else cover
+    shifts = fiber_shifts(param, cover_step) if shifts is None else shifts
+    got = pet._mesh_failures(param, cover, shifts)
+    assert got == former_mesh_failures(param, cover, shifts), str(param)
+    return got
+
+
+def planted_cover(param, cell):
+    """The cover table with one code changed: a connector reversed, a hold
+    given the code 1 (N, S)."""
+    cover = label_table(param, 2)
+    cover[cell] = REVERSED[cover[cell]] if cover[cell] % 5 else 1
+    return cover
+
+
+def test_mesh_failures_match_former_to_25():
+    """At every even rational with omega <= 25, clean and with one code
+    planted at a random cell."""
+    rng = random.Random(25)
+    for param in even_rationals(25):
+        assert check_mesh_failures(param) == [], str(param)
+        cell = rng.randrange(2 * param.omega ** 3)
+        assert check_mesh_failures(param, planted_cover(param, cell)), \
+            (str(param), cell)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(151), st.data())
+def test_mesh_failures_match_former(param, data):
+    assert check_mesh_failures(param) == []
+    cell = data.draw(st.integers(0, 2 * param.omega ** 3 - 1))
+    assert check_mesh_failures(param, planted_cover(param, cell))
+
+
+@pytest.mark.parametrize("pq, stride", [((2, 5), 1), ((4, 11), 41)])
+def test_cover_faults_match_former_mesh(pq, stride):
+    """Every single-code cover fault at 2/5, and every stride-th cell's at
+    4/11: the same failure list, order included, and never an empty one."""
+    param = make_param(*pq)
+    shifts = fiber_shifts(param, cover_step)
+    for cell in range(0, 2 * param.omega ** 3, stride):
+        assert check_mesh_failures(param, planted_cover(param, cell), shifts), cell
+
+
+def test_shift_faults_match_former_mesh():
+    """Each fiber_shifts row at 2/5 with its c1 or its c2 turn off by one:
+    any turn, not only the exchange's, reads as in the former body.  A
+    fiber whose rows or columns repeat can hide a turn off by one, so only
+    most of the faults must fail."""
+    param = make_param(2, 5)
+    w = param.omega
+    cover, real = label_table(param, 2), fiber_shifts(param, cover_step)
+    failed = Counter()
+    for row in range(8 * w):
+        for change in ((0, w, 0), (0, 0, 1)):
+            shifts = list(real)
+            J, C1, c2 = (x + d for x, d in zip(real[row], change))
+            shifts[row] = (J, C1 % (w * w), c2 % w)
+            failed[change] += bool(check_mesh_failures(param, cover, shifts))
+    assert min(failed.values()) > 4 * w, failed
 
 
 def oracle_tiling(P, offset, window, eps):
