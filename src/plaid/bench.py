@@ -27,10 +27,11 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .params import PlaidError, make_param
-from .grid import BlockGrid, fill_tables, trace_polygons
+from .grid import BlockGrid, _block_loops, fill_tables, trace_polygons
 from .classifier import center_codes, label_table, symmetry_conjugacies
 from .pet import (_mesh_failures, cover_step, fiber_shifts, irrational_tiling,
                   special_orbit)
+from .serialize import block_text
 from .svgout import LAYERS
 from .cli import main
 
@@ -62,7 +63,10 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     block (bi, 0) for the grid layers, center_codes of the base table
     (center_column in older entries), criterion 10's conjugacies and the
     mesh equations on the cover table, one orbit through a center of block
-    0's first polygon, and the render and stats --document requests."""
+    0's first polygon, the render and stats --document requests, the render
+    request of each layer alone (render_<layer>), and block 0's document
+    in two parts: the walk of its loops over the masks built above, and
+    the text written from them."""
     p = omega // 2
     state = {}
 
@@ -84,6 +88,10 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
                  "--out", os.path.join(scratch, "out")]):
             raise PlaidError(f"plaid {' '.join(argv)} failed")
 
+    def render(layers):
+        request("render", "--window", f"0,0,{RENDER_WINDOW},{RENDER_WINDOW}",
+                "--layers", layers)
+
     return [
         ("make_param", lambda: state.update(param=make_param(p, omega - p))),
         ("blockgrid_fill", fill),
@@ -100,11 +108,15 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
             state["param"], state["cover"],
             fiber_shifts(state["param"], cover_step))),
         ("orbit", orbit),
-        ("render", lambda: request("render", "--window",
-                                   f"0,0,{RENDER_WINDOW},{RENDER_WINDOW}",
-                                   "--layers", ",".join(LAYERS))),
+        ("render", lambda: render(",".join(LAYERS))),
         ("stats_document", lambda: request("stats", "--document",
                                            "--blocks", "0")),
+        *[(f"render_{layer}", lambda layer=layer: render(layer))
+          for layer in LAYERS],
+        ("document_walk", lambda: state.update(loops=list(_block_loops(
+            state["param"], (0, 0), state["grids"][0])))),
+        ("document_text", lambda: block_text(state["param"], (0, 0),
+                                             state["loops"])),
     ]
 
 

@@ -37,7 +37,8 @@ where the two byte strings built must be equal.  The table of the double
 cover continues t over [omega, 3*omega) with reversed codes, each read as
 4*entry + exit; its index, the cell, is the state of the exchange in pet.
 grid_cell is the one reduction of a scaled grid point to its cell, and
-cell_code computes one cell's byte from its indices as label_table does.
+cell_codes computes cells' bytes from their indices as label_table does,
+along one diagonal of a fiber; cell_code is its one-cell case.
 
 Center columns.  From the center (a, b) to (a, b+1) the cell (j, i1, i2)
 moves to (j, i1 - p, i2 + p) mod omega: the image gains (2*omega, 0, 4p),
@@ -51,10 +52,13 @@ a start by -2p^2 in i1 and i2, on the cover too.  The move commutes with
 every fiber shift and with the maps of symmetry_conjugacies, so the starts
 a < omega stand for their columns: criteria 5 and 6 and the maps of 10
 check them alone, and center_codes reads every code from them.
+column_codes reads a run of one column without a table, as two runs of
+cell_codes from the run's first two centers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -381,26 +385,45 @@ def turn_fiber(fiber: bytearray, w: int, C1: int, c2: int) -> bytearray:
     return turned
 
 
-def cell_code(param: Param, cell: int) -> int:
-    """label_table(param, 2)[cell] without a table, from the cell's indices
-    (j, i1, i2): an outer cell (j >= omega) is base fiber j - omega with i1
-    and i2 shifted by -p, its code reversed, read off each zone's board in
-    _boards.  No cell lies on a wall, since the cuts and the seam are odd and
-    a cell's u is even.  Raises PlaidError when the zones disagree."""
-    w = param.omega
+def cell_codes(param: Param, cell: int, n: int = 1,
+               step: int = 0) -> bytearray:
+    """label_table(param, 2) at the n cells (j, i1 - k*step, i2 + k*step),
+    k < n, from the cell (j, i1, i2), without a table: an outer cell (j >=
+    omega) is base fiber j - omega with i1 and i2 shifted by -p, its code
+    reversed, read off each zone's board in _boards, one call for the run.
+    No cell lies on a wall, since the cuts and the seam are odd and a cell's
+    u is even.  Raises PlaidError when the zones disagree at a cell."""
+    w, p = param.omega, param.p
     rest, i2 = divmod(cell, w)
-    j, i1 = divmod(rest, w)
-    outer = j >= w
-    if outer:
-        j, i1, i2 = j - w, (i1 - param.p) % w, (i2 - param.p) % w
-    t, u1, u2 = 2 * j - w, 2 * i1 - w + 1, 2 * i2 - w + 1
-    codes = []
-    for _, (c1, c2, c3), board in _boards(w, 2 * param.p, t):
-        column = board[(u1 > c1) + (u1 > c2) + (u1 > c3)]
-        codes.append(column[(u2 > c1) + (u2 > c2) + (u2 > c3)])
-    if codes[0] != codes[-1]:
-        raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
-    return REVERSED[codes[0]] if outer else codes[0]
+    outer, j = divmod(rest // w, w)  # the cell's sheet and base fiber
+    i1, i2 = rest % w - p * outer, i2 - p * outer
+    runs = []
+    for _, cuts, board in _boards(w, 2 * p, 2 * j - w):
+        runs.append(bytearray(n))
+        for k in range(n):  # the band of u is the number of cuts below u
+            runs[-1][k] = board[bisect(cuts, 2 * ((i1 - k * step) % w) - w + 1)][
+                bisect(cuts, 2 * ((i2 + k * step) % w) - w + 1)]
+    if runs[0] != runs[-1]:
+        raise PlaidError(f"zone disagreement on the fiber t={2 * j - w}/{w}")
+    return runs[0].translate(REVERSED) if outer else runs[0]
+
+
+def cell_code(param: Param, cell: int) -> int:
+    """label_table(param, 2)[cell], the one-cell case of cell_codes."""
+    return cell_codes(param, cell)[0]
+
+
+def column_codes(param: Param, a: int, b: int, n: int) -> bytearray:
+    """cell_code(param, center_cell(param, a, b + k, 2)) for k < n: the
+    centers b + k of one parity lie on one cover fiber, each two rows on
+    by (0, -2p, 2p) ("Center columns"), so a run of cell_codes from (a, b)
+    and one from (a, b + 1) interleave.  The two runs' fibers are one base
+    fiber, so a zone disagreement raises as cell_code's would."""
+    codes = bytearray(n)
+    for r in range(2):
+        codes[r::2] = cell_codes(param, center_cell(param, a, b + r, 2),
+                                 (n - r + 1) // 2, 2 * param.p)
+    return codes
 
 
 def tile_label_scaled(param: Param, a: int, b: int) -> str:

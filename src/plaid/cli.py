@@ -15,7 +15,7 @@ from .params import InvalidParameter, PlaidError, make_param
 from .pet import (_REGIONS, BadOffset, irrational_tiling, path_polygon,
                   special_orbit)
 from .analysis import gap_radius, polygon_stats
-from .serialize import polygon_document, emit, report_line
+from .serialize import document_text, report_line
 from .svgout import _DEFAULT_PALETTE, LAYERS, RenderConfig, render_svg
 from .verify import SUITES, run_suite, suite_golden, suite_irrational
 
@@ -178,7 +178,7 @@ def cmd_stats(args) -> int:
     if args.document:
         if args.gap_window:
             raise PlaidError("--gap-window applies to the statistics, not --document")
-        _emit(emit(polygon_document(param, sorted(set(blocks)))), args.out)
+        _emit(document_text(param, sorted(set(blocks))), args.out)
         return 0
     st = polygon_stats(param, blocks)
     doc = {

@@ -40,8 +40,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .params import (
     InvalidParameter,
@@ -449,10 +449,11 @@ def light_points_scaled(param: Param, line: GridLine, stretch: Tuple[int, int],
     if line.family == "H":
         for s, step in ((p, w * q), (q, w * p)):  # x * 2pq = k * step
             for k in range(-(-2 * s * v0 // w), 2 * s * v1 // w + 1):
-                r = k % (2 * s)
-                weight = 1 if r % s else (s == p) * (2 if r else 1)
-                if weight and (c + k) % w in lit:
-                    out.append((k * step, weight))
+                if (c + k) % w in lit:
+                    r = k % (2 * s)
+                    weight = 1 if r % s else (s == p) * (2 if r else 1)
+                    if weight:
+                        out.append((k * step, weight))
         return 2 * p * q, sorted(out)
     if line.family == "V":
         for s in (p, q):
@@ -597,6 +598,17 @@ def _block_loops(param: Param, block: Tuple[int, int],
             delta += turn[i]
         yield loop
         start = todo.find(1, start)
+
+
+def loop_texts(loops: Iterable[List[int]], xs: Sequence[str],
+               ys: Sequence[str], head: str, sep: str, tail: str) -> List[str]:
+    """head, the texts xs[n] + ys[m] of a loop's squares n*w + m joined by
+    sep, and tail, for each loop of _block_loops, as the SVG and document
+    writers want them.  Each square's text is made once, by C-level joins
+    (one per column, then one split), so xs and ys must hold no spaces; a
+    loop has 4 squares or more, so itemgetter gives a tuple."""
+    table = " ".join([x + (" " + x).join(ys) for x in xs]).split(" ")
+    return [head + sep.join(itemgetter(*loop)(table)) + tail for loop in loops]
 
 
 def trace_polygons(param: Param, block: Tuple[int, int] = (0, 0),

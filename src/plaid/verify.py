@@ -48,7 +48,7 @@ from .pet import (
     irrational_tiling,
 )
 from .analysis import _empty_cells, block_light_cache, cut_offsets, verify_first
-from .serialize import emit, parse_polygon_document, polygon_document
+from .serialize import document_text, parse_polygon_document
 
 
 def suite_coherence(param: Param) -> dict:
@@ -349,7 +349,7 @@ def _golden_file(golden_dir: str, name: str) -> dict:
         text = fh.read()
     doc = parse_polygon_document(text)
     param = make_param(*doc["param"])
-    fresh = emit(polygon_document(param, doc["blocks"]))
+    fresh = document_text(param, doc["blocks"])
     return {"suite": "golden", "param": str(param), "omega": param.omega,
             "file": name, "ok": fresh == text}
 

@@ -488,7 +488,9 @@ def run_as_user_exits_2(argv, **env):
 BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "trace_polygons",
                 "label_table", "label_table_cover", "center_codes",
                 "symmetry_conjugacies", "mesh_failures", "orbit", "render",
-                "stats_document"]
+                "stats_document", "render_grid-lines", "render_light-points",
+                "render_connectors", "render_polygons",
+                "render_orientation-arrows", "document_walk", "document_text"]
 
 
 def check_bench_document(doc, label, repeats, omegas, windows):

@@ -28,10 +28,13 @@ the empty rectangles on running light counts against a search over light
 edges, the integer irrational window against its Fraction oracle and its
 column walk against the former per-center body, its coherence lanes against
 the per-center loop, the integer SVG renderer against a Fraction
-renderer, its light points also at large omega, and the flat-index block
+renderer, its light points also at large omega, its connector and arrow
+layers and the column codes against one model call per square, also under
+a planted zone fault, and the flat-index block
 walk, also under planted mask faults, with its whole-block test against
 the reference walk, and the polygon layer and polygon documents written
-from it against the former walker and emitters, and criterion 8 and region
+from it against the former walker and emitters, the document text against
+the former document's emit, and criterion 8 and region
 coherence on the integer grid against their former Fraction paths, also
 under planted light, witness and mask faults, and criterion 4 against its
 former body, also under planted count faults."""
@@ -73,6 +76,7 @@ from plaid.classifier import (
     cell_code,
     center_cell,
     center_codes,
+    column_codes,
     checkerboard_label,
     fiber_label,
     grid_cell,
@@ -2769,6 +2773,137 @@ def test_light_points_match_fraction_renderer_large(param, data):
     assert render_svg(param, cfg) == reference_svg(param, cfg)
 
 
+def reference_connectors(param, cfg, grids):
+    """svgout._connectors before it read mask bytes, column codes and the
+    axes, kept as its oracle: with grids, one edge_mask call per square;
+    with grids None, the arrows, one center_cell and one cell_code call
+    per square; every point through its own floor division."""
+    w, scale = param.omega, cfg.scale
+    x0, y0, x1, y1 = cfg.window
+    arrows = grids is None
+    color = cfg.color("orientation-arrows" if arrows else "connectors")
+
+    def pixel(x, y):  # of the doubled point (x/2, y/2)
+        return (x - 2 * x0) * scale // 2, (2 * y1 - y) * scale // 2
+
+    out = []
+    for bi, bj in svgout._blocks_of_window(param, cfg):
+        for gx in range(max(x0, bi * w), min(x1, (bi + 1) * w)):
+            for gy in range(max(y0, bj * w), min(y1, (bj + 1) * w)):
+                cx, cy = 2 * gx + 1, 2 * gy + 1
+                if arrows:
+                    code = cell_code(param, center_cell(param, gx, gy, 2))
+                    edges = [code >> 2, code & 3] if code % 5 else []
+                else:
+                    # in the order of the sorted letters: E, N, S, W
+                    mask = grids[bi].edge_mask(gx - bi * w, gy - bj * w)
+                    edges = [e for e in (2, 0, 1, 3) if mask >> e & 1]
+                for i, e in enumerate(edges):
+                    (ax, ay), (hx, hy) = pixel(cx, cy), pixel(
+                        cx + STEPS[e][0], cy + STEPS[e][1])
+                    out.append(f'<line x1="{ax}" y1="{ay}" x2="{hx}" '
+                               f'y2="{hy}" stroke="{color}" stroke-width="2"/>')
+                    if arrows and i == 1:
+                        # head marker on the exit edge
+                        out.append(f'<circle cx="{hx}" cy="{hy}" r="3" '
+                                   f'fill="{color}"/>')
+    return out
+
+
+def layer_svg(param, cfg, lines):
+    """A render of no layer, with the given body lines."""
+    head = render_svg(param, RenderConfig(window=cfg.window, scale=cfg.scale,
+                                          layers=()))
+    return head[:-len("</svg>\n")] + "".join(x + "\n" for x in lines) + \
+        "</svg>\n"
+
+
+@settings(max_examples=12, deadline=None)
+@given(params(201, 15), st.data())
+def test_connector_layers_match_per_square_reference(param, data):
+    """The connector and arrow layers, byte for byte, against one model call
+    per square, on windows by a block corner or inside a block, up to
+    omega 201, at odd and even scales, with a palette colour or not."""
+    cfg = RenderConfig(window=data.draw(crossing_windows(param.omega)),
+                       scale=data.draw(st.integers(1, 31)),
+                       palette=data.draw(st.sampled_from(
+                           [{}, {"connectors": "#0a0", "orientation-arrows":
+                                 "teal"}])))
+    grids = {bi: BlockGrid(param, bi)
+             for bi, _ in svgout._blocks_of_window(param, cfg)}
+    for layer, want in (("connectors", reference_connectors(param, cfg, grids)),
+                        ("orientation-arrows",
+                         reference_connectors(param, cfg, None))):
+        got = render_svg(param, RenderConfig(
+            window=cfg.window, scale=cfg.scale, layers=(layer,),
+            palette=cfg.palette))
+        assert got == layer_svg(param, cfg, want), layer
+
+
+def check_column_codes(param, a, b, n):
+    want = bytes(cell_code(param, center_cell(param, a, b + k, 2))
+                 for k in range(n))
+    assert bytes(column_codes(param, a, b, n)) == want, (str(param), a, b, n)
+
+
+def test_column_codes_match_cell_code_to_15():
+    """Whole columns of every even rational with omega <= 15, from both
+    parities, at negative a and b, over two block corners (b = 0 and
+    omega), and runs of one and two centers."""
+    for param in even_rationals(15):
+        w = param.omega
+        for a in (*range(-w - 1, w + 2), w * w - 1, -w * w, 3 * w * w + 5):
+            for b in (-w - 1, -w, -2, -1, 0, 1):
+                check_column_codes(param, a, b, 2 * w + 3)
+            for n in (0, 1, 2):
+                check_column_codes(param, a, 3 - w, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(params(201), st.data())
+def test_column_codes_match_cell_code(param, data):
+    """Runs from either parity at random a and b, negative ones included,
+    each ending past the block corner above its start."""
+    w = param.omega
+    a = data.draw(st.integers(-2 * w * w, 2 * w * w))
+    corner = data.draw(st.integers(-2, 2)) * w
+    b = corner - data.draw(st.integers(1, w))
+    check_column_codes(param, a, b, corner - b + data.draw(st.integers(1, w)))
+
+
+def test_planted_zone_disagreement_raises_as_reference(monkeypatch):
+    """The boards of test_label_table_rejects_zone_disagreement: every
+    column of 2/5 runs into the fault exactly when one of its centers
+    does, with cell_code's error, and arrow renders raise the reference's
+    error, whichever of the two boundary fibers comes first."""
+    monkeypatch.setitem(_BOARDS, 2, tuple(col[:2] + col[3:1:-1] + col[4:]
+                                          for col in _BOARDS[2]))
+    param = make_param(2, 5)
+    w = param.omega
+
+    def outcome(f, *args):
+        try:
+            return bytes(f(*args))
+        except PlaidError as exc:
+            return str(exc)
+
+    faults = set()
+    for a in range(-w, w * w + w):
+        cells = [outcome(lambda c: [cell_code(param, c)],
+                         center_cell(param, a, b, 2)) for b in range(-3, w + 3)]
+        errors = [c for c in cells if isinstance(c, str)]
+        got = outcome(column_codes, param, a, -3, w + 6)
+        assert got == (errors[0] if errors else b"".join(cells)), a
+        faults.update(errors)
+    assert faults == {"zone disagreement on the fiber t=-3/7",
+                      "zone disagreement on the fiber t=3/7"}
+    for window in ((0, 0, w * w, w), (-9, -4, 12, 9), (20, -3, 30, 5)):
+        cfg = RenderConfig(window=window, layers=("orientation-arrows",))
+        want = outcome(lambda: reference_connectors(param, cfg, None) and b"")
+        assert isinstance(want, str)
+        assert outcome(lambda: render_svg(param, cfg) and b"") == want
+
+
 def reference_window_codes(P, offset, window, eps):
     """pet._window_codes before it walked the window by columns, kept as its
     oracle: each center reduced by canon_scaled and read on _boards on its
@@ -2966,7 +3101,7 @@ def reference_polygons(param, cfg, grids):
 
 def reference_polygon_document(param, blocks):
     """serialize.polygon_document before it walked the blocks itself: the
-    traced polygons of each block, two _half calls per vertex."""
+    traced polygons of each block, two Fractions per vertex."""
     polygons = {b: trace_polygons(param, b) for b in blocks}
     return {
         "format": serialize.FORMAT_VERSION,
@@ -2975,7 +3110,7 @@ def reference_polygon_document(param, blocks):
         "polygons": [
             {
                 "block": list(block),
-                "vertices": [[serialize._half(x), serialize._half(y)]
+                "vertices": [[str(F(x, 2)), str(F(y, 2))]
                              for x, y in pg.verts2],
             }
             for block in blocks
@@ -3154,6 +3289,27 @@ def test_polygon_document_matches_reference(param, blocks, data):
         blocks.append(blocks[0])
     assert serialize.emit(serialize.polygon_document(param, blocks)) == \
         serialize.emit(reference_polygon_document(param, blocks))
+
+
+def check_document_text(param, blocks):
+    text = serialize.document_text(param, blocks)
+    assert text == serialize.emit(reference_polygon_document(param, blocks)), \
+        (str(param), blocks)
+    assert serialize.emit(serialize.parse_polygon_document(text)) == text
+
+
+def test_document_text_matches_reference_to_17():
+    """The writer's text against the former document's emit, at every even
+    rational with omega <= 17, over all blocks (bi, 0), over the --blocks
+    list 1,-1,1,0 as given (a repeated and a negative block) and as the CLI
+    passes it (sorted, once each), and over no block; and one block at
+    50/51."""
+    for param in even_rationals(17):
+        listed = [(1, 0), (-1, 0), (1, 0), (0, 0)]
+        for blocks in ([(bi, 0) for bi in range(param.omega)], listed,
+                       sorted(set(listed)), []):
+            check_document_text(param, blocks)
+    check_document_text(make_param(50, 51), [(37, 0)])
 
 
 # Criterion 8 and region coherence on the integer grid, against their former

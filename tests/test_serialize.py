@@ -4,8 +4,8 @@ from conftest import golden_path
 from plaid.params import make_param
 from plaid.grid import trace_polygons
 from plaid.serialize import (
-    _half,
     document_polygons,
+    document_text,
     emit,
     parse_polygon_document,
     polygon_document,
@@ -21,11 +21,18 @@ def test_roundtrip_identity(p25):
         {b: [pg.verts2 for pg in trace_polygons(p25, b)] for b in blocks}
 
 
-def test_doubled_coordinates_written_as_fractions():
+def test_doubled_coordinates_written_as_fractions(p25):
     """Vertices are written straight from the doubled coordinates, in
-    Fraction's own string form, negative and odd ones included."""
-    for v2 in range(-13, 14):
-        assert _half(v2) == str(Fraction(v2, 2))
+    Fraction's own string form, negative ones included: square centers
+    are halves of odd integers, written "n/2"."""
+    blocks = [(-8, -1), (-1, 0), (0, 1), (3, -2)]
+    doc = parse_polygon_document(document_text(p25, blocks))
+    want = [[str(Fraction(x, 2)), str(Fraction(y, 2))]
+            for b in blocks for pg in trace_polygons(p25, b)
+            for x, y in pg.verts2]
+    assert [v for entry in doc["polygons"] for v in entry["vertices"]] == want
+    assert any(x.startswith("-") for x, _ in want)
+    assert any(y.startswith("-") for _, y in want)
 
 
 def test_golden_corpus_roundtrip():

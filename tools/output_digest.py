@@ -15,6 +15,8 @@ Groups:
 - render        render with all layers on windows spanning 2 x 2 blocks at
                 2/5, 4/11 and 10/11, one of them with negative corners,
                 each at the default scale and at scale 7;
+- render-large  render with all layers on the same kind of windows at 50/51
+                and 100/101, each at scales 1 and 7, and one with --palette;
 - documents     stats --document over every block (bi, 0) and over the
                 --blocks list 1,-1,1,0 (a repeated and a negative block) of
                 every even rational at omega <= N, and one all-layer render
@@ -76,6 +78,8 @@ CENTER_OMEGA = 15
 CRITERION_12_PS = ("8/21", "34/89", "144/377")
 IRRATIONAL_OFFSET = "1/1048583,1/1048609,1/1048613"
 IRRATIONAL_WINDOW = "0,0,24,24"
+LARGE_RENDER_PARAMS = ((50, 51), (100, 101))
+LARGE_RENDER_PALETTE = "connectors=#0a0,orientation-arrows=teal,Q=black"
 DOCUMENT_BLOCKS = "1,-1,1,0"
 DOCUMENT_WINDOW = "-6,-5,7,8"
 # (p, q) and its blocks (bi, 0), None for all of them
@@ -159,6 +163,14 @@ def main(argv=None) -> int:
                 for p, q in RENDER_PARAMS for win in _render_windows(p + q)
                 for scale in ([], ["--scale", "7"])]
         print(f"{'render':<24} {_digest(runs)}")
+        renders = [["render", "--p", str(p), "--q", str(q),
+                    "--window=" + ",".join(map(str, win)),
+                    "--layers", ALL_LAYERS, "--scale", scale]
+                   for p, q in LARGE_RENDER_PARAMS
+                   for win in _render_windows(p + q) for scale in ("1", "7")]
+        renders.append(renders[-1] + ["--palette", LARGE_RENDER_PALETTE])
+        runs = [_cli_run(cli, argv, outdir, 0) for argv in renders]
+        print(f"{'render-large':<24} {_digest(runs)}  ({len(runs)} requests)")
         runs = []
         for param in even_rationals(args.max_omega):
             pq = ["--p", str(param.p), "--q", str(param.q)]
