@@ -7,20 +7,28 @@ symmetric polygon with its x-diameter bound, empty rectangles in the coarse
 capacity grids with the counting identity behind them, and a bounded
 nearest-polygon radius over a window (a trend observable only).
 
-Empty rectangles are found on running light counts along each row and
-column of a block, not on exact light points: the side a line gives a cell
-between cuts a < b carries a light point when the line's count grows from a
-to b.  Block corners, the only light points on a cut, sit on the block's
-boundary beside just their edge's cells.  _empty_cells tests the cells: the
-empty-rect suite takes the first empty one, empty_rectangles lists them all.
+Empty rectangles are found on lanes, not on exact light points.  A lane is
+one row or column of a block's BlockGrid as an int, a byte per edge, built
+when a test first reads that line (_Lanes); the side a line gives a cell
+between cuts a < b carries a light point exactly when the lane ANDed with
+the span's byte mask is not 0.  Block corners, the only light points on a
+cut, sit on the block's boundary beside just their edge's cells.  The grids
+nest over K: cut_offsets(K) holds cut_offsets(K - 2) and the lines of
+capacity K, so cut_levels derives every K's cuts from one capacity per
+offset, and the census at K is the last one plus the new lines' totals
+(line_totals, which criterion 4 reads too).  _empty_cells tests the cells:
+empty_rectangles lists them all, and the empty-rect suite keeps one empty
+cell per block (_witnesses), searching again only at a K whose lines cut
+through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat
 from .grid import (
@@ -132,7 +140,8 @@ def block_light_cache(grid: BlockGrid
     multiplicity) of row offset k's edges west of offset n, cols[k][m] that
     of column offset k's edges south of offset m.  A light block corner sits
     on an H row's first or last edge; V lines through corners have
-    capacity 0."""
+    capacity 0.  No package path reads these since the lanes: they stay as
+    the lanes' test oracle, and perfbench's tracer wraps this by name."""
     w = grid.param.omega
 
     def running(counts):
@@ -142,16 +151,87 @@ def block_light_cache(grid: BlockGrid
     return running(grid.hl), running(grid.vl)
 
 
-def _empty_cells(rows, cols, cuts):
+def line_totals(grid: BlockGrid, far: bool = False
+                ) -> Tuple[List[int], List[int]]:
+    """The light count of the block's row offset k and of its column offset
+    k, k < omega, and with far also at k = omega, the block's far row and
+    column: the sums of hl's and vl's lines."""
+    w, hl, vl = grid.param.omega, grid.hl, grid.vl
+    starts = range(0, (w + far) * w, w)
+    return ([sum(hl[k:k + w]) for k in starts],
+            [sum(vl[k:k + w]) for k in starts])
+
+
+def cut_levels(caps: List[int]) -> Iterator[tuple]:
+    """(K, the cuts, the lines of capacity K, the span masks) for K = 0, 2,
+    ... < omega, caps[k] the absolute capacity of line offset k = 0..omega:
+    each level's cuts, cut_offsets(param, K), are the last level's and its
+    own lines, and a span that several levels keep has one mask."""
+    cuts: List[int] = []
+    masks: Dict[Tuple[int, int], int] = {}
+    for K in range(0, len(caps) - 1, 2):
+        new = [k for k, cap in enumerate(caps) if cap == K]
+        cuts = sorted(cuts + new)
+        yield K, cuts, new, [masks.get(s) or masks.setdefault(s, _span_mask(*s))
+                             for s in zip(cuts, cuts[1:])]
+
+
+def _span_mask(a: int, b: int) -> int:
+    """The bytes a .. b-1 of a lane: its line's edges between offsets a < b."""
+    return (1 << 8 * (b - a)) - 1 << 8 * a
+
+
+class _Lanes(dict):
+    """One block's rows (counts = hl) or columns (vl) as lanes, each built
+    on its first read: lane k is the int whose byte e, from the least
+    significant, is the light count of line offset k's edge e."""
+
+    def __init__(self, counts: bytearray, w: int):
+        self.counts, self.w = counts, w
+
+    def __missing__(self, k: int) -> int:
+        lane = self[k] = int.from_bytes(
+            self.counts[k * self.w:(k + 1) * self.w], "little")
+        return lane
+
+
+def _empty_cells(rows, cols, cuts, masks, box=None):
     """The empty cells (i, j) of the grid cut at cuts, in order of i and then
-    j, read from the running counts of block_light_cache."""
-    spans = list(enumerate(zip(cuts, cuts[1:])))
-    for i, (a, b) in spans:
-        west, east = cols[a], cols[b]
-        for j, (c, d) in spans:
-            if (west[c] == west[d] and east[c] == east[d]
-                    and rows[c][a] == rows[c][b] and rows[d][a] == rows[d][b]):
+    j: all of them, or those inside box = (x0, x1, y0, y1), offsets on the
+    cuts.  rows and cols are a block's _Lanes, masks the span masks of the
+    cuts.  Cell (i, j) is empty when columns cuts[i] and cuts[i+1] have no
+    light on span j and rows cuts[j] and cuts[j+1] none on span i."""
+    x0, x1, y0, y1 = map(bisect_left, repeat(cuts), box or (0, cuts[-1]) * 2)
+    for i in range(x0, x1):
+        side, mi = cols[cuts[i]] | cols[cuts[i + 1]], masks[i]
+        for j in range(y0, y1):
+            if not (side & masks[j] or rows[cuts[j]] & mi
+                    or rows[cuts[j + 1]] & mi):
                 yield i, j
+
+
+def _witnesses(grid: BlockGrid, caps: List[int], levels: list) -> Iterator:
+    """Per level of levels (cut_levels(caps)), an empty cell of the block,
+    read on its lanes, as its offsets (x0, x1, y0, y1), or None when there
+    is none.  A cell stays a cell, and empty, up to the level of the least
+    capacity strictly inside it, so only there is one searched for again:
+    first among the last one's pieces, then over the grid.  At K = 0 the
+    one cell's sides are the whole lines 0 and omega, so it is empty
+    exactly when the census is 0: it is given untested, for the caller's
+    census to decide."""
+    w = grid.param.omega
+    rows, cols = _Lanes(grid.hl, w), _Lanes(grid.vl, w)
+    box, until = (0, w) * 2, 2
+    for K, cuts, _, masks in levels:
+        if K >= until:
+            cell = (next(_empty_cells(rows, cols, cuts, masks, box), None)
+                    or next(_empty_cells(rows, cols, cuts, masks), None))
+            box = None
+            if cell:
+                i, j = cell
+                box = a, b, c, d = cuts[i], cuts[i + 1], cuts[j], cuts[j + 1]
+                until = min(caps[a + 1:b] + caps[c + 1:d], default=len(caps))
+        yield box
 
 
 def empty_rectangles(param: Param, block: Tuple[int, int], K: int
@@ -160,10 +240,13 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int
     and the multiplicity-weighted light census over the grid lines, which
     always totals (K+1)^2 - 1: one short of what filling every cell boundary
     twice would need, so at least one empty cell must exist."""
-    cuts = cut_offsets(param, K)
-    rows, cols = block_light_cache(BlockGrid(param, block[0]))
-    empty = list(_empty_cells(rows, cols, cuts))
-    census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
+    w, cuts = param.omega, cut_offsets(param, K)
+    grid = BlockGrid(param, block[0])
+    h, v = line_totals(grid, far=True)
+    masks = [_span_mask(a, b) for a, b in zip(cuts, cuts[1:])]
+    empty = list(_empty_cells(_Lanes(grid.hl, w), _Lanes(grid.vl, w), cuts,
+                              masks))
+    census = sum(h[k] + v[k] for k in cuts)
     return {
         "ok": bool(empty) and census == (K + 1) ** 2 - 1,
         "cells": (len(cuts) - 1,) * 2,

@@ -27,7 +27,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .params import PlaidError, make_param
-from .grid import BlockGrid, _block_loops, fill_tables, trace_polygons
+from .grid import (BlockGrid, _block_loops, capacity_scaled, fill_tables,
+                   trace_polygons)
+from .analysis import _witnesses, cut_levels, line_totals
 from .classifier import center_codes, label_table, symmetry_conjugacies
 from .pet import (_mesh_failures, cover_step, fiber_shifts, irrational_tiling,
                   special_orbit)
@@ -60,7 +62,10 @@ def machine() -> Dict[str, object]:
 
 def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     """(name, thunk) of each layer at one omega, in pipeline order: every
-    block (bi, 0) for the grid layers, center_codes of the base table
+    block (bi, 0) for the grid layers, the empty-rect suite's two parts on
+    the grids of the fill (empty_rect_census: the capacities, the nested
+    cuts and each block's line totals; empty_rect_search: each block's
+    _witnesses), center_codes of the base table
     (center_column in older entries), criterion 10's conjugacies and the
     mesh equations on the cover table, one orbit through a center of block
     0's first polygon, the render and stats --document requests, the render
@@ -74,6 +79,17 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
         tables = fill_tables(state["param"])
         state["grids"] = [BlockGrid(state["param"], bi, tables)
                           for bi in range(omega)]
+
+    def census():
+        caps = [abs(capacity_scaled(state["param"], k))
+                for k in range(omega + 1)]
+        state.update(caps=caps, levels=list(cut_levels(caps)))
+        for grid in state["grids"]:
+            line_totals(grid, far=True)
+
+    def search():
+        for grid in state["grids"]:
+            all(_witnesses(grid, state["caps"], state["levels"]))
 
     def trace():
         state["polygons"] = [trace_polygons(state["param"], (g.bi, 0), g)
@@ -96,6 +112,8 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
         ("make_param", lambda: state.update(param=make_param(p, omega - p))),
         ("blockgrid_fill", fill),
         ("masks", lambda: [g.masks() for g in state["grids"]]),
+        ("empty_rect_census", census),
+        ("empty_rect_search", search),
         ("trace_polygons", trace),
         ("label_table", lambda: state.update(
             table=label_table(state["param"]))),

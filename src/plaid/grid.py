@@ -331,7 +331,9 @@ class BlockGrid:
     Sums are taken on big-endian ints.
 
     The grid side's one integer light structure: edge-mask readers read the
-    bytes of masks(), hier and block_light_cache the rows and columns.
+    bytes of masks(); criterion 4 and the empty-rect census read the line
+    totals of hl and vl, and the empty-cell test reads single rows and
+    columns as lanes (analysis.line_totals, analysis._Lanes).
     """
 
     def __init__(self, param: Param, bi: int, tables: Optional[tuple] = None):

@@ -47,7 +47,8 @@ from .pet import (
     fiber_shifts,
     irrational_tiling,
 )
-from .analysis import _empty_cells, block_light_cache, cut_offsets, verify_first
+from .analysis import (_witnesses, cut_levels, empty_rectangles, line_totals,
+                       verify_first)
 from .serialize import document_text, parse_polygon_document
 
 
@@ -69,21 +70,20 @@ def suite_two_points(param: Param) -> dict:
 
 def suite_hier(param: Param) -> dict:
     """Every capacity-k line carries exactly k light points in every block:
-    the light counts of a block row or column add up to the line's
-    capacity."""
+    the light counts of a block row or column (line_totals) add up to the
+    line's capacity; the first line that does not is named, row before
+    column."""
     w, tables = param.omega, fill_tables(param)
     wants = [abs(capacity_scaled(param, m)) for m in range(w)]
     for bi in range(w):
-        grid = BlockGrid(param, bi, tables)
+        h, v = line_totals(BlockGrid(param, bi, tables))
+        if h == wants == v:
+            continue
         for m, want in enumerate(wants):
-            got = sum(grid.hl[m * w:(m + 1) * w])
-            if got != want:
-                return {"ok": False, "line": ("H", m), "block": bi,
-                        "got": got, "want": want}
-            got = sum(grid.vl[m * w:(m + 1) * w])
-            if got != want:
-                return {"ok": False, "line": ("V", bi * w + m), "block": bi,
-                        "got": got, "want": want}
+            for got, line in ((h[m], ("H", m)), (v[m], ("V", bi * w + m))):
+                if got != want:
+                    return {"ok": False, "line": line, "block": bi,
+                            "got": got, "want": want}
     return {"ok": True, "lines_checked": 2 * w * w}
 
 
@@ -194,16 +194,24 @@ def suite_first(param: Param) -> dict:
 
 
 def suite_empty_rect(param: Param) -> dict:
+    """Criterion 9 in every block at every even K, failing at the first
+    (block, K) whose census is not (K+1)^2 - 1 or whose grid has no empty
+    cell (_witnesses).  The census grows over K by the totals of each
+    level's lines; a failing record counts the empty cells as
+    empty_rectangles lists them."""
     w, tables = param.omega, fill_tables(param)
-    grids = [(K, cut_offsets(param, K)) for K in range(0, w, 2)]
+    caps = [abs(capacity_scaled(param, k)) for k in range(w + 1)]
+    levels = list(cut_levels(caps))
     for bi in range(w):
-        rows, cols = block_light_cache(BlockGrid(param, bi, tables))
-        for K, cuts in grids:
-            census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
-            if (census != (K + 1) ** 2 - 1
-                    or next(_empty_cells(rows, cols, cuts), None) is None):
-                return {"ok": False, "block": bi, "K": K,
-                        "empty": sum(1 for _ in _empty_cells(rows, cols, cuts)),
+        grid = BlockGrid(param, bi, tables)
+        h, v = line_totals(grid, far=True)
+        census = 0
+        for (K, _, new, _), box in zip(levels, _witnesses(grid, caps, levels)):
+            for k in new:
+                census += h[k] + v[k]
+            if not box or census != (K + 1) ** 2 - 1:
+                empty = len(empty_rectangles(param, (bi, 0), K)["empty"])
+                return {"ok": False, "block": bi, "K": K, "empty": empty,
                         "census": census, "bound": (K + 1) ** 2 - 1}
     return {"ok": True, "blocks": w, "K_values": list(range(0, w, 2))}
 

@@ -485,10 +485,11 @@ def run_as_user_exits_2(argv, **env):
     assert proc.stdout == ""
 
 
-BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "trace_polygons",
-                "label_table", "label_table_cover", "center_codes",
-                "symmetry_conjugacies", "mesh_failures", "orbit", "render",
-                "stats_document", "render_grid-lines", "render_light-points",
+BENCH_LAYERS = ["make_param", "blockgrid_fill", "masks", "empty_rect_census",
+                "empty_rect_search", "trace_polygons", "label_table",
+                "label_table_cover", "center_codes", "symmetry_conjugacies",
+                "mesh_failures", "orbit", "render", "stats_document",
+                "render_grid-lines", "render_light-points",
                 "render_connectors", "render_polygons",
                 "render_orientation-arrows", "document_walk", "document_text"]
 

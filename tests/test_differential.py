@@ -24,10 +24,12 @@ light-set laws and the classifier conjugacies against per-crossing and
 whole-column references and the label laws on the table against the former
 column walk, past their sweep bound and under planted light and label
 faults,
-the empty rectangles on running light counts against a search over light
-edges, the integer irrational window against its Fraction oracle and its
-column walk against the former per-center body, its coherence lanes against
-the per-center loop, the integer SVG renderer against a Fraction
+the empty rectangles on lanes against a search over light edges and
+against the running counts, with the suite against its former body that
+read them, also under planted moved and raised light counts, the integer
+irrational window against its Fraction oracle and its column walk against
+the former per-center body, its coherence lanes against the per-center
+loop, the integer SVG renderer against a Fraction
 renderer, its light points also at large omega, its connector and arrow
 layers and the column codes against one model call per square, also under
 a planted zone fault, and the flat-index block
@@ -1311,6 +1313,186 @@ def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
         assert reference_empty_rectangles(param, (lit_block, 0), 2) == {
             "ok": False, "cells": (3, 3), "empty": [], "light_census": 8,
             "census_bound": 8}
+
+
+def former_cell_empty(rows, cols, a, b, c, d):
+    """The cell [a, b] x [c, d] has no light on its sides, read from the
+    running counts of block_light_cache."""
+    return (cols[a][c] == cols[a][d] and cols[b][c] == cols[b][d]
+            and rows[c][a] == rows[c][b] and rows[d][a] == rows[d][b])
+
+
+def former_empty_cells(rows, cols, cuts):
+    """analysis._empty_cells as it read the running counts of
+    block_light_cache, kept as the lane test's oracle."""
+    spans = list(enumerate(zip(cuts, cuts[1:])))
+    for i, (a, b) in spans:
+        for j, (c, d) in spans:
+            if former_cell_empty(rows, cols, a, b, c, d):
+                yield i, j
+
+
+def reference_suite_empty_rect_counts(param):
+    """verify.suite_empty_rect as it built every block's running counts and
+    summed the census and searched the first empty cell anew at every K,
+    kept as its oracle."""
+    w, tables = param.omega, grid.fill_tables(param)
+    grids = [(K, cut_offsets(param, K)) for K in range(0, w, 2)]
+    for bi in range(w):
+        rows, cols = analysis.block_light_cache(BlockGrid(param, bi, tables))
+        for K, cuts in grids:
+            census = sum(rows[k][-1] + cols[k][-1] for k in cuts)
+            if (census != (K + 1) ** 2 - 1
+                    or next(former_empty_cells(rows, cols, cuts), None) is None):
+                return {"ok": False, "block": bi, "K": K,
+                        "empty": sum(1 for _ in former_empty_cells(rows, cols,
+                                                                   cuts)),
+                        "census": census, "bound": (K + 1) ** 2 - 1}
+    return {"ok": True, "blocks": w, "K_values": list(range(0, w, 2))}
+
+
+def caps_of(param):
+    return [abs(capacity_scaled(param, k)) for k in range(param.omega + 1)]
+
+
+def test_suite_empty_rect_matches_counts_to_31():
+    for param in even_rationals(31):
+        assert verify.suite_empty_rect(param) == \
+            reference_suite_empty_rect_counts(param), str(param)
+
+
+def test_witnesses_are_empty_cells_to_31():
+    """Every block's witness at every K is a cell of the capacity-K grid
+    with no light on its sides by the running counts."""
+    for param in even_rationals(31):
+        levels = list(analysis.cut_levels(caps_of(param)))
+        for bi in range(param.omega):
+            block = BlockGrid(param, bi)
+            rows, cols = analysis.block_light_cache(block)
+            for (K, cuts, _, _), box in zip(levels, analysis._witnesses(
+                    block, caps_of(param), levels)):
+                i, j = cuts.index(box[0]), cuts.index(box[2])
+                assert box == (*cuts[i:i + 2], *cuts[j:j + 2]), (K, box)
+                assert former_cell_empty(rows, cols, *box), (bi, K, box)
+
+
+@settings(max_examples=3, deadline=None)
+@given(params(101, 33))
+def test_suite_empty_rect_matches_counts(param):
+    assert verify.suite_empty_rect(param) == \
+        reference_suite_empty_rect_counts(param)
+
+
+@settings(max_examples=5, deadline=None)
+@given(params(), st.data())
+def test_lanes_match_running_counts(param, data):
+    """At a random block and random K: the nested cuts against cut_offsets,
+    every empty cell of the lane test in order (so the first one and the
+    count), the census from line totals, and the suite's witness at K
+    against block_light_cache's running counts; the witness at every K is
+    a cell with no light on its sides."""
+    w = param.omega
+    block = BlockGrid(param, data.draw(st.integers(0, w - 1)))
+    rows, cols = analysis.block_light_cache(block)
+    h, v = analysis.line_totals(block, far=True)
+    lanes = analysis._Lanes(block.hl, w), analysis._Lanes(block.vl, w)
+    levels = list(analysis.cut_levels(caps_of(param)))
+    boxes = list(analysis._witnesses(block, caps_of(param), levels))
+    for half in data.draw(st.lists(st.integers(0, (w - 1) // 2), min_size=1,
+                                   max_size=2)):
+        K, cuts, new, masks = levels[half]
+        assert K == 2 * half and cuts == cut_offsets(param, K)
+        assert new == [k for k in cuts if caps_of(param)[k] == K]
+        empty = list(former_empty_cells(rows, cols, cuts))
+        assert list(analysis._empty_cells(*lanes, cuts, masks)) == empty
+        assert sum(h[k] + v[k] for k in cuts) == \
+            sum(rows[k][-1] + cols[k][-1] for k in cuts)
+        assert boxes[half] in [(cuts[i], cuts[i + 1], cuts[j], cuts[j + 1])
+                               for i, j in empty]
+    for (K, cuts, _, _), box in zip(levels, boxes):
+        i, j = cuts.index(box[0]), cuts.index(box[2])
+        assert box == (*cuts[i:i + 2], *cuts[j:j + 2]), (K, box)
+        assert former_cell_empty(rows, cols, *box), (K, box)
+
+
+def planted_empty_rect_faults(param, monkeypatch, plants):
+    """Run the suite and its running-count reference with each plant, a
+    block index and a change to its hl and vl after the fill; returns how
+    many records fail, asserting that each equals the reference's."""
+    real_fill = BlockGrid._fill
+    plant = {"bi": None}
+
+    def fill(self, tables):
+        real_fill(self, tables)
+        if self.bi == plant["bi"]:
+            plant["change"](self.hl, self.vl)
+
+    monkeypatch.setattr(BlockGrid, "_fill", fill)
+    failed = 0
+    for bi, change in plants:
+        plant.update(bi=bi, change=change)
+        got = verify.suite_empty_rect(param)
+        assert got == reference_suite_empty_rect_counts(param), (bi, got)
+        failed += not got["ok"]
+    return failed
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (8, 13), (10, 21), (7, 24)])
+def test_moved_lights_fail_empty_rect_as_reference(pq, monkeypatch):
+    """One light of one block moved onto a side of the first empty cell of
+    the block's level with the fewest, from an edge of the same offset k's
+    row or column, so that every line total, and so every census, stays:
+    only a cell's emptiness changes.  The records equal the reference's,
+    and some fail."""
+    param = make_param(*pq)
+    w, rng = param.omega, random.Random(sum(pq))
+    plants = []
+    for trial in range(8):
+        bi = rng.randrange(w)
+        block = BlockGrid(param, bi)
+        rows, cols = analysis.block_light_cache(block)
+        cuts, cells = min(((cuts, list(former_empty_cells(rows, cols, cuts)))
+                           for cuts in map(cut_offsets, [param] * w,
+                                           range(2, w, 2))),
+                          key=lambda level: len(level[1]))
+        i, j = cells[0]
+        name, k, lo, hi = rng.choice(
+            [("hl", cuts[j + d], cuts[i], cuts[i + 1]) for d in (0, 1)]
+            + [("vl", cuts[i + d], cuts[j], cuts[j + 1]) for d in (0, 1)])
+        dst = (name, k * w + rng.randrange(lo, hi))
+        src = [(n, k * w + e) for n in ("hl", "vl") for e in range(w)
+               if getattr(block, n)[k * w + e] and (n, k * w + e) != dst]
+        if not src:  # lines 0 and omega carry no light
+            continue
+
+        def change(hl, vl, src=rng.choice(src), dst=dst):
+            lanes = {"hl": hl, "vl": vl}
+            lanes[src[0]][src[1]] -= 1
+            lanes[dst[0]][dst[1]] += 1
+
+        plants.append((bi, change))
+    assert planted_empty_rect_faults(param, monkeypatch, plants)
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (8, 13), (10, 21)])
+def test_raised_counts_fail_empty_rect_as_reference(pq, monkeypatch):
+    """One edge count of one block raised by one, on random rows and
+    columns and on row omega and column omega: the census is one over from
+    that line's level on, and every record fails there as the reference's
+    does."""
+    param = make_param(*pq)
+    w, rng = param.omega, random.Random(sum(pq))
+    plants = []
+    edges = [(rng.choice(("hl", "vl")), rng.randrange((w + 1) * w))
+             for trial in range(6)] + [("hl", w * w), ("vl", w * w + w - 1)]
+    for name, i in edges:
+
+        def change(hl, vl, name=name, i=i):
+            lane = hl if name == "hl" else vl
+            lane[i] += 1
+
+        plants.append((rng.randrange(w), change))
+    assert planted_empty_rect_faults(param, monkeypatch, plants) == 8
 
 
 @settings(max_examples=30, deadline=None)
