@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat
 from .grid import (
@@ -142,24 +142,21 @@ def block_light_cache(grid: BlockGrid
     on an H row's first or last edge; V lines through corners have
     capacity 0.  No package path reads these since the lanes: they stay as
     the lanes' test oracle, and perfbench's tracer wraps this by name."""
-    w = grid.param.omega
-
-    def running(counts):
-        return [list(accumulate(counts[k * w:(k + 1) * w], initial=0))
-                for k in range(w + 1)]
-
-    return running(grid.hl), running(grid.vl)
+    w, hl, vl = grid.param.omega, grid.hl, grid.vl
+    return ([list(accumulate(hl[k::w + 1], initial=0)) for k in range(w + 1)],
+            [list(accumulate(vl[k * w:(k + 1) * w], initial=0))
+             for k in range(w + 1)])
 
 
 def line_totals(grid: BlockGrid, far: bool = False
                 ) -> Tuple[List[int], List[int]]:
     """The light count of the block's row offset k and of its column offset
     k, k < omega, and with far also at k = omega, the block's far row and
-    column: the sums of hl's and vl's lines."""
+    column: the sums of hl's rows, hl[k::w+1] as BlockGrid keeps hl column
+    by column, and of vl's columns, vl[k*w:(k+1)*w]."""
     w, hl, vl = grid.param.omega, grid.hl, grid.vl
-    starts = range(0, (w + far) * w, w)
-    return ([sum(hl[k:k + w]) for k in starts],
-            [sum(vl[k:k + w]) for k in starts])
+    return ([sum(hl[k::w + 1]) for k in range(w + far)],
+            [sum(vl[k:k + w]) for k in range(0, (w + far) * w, w)])
 
 
 def cut_levels(caps: List[int]) -> Iterator[tuple]:
@@ -182,17 +179,24 @@ def _span_mask(a: int, b: int) -> int:
 
 
 class _Lanes(dict):
-    """One block's rows (counts = hl) or columns (vl) as lanes, each built
-    on its first read: lane k is the int whose byte e, from the least
-    significant, is the light count of line offset k's edge e."""
+    """One block's rows or columns as lanes, each built on its first read:
+    lane k is the int whose byte e, from the least significant, is byte e
+    of line(k), the light counts of line offset k's edges in order."""
 
-    def __init__(self, counts: bytearray, w: int):
-        self.counts, self.w = counts, w
+    def __init__(self, line: Callable[[int], bytes]):
+        self.line = line
 
     def __missing__(self, k: int) -> int:
-        lane = self[k] = int.from_bytes(
-            self.counts[k * self.w:(k + 1) * self.w], "little")
+        lane = self[k] = int.from_bytes(self.line(k), "little")
         return lane
+
+
+def _block_lanes(grid: BlockGrid) -> Tuple[_Lanes, _Lanes]:
+    """The block's rows, hl[k::w+1] as BlockGrid keeps hl column by column,
+    and its columns, vl[k*w:(k+1)*w], as _Lanes."""
+    w, hl, vl = grid.param.omega, grid.hl, grid.vl
+    return (_Lanes(lambda k: hl[k::w + 1]),
+            _Lanes(lambda k: vl[k * w:(k + 1) * w]))
 
 
 def _empty_cells(rows, cols, cuts, masks, box=None):
@@ -220,7 +224,7 @@ def _witnesses(grid: BlockGrid, caps: List[int], levels: list) -> Iterator:
     exactly when the census is 0: it is given untested, for the caller's
     census to decide."""
     w = grid.param.omega
-    rows, cols = _Lanes(grid.hl, w), _Lanes(grid.vl, w)
+    rows, cols = _block_lanes(grid)
     box, until = (0, w) * 2, 2
     for K, cuts, _, masks in levels:
         if K >= until:
@@ -240,12 +244,10 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int
     and the multiplicity-weighted light census over the grid lines, which
     always totals (K+1)^2 - 1: one short of what filling every cell boundary
     twice would need, so at least one empty cell must exist."""
-    w, cuts = param.omega, cut_offsets(param, K)
-    grid = BlockGrid(param, block[0])
+    cuts, grid = cut_offsets(param, K), BlockGrid(param, block[0])
     h, v = line_totals(grid, far=True)
     masks = [_span_mask(a, b) for a, b in zip(cuts, cuts[1:])]
-    empty = list(_empty_cells(_Lanes(grid.hl, w), _Lanes(grid.vl, w), cuts,
-                              masks))
+    empty = list(_empty_cells(*_block_lanes(grid), cuts, masks))
     census = sum(h[k] + v[k] for k in cuts)
     return {
         "ok": bool(empty) and census == (K + 1) ** 2 - 1,

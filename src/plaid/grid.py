@@ -307,6 +307,9 @@ def fill_tables(param: Param) -> tuple:
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
 # good when it carries exactly one light point (translate tables)
 _GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
+# what masks() deletes from its N and S lanes: 0xff, which no count reaches,
+# written over row 0 of hl for the N lane and over row omega for the S lane
+_DROP = (b"\xff", b"\xff", b"", b"")
 # an edge mask -> 1 when its square breaks the 0-or-2 rule (translate table)
 _INCOHERENT = bytes(mask.bit_count() not in (0, 2) for mask in range(256))
 
@@ -316,15 +319,17 @@ class BlockGrid:
 
     Blocks are indexed by their southwest corner in units of omega; the
     invariance lattice <(omega^2, 0), (0, omega)> makes every block a copy of
-    block (bi mod omega, 0).  hl[m*w + n] counts light points (with
-    multiplicity, corners shared) on the horizontal edge
-    [bi*w + n, bi*w + n + 1] x {m}; vl[n*w + m] the vertical edge
-    {bi*w + n} x [m, m + 1].
+    block (bi mod omega, 0).  Both arrays are stored column by column:
+    hl[n*(w+1) + m] counts light points (with multiplicity, corners shared)
+    on the horizontal edge [bi*w + n, bi*w + n + 1] x {m}, so row m is
+    hl[m::w+1]; vl[n*w + m] the vertical edge {bi*w + n} x [m, m + 1].
 
     The fill reads the parameter's tables, built here when not given.  With
     L_m line m's 0/1 light string, slot r of family s (_h_slots) on row m is
     lit when L_m[(m + r + 2s*bi) % w] is 1, so its values down all rows are
-    diag[(r + 2s*bi) % w]; an hl edge column sums at most three of them.
+    diag[(r + 2s*bi) % w]; an hl edge column sums at most three of them,
+    and these column sums are hl as it is kept.  masks() reads the N and S
+    edges of its squares off those columns, each with one row cut out.
     vl column n is L_n rotated by ceil(2s*(bi*w + n)/w) = 2s*bi +
     ceil(2s*n/w): block 0's column turned by a uniform 2s*bi, whole rows in
     row-major order, so one slice of each family's table, then transposed.
@@ -355,7 +360,7 @@ class BlockGrid:
         # no edge counts more than 4, so the big-endian sums carry no byte
         cols = sum(int.from_bytes(b"".join(get(slots)), "big")
                    for get in edges).to_bytes((w + 1) * w, "big")
-        self.hl[:] = b"".join(cols[m::w + 1] for m in range(w + 1))
+        self.hl[:] = cols
         # each family's block-0 vl lanes with whole rows rotated by 2s*bi
         lanes = sum(int.from_bytes(table[j * w:(j + w) * w], "big")
                     for table, j in zip(rows, (k, w - k))).to_bytes(w * w, "big")
@@ -371,12 +376,15 @@ class BlockGrid:
         on the first call; every later call returns the same bytes."""
         if self._masks is None:
             hl, vl, w = self.hl, self.vl, self.param.omega
-            cols = [hl[n::w] for n in range(w)]  # column n's edges m = 0..w
-            lanes = (b"".join(col[1:] for col in cols),
-                     b"".join(col[:-1] for col in cols), vl[w:], vl[:-w])
+            # hl's columns without row 0 are the N lane (edges m = 1..omega),
+            # without row omega the S lane
+            north, south = bytearray(hl), bytearray(hl)
+            north[::w + 1] = south[w::w + 1] = _DROP[0] * w
+            lanes = (north, south, vl[w:], vl[:-w])
             # the lanes of the N, S, E and W bits are disjoint, so their sum
             # as big-endian integers is their bytewise or
-            self._masks = sum(int.from_bytes(lane.translate(_GOOD[e]), "big")
+            self._masks = sum(int.from_bytes(lane.translate(_GOOD[e], _DROP[e]),
+                                             "big")
                               for e, lane in enumerate(lanes)
                               ).to_bytes(w * w, "big")
         return self._masks
@@ -421,8 +429,9 @@ def closed_point_counts(param: Param) -> Tuple[List[int], List[int]]:
     """Multiplicity-weighted intersection-point counts on every closed unit
     segment of a block (the two-points-per-segment census).
 
-    Returns (h_counts, v_counts) indexed like BlockGrid's arrays; neither
-    depends on the block.  Every row holds the _h_slots crossings.  The
+    Returns (h_counts, v_counts); neither depends on the block.  Every row
+    holds the _h_slots crossings, and h_counts lists them row by row, edge
+    (n, m) at m*omega + n; v_counts is indexed like BlockGrid.vl.  The
     crossing rule: on the line x, the slope -2s/omega family meets edge e
     at the line of intercept ceil(2s*x/omega) + e, once per edge, so every
     vertical edge holds 2 points (at x = 0 mod omega, its two corners).

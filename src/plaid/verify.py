@@ -315,8 +315,12 @@ def _guarded(check: Callable[..., dict], *args, **names) -> dict:
 
 
 def _run_one(job) -> dict:
+    """A pool worker's record: the parameter crosses as (p, q)."""
     suite, p, q = job
-    param = make_param(p, q)
+    return _record(suite, make_param(p, q))
+
+
+def _record(suite: str, param: Param) -> dict:
     record = _guarded(SUITES[suite], param)
     record.update({"suite": suite, "param": str(param), "omega": param.omega})
     return record
@@ -334,15 +338,17 @@ def run_suite(suite: str, max_omega: Optional[int] = None,
         else:
             params = even_rationals(DEFAULT_MAX_OMEGA if max_omega is None
                                     else max_omega)
-    jobs_list = [(suite, prm.p, prm.q) for prm in params]
-    jobs = min(jobs, len(jobs_list), os.cpu_count() or 1)  # all forked at once
+    params = list(params)
+    # all forked at once, one per core at most; a serial run needs no count
+    jobs = min(jobs, len(params), os.cpu_count() or 1) if jobs > 1 else 1
     if jobs > 1:
         # imported here: a third of the package's import time otherwise
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, jobs_list))
+            records = list(pool.map(_run_one, [(suite, prm.p, prm.q)
+                                               for prm in params]))
     else:
-        records = [_run_one(j) for j in jobs_list]
+        records = [_record(suite, prm) for prm in params]
     records.sort(key=lambda r: (r["omega"], int(r["param"].split("/")[0])))
     if suite == "mesh":
         tri = check_mesh([make_param(*pq) for pq in MESH_WITNESSES])

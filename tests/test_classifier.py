@@ -312,7 +312,7 @@ class TestPlantedFaults:
             def _fill(self, tables):
                 super()._fill(tables)
                 if self.bi == 1:
-                    self.hl[m0 * w + n0] ^= 1
+                    self.hl[n0 * (w + 1) + m0] ^= 1
 
         monkeypatch.setattr(verify, "BlockGrid", Flipped)
         r = verify.suite_isomorphism(prm)
@@ -341,8 +341,8 @@ class TestPlantedFaults:
             def _fill(self, tables):
                 super()._fill(tables)
                 for n, m in flips.get(self.bi, ()):
-                    assert self.hl[m * w + n] in (0, 1)
-                    self.hl[m * w + n] ^= 1
+                    assert self.hl[n * (w + 1) + m] in (0, 1)
+                    self.hl[n * (w + 1) + m] ^= 1
 
         monkeypatch.setattr(verify, "BlockGrid", Flipped)
         r = verify.suite_isomorphism(prm)

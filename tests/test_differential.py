@@ -821,13 +821,21 @@ def test_block_counts_match_segment_points(param, bi, data):
     grid = BlockGrid(param, bi)
     hc, vc = closed_point_counts(param)
     for axis, n, m in data.draw(block_edges(w)):
-        i = m * w + n if axis == "h" else n * w + m
+        k, e = (m, n) if axis == "h" else (n, m)
         seg = UnitSegment(axis, bi * w + n, m)
         lights = grid.hl if axis == "h" else grid.vl
-        assert lights[i] == light_count(param, seg), (axis, n, m)
+        assert lights[edge_index(w, axis, k, e)] == light_count(param, seg), \
+            (axis, n, m)
         points = hc if axis == "h" else vc
-        assert points[i] == sum(pt.multiplicity
-                                for pt in segment_points(param, seg))
+        assert points[k * w + e] == sum(pt.multiplicity
+                                        for pt in segment_points(param, seg))
+
+
+def edge_index(w, axis, k, e):
+    """The index of edge e of the block's row k (axis "h") in BlockGrid.hl,
+    which keeps column e's omega + 1 edges together, or of edge e of its
+    column k (axis "v") in vl."""
+    return e * (w + 1) + k if axis == "h" else k * w + e
 
 
 def reference_fill(self, tables):
@@ -842,7 +850,6 @@ def reference_fill(self, tables):
     families = ((2 * p, _h_slots(w, p, True)),
                 (2 * q, _h_slots(w, q, False)))
     for m, res in enumerate(by_line):
-        row = m * w
         for s2, slots in families:
             base = (m + s2 * bi) % w
             for rho in res:
@@ -851,7 +858,7 @@ def reference_fill(self, tables):
                 r = (rho - base) % w
                 while r <= s2:
                     edge, weight = slots[r]
-                    hl[row + edge] += weight
+                    hl[edge_index(w, "h", m, edge)] += weight
                     r += w
     for n, res in enumerate(by_line):
         x_abs = bi * w + n
@@ -884,7 +891,8 @@ def test_fill_matches_reference_to_31():
     for param in even_rationals(31):
         tables = grid.fill_tables(param)
         for bi in range(param.omega):
-            check_fill(param, bi, tables)
+            # masks() cuts rows out of hl with 0xff, a byte no count reaches
+            assert max(check_fill(param, bi, tables)) <= 4, (str(param), bi)
 
 
 @settings(max_examples=10, deadline=None)
@@ -944,7 +952,7 @@ def reference_masks(grid):
     hl, vl, w = grid.hl, grid.vl, grid.param.omega
     out = b""
     for n in range(w):
-        col = hl[n::w]  # the column's north and south edges, m = 0..w
+        col = hl[n * (w + 1):(n + 1) * (w + 1)]  # its edges m = 0..w
         lanes = (col[1:], col[:-1], vl[(n + 1) * w:(n + 2) * w],
                  vl[n * w:(n + 1) * w])
         out += sum(int.from_bytes(lane.translate(GOOD[e]), "big")
@@ -971,19 +979,29 @@ def test_masks_match_column_reference(param, bi):
     check_masks(BlockGrid(param, bi))
 
 
-def check_toggle(param, bi, axis, i):
-    """One edge's count toggled between 1 and not 1 before the first masks()
-    call: the masks, the bad squares in row order and the square that
-    tracing names, against a per-square 0-or-2 test."""
-    w = param.omega
-    grid = BlockGrid(param, bi)
-    counts = grid.hl if axis == "h" else grid.vl
-    counts[i] = 0 if counts[i] == 1 else 1
+def check_bad_squares(grid):
+    """masks() against reference_masks, and incoherent_squares() against a
+    per-square 0-or-2 test; returns the reference masks and the bad squares
+    (n, m) in row order."""
+    w = grid.param.omega
     check_masks(grid)
     ref = reference_masks(grid)
     bad = [(n, m) for m in range(w) for n in range(w)
            if ref[n * w + m].bit_count() not in (0, 2)]
     assert grid.incoherent_squares() == [(grid.bi * w + n, m) for n, m in bad]
+    return ref, bad
+
+
+def check_toggle(param, bi, axis, k, e):
+    """Edge e of row or column k, its count toggled between 1 and not 1
+    before the first masks() call: the masks, the bad squares in row order
+    and the square that tracing names, against a per-square 0-or-2 test."""
+    w = param.omega
+    grid = BlockGrid(param, bi)
+    counts = grid.hl if axis == "h" else grid.vl
+    i = edge_index(w, axis, k, e)
+    counts[i] = 0 if counts[i] == 1 else 1
+    ref, bad = check_bad_squares(grid)
     # a toggled edge changes its squares' good-edge counts by one
     n, m = min(bad)
     with pytest.raises(IncoherentInput) as err:
@@ -999,8 +1017,9 @@ def test_edge_toggles_match_per_square_reference(pq):
     param = make_param(*pq)
     for bi in (0, 1):
         for axis in "hv":
-            for i in range((param.omega + 1) * param.omega):
-                check_toggle(param, bi, axis, i)
+            for k in range(param.omega + 1):
+                for e in range(param.omega):
+                    check_toggle(param, bi, axis, k, e)
 
 
 @settings(max_examples=15, deadline=None)
@@ -1009,7 +1028,33 @@ def test_edge_toggle_matches_per_square_reference(param, bi, axis, data):
     """A toggle on a random line, or on the block's first or last one."""
     w = param.omega
     line = data.draw(st.sampled_from([0, w]) | st.integers(0, w))
-    check_toggle(param, bi, axis, line * w + data.draw(st.integers(0, w - 1)))
+    check_toggle(param, bi, axis, line, data.draw(st.integers(0, w - 1)))
+
+
+def check_end_rows(param, bi):
+    """The edges of rows 0 and omega, the rows masks() cuts out of hl's
+    columns, in columns 0 and omega - 1, toggled after the fill and before
+    the first masks() call: each of the four alone and every set of them
+    together."""
+    w = param.omega
+    corners = [edge_index(w, "h", k, e) for k in (0, w) for e in (0, w - 1)]
+    for picks in range(1, 16):
+        grid = BlockGrid(param, bi)
+        for bit, i in enumerate(corners):
+            if picks >> bit & 1:
+                grid.hl[i] = 0 if grid.hl[i] == 1 else 1
+        check_bad_squares(grid)
+
+
+def test_end_rows_toggled_match_reference_at_omega_3():
+    for bi in range(3):
+        check_end_rows(make_param(1, 2), bi)
+
+
+@settings(max_examples=5, deadline=None)
+@given(params(min_omega=101), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA))
+def test_end_rows_toggled_match_reference(param, bi):
+    check_end_rows(param, bi)
 
 
 def reference_grid_symmetries(param, by_line):
@@ -1193,7 +1238,7 @@ def reference_empty_rectangles(param, block, K):
     census = 0
     for j_line, k in enumerate(cuts):
         rows = [j for j in (j_line - 1, j_line) if 0 <= j < ny]
-        for e, count in enumerate(grid.hl[k * w:(k + 1) * w], bi * w):
+        for e, count in enumerate(grid.hl[k::w + 1], bi * w):
             if count:
                 census += count
                 i = bisect_right(xc, e) - 1
@@ -1300,7 +1345,7 @@ def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
         fill(self, tables)
         if self.bi == lit_block:
             for k in (2, 5):
-                self.hl[k * 7:(k + 1) * 7] = bytes((1, 0, 1, 0, 0, 1, 0))
+                self.hl[k::8] = bytes((1, 0, 1, 0, 0, 1, 0))
                 self.vl[k * 7:(k + 1) * 7] = bytes((1, 0, 0, 0, 0, 0, 0))
 
     monkeypatch.setattr(BlockGrid, "_fill", lit_fill)
@@ -1395,7 +1440,7 @@ def test_lanes_match_running_counts(param, data):
     block = BlockGrid(param, data.draw(st.integers(0, w - 1)))
     rows, cols = analysis.block_light_cache(block)
     h, v = analysis.line_totals(block, far=True)
-    lanes = analysis._Lanes(block.hl, w), analysis._Lanes(block.vl, w)
+    lanes = analysis._block_lanes(block)
     levels = list(analysis.cut_levels(caps_of(param)))
     boxes = list(analysis._witnesses(block, caps_of(param), levels))
     for half in data.draw(st.lists(st.integers(0, (w - 1) // 2), min_size=1,
@@ -1459,9 +1504,10 @@ def test_moved_lights_fail_empty_rect_as_reference(pq, monkeypatch):
         name, k, lo, hi = rng.choice(
             [("hl", cuts[j + d], cuts[i], cuts[i + 1]) for d in (0, 1)]
             + [("vl", cuts[i + d], cuts[j], cuts[j + 1]) for d in (0, 1)])
-        dst = (name, k * w + rng.randrange(lo, hi))
-        src = [(n, k * w + e) for n in ("hl", "vl") for e in range(w)
-               if getattr(block, n)[k * w + e] and (n, k * w + e) != dst]
+        dst = (name, edge_index(w, name[0], k, rng.randrange(lo, hi)))
+        src = [(n, i) for n in ("hl", "vl") for e in range(w)
+               for i in [edge_index(w, n[0], k, e)]
+               if getattr(block, n)[i] and (n, i) != dst]
         if not src:  # lines 0 and omega carry no light
             continue
 
@@ -1489,7 +1535,7 @@ def test_raised_counts_fail_empty_rect_as_reference(pq, monkeypatch):
 
         def change(hl, vl, name=name, i=i):
             lane = hl if name == "hl" else vl
-            lane[i] += 1
+            lane[edge_index(w, name[0], *divmod(i, w))] += 1
 
         plants.append((rng.randrange(w), change))
     assert planted_empty_rect_faults(param, monkeypatch, plants) == 8
@@ -1978,7 +2024,7 @@ def test_flipped_edges_match_former_isomorphism(pq, monkeypatch):
         def _fill(self, tables):
             super()._fill(tables)
             for i in flips.get(self.bi, ()):
-                self.hl[i] ^= 1
+                self.hl[edge_index(w, "h", *divmod(i, w))] ^= 1
 
     monkeypatch.setattr(verify, "BlockGrid", Flipped)
     got = verify.suite_isomorphism(param)
@@ -2515,10 +2561,12 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
         def faulty(prm, b, tables=None, bi=bi, i=i):
             g = BlockGrid(prm, b, tables)
             if b == bi:
-                g.hl[i] = 0 if g.hl[i] == 1 else 1
+                j = edge_index(w, "h", *divmod(i, w))
+                g.hl[j] = 0 if g.hl[j] == 1 else 1
             return g
 
-        # hl[m*w + n] is the S edge of the square (n, m), the N edge of (n, m - 1)
+        # edge n of row m is the S edge of the square (n, m), the N edge of
+        # (n, m - 1)
         m, n = divmod(i, w)
         square = n * w + max(m - 1, 0)
         held = BlockGrid(param, bi).masks()[square] == 0
@@ -3578,7 +3626,7 @@ def former_suite_hier(param):
         block_grid = BlockGrid(param, bi, tables)
         for m in range(w):
             want = abs(capacity_scaled(param, m))
-            got = sum(block_grid.hl[m * w:(m + 1) * w])
+            got = sum(block_grid.hl[m::w + 1])
             if got != want:
                 return {"ok": False, "line": ("H", m), "block": bi,
                         "got": got, "want": want}
@@ -3613,8 +3661,10 @@ def test_planted_count_faults_match_former_hier(pq, monkeypatch):
     monkeypatch.setattr(BlockGrid, "_fill", fill)
     failed = 0
     for trial in range(16):
-        plant.update(bi=rng.randrange(w), lane=rng.choice(("hl", "vl")),
-                     i=rng.randrange((w + 1) * w), change=rng.choice((-1, 1, 2)))
+        bi, lane, i = (rng.randrange(w), rng.choice(("hl", "vl")),
+                       rng.randrange((w + 1) * w))
+        plant.update(bi=bi, lane=lane, i=edge_index(w, lane[0], *divmod(i, w)),
+                     change=rng.choice((-1, 1, 2)))
         got = verify.suite_hier(param)
         assert got == former_suite_hier(param), plant
         failed += not got["ok"]

@@ -308,14 +308,14 @@ class TestPolygons:
         bulk mask read still lists bad squares row by row."""
         w = p25.omega
         grid = BlockGrid(p25, 1)
-        for counts, i in ((grid.hl, 2 * w + 3), (grid.vl, 5 * w)):
+        for counts, i in ((grid.hl, 3 * (w + 1) + 2), (grid.vl, 5 * w)):
             counts[i] = 0 if counts[i] == 1 else 1
         assert grid.incoherent_squares() == [
             (w + n, m) for n, m in ((4, 0), (5, 0), (3, 1), (3, 2))]
 
     def test_incoherent_input_raises(self, p25):
         grid = BlockGrid(p25, 0)
-        grid.hl[2 * p25.omega + 3] += 1  # corrupt one edge count
+        grid.hl[3 * (p25.omega + 1) + 2] += 1  # corrupt edge (3, 2)
         with pytest.raises(IncoherentInput,
                            match=r"square \(3, 1\) has [13] good edges"):
             trace_polygons(p25, (0, 0), grid)
@@ -577,9 +577,9 @@ def test_blockgrid_reads_the_light_lists_it_is_built_under(monkeypatch):
     drop_one_light(monkeypatch, c0)
     after = BlockGrid(prm, 3)
     for k in range(w):
-        lane = slice(k * w, (k + 1) * w)
-        assert (after.hl[lane] != before.hl[lane]) == (k == c0), k
-        assert (after.vl[lane] != before.vl[lane]) == (k == c0), k
+        row, col = slice(k, None, w + 1), slice(k * w, (k + 1) * w)
+        assert (after.hl[row] != before.hl[row]) == (k == c0), k
+        assert (after.vl[col] != before.vl[col]) == (k == c0), k
     shared = BlockGrid(prm, 3, grid.fill_tables(prm))
     assert (after.hl, after.vl) == (shared.hl, shared.vl)
 
