@@ -136,27 +136,27 @@ def cut_offsets(param: Param, K: int) -> List[int]:
 def block_light_cache(grid: BlockGrid
                       ) -> Tuple[List[List[int]], List[List[int]]]:
     """Running light counts of the block's omega+1 rows and omega+1 columns,
-    read from its BlockGrid: rows[k][n] is the light count (with
-    multiplicity) of row offset k's edges west of offset n, cols[k][m] that
-    of column offset k's edges south of offset m.  A light block corner sits
-    on an H row's first or last edge; V lines through corners have
-    capacity 0.  No package path reads these since the lanes: they stay as
-    the lanes' test oracle, and perfbench's tracer wraps this by name."""
-    w, hl, vl = grid.param.omega, grid.hl, grid.vl
-    return ([list(accumulate(hl[k::w + 1], initial=0)) for k in range(w + 1)],
-            [list(accumulate(vl[k * w:(k + 1) * w], initial=0))
-             for k in range(w + 1)])
+    read from its BlockGrid, line k of either axis being a[k::w+1] of hl or
+    vl: rows[k][n] is the light count (with multiplicity) of row offset k's
+    edges west of offset n, cols[k][m] that of column offset k's edges
+    south of offset m.  A light block corner sits on an H row's first or
+    last edge; V lines through corners have capacity 0.  No package path
+    reads these since the lanes: they stay as the lanes' test oracle, and
+    perfbench's tracer wraps this by name."""
+    w = grid.param.omega
+    return tuple([list(accumulate(a[k::w + 1], initial=0))
+                  for k in range(w + 1)] for a in (grid.hl, grid.vl))
 
 
 def line_totals(grid: BlockGrid, far: bool = False
                 ) -> Tuple[List[int], List[int]]:
     """The light count of the block's row offset k and of its column offset
     k, k < omega, and with far also at k = omega, the block's far row and
-    column: the sums of hl's rows, hl[k::w+1] as BlockGrid keeps hl column
-    by column, and of vl's columns, vl[k*w:(k+1)*w]."""
-    w, hl, vl = grid.param.omega, grid.hl, grid.vl
-    return ([sum(hl[k::w + 1]) for k in range(w + far)],
-            [sum(vl[k:k + w]) for k in range(0, (w + far) * w, w)])
+    column: the sums of line k of either axis, a[k::w+1] of hl or vl as
+    BlockGrid keeps them."""
+    w = grid.param.omega
+    return tuple([sum(a[k::w + 1]) for k in range(w + far)]
+                 for a in (grid.hl, grid.vl))
 
 
 def cut_levels(caps: List[int]) -> Iterator[tuple]:
@@ -192,11 +192,11 @@ class _Lanes(dict):
 
 
 def _block_lanes(grid: BlockGrid) -> Tuple[_Lanes, _Lanes]:
-    """The block's rows, hl[k::w+1] as BlockGrid keeps hl column by column,
-    and its columns, vl[k*w:(k+1)*w], as _Lanes."""
-    w, hl, vl = grid.param.omega, grid.hl, grid.vl
-    return (_Lanes(lambda k: hl[k::w + 1]),
-            _Lanes(lambda k: vl[k * w:(k + 1) * w]))
+    """The block's rows and its columns as _Lanes: line k of either axis is
+    a[k::w+1] of hl or vl as BlockGrid keeps them."""
+    w = grid.param.omega
+    return tuple(_Lanes(lambda k, a=a: a[k::w + 1])
+                 for a in (grid.hl, grid.vl))
 
 
 def _empty_cells(rows, cols, cuts, masks, box=None):

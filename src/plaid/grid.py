@@ -280,8 +280,9 @@ def fill_tables(param: Param) -> tuple:
     """BlockGrid's tables from one light_lists call: a caller building several
     blocks of a parameter builds them once and passes them to each; nothing
     caches them.  With L_c line c's 0/1 light string: per family s = p, q,
-    block 0's vl lanes in row-major order, byte m*w + n being
-    L_n[(m + ceil(2s*n/w)) % w], doubled; diag[k], byte (m + k) % w of L_m
+    block 0's vl rows as BlockGrid keeps them, byte m*(w+1) + n being
+    L_n[(m + ceil(2s*n/w)) % w] and byte m*(w+1) + w the far column's 0
+    (x = omega has capacity 0), doubled; diag[k], byte (m + k) % w of L_m
     for m = 0..w, then a zero column 2w; three itemgetters of each edge's
     weighted slots in diag rotated for p, then q, padded by 2w."""
     w, p = param.omega, param.p
@@ -301,15 +302,13 @@ def fill_tables(param: Param) -> tuple:
     # intercept ceil(2s*x/w) + e meets edge e
     cols = [b"".join(line[j:] + line[:j] for line, j in zip(
         strings, (-(-2 * s * n // w) % w for n in range(w)))) for s in (p, w - p)]
-    return [2 * b"".join(c[m::w] for m in range(w)) for c in cols], diag, edges
+    return ([2 * b"".join(c[m::w] + b"\0" for m in range(w)) for c in cols],
+            diag, edges)
 
 
 # per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
 # good when it carries exactly one light point (translate tables)
 _GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
-# what masks() deletes from its N and S lanes: 0xff, which no count reaches,
-# written over row 0 of hl for the N lane and over row omega for the S lane
-_DROP = (b"\xff", b"\xff", b"", b"")
 # an edge mask -> 1 when its square breaks the 0-or-2 rule (translate table)
 _INCOHERENT = bytes(mask.bit_count() not in (0, 2) for mask in range(256))
 
@@ -319,21 +318,23 @@ class BlockGrid:
 
     Blocks are indexed by their southwest corner in units of omega; the
     invariance lattice <(omega^2, 0), (0, omega)> makes every block a copy of
-    block (bi mod omega, 0).  Both arrays are stored column by column:
-    hl[n*(w+1) + m] counts light points (with multiplicity, corners shared)
-    on the horizontal edge [bi*w + n, bi*w + n + 1] x {m}, so row m is
-    hl[m::w+1]; vl[n*w + m] the vertical edge {bi*w + n} x [m, m + 1].
+    block (bi mod omega, 0).  Both arrays are stored as the fill sums them,
+    so line k of either axis is a[k::w+1]: hl[n*(w+1) + m] counts light
+    points (with multiplicity, corners shared) on the horizontal edge
+    [bi*w + n, bi*w + n + 1] x {m}, so row m is hl[m::w+1];
+    vl[m*(w+1) + n] the vertical edge {bi*w + n} x [m, m + 1], so column n
+    is vl[n::w+1].
 
     The fill reads the parameter's tables, built here when not given.  With
     L_m line m's 0/1 light string, slot r of family s (_h_slots) on row m is
     lit when L_m[(m + r + 2s*bi) % w] is 1, so its values down all rows are
     diag[(r + 2s*bi) % w]; an hl edge column sums at most three of them,
-    and these column sums are hl as it is kept.  masks() reads the N and S
-    edges of its squares off those columns, each with one row cut out.
-    vl column n is L_n rotated by ceil(2s*(bi*w + n)/w) = 2s*bi +
-    ceil(2s*n/w): block 0's column turned by a uniform 2s*bi, whole rows in
-    row-major order, so one slice of each family's table, then transposed.
-    Sums are taken on big-endian ints.
+    and these column sums are hl as it is kept.  vl column n is L_n rotated
+    by ceil(2s*(bi*w + n)/w) = 2s*bi + ceil(2s*n/w): block 0's column
+    turned by a uniform 2s*bi, whole rows, so one slice of each family's
+    table.  Sums are taken on big-endian ints.  masks() is the one reader
+    that reorders edges: it cuts one row out of each of hl's columns for
+    the N and S lanes, and puts vl's columns in square order for E and W.
 
     The grid side's one integer light structure: edge-mask readers read the
     bytes of masks(); criterion 4 and the empty-rect census read the line
@@ -358,13 +359,13 @@ class BlockGrid:
         k = 2 * p * bi % w
         slots = diag[k:w] + diag[:k] + diag[w - k:w] + diag[:w - k] + diag[w:]
         # no edge counts more than 4, so the big-endian sums carry no byte
-        cols = sum(int.from_bytes(b"".join(get(slots)), "big")
-                   for get in edges).to_bytes((w + 1) * w, "big")
-        self.hl[:] = cols
-        # each family's block-0 vl lanes with whole rows rotated by 2s*bi
-        lanes = sum(int.from_bytes(table[j * w:(j + w) * w], "big")
-                    for table, j in zip(rows, (k, w - k))).to_bytes(w * w, "big")
-        self.vl[:w * w] = b"".join(lanes[n::w] for n in range(w))
+        self.hl[:] = sum(int.from_bytes(b"".join(get(slots)), "big")
+                         for get in edges).to_bytes((w + 1) * w, "big")
+        # each family's block-0 vl rows, whole rows rotated by 2s*bi
+        self.vl[:] = sum(int.from_bytes(table[j * (w + 1):(j + w) * (w + 1)],
+                                        "big")
+                         for table, j in zip(rows, (k, w - k))
+                         ).to_bytes((w + 1) * w, "big")
 
     def edge_mask(self, n: int, m: int) -> int:
         """The good edges of square (n, m) as bits 1, 2, 4, 8 for N, S, E,
@@ -377,15 +378,19 @@ class BlockGrid:
         if self._masks is None:
             hl, vl, w = self.hl, self.vl, self.param.omega
             # hl's columns without row 0 are the N lane (edges m = 1..omega),
-            # without row omega the S lane
-            north, south = bytearray(hl), bytearray(hl)
-            north[::w + 1] = south[w::w + 1] = _DROP[0] * w
-            lanes = (north, south, vl[w:], vl[:-w])
+            # without row omega the S lane; the rows are deleted from the
+            # translated copies, with no marker byte, so any count reads as
+            # itself
+            north, south = hl.translate(_GOOD[0]), hl.translate(_GOOD[1])
+            del north[::w + 1], south[w::w + 1]
+            # vl's columns x = 0..omega in square order: from x = 1 the E
+            # lane, up to x = omega - 1 the W lane
+            cols = b"".join([vl[n::w + 1] for n in range(w + 1)])
+            lanes = (north, south, cols[w:].translate(_GOOD[2]),
+                     cols[:-w].translate(_GOOD[3]))
             # the lanes of the N, S, E and W bits are disjoint, so their sum
             # as big-endian integers is their bytewise or
-            self._masks = sum(int.from_bytes(lane.translate(_GOOD[e], _DROP[e]),
-                                             "big")
-                              for e, lane in enumerate(lanes)
+            self._masks = sum(int.from_bytes(lane, "big") for lane in lanes
                               ).to_bytes(w * w, "big")
         return self._masks
 
@@ -430,17 +435,18 @@ def closed_point_counts(param: Param) -> Tuple[List[int], List[int]]:
     segment of a block (the two-points-per-segment census).
 
     Returns (h_counts, v_counts); neither depends on the block.  Every row
-    holds the _h_slots crossings, and h_counts lists them row by row, edge
-    (n, m) at m*omega + n; v_counts is indexed like BlockGrid.vl.  The
-    crossing rule: on the line x, the slope -2s/omega family meets edge e
-    at the line of intercept ceil(2s*x/omega) + e, once per edge, so every
-    vertical edge holds 2 points (at x = 0 mod omega, its two corners).
+    holds the _h_slots crossings.  Both are indexed like BlockGrid's
+    arrays: h_counts like hl, edge (n, m) at n*(omega+1) + m, and v_counts
+    like vl.  The crossing rule: on the line x, the slope -2s/omega family
+    meets edge e at the line of intercept ceil(2s*x/omega) + e, once per
+    edge, so every vertical edge holds 2 points (at x = 0 mod omega, its
+    two corners).
     """
     w = param.omega
     row = [0] * w
     for edge, weight in _h_slots(w, param.p, True) + _h_slots(w, param.q, False):
         row[edge] += weight
-    return row * (w + 1), [2] * ((w + 1) * w)
+    return [c for c in row for _ in range(w + 1)], [2] * ((w + 1) * w)
 
 
 def light_points_scaled(param: Param, line: GridLine, stretch: Tuple[int, int],

@@ -823,19 +823,18 @@ def test_block_counts_match_segment_points(param, bi, data):
     for axis, n, m in data.draw(block_edges(w)):
         k, e = (m, n) if axis == "h" else (n, m)
         seg = UnitSegment(axis, bi * w + n, m)
-        lights = grid.hl if axis == "h" else grid.vl
-        assert lights[edge_index(w, axis, k, e)] == light_count(param, seg), \
-            (axis, n, m)
-        points = hc if axis == "h" else vc
-        assert points[k * w + e] == sum(pt.multiplicity
-                                        for pt in segment_points(param, seg))
+        lights, points = (grid.hl, hc) if axis == "h" else (grid.vl, vc)
+        i = edge_index(w, axis, k, e)
+        assert lights[i] == light_count(param, seg), (axis, n, m)
+        assert points[i] == sum(pt.multiplicity
+                                for pt in segment_points(param, seg))
 
 
 def edge_index(w, axis, k, e):
     """The index of edge e of the block's row k (axis "h") in BlockGrid.hl,
-    which keeps column e's omega + 1 edges together, or of edge e of its
-    column k (axis "v") in vl."""
-    return e * (w + 1) + k if axis == "h" else k * w + e
+    or of edge e of its column k (axis "v") in vl: both keep line k at
+    a[k::w+1], the same index on either axis."""
+    return e * (w + 1) + k
 
 
 def reference_fill(self, tables):
@@ -862,12 +861,11 @@ def reference_fill(self, tables):
                     r += w
     for n, res in enumerate(by_line):
         x_abs = bi * w + n
-        col = n * w
         for s in (p, q):
             # closed_point_counts' crossing rule: line lo + e meets edge e
             lo = -(-2 * s * x_abs // w)
             for rho in res:
-                vl[col + (rho - lo) % w] += 1
+                vl[edge_index(w, "v", n, (rho - lo) % w)] += 1
 
 
 class ReferenceGrid(BlockGrid):
@@ -891,7 +889,7 @@ def test_fill_matches_reference_to_31():
     for param in even_rationals(31):
         tables = grid.fill_tables(param)
         for bi in range(param.omega):
-            # masks() cuts rows out of hl with 0xff, a byte no count reaches
+            # the fill's big-endian sums carry no byte: no count exceeds 4
             assert max(check_fill(param, bi, tables)) <= 4, (str(param), bi)
 
 
@@ -953,8 +951,7 @@ def reference_masks(grid):
     out = b""
     for n in range(w):
         col = hl[n * (w + 1):(n + 1) * (w + 1)]  # its edges m = 0..w
-        lanes = (col[1:], col[:-1], vl[(n + 1) * w:(n + 2) * w],
-                 vl[n * w:(n + 1) * w])
+        lanes = (col[1:], col[:-1], vl[n + 1::w + 1], vl[n::w + 1])
         out += sum(int.from_bytes(lane.translate(GOOD[e]), "big")
                    for e, lane in enumerate(lanes)).to_bytes(w, "big")
     return out
@@ -1031,30 +1028,52 @@ def test_edge_toggle_matches_per_square_reference(param, bi, axis, data):
     check_toggle(param, bi, axis, line, data.draw(st.integers(0, w - 1)))
 
 
-def check_end_rows(param, bi):
-    """The edges of rows 0 and omega, the rows masks() cuts out of hl's
-    columns, in columns 0 and omega - 1, toggled after the fill and before
-    the first masks() call: each of the four alone and every set of them
-    together."""
+def check_end_lines(param, bi, axis):
+    """The edges 0 and omega - 1 of lines 0 and omega of one axis, toggled
+    after the fill and before the first masks() call: each of the four
+    alone and every set of them together.  Rows 0 and omega are the rows
+    masks() cuts out of hl's columns; columns 0 and omega are the ends of
+    the columns masks() puts in square order for the E and W lanes."""
     w = param.omega
-    corners = [edge_index(w, "h", k, e) for k in (0, w) for e in (0, w - 1)]
+    corners = [edge_index(w, axis, k, e) for k in (0, w) for e in (0, w - 1)]
     for picks in range(1, 16):
         grid = BlockGrid(param, bi)
+        counts = grid.hl if axis == "h" else grid.vl
         for bit, i in enumerate(corners):
             if picks >> bit & 1:
-                grid.hl[i] = 0 if grid.hl[i] == 1 else 1
+                counts[i] = 0 if counts[i] == 1 else 1
         check_bad_squares(grid)
 
 
 def test_end_rows_toggled_match_reference_at_omega_3():
     for bi in range(3):
-        check_end_rows(make_param(1, 2), bi)
+        check_end_lines(make_param(1, 2), bi, "h")
 
 
 @settings(max_examples=5, deadline=None)
 @given(params(min_omega=101), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA))
 def test_end_rows_toggled_match_reference(param, bi):
-    check_end_rows(param, bi)
+    check_end_lines(param, bi, "h")
+
+
+def test_end_columns_toggled_match_reference_at_omega_3():
+    for bi in range(3):
+        check_end_lines(make_param(1, 2), bi, "v")
+
+
+@settings(max_examples=5, deadline=None)
+@given(params(min_omega=101), st.integers(-2 * MAX_OMEGA, 2 * MAX_OMEGA))
+def test_end_columns_toggled_match_reference(param, bi):
+    check_end_lines(param, bi, "v")
+
+
+def test_count_255_reads_as_not_good():
+    """A count of 255 planted in hl (4/11, block 2, edge (5, 7)): masks()
+    reads it as any other count that is not 1, however its rows are cut."""
+    param = make_param(4, 11)
+    grid = BlockGrid(param, 2)
+    grid.hl[edge_index(param.omega, "h", 7, 5)] = 255
+    check_bad_squares(grid)
 
 
 def reference_grid_symmetries(param, by_line):
@@ -1246,7 +1265,7 @@ def reference_empty_rectangles(param, block, K):
                     marked[i][j] = True
     for i_line, k in enumerate(cuts):
         cols = [i for i in (i_line - 1, i_line) if 0 <= i < nx]
-        for e, count in enumerate(grid.vl[k * w:(k + 1) * w], bj * w):
+        for e, count in enumerate(grid.vl[k::w + 1], bj * w):
             if count:
                 census += count
                 j = bisect_right(yc, e) - 1
@@ -1346,7 +1365,7 @@ def test_lit_cell_boundaries_fail_empty_rect(monkeypatch):
         if self.bi == lit_block:
             for k in (2, 5):
                 self.hl[k::8] = bytes((1, 0, 1, 0, 0, 1, 0))
-                self.vl[k * 7:(k + 1) * 7] = bytes((1, 0, 0, 0, 0, 0, 0))
+                self.vl[k::8] = bytes((1, 0, 0, 0, 0, 0, 0))
 
     monkeypatch.setattr(BlockGrid, "_fill", lit_fill)
     for lit_block in (0, 4):
@@ -3630,7 +3649,7 @@ def former_suite_hier(param):
             if got != want:
                 return {"ok": False, "line": ("H", m), "block": bi,
                         "got": got, "want": want}
-            got = sum(block_grid.vl[m * w:(m + 1) * w])
+            got = sum(block_grid.vl[m::w + 1])
             if got != want:
                 return {"ok": False, "line": ("V", bi * w + m), "block": bi,
                         "got": got, "want": want}
@@ -3645,7 +3664,8 @@ def test_suite_hier_matches_former_to_31():
 @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (4, 11), (8, 13), (10, 21)])
 def test_planted_count_faults_match_former_hier(pq, monkeypatch):
     """One byte of one block's hl or vl changed, row omega of hl and the
-    unused row of vl included: the same record, naming the same line."""
+    unused column omega of vl included: the same record, naming the same
+    line."""
     param = make_param(*pq)
     w = param.omega
     rng = random.Random(w)

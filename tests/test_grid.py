@@ -308,7 +308,8 @@ class TestPolygons:
         bulk mask read still lists bad squares row by row."""
         w = p25.omega
         grid = BlockGrid(p25, 1)
-        for counts, i in ((grid.hl, 3 * (w + 1) + 2), (grid.vl, 5 * w)):
+        # edge (3, 2) of hl and edge (5, 0) of vl, each at n*(w+1) + m
+        for counts, i in ((grid.hl, 3 * (w + 1) + 2), (grid.vl, 5)):
             counts[i] = 0 if counts[i] == 1 else 1
         assert grid.incoherent_squares() == [
             (w + n, m) for n, m in ((4, 0), (5, 0), (3, 1), (3, 2))]
@@ -537,7 +538,8 @@ class TestPlantedFaults:
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     def test_two_points(self, monkeypatch, pq):
         """The second crossing of the slope -P family weighted 2: its edge
-        counts 3 in every row, and the record names the first three."""
+        counts 3 in every row, and the record names the first three, the
+        edge in rows 0, 1 and 2 (h_counts is indexed like BlockGrid.hl)."""
         prm = make_param(*pq)
         w = prm.omega
         real = grid._h_slots
@@ -551,7 +553,8 @@ class TestPlantedFaults:
         monkeypatch.setattr(grid, "_h_slots", h_slots)
         edge = w // (2 * prm.p)
         assert verify.suite_two_points(prm) == {
-            "ok": False, "h_bad": [edge, edge + w, edge + 2 * w], "v_bad": []}
+            "ok": False, "h_bad": [edge * (w + 1) + m for m in range(3)],
+            "v_bad": []}
 
     @pytest.mark.parametrize("pq", [(2, 5), (4, 11)])
     def test_first(self, monkeypatch, pq):
@@ -577,9 +580,9 @@ def test_blockgrid_reads_the_light_lists_it_is_built_under(monkeypatch):
     drop_one_light(monkeypatch, c0)
     after = BlockGrid(prm, 3)
     for k in range(w):
-        row, col = slice(k, None, w + 1), slice(k * w, (k + 1) * w)
-        assert (after.hl[row] != before.hl[row]) == (k == c0), k
-        assert (after.vl[col] != before.vl[col]) == (k == c0), k
+        line = slice(k, None, w + 1)  # row k of hl, column k of vl
+        assert (after.hl[line] != before.hl[line]) == (k == c0), k
+        assert (after.vl[line] != before.vl[line]) == (k == c0), k
     shared = BlockGrid(prm, 3, grid.fill_tables(prm))
     assert (after.hl, after.vl) == (shared.hl, shared.vl)
 

@@ -33,12 +33,12 @@ Groups:
 - pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
 - mesh-large    the check_mesh records at 50/51, at 41/60, and for the
                 list 3/8, 4/11, 50/51;
-- blocks        hl in row order, vl, masks() and the traced polygons of
-                blocks (bi, 0) and (bi, 1) of every even rational at
-                omega <= N;
-- blocks-large  hl in row order, vl and masks() of every block (bi, 0) at
-                50/51, 41/60 and 100/101, and of blocks 0, 1, 100 and 200
-                at 100/201;
+- blocks        hl in row order, vl in column order, masks() and the
+                traced polygons of blocks (bi, 0) and (bi, 1) of every even
+                rational at omega <= N;
+- blocks-large  hl in row order, vl in column order and masks() of every
+                block (bi, 0) at 50/51, 41/60 and 100/101, and of blocks 0,
+                1, 100 and 200 at 100/201;
 - lights        light_points_on_line of every H and V line within one of
                 blocks (bi, bj), bi in {0, 1, omega-1} and bj in {0, 1}, at
                 omega <= N;
@@ -121,19 +121,27 @@ def _cli_run(cli, argv, outdir, i):
     return [tuple(argv), code, out.getvalue(), err.getvalue(), data]
 
 
-def _hl_row_order(BlockGrid, make_param):
+def _edge_orders(BlockGrid, make_param):
     """A function of a BlockGrid giving its hl in row order, edge (n, m) at
-    m*omega + n, from either layout: column by column, hl[n*(omega+1) + m],
-    or row by row as checkouts kept it before.  The layout is read off
-    masks() with one count planted at hl byte 1: edge (0, 1), square (0, 0)'s
-    north edge, in column order; edge (1, 0) in row order."""
+    m*omega + n, and its vl in column order, edge (n, m) at n*omega + m,
+    from any layout a checkout kept: each array either that way or with
+    line k at a[k::omega+1].  One probe reads both layouts off masks()[0],
+    square (0, 0)'s mask, with one count planted at byte 1 of each array:
+    hl byte 1 is its N edge (0, 1) when line k is hl[k::omega+1] (bit 1),
+    and vl byte 1 its E edge (1, 0) when line k is vl[k::omega+1] (bit 4);
+    read the other way they are edges (1, 0) and (0, 1), off that square."""
     probe = BlockGrid(make_param(1, 2), 0)
     probe.hl[:], probe.vl[:] = bytes(len(probe.hl)), bytes(len(probe.vl))
-    probe.hl[1] = 1
-    if not probe.masks()[0]:
-        return lambda grid: bytes(grid.hl)
-    return lambda grid: b"".join(grid.hl[m::grid.param.omega + 1]
-                                 for m in range(grid.param.omega + 1))
+    probe.hl[1] = probe.vl[1] = 1
+    mask = probe.masks()[0]
+
+    def lines(a, strided, w):
+        if not strided:
+            return bytes(a)
+        return b"".join(a[k::w + 1] for k in range(w + 1))
+
+    return lambda grid: (lines(grid.hl, mask & 1, grid.param.omega),
+                         lines(grid.vl, mask & 4, grid.param.omega))
 
 
 def _render_windows(w: int):
@@ -161,7 +169,7 @@ def main(argv=None) -> int:
     from plaid.params import even_rationals, make_param
     import workloads
 
-    hl_rows = _hl_row_order(BlockGrid, make_param)
+    edge_orders = _edge_orders(BlockGrid, make_param)
     for name in verify.SUITES:
         records = verify.run_suite(name, max_omega=args.max_omega)
         print(f"suite:{name:<18} {_digest(records)}")
@@ -246,7 +254,7 @@ def main(argv=None) -> int:
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
             grid = BlockGrid(param, bi)
-            rows += [hl_rows(grid), bytes(grid.vl), bytes(grid.masks()),
+            rows += [*edge_orders(grid), bytes(grid.masks()),
                      trace_polygons(param, (bi, 0), grid),
                      trace_polygons(param, (bi, 1))]
     print(f"{'blocks':<24} {_digest(rows)}")
@@ -255,7 +263,7 @@ def main(argv=None) -> int:
         param = make_param(*pq)
         for bi in range(param.omega) if blocks is None else blocks:
             grid = BlockGrid(param, bi)
-            rows += [hl_rows(grid), bytes(grid.vl), grid.masks()]
+            rows += [*edge_orders(grid), grid.masks()]
     print(f"{'blocks-large':<24} {_digest(rows)}")
     rows = []
     for param in even_rationals(args.max_omega):
