@@ -350,27 +350,30 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
-def center_codes(param: Param, table: bytes, sheets: int = 1) -> bytearray:
-    """table[center_cell(param, a, b, sheets)] at a*omega + b, b < omega,
-    table being label_table(param, sheets) or a translate of it.  Skew
-    column k (and k + omega) of a fiber is its column pk turned down by pk,
-    so skew row d is diagonal d twice round in steps of p, and the classes
-    b = r mod sheets of a center column one slice in steps of sheets."""
+def center_codes(param: Param, table: bytes) -> bytearray:
+    """table[center_cell(param, a, b)] at a*omega + b, b < omega, table
+    being label_table(param) or a translate of it.  The cover table's first
+    omega fibers, its middle half, are the base table (the lift law, which
+    criterion 6 checks), so on the cover table it gives the base codes; a
+    center's cover code is its base code, reversed where its cover cell is
+    outer.  Skew column k (and k + omega) of a fiber is its column pk
+    turned down by pk, so skew row d is diagonal d twice round in steps of
+    p, and a center column one slice of it."""
     w, p, ww = param.omega, param.p, param.omega ** 2
     codes = bytearray(w * ww)
     out = memoryview(codes)  # fixed length: a short slice raises
-    for a0, r in [(a0, r) for a0 in range(w) for r in range(sheets)]:
-        rest, i2 = divmod(center_cell(param, a0, r, sheets), w)
+    for a0 in range(w):
+        rest, i2 = divmod(center_cell(param, a0, 0), w)
         j, i1 = divmod(rest, w)
         fiber = table[j * ww:(j + 1) * ww] * 2
         skew = bytearray(2 * ww)
         for k in range(w):
             c = p * k % w
             skew[k::2 * w] = skew[k + w::2 * w] = fiber[(w - c) * w + c::w][:w]
-        d, k, n = i1 + i2, i2 * pow(p, -1, w), w - r
-        for lo in range(a0 * w + r, w * ww, w * w):  # column a = a0 mod omega
+        d, k = i1 + i2, i2 * pow(p, -1, w)
+        for lo in range(a0 * w, w * ww, w * w):  # column a = a0 mod omega
             start = d % w * 2 * w + k % w
-            out[lo:lo + n:sheets] = skew[start:start + n:sheets]
+            out[lo:lo + w] = skew[start:start + w]
             d, k = d - 4 * p * p, k - 2 * p
     return codes
 

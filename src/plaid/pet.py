@@ -27,12 +27,17 @@ alone: the step adds one vector to a cell's point, and whether t leaves the
 table's range depends on the fiber.  fiber_shifts reads the shifts from
 cover_step once per parameter, and the checks read the exchange there alone:
 _mesh_failures compares whole fibers of a cover table, for check_mesh and
-for criterion 6, which reads its codes from that same table and checks
-conjugacy, cover_step(center_cell(a, b), e) == center_cell(a + dx, b + dy),
-at the starts a < omega, b = 0, 1: b + 2 and a + omega each move the cells
-of all fibers alike, which commutes with every fiber shift (classifier
-docstring, "Center columns").  Every cover cell is a center's, so a step
-across e and back across e ^ 1 returns to it.
+for criterion 6, which checks conjugacy, cover_step(center_cell(a, b), e)
+== center_cell(a + dx, b + dy), at the starts a < omega, b = 0, 1: b + 2
+and a + omega each move the cells of all fibers alike, which commutes with
+every fiber shift (classifier docstring, "Center columns").  Every cover
+cell is a center's, so a step across e and back across e ^ 1 returns to it.
+The lift law ties that table to the base table: its middle fiber j is base
+fiber j, and its outer fiber omega + j is base fiber j turned by -p in i1
+and i2 with every code reversed, as lift_label spells a label on the two
+halves.  Criterion 6 checks the law fiber by fiber and then reads its codes
+from the middle half, which is the base table; a center's cover code is its
+base code, reversed where its cover cell is outer.
 """
 
 from __future__ import annotations

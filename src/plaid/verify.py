@@ -29,12 +29,14 @@ from .classifier import (
     CODE_LABELS,
     CODE_MASKS,
     ORIENTED_CODES,
+    REVERSED,
     _MASK_TABLE,
     center_cell,
     center_codes,
     image_geometry_scaled,
     label_table,
     symmetry_conjugacies,
+    turn_fiber,
     verify_bijection,
 )
 from .pet import (
@@ -130,8 +132,15 @@ def suite_pet_equivalence(param: Param) -> dict:
     equations make every square's cover code meet its neighbours' end to end,
     so the orbit from a connector square's center follows the square's loop
     and closes after len(loop) steps when every code also spans its mask and
-    has no end on the block's border: byte compares of each block's codes,
-    naming a failing block's first bad square, its good edges and code."""
+    has no end on the block's border.  The lift law pins the cover to the
+    base table, fiber by fiber as bytes: middle fiber j is base fiber j, and
+    outer fiber omega + j is base fiber j turned by -p = q in i1 and i2,
+    then reversed; a failure names the first bad base fiber t = 2j - omega
+    and its half.  So the codes are read from the middle half, the base
+    table, and as REVERSED keeps a code's mask, the spans and the border
+    test of the base codes are the cover codes': byte compares of each
+    block's codes, naming a failing block's first bad square, its good
+    edges and its cover code."""
     w, ww = param.omega, param.omega ** 2
     cover = label_table(param, 2)
     shifts = fiber_shifts(param, cover_step)
@@ -150,7 +159,17 @@ def suite_pet_equivalence(param: Param) -> dict:
     failures = _mesh_failures(param, cover, shifts)
     if failures:
         return {"ok": False, "reason": "inverse", "worst": _worst(failures)[1:]}
-    codes = center_codes(param, cover, 2)
+    # the lift law, each cover fiber read as a view, not copied
+    base, view, q = label_table(param), memoryview(cover), param.q
+    for j in range(2 * w):
+        fiber = base[j % w * ww:(j % w + 1) * ww]
+        if j >= w:
+            fiber = turn_fiber(fiber, w, q * w, q).translate(REVERSED)
+        if view[j * ww:(j + 1) * ww] != fiber:
+            return {"ok": False, "reason": "lift", "fiber": 2 * (j % w) - w,
+                    "half": "outer" if j >= w else "middle"}
+    del base, view, fiber
+    codes = center_codes(param, cover)  # the middle half: the base codes
     # each square's edges on its block's border, as the mask bits that
     # spans gives a code's edges: no code may end there
     rim = _rim(w)
@@ -168,10 +187,13 @@ def suite_pet_equivalence(param: Param) -> dict:
         record = {"ok": False, "reason": "orbit polygon differs", "block": bi}
         if not spans[i]:  # flagged, so its mask is not 0
             record = {"ok": False, "reason": "hold at nonempty square"}
-        return {**record, "square": divmod(bi * ww + i, w),
+        square, code = divmod(bi * ww + i, w), block[i]
+        # the label spells the cover code: on the outer half, reversed
+        outer = center_cell(param, *square, 2) >= w * ww
+        return {**record, "square": square,
                 "good_edges": sorted(e for k, e in enumerate("NSEW")
                                      if masks[i] >> k & 1),
-                "label": ORIENTED_CODES[block[i]]}
+                "label": ORIENTED_CODES[REVERSED[code] if outer else code]}
     # each connector square's code spans its mask: one orbit step a square
     return {"ok": True, "orbit_steps": steps, "connector_squares": steps}
 

@@ -1877,57 +1877,50 @@ def reference_center_column(param, table, a):
 SHIFT = bytes(range(1, 256)) + b"\0"
 
 
-def check_center_codes(param, table, columns=None, sheets=1):
+def check_center_codes(param, table, columns=None):
     """center_codes on table, and on a translate of it, against the table
     read at the per-class reduction of every center (a, b), b < omega, of
-    the columns (all of them by default), and on the base against the former
-    per-column reader."""
+    the columns (all of them by default), and against the former per-column
+    reader."""
     w = param.omega
-    got = center_codes(param, table, sheets)
+    got = center_codes(param, table)
     assert type(got) is bytearray and len(got) == w ** 3, str(param)
-    shifted = center_codes(param, table.translate(SHIFT), sheets)
+    shifted = center_codes(param, table.translate(SHIFT))
     for a in range(w * w) if columns is None else columns:
-        want = bytes(table[grid_cell(param, *xi_raw_scaled(param, a, b), sheets)]
+        want = bytes(table[grid_cell(param, *xi_raw_scaled(param, a, b))]
                      for b in range(w))
-        if sheets == 1:
-            assert reference_center_column(param, table, a) == want
-        assert got[a * w:(a + 1) * w] == want, (str(param), a, sheets)
+        assert reference_center_column(param, table, a) == want
+        assert got[a * w:(a + 1) * w] == want, (str(param), a)
         assert shifted[a * w:(a + 1) * w] == want.translate(SHIFT), \
-            (str(param), a, sheets)
+            (str(param), a)
 
 
 def test_center_codes_match_references_to_31():
-    """center_codes on both sheets against the former columns and the
-    per-class reduction at every class of every even rational with omega
-    <= 31, on a random table, and on the cover table at omega <= 21."""
+    """center_codes against the former columns and the per-class reduction
+    at every class of every even rational with omega <= 31, on a random
+    table."""
     for param in even_rationals(31):
         w = param.omega
         rng = random.Random(w * w + param.p)
-        for sheets in (1, 2):
-            check_center_codes(param, rng.randbytes(sheets * w ** 3),
-                               sheets=sheets)
-        if w <= 21:
-            check_center_codes(param, label_table(param, 2), sheets=2)
+        check_center_codes(param, rng.randbytes(w ** 3))
 
 
 @settings(max_examples=10, deadline=None)
 @given(params(min_omega=101), st.lists(st.integers(0, 10 ** 6), min_size=1,
-                                       max_size=3), st.integers(0, 2 ** 32),
-       st.sampled_from((1, 2)))
-def test_center_codes_match_references(param, columns, seed, sheets):
+                                       max_size=3), st.integers(0, 2 ** 32))
+def test_center_codes_match_references(param, columns, seed):
     """The same at omega 101 .. MAX_OMEGA for a few columns, on a table that
-    is random on the fibers of their starts (a, r), r < sheets, only, so
-    that no example draws sheets*omega^3 random bytes; a column a = a0 +
-    m*omega with m > 0 reads its fiber through the residue law."""
+    is random on the fibers of their starts (a, 0) only, so that no example
+    draws omega^3 random bytes; a column a = a0 + m*omega with m > 0 reads
+    its fiber through the residue law."""
     w = param.omega
     columns = [a % (w * w) for a in columns]
-    table = bytearray(sheets * w ** 3)
+    table = bytearray(w ** 3)
     rng = random.Random(seed)
     for a in columns:
-        for r in range(sheets):
-            j = center_cell(param, a, r, sheets) // (w * w)
-            table[j * w * w:(j + 1) * w * w] = rng.randbytes(w * w)
-    check_center_codes(param, table, columns, sheets)
+        j = center_cell(param, a, 0) // (w * w)
+        table[j * w * w:(j + 1) * w * w] = rng.randbytes(w * w)
+    check_center_codes(param, table, columns)
 
 
 def former_suite_isomorphism(param):
@@ -2114,13 +2107,14 @@ def test_omega_step_law(param, a, b, sheets):
 
 @pytest.mark.parametrize("pq", [(2, 5), (8, 13), (10, 21)])
 def test_center_cell_calls_per_suite(pq, monkeypatch):
-    """center_cell calls, in classifier and verify: sheets*omega per
-    center_codes and per mark_classes, so omega + 2*omega for bijection;
+    """center_cell calls, in classifier and verify: omega per center_codes
+    and sheets*omega per mark_classes, so omega + 2*omega for bijection;
     3*omega for symmetry's map checks, three at each start a < omega, as
     its label laws read the table and center_codes runs only when a law
     fails; and 4*(omega + 2) for
     pet-equivalence's conjugacy cells, b = -1 .. 2 at a = -1 .. omega, and
-    2*omega for the cover codes' starts.  No suite reads omega^2 cells."""
+    omega for the starts of its codes, which are the base table's.  No
+    suite reads omega^2 cells."""
     param = make_param(*pq)
     w = param.omega
     calls = Counter()
@@ -2134,7 +2128,7 @@ def test_center_cell_calls_per_suite(pq, monkeypatch):
     monkeypatch.setattr(verify, "center_cell", center_cell)
     for suite, want in (("bijection", {1: w, 2: 2 * w}),
                         ("symmetry", {1: 3 * w}),
-                        ("pet-equivalence", {2: 4 * (w + 2) + 2 * w})):
+                        ("pet-equivalence", {1: w, 2: 4 * (w + 2)})):
         calls.clear()
         assert verify.SUITES[suite](param)["ok"], suite
         assert calls == want, (suite, calls)
@@ -2433,7 +2427,10 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
     + da, b0 + db).  True cells obey the residue law, so the fault moves
     along a = a0 as it would from its start a0, and the former per-center
     calls see the same cells.  da is not a multiple of omega, so every
-    check that reads the row b0 on its sheet fails."""
+    check that reads the row b0 on its sheet fails.  Criterion 6 reads its
+    codes from the base starts (a, 0), which its walked body never read:
+    there the fault moves the codes of the columns a = a0 mod omega, so a
+    block compare fails at a square of one of them."""
     param = make_param(*pq)
     w = param.omega
     real = classifier.center_cell
@@ -2461,10 +2458,15 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
             monkeypatch.setattr(verify, "center_cell", center_cell)
             for k, (got, want) in enumerate(checks):
                 record = got()
-                assert record == want(), (sheets, b0, a0, da, db, k)
+                if (k, sheets, b0) == (3, 1, 0):
+                    assert record["reason"] in (
+                        "orbit polygon differs", "hold at nonempty square") \
+                        and record["square"][0] % w == a0, (a0, da, db, record)
+                else:
+                    assert record == want(), (sheets, b0, a0, da, db, k)
                 failed[k] += not record["ok"]
     monkeypatch.undo()
-    assert failed == {0: 1, 1: 2, 2: 2, 3: 4}, failed  # rows each check reads
+    assert failed == {0: 1, 1: 2, 2: 2, 3: 5}, failed  # rows each check reads
 
 
 def check_pet_equivalence_record(param):

@@ -29,7 +29,7 @@ from plaid.pet import (
 )
 from plaid.classifier import (CODE_MASKS, REVERSED, _MASK_TABLE, canon_frac,
                               center_cell, fiber_label, grid_cell, tile_of,
-                              unordered_label, xi_raw_scaled)
+                              turn_fiber, unordered_label, xi_raw_scaled)
 
 
 class TestLiftLabel:
@@ -322,8 +322,8 @@ class TestPetEquivalenceFaults:
             for i, code in plant.items():
                 block[i] = code
 
-            def codes(prm, table, sheets=1, block=bytes(block)):
-                out = real_codes(prm, table, sheets)
+            def codes(prm, table, block=bytes(block)):
+                out = real_codes(prm, table)
                 out[:w * w] = block
                 return out
 
@@ -358,9 +358,10 @@ class TestPetEquivalenceFaults:
 
 @pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
 def test_pet_equivalence_reads_one_cover_table(pq, monkeypatch):
-    """One suite_pet_equivalence run builds the cover table once and the
-    fiber shifts once, and runs the mesh equations on them itself, with no
-    check_mesh call to build them again."""
+    """One suite_pet_equivalence run builds the cover table once, the base
+    table once for the lift law, and the fiber shifts once, and runs the
+    mesh equations on them itself, with no check_mesh call to build them
+    again."""
     calls = Counter()
 
     def counted(module, name):
@@ -376,7 +377,43 @@ def test_pet_equivalence_reads_one_cover_table(pq, monkeypatch):
         for name in ("label_table", "fiber_shifts", "check_mesh"):
             counted(module, name)
     assert verify.suite_pet_equivalence(make_param(*pq))["ok"]
-    assert calls == {("label_table", (2,)): 1, ("fiber_shifts", ()): 1}
+    assert calls == {("label_table", (2,)): 1, ("label_table", ()): 1,
+                     ("fiber_shifts", ()): 1}
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21), (50, 51)])
+def test_reversed_cover_fails_lift(pq, monkeypatch):
+    """Every code of the cover table reversed, the base table kept.  The
+    mesh equations, the span compare and the border test are all blind to
+    a global reversal; the lift law pins the cover's middle half to the
+    base table, so the suite fails at the first fiber there."""
+    param = make_param(*pq)
+    real = verify.label_table
+
+    def table(prm, sheets=1):
+        codes = real(prm, sheets)
+        return codes.translate(REVERSED) if sheets == 2 else codes
+
+    monkeypatch.setattr(verify, "label_table", table)
+    assert verify.suite_pet_equivalence(param) == {
+        "ok": False, "reason": "lift", "fiber": -param.omega, "half": "middle"}
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (4, 11), (10, 21)])
+def test_outer_half_turned_the_wrong_way_fails_lift(pq, monkeypatch):
+    """The lift law read with each base fiber turned by +p in place of -p:
+    the middle half still passes, and the suite names the first base fiber
+    whose two turns differ, on the outer half."""
+    param = make_param(*pq)
+    w, p = param.omega, param.p
+    base = pet.label_table(param)
+    fibers = [base[j * w * w:(j + 1) * w * w] for j in range(w)]
+    j = next(j for j, f in enumerate(fibers) if turn_fiber(f, w, p * w, p)
+             != turn_fiber(f, w, (w - p) * w, w - p))
+    monkeypatch.setattr(verify, "turn_fiber",
+                        lambda f, w, C1, c2: turn_fiber(f, w, p * w, p))
+    assert verify.suite_pet_equivalence(param) == {
+        "ok": False, "reason": "lift", "fiber": 2 * j - w, "half": "outer"}
 
 
 class TestCoverBijection:

@@ -28,8 +28,11 @@ Groups:
 - center-cells  center_cell of every center (a, b), a < omega^2, on the
                 rows b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
                 100/101;
-- cover-columns center_codes(..., 2) of the cover table, the code at every
-                center a < omega^2, b < omega, at 16/35 and 50/51;
+- cover-columns the cover table's code at the cover cell of every center
+                a < omega^2, b < omega, in the order a*omega + b, at 16/35
+                and 50/51.  By the lift law this is the base code, reversed
+                where the cell is on the outer half; criterion 6 checks the
+                law and reads its codes from the middle half, the base table;
 - pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
 - mesh-large    the check_mesh records at 50/51, at 41/60, and for the
                 list 3/8, 4/11, 50/51;
@@ -242,8 +245,9 @@ def main(argv=None) -> int:
     rows = []
     for pq in COVER_COLUMN_PARAMS:
         param = make_param(*pq)
-        table = classifier.label_table(param, 2)
-        rows.append(bytes(classifier.center_codes(param, table, 2)))
+        table, w = classifier.label_table(param, 2), param.omega
+        rows.append(bytes(table[classifier.center_cell(param, a, b, 2)]
+                          for a in range(w * w) for b in range(w)))
     print(f"{'cover-columns':<24} {_digest(rows)}")
     rows = [verify.suite_pet_equivalence(make_param(*pq)) for pq in PET_PARAMS]
     print(f"{'pet-large':<24} {_digest(rows)}")
