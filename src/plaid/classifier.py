@@ -363,14 +363,13 @@ def center_codes(param: Param, table: bytes) -> bytearray:
     codes = bytearray(w * ww)
     out = memoryview(codes)  # fixed length: a short slice raises
     for a0 in range(w):
-        rest, i2 = divmod(center_cell(param, a0, 0), w)
-        j, i1 = divmod(rest, w)
+        j, i = divmod(center_cell(param, a0, 0), ww)  # i = i1*omega + i2
         fiber = table[j * ww:(j + 1) * ww] * 2
         skew = bytearray(2 * ww)
         for k in range(w):
             c = p * k % w
             skew[k::2 * w] = skew[k + w::2 * w] = fiber[(w - c) * w + c::w][:w]
-        d, k = i1 + i2, i2 * pow(p, -1, w)
+        d, k = i // w + i % w, i % w * pow(p, -1, w)
         for lo in range(a0 * w, w * ww, w * w):  # column a = a0 mod omega
             start = d % w * 2 * w + k % w
             out[lo:lo + w] = skew[start:start + w]

@@ -163,18 +163,16 @@ def suite_pet_equivalence(param: Param) -> dict:
     base, view, q = label_table(param), memoryview(cover), param.q
     for j in range(2 * w):
         fiber = base[j % w * ww:(j % w + 1) * ww]
-        if j >= w:
-            fiber = turn_fiber(fiber, w, q * w, q).translate(REVERSED)
-        if view[j * ww:(j + 1) * ww] != fiber:
+        if view[j * ww:(j + 1) * ww] != (fiber if j < w else turn_fiber(
+                fiber, w, q * w, q).translate(REVERSED)):
             return {"ok": False, "reason": "lift", "fiber": 2 * (j % w) - w,
-                    "half": "outer" if j >= w else "middle"}
-    del base, view, fiber
+                    "half": ("middle", "outer")[j >= w]}
+    del base, view, fiber  # none is read again: the codes come from the cover
     codes = center_codes(param, cover)  # the middle half: the base codes
     # each square's edges on its block's border, as the mask bits that
     # spans gives a code's edges: no code may end there
     rim = _rim(w)
-    border = int.from_bytes(rim, "big")
-    steps, tables = 0, fill_tables(param)
+    border, steps, tables = int.from_bytes(rim, "big"), 0, fill_tables(param)
     for bi in range(w):
         masks = BlockGrid(param, bi, tables).masks()
         block = codes[bi * ww:(bi + 1) * ww]
@@ -184,16 +182,15 @@ def suite_pet_equivalence(param: Param) -> dict:
             continue
         i = next(i for i in range(ww)
                  if spans[i] != masks[i] or spans[i] & rim[i])
-        record = {"ok": False, "reason": "orbit polygon differs", "block": bi}
-        if not spans[i]:  # flagged, so its mask is not 0
-            record = {"ok": False, "reason": "hold at nonempty square"}
-        square, code = divmod(bi * ww + i, w), block[i]
+        # a flagged hold's mask is not 0
+        record = ({"ok": False, "reason": "hold at nonempty square"} if not spans[i]
+                  else {"ok": False, "reason": "orbit polygon differs", "block": bi})
         # the label spells the cover code: on the outer half, reversed
-        outer = center_cell(param, *square, 2) >= w * ww
-        return {**record, "square": square,
+        return {**record, "square": (square := divmod(bi * ww + i, w)),
                 "good_edges": sorted(e for k, e in enumerate("NSEW")
                                      if masks[i] >> k & 1),
-                "label": ORIENTED_CODES[REVERSED[code] if outer else code]}
+                "label": ORIENTED_CODES[(block[i], REVERSED[block[i]])[
+                    center_cell(param, *square, 2) >= w * ww]]}
     # each connector square's code spans its mask: one orbit step a square
     return {"ok": True, "orbit_steps": steps, "connector_squares": steps}
 

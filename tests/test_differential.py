@@ -2363,7 +2363,8 @@ def walked_suite_pet_equivalence(param):
     suite reads through verify, and center_cell and _block_loops through
     classifier and grid, so faults planted there reach it.  fiber_shifts'
     rows no longer name the next fiber's rows, so 4*j' is read off
-    j'*omega^2."""
+    j'*omega^2.  When the orbits close, base_code_failure reads the codes
+    that the suite's span and border compares read, from the base table."""
     w, ww = param.omega, param.omega ** 2
     shifts = [(J, J // ww * 4, C1, c2)
               for J, C1, c2 in verify.fiber_shifts(param, verify.cover_step)]
@@ -2414,8 +2415,44 @@ def walked_suite_pet_equivalence(param):
                     continue
             return {"ok": False, "reason": "orbit polygon differs",
                     "block": bi, "square": (a, m)}
-    return {"ok": orbit_total == nonempty, "orbit_steps": orbit_total,
-            "connector_squares": nonempty}
+    return base_code_failure(param) or {
+        "ok": orbit_total == nonempty, "orbit_steps": orbit_total,
+        "connector_squares": nonempty}
+
+
+def base_code_failure(param):
+    """The first square, in block order, whose base code does not span its
+    mask or ends on its block's border, as criterion 6 names it, or None.
+    Each column's codes come from reference_center_column, one
+    classifier.center_cell call per column a at (a, 0), so a fault planted
+    at a start moves its whole column, as in center_codes.  The label is
+    the cover code: the base code, reversed where the square's cover cell
+    is outer."""
+    w, ww = param.omega, param.omega ** 2
+    base = verify.label_table(param)
+    for bi in range(w):
+        masks = verify.BlockGrid(param, bi).masks()
+        for n in range(w):
+            a = bi * w + n
+            for m, code in enumerate(reference_center_column(param, base, a)):
+                span, mask = _MASK_TABLE[code], masks[n * w + m]
+                # the block's border: N at m = w - 1, S at m = 0, E at n = w
+                # - 1, W at n = 0, as NSEW mask bits
+                rim = ((m == w - 1) | (m == 0) << 1 | (n == w - 1) << 2
+                       | (n == 0) << 3)
+                if span == mask and not span & rim:
+                    continue
+                record = {"ok": False, "reason": "orbit polygon differs",
+                          "block": bi}
+                if not span:
+                    record = {"ok": False, "reason": "hold at nonempty square"}
+                outer = classifier.center_cell(param, a, m, 2) >= w * ww
+                return {**record, "square": (a, m),
+                        "good_edges": sorted(e for k, e in enumerate("NSEW")
+                                             if mask >> k & 1),
+                        "label": ORIENTED_CODES[REVERSED[code] if outer
+                                                else code]}
+    return None
 
 
 @pytest.mark.parametrize("pq", FAULT_PARAMS)
@@ -2428,9 +2465,9 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
     along a = a0 as it would from its start a0, and the former per-center
     calls see the same cells.  da is not a multiple of omega, so every
     check that reads the row b0 on its sheet fails.  Criterion 6 reads its
-    codes from the base starts (a, 0), which its walked body never read:
-    there the fault moves the codes of the columns a = a0 mod omega, so a
-    block compare fails at a square of one of them."""
+    codes from the base starts (a, 0), and the walked suite its codes per
+    column at (a, 0): there the fault moves the codes of the columns a = a0
+    mod omega, and both name the same first bad square."""
     param = make_param(*pq)
     w = param.omega
     real = classifier.center_cell
@@ -2458,12 +2495,7 @@ def test_residue_faults_match_former_suites(pq, monkeypatch):
             monkeypatch.setattr(verify, "center_cell", center_cell)
             for k, (got, want) in enumerate(checks):
                 record = got()
-                if (k, sheets, b0) == (3, 1, 0):
-                    assert record["reason"] in (
-                        "orbit polygon differs", "hold at nonempty square") \
-                        and record["square"][0] % w == a0, (a0, da, db, record)
-                else:
-                    assert record == want(), (sheets, b0, a0, da, db, k)
+                assert record == want(), (sheets, b0, a0, da, db, k)
                 failed[k] += not record["ok"]
     monkeypatch.undo()
     assert failed == {0: 1, 1: 2, 2: 2, 3: 5}, failed  # rows each check reads
@@ -2574,7 +2606,8 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
     fails at the lower of them: "hold at nonempty square" where that
     square's mask was 0, so that its code is a hold, else "orbit polygon
     differs".  The record names both sides: the square's good edges after
-    the toggle and its cover code's directed label, EMPTY for a hold."""
+    the toggle and its cover code's directed label, EMPTY for a hold; the
+    walked suite's base_code_failure names the same."""
     param = make_param(*pq)
     w = param.omega
     cover = label_table(param, 2)
@@ -2600,10 +2633,12 @@ def test_pet_equivalence_toggled_edge_matches_reference(pq, monkeypatch):
                  "good_edges": sorted(e for k, e in enumerate("NSEW")
                                       if mask >> k & 1),
                  "label": ORIENTED_CODES[cover[center_cell(param, *square, 2)]]}
-        assert verify.suite_pet_equivalence(param) == (
+        record = verify.suite_pet_equivalence(param)
+        assert record == (
             {"ok": False, "reason": "hold at nonempty square", **sides}
             if held else {"ok": False, "reason": "orbit polygon differs",
                           "block": bi, **sides}), (bi, i)
+        assert base_code_failure(param) == record, (bi, i)
         assert (sides["label"] == "EMPTY") == held, (bi, i)
 
 
