@@ -31,7 +31,14 @@ for criterion 6, which checks conjugacy, cover_step(center_cell(a, b), e)
 == center_cell(a + dx, b + dy), at the starts a < omega, b = 0, 1: b + 2
 and a + omega each move the cells of all fibers alike, which commutes with
 every fiber shift (classifier docstring, "Center columns").  Every cover
-cell is a center's, so a step across e and back across e ^ 1 returns to it.
+cell is a center's, so a step across e and back across e ^ 1 returns to it:
+the inverse law, that fiber j's row (J2, C1, c2) across e has fiber J2's
+row across e ^ 1 equal to (j*omega^2, -C1 mod omega^2, -c2 mod omega).
+Under the law the mesh equation of fiber j across e is the one of fiber J2
+across e ^ 1, read from the other side, so _mesh_failures checks the law
+on the 8*omega rows and then the S and E equations alone, while every
+cover byte is a code 0..15, the range the end tables are read at; any
+failure replays all four edges for the records.
 The lift law ties that table to the base table: its middle fiber j is base
 fiber j, and its outer fiber omega + j is base fiber j turned by -p in i1
 and i2 with every code reversed, as lift_label spells a label on the two
@@ -284,11 +291,47 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
          for e in range(4)]
 _MEETS = [REVERSED.translate(_ENDS[e ^ 1]) for e in range(4)]
+# _ENDS with every byte past 15 read as 4, which no _MEETS value equals
+_ENDS16 = [ends[:16] + b"\4" * 240 for ends in _ENDS]
+
+
+def _inverse_law(param: Param, shifts) -> bool:
+    """Whether every fiber shift row (J2, C1, c2), of fiber j across edge e,
+    is undone by fiber J2's row across e ^ 1: (j*omega^2, -C1 mod omega^2,
+    -c2 mod omega).  The rows are compared as a set with the set of their
+    inverses, so a row that names no fiber fails the law, never indexes."""
+    w, ww = param.omega, param.omega ** 2
+    rows = {(r // 4 * ww, r % 4, *row) for r, row in enumerate(shifts)}
+    return rows == {(J2, e ^ 1, J, -C1 % ww, -c2 % w)
+                    for J, e, J2, C1, c2 in rows}
 
 
 def _mesh_failures(param: Param, cover: bytearray, shifts) -> List[dict]:
-    """The failure records of the mesh equations on every cover table fiber."""
+    """The failure records of the mesh equations on every cover table fiber.
+
+    Each equation is read once when it can be: if the shifts obey
+    _inverse_law and every cover byte is a code, below 16, the S and E
+    equations of every fiber answer for all four.  For a code c,
+    _ENDS[e][REVERSED[c]] is _ENDS[e][c] with bits 0 and 1 swapped, and
+    _MEETS[e] is _ENDS[e ^ 1] after REVERSED.  So the equation of fiber j
+    across e at a cell i, _ENDS[e][x] == _MEETS[e][y] with y fiber J2's
+    code at i turned by (c1, c2), holds just when, both sides swapped,
+    _ENDS[e ^ 1][y] == _MEETS[e ^ 1][x]: the equation of fiber J2 across
+    e ^ 1 at the turned cell, which the law turns back to i.  The law also
+    makes j -> J2 one to one, so every N and W equation is one S or E
+    equation.  _ENDS16 reads a byte past 15 as 4, so such a byte fails its
+    fiber's S equation.  Any failure replays the four edges of every fiber,
+    which give the records in their order."""
     w, ww = param.omega, param.omega ** 2
+    # the turned side first: in the other order the C allocator trims the
+    # freed heap top and faults it back in at every equation, 2 * 10^5
+    # minor faults and about 0.3 s at 200/201
+    if _inverse_law(param, shifts) and all(
+            turn_fiber(cover[J2:J2 + ww], w, C1, c2).translate(_MEETS[e])
+            == cover[J:J + ww].translate(_ENDS16[e])
+            for J in range(0, 2 * w * ww, ww) for e in (1, 2)
+            for J2, C1, c2 in [shifts[J // ww * 4 + e]]):
+        return []
     failures = []
     # by the bijection, every odd fiber of the cover is populated
     for t in range(-2 * w + 1, 2 * w, 2):
@@ -330,7 +373,13 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     plus the triad-coverage condition over the parameter list (three points,
     not all at one parameter, interior to each of the six base triangles).
     The triads count each zone's base fibers, off the seam, where _boards
-    gives it alone; both halves of the cover lie once over each base fiber."""
+    gives it alone; both halves of the cover lie once over each base fiber.
+    The equations are read as in _mesh_failures: when the fiber shifts obey
+    the inverse law and every cover byte is a code 0..15, the S and E
+    equations of each fiber answer for its N and W ones, read from the
+    other side; otherwise, or on any failure, all four edges are replayed,
+    so the failures, their count and the worst cell are those of the
+    four-edge check."""
     failures = []
     coverage: Dict[int, Set[Tuple[str, int]]] = {1: set(), 2: set(), 3: set()}
     for param in params:

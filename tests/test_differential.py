@@ -2835,7 +2835,52 @@ def test_shift_faults_match_former_mesh():
             J, C1, c2 = (x + d for x, d in zip(real[row], change))
             shifts[row] = (J, C1 % (w * w), c2 % w)
             failed[change] += bool(check_mesh_failures(param, cover, shifts))
+            assert not pet._inverse_law(param, shifts), (row, change)
     assert min(failed.values()) > 4 * w, failed
+
+
+def test_inverse_law_holds():
+    """The exchange's fiber shifts obey the inverse law at every even
+    rational with omega <= 31 and at three larger ones."""
+    large = [make_param(*pq) for pq in ((50, 51), (41, 60), (100, 101))]
+    for param in [*even_rationals(31), *large]:
+        assert pet._inverse_law(param, fiber_shifts(param, cover_step)), \
+            str(param)
+
+
+def test_reversal_swaps_end_bits():
+    """The fact that lets the S and E equations answer for all four: on the
+    codes 0..15 reversing a code swaps the leave and enter bits of its
+    _ENDS on every edge."""
+    for ends in pet._ENDS:
+        for c in range(16):
+            x = ends[c]
+            assert ends[REVERSED[c]] == (x & 1) << 1 | x >> 1, c
+
+
+@pytest.mark.parametrize("plants", [{5: 138, 41: 84}, {14: 56, 28: 198},
+                                    {14: 204, 28: 22}])
+def test_out_of_range_pairs_match_former_mesh(plants):
+    """Two bytes past 15 at 1/2 whose S and E equations, read through
+    _ENDS, hold while the four edges fail: the check must not stop at S and
+    E on bytes out of the end tables' range."""
+    param = make_param(1, 2)
+    cover = label_table(param, 2)
+    for cell, byte in plants.items():
+        cover[cell] = byte
+    assert check_mesh_failures(param, cover)
+
+
+def test_every_byte_planted_matches_former_mesh():
+    """Every byte value 0..255 planted alone at every cover cell of 1/2: the
+    same failure list, order included, as the former body."""
+    param = make_param(1, 2)
+    clean, shifts = label_table(param, 2), fiber_shifts(param, cover_step)
+    for cell in range(len(clean)):
+        for byte in range(256):
+            cover = bytearray(clean)
+            cover[cell] = byte
+            check_mesh_failures(param, cover, shifts)
 
 
 def oracle_tiling(P, offset, window, eps):

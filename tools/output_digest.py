@@ -36,6 +36,11 @@ Groups:
 - pet-large     the pet-equivalence records at 50/51, 41/60 and 100/101;
 - mesh-large    the check_mesh records at 50/51, at 41/60, and for the
                 list 3/8, 4/11, 50/51;
+- mesh-faults   the failing path of the mesh equations: pet._mesh_failures
+                and its _worst on the cover table with one code changed (a
+                connector reversed, a hold given the code 1) at every cell
+                of 2/5 and every 41st cell of 4/11, and on the fiber_shifts
+                rows of 2/5 with one row's c1 or c2 turn off by one;
 - blocks        hl in row order, vl in column order, masks() and the
                 traced polygons of blocks (bi, 0) and (bi, 1) of every even
                 rational at omega <= N;
@@ -97,6 +102,8 @@ PET_PARAMS = ((50, 51), (41, 60), (100, 101))
 PARTICLE_PARAMS = ((50, 51), (41, 60), (100, 101), (200, 201))
 # one check_mesh call per entry
 MESH_LISTS = (((50, 51),), ((41, 60),), ((3, 8), (4, 11), (50, 51)))
+# (p, q) and the stride of the cells given a planted code
+MESH_FAULTS = (((2, 5), 1), ((4, 11), 41))
 
 
 def _digest(chunks) -> str:
@@ -254,6 +261,26 @@ def main(argv=None) -> int:
     rows = [pet.check_mesh([make_param(*pq) for pq in pqs])
             for pqs in MESH_LISTS]
     print(f"{'mesh-large':<24} {_digest(rows)}")
+    rows = []
+    for pq, stride in MESH_FAULTS:
+        param = make_param(*pq)
+        clean = classifier.label_table(param, 2)
+        shifts = pet.fiber_shifts(param, pet.cover_step)
+        for cell in range(0, len(clean), stride):
+            cover = bytearray(clean)
+            code = cover[cell]
+            cover[cell] = classifier.REVERSED[code] if code % 5 else 1
+            rows.append(pet._mesh_failures(param, cover, shifts))
+    param = make_param(*MESH_FAULTS[0][0])
+    w, clean = param.omega, classifier.label_table(param, 2)
+    real = pet.fiber_shifts(param, pet.cover_step)
+    for row in range(8 * w):
+        for c1, c2 in ((1, 0), (0, 1)):
+            shifts, (J, C1, old) = list(real), real[row]
+            shifts[row] = (J, (C1 + c1 * w) % (w * w), (old + c2) % w)
+            rows.append(pet._mesh_failures(param, clean, shifts))
+    rows = [(failures, pet._worst(failures)) for failures in rows]
+    print(f"{'mesh-faults':<24} {_digest(rows)}  ({len(rows)} covers and shifts)")
     rows = []
     for param in even_rationals(args.max_omega):
         for bi in range(param.omega):
