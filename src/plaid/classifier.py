@@ -33,9 +33,17 @@ twelve codes for the ordered pairs and the four multiples of 5 for the
 special cells (in every zone, the cells whose two symbols agree), the symbol
 being the diagnostic.  _boards is the one owner of zone dispatch, cuts and
 codes: it gives each zone over a fiber, both over a zone-boundary fiber,
-where the two byte strings built must be equal.  The table of the double
-cover continues t over [omega, 3*omega) with reversed codes, each read as
-4*entry + exit; its index, the cell, is the state of the exchange in pet.
+where the two byte strings built must be equal.  Both are built from one
+band string per zone, the band of each cell index along U1 and U2 alike:
+cell i has u = 2i + 1 - omega, so band k holds the cells from (c_k +
+omega) // 2 on, c_k the k-th cut, clamped to [0, omega], and a fiber's
+codes are board[band(i1)][band(i2)], a few bytes operations per fiber.  The
+table of the double cover continues t over [omega, 3*omega) with reversed
+codes, each read as 4*entry + exit.  The outer half is the middle half
+moved by (2, P, P), a period of the base torus and half the cover's
+(4, 2P, 2P): outer fiber omega + j is middle fiber j with i1 and i2 read
+p cells back, so its band string is the middle one rotated by p.  The
+cover's index, the cell, is the state of the exchange in pet.
 grid_cell is the one reduction of a scaled grid point to its cell, and
 cell_codes computes cells' bytes from their indices as label_table does,
 along one diagonal of a fiber; cell_code is its one-cell case.
@@ -312,19 +320,26 @@ REVERSED = bytes.maketrans(bytes(range(16)), bytes(
 def label_table(param: Param, sheets: int = 1) -> bytearray:
     """The code of every cell of the base torus or, with sheets=2, the
     directed code of every cell of the double cover, laid out as in the
-    module docstring, a fiber's u banded once per zone of _boards.  Raises
+    module docstring.  A fiber's band string, the band of each cell index,
+    is built per zone of _boards from its runs: cell i has the even u =
+    2i + 1 - omega and the cuts c are odd and sorted, so band k starts at
+    n_k = (c_k + omega) // 2, clamped to [0, omega] so that the runs fill
+    omega cells.  An outer fiber is base fiber t - 2*omega with u shifted
+    by -2p, which reads cell i at cell i - p mod omega: its band string is
+    the middle one rotated by p, and its codes are reversed.  Raises
     PlaidError when the two zones over a boundary fiber disagree."""
     w, p = param.omega, param.p
     table = bytearray()
     for t in range(-w, (2 * sheets - 1) * w, 2):
-        # an outer fiber is base fiber t - 2w with u shifted by -2p, reversed
         outer = t >= w
-        t -= 2 * w * outer
-        us = [(u - 2 * p * outer + w) % (2 * w) - w for u in range(1 - w, w, 2)]
+        t, r = t - 2 * w * outer, (w - p) * outer
         fibers = []
-        for _, (c1, c2, c3), board in _boards(w, 2 * p, t):
+        for _, cuts, board in _boards(w, 2 * p, t):
             # the cuts are odd and every u even, so no cell is on a wall
-            bands = bytes((u > c1) + (u > c2) + (u > c3) for u in us)
+            n0, n1, n2 = (min(max((c + w) // 2, 0), w) for c in cuts)
+            bands = b"\0" * n0 + b"\1" * (n1 - n0) + b"\2" * (n2 - n1) + \
+                b"\3" * (w - n2)
+            bands = bands[r:] + bands[:r]
             columns = [bands.translate(col) for col in board]
             fibers.append(b"".join(map(columns.__getitem__, bands)))
         if fibers[0] != fibers[-1]:

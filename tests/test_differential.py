@@ -1638,6 +1638,64 @@ def test_whole_table_matches_per_point_labels(max_omega, sheets):
                 assert got == want, (str(param), t, u1)
 
 
+def former_label_table(param, sheets=1):
+    """label_table as it was before band runs: every fiber's u listed, the
+    outer half's shifted by -2p, and banded one u at a time per zone."""
+    w, p = param.omega, param.p
+    table = bytearray()
+    for t in range(-w, (2 * sheets - 1) * w, 2):
+        # an outer fiber is base fiber t - 2w with u shifted by -2p, reversed
+        outer = t >= w
+        t -= 2 * w * outer
+        us = [(u - 2 * p * outer + w) % (2 * w) - w for u in range(1 - w, w, 2)]
+        fibers = []
+        for _, (c1, c2, c3), board in _boards(w, 2 * p, t):
+            bands = bytes((u > c1) + (u > c2) + (u > c3) for u in us)
+            columns = [bands.translate(col) for col in board]
+            fibers.append(b"".join(map(columns.__getitem__, bands)))
+        if fibers[0] != fibers[-1]:
+            raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
+        table += fibers[0].translate(REVERSED) if outer else fibers[0]
+    return table
+
+
+def test_label_table_matches_former_to_61():
+    """Both sheets, byte for byte, at every even rational with omega <= 61
+    and at 41/60, 50/51 and 100/101."""
+    for param in [*even_rationals(61), make_param(41, 60), make_param(50, 51),
+                  make_param(100, 101)]:
+        for sheets in (1, 2):
+            assert label_table(param, sheets) == \
+                former_label_table(param, sheets), (str(param), sheets)
+
+
+@settings(max_examples=10, deadline=None)
+@given(params(max_omega=151))
+def test_label_table_matches_former(param):
+    for sheets in (1, 2):
+        assert label_table(param, sheets) == former_label_table(param, sheets)
+
+
+@pytest.mark.parametrize("zone", [1, 2, 3])
+def test_planted_boards_match_former_label_table(zone, monkeypatch):
+    """With two rows of one zone's board swapped, label_table fails on the
+    fiber the former one fails on, with its message, at every even rational
+    with omega <= 15."""
+    monkeypatch.setitem(_BOARDS, zone, tuple(col[:2] + col[3:1:-1] + col[4:]
+                                             for col in _BOARDS[zone]))
+
+    def outcome(param, sheets, build):
+        try:
+            return bytes(build(param, sheets))
+        except PlaidError as exc:
+            return str(exc)
+
+    for param in even_rationals(15):
+        for sheets in (1, 2):
+            assert outcome(param, sheets, label_table) == \
+                outcome(param, sheets, former_label_table), (str(param), sheets)
+
+
 def test_label_table_rejects_zone_disagreement(monkeypatch):
     """Two swapped rows of the middle zone's board (U2 bands 3 and 2, the
     top two rows) show on the first boundary fiber, where that zone's fiber
@@ -1656,15 +1714,16 @@ def test_label_table_rejects_zone_disagreement(monkeypatch):
 
 def check_boards(P, w, t):
     """_boards over the fiber t/w against the Fraction reference: its zones
-    are _zones_at's, its cuts w times _zone_spec's, and each board entry of a
-    nonempty band pair codes the label of checkerboard_label at the pair's
-    middle."""
+    are _zones_at's, its cuts w times _zone_spec's and sorted, as
+    label_table's band runs need, and each board entry of a nonempty band
+    pair codes the label of checkerboard_label at the pair's middle."""
     T = F(t, w)
     got = _boards(w, int(P * w), t)
     assert tuple(zone for zone, _, _ in got) == _zones_at(P, T), (P, w, t)
     for zone, cuts, board in got:
         spec = _zone_spec(P, zone, T)
         assert cuts == tuple(w * u for u in spec.u), (P, w, t, zone)
+        assert list(cuts) == sorted(cuts), (P, w, t, zone)
         ends = (-w, *cuts, w)
         mids = [F(lo + hi, 2 * w) if lo < hi else None
                 for lo, hi in zip(ends, ends[1:])]

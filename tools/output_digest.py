@@ -23,6 +23,8 @@ Groups:
                 at omega 101 on a window with negative corners crossing four
                 blocks;
 - centers       tile_of, xi and xi_hat of every center class at omega <= 15;
+- tables        label_table of both sheets at every even rational at
+                omega <= N and at 16/35, 41/60, 50/51 and 100/101;
 - columns       center_codes of the base table, the code at every center
                 class at a*omega + b, at 16/35, 41/60, 50/51 and 100/101;
 - center-cells  center_cell of every center (a, b), a < omega^2, on the
@@ -235,6 +237,11 @@ def main(argv=None) -> int:
                 rows.append((classifier.tile_of(param, c),
                              classifier.xi(param, c), pet.xi_hat(param, c)))
     print(f"{'centers':<24} {_digest(rows)}")
+    rows = [bytes(classifier.label_table(param, sheets))
+            for param in [*even_rationals(args.max_omega),
+                          *(make_param(*pq) for pq in COLUMN_PARAMS)]
+            for sheets in (1, 2)]
+    print(f"{'tables':<24} {_digest(rows)}")
     rows = []
     for pq in COLUMN_PARAMS:
         param = make_param(*pq)
