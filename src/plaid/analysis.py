@@ -148,14 +148,13 @@ def block_light_cache(grid: BlockGrid
                   for k in range(w + 1)] for a in (grid.hl, grid.vl))
 
 
-def line_totals(grid: BlockGrid, far: bool = False
-                ) -> Tuple[List[int], List[int]]:
+def line_totals(grid: BlockGrid) -> Tuple[List[int], List[int]]:
     """The light count of the block's row offset k and of its column offset
-    k, k < omega, and with far also at k = omega, the block's far row and
-    column: the sums of line k of either axis, a[k::w+1] of hl or vl as
-    BlockGrid keeps them."""
+    k, k <= omega, where k = omega is the block's far row and column: the
+    sums of line k of either axis, a[k::w+1] of hl or vl as BlockGrid keeps
+    them."""
     w = grid.param.omega
-    return tuple([sum(a[k::w + 1]) for k in range(w + far)]
+    return tuple([sum(a[k::w + 1]) for k in range(w + 1)]
                  for a in (grid.hl, grid.vl))
 
 
@@ -245,7 +244,7 @@ def empty_rectangles(param: Param, block: Tuple[int, int], K: int
     always totals (K+1)^2 - 1: one short of what filling every cell boundary
     twice would need, so at least one empty cell must exist."""
     cuts, grid = cut_offsets(param, K), BlockGrid(param, block[0])
-    h, v = line_totals(grid, far=True)
+    h, v = line_totals(grid)
     masks = [_span_mask(a, b) for a, b in zip(cuts, cuts[1:])]
     empty = list(_empty_cells(*_block_lanes(grid), cuts, masks))
     census = sum(h[k] + v[k] for k in cuts)

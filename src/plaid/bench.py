@@ -85,7 +85,7 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
                 for k in range(omega + 1)]
         state.update(caps=caps, levels=list(cut_levels(caps)))
         for grid in state["grids"]:
-            line_totals(grid, far=True)
+            line_totals(grid)
 
     def search():
         for grid in state["grids"]:

@@ -34,11 +34,8 @@ every fiber shift (classifier docstring, "Center columns").  Every cover
 cell is a center's, so a step across e and back across e ^ 1 returns to it:
 the inverse law, that fiber j's row (J2, C1, c2) across e has fiber J2's
 row across e ^ 1 equal to (j*omega^2, -C1 mod omega^2, -c2 mod omega).
-Under the law the mesh equation of fiber j across e is the one of fiber J2
-across e ^ 1, read from the other side, so _mesh_failures checks the law
-on the 8*omega rows and then the S and E equations alone, while every
-cover byte is a code 0..15, the range the end tables are read at; any
-failure replays all four edges for the records.
+_mesh_failures gives why, under the law, the S and E equations of every
+fiber answer for all four edges.
 The lift law ties that table to the base table: its middle fiber j is base
 fiber j, and its outer fiber omega + j is base fiber j turned by -p in i1
 and i2 with every code reversed, as lift_label spells a label on the two
@@ -53,7 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .grid import STEPS, PlaidPolygon
@@ -291,8 +288,9 @@ def cover_bijection(param: Param) -> Dict[str, object]:
 _ENDS = [bytes(c % 5 and (c & 3 == e) | (c >> 2 == e) << 1 for c in range(256))
          for e in range(4)]
 _MEETS = [REVERSED.translate(_ENDS[e ^ 1]) for e in range(4)]
-# _ENDS with every byte past 15 read as 4, which no _MEETS value equals
-_ENDS16 = [ends[:16] + b"\4" * 240 for ends in _ENDS]
+# _ENDS with every byte past 15 read as 3, which differs from every _MEETS
+# value, 0, 1 or 2, in bit 0 or bit 1, so such a byte always fails
+_ENDS16 = [ends[:16] + b"\3" * 240 for ends in _ENDS]
 
 
 def _inverse_law(param: Param, shifts) -> bool:
@@ -306,8 +304,46 @@ def _inverse_law(param: Param, shifts) -> bool:
                     for J, e, J2, C1, c2 in rows}
 
 
+def _equation_failures(param: Param, cover: bytearray, shifts, edges,
+                       ends) -> Iterator[dict]:
+    """The failure records of the mesh equations across the given edges,
+    fiber by fiber in t, then edge by edge in the order given, cell by cell,
+    the into case before the out case.  The equation of fiber j across e at
+    a cell is ends[e] of its code == _MEETS[e] of the neighbour's code."""
+    w, ww = param.omega, param.omega ** 2
+    # by the bijection, every odd fiber of the cover is populated
+    for t in range(-2 * w + 1, 2 * w, 2):
+        # the fiber's cells are one block of the table
+        j = (t + w) // 2 % (2 * w)
+        fiber = cover[j * ww:(j + 1) * ww]
+        # the matching neighbour always sits across the named edge, and
+        # a connector into an edge comes out of the opposite one there
+        for edge in edges:
+            # fiber j', named by fiber_shifts' row, turned by c1 and c2: one
+            # slice where c2 is 0, else each row's last c2 codes a row back.
+            # It is built first, after the last pair is dropped: held while
+            # the next is built, that pair makes the C allocator trim the
+            # heap top and fault it back in at every equation, 2 * 10^5
+            # minor faults and about 0.3 s at 200/201
+            J2, C1, c2 = shifts[4 * j + edge]
+            here = there = None
+            there = turn_fiber(cover[J2:J2 + ww], w, C1, c2).translate(_MEETS[edge])
+            here = fiber.translate(ends[edge])
+            if here == there:
+                continue
+            e, o = _ORDER[edge], _ORDER[edge ^ 1]
+            for i, (x, y) in enumerate(zip(here, there)):
+                for bit, case in ((1, f"into-{e}->out-{o}"),
+                                  (2, f"out-{e}->into-{o}")):
+                    if (x ^ y) & bit:
+                        yield {"param": str(param), "fiber": t,
+                               "cell": decode_cell(param, j * ww + i)[1:],
+                               "case": case}
+
+
 def _mesh_failures(param: Param, cover: bytearray, shifts) -> List[dict]:
-    """The failure records of the mesh equations on every cover table fiber.
+    """The failure records of the mesh equations on every cover table fiber,
+    those of _equation_failures across S, N, E and W.
 
     Each equation is read once when it can be: if the shifts obey
     _inverse_law and every cover byte is a code, below 16, the S and E
@@ -319,50 +355,15 @@ def _mesh_failures(param: Param, cover: bytearray, shifts) -> List[dict]:
     _ENDS[e ^ 1][y] == _MEETS[e ^ 1][x]: the equation of fiber J2 across
     e ^ 1 at the turned cell, which the law turns back to i.  The law also
     makes j -> J2 one to one, so every N and W equation is one S or E
-    equation.  _ENDS16 reads a byte past 15 as 4, so such a byte fails its
-    fiber's S equation.  Any failure replays the four edges of every fiber,
-    which give the records in their order."""
-    w, ww = param.omega, param.omega ** 2
-    # the turned side first: in the other order the C allocator trims the
-    # freed heap top and faults it back in at every equation, 2 * 10^5
-    # minor faults and about 0.3 s at 200/201
-    if _inverse_law(param, shifts) and all(
-            turn_fiber(cover[J2:J2 + ww], w, C1, c2).translate(_MEETS[e])
-            == cover[J:J + ww].translate(_ENDS16[e])
-            for J in range(0, 2 * w * ww, ww) for e in (1, 2)
-            for J2, C1, c2 in [shifts[J // ww * 4 + e]]):
+    equation.  _ENDS16 reads a byte past 15 as 3, so such a byte fails its
+    fiber's S equation.  A clean run stops at nothing and a failing one at
+    its first S or E record; then the four edges of every fiber give the
+    records in their order."""
+    if _inverse_law(param, shifts) and next(
+            _equation_failures(param, cover, shifts, (1, 2), _ENDS16),
+            None) is None:
         return []
-    failures = []
-    # by the bijection, every odd fiber of the cover is populated
-    for t in range(-2 * w + 1, 2 * w, 2):
-        # the fiber's cells are one block of the table
-        j = (t + w) // 2 % (2 * w)
-        fiber = cover[j * ww:(j + 1) * ww]
-        # the matching neighbour always sits across the named edge, and
-        # a connector into an edge comes out of the opposite one there
-        for edge in (1, 0, 2, 3):  # S, N, E, W
-            # fiber j', named by fiber_shifts' row, turned by c1 and c2: one
-            # slice where c2 is 0, else each row's last c2 codes a row back.
-            # It is built first, as in the S/E pass, after the last pair is
-            # dropped: held while the next is built, that pair makes the C
-            # allocator trim the heap top and fault it back in at every
-            # equation, 2 * 10^5 minor faults and about 0.25 s at 200/201
-            J2, C1, c2 = shifts[4 * j + edge]
-            here = there = None
-            there = turn_fiber(cover[J2:J2 + ww], w, C1, c2).translate(_MEETS[edge])
-            here = fiber.translate(_ENDS[edge])
-            if here == there:
-                continue
-            e, o = _ORDER[edge], _ORDER[edge ^ 1]
-            for i, (x, y) in enumerate(zip(here, there)):
-                for bit, case in ((1, f"into-{e}->out-{o}"),
-                                  (2, f"out-{e}->into-{o}")):
-                    if (x ^ y) & bit:
-                        failures.append({
-                            "param": str(param), "fiber": t,
-                            "cell": decode_cell(param, j * ww + i)[1:],
-                            "case": case})
-    return failures
+    return list(_equation_failures(param, cover, shifts, (1, 0, 2, 3), _ENDS))
 
 
 def _worst(failures: Sequence[dict]):
@@ -379,12 +380,8 @@ def check_mesh(params: Sequence[Param]) -> Dict[str, object]:
     not all at one parameter, interior to each of the six base triangles).
     The triads count each zone's base fibers, off the seam, where _boards
     gives it alone; both halves of the cover lie once over each base fiber.
-    The equations are read as in _mesh_failures: when the fiber shifts obey
-    the inverse law and every cover byte is a code 0..15, the S and E
-    equations of each fiber answer for its N and W ones, read from the
-    other side; otherwise, or on any failure, all four edges are replayed,
-    so the failures, their count and the worst cell are those of the
-    four-edge check."""
+    The equations are read by _mesh_failures, so the failures, their count
+    and the worst cell are those of the four-edge check."""
     failures = []
     coverage: Dict[int, Set[Tuple[str, int]]] = {1: set(), 2: set(), 3: set()}
     for param in params:

@@ -1458,7 +1458,7 @@ def test_lanes_match_running_counts(param, data):
     w = param.omega
     block = BlockGrid(param, data.draw(st.integers(0, w - 1)))
     rows, cols = analysis.block_light_cache(block)
-    h, v = analysis.line_totals(block, far=True)
+    h, v = analysis.line_totals(block)
     lanes = analysis._block_lanes(block)
     levels = list(analysis.cut_levels(caps_of(param)))
     boxes = list(analysis._witnesses(block, caps_of(param), levels))
@@ -2917,12 +2917,22 @@ def test_reversal_swaps_end_bits():
             assert ends[REVERSED[c]] == (x & 1) << 1 | x >> 1, c
 
 
+def test_out_of_range_marker_always_fails():
+    """_ENDS16's marker for a byte past 15 differs from every _MEETS value
+    in bit 0 or bit 1 on every edge, so such a byte always gives a failure
+    record of its fiber's S equation."""
+    for ends, meets in zip(pet._ENDS16, pet._MEETS):
+        for byte in range(16, 256):
+            for m in set(meets):
+                assert (ends[byte] ^ m) & 3, (byte, m)
+
+
 @pytest.mark.parametrize("plants", [{5: 138, 41: 84}, {14: 56, 28: 198},
                                     {14: 204, 28: 22}])
 def test_out_of_range_pairs_match_former_mesh(plants):
     """Two bytes past 15 at 1/2 whose S and E equations, read through
     _ENDS, hold while the four edges fail: the check must not stop at S and
-    E on bytes out of the end tables' range."""
+    E on bytes out of the end tables' range, which _ENDS16 reads as 3."""
     param = make_param(1, 2)
     cover = label_table(param, 2)
     for cell, byte in plants.items():

@@ -41,8 +41,10 @@ Groups:
 - mesh-faults   the failing path of the mesh equations: pet._mesh_failures
                 and its _worst on the cover table with one code changed (a
                 connector reversed, a hold given the code 1) at every cell
-                of 2/5 and every 41st cell of 4/11, and on the fiber_shifts
-                rows of 2/5 with one row's c1 or c2 turn off by one;
+                of 2/5 and every 41st cell of 4/11, with a byte past 15
+                (16, 21, 255) at every 7th cell of 2/5, and on the
+                fiber_shifts rows of 2/5 with one row's c1 or c2 turn off
+                by one;
 - blocks        hl in row order, vl in column order, masks() and the
                 traced polygons of blocks (bi, 0) and (bi, 1) of every even
                 rational at omega <= N;
@@ -106,6 +108,8 @@ PARTICLE_PARAMS = ((50, 51), (41, 60), (100, 101), (200, 201))
 MESH_LISTS = (((50, 51),), ((41, 60),), ((3, 8), (4, 11), (50, 51)))
 # (p, q) and the stride of the cells given a planted code
 MESH_FAULTS = (((2, 5), 1), ((4, 11), 41))
+# (p, q), the stride of the cells given a byte past 15, and the bytes
+MESH_BYTES = ((2, 5), 7, (16, 21, 255))
 
 
 def _digest(chunks) -> str:
@@ -277,6 +281,15 @@ def main(argv=None) -> int:
             cover = bytearray(clean)
             code = cover[cell]
             cover[cell] = classifier.REVERSED[code] if code % 5 else 1
+            rows.append(pet._mesh_failures(param, cover, shifts))
+    pq, stride, plants = MESH_BYTES
+    param = make_param(*pq)
+    clean = classifier.label_table(param, 2)
+    shifts = pet.fiber_shifts(param, pet.cover_step)
+    for cell in range(0, len(clean), stride):
+        for byte in plants:
+            cover = bytearray(clean)
+            cover[cell] = byte
             rows.append(pet._mesh_failures(param, cover, shifts))
     param = make_param(*MESH_FAULTS[0][0])
     w, clean = param.omega, classifier.label_table(param, 2)
