@@ -65,13 +65,13 @@ def omega_layers(omega: int, scratch: str) -> List[Tuple[str, Callable]]:
     block (bi, 0) for the grid layers, the empty-rect suite's two parts on
     the grids of the fill (empty_rect_census: the capacities, the nested
     cuts and each block's line totals; empty_rect_search: each block's
-    _witnesses), center_codes of the base table
-    (center_column in older entries), criterion 10's conjugacies and the
-    mesh equations on the cover table, one orbit through a center of block
-    0's first polygon, the render and stats --document requests, the render
-    request of each layer alone (render_<layer>), and block 0's document
-    in two parts: the walk of its loops over the masks built above, and
-    the text written from them."""
+    _witnesses), center_codes of the base table, which runs through
+    center_blocks (center_column in older entries), criterion 10's
+    conjugacies and the mesh equations on the cover table, one orbit
+    through a center of block 0's first polygon, the render and stats
+    --document requests, the render request of each layer alone
+    (render_<layer>), and block 0's document in two parts: the walk of its
+    loops over the masks built above, and the text written from them."""
     p = omega // 2
     state = {}
 

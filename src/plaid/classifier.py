@@ -59,7 +59,17 @@ and u2, so columns a = a0 mod omega share a fiber and a step of omega moves
 a start by -2p^2 in i1 and i2, on the cover too.  The move commutes with
 every fiber shift and with the maps of symmetry_conjugacies, so the starts
 a < omega stand for their columns: criteria 5 and 6 and the maps of 10
-check them alone, and center_codes reads every code from them.
+check them alone, and center_blocks reads every code from them, block m
+holding the columns a0 + m*omega, a0 < omega, by two slice plans fixed for
+the parameter.  A start's fiber is rolled to read from row d0 = i1 + i2,
+its diagonal.  The first plan reads the rolled fiber's column c = pk from
+row -c, k < omega, so the start's skew, these columns joined, holds the
+diagonal d0 + r at i2 = pk in column k, row r; the plan is rotated to
+begin at k0 = i2 / p, so the center (a0, b) is the skew's row 0, column b.
+The column a0 + m*omega reads row -4p^2 m from column -2pm, so the second
+plan, slice(s*omega + x, s*omega + x + omega^2, omega) with s = -2pm and x
+= -4p^2 m mod omega, reads row m of the start's piece off the doubled
+skew.  Block m is row m of every piece, joined.
 column_codes reads a run of one column without a table, as two runs of
 cell_codes from the run's first two centers.
 """
@@ -70,7 +80,8 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .params import Param, PlaidError, Rat, RatLike, sym_reduce
 from .grid import Particle
@@ -326,25 +337,29 @@ def label_table(param: Param, sheets: int = 1) -> bytearray:
     n_k = (c_k + omega) // 2, clamped to [0, omega] so that the runs fill
     omega cells.  An outer fiber is base fiber t - 2*omega with u shifted
     by -2p, which reads cell i at cell i - p mod omega: its band string is
-    the middle one rotated by p, and its codes are reversed.  Raises
-    PlaidError when the two zones over a boundary fiber disagree."""
+    the middle one rotated by p, and its codes are reversed, read off a
+    copy of _BOARDS with every code reversed.  Raises PlaidError when the
+    two zones over a boundary fiber disagree."""
     w, p = param.omega, param.p
+    flipped = {zone: tuple(col.translate(REVERSED) for col in board)
+               for zone, board in _BOARDS.items() if sheets == 2}
     table = bytearray()
     for t in range(-w, (2 * sheets - 1) * w, 2):
         outer = t >= w
         t, r = t - 2 * w * outer, (w - p) * outer
         fibers = []
-        for _, cuts, board in _boards(w, 2 * p, t):
+        for zone, cuts, board in _boards(w, 2 * p, t):
             # the cuts are odd and every u even, so no cell is on a wall
             n0, n1, n2 = (min(max((c + w) // 2, 0), w) for c in cuts)
             bands = b"\0" * n0 + b"\1" * (n1 - n0) + b"\2" * (n2 - n1) + \
                 b"\3" * (w - n2)
             bands = bands[r:] + bands[:r]
-            columns = [bands.translate(col) for col in board]
+            columns = [bands.translate(col) for col in
+                       (flipped[zone] if outer else board)]
             fibers.append(b"".join(map(columns.__getitem__, bands)))
         if fibers[0] != fibers[-1]:
             raise PlaidError(f"zone disagreement on the fiber t={t}/{w}")
-        table += fibers[0].translate(REVERSED) if outer else fibers[0]
+        table += fibers[0]
     return table
 
 
@@ -365,30 +380,43 @@ def center_cell(param: Param, a: int, b: int, sheets: int = 1) -> int:
     return grid_cell(param, *xi_raw_scaled(param, a, b), sheets)
 
 
-def center_codes(param: Param, table: bytes) -> bytearray:
-    """table[center_cell(param, a, b)] at a*omega + b, b < omega, table
-    being label_table(param) or a translate of it.  The cover table's first
-    omega fibers, its middle half, are the base table (the lift law, which
-    criterion 6 checks), so on the cover table it gives the base codes; a
-    center's cover code is its base code, reversed where its cover cell is
-    outer.  Skew column k (and k + omega) of a fiber is its column pk
-    turned down by pk, so skew row d is diagonal d twice round in steps of
-    p, and a center column one slice of it."""
+def center_blocks(param: Param, table: bytes) -> Iterator[bytes]:
+    """center_codes(param, table)[m*omega^2:(m+1)*omega^2] for m = 0 ..
+    omega - 1, block m's codes, by the two slice plans of "Center columns":
+    the start's fiber, rolled to read from row d0 = i1 + i2, gives its skew
+    columns k0 = i2 / p on through the first, and the piece's rows m
+    through the second.  The pieces are built by the call, so a table
+    passed inline is freed when it returns; a block is one slice of each
+    piece."""
     w, p, ww = param.omega, param.p, param.omega ** 2
-    codes = bytearray(w * ww)
-    out = memoryview(codes)  # fixed length: a short slice raises
+    cols = [slice((w - c) * w + c, (w - c) * w + c + ww, w)
+            for c in (p * k % w for k in range(w))]
+    rows = [slice(s * w + x, s * w + x + ww, w) for s, x in (
+        (-2 * p * m % w, -4 * p * p * m % w) for m in range(w))]
+    pieces, inverse = [], pow(p, -1, w)
     for a0 in range(w):
         j, i = divmod(center_cell(param, a0, 0), ww)  # i = i1*omega + i2
-        fiber = table[j * ww:(j + 1) * ww] * 2
-        skew = bytearray(2 * ww)
-        for k in range(w):
-            c = p * k % w
-            skew[k::2 * w] = skew[k + w::2 * w] = fiber[(w - c) * w + c::w][:w]
-        d, k = i // w + i % w, i % w * pow(p, -1, w)
-        for lo in range(a0 * w, w * ww, w * w):  # column a = a0 mod omega
-            start = d % w * 2 * w + k % w
-            out[lo:lo + w] = skew[start:start + w]
-            d, k = d - 4 * p * p, k - 2 * p
+        # the start's row d0 = i1 + i2 of fiber j, and k0 = i2 / p
+        row, k0 = j * ww + (i // w + i) % w * w, i % w * inverse % w
+        fiber = table[row:(j + 1) * ww] + table[j * ww:row]
+        skew = b"".join(map((fiber * 2).__getitem__, cols[k0:] + cols[:k0]))
+        del fiber  # held beside the doubled skew, it would raise the peak
+        pieces.append(b"".join(map((skew * 2).__getitem__, rows)))
+    return (b"".join(map(itemgetter(slice(m * w, m * w + w)), pieces))
+            for m in range(w))
+
+
+def center_codes(param: Param, table: bytes) -> bytearray:
+    """table[center_cell(param, a, b)] at a*omega + b, b < omega, table
+    being label_table(param), its cover table or a translate of either: the
+    blocks of center_blocks, read by the two slice plans of "Center
+    columns", joined.  The cover table's first omega fibers,
+    its middle half, are the base table (the lift law, which criterion 6
+    checks), so on the cover table it gives the base codes; a center's
+    cover code is its base code, reversed where its cover cell is outer."""
+    codes = bytearray()
+    for block in center_blocks(param, table):
+        codes += block
     return codes
 
 
@@ -507,13 +535,15 @@ def verify_bijection(param: Param) -> Dict[str, object]:
     return mark_classes(param, 1)
 
 
-# translate tables, read at 0..15 only: the edge mask of each code, an edge
-# mask under rotation (N<->S, E<->W) and x-reflection (N<->S), and the N, S, E
-# and W bit of each code's mask as 0/1 lanes
+# translate tables: the edge mask of each code, and an edge mask under
+# rotation (N<->S, E<->W) and x-reflection (N<->S), read at 0..15 only; the
+# N, S, E and W bit of each code's mask as 0/1 lanes, a byte past 15 read
+# as 2, which no lane of BlockGrid.lanes has
 _MASK_TABLE = bytes(CODE_MASKS) + bytes(240)
 _ROT_MASKS = bytes(m >> 1 & 5 | m << 1 & 10 for m in range(256))
 _FLIP_MASKS = bytes(m >> 1 & 1 | m << 1 & 2 | m & 12 for m in range(256))
-_EDGE_LANES = [bytes(m >> k & 1 for m in _MASK_TABLE) for k in range(4)]
+_EDGE_LANES = [bytes(m >> k & 1 for m in CODE_MASKS) + b"\2" * 240
+               for k in range(4)]
 
 
 def symmetry_conjugacies(param: Param) -> Dict[str, object]:

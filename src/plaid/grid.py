@@ -306,9 +306,9 @@ def fill_tables(param: Param) -> tuple:
             diag, edges)
 
 
-# per edge e of "NSEW", bit e of an edge mask from a light count: an edge is
-# good when it carries exactly one light point (translate tables)
-_GOOD = [bytes((count == 1) << e for count in range(256)) for e in range(4)]
+# a light count -> 1 when its edge is good, carrying exactly one light point
+# (translate table)
+_GOOD = bytes(count == 1 for count in range(256))
 # an edge mask -> 1 when its square breaks the 0-or-2 rule (translate table)
 _INCOHERENT = bytes(mask.bit_count() not in (0, 2) for mask in range(256))
 
@@ -332,14 +332,16 @@ class BlockGrid:
     and these column sums are hl as it is kept.  vl column n is L_n rotated
     by ceil(2s*(bi*w + n)/w) = 2s*bi + ceil(2s*n/w): block 0's column
     turned by a uniform 2s*bi, whole rows, so one slice of each family's
-    table.  Sums are taken on big-endian ints.  masks() is the one reader
-    that reorders edges: it cuts one row out of each of hl's columns for
-    the N and S lanes, and puts vl's columns in square order for E and W.
+    table.  Sums are taken on big-endian ints.  lanes() is the one edge
+    reorderer: it cuts one row out of each of hl's columns for the N and S
+    lanes, and puts vl's columns in square order for E and W; masks() is
+    their bytewise or, each lane's bit in its place.
 
     The grid side's one integer light structure: edge-mask readers read the
-    bytes of masks(); criterion 4 and the empty-rect census read the line
-    totals of hl and vl, and the empty-cell test reads single rows and
-    columns as lanes (analysis.line_totals, analysis._Lanes).
+    bytes of masks(), criterion 2 the four lanes; criterion 4 and the
+    empty-rect census read the line totals of hl and vl, and the empty-cell
+    test reads single rows and columns as lanes (analysis.line_totals,
+    analysis._Lanes).
     """
 
     def __init__(self, param: Param, bi: int, tables: Optional[tuple] = None):
@@ -372,26 +374,34 @@ class BlockGrid:
         W."""
         return self.masks()[n * self.param.omega + m]
 
+    def lanes(self) -> Tuple[bytearray, bytearray, bytes, bytes]:
+        """The N, S, E and W lanes, square (n, m)'s edge at index n*w + m,
+        1 where it is good, else 0: the one reader that reorders edges."""
+        hl, vl, w = self.hl, self.vl, self.param.omega
+        # hl's columns without row 0 are the N lane (edges m = 1..omega),
+        # without row omega the S lane; the rows are deleted from the
+        # translated copy and a copy of it, with no marker byte, so any
+        # count reads as itself
+        north = hl.translate(_GOOD)
+        south = north[:]
+        del north[::w + 1], south[w::w + 1]
+        # vl's columns x = 0..omega in square order: from x = 1 the E lane,
+        # up to x = omega - 1 the W lane
+        cols = b"".join([vl[n::w + 1] for n in range(w + 1)]).translate(_GOOD)
+        return north, south, cols[w:], cols[:-w]
+
     def masks(self) -> bytes:
         """edge_mask of every square, square (n, m) at index n*w + m, built
         on the first call; every later call returns the same bytes."""
         if self._masks is None:
-            hl, vl, w = self.hl, self.vl, self.param.omega
-            # hl's columns without row 0 are the N lane (edges m = 1..omega),
-            # without row omega the S lane; the rows are deleted from the
-            # translated copies, with no marker byte, so any count reads as
-            # itself
-            north, south = hl.translate(_GOOD[0]), hl.translate(_GOOD[1])
-            del north[::w + 1], south[w::w + 1]
-            # vl's columns x = 0..omega in square order: from x = 1 the E
-            # lane, up to x = omega - 1 the W lane
-            cols = b"".join([vl[n::w + 1] for n in range(w + 1)])
-            lanes = (north, south, cols[w:].translate(_GOOD[2]),
-                     cols[:-w].translate(_GOOD[3]))
-            # the lanes of the N, S, E and W bits are disjoint, so their sum
-            # as big-endian integers is their bytewise or
-            self._masks = sum(int.from_bytes(lane, "big") for lane in lanes
-                              ).to_bytes(w * w, "big")
+            north, south, east, west = self.lanes()
+            # lane e moved to bit e: the lanes' bits are disjoint, so their
+            # sum as big-endian integers is their bytewise or
+            self._masks = (int.from_bytes(north, "big")
+                           + (int.from_bytes(south, "big") << 1)
+                           + (int.from_bytes(east, "big") << 2)
+                           + (int.from_bytes(west, "big") << 3)
+                           ).to_bytes(self.param.omega ** 2, "big")
         return self._masks
 
     def good_edge_set(self, n: int, m: int) -> FrozenSet[str]:

@@ -30,9 +30,10 @@ from .classifier import (
     CODE_MASKS,
     ORIENTED_CODES,
     REVERSED,
+    _EDGE_LANES,
     _MASK_TABLE,
+    center_blocks,
     center_cell,
-    center_codes,
     image_geometry_scaled,
     label_table,
     symmetry_conjugacies,
@@ -102,21 +103,22 @@ def suite_bijection(param: Param) -> dict:
 
 def suite_isomorphism(param: Param) -> dict:
     """The edge mask of every square equals the mask of its tile's code, a
-    block at a time against the block's slice of center_codes; only a block
-    that differs is walked square by square."""
-    w, ww = param.omega, param.omega ** 2
-    all_codes = center_codes(param, label_table(param))
+    block at a time: the four lanes of the block's codes (_EDGE_LANES) are
+    compared as bytes with the grid's (BlockGrid.lanes).  Only a block that
+    differs is walked square by square on masks(); a byte past 15 is no
+    code, differs from every lane and is named by its value."""
+    w, blocks = param.omega, center_blocks(param, label_table(param))
     mismatches, tables = [], fill_tables(param)
-    for bi in range(w):
+    for bi, codes in enumerate(blocks):
         grid = BlockGrid(param, bi, tables)
-        masks = grid.masks()
-        codes = all_codes[bi * ww:(bi + 1) * ww]
-        if codes.translate(_MASK_TABLE) == masks:
+        if tuple(map(codes.translate, _EDGE_LANES)) == grid.lanes():
             continue
+        masks = grid.masks()
         for i, code in enumerate(codes):
-            if CODE_MASKS[code] != masks[i]:
+            if code > 15 or CODE_MASKS[code] != masks[i]:
                 n, m = divmod(i, w)
-                mismatches.append(((bi * w + n, m), CODE_LABELS[code],
+                label = CODE_LABELS[code] if code < 16 else f"byte {code}"
+                mismatches.append(((bi * w + n, m), label,
                                    sorted(grid.good_edge_set(n, m))))
                 if len(mismatches) > 4:
                     return {"ok": False, "mismatches": mismatches}
@@ -168,14 +170,14 @@ def suite_pet_equivalence(param: Param) -> dict:
             return {"ok": False, "reason": "lift", "fiber": 2 * (j % w) - w,
                     "half": ("middle", "outer")[j >= w]}
     del base, view, fiber  # none is read again: the codes come from the cover
-    codes = center_codes(param, cover)  # the middle half: the base codes
+    blocks = center_blocks(param, cover)  # the middle half: the base codes
+    del cover  # held beside the pieces through the fill, it sets the peak
     # each square's edges on its block's border, as the mask bits that
     # spans gives a code's edges: no code may end there
     rim = _rim(w)
     border, steps, tables = int.from_bytes(rim, "big"), 0, fill_tables(param)
-    for bi in range(w):
+    for bi, block in enumerate(blocks):
         masks = BlockGrid(param, bi, tables).masks()
-        block = codes[bi * ww:(bi + 1) * ww]
         spans = block.translate(_MASK_TABLE)
         if spans == masks and not int.from_bytes(spans, "big") & border:
             steps += ww - masks.count(0)

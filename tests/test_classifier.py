@@ -350,6 +350,28 @@ class TestPlantedFaults:
         assert r["mismatches"][-len(tail):] == tail, r
         assert r["mismatches"][-1][0][0] // w == 2, r
 
+    @pytest.mark.parametrize("byte", [16, 21, 255])
+    def test_isomorphism_byte_past_15(self, monkeypatch, pq, byte):
+        """A byte past 15 is no code: planted at the first empty square it
+        is a mismatch named by its value, alone and with a second fault in
+        its block, the block's next empty square given the code 1 (N, S)."""
+        prm = make_param(*pq)
+        w, real = prm.omega, classifier.label_table(prm)
+        codes = classifier.center_codes(prm, real)
+        first = codes.find(0)  # square a*omega + b of the center (a, b)
+        second = codes.find(0, first + 1)
+        assert first >= 0 and second // w ** 2 == first // w ** 2
+        for plants in ({first: byte}, {first: byte, second: 1}):
+            table = bytearray(real)
+            for i, code in plants.items():
+                table[center_cell(prm, *divmod(i, w))] = code
+            monkeypatch.setattr(verify, "label_table",
+                                lambda param, sheets=1: bytearray(table))
+            assert verify.suite_isomorphism(prm) == {
+                "ok": False, "squares": w ** 3, "mismatches": [
+                    (divmod(i, w), f"byte {code}" if code > 15 else "NS", [])
+                    for i, code in plants.items()]}, plants
+
 
 class TestParticleImages:
     def test_vertical_fiber_constancy(self, p25):

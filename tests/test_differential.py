@@ -2,22 +2,22 @@
 far beyond the sweep bounds: the closed-form light lists against the light
 rule, the grid paths against the Fraction reference `segment_points`, the
 block fill by lanes against its former per-residue loop, also under planted
-light faults, the edge masks against a per-column builder, also under single
-edge toggles, with the bad squares and tracing's message against a
-per-square 0-or-2 test,
+light faults, the edge masks and lanes against a per-column builder, also
+under single edge toggles, with the bad squares and tracing's message
+against a per-square 0-or-2 test,
 tracing against its canonical form and against the exchange orbits of
 `vector_polygon`, particle image geometry against a per-image reduction, the
 particle walks and their suite against a walk per line and the suite against
 its former body that walked every block, also under planted light and square
 faults, the block-0 laws of the walks, the label table against `fiber_label`
 and the per-point labels, the per-cell code and exchange step against the
-Fraction path and the step through points, the center codes against the former
-per-column reader and the per-class reduction, criteria 2 and 10 against
-their former bodies under planted table and edge faults, the column fact
-against the per-class reduction, the bijection on column starts against
-marking every class, the exchange's conjugacy and inverse against the
-per-class loop, the mesh equations on turned fibers against their former
-per-row body, also under planted cover and shift faults, the
+Fraction path and the step through points, the center codes and blocks
+against the former per-column reader and the per-class reduction, criteria
+2 and 10 against their former bodies under planted table and edge faults,
+the column fact against the per-class reduction, the bijection on column
+starts against marking every class, the exchange's conjugacy and inverse
+against the per-class loop, the mesh equations on turned fibers against
+their former per-row body, also under planted cover and shift faults, the
 pet-equivalence record against the suite's walked former body and the
 reference that rebuilt each orbit's polygon, also under planted faults, the
 light-set laws and the classifier conjugacies against per-crossing and
@@ -76,6 +76,7 @@ from plaid.classifier import (
     canon_frac,
     canon_scaled,
     cell_code,
+    center_blocks,
     center_cell,
     center_codes,
     column_codes,
@@ -958,14 +959,20 @@ def reference_masks(grid):
 
 
 def check_masks(grid):
+    """masks() against reference_masks, and the four lanes, each of 0/1
+    bytes, ORed with lane e at bit e against masks()."""
     masks = grid.masks()
     assert type(masks) is bytes
     assert grid.masks() is masks
     assert masks == reference_masks(grid)
+    lanes = grid.lanes()
+    assert len(lanes) == 4 and all(set(lane) <= {0, 1} for lane in lanes)
+    assert bytes(n | s << 1 | e << 2 | w << 3
+                 for n, s, e, w in zip(*lanes)) == masks
 
 
-def test_masks_match_column_reference_to_15():
-    for param in even_rationals(15):
+def test_masks_and_lanes_match_column_reference_to_31():
+    for param in even_rationals(31):
         for bi in range(param.omega):
             check_masks(BlockGrid(param, bi))
 
@@ -1937,27 +1944,34 @@ SHIFT = bytes(range(1, 256)) + b"\0"
 
 
 def check_center_codes(param, table, columns=None):
-    """center_codes on table, and on a translate of it, against the table
-    read at the per-class reduction of every center (a, b), b < omega, of
-    the columns (all of them by default), and against the former per-column
-    reader."""
+    """center_codes, and center_blocks block by block, on table and on a
+    translate of it, against the table read at the per-class reduction of
+    every center (a, b), b < omega, of the columns (all of them by
+    default), and against the former per-column reader; the blocks joined
+    are center_codes."""
     w = param.omega
     got = center_codes(param, table)
     assert type(got) is bytearray and len(got) == w ** 3, str(param)
-    shifted = center_codes(param, table.translate(SHIFT))
+    blocks = list(center_blocks(param, table))
+    assert [len(block) for block in blocks] == [w * w] * w, str(param)
+    assert b"".join(blocks) == got, str(param)
+    shifted = list(center_blocks(param, table.translate(SHIFT)))
+    assert b"".join(shifted) == center_codes(param, table.translate(SHIFT))
     for a in range(w * w) if columns is None else columns:
         want = bytes(table[grid_cell(param, *xi_raw_scaled(param, a, b))]
                      for b in range(w))
         assert reference_center_column(param, table, a) == want
+        m, a0 = divmod(a, w)
         assert got[a * w:(a + 1) * w] == want, (str(param), a)
-        assert shifted[a * w:(a + 1) * w] == want.translate(SHIFT), \
+        assert blocks[m][a0 * w:(a0 + 1) * w] == want, (str(param), a)
+        assert shifted[m][a0 * w:(a0 + 1) * w] == want.translate(SHIFT), \
             (str(param), a)
 
 
 def test_center_codes_match_references_to_31():
-    """center_codes against the former columns and the per-class reduction
-    at every class of every even rational with omega <= 31, on a random
-    table."""
+    """center_codes and center_blocks against the former columns and the
+    per-class reduction at every class of every even rational with omega
+    <= 31, on a random table and its SHIFT translate."""
     for param in even_rationals(31):
         w = param.omega
         rng = random.Random(w * w + param.p)

@@ -307,7 +307,7 @@ class TestPetEquivalenceFaults:
         (0, 3))."""
         param = make_param(*pq)
         w = param.omega
-        real_codes = verify.center_codes
+        real_blocks = verify.center_blocks
         # square index n*w + m -> code 4*entry + exit, edges indexed NSEW
         column, row = range(2 * w, 3 * w), range(3, w * w, w)
         for plant, square, edges, label in (
@@ -322,10 +322,11 @@ class TestPetEquivalenceFaults:
             for i, code in plant.items():
                 block[i] = code
 
-            def codes(prm, table, block=bytes(block)):
-                out = real_codes(prm, table)
-                out[:w * w] = block
-                return out
+            def blocks(prm, table, block=bytes(block)):
+                real = real_blocks(prm, table)
+                next(real)
+                yield block
+                yield from real
 
             def grid(prm, bi, tables=None, block=bytes(block)):
                 g = BlockGrid(prm, bi, tables)
@@ -333,7 +334,7 @@ class TestPetEquivalenceFaults:
                     g._masks = block.translate(_MASK_TABLE)
                 return g
 
-            monkeypatch.setattr(verify, "center_codes", codes)
+            monkeypatch.setattr(verify, "center_blocks", blocks)
             monkeypatch.setattr(verify, "BlockGrid", grid)
             assert verify.suite_pet_equivalence(param) == {
                 "ok": False, "reason": "orbit polygon differs", "block": 0,

@@ -27,6 +27,10 @@ Groups:
                 omega <= N and at 16/35, 41/60, 50/51 and 100/101;
 - columns       center_codes of the base table, the code at every center
                 class at a*omega + b, at 16/35, 41/60, 50/51 and 100/101;
+- center-blocks every block of center_blocks on the base table at 2/5,
+                24/25 and 50/51 and on the cover table at 24/25; on a
+                checkout without center_blocks, center_codes cut into
+                blocks of omega^2 codes;
 - center-cells  center_cell of every center (a, b), a < omega^2, on the
                 rows b in {-1, 0, 1, 2} of both sheets at 16/35, 50/51 and
                 100/101;
@@ -101,6 +105,9 @@ LARGE_BLOCKS = (((50, 51), None), ((41, 60), None), ((100, 101), None),
                 ((100, 201), (0, 1, 100, 200)))
 COLUMN_PARAMS = ((16, 35), (41, 60), (50, 51), (100, 101))
 CELL_PARAMS = ((16, 35), (50, 51), (100, 101))
+# (p, q) and the sheets of the table center_blocks reads
+CENTER_BLOCK_TABLES = (((2, 5), 1), ((24, 25), 1), ((50, 51), 1),
+                       ((24, 25), 2))
 COVER_COLUMN_PARAMS = ((16, 35), (50, 51))
 PET_PARAMS = ((50, 51), (41, 60), (100, 101))
 PARTICLE_PARAMS = ((50, 51), (41, 60), (100, 101), (200, 201))
@@ -158,6 +165,15 @@ def _edge_orders(BlockGrid, make_param):
 
     return lambda grid: (lines(grid.hl, mask & 1, grid.param.omega),
                          lines(grid.vl, mask & 4, grid.param.omega))
+
+
+def _center_blocks(classifier, param, table):
+    """The blocks of center_blocks, or of center_codes where a checkout has
+    no center_blocks, as bytes."""
+    if hasattr(classifier, "center_blocks"):
+        return list(classifier.center_blocks(param, table))
+    codes, ww = classifier.center_codes(param, table), param.omega ** 2
+    return [bytes(codes[m * ww:(m + 1) * ww]) for m in range(param.omega)]
 
 
 def _render_windows(w: int):
@@ -252,6 +268,12 @@ def main(argv=None) -> int:
         table = classifier.label_table(param)
         rows.append(bytes(classifier.center_codes(param, table)))
     print(f"{'columns':<24} {_digest(rows)}")
+    rows = []
+    for pq, sheets in CENTER_BLOCK_TABLES:
+        param = make_param(*pq)
+        rows += _center_blocks(classifier, param,
+                               classifier.label_table(param, sheets))
+    print(f"{'center-blocks':<24} {_digest(rows)}")
     rows = []
     for pq in CELL_PARAMS:
         param = make_param(*pq)
